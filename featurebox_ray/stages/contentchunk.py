@@ -371,7 +371,8 @@ def cdc_scrub(ds, *, id_col: str = "doc_id", text_col: str = "text",
     doc's kept ranges vectorized over region boundaries (regions per
     doc are few — predicate spacing).  Returns ``(id_col,
     n_before:int64, n_removed:int64, n_after:int64)`` — one row per
-    non-empty doc.  Note: excising mid-string bytes can split UTF-8
+    non-empty doc; an ``id_col`` value on more than one document row
+    raises ``ValueError``.  Note: excising mid-string bytes can split UTF-8
     sequences; the scrubbed text is kept internal here (counts out)
     precisely because the byte-level contract is what chunk dedup
     operates on.
@@ -447,6 +448,12 @@ def cdc_scrub(ds, *, id_col: str = "doc_id", text_col: str = "text",
                 raise ValueError("cdc_scrub: plan rows without their "
                                  "document row")
             d = int(did[s0])
+            if e0 - s0 > 1 and tag[s0 + 1] == 0:
+                # two document rows share the id: the plan cannot tell
+                # their regions apart, and one text would be lost
+                raise ValueError(
+                    f"cdc_scrub: duplicate {id_col} {d} — one document "
+                    f"row per id")
             bs = txt[s0].encode("utf-8")
             nb = len(bs)
             if nb == 0:

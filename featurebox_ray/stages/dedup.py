@@ -31,6 +31,7 @@ dictionary-encoded unique-token pass, and per-row minima / bit-sums from
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -89,6 +90,128 @@ def split_tokens(texts: "pa.ChunkedArray | pa.Array"
             off = np.concatenate([[0], np.cumsum(kept_counts)])
             flat_tokens = flat_tokens.filter(pa.array(keep))
     return flat_tokens, off
+
+
+# RFC 1321 constants: per-step additive constant, left-rotate amount
+# and message word, for the 64 steps of the 4 rounds
+_MD5_INIT = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476)
+_MD5_K = [np.uint32(int(abs(math.sin(i + 1)) * 2 ** 32)) for i in range(64)]
+_MD5_SHIFT = ((7, 12, 17, 22) * 4 + (5, 9, 14, 20) * 4
+              + (4, 11, 16, 23) * 4 + (6, 10, 15, 21) * 4)
+_MD5_WORD = (list(range(16)) + [(5 * i + 1) % 16 for i in range(16)]
+             + [(3 * i + 5) % 16 for i in range(16)]
+             + [(7 * i) % 16 for i in range(16)])
+_MD5_ONE_BLOCK = 55      # longest message whose padding fits one block
+# per block word, indexed by clip(message bytes left at the word, -1, 4)
+# + 1: the mask keeps the word's message bytes, the pad puts the 0x80
+# byte right after the message's last one
+_MD5_TAIL_MASK = np.array([0, 0, 0xFF, 0xFFFF, 0xFFFFFF, 0xFFFFFFFF],
+                          np.uint32)
+_MD5_TAIL_PAD = np.array([0, 0x80, 0x8000, 0x800000, 0x80000000, 0],
+                         np.uint32)
+_MD5_CHUNK = 1 << 14     # grams per padded-block pass (bounds memory)
+
+
+def _md5_one_block(buf: np.ndarray, start: np.ndarray,
+                   length: np.ndarray) -> np.ndarray:
+    """md5 of the messages ``buf[start[g]:start[g] + length[g]]`` (every
+    length <= 55, ``buf`` readable 56 bytes from each start): each is
+    laid out as its one RFC 1321 padded 64-byte block and the 64 steps
+    run over uint32 lanes, all messages at once.  Returns (G, 16) uint8
+    digests."""
+    g = len(start)
+    # little-endian word j of every block, read unaligned from ``buf``:
+    # message bytes masked to the length, the 0x80 pad byte or'ed in;
+    # words past the pad are 0 and word 14 is the bit length
+    at = np.ndarray((len(buf) - 3,), "<u4", buf, strides=(1,))
+    m = np.zeros((16, g), np.uint32)
+    width = int(length.max()) if g else 0
+    for j in range(min(14, (width >> 2) + 1)):
+        r = np.clip(length - 4 * j, -1, 4) + 1
+        m[j] = (at[start + 4 * j] & _MD5_TAIL_MASK[r]) | _MD5_TAIL_PAD[r]
+    m[14] = length << 3
+    a, b, c, d = (np.full(g, v, np.uint32) for v in _MD5_INIT)
+    f = np.empty(g, np.uint32)
+    t = np.empty(g, np.uint32)
+    # in place over preallocated lanes: the round functions in their
+    # 3-op forms, and the dead ``a`` lane takes the new ``b``
+    for i in range(64):
+        if i < 16:                               # d ^ (b & (c ^ d))
+            np.bitwise_xor(c, d, out=f)
+            f &= b
+            f ^= d
+        elif i < 32:                             # c ^ (d & (b ^ c))
+            np.bitwise_xor(b, c, out=f)
+            f &= d
+            f ^= c
+        elif i < 48:
+            np.bitwise_xor(b, c, out=f)
+            f ^= d
+        else:                                    # c ^ (b | ~d)
+            np.invert(d, out=f)
+            f |= b
+            f ^= c
+        f += a
+        f += _MD5_K[i]
+        f += m[_MD5_WORD[i]]
+        s = _MD5_SHIFT[i]
+        np.left_shift(f, s, out=t)
+        f >>= 32 - s
+        f |= t
+        np.add(b, f, out=a)
+        a, b, c, d = d, a, b, c
+    words = np.stack([a, b, c, d], axis=1) + np.array(_MD5_INIT, np.uint32)
+    return words.astype("<u4").view(np.uint8)
+
+
+def row_gram_md5(flat: pa.Array, off: np.ndarray, k: int, *,
+                 short_rows: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+    """md5 digest of every k-token gram of every row, where ``(flat,
+    off)`` come from :func:`split_tokens`: a gram's message is exactly
+    ``" ".join(tokens).encode()``.  Rows with fewer than ``k`` tokens
+    give no gram, or with ``short_rows`` one gram of all their tokens
+    (empty rows never give one).  Returns ((G, 16) uint8 digests in row
+    then position order, per-row gram counts).
+
+    Vectorized: the tokens are joined, one space after each, straight
+    from the Arrow buffers, so every gram is one contiguous byte range;
+    grams of <= 55 bytes hash in bounded chunks through
+    :func:`_md5_one_block`, longer ones through ``hashlib``."""
+    from .partition import string_buffers
+
+    counts = np.diff(off)
+    n_grams = np.maximum(counts - k + 1, 0)
+    if short_rows:
+        n_grams[(counts > 0) & (counts < k)] = 1
+    total = int(n_grams.sum())
+    gram_off = np.cumsum(n_grams) - n_grams
+    pos = np.arange(total, dtype=np.int64) - np.repeat(gram_off, n_grams)
+    first = np.repeat(off[:-1], n_grams) + pos
+    ntok = np.repeat(np.minimum(counts, k), n_grams)
+
+    tok_off, data = string_buffers(flat)
+    lens = np.diff(tok_off)
+    buf = np.concatenate([
+        np.insert(data[tok_off[0]:tok_off[-1]], tok_off[1:] - tok_off[0],
+                  np.uint8(0x20)),
+        np.zeros(64, np.uint8)])          # word reads past the last gram
+    # token t starts at tok_start[t] in buf; a gram ends one byte (its
+    # last token's trailing space) before its next token starts
+    tok_start = np.zeros(len(lens) + 1, np.int64)
+    np.cumsum(lens + 1, out=tok_start[1:])
+    start = tok_start[first]
+    length = tok_start[first + ntok] - start - 1
+
+    out = np.empty((total, 16), np.uint8)
+    short = np.flatnonzero(length <= _MD5_ONE_BLOCK)
+    for lo in range(0, len(short), _MD5_CHUNK):
+        sel = short[lo:lo + _MD5_CHUNK]
+        out[sel] = _md5_one_block(buf, start[sel], length[sel])
+    for i in np.flatnonzero(length > _MD5_ONE_BLOCK):
+        s = start[i]
+        out[i] = np.frombuffer(
+            hashlib.md5(buf[s:s + length[i]].tobytes()).digest(), np.uint8)
+    return out, n_grams
 
 
 def _batch_token_hashes(texts: "pa.ChunkedArray | pa.Array"
@@ -161,14 +284,6 @@ def _batch_shingles(texts, n: int) -> Tuple[np.ndarray, np.ndarray]:
     rep_dst = np.repeat(out_off[long_rows], c)
     idx = rep_src + (np.arange(total_out, dtype=np.int64) - rep_dst)
     return acc[idx], out_off
-
-
-def shingle_set(text: str, n: int = 3) -> np.ndarray:
-    """Sorted unique shingle hashes of one text (for exact-Jaccard
-    verification of candidate pairs)."""
-    arr = pa.array([text], pa.string())
-    flat, off = _batch_shingles(arr, n)
-    return np.unique(flat)
 
 
 # ---------------------------------------------------------------------------
@@ -443,19 +558,9 @@ class MinHasher:
         )
 
 
+# per-worker hasher cache for the stateless-task signature stages (see
+# ``text.text_features_fn`` for why these exist beside the actor pools)
 _MH_CACHE: dict = {}
-
-
-def minhash_signature_fn(batch: pa.Table, *, k: int = 32,
-                         text_col: str = "text") -> pa.Table:
-    """Stateless-task MinHash signature stage (per-worker cached params) —
-    see ``text.text_features_fn`` for why this exists alongside the
-    actor-pool ``MinHasher``."""
-    key = (k, text_col)
-    mh = _MH_CACHE.get(key)
-    if mh is None:
-        mh = _MH_CACHE[key] = MinHasher(k=k, text_col=text_col)
-    return mh(batch)
 
 
 def _band_buckets(sig: np.ndarray, bands: int) -> np.ndarray:

@@ -31,7 +31,7 @@ replaces its implicit "whole DataFrame in memory" assumption
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import pyarrow as pa
@@ -53,15 +53,33 @@ def _mix64(h: np.ndarray) -> np.ndarray:
     return h ^ (h >> np.uint64(31))
 
 
+def _is_bytes_type(t: pa.DataType) -> bool:
+    return (pa.types.is_string(t) or pa.types.is_large_string(t)
+            or pa.types.is_binary(t) or pa.types.is_large_binary(t))
+
+
+def string_buffers(arr: pa.Array) -> Tuple[np.ndarray, np.ndarray]:
+    """``(offsets, values)`` of a string/binary Array read straight from
+    its Arrow buffers, zero-copy: element i's bytes are
+    ``values[offsets[i]:offsets[i + 1]]`` (int64 offsets, absolute into
+    ``values`` — a sliced array need not start at 0; large types carry
+    int64 offsets, the others int32)."""
+    wide = (pa.types.is_large_string(arr.type)
+            or pa.types.is_large_binary(arr.type))
+    raw_off = np.frombuffer(arr.buffers()[1],
+                            dtype=np.int64 if wide else np.int32)
+    off = raw_off[arr.offset:arr.offset + len(arr) + 1].astype(np.int64)
+    data = np.frombuffer(arr.buffers()[2] or b"", dtype=np.uint8)
+    return off, data
+
+
 def _hash_string_values(arr: pa.Array) -> np.ndarray:
     """uint64 hash per element of a string/binary Array — fully
     vectorized over the Arrow offsets/values buffers (no per-value
     Python, so partitioning on a mostly-unique key like raw document
     text costs O(bytes) numpy, not one Python hash per row)."""
     n = len(arr)
-    raw_off = np.frombuffer(arr.buffers()[1], dtype=np.int32)
-    off = raw_off[arr.offset:arr.offset + n + 1].astype(np.int64)
-    data = np.frombuffer(arr.buffers()[2] or b"", dtype=np.uint8)
+    off, data = string_buffers(arr)
     start = off[0]
     lens = np.diff(off)
     total = int(off[-1] - start)
@@ -99,13 +117,7 @@ def _hash_chunk(arr: pa.Array, num_partitions: int) -> np.ndarray:
     if pa.types.is_dictionary(arr.type):
         # hash the (small) dictionary, gather through the indices
         d = arr.dictionary
-        if pa.types.is_large_string(d.type):
-            # _hash_string_values reads int32 offsets; large types carry
-            # int64 offsets and would be read as garbage
-            d = d.cast(pa.string())
-        elif pa.types.is_large_binary(d.type):
-            d = d.cast(pa.binary())
-        if pa.types.is_string(d.type) or pa.types.is_binary(d.type):
+        if _is_bytes_type(d.type):
             h = _hash_string_values(d)
             bucket = (h % np.uint64(num_partitions)).astype(np.int32)
             if arr.null_count:
@@ -120,12 +132,7 @@ def _hash_chunk(arr: pa.Array, num_partitions: int) -> np.ndarray:
             return bucket[idx]
         arr = arr.cast(arr.type.value_type)
     t = arr.type
-    if (pa.types.is_string(t) or pa.types.is_large_string(t)
-            or pa.types.is_binary(t) or pa.types.is_large_binary(t)):
-        if pa.types.is_large_string(t):
-            arr = arr.cast(pa.string())
-        elif pa.types.is_large_binary(t):
-            arr = arr.cast(pa.binary())
+    if _is_bytes_type(t):
         h = _hash_string_values(arr)
         return (h % np.uint64(num_partitions)).astype(np.int32)
     if pa.types.is_integer(t):

@@ -1088,8 +1088,9 @@ def coverage_curve(ds, *, weight_col: str,
     float in the decision).  Within the marginal weight, the count of
     rows actually needed is the exact ceil division.
 
-    NULL / negative weights drop (a document can't carry negative
-    tokens).  Returns ``(pct:int64, n_rows:int64,
+    Thresholds are integer percentages in [1, 100], checked before any
+    pass runs.  NULL / negative weights drop (a document can't carry
+    negative tokens).  Returns ``(pct:int64, n_rows:int64,
     covered_weight:int64)``; empty input → empty table; an all-zero
     weight total RAISES (degenerate, and the SQL replay would answer
     differently than the equally-valid 0-row answer).
@@ -1098,6 +1099,13 @@ def coverage_curve(ds, *, weight_col: str,
     import ray
 
     from .partition import materialized_block_refs, sum_partials
+
+    for p in thresholds:
+        # pct = 0 would be met by 0 rows while the SQL replay (min rn
+        # with cw·100 ≥ 0) answers 1 — refuse it, before any pass runs
+        if not 1 <= int(p) <= 100:
+            raise ValueError(
+                f"coverage_curve: thresholds must be in [1, 100], got {p}")
 
     def partial(b: pa.Table) -> pa.Table:
         if b.num_rows == 0 or weight_col not in b.column_names:
@@ -1119,9 +1127,6 @@ def coverage_curve(ds, *, weight_col: str,
                       "covered_weight": pa.array([], pa.int64())})
     if comb is None or comb.num_rows == 0:
         return empty
-    for p in thresholds:
-        if not 0 <= int(p) <= 100:
-            raise ValueError("coverage_curve: thresholds in [0, 100]")
     w = comb["w"].to_numpy(zero_copy_only=False).astype(np.int64)[::-1]
     cnt = comb["cnt"].to_numpy(zero_copy_only=False).astype(
         np.int64)[::-1]                     # descending weight

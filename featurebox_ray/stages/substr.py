@@ -22,9 +22,9 @@ Gram keys come in two modes:
 - ``hash_mode="md5"`` — the full 128-bit md5 digest of the space-joined
   gram, shipped as TWO int64 columns (identical equality classes to the
   hex string DuckDB groups by, but the exchange moves 16 bytes + int
-  sorts, never strings); one hashlib call per gram (Python loop; the
-  documented replayable-hash cost, same family as the q26/q48 md5
-  loops).  DuckDB ``md5()`` replays the whole decision procedure
+  sorts, never strings); every gram of a block hashes in one
+  vectorized pass (`dedup.row_gram_md5`, shared with the q26 text
+  fingerprint).  DuckDB ``md5()`` replays the whole decision procedure
   bit-exactly → full SQL value oracle (q84).
 - ``hash_mode="poly"`` — the vectorized uint64 polynomial shingle hash
   shared with MinHash (`dedup._batch_shingles`): zero Python per row,
@@ -39,8 +39,6 @@ SimHash dedup (stages/dedup.py).
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -51,26 +49,17 @@ __all__ = ["dup_spans", "dup_token_stats", "ngram_novelty",
 
 def _gram_emit_md5(batch: pa.Table, id_col: str, text_col: str,
                    k: int) -> pa.Table:
-    from .dedup import split_tokens
+    from .dedup import row_gram_md5, split_tokens
 
     texts = pc.fill_null(batch[text_col].combine_chunks(), "")
-    flat, off = split_tokens(texts)
-    toks = flat.to_pylist()
-    counts = np.diff(off)
-    n_grams = np.maximum(counts - k + 1, 0)
-    doc_idx = np.repeat(np.arange(len(counts)), n_grams)
-    starts = np.repeat(off[:-1], n_grams)
+    dig, n_grams = row_gram_md5(*split_tokens(texts), k)
+    doc_idx = np.repeat(np.arange(len(n_grams)), n_grams)
     first = np.repeat(np.cumsum(n_grams) - n_grams, n_grams)
-    pos = np.arange(int(n_grams.sum()), dtype=np.int64) - first  # 0-based
-    abs_start = starts + pos
+    pos = np.arange(len(dig), dtype=np.int64) - first  # 0-based
     # full 128-bit digest as TWO int64 columns: exactly md5's equality
     # classes (what the SQL oracle groups by) but the exchange ships 16
     # bytes + int sorts instead of 32-char hex strings
-    dig = b"".join(
-        hashlib.md5(" ".join(toks[s:s + k]).encode()).digest()
-        for s in abs_start)
-    gh = np.frombuffer(dig, dtype="<i8").reshape(-1, 2) \
-        if len(abs_start) else np.empty((0, 2), np.int64)
+    gh = dig.view("<i8")
     ids = (batch[id_col].combine_chunks()
            .take(pa.array(doc_idx, pa.int64())))
     return pa.table({
@@ -570,9 +559,8 @@ def cross_source_grams(ds, *, group_col: str = "source",
     gram's distinct sources expand to pairs via ``triangular_pairs``
     (sources per gram <= |sources|, tiny); per-partition (src_a,
     src_b, n) partials combine on the driver (<= |sources|^2 cells).
-    The md5-per-gram Python loop is the documented replayable-hash
-    cost (the q84 md5 mode); use hash_mode='poly' economics only if a
-    profile ever shows it hot.
+    Grams hash with md5 (the q84 md5 mode, vectorized per block) so
+    the SQL replay can group the same keys.
 
     Reference analog: none — companion of vocab_overlap (q148) /
     dup_spans (q84) in the corpus-QA family.

@@ -7,10 +7,13 @@ Fully batch-vectorized: character-level counts run as Arrow RE2 kernels
 (``count_substring_regex`` / ``utf8_length``), token-level stats
 (stopword hits, mean token length) run as ``pc.is_in`` + numpy
 ``reduceat`` over the token-list offsets from
-:func:`..stages.dedup.split_tokens`.  The only per-row Python left is the
-md5 winnowing fingerprint (hashlib.md5 per token 5-gram — the hash itself
-is the cost; chosen because DuckDB ``md5()`` can replay it, giving the
-q26 oracle a value-hash check on every output column).
+:func:`..stages.dedup.split_tokens`.  The md5 winnowing fingerprint
+(smallest md5 over a row's token 5-grams — md5 because DuckDB ``md5()``
+can replay it, giving the q26 oracle a value-hash check on every output
+column) hashes every gram of the batch at once with
+:func:`..stages.dedup.row_gram_md5`: a numpy single-block MD5 over uint32
+lanes for grams of at most 55 bytes, ``hashlib`` for the rare longer
+ones; the per-row minimum is a segmented ``reduceat``.
 
 Regex semantics note: counts use RE2 (Arrow + DuckDB both), where ``\\w``
 is ASCII ``[0-9A-Za-z_]`` and uppercase is ``[A-Z]`` — byte-identical
@@ -23,14 +26,13 @@ operators the engine adds for 100 TB corpora (task brief).
 
 from __future__ import annotations
 
-import hashlib
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .dedup import split_tokens
+from .dedup import row_gram_md5, split_tokens
 
 # tiny public stopword profiles for the stopword-ratio language heuristic
 _LANG_STOPWORDS: Dict[str, tuple] = {
@@ -48,6 +50,7 @@ BPE_PATTERN = r"[A-Za-z]+|[0-9]+|[^\sA-Za-z0-9]"
 PUNCT_PATTERN = r"[^\w\s]"
 UPPER_PATTERN = r"[A-Z]"
 FINGERPRINT_W = 5
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", np.uint8)
 
 
 def _row_sums(values: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -66,6 +69,33 @@ def _row_sums(values: np.ndarray, off: np.ndarray) -> np.ndarray:
     if len(nonempty):
         out[nonempty] = np.add.reduceat(values, off[:-1][nonempty])
     return out
+
+
+def _min_digest_hex(dig: np.ndarray, n_grams: np.ndarray) -> pa.Array:
+    """Per row, the hex string of its smallest 16-byte digest (rows are
+    consecutive runs of ``n_grams`` digests; a row with none gets "").
+    Hex keeps byte order, so the smallest hexdigest is the smallest
+    big-endian 128-bit value: a segmented min over the high 64 bits,
+    then over the low 64 bits of the digests that tie on it."""
+    n = len(n_grams)
+    rows = np.flatnonzero(n_grams)
+    be = dig.view(">u8").astype(np.uint64)          # (G, 2): high, low
+    seg = (np.cumsum(n_grams) - n_grams)[rows]
+    best = np.empty((len(rows), 2), np.uint64)
+    if len(rows):
+        best[:, 0] = np.minimum.reduceat(be[:, 0], seg)
+        row_of = np.repeat(np.arange(len(rows)), n_grams[rows])
+        low = np.where(be[:, 0] == best[row_of, 0], be[:, 1],
+                       np.uint64(2 ** 64 - 1))
+        best[:, 1] = np.minimum.reduceat(low, seg)
+    b = best.astype(">u8").view(np.uint8)           # (R, 16) digest bytes
+    hexed = np.empty((len(rows), 32), np.uint8)
+    hexed[:, 0::2] = _HEX_DIGITS[b >> 4]
+    hexed[:, 1::2] = _HEX_DIGITS[b & 15]
+    offsets = np.zeros(n + 1, np.int32)
+    np.cumsum(np.where(n_grams > 0, 32, 0), out=offsets[1:])
+    return pa.StringArray.from_buffers(n, pa.py_buffer(offsets),
+                                       pa.py_buffer(hexed))
 
 
 class TextFeaturizer:
@@ -118,19 +148,12 @@ class TextFeaturizer:
                    * (1.0 - np.minimum(1.0, punct_ratio * 4))
                    * (1.0 - np.minimum(1.0, upper_ratio * 2)))
 
-        # md5 winnowing fingerprint (per-row; hashlib.md5 per w-gram is the
-        # irreducible cost — replayable in SQL as min(md5(gram)))
-        toks_py: List[str] = flat.to_pylist()
-        w = FINGERPRINT_W
-        fp = np.empty(n, object)
-        for i in range(n):
-            row = toks_py[off[i]:off[i + 1]]
-            if not row:
-                fp[i] = ""
-                continue
-            fp[i] = min(
-                hashlib.md5(" ".join(row[j:j + w]).encode()).hexdigest()
-                for j in range(max(1, len(row) - w + 1)))
+        # md5 winnowing fingerprint: the smallest md5 over the row's
+        # w-grams (one gram of all tokens when shorter), replayable in SQL
+        # as min(md5(gram)); every gram hashes in one vectorized pass
+        dig, n_grams = row_gram_md5(flat, off, FINGERPRINT_W,
+                                    short_rows=True)
+        fp = _min_digest_hex(dig, n_grams)
 
         out = batch
         for name, arr in [
@@ -143,7 +166,7 @@ class TextFeaturizer:
             ("ta_upper_ratio", pa.array(upper_ratio)),
             ("ta_quality", pa.array(quality)),
             ("ta_lang", pa.array(list(lang_arr), pa.string())),
-            ("ta_fingerprint", pa.array(list(fp), pa.string())),
+            ("ta_fingerprint", fp),
         ]:
             out = out.append_column(name, arr)
         return out

@@ -160,3 +160,22 @@ def test_cdc_scrub_planted_copy_removed_entirely():
     assert got.loc[2, "n_after"] == 0
     assert (got["n_before"] - got["n_removed"]
             == got["n_after"]).all()
+
+
+def test_cdc_scrub_duplicate_doc_id_raises():
+    """Two document rows with one doc_id: the second text would be
+    dropped silently, so the scrub refuses the input."""
+    import pytest
+
+    from featurebox_ray.stages.contentchunk import cdc_scrub
+
+    rng = np.random.default_rng(444)
+    base = "".join(chr(97 + int(c))
+                   for c in rng.integers(0, 26, 2500))
+    other = "".join(chr(97 + int(c))
+                    for c in rng.integers(0, 26, 2500))
+    t = pa.table({"doc_id": pa.array([0, 1, 1], pa.int64()),
+                  "text": pa.array([base, other, base])})
+    with pytest.raises(Exception, match="duplicate doc_id 1"):
+        cdc_scrub(ray.data.from_arrow(t).repartition(3), mask_bits=6,
+                  max_len=400, num_partitions=3).materialize()

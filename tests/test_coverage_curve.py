@@ -68,6 +68,27 @@ def test_coverage_curve_zero_total_raises():
         coverage_curve(ray.data.from_arrow(t), weight_col="w")
 
 
+def test_coverage_curve_threshold_bounds_raise():
+    """pct=0 (met by 0 rows, but the SQL replay answers 1) and pct>100
+    raise before any pass runs — the map partial never executes."""
+    import pytest
+
+    def boom(b):
+        raise AssertionError("partial pass ran")
+
+    ds = ray.data.from_arrow(
+        pa.table({"w": pa.array([3, 1], pa.int64())})).map_batches(
+        boom, batch_format="pyarrow")
+    for bad in [(0,), (50, 101), (-1, 50)]:
+        with pytest.raises(ValueError, match=r"\[1, 100\]"):
+            coverage_curve(ds, weight_col="w", thresholds=bad)
+    t = pa.table({"w": pa.array([3, 1], pa.int64())})
+    got = coverage_curve(ray.data.from_arrow(t), weight_col="w",
+                         thresholds=(1, 100)).to_pydict()
+    assert got == {"pct": [1, 100], "n_rows": [1, 2],
+                   "covered_weight": [3, 4]}
+
+
 def test_group_completeness_duckdb_fuzz():
     """group_completeness vs a UNION-ALL SQL replay with NULL groups,
     NULL/empty strings, and NULL ints, at 2 partitionings."""
