@@ -657,6 +657,36 @@ def _group_completeness_q(sf_dir: str):
                               cols=["text", "lang", "n_chars"])
 
 
+def _cdc_chunks_fixture(sf_dir: str) -> None:
+    """Write the serial CDC replay fixture (window 16, mask bits 7, max
+    length 800) that the q316/q317/q320/q321 oracles read, unless the
+    copy on disk was already built from ``sf_dir`` (its ``.src`` file
+    names the source directory).  The fixture is param-keyed and
+    byte-deterministic, and the replay is the most expensive pure-Python
+    loop in the suite, so it runs once per ``sf_dir``."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from _oracle_replays import replay_cdc_chunks
+
+    fpath = f"{_ORACLE_DIR}/cdc_chunks_w16m7l800.parquet"
+    spath = f"{_ORACLE_DIR}/cdc_chunks_w16m7l800.src"
+    if (os.path.exists(fpath) and os.path.exists(spath)
+            and open(spath).read() == sf_dir):
+        return
+    t = pq.read_table(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "text"])
+    rep = replay_cdc_chunks(t["doc_id"].to_pylist(),
+                            t["text"].to_pylist(),
+                            window=16, mask_bits=7, max_len=800)
+    os.makedirs(_ORACLE_DIR, exist_ok=True)
+    pq.write_table(rep, fpath + ".tmp")
+    os.replace(fpath + ".tmp", fpath)
+    with open(spath, "w") as fh:
+        fh.write(sf_dir)
+
+
 def _scrub_dedup_q(sf_dir: str):
     """q321: keep-first chunk-dedup scrub with byte accounting
     (stages/contentchunk.py:cdc_scrub) — REAL byte splicing of every
@@ -664,31 +694,12 @@ def _scrub_dedup_q(sf_dir: str):
     bytes (n_before − n_removed == n_after is an internal invariant).
     Oracle: per-doc removal sums over the shared serial CDC replay
     fixture joined to octet lengths."""
-    import os
-
-    import pyarrow.parquet as pq
     import ray
 
-    from _oracle_replays import replay_cdc_chunks
     from featurebox_ray.stages.contentchunk import cdc_scrub
 
     W, MB, ML = 16, 7, 800
-    fpath = f"{_ORACLE_DIR}/cdc_chunks_w16m7l800.parquet"
-    spath = f"{_ORACLE_DIR}/cdc_chunks_w16m7l800.src"
-    fresh = (os.path.exists(fpath) and os.path.exists(spath)
-             and open(spath).read() == sf_dir)
-    if not fresh:
-        t = pq.read_table(f"{sf_dir}/documents.parquet",
-                          columns=["doc_id", "text"])
-        rep = replay_cdc_chunks(t["doc_id"].to_pylist(),
-                                t["text"].to_pylist(),
-                                window=W, mask_bits=MB, max_len=ML)
-        os.makedirs(_ORACLE_DIR, exist_ok=True)
-        pq.write_table(rep, fpath + ".tmp")
-        os.replace(fpath + ".tmp", fpath)
-        with open(spath, "w") as fh:
-            fh.write(sf_dir)
-
+    _cdc_chunks_fixture(sf_dir)
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["doc_id", "text"],
                                  override_num_blocks=8)
@@ -702,31 +713,12 @@ def _dup_regions_q(sf_dir: str):
     repeats, with class size and first-seen doc: the keep-first
     removal plan behind q317's rates.  Oracle: SQL HAVING/JOIN over
     the same independent serial CDC replay fixture as q316/q317."""
-    import os
-
-    import pyarrow.parquet as pq
     import ray
 
-    from _oracle_replays import replay_cdc_chunks
     from featurebox_ray.stages.contentchunk import cdc_dup_regions
 
     W, MB, ML = 16, 7, 800
-    fpath = f"{_ORACLE_DIR}/cdc_chunks_w16m7l800.parquet"
-    spath = f"{_ORACLE_DIR}/cdc_chunks_w16m7l800.src"
-    fresh = (os.path.exists(fpath) and os.path.exists(spath)
-             and open(spath).read() == sf_dir)
-    if not fresh:
-        t = pq.read_table(f"{sf_dir}/documents.parquet",
-                          columns=["doc_id", "text"])
-        rep = replay_cdc_chunks(t["doc_id"].to_pylist(),
-                                t["text"].to_pylist(),
-                                window=W, mask_bits=MB, max_len=ML)
-        os.makedirs(_ORACLE_DIR, exist_ok=True)
-        pq.write_table(rep, fpath + ".tmp")
-        os.replace(fpath + ".tmp", fpath)
-        with open(spath, "w") as fh:
-            fh.write(sf_dir)
-
+    _cdc_chunks_fixture(sf_dir)
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["doc_id", "text"],
                                  override_num_blocks=8)
@@ -770,8 +762,7 @@ def _leakage_audit_q(sf_dir: str):
     left = ev.map_batches(left_side, batch_format="pyarrow",
                           zero_copy_batch=True)
     joined = asof_join(left, right, key="user_id", ts_col="ts",
-                       right_cols=["rts"], num_partitions=8,
-                       strategy="tasks")
+                       right_cols=["rts"], num_partitions=8)
     return asof_leakage_audit(joined, right, key="user_id",
                               ts_col="ts", matched_ts_col="rts",
                               num_partitions=8)
@@ -804,34 +795,12 @@ def _cdc_dup_share_q(sf_dir: str):
     keyed exchanges.  Oracle: SQL OVER the independent serial CDC
     replay (the q316 fixture recomputed here), so the chunking AND
     the dedup rollup are both externally checked."""
-    import os
-
-    import pyarrow.parquet as pq
     import ray
 
-    from _oracle_replays import replay_cdc_chunks
     from featurebox_ray.stages.contentchunk import cdc_dup_share
 
     W, MB, ML = 16, 7, 800
-    # the fixture is param-keyed and byte-deterministic: reuse q316's
-    # if this process already wrote it (the replay is the most
-    # expensive pure-python loop in the suite — don't run it twice)
-    fpath = f"{_ORACLE_DIR}/cdc_chunks_w16m7l800.parquet"
-    spath = f"{_ORACLE_DIR}/cdc_chunks_w16m7l800.src"
-    fresh = (os.path.exists(fpath) and os.path.exists(spath)
-             and open(spath).read() == sf_dir)
-    if not fresh:
-        t = pq.read_table(f"{sf_dir}/documents.parquet",
-                          columns=["doc_id", "text"])
-        rep = replay_cdc_chunks(t["doc_id"].to_pylist(),
-                                t["text"].to_pylist(),
-                                window=W, mask_bits=MB, max_len=ML)
-        os.makedirs(_ORACLE_DIR, exist_ok=True)
-        pq.write_table(rep, fpath + ".tmp")
-        os.replace(fpath + ".tmp", fpath)
-        with open(spath, "w") as fh:
-            fh.write(sf_dir)
-
+    _cdc_chunks_fixture(sf_dir)
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["doc_id", "text"],
                                  override_num_blocks=8)
@@ -847,29 +816,12 @@ def _cdc_chunks_q(sf_dir: str):
     insertions (the dedup-friendly property fixed windows lack).
     Fixture oracle: INDEPENDENT per-doc serial rolling-hash replay
     (_oracle_replays.replay_cdc_chunks) — not SQL-expressible."""
-    import os
-
-    import pyarrow.parquet as pq
     import ray
 
-    from _oracle_replays import replay_cdc_chunks
     from featurebox_ray.stages.contentchunk import cdc_chunk
 
     W, MB, ML = 16, 7, 800
-
-    t = pq.read_table(f"{sf_dir}/documents.parquet",
-                      columns=["doc_id", "text"])
-    rep = replay_cdc_chunks(t["doc_id"].to_pylist(),
-                            t["text"].to_pylist(),
-                            window=W, mask_bits=MB, max_len=ML)
-    os.makedirs(_ORACLE_DIR, exist_ok=True)
-    pq.write_table(rep,
-        f"{_ORACLE_DIR}/cdc_chunks_w16m7l800.parquet.tmp")
-    os.replace(f"{_ORACLE_DIR}/cdc_chunks_w16m7l800.parquet.tmp",
-               f"{_ORACLE_DIR}/cdc_chunks_w16m7l800.parquet")
-    with open(f"{_ORACLE_DIR}/cdc_chunks_w16m7l800.src", "w") as fh:
-        fh.write(sf_dir)
-
+    _cdc_chunks_fixture(sf_dir)
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["doc_id", "text"],
                                  override_num_blocks=8)
@@ -4564,8 +4516,7 @@ def _pagerank_q(sf_dir: str):
                             pa.int64())})
 
     edges = partitioned_map(pairs, edge_kernel, key="__c",
-                            sort_keys=["__c"], num_partitions=16,
-                            strategy="tasks")
+                            sort_keys=["__c"], num_partitions=16)
     ranks = pagerank(edges, iters=3, scale_bits=40, num_partitions=16)
 
     def present(b: pa.Table) -> pa.Table:
@@ -6327,6 +6278,7 @@ def _lift_table_q(sf_dir: str):
     import pyarrow.compute as pc
     import ray
 
+    from featurebox_ray.stages.partition import each_group, partitioned_map
     from featurebox_ray.stages.rank import global_row_number
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -6381,8 +6333,8 @@ def _lift_table_q(sf_dir: str):
             "sum_s": pa.array([sum(t["sum_s"].to_pylist())], pa.int64()),
         })
 
-    return partials.groupby("decile").map_groups(
-        combine, batch_format="pyarrow")
+    return partitioned_map(partials, each_group(combine, ["decile"]),
+                           key="decile", sort_keys=["decile"])
 
 
 def _group_auc_q(sf_dir: str):
@@ -6791,6 +6743,7 @@ def _jsonl_roundtrip_q(sf_dir: str):
     import ray
 
     from featurebox_ray.sources.io import write_table
+    from featurebox_ray.stages.partition import each_group, partitioned_map
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["event_id", "user_id",
@@ -6848,8 +6801,8 @@ def _jsonl_roundtrip_q(sf_dir: str):
 
     partials = back.map_batches(partial, batch_format="pyarrow",
                                 zero_copy_batch=True, batch_size=None)
-    return partials.groupby("event_type").map_groups(
-        combine, batch_format="pyarrow")
+    return partitioned_map(partials, each_group(combine, ["event_type"]),
+                           key="event_type", sort_keys=["event_type"])
 
 
 def _editdist_join_q(sf_dir: str):
@@ -7283,7 +7236,7 @@ def _asof_tolerance_q(sf_dir: str):
     left = _finish(ev, ["event_id", "user_id", "ts"], [], ["event_id"])
     out = asof_join(left, right, key="user_id", ts_col="ts",
                     right_cols=["err_value_tol"], num_partitions=16,
-                    strategy="tasks", tolerance_s=3600.0)
+                    tolerance_s=3600.0)
     return _finish(out, ["event_id", "err_value_tol"],
                    ["err_value_tol"], ["event_id"])
 
@@ -7856,7 +7809,7 @@ def _composition_parse(sf_dir: str):
 
     strings = partitioned_map(counts, render_part, key="user_id",
                               sort_keys=["user_id", "event_type"],
-                              num_partitions=8, strategy="tasks")
+                              num_partitions=8)
     out = expand_composition(strings, col="comp_str", vocab=VOCAB)
 
     def fin(batch: pa.Table) -> pa.Table:
@@ -8446,8 +8399,7 @@ def _interval_join_q(sf_dir: str):
     partials = joined.map_batches(partial, batch_format="pyarrow",
                                   zero_copy_batch=True)
     return partitioned_map(partials, combine, key="win_id",
-                           sort_keys=["win_id"], num_partitions=1,
-                           strategy="tasks")
+                           sort_keys=["win_id"], num_partitions=1)
 
 
 def _hash_sample_q(sf_dir: str):
@@ -8507,7 +8459,7 @@ def _hash_sample_q(sf_dir: str):
                               zero_copy_batch=True)
     return partitioned_map(partials, combine, key="l_returnflag",
                            sort_keys=["l_returnflag", "l_linestatus"],
-                           num_partitions=1, strategy="tasks")
+                           num_partitions=1)
 
 
 def _group_quantiles_q(sf_dir: str):
@@ -8822,8 +8774,7 @@ def _bloom_semi_q(sf_dir: str):
         })
 
     return partitioned_map(partials, combine, key="l_returnflag",
-                           sort_keys=["l_returnflag"], num_partitions=1,
-                           strategy="tasks")
+                           sort_keys=["l_returnflag"], num_partitions=1)
 
 
 def _bloom_anti_q(sf_dir: str):

@@ -136,7 +136,7 @@ def run_flagship(num_partitions: int = 32, n_convs: int = BENCH_CONVS) -> dict:
     ds = fused_features_backfill(
         ds, ray.data.read_parquet(f"{d}/feature_table"), WindowSpec(),
         right_cols=["f_score", "f_label"], num_partitions=num_partitions,
-        strategy="tasks", left_schema=probe_t.schema)
+        left_schema=probe_t.schema)
     ds.write_parquet(out_dir)
     import pyarrow.dataset as pads
 

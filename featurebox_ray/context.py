@@ -32,11 +32,3 @@ class EngineConfig:
 
 
 DEFAULT = EngineConfig()
-
-
-def enable_hash_shuffle() -> None:
-    """Switch Ray Data to the hash-shuffle strategy (needed for
-    ``Dataset.repartition(keys=...)`` and efficient keyed exchanges)."""
-    from ray.data.context import DataContext, ShuffleStrategy
-
-    DataContext.get_current().shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE

@@ -28,11 +28,11 @@ EVENT_SPEC = WindowSpec(
 )
 
 
-def event_features(ds, *, num_partitions: int = 32, strategy: str = "groupby"):
+def event_features(ds, *, num_partitions: int = 32):
     """read events → user-hash partition + ts sort → window features."""
     return add_window_features(
         ds, EVENT_SPEC, order_col="event_id",
-        num_partitions=num_partitions, strategy=strategy,
+        num_partitions=num_partitions,
     )
 
 
@@ -162,8 +162,7 @@ def rfm_segments(ds, *, user_col: str = "user_id", ts_col: str = "ts",
                               zero_copy_batch=True, batch_size=None)
     per_user = partitioned_map(partials, combine, key=user_col,
                                sort_keys=[user_col],
-                               num_partitions=num_partitions,
-                               strategy="tasks")
+                               num_partitions=num_partitions)
     refs = materialized_block_refs(per_user)
     # reuse the materialized blocks for the final pass — consuming the
     # lazy per_user twice would re-run the whole combiner exchange
@@ -220,5 +219,4 @@ def rfm_segments(ds, *, user_col: str = "user_id", ts_col: str = "ts",
 
     # exact global tiles need ONE kernel over all users (small table)
     return partitioned_map(per_user, finalize, key=user_col,
-                           sort_keys=[user_col], num_partitions=1,
-                           strategy="tasks")
+                           sort_keys=[user_col], num_partitions=1)

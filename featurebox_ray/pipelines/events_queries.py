@@ -45,8 +45,7 @@ def sessionized(sf_dir: str, gap_s: float = 1800.0):
                       lags=(), rolling_rows=(), time_windows_s=(),
                       session_gap_s=gap_s, add_delta_ts=False,
                       add_turn_number=False)
-    out = add_window_features(ev, spec, order_col="event_id", num_partitions=16,
-                              strategy="tasks")
+    out = add_window_features(ev, spec, order_col="event_id", num_partitions=16)
     return _finish(out, ["event_id", "session_id"], [], ["event_id", "session_id"])
 
 
@@ -56,8 +55,7 @@ def lag_delta(sf_dir: str):
     spec = WindowSpec(key_col="user_id", ts_col="ts", value_col="value",
                       lags=(1,), rolling_rows=(), time_windows_s=(),
                       add_session=False, add_turn_number=False)
-    out = add_window_features(ev, spec, order_col="event_id", num_partitions=16,
-                              strategy="tasks")
+    out = add_window_features(ev, spec, order_col="event_id", num_partitions=16)
     out = _finish(out, ["event_id", "lag1_value", "delta_ts_s"],
                   ["lag1_value", "delta_ts_s"], ["event_id"])
     return out
@@ -70,8 +68,7 @@ def rolling_window(sf_dir: str, k: int = 5):
                       lags=(), rolling_rows=(k,), time_windows_s=(),
                       add_session=False, add_turn_number=False,
                       add_delta_ts=False)
-    out = add_window_features(ev, spec, order_col="event_id", num_partitions=16,
-                              strategy="tasks")
+    out = add_window_features(ev, spec, order_col="event_id", num_partitions=16)
     names = {f"roll{k}_{s}_value": f"roll_{s}" for s in
              ("count", "sum", "mean", "std", "min", "max")}
 
@@ -92,8 +89,7 @@ def time_window(sf_dir: str, window_s: float = 3600.0):
                       lags=(), rolling_rows=(), time_windows_s=(window_s,),
                       add_session=False, add_turn_number=False,
                       add_delta_ts=False)
-    out = add_window_features(ev, spec, order_col="event_id", num_partitions=16,
-                              strategy="tasks")
+    out = add_window_features(ev, spec, order_col="event_id", num_partitions=16)
     tag = f"t{int(window_s)}s"
     names = {f"win_{tag}_{s}_value": f"w_{s}" for s in ("count", "sum", "mean")}
 
@@ -122,8 +118,7 @@ def asof_backfill(sf_dir: str):
     right = ev.map_batches(right_side, batch_format="pyarrow", zero_copy_batch=True)
     left = _finish(ev, ["event_id", "user_id", "ts"], [], ["event_id"])
     out = asof_join(left, right, key="user_id", ts_col="ts",
-                    right_cols=["err_value"], num_partitions=16,
-                    strategy="tasks")
+                    right_cols=["err_value"], num_partitions=16)
     return _finish(out, ["event_id", "err_value"], ["err_value"], ["event_id"])
 
 
@@ -179,8 +174,7 @@ def turn_context(sf_dir: str):
                       lags=(), rolling_rows=(), time_windows_s=(),
                       add_session=False, add_turn_number=False,
                       add_delta_ts=False, context_cols=("event_type",))
-    out = add_window_features(ev, spec, order_col="event_id", num_partitions=16,
-                              strategy="tasks")
+    out = add_window_features(ev, spec, order_col="event_id", num_partitions=16)
     return _finish(out, ["event_id", "prev_event_type", "next_event_type"],
                    [], ["event_id"])
 
@@ -199,8 +193,7 @@ def tool_usage_rate(sf_dir: str, k: int = 10):
                       lags=(), rolling_rows=(), time_windows_s=(),
                       add_session=False, add_turn_number=False,
                       add_delta_ts=False, rate_cols=("err01",), rate_window=k)
-    out = add_window_features(ev, spec, order_col="event_id", num_partitions=16,
-                              strategy="tasks")
+    out = add_window_features(ev, spec, order_col="event_id", num_partitions=16)
 
     def ren(batch: pa.Table) -> pa.Table:
         return batch.rename_columns(
@@ -343,6 +336,6 @@ def asof_next_event(sf_dir: str):
     left = _finish(ev, ["event_id", "user_id", "ts"], [], ["event_id"])
     out = asof_join(left, right, key="user_id", ts_col="ts",
                     right_cols=["next_err"], num_partitions=16,
-                    strategy="tasks", direction="forward")
+                    direction="forward")
     return _finish(out, ["event_id", "next_err"], ["next_err"],
                    ["event_id"])

@@ -5,7 +5,7 @@ sources/sinks, filters, projections, aggregations, joins, top-k, distinct
 Conventions:
 * reads prune columns at the source (``read_parquet(columns=[...])``);
 * small dimension sides broadcast (in-task lookup), large joins use
-  ``Dataset.join`` under the hash-shuffle strategy;
+  ``stages/join.py:hash_join`` on the task exchange;
 * float aggregate outputs are rounded (default 6 dp) so DuckDB-oracle
   value-hash comparison is robust to summation order.
 """
@@ -17,8 +17,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-
-from ..context import enable_hash_shuffle
 
 
 def read(sf_dir: str, table: str, columns: Optional[List[str]] = None):
@@ -135,8 +133,7 @@ def pricing_summary(sf_dir: str):
         })
 
     return partitioned_map(partials, combine, key="l_returnflag",
-                           sort_keys=GKEYS, num_partitions=1,
-                           strategy="tasks")
+                           sort_keys=GKEYS, num_partitions=1)
 
 
 def filter_project_revenue(sf_dir: str, min_ship: str = "1995-01-01"):
@@ -213,8 +210,7 @@ def order_priority_revenue(sf_dir: str):
         return pa.Table.from_pandas(df, preserve_index=False)
 
     joined = hash_join(li, orders, on="l_orderkey", right_on="o_orderkey",
-                       num_partitions=16, combine=partial_by_priority,
-                       strategy="tasks")
+                       num_partitions=16, combine=partial_by_priority)
 
     def combine(t: pa.Table) -> pa.Table:
         df = (t.select(["o_orderpriority", "revenue_i"]).to_pandas()
@@ -226,8 +222,7 @@ def order_priority_revenue(sf_dir: str):
         })
 
     return partitioned_map(joined, combine, key="o_orderpriority",
-                           sort_keys=["o_orderpriority"], num_partitions=1,
-                           strategy="tasks")
+                           sort_keys=["o_orderpriority"], num_partitions=1)
 
 
 def distinct_users_per_type(sf_dir: str):
@@ -251,6 +246,7 @@ def group_stats_kernels(sf_dir: str):
     (population std, reference skew/kurt edge rules) — the §2.6 kernel
     library applied group-wise."""
     from ..functions import propstats as ps
+    from ..stages.partition import each_group, partitioned_map
 
     ev = read(sf_dir, "events", ["event_type", "value"])
 
@@ -270,7 +266,8 @@ def group_stats_kernels(sf_dir: str):
             "v_range": pa.array(np.round(ps.prange(X), 6)),
         })
 
-    return ev.groupby("event_type").map_groups(stats, batch_format="pyarrow")
+    return partitioned_map(ev, each_group(stats, ["event_type"]),
+                           key="event_type", sort_keys=["event_type"])
 
 
 def corr_matrix(sf_dir: str, cols: Sequence[str] = ("l_quantity", "l_extendedprice", "l_discount", "l_tax")):

@@ -35,15 +35,13 @@ def fused_features_backfill(
     strict: bool = False,
     order_col: str = "turn_idx",
     num_partitions: int = 32,
-    strategy: str = "groupby",
+    strategy: str = "tasks",
     left_schema: Optional[pa.Schema] = None,
 ):
     """window features + as-of backfill in one shuffle.
 
-    ``strategy="hash"`` uses the streaming HASH_SHUFFLE repartition (no
-    sort barrier — overlaps with upstream compute); callers must ensure a
-    partition's bytes stay under ``DataContext.target_max_block_size`` so
-    whole partitions arrive as single blocks.
+    ``strategy`` is passed on to :func:`partitioned_map` (``"tasks"``
+    is its one legal value).
 
     ``left_schema``: the schema of ``left_ds`` if the caller already
     knows it.  When ``left_ds`` ends in expensive lazy map stages,

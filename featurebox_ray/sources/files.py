@@ -244,8 +244,7 @@ def stage_files(ds, new_root: str, *, flatten: bool = True,
 
     # keyed on dest so every copy of a colliding name lands in ONE kernel
     return partitioned_map(planned, check_and_copy, key="dest",
-                           sort_keys=["dest"], num_partitions=8,
-                           strategy="tasks")
+                           sort_keys=["dest"], num_partitions=8)
 
 
 # ------------------------------------------------------------ POSCAR ----

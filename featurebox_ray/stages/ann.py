@@ -19,6 +19,8 @@ from typing import Optional
 import numpy as np
 import pyarrow as pa
 
+from .partition import each_group, partitioned_map
+
 
 def _normalize(M: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(M, axis=1, keepdims=True)
@@ -91,7 +93,8 @@ def brute_force_topk(ds, queries: np.ndarray, *, k: int = 10,
         df = df.sort_values(["cosine", id_col], ascending=[False, True]).head(k)
         return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
 
-    return local.groupby("query_id").map_groups(global_topk, batch_format="pyarrow")
+    return partitioned_map(local, each_group(global_topk, ["query_id"]),
+                           key="query_id", sort_keys=["query_id"])
 
 
 def train_centroids(sample: np.ndarray, n_centroids: int, iters: int = 10,
@@ -242,15 +245,22 @@ def ivf_topk(ds, queries: np.ndarray, *, k: int = 10, n_centroids: int = 16,
         max(int(sub_buckets), 1),
         -(-counts // max(int(bucket_cap), 1))).astype(np.int64)
 
+    # one exchange key per (centroid, sub) search bucket, so a hot
+    # centroid's sub-buckets hash to different gathers
+    max_sub = int(sub_count.max())
+
     def add_sub(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0 or "__cent" not in batch.column_names:
-            return batch.append_column("__sub", pa.array([], pa.int32()))
+            return (batch.append_column("__sub", pa.array([], pa.int32()))
+                    .append_column("__bucket", pa.array([], pa.int64())))
         cent = batch["__cent"].to_numpy(zero_copy_only=False)
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.uint64)
         with np.errstate(over="ignore"):
             sub = ((ids * np.uint64(0x9E3779B97F4A7C15))
                    % sub_count[cent].astype(np.uint64)).astype(np.int32)
-        return batch.append_column("__sub", pa.array(sub))
+        bucket = cent.astype(np.int64) * max_sub + sub
+        return (batch.append_column("__sub", pa.array(sub))
+                .append_column("__bucket", pa.array(bucket)))
 
     assigned = with_cent.map_batches(add_sub, batch_format="pyarrow",
                                      zero_copy_batch=True)
@@ -291,8 +301,9 @@ def ivf_topk(ds, queries: np.ndarray, *, k: int = 10, n_centroids: int = 16,
             "cosine": pa.array(out_c),
         })
 
-    local = assigned.groupby(["__cent", "__sub"]).map_groups(
-        search_bucket, batch_format="pyarrow")
+    local = partitioned_map(
+        assigned, each_group(search_bucket, ["__cent", "__sub"]),
+        key="__bucket", sort_keys=["__cent", "__sub"])
 
     def global_topk(group: pa.Table) -> pa.Table:
         import pandas as pd
@@ -301,7 +312,8 @@ def ivf_topk(ds, queries: np.ndarray, *, k: int = 10, n_centroids: int = 16,
         df = df.sort_values(["cosine", id_col], ascending=[False, True]).head(k)
         return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
 
-    return local.groupby("query_id").map_groups(global_topk, batch_format="pyarrow")
+    return partitioned_map(local, each_group(global_topk, ["query_id"]),
+                           key="query_id", sort_keys=["query_id"])
 
 
 def threshold_similarity_join(ds, queries: np.ndarray, *,

@@ -52,7 +52,6 @@ def asof_join(
     right_cols: Sequence[str],
     strict: bool = False,
     num_partitions: int = 32,
-    strategy: str = "groupby",
     order_col: Optional[str] = None,
     direction: str = "backward",
     tolerance_s: Optional[float] = None,
@@ -210,7 +209,6 @@ def asof_join(
         key=key,
         sort_keys=sort_keys,
         num_partitions=num_partitions,
-        strategy=strategy,
     )
 
 
@@ -362,8 +360,7 @@ def asof_interpolate(left, right, *, key: str, ts_col: str,
     return partitioned_map(unioned, kernel, key=key,
                            sort_keys=[key, "__ts", "__side",
                                       "__id"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def asof_leakage_audit(joined_ds, right_ds, *, key: str,
@@ -483,5 +480,4 @@ def asof_leakage_audit(joined_ds, right_ds, *, key: str,
 
     return partitioned_map(unioned, kernel, key=key,
                            sort_keys=[key, "__tag", "__t"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)

@@ -187,8 +187,7 @@ def linear_attribution(ds, *, key_col: str, ts_col: str, seq_col: str,
 
     partials = partitioned_map(prepped, kernel, key=key_col,
                                sort_keys=[key_col, "__t", "__s"],
-                               num_partitions=num_partitions,
-                               strategy="tasks")
+                               num_partitions=num_partitions)
     from .partition import sum_partials
 
     comb = sum_partials(ray.get(materialized_block_refs(partials)),
@@ -316,8 +315,7 @@ def shapley_attribution(ds, *, key_col: str, type_col: str,
                              zero_copy_batch=True, batch_size=None)
     cells = partitioned_map(prepped, kernel, key=key_col,
                             sort_keys=[key_col, type_col],
-                            num_partitions=num_partitions,
-                            strategy="tasks")
+                            num_partitions=num_partitions)
     from .partition import sum_partials
 
     comb = sum_partials(ray.get(materialized_block_refs(cells)),
@@ -496,8 +494,7 @@ def markov_attribution(ds, *, key_col: str, ts_col: str,
     comb = sum_partials(ray.get(materialized_block_refs(
         partitioned_map(prepped, kernel, key=key_col,
                         sort_keys=[key_col, ts_col, order_col],
-                        num_partitions=num_partitions,
-                        strategy="tasks"))),
+                        num_partitions=num_partitions))),
         keys=["f", "t"], vals=["cnt"])
     counts = {} if comb is None else {
         (f, to): int(c)

@@ -259,8 +259,7 @@ def jenks_breaks(ds, *, group_col: str, value_col: str, k: int = 4,
 
     return partitioned_map(partials, kernel, key=group_col,
                            sort_keys=[group_col, "v"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def _jenks_dp(vals: np.ndarray, wts: np.ndarray, k: int):

@@ -243,8 +243,7 @@ def _bloom_join(left_ds, right_ds, *, on: str, right_on: Optional[str],
                              ).drop_columns([SIDE])
 
     checked = partitioned_map(unioned, verify, key=on, sort_keys=[on],
-                              num_partitions=num_partitions,
-                              strategy="tasks")
+                              num_partitions=num_partitions)
     if how == "semi":
         return checked
 

@@ -65,8 +65,7 @@ def word_counts(ds, *, text_col: str = "text", num_partitions: int = 8):
                               zero_copy_batch=True, batch_size=None)
     return partitioned_map(partials, sum_counts, key="word",
                            sort_keys=["word"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def merge_loop(words, counts, num_merges: int):

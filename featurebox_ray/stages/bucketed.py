@@ -108,9 +108,7 @@ def write_bucketed(ds, path: str, *, key: str,
                            zero_copy_batch=True)
     manifest = partitioned_map(withb, kernel, key="__bucket",
                                sort_keys=["__bucket"],
-                               num_partitions=B,
-                               strategy="tasks",
-                               drop_part_col=False)
+                               num_partitions=B)
     import ray
 
     from .partition import materialized_block_refs
@@ -287,9 +285,7 @@ def write_range_partitioned(ds, path: str, *, key: str,
                            zero_copy_batch=True)
     manifest = partitioned_map(withp, kernel, key="__bucket",
                                sort_keys=["__bucket"],
-                               num_partitions=len(cuts) - 1,
-                               strategy="tasks",
-                               drop_part_col=False)
+                               num_partitions=len(cuts) - 1)
     import ray
 
     from .partition import materialized_block_refs

@@ -138,5 +138,4 @@ def cdc_compact(base_ds, log_ds, *, key_col: str, order_cols: Sequence[str],
 
     return partitioned_map(unioned, kernel, key=key_col,
                            sort_keys=[key_col, "__side"] + order_cols,
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)

@@ -266,8 +266,7 @@ def label_prototypes(ds, *, vec_col: str = "embedding",
                               zero_copy_batch=True, batch_size=None)
     return partitioned_map(partials, combine, key="cell",
                            sort_keys=["cell"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def simplified_silhouette(ds, *, vec_col: str = "embedding",

@@ -164,8 +164,7 @@ def min_label_components(pairs_ds, *, pair_cols=("id_a", "id_b"),
 
     values = partitioned_map(edges_dataset(), init_kernel, key="__k",
                              sort_keys=["__k", "to"],
-                             num_partitions=num_partitions,
-                             strategy="tasks")
+                             num_partitions=num_partitions)
     value_refs = list(materialized_block_refs(values))
 
     # ---- phase a: edge-min (route labels over edges, fold min) ----
@@ -298,12 +297,10 @@ def min_label_components(pairs_ds, *, pair_cols=("id_a", "id_b"),
                        zero_copy_batch=True)))
         msgs = partitioned_map(unioned, route_kernel, key="__k",
                                sort_keys=["__k", "__tag"],
-                               num_partitions=num_partitions,
-                               strategy="tasks")
+                               num_partitions=num_partitions)
         folded = partitioned_map(msgs, fold_kernel, key="__k",
                                  sort_keys=["__k", "__tag"],
-                                 num_partitions=num_partitions,
-                                 strategy="tasks")
+                                 num_partitions=num_partitions)
         fold_refs = list(materialized_block_refs(folded))
         changed_a = int(ray.data.from_arrow_refs(list(fold_refs))
                         .sum("changed") or 0)
@@ -315,8 +312,7 @@ def min_label_components(pairs_ds, *, pair_cols=("id_a", "id_b"),
                        zero_copy_batch=True)))
         jumped = partitioned_map(jump_in, jump_kernel, key="__k",
                                  sort_keys=["__k", "__tag"],
-                                 num_partitions=num_partitions,
-                                 strategy="tasks")
+                                 num_partitions=num_partitions)
         value_refs = list(materialized_block_refs(jumped))
         changed_b = int(ray.data.from_arrow_refs(list(value_refs))
                         .sum("changed") or 0)

@@ -163,8 +163,7 @@ def containment_join(query_ds, corpus_ds, *, id_col: str = "doc_id",
 
     mid = partitioned_map(postings, token_kernel, key="token",
                           sort_keys=["token", "qid", "cid"],
-                          num_partitions=num_partitions,
-                          strategy="tasks")
+                          num_partitions=num_partitions)
 
     out_empty = pa.table({"qid": pa.array([], pa.int64()),
                           "cid": pa.array([], pa.int64()),
@@ -208,5 +207,4 @@ def containment_join(query_ds, corpus_ds, *, id_col: str = "doc_id",
 
     return partitioned_map(mid, qid_kernel, key="qid",
                            sort_keys=["qid", "cid"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)

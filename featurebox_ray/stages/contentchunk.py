@@ -254,8 +254,7 @@ def cdc_dup_share(ds, *, id_col: str = "doc_id",
                                key="chunk_hash",
                                sort_keys=["chunk_hash", "length",
                                           id_col],
-                               num_partitions=num_partitions,
-                               strategy="tasks")
+                               num_partitions=num_partitions)
 
     out_empty = pa.table({id_col: pa.array([], pa.int64()),
                           "n_chunks": pa.array([], pa.int64()),
@@ -285,8 +284,7 @@ def cdc_dup_share(ds, *, id_col: str = "doc_id",
 
     return partitioned_map(partials, doc_kernel, key=id_col,
                            sort_keys=[id_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def cdc_dup_regions(ds, *, id_col: str = "doc_id",
@@ -351,8 +349,7 @@ def cdc_dup_regions(ds, *, id_col: str = "doc_id",
 
     return partitioned_map(chunks, kernel, key="chunk_hash",
                            sort_keys=["chunk_hash", "length", id_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def cdc_scrub(ds, *, id_col: str = "doc_id", text_col: str = "text",
@@ -490,5 +487,4 @@ def cdc_scrub(ds, *, id_col: str = "doc_id", text_col: str = "text",
 
     return partitioned_map(unioned, kernel, key=id_col,
                            sort_keys=[id_col, "__tag", "start"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)

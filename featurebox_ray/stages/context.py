@@ -100,5 +100,4 @@ def context_trim(ds, *, key_col: str, ts_col: str, seq_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, "__t", "__s"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)

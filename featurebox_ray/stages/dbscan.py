@@ -255,6 +255,6 @@ def dbscan_embed(ds, *, vec_col: str = "embedding",
             drop_core_edges, batch_format="pyarrow",
             zero_copy_batch=True),
         border_kernel, key="lo", sort_keys=["lo", "hi"],
-        num_partitions=num_partitions, strategy="tasks")
+        num_partitions=num_partitions)
 
     return ray.data.from_arrow(core_table).union(non_core)

@@ -325,11 +325,8 @@ def _bucketed_distinct(ds, key_cols: List[str], hash_cols: List[str],
 
     bucketed = ds.map_batches(bucket, batch_format="pyarrow",
                               zero_copy_batch=True)
-    # task exchange, not Ray's sort-based groupby: the Sort op's fixed
-    # barrier cost dwarfs the kernel work for signature-sized rows
     return partitioned_map(bucketed, distinct, key="__b",
-                           sort_keys=["__b"], num_partitions=P,
-                           strategy="tasks", drop_part_col=True)
+                           sort_keys=["__b"], num_partitions=P)
 
 
 def distinct_pairs(pairs_ds, *, num_partitions: int = 16):
@@ -395,7 +392,7 @@ def _bucketed_pair_search(exploded, *, id_col: str, pair_fn,
     coarsed = exploded.map_batches(coarse, batch_format="pyarrow",
                                    zero_copy_batch=True)
     return partitioned_map(coarsed, kernel, key="__p", sort_keys=["__p"],
-                           num_partitions=P, strategy="tasks")
+                           num_partitions=P)
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +433,7 @@ def exact_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id",
 
     return partitioned_map(ds, first_per_text, key=text_col,
                            sort_keys=[text_col, id_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def keep_best_dedup(ds, *, text_col: str = "text",
@@ -479,8 +475,7 @@ def keep_best_dedup(ds, *, text_col: str = "text",
                              zero_copy_batch=True)
     return partitioned_map(prepped, best_per_text, key=text_col,
                            sort_keys=[text_col, neg, id_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 # ---------------------------------------------------------------------------
@@ -908,8 +903,7 @@ def _verify_pairs_generic(pairs_ds, docs_ds, *, id_col: str,
         })
 
     routed = partitioned_map(route_in, route_kernel, key=id_col,
-                             sort_keys=[id_col], num_partitions=P,
-                             strategy="tasks")
+                             sort_keys=[id_col], num_partitions=P)
 
     def tag_pairs(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -974,7 +968,7 @@ def _verify_pairs_generic(pairs_ds, docs_ds, *, id_col: str,
         })
 
     return partitioned_map(unioned, verify, key=PB, sort_keys=[PB],
-                           num_partitions=P, strategy="tasks")
+                           num_partitions=P)
 
 
 def _jaccard_scorer(sa: np.ndarray, sb: np.ndarray) -> float:

@@ -114,8 +114,7 @@ def snapshot_diff(old_ds, new_ds, *, id_col: str,
 
     return partitioned_map(unioned, kernel, key=id_col,
                            sort_keys=[id_col, "__side"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def category_drift(old_ds, new_ds, *, col: str,
@@ -202,8 +201,7 @@ def category_drift(old_ds, new_ds, *, col: str,
 
     counted = partitioned_map(unioned, combine, key=col,
                               sort_keys=[col],
-                              num_partitions=num_partitions,
-                              strategy="tasks")
+                              num_partitions=num_partitions)
     refs = materialized_block_refs(counted)
     blocks = [b for b in ray.get(refs) if b.num_rows > 0]
     tot_old = sum(int(pc.sum(b["n_old"]).as_py() or 0)
@@ -457,8 +455,7 @@ def group_qq_drift(ds, *, group_col: str, side_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=group_col,
                            sort_keys=[group_col, side_col, value_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def delta_contributors(ds, *, ts_col: str, dim_col: str,

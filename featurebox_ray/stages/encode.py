@@ -39,6 +39,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from featurebox_ray.stages.partition import each_group, partitioned_map
 from featurebox_ray.stages.sample import knuth_hash
 
 
@@ -120,8 +121,8 @@ def oof_target_encode(ds, *, cat_col: str, fold_key_col: str,
         })
 
     # the exchange moves O(blocks × categories × folds) partial rows
-    return partials.groupby(cat_col).map_groups(
-        finalize, batch_format="pyarrow")
+    return partitioned_map(partials, each_group(finalize, [cat_col]),
+                           key=cat_col, sort_keys=[cat_col])
 
 
 def ecdf_encode(query_ds, ref_table, *, group_col: str, value_col: str,
@@ -428,8 +429,7 @@ def loo_target_encode(ds, *, id_col: str, cat_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=cat_col,
                            sort_keys=[cat_col, id_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def quantile_normalize(ds, *, id_col: str, group_col: str,
@@ -556,5 +556,4 @@ def quantile_normalize(ds, *, id_col: str, group_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=group_col,
                            sort_keys=[group_col, "__v", id_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)

@@ -153,8 +153,7 @@ def funnel_features(ds, *, key_col: str = "user_id",
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, "__ts"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def funnel_path(ds, *, key_col: str = "user_id", ts_col: str = "ts",
@@ -257,8 +256,7 @@ def funnel_path(ds, *, key_col: str = "user_id", ts_col: str = "ts",
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, "__ts"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def next_latency(ds, *, key_col: str, ts_col: str, seq_col: str,
@@ -361,5 +359,4 @@ def next_latency(ds, *, key_col: str, ts_col: str, seq_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, "__ts", "__s"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)

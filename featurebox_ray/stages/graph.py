@@ -81,8 +81,7 @@ def pagerank(edges_ds, *, src_col: str = "src", dst_col: str = "dst",
     # blocks are materialized once and re-read every iteration
     edges = partitioned_map(prepped, deg_kernel, key="__n",
                             sort_keys=["__n", "dst"],
-                            num_partitions=num_partitions,
-                            strategy="tasks")
+                            num_partitions=num_partitions)
     edge_refs = list(materialized_block_refs(edges))
 
     def edges_dataset():
@@ -193,14 +192,14 @@ def pagerank(edges_ds, *, src_col: str = "src", dst_col: str = "dst",
             .union(ranks.map_batches(tag_ranks, batch_format="pyarrow",
                                      zero_copy_batch=True)),
             contrib_kernel, key="__n", sort_keys=["__n", "__tag", "dst"],
-            num_partitions=num_partitions, strategy="tasks")
+            num_partitions=num_partitions)
         ranks = partitioned_map(
             ranks.map_batches(tag_nodes, batch_format="pyarrow",
                               zero_copy_batch=True)
             .union(contribs.map_batches(tag_parts, batch_format="pyarrow",
                                         zero_copy_batch=True)),
             update_kernel, key="__n", sort_keys=["__n", "__tag"],
-            num_partitions=num_partitions, strategy="tasks")
+            num_partitions=num_partitions)
         # materialize each iteration so lineage doesn't re-execute the
         # whole chain K times when the next union consumes ranks twice
         ranks = ray.data.from_arrow_refs(
@@ -315,8 +314,7 @@ def triangle_count(edges_ds, *, src_col: str = "src",
 
     mid = partitioned_map(posted, wedge_kernel, key="__m",
                           sort_keys=["__m", "__n"],
-                          num_partitions=num_partitions,
-                          strategy="tasks")
+                          num_partitions=num_partitions)
 
     out_empty = pa.table({"n_edges": pa.array([], pa.int64()),
                           "n_wedges": pa.array([], pa.int64()),
@@ -347,8 +345,7 @@ def triangle_count(edges_ds, *, src_col: str = "src",
 
     partials = partitioned_map(mid, close_kernel, key="x",
                                sort_keys=["x", "y", "tag"],
-                               num_partitions=num_partitions,
-                               strategy="tasks")
+                               num_partitions=num_partitions)
     e = w = mt = 0
     for blk in ray.get(materialized_block_refs(partials)):
         for r in range(blk.num_rows):
@@ -435,8 +432,7 @@ def window_cooccurrence_edges(ds, *, ts_col: str, actor_col: str,
 
     pairs = partitioned_map(distinct_bu, pair_kernel, key="b",
                             sort_keys=["b", "u"],
-                            num_partitions=num_partitions,
-                            strategy="tasks")
+                            num_partitions=num_partitions)
 
     def dedup_kernel(t: pa.Table) -> pa.Table:
         if t.num_rows == 0 or "src" not in t.column_names:
@@ -450,8 +446,7 @@ def window_cooccurrence_edges(ds, *, ts_col: str, actor_col: str,
 
     return partitioned_map(pairs, dedup_kernel, key="src",
                            sort_keys=["src", "dst"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def degree_assortativity(edges_ds):
@@ -626,8 +621,7 @@ def k_core(edges_ds, *, max_iters: int = 1024,
 
     values = partitioned_map(edges_dataset(), deg_kernel, key="__k",
                              sort_keys=["__k", "to"],
-                             num_partitions=num_partitions,
-                             strategy="tasks")
+                             num_partitions=num_partitions)
     value_refs = list(materialized_block_refs(values))
 
     def tag_vals(b: pa.Table) -> pa.Table:
@@ -746,12 +740,10 @@ def k_core(edges_ds, *, max_iters: int = 1024,
                        zero_copy_batch=True)))
         msgs = partitioned_map(unioned, route_kernel, key="__k",
                                sort_keys=["__k", "__tag"],
-                               num_partitions=num_partitions,
-                               strategy="tasks")
+                               num_partitions=num_partitions)
         nxt = partitioned_map(msgs, hindex_kernel, key="__k",
                               sort_keys=["__k", "__tag"],
-                              num_partitions=num_partitions,
-                              strategy="tasks")
+                              num_partitions=num_partitions)
         value_refs = list(materialized_block_refs(nxt))
         # distributed reduce over the materialized refs — per-node
         # state never lands on the driver
@@ -843,8 +835,7 @@ def bfs_hops(edges_ds, *, seed_mod: int = 17, max_hops: int = 6,
 
     values = partitioned_map(edges_dataset(), init_kernel, key="__k",
                              sort_keys=["__k", "to"],
-                             num_partitions=num_partitions,
-                             strategy="tasks")
+                             num_partitions=num_partitions)
     value_refs = list(materialized_block_refs(values))
     frontier = int(ray.data.from_arrow_refs(list(value_refs))
                    .sum("changed") or 0)
@@ -942,12 +933,10 @@ def bfs_hops(edges_ds, *, seed_mod: int = 17, max_hops: int = 6,
                        zero_copy_batch=True)))
         msgs = partitioned_map(unioned, route_kernel, key="__k",
                                sort_keys=["__k", "__tag"],
-                               num_partitions=num_partitions,
-                               strategy="tasks")
+                               num_partitions=num_partitions)
         nxt = partitioned_map(msgs, relax_kernel, key="__k",
                               sort_keys=["__k", "__tag"],
-                              num_partitions=num_partitions,
-                              strategy="tasks")
+                              num_partitions=num_partitions)
         value_refs = list(materialized_block_refs(nxt))
         frontier = int(ray.data.from_arrow_refs(list(value_refs))
                        .sum("changed") or 0)
@@ -1054,8 +1043,7 @@ def two_hop_reach(edges_ds, *, max_mid_degree: int = 1024,
     wedges = partitioned_map(ray.data.from_arrow_refs(half_refs),
                              wedge_kernel, key="__k",
                              sort_keys=["__k", "to"],
-                             num_partitions=num_partitions,
-                             strategy="tasks")
+                             num_partitions=num_partitions)
 
     out_empty = pa.table({"node": pa.array([], pa.int64()),
                           "n1": pa.array([], pa.int64()),
@@ -1094,5 +1082,4 @@ def two_hop_reach(edges_ds, *, max_mid_degree: int = 1024,
 
     return partitioned_map(wedges, count_kernel, key="__k",
                            sort_keys=["__k", "tag", "w"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)

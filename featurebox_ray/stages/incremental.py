@@ -132,8 +132,7 @@ def group_agg_state(ds, *, key_cols: List[str], value_col: str,
                             zero_copy_batch=True, batch_size=None)
     return partitioned_map(pre, _merge_kernel_factory(key_cols, empty),
                            key=key_cols[0], sort_keys=list(key_cols),
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def refresh_agg_state(state_ds, delta_ds, *, key_cols: List[str],
@@ -155,8 +154,7 @@ def refresh_agg_state(state_ds, delta_ds, *, key_cols: List[str],
     return partitioned_map(unioned,
                            _merge_kernel_factory(key_cols, empty),
                            key=key_cols[0], sort_keys=list(key_cols),
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def finalize_agg(state_ds):

@@ -111,10 +111,10 @@ def top_k_per_group(ds, *, group_col: str, order_col: str, tie_col: str,
                     k: int, keep_cols: Sequence[str]) -> pa.Table:
     """Driver-side small result: top-k rows per group by
     ``(order_col DESC, tie_col ASC)`` — the interval-anchor builder.
-    The groupby shuffles only ``keep_cols``; the returned table is
-    O(groups × k) rows, intended for broadcast.
+    One keyed exchange on ``group_col``; the returned table is
+    O(groups × k) rows of ``keep_cols``, intended for broadcast.
     """
-    from .partition import materialized_block_refs
+    from .partition import each_group, materialized_block_refs, partitioned_map
 
     import ray
 
@@ -124,7 +124,8 @@ def top_k_per_group(ds, *, group_col: str, order_col: str, tie_col: str,
         sel = np.lexsort((tie, -v))[:k]
         return t.select(list(keep_cols)).take(pa.array(np.sort(sel), pa.int64()))
 
-    small = ds.groupby(group_col).map_groups(topk, batch_format="pyarrow")
+    small = partitioned_map(ds, each_group(topk, [group_col]),
+                            key=group_col, sort_keys=[group_col])
     blocks = [b for b in ray.get(materialized_block_refs(small))
               if b.num_rows > 0]
     if not blocks:
@@ -307,8 +308,7 @@ def bucketed_interval_join(
                                             zero_copy_batch=True)))
     return partitioned_map(unioned, kernel, key="__b",
                            sort_keys=["__b"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def busy_window_overlap(ds, *, key_col: str, ts_col: str, id_col: str,
@@ -411,8 +411,7 @@ def busy_window_overlap(ds, *, key_col: str, ts_col: str, id_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, "__ts", id_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def session_concurrency(ds, *, key_col: str, ts_col: str, id_col: str,
@@ -501,12 +500,10 @@ def session_concurrency(ds, *, key_col: str, ts_col: str, id_col: str,
                              zero_copy_batch=True)
     partials = partitioned_map(prepped, kernel, key=key_col,
                                sort_keys=[key_col, "__ts", id_col],
-                               num_partitions=num_partitions,
-                               strategy="tasks")
+                               num_partitions=num_partitions)
     return partitioned_map(partials, combine, key="window",
                            sort_keys=["window"],
-                           num_partitions=max(num_partitions // 4, 1),
-                           strategy="tasks")
+                           num_partitions=max(num_partitions // 4, 1))
 
 
 def near_duplicate_events(ds, *, key_col: str, amount_col: str,
@@ -587,5 +584,4 @@ def near_duplicate_events(ds, *, key_col: str, amount_col: str,
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, amount_col, "__t",
                                       id_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)

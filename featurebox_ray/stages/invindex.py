@@ -95,5 +95,4 @@ def inverted_index(ds, *, id_col: str = "doc_id", text_col: str = "text",
                          zero_copy_batch=True, batch_size=None)
     return partitioned_map(prs, build, key="term",
                            sort_keys=["term", id_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)

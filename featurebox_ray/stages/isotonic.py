@@ -114,8 +114,7 @@ def isotonic_fit(ds, *, x_col: str, y_col: str, x_scale: float = 1,
                               zero_copy_batch=True, batch_size=None)
     agg = partitioned_map(partials, combine, key="x",
                           sort_keys=["x"],
-                          num_partitions=num_partitions,
-                          strategy="tasks")
+                          num_partitions=num_partitions)
     blocks = [b for b in ray.get(materialized_block_refs(agg))
               if b.num_rows > 0]
     if not blocks:

@@ -20,7 +20,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .partition import PART_COL, partitioned_map
+from .partition import partitioned_map
 
 SIDE = "__jside"
 
@@ -36,7 +36,6 @@ def hash_join(
     left_cols: Optional[List[str]] = None,
     right_cols: Optional[List[str]] = None,
     combine=None,
-    strategy: str = "tasks",
 ):
     """Equi-join on a single key column.  ``right_on`` defaults to ``on``
     (the right key is renamed to ``on`` in the output when different).
@@ -105,7 +104,7 @@ def hash_join(
 
     return partitioned_map(
         unioned, merge, key=on, sort_keys=[on],
-        num_partitions=num_partitions, strategy=strategy,
+        num_partitions=num_partitions,
     )
 
 
@@ -462,5 +461,4 @@ def cogroup(left_ds, right_ds, *, on: str, right_on: Optional[str] = None,
     # be thrown away immediately
     return partitioned_map(unioned, wrapper, key=on,
                            sort_keys=[],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)

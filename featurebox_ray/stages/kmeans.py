@@ -192,5 +192,4 @@ def kmeans_cluster_stats(ds, *, vec_col: str = "embedding",
     from .partition import partitioned_map
 
     return partitioned_map(parts, combine_all, key="cluster",
-                           sort_keys=["cluster"], num_partitions=1,
-                           strategy="tasks")
+                           sort_keys=["cluster"], num_partitions=1)

@@ -174,8 +174,7 @@ def knn_join(left, right, *, k: int = 5, n_centroids: int = 8,
     cands = partitioned_map(tagged, bucket_kernel, key="__bucket",
                             sort_keys=["__bucket", "__side", "rid",
                                        "lid"],
-                            num_partitions=num_partitions,
-                            strategy="tasks")
+                            num_partitions=num_partitions)
 
     def add_negdot(t: pa.Table) -> pa.Table:
         d = t["dot"].to_numpy(zero_copy_only=False)
@@ -213,8 +212,7 @@ def knn_join(left, right, *, k: int = 5, n_centroids: int = 8,
 
     return partitioned_map(prepped, merge_kernel, key="lid",
                            sort_keys=["lid", "__negdot", "rid"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def mutual_nn_pairs(ds, *, vec_col: str = "embedding",
@@ -328,8 +326,7 @@ def mutual_nn_pairs(ds, *, vec_col: str = "embedding",
 
     return partitioned_map(nn, mutual_kernel, key="lo",
                            sort_keys=["lo", "hi"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def knn_classifier_eval(ds, *, vec_col: str = "embedding",

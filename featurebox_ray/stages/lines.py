@@ -161,8 +161,7 @@ def remove_duplicate_lines(ds, *, id_col: str = "doc_id",
 
     survivors = partitioned_map(lines_ds, freq_kernel, key="line",
                                 sort_keys=["line", id_col, "pos"],
-                                num_partitions=num_partitions,
-                                strategy="tasks")
+                                num_partitions=num_partitions)
 
     def tag(t: pa.Table) -> pa.Table:
         return t.append_column("n_lines", pa.nulls(t.num_rows, pa.int64()))
@@ -217,5 +216,4 @@ def remove_duplicate_lines(ds, *, id_col: str = "doc_id",
 
     return partitioned_map(tagged, render_kernel, key=id_col,
                            sort_keys=[id_col, "pos"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)

@@ -114,8 +114,7 @@ def blocked_pair_score(ds, *, key_col: str, id_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, id_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def golden_records(ds, pairs_ds, *, id_col: str,
@@ -228,5 +227,4 @@ def golden_records(ds, pairs_ds, *, id_col: str,
 
     return partitioned_map(routed, elect, key="__e",
                            sort_keys=["__e"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)

@@ -123,8 +123,7 @@ def fit_bigram_lm(ds, *, text_col: str = "text", top_v: int = 256,
                               zero_copy_batch=True, batch_size=None)
     pair_ds = partitioned_map(partials, pair_combine, key="pair",
                               sort_keys=["pair"],
-                              num_partitions=num_partitions,
-                              strategy="tasks")
+                              num_partitions=num_partitions)
     blocks = [b for b in ray.get(materialized_block_refs(pair_ds))
               if b.num_rows > 0]
     if blocks:
@@ -358,5 +357,4 @@ def kn_bigram_topk(ds, *, group_col: str = "source",
 
     return partitioned_map(partials, kernel, key=group_col,
                            sort_keys=[group_col, "w1", "w2"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)

@@ -124,8 +124,7 @@ def fit_multinomial_nb(ds, *, text_col: str = "text",
                               zero_copy_batch=True, batch_size=None)
     cell_ds = partitioned_map(partials, cell_combine, key="cell",
                               sort_keys=["cell"],
-                              num_partitions=num_partitions,
-                              strategy="tasks")
+                              num_partitions=num_partitions)
     counts = np.zeros((n_slots, n_classes), np.int64)
     for b in ray.get(materialized_block_refs(cell_ds)):
         if b.num_rows == 0:

@@ -148,4 +148,4 @@ def add_radius_neighbors(
 
     return partitioned_map(
         ds, kernel, key=key, sort_keys=[key, *order_cols],
-        num_partitions=num_partitions, strategy="tasks")
+        num_partitions=num_partitions)

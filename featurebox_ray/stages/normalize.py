@@ -202,8 +202,7 @@ def add_group_norm_features(ds, *, key_col: str, int_value_col: str,
                               zero_copy_batch=True, batch_size=None)
     stats = partitioned_map(partials, lambda t: _sum_groups(t, key_col),
                             key=key_col, sort_keys=[key_col],
-                            num_partitions=num_partitions,
-                            strategy="tasks")
+                            num_partitions=num_partitions)
     blocks = [b for b in ray.get(materialized_block_refs(stats))
               if b.num_rows > 0]
     if blocks:
@@ -346,5 +345,4 @@ def add_robust_zscore(ds, *, key_col: str, value_col: str,
 
     return partitioned_map(ds, kernel, key=key_col,
                            sort_keys=[key_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)

@@ -135,5 +135,4 @@ def pack_sequences(ds, *, id_col: str = "doc_id",
                               zero_copy_batch=True)
     return partitioned_map(bucketed, kernel, key=BUCKET,
                            sort_keys=[BUCKET],
-                           num_partitions=num_partitions,
-                           strategy="tasks", drop_part_col=True)
+                           num_partitions=num_partitions)

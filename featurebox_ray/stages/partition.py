@@ -6,17 +6,22 @@ runs *inside* a partition produced here: all rows of one key (conv_id) land in
 exactly one partition, and the kernel sees the whole partition sorted by
 ``sort_keys`` so per-key runs are contiguous.
 
-Two physical strategies:
+One exchange, built from plain Ray tasks (:func:`task_exchange`): split
+tasks bucket each upstream block by a deterministic vectorized hash of the
+key (``_hash_chunk(key) % P``) and emit one slice per partition; one gather
+task per partition concats its slices, sorts them once by ``sort_keys`` and
+runs a per-partition function.  Both keyed consumers sit on it:
 
-* ``"groupby"`` (default, correctness-safe): add a deterministic bucket
-  column ``__part = crc32(key) % P`` with a vectorized unique-value hash,
-  then ``ds.groupby("__part").map_groups(kernel)``.  Ray Data guarantees a
-  whole group per kernel call; P buckets keep groups partition-sized (a few
-  hundred MB at scale) rather than per-conversation-sized, so the kernel
-  amortizes across thousands of conversations per call.
-* ``"hash"``: ``ds.repartition(num_blocks=P, keys=[key])`` under the
-  HASH_SHUFFLE strategy + ``map_batches(batch_size=None)``.  Avoids the sort
-  in groupby but requires whole-block batches.
+* :func:`partitioned_map` runs a table kernel in every gather and returns
+  the outputs as a Dataset;
+* ``state/checkpoint.py:run_partitioned_checkpointed`` gathers only the
+  partitions a resume is missing and writes each one's part file and
+  manifest inside its gather.
+
+Ray Data's sort-based ``groupby`` shuffle and its hash-shuffle
+``repartition`` are not used: the task exchange hands each kernel its
+whole partition, so there is no mixed- or split-partition batch to guard
+against, and it avoids the shuffle barrier (see :func:`task_exchange`).
 
 Scale notes (100 TB): P should be ~ total_bytes / 512 MB so each kernel call
 fits worker heap; mega-conversations (single key > partition cap) are
@@ -31,14 +36,11 @@ replaces its implicit "whole DataFrame in memory" assumption
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-
-PART_COL = "__part"
-
 
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
@@ -160,31 +162,6 @@ def _hash_chunk(arr: pa.Array, num_partitions: int) -> np.ndarray:
     return lut[indices]
 
 
-def with_partition_col(
-    ds,
-    key: str,
-    num_partitions: int,
-):
-    """Append ``__part = crc32(key) % P`` (vectorized, deterministic)."""
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        if key not in batch.column_names:
-            if batch.num_rows == 0:
-                # Ray shuffle ops emit benign zero-column empty bundles
-                # (same guard as the tasks-strategy split kernel)
-                return batch.append_column(
-                    PART_COL, pa.array([], type=pa.int32()))
-            raise KeyError(
-                f"partition key {key!r} missing from batch columns "
-                f"{batch.column_names}")
-        combined = batch[key].combine_chunks() if batch[key].num_chunks > 1 else batch[key]
-        chunks = combined.chunks if isinstance(combined, pa.ChunkedArray) else [combined]
-        out = np.concatenate([_hash_chunk(c, num_partitions) for c in chunks]) if chunks else np.empty(0, np.int32)
-        return batch.append_column(PART_COL, pa.array(out, type=pa.int32()))
-
-    return ds.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
-
-
 def sort_table(table: pa.Table, sort_keys: Sequence[str]) -> pa.Table:
     """Stable sort of an Arrow table by the given columns (ascending)."""
     if not sort_keys:
@@ -198,117 +175,69 @@ def sort_table(table: pa.Table, sort_keys: Sequence[str]) -> pa.Table:
 
 def partitioned_map(
     ds,
-    kernel: Union[Callable[[pa.Table], pa.Table], type],
+    kernel: Callable[[pa.Table], pa.Table],
     *,
     key: str,
     sort_keys: Sequence[str],
     num_partitions: int = 32,
-    strategy: str = "groupby",
-    drop_part_col: bool = True,
-    concurrency=None,
-    num_cpus: Optional[float] = None,
-    fn_constructor_args: Optional[tuple] = None,
+    strategy: str = "tasks",
 ):
-    """Run ``kernel`` once per hash partition of ``key``, with the partition
-    sorted by ``sort_keys``.  ``kernel`` is a function ``pa.Table -> pa.Table``
-    or a callable class (actor pool; constructed once per actor with
-    ``fn_constructor_args``) whose ``__call__`` has the same signature.
+    """Run ``kernel`` (``pa.Table -> pa.Table``) once per hash partition
+    of ``key``, with the partition sorted by ``sort_keys``, over the task
+    exchange (:func:`task_exchange`).  Returns a Dataset of the kernel
+    outputs, one block per partition.  The exchange runs eagerly: the
+    upstream executes and every kernel has run (or raised) when this
+    returns.
 
     Contract given to the kernel:
       * all rows sharing a ``key`` value are present (never split);
       * rows are sorted by ``sort_keys`` (stable), so per-key runs are
-        contiguous and internally ordered.
+        contiguous and internally ordered;
+      * it is called for every partition, empty ones included, so an
+        empty partition still yields the kernel's schema.
+
+    ``strategy`` is still accepted so that callers written for the
+    earlier multi-strategy signature keep working; its one legal value
+    is ``"tasks"`` and any other raises ``ValueError``.
     """
-    is_class = isinstance(kernel, type)
+    import ray
 
-    def make_wrapped(inner):
-        def wrapped(table: pa.Table) -> pa.Table:
-            if PART_COL in table.column_names and table.num_rows:
-                # whole-partition contract: a kernel batch must hold ONE
-                # hash partition.  This catches mixed-partition blocks
-                # (a mis-keyed repartition); it cannot catch a single
-                # oversized partition that Ray split into two
-                # single-valued blocks — that hazard is why the hash
-                # strategy's docstring bounds partition bytes by
-                # target_max_block_size (strategy="tasks" is immune:
-                # each gather task receives its whole partition).
-                mm = pc.min_max(table[PART_COL])
-                if mm["min"].as_py() != mm["max"].as_py():
-                    raise ValueError(
-                        "partitioned_map kernel received rows from "
-                        f"partitions {mm['min']}..{mm['max']} in one "
-                        "batch; the repartition did not isolate "
-                        "partitions — use strategy='tasks'")
-            t = sort_table(table, sort_keys)
-            out = inner(t)
-            if drop_part_col and PART_COL in out.column_names:
-                out = out.drop_columns([PART_COL])
-            return out
+    if strategy != "tasks":
+        raise ValueError(
+            f"partitioned_map: unknown strategy {strategy!r}; the task "
+            "exchange is the only one ('tasks')")
+    gathers = task_exchange(ds, lambda _p, t: kernel(t), key=key,
+                            sort_keys=sort_keys,
+                            num_partitions=num_partitions)
+    return ray.data.from_arrow_refs(gathers)
 
-        return wrapped
 
-    parted = with_partition_col(ds, key, num_partitions)
+def each_group(fn: Callable[[pa.Table], pa.Table],
+               group_cols: Sequence[str]) -> Callable[[pa.Table], pa.Table]:
+    """Adapt a per-group function (called once per distinct
+    ``group_cols`` tuple, NULL being a group of its own) to a
+    :func:`partitioned_map` kernel: the partition, sorted with
+    ``group_cols`` leading, is cut into runs of equal group values and
+    ``fn``'s outputs are concatenated.  An empty partition yields a
+    zero-column empty table, as Ray's shuffles do."""
 
-    if strategy == "hash":
-        from ..context import enable_hash_shuffle
+    def kernel(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:
+            return pa.table({})
+        change = np.zeros(t.num_rows, bool)
+        change[0] = True
+        for c in group_cols:
+            codes = pc.dictionary_encode(
+                t[c].combine_chunks(), null_encoding="encode"
+            ).indices.to_numpy(zero_copy_only=False)
+            change[1:] |= codes[1:] != codes[:-1]
+        starts = np.flatnonzero(change)
+        ends = np.append(starts[1:], t.num_rows)
+        return pa.concat_tables(
+            [fn(t.slice(s, e - s)) for s, e in zip(starts, ends)],
+            promote_options="default")
 
-        enable_hash_shuffle()
-        rep = parted.repartition(num_blocks=num_partitions, keys=[PART_COL])
-        if is_class:
-            class ActorKernel:
-                def __init__(self):
-                    args = fn_constructor_args or ()
-                    self._inner = make_wrapped(kernel(*args))
-
-                def __call__(self, table: pa.Table) -> pa.Table:
-                    return self._inner(table)
-
-            return rep.map_batches(
-                ActorKernel,
-                batch_size=None,
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-                concurrency=concurrency or 4,
-                num_cpus=num_cpus,
-            )
-        return rep.map_batches(
-            make_wrapped(kernel),
-            batch_size=None,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            num_cpus=num_cpus,
-        )
-
-    if strategy == "tasks":
-        return _task_exchange_map(
-            ds, kernel if not is_class else None,
-            key=key, sort_keys=sort_keys, num_partitions=num_partitions,
-            kernel_cls=kernel if is_class else None,
-            fn_constructor_args=fn_constructor_args,
-            drop_part_col=drop_part_col,
-        )
-
-    grouped = parted.groupby(PART_COL)
-    if is_class:
-        class ActorGroupKernel:
-            def __init__(self):
-                args = fn_constructor_args or ()
-                self._inner = make_wrapped(kernel(*args))
-
-            def __call__(self, table: pa.Table) -> pa.Table:
-                return self._inner(table)
-
-        return grouped.map_groups(
-            ActorGroupKernel,
-            batch_format="pyarrow",
-            concurrency=concurrency or 4,
-            num_cpus=num_cpus,
-        )
-    return grouped.map_groups(
-        make_wrapped(kernel),
-        batch_format="pyarrow",
-        num_cpus=num_cpus,
-    )
+    return kernel
 
 
 def materialized_block_refs(ds):
@@ -327,27 +256,30 @@ def materialized_block_refs(ds):
         return ds.to_arrow_refs()
 
 
-def _task_exchange_map(
+def task_exchange(
     ds,
-    kernel,
+    fn: Callable[[int, pa.Table], object],
     *,
     key: str,
     sort_keys: Sequence[str],
     num_partitions: int,
-    kernel_cls=None,
-    fn_constructor_args=None,
-    drop_part_col: bool = True,
-):
-    """Two-stage all-to-all exchange with plain Ray tasks — B split tasks →
-    P gather+sort+kernel tasks — bypassing Ray Data's sort-based shuffle,
-    whose barrier costs tens of seconds of wall for sub-second task work at
-    mid scale (measured: Sort 'executed in 65s' with 0.4s remote time).
+    partitions: Optional[Sequence[int]] = None,
+) -> list:
+    """The engine's keyed exchange: two stages of plain Ray tasks — B split
+    tasks → one gather+sort task per partition — bypassing Ray Data's
+    sort-based shuffle, whose barrier costs tens of seconds of wall for
+    sub-second task work at mid scale (measured: Sort 'executed in 65s'
+    with 0.4s remote time).
 
     The upstream dataset is materialized to Arrow refs (object store holds
-    / spills the blocks); every split emits ``P`` sub-tables
-    (``num_returns=P`` — only refs travel to the driver), every gather
-    concats its column, sorts once, runs the kernel.  Output is a new
-    Dataset built from the gather refs, so downstream stages stream again.
+    / spills the blocks); every split buckets its block by
+    ``_hash_chunk(key) % num_partitions`` and emits one sub-table per
+    partition (``num_returns=P`` — only refs travel to the driver).  The
+    gather of partition ``p`` concats its slices, sorts them once by
+    ``sort_keys`` and returns ``fn(p, sorted_table)``.  Returns the gather
+    refs, in the order of ``partitions`` (default: every partition);
+    only those partitions are gathered.  An upstream with no blocks gives
+    every gather one empty table of the upstream schema.
 
     This is exactly the exchange a fixed-size cluster runs for a keyed
     shuffle: B×P objects, each fetched once, no central barrier beyond the
@@ -355,20 +287,10 @@ def _task_exchange_map(
     """
     import ray
 
-    refs = materialized_block_refs(ds)
     P = num_partitions
-
-    if not refs:
-        # empty upstream: run the kernel once on an empty table so the
-        # output dataset still carries the kernel's schema
-        arrow_schema = ds.schema().base_schema if ds.schema() else pa.schema([])
-        empty = arrow_schema.empty_table()
-        inner = kernel_cls(*(fn_constructor_args or ())) if kernel_cls else kernel
-        out = inner(sort_table(empty, [k for k in sort_keys
-                                       if k in empty.column_names]))
-        if drop_part_col and PART_COL in out.column_names:
-            out = out.drop_columns([PART_COL])
-        return ray.data.from_arrow(out)
+    if partitions is None:
+        partitions = range(P)
+    refs = materialized_block_refs(ds)
 
     @ray.remote(num_returns=P)
     def split(table):
@@ -376,11 +298,15 @@ def _task_exchange_map(
             import pandas as pd
 
             table = pa.Table.from_pandas(table, preserve_index=False)
-        if table.num_rows == 0 or key not in table.column_names:
+        if table.num_rows == 0:
             # Ray's shuffle ops emit benign zero-column empty bundles;
             # forward an empty slice to every gather
             outs = [table.slice(0, 0)] * P
             return tuple(outs) if P > 1 else outs[0]
+        if key not in table.column_names:
+            raise KeyError(
+                f"partition key {key!r} missing from block columns "
+                f"{table.column_names}")
         combined = table[key].combine_chunks() if table[key].num_chunks > 1 else table[key]
         chunks = combined.chunks if isinstance(combined, pa.ChunkedArray) else [combined]
         if chunks:
@@ -395,33 +321,27 @@ def _task_exchange_map(
         return tuple(outs) if P > 1 else outs[0]
 
     @ray.remote
-    def gather(*parts):
+    def gather(p, *parts):
         tables = [t for t in parts if t.num_rows > 0]
         if not tables:
             # all-empty partition: keep the widest schema available
-            t = max(parts, key=lambda p: p.num_columns)
+            t = max(parts, key=lambda s: s.num_columns)
         else:
             t = pa.concat_tables(tables, promote_options="default")
-        t = sort_table(t, [k for k in sort_keys if k in t.column_names])
-        if kernel_cls is not None:
-            inner = kernel_cls(*(fn_constructor_args or ()))
-        else:
-            inner = kernel
-        out = inner(t)
-        if drop_part_col and PART_COL in out.column_names:
-            out = out.drop_columns([PART_COL])
-        return out
+        return fn(p, sort_table(t, [k for k in sort_keys
+                                    if k in t.column_names]))
 
-    split_refs = [split.remote(r) for r in refs]
-    # split_refs[b] is a list of P refs (or a single ref when P == 1)
-    if P == 1:
-        gathers = [gather.remote(*split_refs)]
-    else:
-        gathers = [
-            gather.remote(*[split_refs[b][p] for b in range(len(split_refs))])
-            for p in range(P)
-        ]
-    return ray.data.from_arrow_refs(gathers)
+    if refs:
+        # split_refs[b][p] is block b's slice of partition p
+        split_refs = [split.remote(r) for r in refs]
+        if P == 1:
+            split_refs = [[r] for r in split_refs]
+        return [gather.remote(p, *[s[p] for s in split_refs])
+                for p in partitions]
+    schema = ds.schema()
+    empty = ray.put((schema.base_schema if schema else pa.schema([]))
+                    .empty_table())
+    return [gather.remote(p, empty) for p in partitions]
 
 
 def sum_partials(blocks, *, keys: Sequence[str],

@@ -113,8 +113,7 @@ def pca_fit(ds, *, vec_col: str = "embedding", n_components: int = 4,
                               zero_copy_batch=True, batch_size=None)
     stats = partitioned_map(partials, combine, key="cell",
                             sort_keys=["cell"],
-                            num_partitions=num_partitions,
-                            strategy="tasks")
+                            num_partitions=num_partitions)
     blocks = [b for b in ray.get(materialized_block_refs(stats))
               if b.num_rows > 0]
     if not blocks:

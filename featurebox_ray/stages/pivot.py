@@ -140,7 +140,7 @@ def pivot_agg(ds, *, group_col: str, cat_col: str,
 
     return partitioned_map(partials, combine, key=group_col,
                            sort_keys=[group_col],
-                           num_partitions=num_partitions, strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def _codes_dic(col):
@@ -253,8 +253,7 @@ def group_mode(ds, *, group_col: str, value_col: str,
                               zero_copy_batch=True, batch_size=None)
     return partitioned_map(partials, pick, key=group_col,
                            sort_keys=[group_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def group_topk_values(ds, *, group_col: str, value_col: str, k: int = 3,
@@ -325,8 +324,7 @@ def group_topk_values(ds, *, group_col: str, value_col: str, k: int = 3,
                               zero_copy_batch=True, batch_size=None)
     return partitioned_map(partials, pick, key=group_col,
                            sort_keys=[group_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def group_concat(ds, *, group_col: str, value_col: str,
@@ -386,8 +384,7 @@ def group_concat(ds, *, group_col: str, value_col: str,
 
     return partitioned_map(ds, kernel, key=group_col,
                            sort_keys=[group_col] + list(order_cols),
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def unpivot(ds, *, id_cols: Sequence[str], value_cols: Sequence[str],

@@ -113,8 +113,7 @@ def profile_columns(ds, *, cols: Sequence[str], num_partitions: int = 8):
 
     staged = partitioned_map(partials, per_partition, key="val",
                              sort_keys=["col", "val"],
-                             num_partitions=num_partitions,
-                             strategy="tasks")
+                             num_partitions=num_partitions)
 
     def final(t: pa.Table) -> pa.Table:
         import pandas as pd
@@ -140,8 +139,7 @@ def profile_columns(ds, *, cols: Sequence[str], num_partitions: int = 8):
                                     ).cast(t.schema)
 
     return partitioned_map(staged, final, key="col",
-                           sort_keys=["col"], num_partitions=1,
-                           strategy="tasks")
+                           sort_keys=["col"], num_partitions=1)
 
 
 def group_count_distinct(ds, *, group_cols: Sequence[str],
@@ -181,8 +179,7 @@ def group_count_distinct(ds, *, group_cols: Sequence[str],
                               zero_copy_batch=True, batch_size=None)
     return partitioned_map(partials, kernel, key=group_cols[0],
                            sort_keys=list(group_cols),
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def group_gini(ds, *, group_col: str, value_col: str,
@@ -254,8 +251,7 @@ def group_gini(ds, *, group_col: str, value_col: str,
                               zero_copy_batch=True, batch_size=None)
     return partitioned_map(partials, kernel, key=group_col,
                            sort_keys=[group_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def k_anonymity(ds, *, cols, k: int, num_partitions: int = 16):
@@ -306,8 +302,7 @@ def k_anonymity(ds, *, cols, k: int, num_partitions: int = 16):
                               zero_copy_batch=True, batch_size=None)
     return partitioned_map(partials, combine, key=cols[0],
                            sort_keys=cols,
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def order_violations(ds, *, key_col: str, seq_col: str, ts_col: str,
@@ -375,8 +370,7 @@ def order_violations(ds, *, key_col: str, seq_col: str, ts_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, "__seq"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def benford_digits(ds, *, group_col: str, value_col: str,
@@ -481,8 +475,7 @@ def benford_digits(ds, *, group_col: str, value_col: str,
 
     return partitioned_map(partials, kernel, key=group_col,
                            sort_keys=[group_col, "digit"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def table_checksum(ds, *, cols, sep: str = "|") -> "pa.Table":
@@ -667,8 +660,7 @@ def temporal_split_audit(ds, *, user_col: str = "user_id",
 
     counted = partitioned_map(pairs, user_kernel, key=user_col,
                               sort_keys=[user_col, "__s"],
-                              num_partitions=num_partitions,
-                              strategy="tasks")
+                              num_partitions=num_partitions)
     u_tr = u_te = u_bo = 0
     for blk in ray.get(materialized_block_refs(counted)):
         for a, b_, c in zip(blk["tr"].to_pylist(),
@@ -904,8 +896,7 @@ def ts_collision_audit(ds, *, key_col: str, ts_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, "__ts"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def group_lorenz_gini(ds, *, group_col: str, value_col: str,
@@ -993,8 +984,7 @@ def group_lorenz_gini(ds, *, group_col: str, value_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=group_col,
                            sort_keys=[group_col, value_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def l_diversity_audit(ds, *, quasi_cols, sensitive_col: str,
@@ -1068,8 +1058,7 @@ def l_diversity_audit(ds, *, quasi_cols, sensitive_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=quasi_cols[0],
                            sort_keys=quasi_cols + [sensitive_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def coverage_curve(ds, *, weight_col: str,

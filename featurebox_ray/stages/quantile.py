@@ -135,7 +135,7 @@ def group_quantiles(
         return pa.table(res)
 
     return partitioned_map(ds, kernel, key=group_col, sort_keys=[group_col],
-                           num_partitions=num_partitions, strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def histogram_quantiles(
@@ -272,7 +272,7 @@ def histogram_quantiles(
 
     return partitioned_map(partials, combine, key=group_col,
                            sort_keys=[group_col, "bin"],
-                           num_partitions=num_partitions, strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def weighted_group_quantiles(ds, *, group_col: str, value_col: str,
@@ -370,8 +370,7 @@ def weighted_group_quantiles(ds, *, group_col: str, value_col: str,
 
     return partitioned_map(ds, kernel, key=group_col,
                            sort_keys=[group_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def group_trimmed_mean(ds, *, group_col: str, value_col: str,
@@ -449,8 +448,7 @@ def group_trimmed_mean(ds, *, group_col: str, value_col: str,
 
     return partitioned_map(ds, kernel, key=group_col,
                            sort_keys=[group_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def global_quantile_element(ds, *, value_col: str, q: float,

@@ -146,7 +146,7 @@ def rank_kernel(table: pa.Table, *, group_col: str, value_col: str,
 
 
 def rank_in_group(ds, *, group_col: str, value_col: str, tie_col: str,
-                  num_partitions: int = 32, strategy: str = "tasks",
+                  num_partitions: int = 32,
                   ntile: int | None = None,
                   payload_cols: tuple = ()):
     """Add the five window-rank columns per ``group_col``, ordered by
@@ -162,8 +162,7 @@ def rank_in_group(ds, *, group_col: str, value_col: str, tie_col: str,
 
     return partitioned_map(ds, kernel, key=group_col,
                            sort_keys=[group_col, value_col, tie_col],
-                           num_partitions=num_partitions,
-                           strategy=strategy)
+                           num_partitions=num_partitions)
 
 
 def global_row_number(ds, *, order_cols, rank_col: str = "g_rank",
@@ -278,8 +277,7 @@ def last_row_per_key(ds, *, key_col: str, order_cols,
 
     return partitioned_map(ds, kernel, key=key_col,
                            sort_keys=[key_col] + order_cols,
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def diversified_topk(ds, *, group_col: str, id_col: str,
@@ -330,8 +328,7 @@ def diversified_topk(ds, *, group_col: str, id_col: str,
 
     survivors = partitioned_map(partials, kernel, key=group_col,
                                 sort_keys=[group_col, neg, id_col],
-                                num_partitions=num_partitions,
-                                strategy="tasks")
+                                num_partitions=num_partitions)
 
     def drop_neg(t: pa.Table) -> pa.Table:
         return (t.drop_columns([neg]) if neg in t.column_names else t)
@@ -513,8 +510,7 @@ def rrf_fuse(rank_dss, *, id_col: str, rank_cols, k: int = 60,
 
     return partitioned_map(tagged, kernel, key=id_col,
                            sort_keys=[id_col, "__which"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def pareto_front(ds, *, group_col: str, id_col: str, x_col: str,
@@ -599,5 +595,4 @@ def pareto_front(ds, *, group_col: str, id_col: str, x_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=group_col,
                            sort_keys=[group_col, x_col, y_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)

@@ -38,6 +38,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .partition import each_group, partitioned_map
+
 _PARTIAL_COLS = ("n", "sx", "sy", "sxy", "sxx")
 
 
@@ -102,8 +104,8 @@ def group_linfit(ds, *, key_col: str, x_col: str, y_col: str):
         })
 
     # the exchange moves O(blocks × groups) tiny partial rows
-    return partials.groupby(key_col).map_groups(
-        finalize, batch_format="pyarrow")
+    return partitioned_map(partials, each_group(finalize, [key_col]),
+                           key=key_col, sort_keys=[key_col])
 
 
 def group_corr(ds, *, key_col: str, x_col: str, y_col: str):
@@ -174,8 +176,8 @@ def group_corr(ds, *, key_col: str, x_col: str, y_col: str):
             "r": pa.array([r], pa.float64()),
         })
 
-    return partials.groupby(key_col).map_groups(
-        finalize, batch_format="pyarrow")
+    return partitioned_map(partials, each_group(finalize, [key_col]),
+                           key=key_col, sort_keys=[key_col])
 
 
 def group_moments(ds, *, key_col: str, y_col: str):
@@ -270,8 +272,8 @@ def group_moments(ds, *, key_col: str, y_col: str):
             "kurt_excess": pa.array([kurt], pa.float64()),
         })
 
-    return partials.groupby(key_col).map_groups(
-        finalize, batch_format="pyarrow")
+    return partitioned_map(partials, each_group(finalize, [key_col]),
+                           key=key_col, sort_keys=[key_col])
 
 
 def group_auc(ds, *, key_col: str, label_col: str, score_col: str,
@@ -371,8 +373,7 @@ def group_auc(ds, *, key_col: str, label_col: str, score_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, score_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def group_weighted_stats(ds, *, key_col: str, y_col: str, w_col: str):
@@ -450,8 +451,8 @@ def group_weighted_stats(ds, *, key_col: str, y_col: str, w_col: str):
             "wvar": pa.array([wvar], pa.float64()),
         })
 
-    return partials.groupby(key_col).map_groups(
-        finalize, batch_format="pyarrow")
+    return partitioned_map(partials, each_group(finalize, [key_col]),
+                           key=key_col, sort_keys=[key_col])
 
 
 def group_spearman(ds, *, key_col: str, x_col: str, y_col: str,
@@ -573,8 +574,7 @@ def group_spearman(ds, *, key_col: str, x_col: str, y_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, x_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def group_ab_test(ds, *, key_col: str, side_col: str, treat_value,
@@ -669,8 +669,8 @@ def group_ab_test(ds, *, key_col: str, side_col: str, treat_value,
             "df": pa.array([df], pa.float64()),
         })
 
-    return partials.groupby(key_col).map_groups(
-        finalize, batch_format="pyarrow")
+    return partitioned_map(partials, each_group(finalize, [key_col]),
+                           key=key_col, sort_keys=[key_col])
 
 
 def calibration_bins(ds, *, pred_col: str, label_col: str,
@@ -917,8 +917,7 @@ def fit_ridge(ds, *, vec_col: str = "embedding", y_col: str = "label",
                               zero_copy_batch=True, batch_size=None)
     stats = partitioned_map(partials, combine, key="cell",
                             sort_keys=["cell"],
-                            num_partitions=num_partitions,
-                            strategy="tasks")
+                            num_partitions=num_partitions)
     blocks = [b for b in ray.get(materialized_block_refs(stats))
               if b.num_rows > 0]
     if not blocks:
@@ -1026,8 +1025,7 @@ def wilson_rates(ds, *, key_col: str, success_col: str,
                               zero_copy_batch=True, batch_size=None)
     return partitioned_map(partials, combine, key=key_col,
                            sort_keys=[key_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def group_ks_drift(ds, *, key_col: str, side_col: str,
@@ -1127,8 +1125,7 @@ def group_ks_drift(ds, *, key_col: str, side_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, "__v"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def group_theil_sen(ds, *, key_col: str, x_col: str, y_col: str,
@@ -1232,8 +1229,7 @@ def group_theil_sen(ds, *, key_col: str, x_col: str, y_col: str,
 
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, "__x"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def kendall_tau(ds, *, key_col: str, x_col: str, y_col: str,
@@ -1350,8 +1346,7 @@ def kendall_tau(ds, *, key_col: str, x_col: str, y_col: str,
 
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, "__x"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def cohen_kappa(ds, *, group_col: str, rater_a_col: str,
@@ -1576,8 +1571,7 @@ def mann_whitney(ds, *, group_col: str, side_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=group_col,
                            sort_keys=[group_col, "__y"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def did_estimate(ds, *, group_col: str, side_col: str, ts_col: str,
@@ -1793,8 +1787,7 @@ def ridge_influence(ds, *, vec_col: str = "embedding",
                               zero_copy_batch=True, batch_size=None)
     stats = partitioned_map(partials, combine, key="g",
                             sort_keys=["g", "cell"],
-                            num_partitions=num_partitions,
-                            strategy="tasks")
+                            num_partitions=num_partitions)
     per_group: dict = {}
     for b in ray.get(materialized_block_refs(stats)):
         if b.num_rows == 0:
@@ -2396,8 +2389,7 @@ def pr_threshold_sweep(ds, *, key_col: str, label_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, score_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def grouped_ridge(ds, *, vec_col: str = "embedding",
@@ -2521,8 +2513,7 @@ def _grouped_ridge_stats(ds, *, vec_col: str, y_col: str,
                               zero_copy_batch=True, batch_size=None)
     stats = partitioned_map(partials, combine, key="g",
                             sort_keys=["g", "cell"],
-                            num_partitions=num_partitions,
-                            strategy="tasks")
+                            num_partitions=num_partitions)
     blocks = [b for b in ray.get(materialized_block_refs(stats))
               if b.num_rows > 0]
     if not blocks:

@@ -96,8 +96,7 @@ def retention_cohorts(ds, *, key_col: str = "user_id",
                              zero_copy_batch=True)
     partials = partitioned_map(prepped, per_user, key=key_col,
                                sort_keys=[key_col, "__per"],
-                               num_partitions=num_partitions,
-                               strategy="tasks")
+                               num_partitions=num_partitions)
 
     def combine(t: pa.Table) -> pa.Table:
         if t.num_rows == 0 or "cohort" not in t.column_names:
@@ -121,8 +120,7 @@ def retention_cohorts(ds, *, key_col: str = "user_id",
 
     return partitioned_map(partials, combine, key="cohort",
                            sort_keys=["cohort", "offset"],
-                           num_partitions=min(num_partitions, 8),
-                           strategy="tasks")
+                           num_partitions=min(num_partitions, 8))
 
 
 def cohort_value_curve(ds, *, key_col: str = "user_id",
@@ -213,12 +211,10 @@ def cohort_value_curve(ds, *, key_col: str = "user_id",
                              zero_copy_batch=True)
     partials = partitioned_map(prepped, kernel, key=key_col,
                                sort_keys=[key_col, "__per"],
-                               num_partitions=num_partitions,
-                               strategy="tasks")
+                               num_partitions=num_partitions)
     return partitioned_map(partials, combine, key="cohort",
                            sort_keys=["cohort", "offset"],
-                           num_partitions=max(num_partitions // 4, 1),
-                           strategy="tasks")
+                           num_partitions=max(num_partitions // 4, 1))
 
 
 def longest_streak(ds, *, key_col: str = "user_id",
@@ -293,8 +289,7 @@ def longest_streak(ds, *, key_col: str = "user_id",
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, "__per"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def _survival_cells(ds, *, user_col: str = "user_id",
@@ -454,8 +449,7 @@ def _survival_cells(ds, *, user_col: str = "user_id",
     users = partitioned_map(ray.data.from_arrow_refs(prefs),
                             cells_kernel, key=user_col,
                             sort_keys=[user_col, "__mn", "__sq"],
-                            num_partitions=num_partitions,
-                            strategy="tasks")
+                            num_partitions=num_partitions)
     agg: dict = {}
     for blk in ray.get(materialized_block_refs(users)):
         for ty, d, de, ce in zip(blk["__ty"].to_pylist(),
@@ -675,8 +669,7 @@ def activation_latency(ds, *, key_col: str, ts_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, "__ts", "__s"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def daily_new_vs_returning(ds, *, key_col: str, ts_col: str,
@@ -744,8 +737,7 @@ def daily_new_vs_returning(ds, *, key_col: str, ts_col: str,
     for blk in ray.get(materialized_block_refs(
             partitioned_map(prepped, kernel, key=key_col,
                             sort_keys=[key_col, "__day"],
-                            num_partitions=num_partitions,
-                            strategy="tasks"))):
+                            num_partitions=num_partitions))):
         if "day" not in blk.column_names:
             continue
         for d, a, nn in zip(blk["day"].to_pylist(),

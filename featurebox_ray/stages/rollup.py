@@ -142,8 +142,7 @@ def rollup_counts(ds, *, g1: str, g2: str, int_sum_cols: Sequence[str],
         return pa.concat_tables(parts)
 
     staged = partitioned_map(partials, combine, key=g1,
-                             sort_keys=[g1], num_partitions=num_partitions,
-                             strategy="tasks")
+                             sort_keys=[g1], num_partitions=num_partitions)
 
     # grand partials (one per partition) meet in one tiny final combine;
     # complete rows pass through untouched.  Build both branches from the
@@ -181,7 +180,7 @@ def rollup_counts(ds, *, g1: str, g2: str, int_sum_cols: Sequence[str],
         return pa.table(cols)
 
     total = partitioned_map(grands, final, key="lvl", sort_keys=["lvl"],
-                            num_partitions=1, strategy="tasks")
+                            num_partitions=1)
     out = done.union(total)
 
     if cube:
@@ -200,7 +199,7 @@ def rollup_counts(ds, *, g1: str, g2: str, int_sum_cols: Sequence[str],
 
         cube_done = partitioned_map(
             cubes, complete_g2, key=g2, sort_keys=[g2],
-            num_partitions=min(num_partitions, 8), strategy="tasks")
+            num_partitions=min(num_partitions, 8))
         out = out.union(cube_done)
 
     return out

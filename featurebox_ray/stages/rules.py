@@ -113,8 +113,7 @@ def association_rules(ds, *, basket_col: str, item_col: str,
                              zero_copy_batch=True, batch_size=None)
     partials = partitioned_map(prepped, kernel, key="__b",
                                sort_keys=["__b", "__i"],
-                               num_partitions=num_partitions,
-                               strategy="tasks")
+                               num_partitions=num_partitions)
 
     pair_n: dict = {}
     single_n: dict = {}

@@ -68,7 +68,6 @@ def add_window_features_salted(
     order_col: str = "turn_idx",
     num_partitions: int = 32,
     policy: Optional[SaltPolicy] = None,
-    strategy: str = "groupby",
 ):
     """Bounded-window features with per-conversation salting.
 
@@ -181,7 +180,7 @@ def add_window_features_salted(
     out = partitioned_map(
         keyed, kernel, key="__salt_key",
         sort_keys=["__salt_key", spec.ts_col, order_col],
-        num_partitions=num_partitions, strategy=strategy,
+        num_partitions=num_partitions,
     )
 
     def cleanup(batch: pa.Table) -> pa.Table:

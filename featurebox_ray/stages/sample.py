@@ -145,7 +145,7 @@ def cap_per_group(ds, *, group_col: str, id_col: str, m: int):
                               zero_copy_batch=True, batch_size=None)
     winners = partitioned_map(partials, combine, key=group_col,
                               sort_keys=[group_col, "h", id_col],
-                              num_partitions=8, strategy="tasks")
+                              num_partitions=8)
     from .partition import materialized_block_refs
 
     blocks = [b for b in ray.get(materialized_block_refs(winners))
@@ -265,8 +265,7 @@ def weighted_sample_k(ds, *, key_col: str, weight_col: str, k: int):
     # for a global top-k); sort_keys is just the exchange's required
     # pre-sort over those few rows — topk re-orders by (-score, id)
     return partitioned_map(partials, topk, key=key_col,
-                           sort_keys=[key_col], num_partitions=1,
-                           strategy="tasks")
+                           sort_keys=[key_col], num_partitions=1)
 
 
 def temperature_thresholds(counts: dict, alpha: float) -> dict:
@@ -511,8 +510,7 @@ def throttle_min_interval(ds, *, key_col: str, ts_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, "__ts", id_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def stratified_folds(ds, *, group_col: str, key_col: str, n_folds: int,
@@ -577,8 +575,7 @@ def stratified_folds(ds, *, group_col: str, key_col: str, n_folds: int,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=group_col,
                            sort_keys=[group_col, "__h", key_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def weighted_interleave(ds, *, source_col: str, id_col: str,
@@ -650,8 +647,7 @@ def weighted_interleave(ds, *, source_col: str, id_col: str,
                              zero_copy_batch=True, batch_size=None)
     ranked = partitioned_map(prepped, rank_kernel, key=source_col,
                              sort_keys=[source_col, id_col],
-                             num_partitions=num_partitions,
-                             strategy="tasks")
+                             num_partitions=num_partitions)
     ordered = global_row_number(
         ranked, order_cols=["pos", source_col, id_col],
         rank_col="ord")
@@ -794,5 +790,4 @@ def quota_sample(ds, *, group_col: str, key_col: str, total: int,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=group_col,
                            sort_keys=[group_col, "__h", key_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)

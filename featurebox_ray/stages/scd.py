@@ -92,8 +92,7 @@ def scd2_intervals(ds, *, key_col: str, ts_col: str, seq_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, "__t", "__s"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def scd2_apply(dim_ds, snap_ds, *, key_col: str, state_col: str,
@@ -263,5 +262,4 @@ def scd2_apply(dim_ds, snap_ds, *, key_col: str, state_col: str,
 
     return partitioned_map(unioned, merge_kernel, key=key_col,
                            sort_keys=[key_col, "__tag", "vf"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)

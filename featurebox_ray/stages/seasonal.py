@@ -123,8 +123,7 @@ def seasonal_peak(ds, *, group_col: str, ts_col: str, value_col: str,
 
     return partitioned_map(partials, kernel, key=group_col,
                            sort_keys=[group_col, "bin"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def profile_similarity(ds, *, key_col: str, ts_col: str,
@@ -274,8 +273,7 @@ def profile_similarity(ds, *, key_col: str, ts_col: str,
                              zero_copy_batch=True, batch_size=None)
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, "__b"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def seasonal_anomaly(ds, *, ts_col: str, id_col: str,
@@ -526,5 +524,4 @@ def seasonal_naive_backtest(ds, *, key_col: str, ts_col: str,
 
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, "__day"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)

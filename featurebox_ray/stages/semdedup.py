@@ -110,8 +110,7 @@ def semantic_dedup(ds, *, vec_col: str = "embedding",
 
     return partitioned_map(tagged, kernel, key="cluster",
                            sort_keys=["cluster", id_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def semantic_dedup_serial(tbl: pa.Table, *, vec_col: str = "embedding",

@@ -33,6 +33,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .partition import each_group, partitioned_map
+
 HASH_HEX_DIGITS = 15          # 60 bits: exact in int64, headroom in ops below
 HASH_SPAN = float(1 << (4 * HASH_HEX_DIGITS))
 
@@ -99,10 +101,10 @@ def kmv_distinct(ds, *, group_col: str, value_col: str, k: int = 64):
             "est_distinct": pa.array([est], pa.float64()),
         })
 
-    # the partials table is O(groups × blocks × k) rows — the groupby
+    # the partials table is O(groups × blocks × k) rows — the exchange
     # shuffles sketches, never data
-    return partials.groupby(group_col).map_groups(
-        finalize, batch_format="pyarrow")
+    return partitioned_map(partials, each_group(finalize, [group_col]),
+                           key=group_col, sort_keys=[group_col])
 
 
 def hll_distinct(ds, *, group_col: str, value_col: str, p: int = 8):
@@ -194,8 +196,8 @@ def hll_distinct(ds, *, group_col: str, value_col: str, p: int = 8):
             "est_distinct": pa.array([est], pa.float64()),
         })
 
-    return partials.groupby(group_col).map_groups(
-        finalize, batch_format="pyarrow")
+    return partitioned_map(partials, each_group(finalize, [group_col]),
+                           key=group_col, sort_keys=[group_col])
 
 
 def cms_term_estimates(ds, *, text_col: str = "text", depth: int = 4,
@@ -261,8 +263,7 @@ def cms_term_estimates(ds, *, text_col: str = "text", depth: int = 4,
 
     sketch_ds = partitioned_map(partials, combine, key="cell",
                                 sort_keys=["cell"],
-                                num_partitions=num_partitions,
-                                strategy="tasks")
+                                num_partitions=num_partitions)
 
     # the combined sketch is <= depth*width rows (driver-tiny, like the
     # tfidf vocabulary); point queries are min over depth cells

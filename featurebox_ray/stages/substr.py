@@ -118,7 +118,7 @@ def _marked_dup_positions(grams, *, id_col: str, min_count: int,
     return partitioned_map(
         grams, lambda t: _keep_dup_runs(t, id_col, min_count),
         key="gh", sort_keys=["gh", "gh2"],
-        num_partitions=num_partitions, strategy="tasks")
+        num_partitions=num_partitions)
 
 
 def _check_hash_mode(hash_mode: str):
@@ -184,8 +184,7 @@ def dup_spans(ds, *, id_col: str = "doc_id", text_col: str = "text",
 
     return partitioned_map(dups, merge_spans, key=id_col,
                            sort_keys=[id_col, "pos"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def dup_token_stats(ds, *, id_col: str = "doc_id", text_col: str = "text",
@@ -314,8 +313,7 @@ def dup_token_stats(ds, *, id_col: str = "doc_id", text_col: str = "text",
 
     return partitioned_map(tagged, stats_kernel, key=id_col,
                            sort_keys=[id_col, "pos"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def ngram_novelty(ds, *, id_col: str = "doc_id", text_col: str = "text",
@@ -391,8 +389,7 @@ def ngram_novelty(ds, *, id_col: str = "doc_id", text_col: str = "text",
                            zero_copy_batch=True, batch_size=None)
     partials = partitioned_map(pairs, gram_kernel, key="gh",
                                sort_keys=["gh", "gh2", id_col],
-                               num_partitions=num_partitions,
-                               strategy="tasks")
+                               num_partitions=num_partitions)
 
     def markers(batch: pa.Table) -> pa.Table:
         ids = batch[id_col]
@@ -425,8 +422,7 @@ def ngram_novelty(ds, *, id_col: str = "doc_id", text_col: str = "text",
     unioned = partials.union(marks)
     return partitioned_map(unioned, combine, key=id_col,
                            sort_keys=[id_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def prefix_dedup(ds, *, id_col: str = "doc_id",
@@ -630,8 +626,7 @@ def cross_source_grams(ds, *, group_col: str = "source",
                               zero_copy_batch=True, batch_size=None)
     cells = partitioned_map(partials, kernel, key="gh",
                             sort_keys=["gh", "gh2", group_col],
-                            num_partitions=num_partitions,
-                            strategy="tasks")
+                            num_partitions=num_partitions)
     agg: dict = {}
     for blk in ray.get(materialized_block_refs(cells)):
         for a, b_, nn in zip(blk["src_a"].to_pylist(),

@@ -108,8 +108,7 @@ def tfidf_topk(ds, *, id_col: str = "doc_id", text_col: str = "text",
                               zero_copy_batch=True)
     df_ds = partitioned_map(partials, df_combine, key="term",
                             sort_keys=["term"],
-                            num_partitions=num_partitions,
-                            strategy="tasks")
+                            num_partitions=num_partitions)
     blocks = [b for b in ray.get(materialized_block_refs(df_ds))
               if b.num_rows > 0]
     if not blocks:
@@ -246,8 +245,7 @@ def _exact_topk_exchange(partials, *, k: int, num_partitions: int):
 
     local = partitioned_map(partials, sum_local_topk, key="term",
                             sort_keys=["term"],
-                            num_partitions=num_partitions,
-                            strategy="tasks")
+                            num_partitions=num_partitions)
 
     def global_topk(t: pa.Table) -> pa.Table:
         # survivors are already fully summed; just order and cut
@@ -260,8 +258,7 @@ def _exact_topk_exchange(partials, *, k: int, num_partitions: int):
         return t.take(pa.array(order, pa.int64()))
 
     return partitioned_map(local, global_topk, key="term",
-                           sort_keys=["term"], num_partitions=1,
-                           strategy="tasks")
+                           sort_keys=["term"], num_partitions=1)
 
 
 def top_bigrams(ds, *, id_col: str = "doc_id", text_col: str = "text",
@@ -567,12 +564,10 @@ def collocation_pmi(ds, *, id_col: str = "doc_id", text_col: str = "text",
 
     uni_tot = partitioned_map(uni_ds, sum_by_key(["w1"]), key="w1",
                               sort_keys=["w1"],
-                              num_partitions=num_partitions,
-                              strategy="tasks")
+                              num_partitions=num_partitions)
     bi_tot = partitioned_map(bi_ds, sum_by_key(["w1", "w2"]), key="w1",
                              sort_keys=["w1", "w2"],
-                             num_partitions=num_partitions,
-                             strategy="tasks")
+                             num_partitions=num_partitions)
 
     out_schema = pa.schema([
         ("w1", pa.string()), ("w2", pa.string()), ("c_xy", pa.int64()),
@@ -749,8 +744,7 @@ def vocab_overlap(ds, *, group_col: str, text_col: str = "text",
 
     partials = partitioned_map(rows, kernel, key="w",
                                sort_keys=["w", "g"],
-                               num_partitions=num_partitions,
-                               strategy="tasks")
+                               num_partitions=num_partitions)
     blocks = [b for b in ray.get(materialized_block_refs(partials))
               if b.num_rows > 0]
     out_schema = pa.schema([
@@ -873,11 +867,9 @@ def rising_terms(ds, *, id_col: str = "doc_id", text_col: str = "text",
                               zero_copy_batch=True, batch_size=None)
     local = partitioned_map(partials, local_topk, key="term",
                             sort_keys=["term"],
-                            num_partitions=num_partitions,
-                            strategy="tasks")
+                            num_partitions=num_partitions)
     return partitioned_map(local, global_topk, key="term",
-                           sort_keys=["term"], num_partitions=1,
-                           strategy="tasks")
+                           sort_keys=["term"], num_partitions=1)
 
 
 def _group_term_counts(batch: pa.Table, group_col: str,
@@ -997,8 +989,7 @@ def top_terms_per_group(ds, *, group_col: str, id_col: str = "doc_id",
                               zero_copy_batch=True, batch_size=None)
     return partitioned_map(partials, kernel, key=group_col,
                            sort_keys=[group_col, "term"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def chi2_keyness(ds, *, group_col: str = "source",
@@ -1160,7 +1151,7 @@ def chi2_keyness(ds, *, group_col: str = "source",
     scored = partitioned_map(
         ray.data.from_arrow_refs(refs), kernel, key="term",
         sort_keys=["term", group_col],
-        num_partitions=num_partitions, strategy="tasks")
+        num_partitions=num_partitions)
 
     # driver merge: ≤ partitions × groups × k rows
     blocks = [b for b in ray.get(materialized_block_refs(scored))
@@ -1254,8 +1245,7 @@ def novelty_curve(ds, *, id_col: str = "doc_id", text_col: str = "text",
 
     bparts = partitioned_map(partials, bucket_kernel, key="term",
                              sort_keys=["term"],
-                             num_partitions=num_partitions,
-                             strategy="tasks")
+                             num_partitions=num_partitions)
     from .partition import sum_partials
 
     comb = sum_partials(ray.get(materialized_block_refs(bparts)),
@@ -1380,8 +1370,7 @@ def vocab_coverage(ds, *, group_col: str = "source",
 
     per_part = partitioned_map(partials, kernel, key="term",
                                sort_keys=["term", group_col],
-                               num_partitions=num_partitions,
-                               strategy="tasks")
+                               num_partitions=num_partitions)
     from .partition import sum_partials
 
     schema = ds.schema()
@@ -1839,8 +1828,7 @@ def weighted_jaccard(ds, *, group_col: str, text_col: str,
 
     parts = partitioned_map(prepped, kernel, key="tok",
                             sort_keys=["tok", "g"],
-                            num_partitions=num_partitions,
-                            strategy="tasks")
+                            num_partitions=num_partitions)
     pair_min: dict = {}
     group_tot: dict = {}
     for b in ray.get(materialized_block_refs(parts)):

@@ -32,7 +32,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions import segments as seg
-from .partition import partitioned_map
+from .partition import each_group, partitioned_map
 from .window import _key_codes_dic
 
 
@@ -78,8 +78,7 @@ def event_transition_counts(ds, *, key_col: str, ts_col: str,
 
     partials = partitioned_map(ds, kernel, key=key_col,
                                sort_keys=[key_col, ts_col, order_col],
-                               num_partitions=num_partitions,
-                               strategy="tasks")
+                               num_partitions=num_partitions)
 
     def finalize(t: pa.Table) -> pa.Table:
         td = pc.dictionary_encode(t["to_type"].combine_chunks())
@@ -98,8 +97,8 @@ def event_transition_counts(ds, *, key_col: str, ts_col: str,
         })
 
     # second exchange: O(partitions × |types|²) partial rows
-    return partials.groupby("from_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return partitioned_map(partials, each_group(finalize, ["from_type"]),
+                           key="from_type", sort_keys=["from_type"])
 
 
 def _gap_native(ds, ts_col: str, gap_s: float) -> int:
@@ -238,12 +237,10 @@ def session_cooccurrence(ds, *, key_col: str, ts_col: str,
                              zero_copy_batch=True)
     partials = partitioned_map(prepped, kernel, key=key_col,
                                sort_keys=[key_col, "__ts", order_col],
-                               num_partitions=num_partitions,
-                               strategy="tasks")
+                               num_partitions=num_partitions)
     return partitioned_map(partials, combine, key="type_a",
                            sort_keys=["type_a", "type_b"],
-                           num_partitions=min(num_partitions, 4),
-                           strategy="tasks")
+                           num_partitions=min(num_partitions, 4))
 
 
 def top_session_journeys(ds, *, key_col: str, ts_col: str,
@@ -304,8 +301,7 @@ def top_session_journeys(ds, *, key_col: str, ts_col: str,
                              zero_copy_batch=True)
     partials = partitioned_map(prepped, kernel, key=key_col,
                                sort_keys=[key_col, "__ts", order_col],
-                               num_partitions=num_partitions,
-                               strategy="tasks")
+                               num_partitions=num_partitions)
     out = _exact_topk_exchange(partials, k=k,
                                num_partitions=min(num_partitions, 4))
 
@@ -417,8 +413,7 @@ def eventually_follows(ds, *, key_col: str, ts_col: str,
                              zero_copy_batch=True)
     partials = partitioned_map(prepped, kernel, key=key_col,
                                sort_keys=[key_col, "__ty", "__ts"],
-                               num_partitions=num_partitions,
-                               strategy="tasks")
+                               num_partitions=num_partitions)
     agg: dict = {}
     for b in ray.get(materialized_block_refs(partials)):
         if b.num_rows == 0 or "type_a" not in b.column_names:
@@ -544,8 +539,7 @@ def transition_predictability(ds, *, key_col: str, ts_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, "__ts", "__s"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def oscillation_audit(ds, *, key_col: str, ts_col: str,
@@ -636,8 +630,7 @@ def oscillation_audit(ds, *, key_col: str, ts_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, "__ts", "__s"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def session_coactivity(ds, *, key_col: str, ts_col: str,
@@ -705,7 +698,7 @@ def session_coactivity(ds, *, key_col: str, ts_col: str,
         ds.map_batches(prep, batch_format="pyarrow",
                        zero_copy_batch=True),
         start_kernel, key=key_col, sort_keys=[key_col, "__ts"],
-        num_partitions=num_partitions, strategy="tasks")
+        num_partitions=num_partitions)
 
     BW = 2 * W if W > 0 else 1
 
@@ -783,7 +776,7 @@ def session_coactivity(ds, *, key_col: str, ts_col: str,
         starts.map_batches(spread, batch_format="pyarrow",
                            zero_copy_batch=True),
         count_kernel, key="__b", sort_keys=["__b", "tag", "__ts"],
-        num_partitions=num_partitions, strategy="tasks")
+        num_partitions=num_partitions)
 
     empty = pa.table({key_col: pa.array([], ktype),
                       "n_sessions": pa.array([], pa.int64()),
@@ -812,8 +805,7 @@ def session_coactivity(ds, *, key_col: str, ts_col: str,
 
     return partitioned_map(counts, agg_kernel, key=key_col,
                            sort_keys=[key_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def dialogue_profile(ds, *, key_col: str, ts_col: str,
@@ -907,8 +899,7 @@ def dialogue_profile(ds, *, key_col: str, ts_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, "__t", "__o"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def latency_profile(ds, *, key_col: str, ts_col: str,
@@ -997,8 +988,7 @@ def latency_profile(ds, *, key_col: str, ts_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, "__t", "__o"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def paired_spans(ds, *, key_col: str, ts_col: str, order_col: str,
@@ -1110,5 +1100,4 @@ def paired_spans(ds, *, key_col: str, ts_col: str, order_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, "__t", "__o"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)

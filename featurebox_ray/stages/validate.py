@@ -127,8 +127,7 @@ def validate_constraints(ds, rules: List[Dict],
         for blk in ray.get(materialized_block_refs(
                 partitioned_map(prepped, kernel, key=col,
                                 sort_keys=[col],
-                                num_partitions=num_partitions,
-                                strategy="tasks"))):
+                                num_partitions=num_partitions))):
             if "nn" not in blk.column_names:
                 continue
             nn += sum(blk["nn"].to_pylist())

@@ -158,4 +158,4 @@ def add_voronoi_features(
 
     return partitioned_map(
         ds, kernel, key=key, sort_keys=[key, *order_cols],
-        num_partitions=num_partitions, strategy="tasks")
+        num_partitions=num_partitions)

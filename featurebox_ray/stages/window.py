@@ -175,7 +175,6 @@ def add_window_features(
     *,
     order_col: str = "turn_idx",
     num_partitions: int = 32,
-    strategy: str = "groupby",
 ):
     """conv-hash repartition + within-partition sort + window kernel."""
     spec = spec or WindowSpec()
@@ -190,7 +189,6 @@ def add_window_features(
         key=key,
         sort_keys=[key, ts_col, order_col],
         num_partitions=num_partitions,
-        strategy=strategy,
     )
 
 
@@ -246,7 +244,7 @@ def tumbling_window_stats(ds, *, key_col: str, ts_col: str, value_col: str,
                               zero_copy_batch=True)
     return partitioned_map(partials, combine, key=key_col,
                            sort_keys=[key_col, "w_start"],
-                           num_partitions=num_partitions, strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def hopping_window_stats(ds, *, key_col: str, ts_col: str, value_col: str,
@@ -311,7 +309,7 @@ def hopping_window_stats(ds, *, key_col: str, ts_col: str, value_col: str,
                               zero_copy_batch=True)
     return partitioned_map(partials, combine, key=key_col,
                            sort_keys=[key_col, "w_start"],
-                           num_partitions=num_partitions, strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def add_ewm(ds, *, key_col: str, ts_col: str, value_col: str,
@@ -348,8 +346,7 @@ def add_ewm(ds, *, key_col: str, ts_col: str, value_col: str,
 
     return partitioned_map(ds, kernel, key=key_col,
                            sort_keys=[key_col, ts_col, order_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def add_running_totals(ds, *, key_col: str, ts_col: str,
@@ -387,8 +384,7 @@ def add_running_totals(ds, *, key_col: str, ts_col: str,
 
     return partitioned_map(ds, kernel, key=key_col,
                            sort_keys=[key_col, ts_col, order_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def add_forward_fill(ds, *, key_col: str, ts_col: str, order_col: str,
@@ -438,8 +434,7 @@ def add_forward_fill(ds, *, key_col: str, ts_col: str, order_col: str,
 
     return partitioned_map(ds, kernel, key=key_col,
                            sort_keys=[key_col, ts_col, order_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def add_rolling_distinct(ds, *, key_col: str, ts_col: str,
@@ -491,8 +486,7 @@ def add_rolling_distinct(ds, *, key_col: str, ts_col: str,
 
     return partitioned_map(ds, kernel, key=key_col,
                            sort_keys=[key_col, ts_col, order_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def add_rolling_quantile(ds, *, key_col: str, ts_col: str,
@@ -547,8 +541,7 @@ def add_rolling_quantile(ds, *, key_col: str, ts_col: str,
 
     return partitioned_map(ds, kernel, key=key_col,
                            sort_keys=[key_col, ts_col, order_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def add_centered_window_sum(ds, *, key_col: str, ts_col: str,
@@ -597,8 +590,7 @@ def add_centered_window_sum(ds, *, key_col: str, ts_col: str,
 
     return partitioned_map(ds, kernel, key=key_col,
                            sort_keys=[key_col, ts_col, order_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def add_cusum(ds, *, key_col: str, ts_col: str, int_value_col: str,
@@ -648,8 +640,7 @@ def add_cusum(ds, *, key_col: str, ts_col: str, int_value_col: str,
 
     return partitioned_map(ds, kernel, key=key_col,
                            sort_keys=[key_col, ts_col, order_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def time_weighted_avg(ds, *, key_col: str, ts_col: str,
@@ -732,8 +723,7 @@ def time_weighted_avg(ds, *, key_col: str, ts_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, ts_col, order_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def add_drawdown(ds, *, key_col: str, ts_col: str, int_value_col: str,
@@ -777,8 +767,7 @@ def add_drawdown(ds, *, key_col: str, ts_col: str, int_value_col: str,
 
     return partitioned_map(ds, kernel, key=key_col,
                            sort_keys=[key_col, ts_col, order_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def resample_linear(ds, *, key_col: str, ts_col: str, id_col: str,
@@ -887,8 +876,7 @@ def resample_linear(ds, *, key_col: str, ts_col: str, id_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, "__ts", id_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def rolling_slope(ds, *, key_col: str, ts_col: str, id_col: str,
@@ -971,8 +959,7 @@ def rolling_slope(ds, *, key_col: str, ts_col: str, id_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, "__ts", id_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def group_burstiness(ds, *, key_col: str, ts_col: str, id_col: str,
@@ -1073,8 +1060,7 @@ def group_burstiness(ds, *, key_col: str, ts_col: str, id_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, "__ts", id_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def lag_autocov(ds, *, key_col: str, ts_col: str, seq_col: str,
@@ -1172,8 +1158,7 @@ def lag_autocov(ds, *, key_col: str, ts_col: str, seq_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, "__t", "__s"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def rolling_rank(ds, *, key_col: str, ts_col: str, seq_col: str,
@@ -1269,8 +1254,7 @@ def rolling_rank(ds, *, key_col: str, ts_col: str, seq_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, "__t", "__s"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def rolling_extrema(ds, *, key_col: str, ts_col: str, seq_col: str,
@@ -1362,8 +1346,7 @@ def rolling_extrema(ds, *, key_col: str, ts_col: str, seq_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, "__t", "__s"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def sax_encode(ds, *, key_col: str, ts_col: str, order_col: str,
@@ -1461,8 +1444,7 @@ def sax_encode(ds, *, key_col: str, ts_col: str, order_col: str,
 
     wins = partitioned_map(prepped, win_kernel, key=key_col,
                            sort_keys=[key_col, "__t", "__o"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
     refs = materialized_block_refs(wins)
 
     def tag(b: pa.Table) -> pa.Table:
@@ -1601,8 +1583,7 @@ def watermark_lateness(ds, *, key_col: str, ts_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, arrival_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def adaptive_sessionize(ds, *, key_col: str, ts_col: str,
@@ -1701,8 +1682,7 @@ def adaptive_sessionize(ds, *, key_col: str, ts_col: str,
                              zero_copy_batch=True)
     return partitioned_map(prepped, kernel, key=key_col,
                            sort_keys=[key_col, ts_col, order_col],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 _SALTED_NULL_KEY = "\x00null"
@@ -1880,8 +1860,7 @@ def salted_running_total(ds, *, key_col: str, ts_col: str,
 
     return partitioned_map(salted, kernel, key="__kb",
                            sort_keys=["__kb", "__t", "__o"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def salted_time_window_sum(ds, *, key_col: str, ts_col: str,
@@ -2020,8 +1999,7 @@ def salted_time_window_sum(ds, *, key_col: str, ts_col: str,
 
     return partitioned_map(salted, kernel, key="__kb",
                            sort_keys=["__kb", "__t", "__o"],
-                           num_partitions=num_partitions,
-                           strategy="tasks")
+                           num_partitions=num_partitions)
 
 
 def finalized_tumbling(ds, *, key_col: str, ts_col: str,

@@ -8,9 +8,10 @@ Layout under ``out_dir``::
 
 A run writes each partition's parquet + manifest atomically-enough (parquet
 first, manifest last — a partition without a manifest is re-run).  Resume
-lists valid manifests and *prunes already-finished partitions at the read*
-(``__part`` filter before the shuffle), so a restart only pays for missing
-partitions.  Outputs are byte-stable given (input, partition id) because
+lists valid manifests and gathers only the missing partitions on the task
+exchange (``stages/partition.py:task_exchange``), so a restart only pays
+for the missing partitions' gathers (the upstream is still read and split
+once).  Outputs are byte-stable given (input, partition id) because
 every kernel is deterministic and partition contents don't depend on
 scheduling (hash bucketing + full sort).
 """
@@ -22,11 +23,10 @@ import json
 import os
 from typing import Callable, List, Optional, Sequence
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..stages.partition import PART_COL, sort_table, with_partition_col
+from ..stages.partition import task_exchange
 
 
 def _feature_hash(table: pa.Table) -> str:
@@ -41,6 +41,18 @@ def _feature_hash(table: pa.Table) -> str:
     df = df.sort_values(list(df.columns)).reset_index(drop=True)
     h = pd.util.hash_pandas_object(df, index=False).values
     return hashlib.sha1(h.tobytes()).hexdigest()
+
+
+def _write_json(path: str, obj) -> None:
+    """Write ``obj`` as JSON atomically (``.tmp`` + ``os.replace``)."""
+    with open(path + ".tmp", "w") as fh:
+        json.dump(obj, fh)
+    os.replace(path + ".tmp", path)
+
+
+def _empty_manifest(part_id: int, input_desc: str) -> dict:
+    return {"partition": part_id, "rows": 0, "file": None,
+            "feature_hash": None, "input": input_desc, "columns": []}
 
 
 def finished_partitions(out_dir: str) -> set:
@@ -145,21 +157,19 @@ def run_partitioned_checkpointed(
     upstream run under the same layout, pass its directory — the resume
     then reads ONLY the files of missing partitions (fragment-level prune)
     instead of re-reading and re-hashing the full input."""
-    os.makedirs(os.path.join(out_dir, "_manifest"), exist_ok=True)
+    import ray
+
+    mdir = os.path.join(out_dir, "_manifest")
+    os.makedirs(mdir, exist_ok=True)
     params = _run_params(key, sort_keys, num_partitions, input_desc,
                          kernel_id)
     if not _validate_run_manifest(out_dir, params):
         _invalidate(out_dir)
-    rpath = os.path.join(out_dir, "_manifest", "_run.json")
-    with open(rpath + ".tmp", "w") as fh:
-        json.dump(params, fh)
-    os.replace(rpath + ".tmp", rpath)
+    _write_json(os.path.join(mdir, "_run.json"), params)
     done = finished_partitions(out_dir)
+    missing = [p for p in range(num_partitions) if p not in done]
 
     if input_partitioned_dir is not None:
-        import ray
-
-        missing = [p for p in range(num_partitions) if p not in done]
         # partitions the UPSTREAM recorded as empty have no part file and
         # can never produce rows here — record them as empty immediately
         upstream_done = finished_partitions(input_partitioned_dir)
@@ -181,12 +191,8 @@ def run_partitioned_checkpointed(
                               os.path.join(input_partitioned_dir,
                                            f"part-{p:05d}.parquet"))]
         for p in upstream_empty:
-            mpath = os.path.join(out_dir, "_manifest", f"part-{p:05d}.json")
-            with open(mpath + ".tmp", "w") as fh:
-                json.dump({"partition": p, "rows": 0, "file": None,
-                           "feature_hash": None, "input": input_desc,
-                           "columns": []}, fh)
-            os.replace(mpath + ".tmp", mpath)
+            _write_json(os.path.join(mdir, f"part-{p:05d}.json"),
+                        _empty_manifest(p, input_desc))
         missing = [p for p in missing if p not in upstream_empty]
         files = (partitioned_input_files(input_partitioned_dir, missing)
                  if missing else [])
@@ -199,72 +205,38 @@ def run_partitioned_checkpointed(
                 f"input_partitioned_dir={input_partitioned_dir!r} has no "
                 f"part files for any missing partition {missing}; wrong "
                 "directory, different layout, or upstream not finished")
-        if not files:
-            mdir = os.path.join(out_dir, "_manifest")
-            return [json.load(open(os.path.join(mdir, f)))
-                    for f in sorted(os.listdir(mdir))
-                    if f.endswith(".json") and not f.startswith("_")]
-        ds = ray.data.read_parquet(files)
+        if files:
+            ds = ray.data.read_parquet(files)
 
-    parted = with_partition_col(ds, key, num_partitions)
-    if done:
-        done_list = sorted(done)
-        parted = parted.filter(expr=f"{PART_COL} not in {done_list}")
-
-    def write_partition(table: pa.Table) -> pa.Table:
+    def write_partition(part_id: int, table: pa.Table) -> None:
+        # runs inside the partition's gather task: part file first,
+        # manifest last; a partition that received no rows gets a rows-0
+        # manifest so resumes see a fully-finished layout (otherwise an
+        # empty partition stays "missing" forever and a partitioned-input
+        # resume of a completed run would trip the no-matching-files guard)
         if table.num_rows == 0:
-            return pa.table({"partition": pa.array([], pa.int32()),
-                             "rows": pa.array([], pa.int64()),
-                             "file": pa.array([], pa.string())})
-        part_id = int(table[PART_COL][0].as_py())
-        t = sort_table(table, sort_keys)
-        out = kernel(t)
-        if PART_COL in out.column_names:
-            out = out.drop_columns([PART_COL])
-        fname = f"part-{part_id:05d}.parquet"
-        fpath = os.path.join(out_dir, fname)
-        pq.write_table(out, fpath + ".tmp")
-        os.replace(fpath + ".tmp", fpath)
-        manifest = {
-            "partition": part_id,
-            "rows": out.num_rows,
-            "file": fname,
-            "feature_hash": _feature_hash(out),
-            "input": input_desc,
-            "columns": out.column_names,
-        }
-        mpath = os.path.join(out_dir, "_manifest", f"part-{part_id:05d}.json")
-        with open(mpath + ".tmp", "w") as fh:
-            json.dump(manifest, fh)
-        os.replace(mpath + ".tmp", mpath)
-        return pa.table({"partition": pa.array([part_id], pa.int32()),
-                         "rows": pa.array([out.num_rows], pa.int64()),
-                         "file": pa.array([fname], pa.string())})
+            manifest = _empty_manifest(part_id, input_desc)
+        else:
+            out = kernel(table)
+            fname = f"part-{part_id:05d}.parquet"
+            fpath = os.path.join(out_dir, fname)
+            pq.write_table(out, fpath + ".tmp")
+            os.replace(fpath + ".tmp", fpath)
+            manifest = {
+                "partition": part_id,
+                "rows": out.num_rows,
+                "file": fname,
+                "feature_hash": _feature_hash(out),
+                "input": input_desc,
+                "columns": out.column_names,
+            }
+        _write_json(os.path.join(mdir, f"part-{part_id:05d}.json"), manifest)
 
-    result = parted.groupby(PART_COL).map_groups(
-        write_partition, batch_format="pyarrow"
-    )
-    written = {int(r["partition"]) for r in result.take_all()}
-    # the run completed: any partition still without a manifest received
-    # ZERO input rows — record it as an empty partition so resumes see a
-    # fully-finished layout (otherwise empty partitions stay "missing"
-    # forever and a partitioned-input resume of a completed run would
-    # trip the no-matching-files guard).  `done` + this run's written set
-    # is the finished set — no need to re-read every manifest/footer.
-    mdir = os.path.join(out_dir, "_manifest")
-    have = done | written | {
-        int(f[5:10]) for f in os.listdir(mdir)
-        if f.startswith("part-") and f.endswith(".json")}
-    for p in range(num_partitions):
-        if p in have:
-            continue
-        manifest = {"partition": p, "rows": 0, "file": None,
-                    "feature_hash": None, "input": input_desc,
-                    "columns": []}
-        mpath = os.path.join(mdir, f"part-{p:05d}.json")
-        with open(mpath + ".tmp", "w") as fh:
-            json.dump(manifest, fh)
-        os.replace(mpath + ".tmp", mpath)
+    if missing:
+        ray.get(task_exchange(ds, write_partition, key=key,
+                              sort_keys=sort_keys,
+                              num_partitions=num_partitions,
+                              partitions=missing))
     manifests = []
     for f in sorted(os.listdir(mdir)):
         if f.endswith(".json") and not f.startswith("_"):

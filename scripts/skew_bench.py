@@ -67,14 +67,12 @@ def main():
     base = add_scalar_features(ray.data.read_parquet(f"{d}/transcripts"))
 
     t0 = time.time()
-    plain = add_window_features(base, spec, num_partitions=16,
-                                strategy="tasks").materialize()
+    plain = add_window_features(base, spec, num_partitions=16).materialize()
     t_plain = time.time() - t0
 
     t0 = time.time()
-    # same shuffle strategy as the plain path (apples-to-apples)
     salted = add_window_features_salted(
-        base, spec, num_partitions=16, strategy="tasks",
+        base, spec, num_partitions=16,
         policy=SaltPolicy(bucket_rows=20_000, overlap=8)).materialize()
     t_salted = time.time() - t0
 

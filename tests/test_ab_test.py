@@ -119,7 +119,7 @@ def test_ab_test_dtype_guard():
     t = pa.table({"k": pa.array([1], pa.int64()),
                   "side": pa.array([0], pa.int64()),
                   "y": pa.array([1.5], pa.float64())})
-    ds = group_ab_test(ray.data.from_arrow(t), key_col="k",
-                       side_col="side", treat_value=0, y_col="y")
     with pytest.raises(Exception, match="int64"):
-        ds.materialize()
+        group_ab_test(ray.data.from_arrow(t), key_col="k",
+                      side_col="side", treat_value=0,
+                      y_col="y").materialize()

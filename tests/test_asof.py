@@ -132,7 +132,7 @@ def test_forward_asof_matches_duckdb(strict):
     right = pa.Table.from_pandas(rdf, preserve_index=False)
     out = asof_join(ray.data.from_arrow(ltab).repartition(4),
                     ray.data.from_arrow(right), key="k", ts_col="ts",
-                    right_cols=["v"], num_partitions=4, strategy="tasks",
+                    right_cols=["v"], num_partitions=4,
                     direction="forward", strict=strict,
                     order_col="lid").to_pandas()
     op = ">" if strict else ">="

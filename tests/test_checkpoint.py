@@ -48,6 +48,44 @@ def test_kill_resume_byte_identical(tiny_dir, tmp_path):
     assert back.count() == total1
 
 
+def test_block_layout_invariance(tiny_dir, tmp_path):
+    """Per-partition output does not depend on how the input is cut into
+    blocks: one block and eight blocks give the same rows and
+    feature_hash for every partition."""
+    spec = WindowSpec()
+    got = {}
+    for blocks in (1, 8):
+        ds = ray.data.read_parquet(f"{tiny_dir}/transcripts",
+                                   override_num_blocks=blocks).materialize()
+        assert ds.num_blocks() == blocks
+        ms = run_partitioned_checkpointed(
+            add_scalar_features(ds), lambda t: window_kernel(t, spec),
+            str(tmp_path / f"ckpt-b{blocks}"), key="conv_id",
+            sort_keys=["conv_id", "ts", "turn_idx"], num_partitions=8,
+            input_desc="test")
+        got[blocks] = {m["partition"]: (m["rows"], m["feature_hash"])
+                       for m in ms}
+    assert len(got[1]) == 8
+    assert sum(r for r, _ in got[1].values()) > 0
+    assert got[1] == got[8]
+
+
+def test_misspelled_key_raises_and_writes_no_part_manifests(tiny_dir,
+                                                            tmp_path):
+    """A partition key absent from non-empty input blocks is refused, not
+    read as empty input: no partition may be recorded as finished."""
+    out = str(tmp_path / "ckpt")
+    spec = WindowSpec()
+    with pytest.raises(KeyError, match="conv_idd"):
+        run_partitioned_checkpointed(
+            _mkds(tiny_dir), lambda t: window_kernel(t, spec), out,
+            key="conv_idd", sort_keys=["conv_id", "ts", "turn_idx"],
+            num_partitions=8, input_desc="test")
+    assert finished_partitions(out) == set()
+    assert not glob.glob(f"{out}/_manifest/part-*.json")
+    assert not glob.glob(f"{out}/part-*.parquet")
+
+
 def test_manifest_invalidated_by_row_mismatch(tiny_dir, tmp_path):
     out = str(tmp_path / "ckpt2")
     _run(tiny_dir, out)

@@ -72,7 +72,6 @@ def test_oof_encode_rejects_bad_inputs():
     with pytest.raises(ValueError):
         oof_target_encode(ray.data.from_arrow(t), cat_col="cat",
                           fold_key_col="key", target_col="t", n_folds=1)
-    ds = oof_target_encode(ray.data.from_arrow(t), cat_col="cat",
-                           fold_key_col="key", target_col="t")
     with pytest.raises(Exception, match="int64"):
-        ds.materialize()
+        oof_target_encode(ray.data.from_arrow(t), cat_col="cat",
+                          fold_key_col="key", target_col="t").materialize()

@@ -85,7 +85,7 @@ def test_knn_join_guards():
     bad = pa.table({"vec_id": pa.array([0, 2], pa.int64()),
                     "embedding": pa.array([[1.0, 2.0], [1.0]],
                                           pa.list_(pa.float64()))})
-    # the tasks-strategy exchange executes eagerly, so the ragged guard
+    # the task exchange executes eagerly, so the ragged guard
     # fires at call time
     with pytest.raises(Exception, match="ragged|fixed-dimension"):
         knn_join(l, ray.data.from_arrow(bad), k=1, n_centroids=1,

@@ -32,7 +32,7 @@ def test_clean_join_audits_zero_mismatch():
     joined = asof_join(ray.data.from_arrow(left).repartition(4),
                        ray.data.from_arrow(right), key="k",
                        ts_col="ts", right_cols=["rts"],
-                       num_partitions=4, strategy="tasks")
+                       num_partitions=4)
     prev = None
     for parts in (1, 5):
         out = (asof_leakage_audit(joined, ray.data.from_arrow(right),
@@ -52,7 +52,7 @@ def test_planted_leakage_and_staleness_detected():
     joined = (asof_join(ray.data.from_arrow(left),
                         ray.data.from_arrow(right), key="k",
                         ts_col="ts", right_cols=["rts"],
-                        num_partitions=4, strategy="tasks")
+                        num_partitions=4)
               .to_pandas())
     # corrupt: 10 rows get a FUTURE match, 10 get an older-than-latest
     bad = joined.sort_values("id").reset_index(drop=True)

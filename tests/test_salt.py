@@ -71,8 +71,7 @@ def test_salted_rejects_ts_turnidx_disagreement(tiny_dir):
     ds = ray.data.from_arrow(tbl)
     spec = WindowSpec(lags=(1,), rolling_rows=(3,), time_windows_s=(),
                       add_session=False, add_turn_number=False)
-    out = add_window_features_salted(
-        ds, spec, policy=SaltPolicy(bucket_rows=100, overlap=8),
-        num_partitions=2)
     with pytest.raises(Exception, match="strictly increasing|turn_idx"):
-        out.count()
+        add_window_features_salted(
+            ds, spec, policy=SaltPolicy(bucket_rows=100, overlap=8),
+            num_partitions=2).count()

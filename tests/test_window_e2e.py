@@ -33,12 +33,10 @@ FEATURES = [
 ]
 
 
-def run_engine(d, num_partitions=8, strategy="groupby"):
+def run_engine(d, num_partitions=8):
     ds = ray.data.read_parquet(f"{d}/transcripts")
     ds = add_scalar_features(ds)
-    ds = add_window_features(
-        ds, WindowSpec(), num_partitions=num_partitions, strategy=strategy
-    )
+    ds = add_window_features(ds, WindowSpec(), num_partitions=num_partitions)
     df = ds.to_pandas()
     return df.sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)
 
