@@ -2,7 +2,7 @@
 
 Default: run the headline pipelines over $GRAFT_SF_DIR (default
 /root/testdata/sf0.1) with ray.init(address="local",
-num_cpus=$RAY_GRAFT_CPUS or 32) and print ONE JSON line:
+num_cpus=$RAY_GRAFT_CPUS or os.cpu_count()) and print ONE JSON line:
 
     {"metric": "...", "value": <headline sec>, "unit": "sec",
      "queries": {...}, "sf": ..., "num_cpus": N,
@@ -22,7 +22,7 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS") or os.cpu_count() or 1)
 
 # Synthetic transcripts scale for the flagship turns/sec benchmark
 BENCH_CONVS = int(os.environ.get("FBR_BENCH_CONVS", "60000"))

@@ -1,10 +1,11 @@
 """Flagship transcript pipeline, fused single-shuffle variant.
 
 The staged pipeline (scalar → window → asof) pays TWO conv-hash shuffles:
-one for the window stage, one for the as-of union.  Both stages need the
+one for the window stage, one for the as-of join.  Both stages need the
 identical partitioning (key=conv_id, sort=(conv_id, ts, ...)), so this
-module unions the tagged feature table with the transcripts ONCE and runs a
-fused kernel per sorted partition: as-of merge first (vectorized
+module hash-partitions the tagged transcripts and the tagged feature table
+together in ONE exchange (two inputs, no ``union`` in front of it) and
+runs a fused kernel per sorted partition: as-of merge first (vectorized
 last-occurrence gather), then the window features over the merged left
 rows — exactly the "pick ONE partitioning key and reuse it across stages"
 rule from the task brief.
@@ -90,7 +91,6 @@ def fused_features_backfill(
 
     lt = left_ds.map_batches(tag_left, batch_format="pyarrow", zero_copy_batch=True)
     rt = right_ds.map_batches(tag_right, batch_format="pyarrow", zero_copy_batch=True)
-    unioned = lt.union(rt)
 
     def kernel(table: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -113,6 +113,6 @@ def fused_features_backfill(
 
     sort_keys = [key, ts_col, SIDE_COL] + right_cols + [order_col]
     return partitioned_map(
-        unioned, kernel, key=key, sort_keys=sort_keys,
+        [lt, rt], kernel, key=key, sort_keys=sort_keys,
         num_partitions=num_partitions, strategy=strategy,
     )

@@ -10,9 +10,10 @@ Physical plan (no driver-side work, one shuffle):
 
 1. tag both sides (``__side``: right sorts before left at equal ts for
    ``<=`` semantics, after it for strict ``<``), harmonize schemas with null
-   columns, ``union``;
-2. conv-hash ``partitioned_map`` sorted by ``(key, ts, __side, right value
-   cols)`` — every key's merged timeline is contiguous and ordered;
+   columns;
+2. conv-hash ``partitioned_map`` of both sides together, sorted by
+   ``(key, ts, __side, right value cols)`` — every key's merged timeline
+   is contiguous and ordered;
 3. one vectorized pass: ``last_occurrence_index`` (a segmented running
    maximum over right-row positions) gives, for each left row, the most
    recent visible right row; Arrow ``take`` with null indices materializes
@@ -112,7 +113,7 @@ def asof_join(
         # strict, mirroring the backward tag trick
         right_tag = 0 if strict else 2
     all_names = left_names + right_cols
-    # common physical schema for union
+    # common physical schema for both sides
     types = dict(left_types)
     types.update({c: right_types[c] for c in right_cols})
 
@@ -137,7 +138,7 @@ def asof_join(
 
     lt = left_ds.map_batches(tag_left, batch_format="pyarrow", zero_copy_batch=True)
     rt = right_ds.map_batches(tag_right, batch_format="pyarrow", zero_copy_batch=True)
-    unioned = lt.union(rt)
+    sides = [lt, rt]
 
     def merge(table: pa.Table) -> pa.Table:
         import pyarrow.compute as pc_
@@ -204,7 +205,7 @@ def asof_join(
     if order_col is not None:
         sort_keys.append(order_col)
     return partitioned_map(
-        unioned,
+        sides,
         merge,
         key=key,
         sort_keys=sort_keys,
@@ -280,11 +281,10 @@ def asof_interpolate(left, right, *, key: str, ts_col: str,
             "__v": pc.cast(b[value_col].combine_chunks(),
                            pa.float64())})
 
-    unioned = (left.map_batches(prep_left, batch_format="pyarrow",
-                                zero_copy_batch=True)
-               .union(right.map_batches(prep_right,
-                                        batch_format="pyarrow",
-                                        zero_copy_batch=True)))
+    sides = [left.map_batches(prep_left, batch_format="pyarrow",
+                              zero_copy_batch=True),
+             right.map_batches(prep_right, batch_format="pyarrow",
+                               zero_copy_batch=True)]
 
     empty = pa.table({key: pa.array([], ktype),
                       ts_col: pa.array([], pa.int64()),
@@ -357,7 +357,7 @@ def asof_interpolate(left, right, *, key: str, ts_col: str,
             out_col: pa.array(yall, pa.float64(),
                               mask=np.isnan(yall))})
 
-    return partitioned_map(unioned, kernel, key=key,
+    return partitioned_map(sides, kernel, key=key,
                            sort_keys=[key, "__ts", "__side",
                                       "__id"],
                            num_partitions=num_partitions)
@@ -419,11 +419,10 @@ def asof_leakage_audit(joined_ds, right_ds, *, key: str,
             np.ones(b.num_rows, np.int8)),
             "__t": ts, "__m": mt.cast(pa.int64())})
 
-    unioned = (right_ds.map_batches(tag_right, batch_format="pyarrow",
-                                    zero_copy_batch=True)
-               .union(joined_ds.map_batches(
-                   tag_joined, batch_format="pyarrow",
-                   zero_copy_batch=True)))
+    sides = [right_ds.map_batches(tag_right, batch_format="pyarrow",
+                                  zero_copy_batch=True),
+             joined_ds.map_batches(tag_joined, batch_format="pyarrow",
+                                   zero_copy_batch=True)]
 
     empty = pa.table({key: pa.array([], key_type),
                       "n_rows": pa.array([], pa.int64()),
@@ -478,6 +477,6 @@ def asof_leakage_audit(joined_ds, right_ds, *, key: str,
             "n_matched": pa.array(n_match[keep]),
             "n_mismatch": pa.array(n_mis[keep])})
 
-    return partitioned_map(unioned, kernel, key=key,
+    return partitioned_map(sides, kernel, key=key,
                            sort_keys=[key, "__tag", "__t"],
                            num_partitions=num_partitions)

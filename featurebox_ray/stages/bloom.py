@@ -153,7 +153,7 @@ def _bloom_join(left_ds, right_ds, *, on: str, right_on: Optional[str],
 
     right_on = right_on or on
     # the right key column is consumed twice (bloom build + verify
-    # union): materialize the column-pruned blocks ONCE so the scan and
+    # exchange): materialize the column-pruned blocks ONCE so the scan and
     # any upstream chain never re-execute
     rkey_refs = list(materialized_block_refs(
         right_ds.select_columns([right_on])))
@@ -166,7 +166,7 @@ def _bloom_join(left_ds, right_ds, *, on: str, right_on: Optional[str],
         n_keys = 0
     if n_keys == 0:
         # no right keys: semi is empty, anti is the left side unchanged
-        # (also sidesteps schema-less empty-map datasets in the union)
+        # (also sidesteps schema-less empty-map datasets in the exchange)
         if how == "semi":
             return left_ds.map_batches(lambda b: b.slice(0, 0),
                                        batch_format="pyarrow",
@@ -203,7 +203,7 @@ def _bloom_join(left_ds, right_ds, *, on: str, right_on: Optional[str],
         lambda b: split(b, True), batch_format="pyarrow",
         zero_copy_batch=True)
 
-    # keyed-exchange exact verification: union candidate left rows with
+    # keyed-exchange exact verification: exchange candidate left rows with
     # the right KEYS only (left columns null-filled), co-partition on the
     # key, and run an is_in per partition
     def tag_left(t: pa.Table) -> pa.Table:
@@ -226,7 +226,7 @@ def _bloom_join(left_ds, right_ds, *, on: str, right_on: Optional[str],
                                 zero_copy_batch=True)
     rt = ray.data.from_arrow_refs(rkey_refs).map_batches(
         tag_right, batch_format="pyarrow", zero_copy_batch=True)
-    unioned = lt.union(rt)
+    sides = [lt, rt]
 
     keep_matched = how == "semi"
 
@@ -242,7 +242,7 @@ def _bloom_join(left_ds, right_ds, *, on: str, right_on: Optional[str],
                              if keep.null_count else keep
                              ).drop_columns([SIDE])
 
-    checked = partitioned_map(unioned, verify, key=on, sort_keys=[on],
+    checked = partitioned_map(sides, verify, key=on, sort_keys=[on],
                               num_partitions=num_partitions)
     if how == "semi":
         return checked

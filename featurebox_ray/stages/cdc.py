@@ -85,10 +85,10 @@ def cdc_compact(base_ds, log_ds, *, key_col: str, order_cols: Sequence[str],
             cols[c] = pa.nulls(b.num_rows, pay_types[c])
         return pa.table(cols)
 
-    unioned = (base_ds.map_batches(tag_base, batch_format="pyarrow",
-                                   zero_copy_batch=True)
-               .union(log_ds.map_batches(tag_log, batch_format="pyarrow",
-                                         zero_copy_batch=True)))
+    sides = [base_ds.map_batches(tag_base, batch_format="pyarrow",
+                                 zero_copy_batch=True),
+             log_ds.map_batches(tag_log, batch_format="pyarrow",
+                                zero_copy_batch=True)]
 
     empty_cols = {key_col: pa.array([], key_type)}
     for c in payload_cols:
@@ -136,6 +136,6 @@ def cdc_compact(base_ds, log_ds, *, key_col: str, order_cols: Sequence[str],
         out["op"] = pa.array(op, pa.string())
         return pa.table(out)
 
-    return partitioned_map(unioned, kernel, key=key_col,
+    return partitioned_map(sides, kernel, key=key_col,
                            sort_keys=[key_col, "__side"] + order_cols,
                            num_partitions=num_partitions)

@@ -290,12 +290,11 @@ def min_label_components(pairs_ds, *, pair_cols=("id_a", "id_b"),
     changed = 1
     while changed and it < max_iters:
         vals_ds = ray.data.from_arrow_refs(list(value_refs))
-        unioned = (vals_ds.map_batches(tag_vals, batch_format="pyarrow",
-                                       zero_copy_batch=True)
-                   .union(edges_dataset().map_batches(
-                       tag_edges, batch_format="pyarrow",
-                       zero_copy_batch=True)))
-        msgs = partitioned_map(unioned, route_kernel, key="__k",
+        sides = [vals_ds.map_batches(tag_vals, batch_format="pyarrow",
+                                     zero_copy_batch=True),
+                 edges_dataset().map_batches(tag_edges, batch_format="pyarrow",
+                                             zero_copy_batch=True)]
+        msgs = partitioned_map(sides, route_kernel, key="__k",
                                sort_keys=["__k", "__tag"],
                                num_partitions=num_partitions)
         folded = partitioned_map(msgs, fold_kernel, key="__k",
@@ -305,11 +304,10 @@ def min_label_components(pairs_ds, *, pair_cols=("id_a", "id_b"),
         changed_a = int(ray.data.from_arrow_refs(list(fold_refs))
                         .sum("changed") or 0)
         vals_ds = ray.data.from_arrow_refs(list(fold_refs))
-        jump_in = (vals_ds.map_batches(tag_state, batch_format="pyarrow",
-                                       zero_copy_batch=True)
-                   .union(vals_ds.map_batches(
-                       tag_request, batch_format="pyarrow",
-                       zero_copy_batch=True)))
+        jump_in = [vals_ds.map_batches(tag_state, batch_format="pyarrow",
+                                       zero_copy_batch=True),
+                   vals_ds.map_batches(tag_request, batch_format="pyarrow",
+                                       zero_copy_batch=True)]
         jumped = partitioned_map(jump_in, jump_kernel, key="__k",
                                  sort_keys=["__k", "__tag"],
                                  num_partitions=num_partitions)

@@ -92,8 +92,8 @@ def containment_join(query_ds, corpus_ds, *, id_col: str = "doc_id",
     frac = Fraction(threshold).limit_denominator(1_000_000)
     num, den = frac.numerator, frac.denominator
 
-    postings = _distinct_postings(query_ds, id_col, text_col, 0).union(
-        _distinct_postings(corpus_ds, id_col, text_col, 1))
+    postings = [_distinct_postings(query_ds, id_col, text_col, 0),
+                _distinct_postings(corpus_ds, id_col, text_col, 1)]
 
     mid_empty = pa.table({"qid": pa.array([], pa.int64()),
                           "cid": pa.array([], pa.int64()),

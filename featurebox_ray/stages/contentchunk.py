@@ -410,11 +410,10 @@ def cdc_scrub(ds, *, id_col: str = "doc_id", text_col: str = "text",
             "length": b["length"],
             "first_doc": b["first_doc"]})
 
-    unioned = (ds.map_batches(tag_docs, batch_format="pyarrow",
-                              zero_copy_batch=True)
-               .union(regions.map_batches(
-                   tag_plan, batch_format="pyarrow",
-                   zero_copy_batch=True)))
+    sides = [ds.map_batches(tag_docs, batch_format="pyarrow",
+                            zero_copy_batch=True),
+             regions.map_batches(tag_plan, batch_format="pyarrow",
+                                 zero_copy_batch=True)]
 
     empty = pa.table({id_col: pa.array([], pa.int64()),
                       "n_before": pa.array([], pa.int64()),
@@ -485,6 +484,6 @@ def cdc_scrub(ds, *, id_col: str = "doc_id", text_col: str = "text",
             "n_removed": pa.array(out_r, pa.int64()),
             "n_after": pa.array(out_a, pa.int64())})
 
-    return partitioned_map(unioned, kernel, key=id_col,
+    return partitioned_map(sides, kernel, key=id_col,
                            sort_keys=[id_col, "__tag", "start"],
                            num_partitions=num_partitions)

@@ -803,7 +803,7 @@ def _verify_pairs_generic(pairs_ds, docs_ds, *, id_col: str,
                          PB: pa.array(pb)})
 
     # materialize the bucketed pairs ONCE (the LSH plan upstream must not
-    # re-execute per consumer — requests + verify union both read this)
+    # re-execute per consumer — requests + verify exchange both read this)
     pair_refs = materialized_block_refs(
         pairs_ds.map_batches(add_pb, batch_format="pyarrow",
                              zero_copy_batch=True))
@@ -875,9 +875,8 @@ def _verify_pairs_generic(pairs_ds, docs_ds, *, id_col: str,
                          "__sh": pa.nulls(t.num_rows, sh_type),
                          PB: t[PB]})
 
-    route_in = (sh_rows.map_batches(tag_sh, batch_format="pyarrow")
-                .union(requests.map_batches(tag_req,
-                                            batch_format="pyarrow")))
+    route_in = [sh_rows.map_batches(tag_sh, batch_format="pyarrow"),
+                requests.map_batches(tag_req, batch_format="pyarrow")]
 
     def route_kernel(t: pa.Table) -> pa.Table:
         # replicate each doc's payload to every bucket requesting it
@@ -918,8 +917,8 @@ def _verify_pairs_generic(pairs_ds, docs_ds, *, id_col: str,
             PB: t[PB],
             id_col: t[id_col], "__sh": t["__sh"].cast(sh_type)})
 
-    unioned = (cand_pairs.map_batches(tag_pairs, batch_format="pyarrow")
-               .union(routed.map_batches(tag_docs, batch_format="pyarrow")))
+    sides = [cand_pairs.map_batches(tag_pairs, batch_format="pyarrow"),
+             routed.map_batches(tag_docs, batch_format="pyarrow")]
 
     np_value_dtype = payload_type.value_type.to_pandas_dtype()
 
@@ -967,7 +966,7 @@ def _verify_pairs_generic(pairs_ds, docs_ds, *, id_col: str,
             out_col: pa.array(score[keep]),
         })
 
-    return partitioned_map(unioned, verify, key=PB, sort_keys=[PB],
+    return partitioned_map(sides, verify, key=PB, sort_keys=[PB],
                            num_partitions=P)
 
 

@@ -49,10 +49,10 @@ def snapshot_diff(old_ds, new_ds, *, id_col: str,
                 "__side", pa.array(np.full(b.num_rows, which, np.int8)))
         return fn
 
-    unioned = (old_ds.map_batches(tag(0), batch_format="pyarrow",
-                                  zero_copy_batch=True)
-               .union(new_ds.map_batches(tag(1), batch_format="pyarrow",
-                                         zero_copy_batch=True)))
+    sides = [old_ds.map_batches(tag(0), batch_format="pyarrow",
+                                zero_copy_batch=True),
+             new_ds.map_batches(tag(1), batch_format="pyarrow",
+                                zero_copy_batch=True)]
 
     # id type captured once from the input schema so empty partitions
     # (including Ray's zero-column empty bundles) emit a typed block
@@ -112,7 +112,7 @@ def snapshot_diff(old_ds, new_ds, *, id_col: str,
             "status": pa.array([status[i] for i in keep], pa.string()),
         })
 
-    return partitioned_map(unioned, kernel, key=id_col,
+    return partitioned_map(sides, kernel, key=id_col,
                            sort_keys=[id_col, "__side"],
                            num_partitions=num_partitions)
 
@@ -164,13 +164,10 @@ def category_drift(old_ds, new_ds, *, col: str,
             })
         return fn
 
-    unioned = (old_ds.map_batches(partial(0), batch_format="pyarrow",
-                                  zero_copy_batch=True,
-                                  batch_size=None)
-               .union(new_ds.map_batches(partial(1),
-                                         batch_format="pyarrow",
-                                         zero_copy_batch=True,
-                                         batch_size=None)))
+    sides = [old_ds.map_batches(partial(0), batch_format="pyarrow",
+                                zero_copy_batch=True, batch_size=None),
+             new_ds.map_batches(partial(1), batch_format="pyarrow",
+                                zero_copy_batch=True, batch_size=None)]
 
     def combine(t: pa.Table) -> pa.Table:
         empty = pa.table({col: pa.array([], pa.string()),
@@ -199,7 +196,7 @@ def category_drift(old_ds, new_ds, *, col: str,
                          "n_old": pa.array(sums[0]),
                          "n_new": pa.array(sums[1])})
 
-    counted = partitioned_map(unioned, combine, key=col,
+    counted = partitioned_map(sides, combine, key=col,
                               sort_keys=[col],
                               num_partitions=num_partitions)
     refs = materialized_block_refs(counted)

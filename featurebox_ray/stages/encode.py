@@ -488,6 +488,13 @@ def quantile_normalize(ds, *, id_col: str, group_col: str,
         vals = pa.table({"v": v}).filter(keep)["v"].cast(
             pa.int64()).to_numpy(zero_copy_only=False)
         uniq, cnt = np.unique(vals, return_counts=True)
+        if len(uniq) > max_distinct:
+            # raise in the task: the pooled check below only runs once
+            # every partial has been pulled to the driver
+            raise ValueError(
+                f"quantile_normalize: one block has {len(uniq)} distinct "
+                f"values, exceeding max_distinct={max_distinct}; "
+                "quantize first")
         return pa.table({"v": pa.array(uniq),
                          "c": pa.array(cnt.astype(np.int64))})
 

@@ -187,21 +187,21 @@ def pagerank(edges_ds, *, src_col: str = "src", dst_col: str = "dst",
 
     for _ in range(iters):
         contribs = partitioned_map(
-            edges_dataset().map_batches(tag_edges, batch_format="pyarrow",
-                                        zero_copy_batch=True)
-            .union(ranks.map_batches(tag_ranks, batch_format="pyarrow",
-                                     zero_copy_batch=True)),
+            [edges_dataset().map_batches(tag_edges, batch_format="pyarrow",
+                                         zero_copy_batch=True),
+             ranks.map_batches(tag_ranks, batch_format="pyarrow",
+                               zero_copy_batch=True)],
             contrib_kernel, key="__n", sort_keys=["__n", "__tag", "dst"],
             num_partitions=num_partitions)
         ranks = partitioned_map(
-            ranks.map_batches(tag_nodes, batch_format="pyarrow",
-                              zero_copy_batch=True)
-            .union(contribs.map_batches(tag_parts, batch_format="pyarrow",
-                                        zero_copy_batch=True)),
+            [ranks.map_batches(tag_nodes, batch_format="pyarrow",
+                               zero_copy_batch=True),
+             contribs.map_batches(tag_parts, batch_format="pyarrow",
+                                  zero_copy_batch=True)],
             update_kernel, key="__n", sort_keys=["__n", "__tag"],
             num_partitions=num_partitions)
         # materialize each iteration so lineage doesn't re-execute the
-        # whole chain K times when the next union consumes ranks twice
+        # whole chain K times when the next iteration consumes ranks twice
         ranks = ray.data.from_arrow_refs(
             list(materialized_block_refs(ranks)))
 
@@ -732,13 +732,11 @@ def k_core(edges_ds, *, max_iters: int = 1024,
     changed = 1
     while changed and it < max_iters:
         vals_ds = ray.data.from_arrow_refs(list(value_refs))
-        unioned = (vals_ds.map_batches(tag_vals,
-                                       batch_format="pyarrow",
-                                       zero_copy_batch=True)
-                   .union(edges_dataset().map_batches(
-                       tag_edges, batch_format="pyarrow",
-                       zero_copy_batch=True)))
-        msgs = partitioned_map(unioned, route_kernel, key="__k",
+        sides = [vals_ds.map_batches(tag_vals, batch_format="pyarrow",
+                                     zero_copy_batch=True),
+                 edges_dataset().map_batches(tag_edges, batch_format="pyarrow",
+                                             zero_copy_batch=True)]
+        msgs = partitioned_map(sides, route_kernel, key="__k",
                                sort_keys=["__k", "__tag"],
                                num_partitions=num_partitions)
         nxt = partitioned_map(msgs, hindex_kernel, key="__k",
@@ -925,13 +923,11 @@ def bfs_hops(edges_ds, *, seed_mod: int = 17, max_hops: int = 6,
     rounds = 0
     while frontier and rounds < max_hops:
         vals_ds = ray.data.from_arrow_refs(list(value_refs))
-        unioned = (vals_ds.map_batches(tag_vals,
-                                       batch_format="pyarrow",
-                                       zero_copy_batch=True)
-                   .union(edges_dataset().map_batches(
-                       tag_edges, batch_format="pyarrow",
-                       zero_copy_batch=True)))
-        msgs = partitioned_map(unioned, route_kernel, key="__k",
+        sides = [vals_ds.map_batches(tag_vals, batch_format="pyarrow",
+                                     zero_copy_batch=True),
+                 edges_dataset().map_batches(tag_edges, batch_format="pyarrow",
+                                             zero_copy_batch=True)]
+        msgs = partitioned_map(sides, route_kernel, key="__k",
                                sort_keys=["__k", "__tag"],
                                num_partitions=num_partitions)
         nxt = partitioned_map(msgs, relax_kernel, key="__k",

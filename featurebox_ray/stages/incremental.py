@@ -12,9 +12,9 @@ NON-mergeable output (avg) is derived at read time by
 sum+count, never avg" rule.  Because a single raw row is itself a
 state (``n=1, sum=min=max=cents``), ONE merge kernel serves both
 initial aggregation and refresh: ``group_agg_state`` = unit states →
-per-block local combine → one key-keyed exchange; ``refresh`` = union
-of the old state table with the delta's states through the same
-kernel.
+per-block local combine → one key-keyed exchange; ``refresh`` = the
+old state table and the delta's states exchanged together through the
+same kernel.
 
 Exactness: cents are exact int64 (``functions/segments.py:
 cents_exact`` — NULL value → 0 like SQL coalesce), all merges are
@@ -138,8 +138,8 @@ def group_agg_state(ds, *, key_cols: List[str], value_col: str,
 def refresh_agg_state(state_ds, delta_ds, *, key_cols: List[str],
                       value_col: str, num_partitions: int = 16):
     """Fold a raw-row delta into an existing state table: the delta
-    reduces to states (same combiner pushdown), unions with the old
-    state, and ONE keyed exchange re-merges — the old raw data is
+    reduces to states (same combiner pushdown), and ONE keyed exchange
+    of it together with the old state re-merges — the old raw data is
     never read."""
     base = delta_ds.schema()
     base = getattr(base, "base_schema", base)
@@ -150,8 +150,7 @@ def refresh_agg_state(state_ds, delta_ds, *, key_cols: List[str],
     pre = units.map_batches(_local_combine(key_cols, empty),
                             batch_format="pyarrow",
                             zero_copy_batch=True, batch_size=None)
-    unioned = state_ds.union(pre)
-    return partitioned_map(unioned,
+    return partitioned_map([state_ds, pre],
                            _merge_kernel_factory(key_cols, empty),
                            key=key_cols[0], sort_keys=list(key_cols),
                            num_partitions=num_partitions)

@@ -301,12 +301,11 @@ def bucketed_interval_join(
             cols[c] = iv[c].take(i_idx)
         return pa.table(cols) if fr.size else out_empty
 
-    unioned = (facts.map_batches(fact_emit, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-               .union(intervals.map_batches(interval_emit,
-                                            batch_format="pyarrow",
-                                            zero_copy_batch=True)))
-    return partitioned_map(unioned, kernel, key="__b",
+    sides = [facts.map_batches(fact_emit, batch_format="pyarrow",
+                               zero_copy_batch=True),
+             intervals.map_batches(interval_emit, batch_format="pyarrow",
+                                   zero_copy_batch=True)]
+    return partitioned_map(sides, kernel, key="__b",
                            sort_keys=["__b"],
                            num_partitions=num_partitions)
 

@@ -1,7 +1,7 @@
 """Co-partitioned hash equi-join (SURVEY.md §2.4).
 
-Both sides are tagged, schema-harmonized and unioned, then hash-partitioned
-by the join key (one shuffle); each partition kernel splits sides and joins
+Both sides are tagged, schema-harmonized and hash-partitioned together by
+the join key (one shuffle); each partition kernel splits sides and joins
 vectorized.  Same machinery as the as-of join — in this sandbox it
 outperforms Ray's experimental ``Dataset.join`` aggregator-actor path by
 >10x on mid-size inputs while scaling the same way (both sides exchange
@@ -83,7 +83,7 @@ def hash_join(
 
     lt = left_ds.map_batches(tag_left, batch_format="pyarrow", zero_copy_batch=True)
     rt = right_ds.map_batches(tag_right, batch_format="pyarrow", zero_copy_batch=True)
-    unioned = lt.union(rt)
+    sides = [lt, rt]
 
     arrow_how = {"inner": "inner", "left": "left outer",
                  "full": "full outer"}[how]
@@ -103,7 +103,7 @@ def hash_join(
         return combine(joined) if combine is not None else joined
 
     return partitioned_map(
-        unioned, merge, key=on, sort_keys=[on],
+        sides, merge, key=on, sort_keys=[on],
         num_partitions=num_partitions,
     )
 
@@ -428,11 +428,10 @@ def cogroup(left_ds, right_ds, *, on: str, right_on: Optional[str] = None,
         return pa.table(cols).append_column(
             SIDE, pa.array(np.ones(t.num_rows, np.int8)))
 
-    unioned = (left_ds.map_batches(tag_left, batch_format="pyarrow",
-                                   zero_copy_batch=True)
-               .union(right_ds.map_batches(
-                   tag_right, batch_format="pyarrow",
-                   zero_copy_batch=True)))
+    sides = [left_ds.map_batches(tag_left, batch_format="pyarrow",
+                                 zero_copy_batch=True),
+             right_ds.map_batches(tag_right, batch_format="pyarrow",
+                                  zero_copy_batch=True)]
 
     lsort = [on] + [k for k in sort_keys if k in left_cols]
     rsort = [on] + [k for k in sort_keys if k in right_cols]
@@ -459,6 +458,6 @@ def cogroup(left_ds, right_ds, *, on: str, right_on: Optional[str] = None,
     # sort_keys=[]: the wrapper establishes each side's documented
     # ordering itself — a gather-level sort of the tagged union would
     # be thrown away immediately
-    return partitioned_map(unioned, wrapper, key=on,
+    return partitioned_map(sides, wrapper, key=on,
                            sort_keys=[],
                            num_partitions=num_partitions)

@@ -128,7 +128,6 @@ def knn_join(left, right, *, k: int = 5, n_centroids: int = 8,
                                  zero_copy_batch=True)
     l_tagged = left.map_batches(left_map, batch_format="pyarrow",
                                 zero_copy_batch=True)
-    tagged = r_tagged.union(l_tagged)
 
     cand_schema = pa.schema([("lid", pa.int64()), ("rid", pa.int64()),
                              ("dot", pa.int64())])
@@ -171,7 +170,8 @@ def knn_join(left, right, *, k: int = 5, n_centroids: int = 8,
                          "rid": pa.array(np.concatenate(out_r)),
                          "dot": pa.array(np.concatenate(out_d))})
 
-    cands = partitioned_map(tagged, bucket_kernel, key="__bucket",
+    cands = partitioned_map([r_tagged, l_tagged], bucket_kernel,
+                            key="__bucket",
                             sort_keys=["__bucket", "__side", "rid",
                                        "lid"],
                             num_partitions=num_partitions)

@@ -166,8 +166,8 @@ def remove_duplicate_lines(ds, *, id_col: str = "doc_id",
     def tag(t: pa.Table) -> pa.Table:
         return t.append_column("n_lines", pa.nulls(t.num_rows, pa.int64()))
 
-    tagged = survivors.map_batches(
-        tag, batch_format="pyarrow", zero_copy_batch=True).union(markers_ds)
+    sides = [survivors.map_batches(tag, batch_format="pyarrow",
+                                   zero_copy_batch=True), markers_ds]
 
     def render_kernel(t: pa.Table) -> pa.Table:
         """Partition sorted by (id, pos): marker rows (pos = -1) lead
@@ -214,6 +214,6 @@ def remove_duplicate_lines(ds, *, id_col: str = "doc_id",
             "n_kept": pa.array(kept_counts.astype(np.int64)),
         })
 
-    return partitioned_map(tagged, render_kernel, key=id_col,
+    return partitioned_map(sides, render_kernel, key=id_col,
                            sort_keys=[id_col, "pos"],
                            num_partitions=num_partitions)

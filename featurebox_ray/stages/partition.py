@@ -6,11 +6,15 @@ runs *inside* a partition produced here: all rows of one key (conv_id) land in
 exactly one partition, and the kernel sees the whole partition sorted by
 ``sort_keys`` so per-key runs are contiguous.
 
-One exchange, built from plain Ray tasks (:func:`task_exchange`): split
-tasks bucket each upstream block by a deterministic vectorized hash of the
-key (``_hash_chunk(key) % P``) and emit one slice per partition; one gather
-task per partition concats its slices, sorts them once by ``sort_keys`` and
-runs a per-partition function.  Both keyed consumers sit on it:
+One exchange, built from plain Ray tasks (:func:`task_exchange`).  It takes
+one Dataset or several (the two tagged sides of a join, say) and streams
+them: a split task is submitted for each upstream block as the block lands,
+buckets it by a deterministic vectorized hash of the key
+(``_hash_chunk(key) % P``) and emits one slice per partition.  One gather
+task per partition concats its slices (in input order), sorts them once by
+``sort_keys`` and runs a per-partition function.  Several inputs are joined
+by the split itself, so no Ray Data ``union`` runs in front of the
+exchange.  Both keyed consumers sit on it:
 
 * :func:`partitioned_map` runs a table kernel in every gather and returns
   the outputs as a Dataset;
@@ -36,6 +40,7 @@ replaces its implicit "whole DataFrame in memory" assumption
 from __future__ import annotations
 
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -184,10 +189,12 @@ def partitioned_map(
 ):
     """Run ``kernel`` (``pa.Table -> pa.Table``) once per hash partition
     of ``key``, with the partition sorted by ``sort_keys``, over the task
-    exchange (:func:`task_exchange`).  Returns a Dataset of the kernel
-    outputs, one block per partition.  The exchange runs eagerly: the
-    upstream executes and every kernel has run (or raised) when this
-    returns.
+    exchange (:func:`task_exchange`).  ``ds`` is one Dataset or a
+    sequence of Datasets; several inputs are partitioned together, as
+    their union would be, without running a ``union``.  Returns a
+    Dataset of the kernel outputs, one block per partition.  The
+    exchange runs eagerly: the upstream executes and every kernel has
+    run (or raised) when this returns.
 
     Contract given to the kernel:
       * all rows sharing a ``key`` value are present (never split);
@@ -257,7 +264,7 @@ def materialized_block_refs(ds):
 
 
 def task_exchange(
-    ds,
+    inputs,
     fn: Callable[[int, pa.Table], object],
     *,
     key: str,
@@ -271,15 +278,22 @@ def task_exchange(
     sub-second task work at mid scale (measured: Sort 'executed in 65s'
     with 0.4s remote time).
 
-    The upstream dataset is materialized to Arrow refs (object store holds
-    / spills the blocks); every split buckets its block by
-    ``_hash_chunk(key) % num_partitions`` and emits one sub-table per
-    partition (``num_returns=P`` — only refs travel to the driver).  The
-    gather of partition ``p`` concats its slices, sorts them once by
-    ``sort_keys`` and returns ``fn(p, sorted_table)``.  Returns the gather
-    refs, in the order of ``partitions`` (default: every partition);
-    only those partitions are gathered.  An upstream with no blocks gives
-    every gather one empty table of the upstream schema.
+    ``inputs`` is one Dataset or a sequence of Datasets, partitioned
+    together as their union would be.  The exchange streams them: one
+    driver thread per input drains its ``iter_internal_ref_bundles()``
+    and submits a split task for each block as its bundle lands, so
+    splitting overlaps upstream compute and the inputs execute
+    concurrently, with no ``union`` barrier in front.  An exception
+    raised while draining any input propagates.  Every split buckets
+    its block by ``_hash_chunk(key) % num_partitions`` and emits one
+    sub-table per partition (``num_returns=P`` — only refs travel to the
+    driver).  The gather of partition ``p`` concats its slices in input
+    order (whatever order the drains finished in), sorts them once by
+    ``sort_keys`` and returns ``fn(p, sorted_table)``.  Returns the
+    gather refs, in the order of ``partitions`` (default: every
+    partition); only those partitions are gathered.  When no input
+    yields a block, every gather gets one empty table per input, in
+    that input's schema.
 
     This is exactly the exchange a fixed-size cluster runs for a keyed
     shuffle: B×P objects, each fetched once, no central barrier beyond the
@@ -290,7 +304,9 @@ def task_exchange(
     P = num_partitions
     if partitions is None:
         partitions = range(P)
-    refs = materialized_block_refs(ds)
+    inputs = list(inputs) if isinstance(inputs, (list, tuple)) else [inputs]
+    if not inputs:
+        raise ValueError("task_exchange: no input Dataset")
 
     @ray.remote(num_returns=P)
     def split(table):
@@ -331,17 +347,27 @@ def task_exchange(
         return fn(p, sort_table(t, [k for k in sort_keys
                                     if k in t.column_names]))
 
-    if refs:
+    def drain(ds) -> list:
         # split_refs[b][p] is block b's slice of partition p
-        split_refs = [split.remote(r) for r in refs]
-        if P == 1:
-            split_refs = [[r] for r in split_refs]
+        out = []
+        for bundle in ds.iter_internal_ref_bundles():
+            for r in bundle.block_refs:
+                s = split.remote(r)
+                out.append(s if P > 1 else [s])
+        return out
+
+    with ThreadPoolExecutor(len(inputs)) as pool:
+        drained = list(pool.map(drain, inputs))
+    split_refs = [s for refs in drained for s in refs]
+    if split_refs:
         return [gather.remote(p, *[s[p] for s in split_refs])
                 for p in partitions]
-    schema = ds.schema()
-    empty = ray.put((schema.base_schema if schema else pa.schema([]))
-                    .empty_table())
-    return [gather.remote(p, empty) for p in partitions]
+    empties = []
+    for ds in inputs:
+        schema = ds.schema()
+        empties.append(ray.put((schema.base_schema if schema
+                                else pa.schema([])).empty_table()))
+    return [gather.remote(p, *empties) for p in partitions]
 
 
 def sum_partials(blocks, *, keys: Sequence[str],

@@ -444,7 +444,7 @@ def rrf_fuse(rank_dss, *, id_col: str, rank_cols, k: int = 60,
 
     from .partition import partitioned_map
 
-    tagged = None
+    tagged = []
     for i, (ds, col) in enumerate(zip(rank_dss, rank_cols)):
         def mk(i=i, col=col):
             def fn(b: pa.Table) -> pa.Table:
@@ -456,9 +456,8 @@ def rrf_fuse(rank_dss, *, id_col: str, rank_cols, k: int = 60,
 
             return fn
 
-        m = ds.map_batches(mk(), batch_format="pyarrow",
-                           zero_copy_batch=True)
-        tagged = m if tagged is None else tagged.union(m)
+        tagged.append(ds.map_batches(mk(), batch_format="pyarrow",
+                                     zero_copy_batch=True))
 
     n = len(rank_cols)
     # id stays its input type (string ids are the canonical RRF use

@@ -156,11 +156,10 @@ def scd2_apply(dim_ds, snap_ds, *, key_col: str, state_col: str,
             "vt": pa.array(np.zeros(b.num_rows, np.int64)),
             "nr": pa.array(np.zeros(b.num_rows, np.int64))})
 
-    unioned = (dim_ds.map_batches(prep_dim, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-               .union(snap_ds.map_batches(prep_snap,
-                                          batch_format="pyarrow",
-                                          zero_copy_batch=True)))
+    sides = [dim_ds.map_batches(prep_dim, batch_format="pyarrow",
+                                zero_copy_batch=True),
+             snap_ds.map_batches(prep_snap, batch_format="pyarrow",
+                                 zero_copy_batch=True)]
 
     if key_type is not None:
         ktype = key_type
@@ -260,6 +259,6 @@ def scd2_apply(dim_ds, snap_ds, *, key_col: str, state_col: str,
                                  mask=vt_null),
             "n_rows": pa.array(out_nr.astype(np.int64))})
 
-    return partitioned_map(unioned, merge_kernel, key=key_col,
+    return partitioned_map(sides, merge_kernel, key=key_col,
                            sort_keys=[key_col, "__tag", "vf"],
                            num_partitions=num_partitions)

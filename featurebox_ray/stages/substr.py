@@ -260,8 +260,8 @@ def dup_token_stats(ds, *, id_col: str = "doc_id", text_col: str = "text",
     def tag_dups(t: pa.Table) -> pa.Table:
         return t.append_column("n_tok", pa.nulls(t.num_rows, pa.int64()))
 
-    tagged = dups.map_batches(tag_dups, batch_format="pyarrow",
-                              zero_copy_batch=True).union(counts_ds)
+    sides = [dups.map_batches(tag_dups, batch_format="pyarrow",
+                              zero_copy_batch=True), counts_ds]
 
     def stats_kernel(t: pa.Table) -> pa.Table:
         out_schema = pa.schema([
@@ -311,7 +311,7 @@ def dup_token_stats(ds, *, id_col: str = "doc_id", text_col: str = "text",
                                  / ntoks.astype(np.float64)),
         })
 
-    return partitioned_map(tagged, stats_kernel, key=id_col,
+    return partitioned_map(sides, stats_kernel, key=id_col,
                            sort_keys=[id_col, "pos"],
                            num_partitions=num_partitions)
 
@@ -419,8 +419,7 @@ def ngram_novelty(ds, *, id_col: str = "doc_id", text_col: str = "text",
                          "novelty": pa.array(novelty, pa.float64(),
                                              mask=n == 0)})
 
-    unioned = partials.union(marks)
-    return partitioned_map(unioned, combine, key=id_col,
+    return partitioned_map([partials, marks], combine, key=id_col,
                            sort_keys=[id_col],
                            num_partitions=num_partitions)
 

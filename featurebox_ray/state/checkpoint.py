@@ -146,7 +146,8 @@ def run_partitioned_checkpointed(
 ) -> List[dict]:
     """Run ``kernel`` per sorted hash partition, writing each partition's
     output + manifest from inside the task (resumable).  Returns the list of
-    manifests (existing + new).
+    manifests (existing + new).  ``ds`` is one Dataset or a sequence of
+    Datasets exchanged together (``stages/partition.py:task_exchange``).
 
     A run-level manifest (``_manifest/_run.json``) records
     (key, sort_keys, num_partitions, input_desc); a resume whose parameters

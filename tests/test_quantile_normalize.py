@@ -97,3 +97,22 @@ def test_quantile_normalize_max_distinct_guard():
         quantile_normalize(ray.data.from_arrow(t), id_col="rid",
                            group_col="g", value_col="v",
                            max_distinct=2)
+
+
+def test_quantile_normalize_max_distinct_raises_in_block_task():
+    """A block that alone exceeds ``max_distinct`` raises inside its
+    partial task, before the partials reach the driver; blocks that
+    pass on their own but pool past the bound still meet the driver's
+    pooled check."""
+    t = pa.table({"rid": pa.array([0, 1, 2, 3], pa.int64()),
+                  "g": pa.array(["a"] * 4, pa.string()),
+                  "v": pa.array([1, 2, 3, 4], pa.int64())})
+    with pytest.raises(ray.exceptions.RayTaskError,
+                       match="one block has 4 distinct"):
+        quantile_normalize(ray.data.from_arrow(t), id_col="rid",
+                           group_col="g", value_col="v", max_distinct=3)
+    two_blocks = ray.data.from_arrow([t.slice(0, 2), t.slice(2, 2)])
+    with pytest.raises(ValueError, match="4 distinct values exceed") as e:
+        quantile_normalize(two_blocks, id_col="rid", group_col="g",
+                           value_col="v", max_distinct=3)
+    assert not isinstance(e.value, ray.exceptions.RayTaskError)

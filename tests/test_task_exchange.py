@@ -1,7 +1,12 @@
 """The task exchange (the engine's one keyed exchange) against the pandas
-oracle (tests/oracle.py), plus its partition-count invariance."""
+oracle (tests/oracle.py), plus its partition-count invariance and its
+multi-input form (several Datasets exchanged together, no union)."""
+
+import glob
+import time
 
 import numpy as np
+import pyarrow as pa
 import pytest
 import ray
 
@@ -22,12 +27,8 @@ def _oracle_df(df):
     return df.sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)
 
 
-def test_task_exchange_matches_oracle(tiny_dir):
-    base = add_scalar_features(ray.data.read_parquet(f"{tiny_dir}/transcripts"))
-    a = _oracle_df(oracle_features(load_transcripts(tiny_dir)))
-    b = _df(add_window_features(base, WindowSpec(), num_partitions=8))
-    assert len(a) == len(b)
-    for c in b.columns:
+def _assert_columns_match(a, b, cols):
+    for c in cols:
         if b[c].dtype == object or str(b[c].dtype).startswith("datetime"):
             assert (a[c].fillna("∅").values == b[c].fillna("∅").values).all(), c
         elif b[c].dtype == bool:
@@ -37,7 +38,18 @@ def test_task_exchange_matches_oracle(tiny_dir):
                                equal_nan=True), c
 
 
+def test_task_exchange_matches_oracle(tiny_dir):
+    base = add_scalar_features(ray.data.read_parquet(f"{tiny_dir}/transcripts"))
+    a = _oracle_df(oracle_features(load_transcripts(tiny_dir)))
+    b = _df(add_window_features(base, WindowSpec(), num_partitions=8))
+    assert len(a) == len(b)
+    _assert_columns_match(a, b, b.columns)
+
+
 def test_task_exchange_fused_matches_oracle(tiny_dir):
+    """The fused as-of + window pipeline exchanges its two tagged inputs
+    together: both the backfilled columns and the window features match
+    the oracles."""
     base = add_scalar_features(ray.data.read_parquet(f"{tiny_dir}/transcripts"))
     ft = ray.data.read_parquet(f"{tiny_dir}/feature_table")
     a = _oracle_df(oracle_asof(load_transcripts(tiny_dir),
@@ -48,6 +60,151 @@ def test_task_exchange_fused_matches_oracle(tiny_dir):
     assert len(a) == len(b)
     assert np.allclose(a["f_score"].values, b["f_score"].values, equal_nan=True)
     assert (a["f_label"].fillna("∅").values == b["f_label"].fillna("∅").values).all()
+    w = _oracle_df(oracle_features(load_transcripts(tiny_dir)))
+    _assert_columns_match(w, b, [c for c in w.columns if c in b.columns])
+
+
+def test_fused_with_empty_feature_table(tiny_dir):
+    """A right input that yields no block leaves every backfilled value
+    NULL and the window features unchanged."""
+    base = add_scalar_features(ray.data.read_parquet(f"{tiny_dir}/transcripts"))
+    ft = ray.data.read_parquet(f"{tiny_dir}/feature_table").limit(0)
+    b = _df(fused_features_backfill(base, ft, WindowSpec(),
+                                    right_cols=["f_score", "f_label"],
+                                    num_partitions=8))
+    w = _oracle_df(oracle_features(load_transcripts(tiny_dir)))
+    assert len(w) == len(b)
+    assert b["f_score"].isna().all() and b["f_label"].isna().all()
+    _assert_columns_match(w, b, [c for c in w.columns if c in b.columns])
+
+
+def _side_rows(n, mod, side, seed):
+    rng = np.random.default_rng(seed)
+    return [{"k": int(k), "ts": int(ts), "side": side, "v": int(v)}
+            for k, ts, v in zip(rng.integers(0, mod, n),
+                                rng.permutation(n), rng.integers(-50, 50, n))]
+
+
+def _running_sum(t: pa.Table) -> pa.Table:
+    """Per-key running sum of ``v`` in partition order: right only when
+    every row of a key is in the partition and sorted."""
+    df = t.to_pandas()
+    df["run"] = df.groupby("k", sort=False)["v"].cumsum().astype("int64")
+    return pa.Table.from_pandas(df, preserve_index=False)
+
+
+def _sorted_rows(df):
+    return (df.sort_values(["k", "ts", "side"])
+            [["k", "ts", "side", "v", "run"]].reset_index(drop=True))
+
+
+@pytest.mark.parametrize("blocks", [1, 8])
+@pytest.mark.parametrize("num_partitions", [1, 3, 8])
+def test_multi_input_matches_union(num_partitions, blocks):
+    """partitioned_map([a, b]) equals partitioned_map(a.union(b)), and
+    both equal one in-process pass, whatever the partition and block
+    counts."""
+    import pandas as pd
+
+    ra, rb = _side_rows(300, 17, 0, 1), _side_rows(120, 23, 1, 2)
+    a = ray.data.from_items(ra, override_num_blocks=blocks)
+    b = ray.data.from_items(rb, override_num_blocks=blocks)
+    kw = dict(key="k", sort_keys=["k", "ts", "side"],
+              num_partitions=num_partitions)
+    want = _sorted_rows(_running_sum(pa.Table.from_pandas(
+        pd.DataFrame(ra + rb).sort_values(["k", "ts", "side"]),
+        preserve_index=False)).to_pandas())
+    multi = _sorted_rows(partitioned_map([a, b], _running_sum, **kw).to_pandas())
+    union = _sorted_rows(partitioned_map(a.union(b), _running_sum, **kw).to_pandas())
+    pd.testing.assert_frame_equal(multi, want)
+    pd.testing.assert_frame_equal(union, want)
+
+
+@pytest.mark.parametrize("empty", ["second", "both"])
+def test_multi_input_empty_inputs(empty):
+    """Inputs that yield no block: every gather still runs, and when no
+    input yields a block each gather sees the inputs' schemas."""
+    a = ray.data.from_items(_side_rows(50, 7, 0, 3))
+    b = ray.data.from_items([{**r, "w": 1.0}
+                             for r in _side_rows(20, 7, 1, 4)]).limit(0)
+    if empty == "both":
+        a = a.limit(0)
+    kw = dict(key="k", sort_keys=["k", "ts"], num_partitions=5)
+
+    def count(t: pa.Table) -> pa.Table:
+        return pa.table({"rows": [t.num_rows],
+                         "cols": [",".join(t.column_names)]})
+
+    seen = partitioned_map([a, b], count, **kw).take_all()
+    assert len(seen) == 5
+    assert sum(r["rows"] for r in seen) == (50 if empty == "second" else 0)
+
+    def number(t: pa.Table) -> pa.Table:
+        return t.append_column("n", pa.array(np.arange(t.num_rows), pa.int64()))
+
+    out = partitioned_map([a, b], number, **kw)
+    names = ["k", "ts", "side", "v"] + (["w"] if empty == "both" else [])
+    assert out.schema().names == names + ["n"]
+    assert out.count() == (50 if empty == "second" else 0)
+
+
+def test_second_input_without_key_raises(tiny_dir, tmp_path):
+    """A non-empty block of any input that lacks the key is refused; the
+    checkpoint runner then records no partition as finished."""
+    from featurebox_ray.stages.window import window_kernel
+    from featurebox_ray.state.checkpoint import (
+        finished_partitions, run_partitioned_checkpointed)
+
+    good = ray.data.from_items([{"k": 1}, {"k": 2}])
+    bad = ray.data.from_items([{"kk": 3}])
+    with pytest.raises(KeyError, match="'k' missing"):
+        partitioned_map([good, bad], lambda t: t, key="k", sort_keys=["k"],
+                        num_partitions=2)
+
+    base = add_scalar_features(ray.data.read_parquet(f"{tiny_dir}/transcripts"))
+    keyless = ray.data.read_parquet(f"{tiny_dir}/feature_table").drop_columns(
+        ["conv_id"])
+    out = str(tmp_path / "ckpt")
+    spec = WindowSpec()
+    with pytest.raises(KeyError, match="'conv_id' missing"):
+        run_partitioned_checkpointed(
+            [base, keyless], lambda t: window_kernel(t, spec), out,
+            key="conv_id", sort_keys=["conv_id", "ts", "turn_idx"],
+            num_partitions=8, input_desc="test")
+    assert finished_partitions(out) == set()
+    assert not glob.glob(f"{out}/_manifest/part-*.json")
+    assert not glob.glob(f"{out}/part-*.parquet")
+
+
+def test_gather_concat_follows_input_order():
+    """Rows tied on every sort key reach the kernel in input order, not
+    in the order the inputs finished draining: the slow input listed
+    first still comes first."""
+    def slow(t: pa.Table) -> pa.Table:
+        time.sleep(1.0)
+        return t
+
+    rows = [{"k": i % 4, "__side": 0} for i in range(40)]
+    slow_ds = ray.data.from_items(rows, override_num_blocks=2).map_batches(
+        slow, batch_format="pyarrow")
+    fast_ds = ray.data.from_items([{**r, "__side": 1} for r in rows],
+                                  override_num_blocks=2)
+
+    def side_order(t: pa.Table) -> pa.Table:
+        return t.append_column(
+            "pos", pa.array(np.arange(t.num_rows), pa.int64()))
+
+    def sides_per_key(inputs):
+        df = partitioned_map(inputs, side_order, key="k", sort_keys=["k"],
+                             num_partitions=3).to_pandas()
+        return {k: g.sort_values("pos")["__side"].tolist()
+                for k, g in df.groupby("k")}
+
+    for _ in range(2):
+        got = sides_per_key([slow_ds, fast_ds])
+        assert got == {k: [0] * 10 + [1] * 10 for k in range(4)}
+    got = sides_per_key([fast_ds, slow_ds])
+    assert got == {k: [1] * 10 + [0] * 10 for k in range(4)}
 
 
 def test_tasks_strategy_partition_count_invariance(tiny_dir):
