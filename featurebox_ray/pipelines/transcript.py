@@ -50,7 +50,8 @@ def fused_features_backfill(
     learn the column names (a limit-1 probe is still a whole block per
     upstream operator) — ~25% of flagship wall at bench scale.  Callers
     that hold the raw batch fns can instead apply them to a one-row
-    local table and pass ``probe.schema`` (see bench.py), skipping the
+    local table and pass ``probe.schema`` (see ``perfbench/jobs.py:
+    left_schema``), skipping the
     probe execution entirely."""
     spec = spec or WindowSpec()
     key, ts_col = spec.key_col, spec.ts_col

@@ -184,7 +184,8 @@ def bucketed_interval_join(
     (SQL range predicates on NULL are false); ``hi <= lo`` intervals
     match nothing.  ``fact_schema``/``interval_schema``: pass when a
     side ends in expensive lazy stages — defaulting to ``.schema()`` on
-    a mapped dataset executes one block (the bench.py probe hazard).
+    a mapped dataset executes one block (see
+    ``fused_features_backfill``'s ``left_schema``).
 
     Reference analog: none (the reference joins on equality/as-of keys
     only); beyond-reference alongside the as-of and bloom joins.

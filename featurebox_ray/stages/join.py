@@ -170,7 +170,7 @@ def auto_join(left_ds, right_ds, *, on: str,
     reads and materialized datasets; pass a pre-counted threshold
     decision (call the target join directly) when the right side ends
     in expensive lazy stages (the ``.schema()``/``.count()`` execution
-    hazard documented in bench.py).
+    hazard documented at ``fused_features_backfill``'s ``left_schema``).
 
     ``how`` other than ``inner``/``left`` always takes the hash-join
     path (the broadcast join is left-outer by construction: probe rows

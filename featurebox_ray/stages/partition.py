@@ -10,11 +10,14 @@ One exchange, built from plain Ray tasks (:func:`task_exchange`).  It takes
 one Dataset or several (the two tagged sides of a join, say) and streams
 them: a split task is submitted for each upstream block as the block lands,
 buckets it by a deterministic vectorized hash of the key
-(``_hash_chunk(key) % P``) and emits one slice per partition.  One gather
-task per partition concats its slices (in input order), sorts them once by
-``sort_keys`` and runs a per-partition function.  Several inputs are joined
-by the split itself, so no Ray Data ``union`` runs in front of the
-exchange.  Both keyed consumers sit on it:
+(``_hash_chunk(key) % P``) and emits one slice per partition, each as
+one Arrow IPC stream buffer (:func:`_to_ipc`), which Ray stores as one
+out-of-band buffer instead of walking the table's columns in Python.  One
+gather task per partition opens its buffers zero-copy, concats the slices
+(in input order), sorts them once by ``sort_keys`` and runs a
+per-partition function.  Several inputs are joined by the split itself,
+so no Ray Data ``union`` runs in front of the exchange.  Both keyed
+consumers sit on it:
 
 * :func:`partitioned_map` runs a table kernel in every gather and returns
   the outputs as a Dataset;
@@ -121,27 +124,22 @@ def _hash_chunk(arr: pa.Array, num_partitions: int) -> np.ndarray:
     string/int array — vectorized numpy over the Arrow buffers for
     string/binary/integer types (no per-distinct-value Python), with a
     crc32-per-unique fallback for anything else."""
+    if _is_bytes_type(arr.type):
+        # hash each distinct value once: keys repeat (many turns per
+        # conversation), and the buckets are those of hashing every row
+        arr = pc.dictionary_encode(arr)
     if pa.types.is_dictionary(arr.type):
         # hash the (small) dictionary, gather through the indices
         d = arr.dictionary
         if _is_bytes_type(d.type):
             h = _hash_string_values(d)
-            bucket = (h % np.uint64(num_partitions)).astype(np.int32)
-            if arr.null_count:
-                # null indices surface as NaN through to_numpy; route
-                # nulls to bucket 0 like the plain-string path (h = 0)
-                valid = np.asarray(pc.is_valid(arr))
-                idx = np.asarray(pc.fill_null(arr.indices, 0))
-                out = bucket[idx]
-                out[~valid] = 0
-                return out
-            idx = arr.indices.to_numpy(zero_copy_only=False)
-            return bucket[idx]
+            # one more slot for NULL, bucket 0, as _hash_string_values
+            # hashes NULL to 0 (the dictionary may be empty: all NULL)
+            bucket = np.append(h % np.uint64(num_partitions), 0)
+            idx = pc.fill_null(arr.indices, len(d))
+            return bucket[idx.to_numpy(zero_copy_only=False)].astype(np.int32)
         arr = arr.cast(arr.type.value_type)
     t = arr.type
-    if _is_bytes_type(t):
-        h = _hash_string_values(arr)
-        return (h % np.uint64(num_partitions)).astype(np.int32)
     if pa.types.is_integer(t):
         # exact int64 extraction: a batch WITH nulls must hash ids the
         # same as a batch without (to_numpy on a null-bearing int column
@@ -176,6 +174,31 @@ def sort_table(table: pa.Table, sort_keys: Sequence[str]) -> pa.Table:
         table, sort_keys=[(k, "ascending") for k in sort_keys]
     )
     return table.take(idx)
+
+
+def _to_ipc(table: pa.Table) -> pa.Buffer:
+    """``table`` as one Arrow IPC stream buffer.  Ray stores a Buffer as
+    one out-of-band buffer, where a Table goes through Ray's reducer,
+    which walks every column of every slice in Python."""
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, table.schema) as writer:
+        writer.write_table(table)
+    return sink.getvalue()
+
+
+def _from_ipc(buf: pa.Buffer) -> pa.Table:
+    """Open a :func:`_to_ipc` buffer zero-copy."""
+    table = pa.ipc.open_stream(buf).read_all()
+    if any(f.metadata and b"ARROW:extension:name" in f.metadata
+           for f in table.schema):
+        # IPC names extension types, and the reader only rebuilds those
+        # registered in this process; a worker that has not imported
+        # Ray's tensor and object types reads their storage instead
+        import ray.air.util.object_extensions.arrow  # noqa: F401
+        import ray.air.util.tensor_extensions.arrow  # noqa: F401
+
+        table = pa.ipc.open_stream(buf).read_all()
+    return table
 
 
 def partitioned_map(
@@ -287,13 +310,15 @@ def task_exchange(
     raised while draining any input propagates.  Every split buckets
     its block by ``_hash_chunk(key) % num_partitions`` and emits one
     sub-table per partition (``num_returns=P`` — only refs travel to the
-    driver).  The gather of partition ``p`` concats its slices in input
-    order (whatever order the drains finished in), sorts them once by
-    ``sort_keys`` and returns ``fn(p, sorted_table)``.  Returns the
-    gather refs, in the order of ``partitions`` (default: every
-    partition); only those partitions are gathered.  When no input
+    driver), each framed as one Arrow IPC stream buffer (:func:`_to_ipc`;
+    the schema, extension types included, travels in the frame).  The
+    gather of partition ``p`` opens its buffers zero-copy, concats the
+    slices in input order (whatever order the drains finished in),
+    sorts them once by ``sort_keys`` and returns ``fn(p, sorted_table)``.
+    Returns the gather refs, in the order of ``partitions`` (default:
+    every partition); only those partitions are gathered.  When no input
     yields a block, every gather gets one empty table per input, in
-    that input's schema.
+    that input's schema, in the same framing.
 
     This is exactly the exchange a fixed-size cluster runs for a keyed
     shuffle: B×P objects, each fetched once, no central barrier beyond the
@@ -317,7 +342,7 @@ def task_exchange(
         if table.num_rows == 0:
             # Ray's shuffle ops emit benign zero-column empty bundles;
             # forward an empty slice to every gather
-            outs = [table.slice(0, 0)] * P
+            outs = [_to_ipc(table.slice(0, 0))] * P
             return tuple(outs) if P > 1 else outs[0]
         if key not in table.column_names:
             raise KeyError(
@@ -333,11 +358,13 @@ def task_exchange(
         sorted_tbl = table.take(pa.array(order))
         counts = np.bincount(bucket, minlength=P)
         offsets = np.concatenate([[0], np.cumsum(counts)])
-        outs = [sorted_tbl.slice(offsets[p], counts[p]) for p in range(P)]
+        outs = [_to_ipc(sorted_tbl.slice(offsets[p], counts[p]))
+                for p in range(P)]
         return tuple(outs) if P > 1 else outs[0]
 
     @ray.remote
-    def gather(p, *parts):
+    def gather(p, *bufs):
+        parts = [_from_ipc(b) for b in bufs]
         tables = [t for t in parts if t.num_rows > 0]
         if not tables:
             # all-empty partition: keep the widest schema available
@@ -365,8 +392,8 @@ def task_exchange(
     empties = []
     for ds in inputs:
         schema = ds.schema()
-        empties.append(ray.put((schema.base_schema if schema
-                                else pa.schema([])).empty_table()))
+        empties.append(ray.put(_to_ipc((schema.base_schema if schema
+                                        else pa.schema([])).empty_table())))
     return [gather.remote(p, *empties) for p in partitions]
 
 

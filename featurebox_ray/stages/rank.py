@@ -165,6 +165,41 @@ def rank_in_group(ds, *, group_col: str, value_col: str, tie_col: str,
                            num_partitions=num_partitions)
 
 
+def _range_sort(ds, cols, descending: bool):
+    """``ds`` range-sorted by ``cols`` through stand-in key columns, and
+    the stand-ins' names (callers drop them).
+
+    Ray's sort draws its range boundaries from samples ordered with a
+    comparator under which a NULL or NaN is less than itself, so one in
+    an order column with another column after it can put the boundaries
+    out of order, and the overlapping ranges duplicate rows.  The sort
+    runs on stand-ins instead: per order column a class, then the value
+    with NaN and NULL zeroed in float columns.  The classes put NaN
+    above every number and NULL last in either direction, as SQL does."""
+    keys = [k for i in range(len(cols)) for k in (f"__cls{i}", f"__val{i}")]
+    value, nan_cls, null_cls = (pa.scalar(c, pa.int8()) for c in (
+        (1, 2, 0) if descending else (0, 1, 2)))
+
+    def stand_ins(t: pa.Table) -> pa.Table:
+        if t.num_columns == 0:  # Ray's zero-column empty blocks
+            return t
+        for i, c in enumerate(cols):
+            v = t[c]
+            cls = pc.if_else(pc.is_null(v), null_cls, value)
+            if pa.types.is_floating(v.type):
+                nan = pc.fill_null(pc.is_nan(v), False)
+                cls = pc.if_else(nan, nan_cls, cls)
+                zero = pa.scalar(0, v.type)
+                v = pc.fill_null(pc.if_else(nan, zero, v), zero)
+            t = t.append_column(keys[2 * i], cls)
+            t = t.append_column(keys[2 * i + 1], v)
+        return t
+
+    sd = ds.map_batches(stand_ins, batch_format="pyarrow",
+                        zero_copy_batch=True).sort(keys, descending=descending)
+    return sd, keys
+
+
 def global_row_number(ds, *, order_cols, rank_col: str = "g_rank",
                       descending: bool = False):
     """Exact GLOBAL ``row_number() OVER (ORDER BY order_cols)`` — 1-based
@@ -185,8 +220,10 @@ def global_row_number(ds, *, order_cols, rank_col: str = "g_rank",
     the offsets are derived from block CONTENT (first key), never from
     arrival order.
 
-    ``order_cols`` must be null-free (filter first) and unique as a
-    tuple; ``descending`` applies to every order column.
+    ``order_cols`` must be unique as a tuple and, except for float
+    columns, null-free (filter first); a float column may hold NaN and
+    NULL, ranked as SQL does: NaN above every number, NULL last in
+    either direction.  ``descending`` applies to every order column.
 
     Reference analog: the driver-side global argsort selections of
     ``featurebox/selection/exhaustion.py:106-119`` at distributed scale
@@ -198,20 +235,20 @@ def global_row_number(ds, *, order_cols, rank_col: str = "g_rank",
     from .partition import materialized_block_refs
 
     cols = list(order_cols)
-    sd = ds.sort(cols, descending=descending)
+    sd, keys = _range_sort(ds, cols, descending)
     refs = materialized_block_refs(sd)
 
     @ray.remote
     def blk_meta(blk: pa.Table):
         if blk.num_rows == 0:
             return None
-        return (tuple(blk.column(c)[0].as_py() for c in cols),
+        return (tuple(blk.column(c)[0].as_py() for c in keys),
                 blk.num_rows)
 
     @ray.remote
     def add_rank(blk: pa.Table, off: int) -> pa.Table:
         n = blk.num_rows
-        return blk.append_column(
+        return blk.drop_columns(keys).append_column(
             rank_col, pa.array(np.arange(off + 1, off + 1 + n)))
 
     def robust_key(key_tuple):
@@ -242,6 +279,7 @@ def global_row_number(ds, *, order_cols, rank_col: str = "g_rank",
         schema = sd.schema()
         base = getattr(schema, "base_schema", schema)
         if isinstance(base, pa.Schema):
+            base = pa.schema([f for f in base if f.name not in keys])
             return ray.data.from_arrow(base.append(
                 pa.field(rank_col, pa.int64())).empty_table())
         return sd  # schema unknown (fully schemaless empty dataset)
@@ -356,18 +394,19 @@ def budget_select(ds, *, order_cols, cost_col: str, budget: int,
     adds its offset and filters ``cum ≤ budget``.  Blocks entirely
     past the budget are dropped without being touched.
 
-    ``order_cols`` must be unique as a tuple and null-free; ``cost_col``
-    must be non-negative int64 (validated per block).  Emits the input
-    columns + ``cum_col`` (int64 running total including the row
-    itself) — SQL replays as ``sum(cost) OVER (ORDER BY ...) <=
-    budget``.
+    ``order_cols`` must be unique as a tuple and null-free outside
+    float columns (NaN and NULL rank as in :func:`global_row_number`);
+    ``cost_col`` must be non-negative int64 (validated per block).
+    Emits the input columns + ``cum_col`` (int64 running total
+    including the row itself) — SQL replays as ``sum(cost) OVER
+    (ORDER BY ...) <= budget``.
     """
     import ray
 
     from .partition import materialized_block_refs
 
     cols = list(order_cols)
-    sd = ds.sort(cols, descending=descending)
+    sd, keys = _range_sort(ds, cols, descending)
     refs = materialized_block_refs(sd)
 
     @ray.remote
@@ -377,7 +416,7 @@ def budget_select(ds, *, order_cols, cost_col: str, budget: int,
         cost = blk[cost_col].to_numpy(zero_copy_only=False)
         if cost.min() < 0:
             raise ValueError("budget_select: negative cost")
-        return (tuple(blk.column(c)[0].as_py() for c in cols),
+        return (tuple(blk.column(c)[0].as_py() for c in keys),
                 blk.num_rows, int(cost.sum()))
 
     @ray.remote
@@ -385,7 +424,7 @@ def budget_select(ds, *, order_cols, cost_col: str, budget: int,
         cost = blk[cost_col].to_numpy(zero_copy_only=False).astype(
             np.int64)
         cum = np.cumsum(cost) + off
-        out = blk.append_column(cum_col, pa.array(cum))
+        out = blk.drop_columns(keys).append_column(cum_col, pa.array(cum))
         return out.filter(pa.array(cum <= budget))
 
     def robust_key(key_tuple):
@@ -412,6 +451,7 @@ def budget_select(ds, *, order_cols, cost_col: str, budget: int,
         schema = sd.schema()
         base = getattr(schema, "base_schema", schema)
         if isinstance(base, pa.Schema):
+            base = pa.schema([f for f in base if f.name not in keys])
             return ray.data.from_arrow(base.append(
                 pa.field(cum_col, pa.int64())).empty_table())
         return sd

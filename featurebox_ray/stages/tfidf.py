@@ -74,7 +74,8 @@ def tfidf_topk(ds, *, id_col: str = "doc_id", text_col: str = "text",
     ``n_docs``: pass the corpus row count when ``ds`` ends in expensive
     lazy stages — the default ``ds.count()`` is metadata-cheap on a
     parquet read but executes the full chain on a mapped dataset (the
-    same hazard as ``.schema()``, see bench.py's flagship probe).
+    same hazard as ``.schema()``, see ``fused_features_backfill``'s
+    ``left_schema``).
     """
     import ray
 

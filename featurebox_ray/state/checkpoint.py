@@ -4,7 +4,8 @@
 Layout under ``out_dir``::
 
     part-00017.parquet          one file per hash partition
-    _manifest/part-00017.json   {partition, rows, feature_hash, input, schema}
+    _manifest/part-00017.json   one manifest per partition (fields below)
+    _manifest/_run.json         the run's layout parameters (_run_params)
 
 A run writes each partition's parquet + manifest atomically-enough (parquet
 first, manifest last — a partition without a manifest is re-run).  Resume
@@ -14,6 +15,27 @@ for the missing partitions' gathers (the upstream is still read and split
 once).  Outputs are byte-stable given (input, partition id) because
 every kernel is deterministic and partition contents don't depend on
 scheduling (hash bucketing + full sort).
+
+A part manifest holds:
+
+* ``partition``, ``rows`` (output rows), ``file`` (``None`` for a
+  partition that received no rows), ``input``, ``columns``;
+* ``feature_hash`` — :func:`_feature_hash` of the output, ``None`` for an
+  empty partition — and ``hash``, the id of the scheme that computed it
+  (:data:`HASH_SCHEME`; manifests written before the field existed used
+  a pandas-based hash and carry no ``hash``);
+* metrics: ``rows_in`` (rows the gather handed the kernel), ``bytes``
+  (part-file size) and ``wall_s`` (kernel + write + hash, in the gather).
+
+The feature hash is order-insensitive and process-independent.  The rows
+are put in a canonical order by one ``pc.sort_indices`` over every
+column, columns taken by name and dictionary columns by value; a nested
+column (list, map, union, struct) sorts by a per-row string of its
+values, because Arrow cannot sort lists and ties a NULL struct with a
+struct of NULLs.  Then one SHA-1 takes each column's name, type, row
+count, validity bytes and the buffers of its non-null values, with
+offsets rebased to 0, every NaN as one NaN and -0.0 as 0.0, nested
+columns recursively.  A NULL, ``""`` and ``0`` hash differently.
 """
 
 from __future__ import annotations
@@ -21,26 +43,93 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import time
 from typing import Callable, List, Optional, Sequence
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..stages.partition import task_exchange
+from ..stages.partition import string_buffers, task_exchange
+
+
+HASH_SCHEME = "arrow-sort-sha1-v1"
+
+
+def _by_value(arr) -> pa.Array:
+    """One contiguous Array holding ``arr``'s values: chunks combined,
+    dictionaries decoded, extension arrays as their storage."""
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    if pa.types.is_dictionary(arr.type):
+        arr = arr.dictionary_decode()
+    if isinstance(arr.type, pa.ExtensionType):
+        arr = arr.storage
+    return arr
+
+
+def _hash_values(h, arr: pa.Array) -> None:
+    """Feed ``arr`` into ``h`` by value: type, length, one validity byte
+    per row, then the values of the non-null rows."""
+    arr = _by_value(arr)
+    t = arr.type
+    h.update(f"{t}|{len(arr)}|".encode())
+    h.update(np.asarray(pc.is_valid(arr)).tobytes())
+    if arr.null_count:
+        arr = arr.drop_null()
+    if pa.types.is_null(t):
+        return
+    if pa.types.is_boolean(t):
+        h.update(arr.to_numpy(zero_copy_only=False).tobytes())
+    elif pa.types.is_floating(t):
+        v = arr.to_numpy(zero_copy_only=False)
+        h.update(np.where(np.isnan(v), np.nan, v + 0.0).astype(v.dtype)
+                 .tobytes())
+    elif (pa.types.is_string(t) or pa.types.is_large_string(t)
+          or pa.types.is_binary(t) or pa.types.is_large_binary(t)):
+        off, data = string_buffers(arr)
+        h.update((off - off[0]).tobytes())
+        h.update(data[off[0]:off[-1]].tobytes())
+    elif pa.types.is_list(t) or pa.types.is_large_list(t):
+        off = np.asarray(arr.offsets, np.int64)
+        h.update((off - off[0]).tobytes())
+        _hash_values(h, arr.flatten())
+    elif pa.types.is_fixed_size_list(t):
+        _hash_values(h, arr.flatten())
+    elif pa.types.is_struct(t):
+        for child in arr.flatten():
+            _hash_values(h, child)
+    elif (pa.types.is_primitive(t) or pa.types.is_decimal(t)
+          or pa.types.is_fixed_size_binary(t)):
+        width = t.bit_width // 8
+        data = np.frombuffer(arr.buffers()[1] or b"", np.uint8)
+        h.update(data[arr.offset * width:(arr.offset + len(arr)) * width]
+                 .tobytes())
+    else:  # map, union, view types: no flat buffer layout to read
+        h.update(repr(arr.to_pylist()).encode())
 
 
 def _feature_hash(table: pa.Table) -> str:
-    """Order-insensitive content hash of a partition's output."""
-    import pandas as pd
-
-    df = table.to_pandas()
-    df = df[sorted(df.columns)]
-    for c in df.columns:
-        if df[c].dtype == object:
-            df[c] = df[c].astype(str)
-    df = df.sort_values(list(df.columns)).reset_index(drop=True)
-    h = pd.util.hash_pandas_object(df, index=False).values
-    return hashlib.sha1(h.tobytes()).hexdigest()
+    """Order-insensitive, process-independent content hash of a
+    partition's output (:data:`HASH_SCHEME`; the module docstring has
+    the definition)."""
+    names = sorted(table.column_names)
+    cols = [_by_value(table[n]) for n in names]
+    # a nested column sorts by a per-row string of its values: Arrow
+    # cannot sort lists, and it ties a NULL struct with a struct of NULLs
+    keys = {f"k{i}": pa.array([repr(v) for v in c.to_pylist()], pa.string())
+            if pa.types.is_nested(c.type) else c
+            for i, c in enumerate(cols)}
+    if keys and table.num_rows > 1:
+        order = pc.sort_indices(pa.table(keys),
+                                sort_keys=[(k, "ascending") for k in keys])
+        cols = [c.take(order) for c in cols]
+    h = hashlib.sha1()
+    for n, c in zip(names, cols):
+        h.update(n.encode() + b"\0")
+        _hash_values(h, c)
+    return h.hexdigest()
 
 
 def _write_json(path: str, obj) -> None:
@@ -52,7 +141,8 @@ def _write_json(path: str, obj) -> None:
 
 def _empty_manifest(part_id: int, input_desc: str) -> dict:
     return {"partition": part_id, "rows": 0, "file": None,
-            "feature_hash": None, "input": input_desc, "columns": []}
+            "feature_hash": None, "hash": HASH_SCHEME, "input": input_desc,
+            "columns": [], "rows_in": 0, "bytes": 0, "wall_s": 0.0}
 
 
 def finished_partitions(out_dir: str) -> set:
@@ -218,18 +308,24 @@ def run_partitioned_checkpointed(
         if table.num_rows == 0:
             manifest = _empty_manifest(part_id, input_desc)
         else:
+            t0 = time.perf_counter()
             out = kernel(table)
             fname = f"part-{part_id:05d}.parquet"
             fpath = os.path.join(out_dir, fname)
             pq.write_table(out, fpath + ".tmp")
             os.replace(fpath + ".tmp", fpath)
+            feature_hash = _feature_hash(out)
             manifest = {
                 "partition": part_id,
                 "rows": out.num_rows,
                 "file": fname,
-                "feature_hash": _feature_hash(out),
+                "feature_hash": feature_hash,
+                "hash": HASH_SCHEME,
                 "input": input_desc,
                 "columns": out.column_names,
+                "rows_in": table.num_rows,
+                "bytes": os.path.getsize(fpath),
+                "wall_s": round(time.perf_counter() - t0, 6),
             }
         _write_json(os.path.join(mdir, f"part-{part_id:05d}.json"), manifest)
 

@@ -4,7 +4,7 @@ workers.  On ideal hardware wall-clock is identical at both levels
 (efficiency = t2/t8 = 1.0); anything below that is the HOST — core
 contention, credit throttling, thermal limits — and bounds the scaling
 efficiency ANY engine can demonstrate on this box.  Used to calibrate
-the bench.py --scaling numbers in BASELINE.md.
+perfbench's traced ``scaling_eff`` (``perfbench/run.py --trace 1``).
 
 Usage: python scripts/host_scaling_probe.py [reps_per_level]
 Prints one JSON line with per-level wall times and the host ceiling.

@@ -1,17 +1,22 @@
 """Checkpoint/resume determinism (FIXTURES F5.4)."""
 
+import datetime
 import glob
 import os
 import shutil
 
 import numpy as np
+import pyarrow as pa
 import pytest
 import ray
 
 from featurebox_ray.stages.scalar import add_scalar_features
 from featurebox_ray.stages.window import WindowSpec, window_kernel
 from featurebox_ray.state.checkpoint import (
-    finished_partitions, run_partitioned_checkpointed)
+    HASH_SCHEME, _feature_hash, finished_partitions,
+    run_partitioned_checkpointed)
+
+UTC = datetime.timezone.utc
 
 
 def _mkds(d):
@@ -283,3 +288,121 @@ def test_kernel_id_change_invalidates(tiny_dir, tmp_path):
     m2 = go("spec-v2", kern2)
     assert all("extra" in m["columns"] for m in m2 if m["rows"])
     assert cols1 != set(m2[0]["columns"]) or not m2[0]["rows"]
+
+
+def _typed_table():
+    """One column of every scalar type the feature hash reads by buffer,
+    with NULLs, a NaN and a -0.0."""
+    n = 12
+    ts = [datetime.datetime(2024, 1, 1, tzinfo=UTC)
+          + datetime.timedelta(seconds=7 * i) for i in range(n)]
+    return pa.table({
+        "s": pa.array([f"v{i % 5}" if i % 4 else None for i in range(n)]),
+        "ls": pa.array([f"w{i}" * (i % 3) for i in range(n)],
+                       pa.large_string()),
+        "d": pa.array([["x", "y", None][i % 3] for i in range(n)]
+                      ).dictionary_encode(),
+        "i": pa.array([i * 3 if i % 5 else None for i in range(n)],
+                      pa.int64()),
+        "f": pa.array([float("nan") if i == 2 else -0.0 if i == 3
+                       else i / 4 for i in range(n)]),
+        "t": pa.array(ts, pa.timestamp("us", tz="UTC")),
+        "b": pa.array([bool(i % 2) if i % 6 else None for i in range(n)]),
+    })
+
+
+def test_feature_hash_is_order_insensitive_and_pinned():
+    """A shuffled partition hashes the same, and the hash of a fixed
+    table is a fixed string (no process- or host-dependent input)."""
+    t = _typed_table()
+    h = _feature_hash(t)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        assert _feature_hash(t.take(rng.permutation(t.num_rows))) == h
+    # column order and chunking do not count either
+    assert _feature_hash(t.select(t.column_names[::-1])) == h
+    assert _feature_hash(pa.concat_tables([t.slice(0, 5), t.slice(5)])) == h
+    assert h == "192b730a67f52c98d34d096aa4082909139dccf6"
+
+
+@pytest.mark.parametrize("col,new", [
+    ("s", "v9"), ("ls", "zz"), ("d", "x"), ("d", None), ("i", 4),
+    ("f", 0.3), ("f", float("inf")),
+    ("t", datetime.datetime(2000, 1, 1, tzinfo=UTC)), ("b", False)])
+def test_feature_hash_changes_with_one_value(col, new):
+    """Changing one value of any column type changes the hash; a NaN
+    changed to a number does too."""
+    t = _typed_table()
+    row = 2 if col == "f" else 7
+    typ = t.schema.field(col).type
+    values = t[col].to_pylist()
+    assert values[row] != new
+    values[row] = new
+    if col == "d":
+        arr = pa.array(values).dictionary_encode()
+    else:
+        arr = pa.array(values, typ)
+    changed = t.set_column(t.schema.get_field_index(col), col, arr)
+    assert _feature_hash(changed) != _feature_hash(t)
+
+
+def test_feature_hash_null_empty_and_zero_differ():
+    """A NULL, "" and 0 hash differently, within one type and across."""
+    tables = [pa.table({"c": pa.array([None], pa.string())}),
+              pa.table({"c": pa.array([""], pa.string())}),
+              pa.table({"c": pa.array([None], pa.int64())}),
+              pa.table({"c": pa.array([0], pa.int64())}),
+              pa.table({"c": pa.array([None])}),
+              pa.table({"c": pa.array(["0"])})]
+    assert len({_feature_hash(t) for t in tables}) == len(tables)
+
+
+def test_feature_hash_nested_columns():
+    """List and struct columns hash; rows tied on every scalar column
+    that differ only in a nested column hash the same in any order, and
+    the nested values count."""
+    t = pa.table({
+        "k": pa.array([1, 1, 1, 1, 2, 3, 3], pa.int64()),
+        "l": pa.array([[1, 2], [2, 1], None, [], [3], [5], [5]]),
+        "st": pa.array([{"a": 1, "b": "x"}] * 5
+                       + [None, {"a": None, "b": None}]),
+    })
+    h = _feature_hash(t)
+    rng = np.random.default_rng(9)
+    for _ in range(4):
+        assert _feature_hash(t.take(rng.permutation(t.num_rows))) == h
+    other = t.set_column(1, "l", pa.array(
+        [[1, 2], [2, 2], None, [], [3], [5], [5]]))
+    assert _feature_hash(other) != h
+    other = t.set_column(2, "st", pa.array(
+        [{"a": 1, "b": "x"}] * 5 + [{"a": None, "b": None}] * 2))
+    assert _feature_hash(other) != h
+
+
+def test_feature_hash_empty_tables():
+    empty = _typed_table().slice(0, 0)
+    assert _feature_hash(empty) != _feature_hash(pa.table({}))
+    assert _feature_hash(empty) == _feature_hash(
+        _typed_table().filter(pa.array([False] * 12)))
+
+
+def test_manifest_metrics_and_hash_scheme(tiny_dir, tmp_path):
+    """Every manifest names its hash scheme; the gathers' rows_in sum to
+    the input's row count; bytes is the part file's size."""
+    out = str(tmp_path / "ckpt")
+    spec = WindowSpec()
+    # 100 conversations over 128 partitions: some partitions are empty
+    ms = run_partitioned_checkpointed(
+        _mkds(tiny_dir), lambda t: window_kernel(t, spec), out,
+        key="conv_id", sort_keys=["conv_id", "ts", "turn_idx"],
+        num_partitions=128, input_desc="test")
+    assert len(ms) == 128
+    assert all(m["hash"] == HASH_SCHEME for m in ms)
+    assert sum(m["rows_in"] for m in ms) == _mkds(tiny_dir).count()
+    empty = [m for m in ms if m["file"] is None]
+    assert empty and all(m["rows_in"] == m["bytes"] == 0 for m in empty)
+    for m in ms:
+        if m["file"] is not None:
+            assert m["bytes"] == os.path.getsize(os.path.join(out, m["file"]))
+            assert m["rows_in"] == m["rows"] > 0
+            assert m["wall_s"] > 0

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pyarrow as pa
+import pytest
 import ray
 
 from featurebox_ray.stages.rank import global_row_number
@@ -84,5 +85,35 @@ def test_global_row_number_empty_schema_and_nan_order():
         FROM df ORDER BY id
     """).df()
     con.close()
+    assert (got["g_rank"].to_numpy(np.int64)
+            == want["g_rank"].to_numpy(np.int64)).all()
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_global_row_number_nan_and_null_leading_key(descending):
+    """A leading float order column that is mostly NaN and NULL: Ray's
+    sampled range boundaries must not overlap (every row ranked once),
+    and NaN ranks above every number and NULL last, as in DuckDB."""
+    import duckdb
+
+    rng = np.random.default_rng(17)
+    n = 800
+    u = rng.random(n)
+    v = pa.array(np.where(u < 0.6, np.nan, rng.integers(0, 5, n)),
+                 mask=u > 0.9)
+    t = pa.table({"id": pa.array(rng.permutation(n), pa.int64()), "v": v})
+    got = (global_row_number(ray.data.from_arrow(t).repartition(8),
+                             order_cols=["v", "id"], descending=descending)
+           .to_pandas().sort_values("id").reset_index(drop=True))
+    order = "DESC" if descending else "ASC"
+    con = duckdb.connect()
+    con.register("t", t)
+    want = con.execute(f"""
+        SELECT id, row_number() OVER (ORDER BY v {order} NULLS LAST,
+                                      id {order}) AS g_rank
+        FROM t ORDER BY id
+    """).df()
+    con.close()
+    assert len(got) == n
     assert (got["g_rank"].to_numpy(np.int64)
             == want["g_rank"].to_numpy(np.int64)).all()

@@ -300,3 +300,129 @@ def test_each_group_one_call_per_group():
         n, s = want.get(k, (0, 0))
         want[k] = (n + 1, s + i)
     assert got == want
+
+
+def _typed_rows(n=40):
+    import datetime
+
+    t0 = datetime.datetime(2024, 3, 1, tzinfo=datetime.timezone.utc)
+    return pa.table({
+        "k": pa.array([i % 7 for i in range(n)], pa.int64()),
+        "i": pa.array(range(n), pa.int64()),
+        "d": pa.array([["a", "b", None][i % 3] for i in range(n)]
+                      ).dictionary_encode(),
+        "ls": pa.array([None if i % 5 == 0 else "x" * (i % 4)
+                        for i in range(n)], pa.large_string()),
+        "l": pa.array([None if i % 6 == 0 else list(range(i % 3))
+                       for i in range(n)], pa.list_(pa.int32())),
+        "st": pa.array([None if i % 4 == 0 else {"a": i, "b": str(i)}
+                        for i in range(n)]),
+        "ts": pa.array([t0 + datetime.timedelta(minutes=i)
+                        for i in range(n)],
+                       pa.timestamp("ms", tz="America/New_York")),
+        "b": pa.array([None if i % 9 == 0 else i % 2 == 0
+                       for i in range(n)]),
+    })
+
+
+@pytest.mark.parametrize("num_partitions", [1, 4])
+def test_exchange_keeps_schema_and_rows(num_partitions):
+    """Slices travel as IPC buffers and come back with the exact schema
+    (dictionary, large_string, list, struct, tz timestamp, bool), from
+    input blocks that are slices and from zero-column empty blocks; the
+    output is each partition's rows sorted, in partition order."""
+    from featurebox_ray.stages.partition import (_hash_chunk,
+                                                 materialized_block_refs)
+
+    t = _typed_rows()
+    ds = ray.data.from_arrow([t.slice(0, 7), pa.table({}), t.slice(7, 13),
+                              pa.table({}), t.slice(20)])
+    out = partitioned_map(ds, lambda x: x, key="k", sort_keys=["k", "i"],
+                          num_partitions=num_partitions)
+    parts = ray.get(materialized_block_refs(out))
+    assert len(parts) == num_partitions
+    assert all(p.schema.equals(t.schema) for p in parts)
+    bucket = _hash_chunk(t["k"].combine_chunks(), num_partitions)
+    want = [t.filter(pa.array(bucket == p)).sort_by([("k", "ascending"),
+                                                     ("i", "ascending")])
+            for p in range(num_partitions)]
+    assert [p.to_pylist() for p in parts] == [w.to_pylist() for w in want]
+
+
+def test_exchange_keeps_tensor_column_in_fresh_cluster(tmp_path):
+    """A Ray tensor-extension column keeps its type through the IPC
+    slices in a fresh cluster, whose workers may not have imported Ray's
+    tensor types; the reader registers them before it reads."""
+    import os
+    import subprocess
+    import sys
+    import textwrap
+
+    script = textwrap.dedent("""
+        import numpy as np
+        import pyarrow as pa
+        import ray
+        from featurebox_ray.stages.partition import (
+            _to_ipc, materialized_block_refs, partitioned_map)
+
+        ray.init(address="local", num_cpus=2, include_dashboard=False)
+        rows = [{"k": i % 5, "i": i, "x": np.arange(3) * i}
+                for i in range(40)]
+        ds = ray.data.from_items(rows, override_num_blocks=4)
+        want = ds.schema().base_schema
+        out = partitioned_map(ds, lambda t: t, key="k",
+                              sort_keys=["k", "i"], num_partitions=3)
+        parts = ray.get(materialized_block_refs(out))
+        assert all(p.schema.equals(want) for p in parts), parts[0].schema
+        got = sorted((r["i"], r["x"].tolist())
+                     for r in ray.data.from_arrow(parts).iter_rows())
+        assert got == [(i, [0, i, 2 * i]) for i in range(40)], got
+        buf = _to_ipc(pa.concat_tables(parts))
+        ray.shutdown()
+        # a fresh interpreter reads the buffer without the types registered
+        print(buf.to_pybytes().hex())
+    """)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    p = subprocess.run([sys.executable, "-c", script], env=env,
+                       capture_output=True, text=True, timeout=300)
+    assert p.returncode == 0, p.stderr[-3000:]
+    hexbuf = p.stdout.split()[-1]
+    reader = textwrap.dedent(f"""
+        import sys
+        import pyarrow as pa
+        from featurebox_ray.stages.partition import _from_ipc
+        assert "ray.air.util.tensor_extensions.arrow" not in sys.modules
+        t = _from_ipc(pa.py_buffer(bytes.fromhex({hexbuf!r})))
+        print(type(t.schema.field("x").type).__name__, t.num_rows)
+    """)
+    q = subprocess.run([sys.executable, "-c", reader], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert q.returncode == 0, q.stderr[-3000:]
+    assert q.stdout.split() == ["ArrowTensorTypeV2", "40"]
+
+
+@pytest.mark.parametrize("typ", [pa.string(), pa.large_string(),
+                                 pa.binary()])
+def test_hash_chunk_string_buckets_unchanged(typ):
+    """String and binary keys bucket through their dictionary, with the
+    buckets of hashing every row (the "poly64-v2" bucketer), NULLs,
+    all-NULL, empty, sliced and chunked arrays included."""
+    from featurebox_ray.stages.partition import (_hash_chunk,
+                                                 _hash_string_values)
+
+    rng = np.random.default_rng(11)
+    vals = [None if v % 13 == 0 else f"conv-{v}" * (1 + v % 3)
+            for v in rng.integers(0, 200, 3000)]
+    if pa.types.is_binary(typ):
+        vals = [None if v is None else v.encode() for v in vals]
+    arr = pa.array(vals, typ)
+    for P in (1, 7, 32):
+        for a in (arr, arr.slice(5, 1000), arr.slice(1001),
+                  pa.nulls(5, typ), arr.slice(0, 0)):
+            want = (_hash_string_values(a) % np.uint64(P)).astype(np.int32)
+            np.testing.assert_array_equal(_hash_chunk(a, P), want)
+        chunked = pa.chunked_array([arr.slice(0, 1234), arr.slice(1234)])
+        got = np.concatenate([_hash_chunk(c, P) for c in chunked.chunks])
+        np.testing.assert_array_equal(
+            got, (_hash_string_values(arr) % np.uint64(P)).astype(np.int32))
