@@ -167,6 +167,7 @@ def top_customers(sf_dir: str, k: int = 10):
     from ray.data.aggregate import Sum
 
     from ..stages.join import broadcast_join
+    from ..stages.rank import range_top
 
     orders = read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     per_cust = orders.groupby("o_custkey").aggregate(Sum("o_totalprice"))
@@ -175,7 +176,9 @@ def top_customers(sf_dir: str, k: int = 10):
                            right_on="c_custkey")
     named = rename(named, {"sum(o_totalprice)": "total_spent"})
     named = _round_cols(named, ["total_spent"], 4)
-    return named.sort(["total_spent", "o_custkey"], descending=[True, False]).limit(k)
+    # a NaN price makes a NaN total, and a customer whose every price is
+    # NULL a NULL one: range_top keeps both out of Ray's sort boundaries
+    return range_top(named, ["total_spent", "o_custkey"], [True, False], k)
 
 
 def order_priority_revenue(sf_dir: str):
@@ -314,8 +317,11 @@ def corr_matrix(sf_dir: str, cols: Sequence[str] = ("l_quantity", "l_extendedpri
 
 
 def top_docs_by_len(sf_dir: str, k: int = 20):
+    from ..stages.rank import range_top
+
     ds = read(sf_dir, "documents", ["doc_id", "n_chars"])
-    return ds.sort(["n_chars", "doc_id"], descending=[True, False]).limit(k)
+    # n_chars may be NULL; range_top keeps it out of Ray's sort boundaries
+    return range_top(ds, ["n_chars", "doc_id"], [True, False], k)
 
 
 def union_all_keys(sf_dir: str):

@@ -124,8 +124,9 @@ def golden_records(ds, pairs_ds, *, id_col: str,
     match table), entities = connected components labeled by MIN
     member id, and each entity's canonical value per field is the
     MODE across its members, ties to the SMALLEST value (total order
-    via sorted-unique codes — lexicographic for strings).  Records in
-    no pair are singleton entities electing themselves.
+    via dictionary codes ranked in value order — lexicographic for
+    strings).  Records in no pair are singleton entities electing
+    themselves.
 
     Exactness: components are the order-independent min-label
     invariant (distributed min-label propagation over the matched
@@ -139,10 +140,10 @@ def golden_records(ds, pairs_ds, *, id_col: str,
     Shape: the id→entity map broadcasts once (``ray.put`` sorted
     arrays); every record routes ``(entity, fields…)`` through ONE
     entity-keyed exchange; the kernel elects all fields per
-    entity-run fully vectorized (np.unique codes + (count desc, code
-    asc) first-of-run).  NULL ids drop; NULL field values are
-    excluded from that field's vote, and an entity whose members are
-    all NULL in a field elects NULL there.
+    entity-run fully vectorized (value-ranked dictionary codes +
+    (count desc, code asc) first-of-run).  NULL ids drop; NULL field
+    values are excluded from that field's vote, and an entity whose
+    members are all NULL in a field elects NULL there.
 
     Returns ``(entity:int64, n_members:int64, <field columns>)``.
     Reference analog: none (completes the linkage family:
@@ -200,14 +201,21 @@ def golden_records(ds, pairs_ds, *, id_col: str,
         for f in fields:
             arr = t[f].combine_chunks()
             valid = pc.is_valid(arr).to_numpy(zero_copy_only=False)
-            vals = arr.to_pylist()
             vsel = np.flatnonzero(valid)
             if len(vsel) == 0:
                 out[f] = pa.nulls(n_ent, ftypes[f])
                 continue
-            uq, codes = np.unique(
-                np.asarray([vals[i] for i in vsel]),
-                return_inverse=True)
+            if pa.types.is_floating(arr.type):
+                # one vote for -0.0 and 0.0, which encode apart
+                arr = pc.add(arr, pa.scalar(0, arr.type))
+            # codes ranked in value order: each dictionary index maps to
+            # its value's rank, so the smallest code is the smallest value
+            d = pc.dictionary_encode(arr)
+            by_value = pc.sort_indices(d.dictionary).to_numpy()
+            rank = np.empty(len(by_value), np.int64)
+            rank[by_value] = np.arange(len(by_value))
+            codes = rank[pc.fill_null(d.indices, 0).to_numpy(
+                zero_copy_only=False)[vsel]]
             er = rid[vsel]
             o = np.lexsort((codes, er))
             er_s, cd_s = er[o], codes[o]
@@ -220,9 +228,10 @@ def golden_records(ds, pairs_ds, *, id_col: str,
             ge2, gc2 = ge[o2], gc[o2]
             first = np.concatenate([[True], ge2[1:] != ge2[:-1]])
             win_e, win_c = ge2[first], gc2[first]
-            col = np.full(n_ent, None, object)
-            col[win_e] = uq[win_c]
-            out[f] = pa.array(col.tolist(), ftypes[f])
+            pick = np.full(n_ent, -1, np.int64)
+            pick[win_e] = by_value[win_c]
+            out[f] = d.dictionary.take(
+                pa.array(pick, mask=pick < 0)).cast(ftypes[f])
         return pa.table(out)
 
     return partitioned_map(routed, elect, key="__e",

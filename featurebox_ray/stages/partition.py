@@ -35,6 +35,21 @@ fits worker heap; mega-conversations (single key > partition cap) are
 detected by :func:`key_histogram` and can be salted — see
 ``stages/window.py`` docstring for the state-carry contract.
 
+Every Ray Data execution the engine drains itself — each input drain of
+:func:`task_exchange`, :func:`materialized_block_refs`, and the Dataset
+:func:`partitioned_map` returns (so a caller's ``write_parquet`` on it)
+— runs on a private copy of the Dataset whose ``DataContext`` has
+``op_resource_reservation_enabled = False`` (:func:`_unreserved`).
+Reservation splits one execution's budget between its operators so a
+downstream operator is never starved; until the first task reports its
+output size it budgets that task at the operator's whole object-store
+share, so each execution runs one task alone before it widens.  Here
+nothing downstream can starve: a drain ends in a driver thread that
+takes each bundle as it lands, and the returned Dataset starts from P
+blocks already materialized.  Chains built on the returned Dataset
+inherit its context, and so run without reservation too; the caller's
+Dataset and ``DataContext.get_current()`` are never changed.
+
 Reference analog: the reference is single-machine and has no shuffle; this
 replaces its implicit "whole DataFrame in memory" assumption
 (featurebox/featurizers/base.py:165-226).
@@ -201,6 +216,19 @@ def _from_ipc(buf: pa.Buffer) -> pa.Table:
     return table
 
 
+def _unreserved(ds):
+    """A copy of ``ds`` that executes without Ray Data's op resource
+    reservation (see the module docstring).  The plan is deep-copied, so
+    a materialized Dataset keeps its snapshot and does not re-execute,
+    and it gets its own logical-plan handle, because linking a plan to
+    a Dataset points the shared logical plan at that plan's context."""
+    from ray.data._internal.logical.interfaces import LogicalPlan
+
+    plan = ds._plan.deep_copy()
+    plan._context.op_resource_reservation_enabled = False
+    return type(ds)(plan, LogicalPlan(ds._logical_plan.dag, plan._context))
+
+
 def partitioned_map(
     ds,
     kernel: Callable[[pa.Table], pa.Table],
@@ -217,7 +245,11 @@ def partitioned_map(
     their union would be, without running a ``union``.  Returns a
     Dataset of the kernel outputs, one block per partition.  The
     exchange runs eagerly: the upstream executes and every kernel has
-    run (or raised) when this returns.
+    run (or raised) when this returns.  The returned Dataset's context
+    has op resource reservation off, as its P blocks are already
+    materialized; chains built on it (a ``write_parquet``, say) inherit
+    that, and the caller's Datasets and the global context are left as
+    they were (module docstring).
 
     Contract given to the kernel:
       * all rows sharing a ``key`` value are present (never split);
@@ -239,7 +271,9 @@ def partitioned_map(
     gathers = task_exchange(ds, lambda _p, t: kernel(t), key=key,
                             sort_keys=sort_keys,
                             num_partitions=num_partitions)
-    return ray.data.from_arrow_refs(gathers)
+    out = ray.data.from_arrow_refs(gathers)  # its own context copy
+    out.context.op_resource_reservation_enabled = False
+    return out
 
 
 def each_group(fn: Callable[[pa.Table], pa.Table],
@@ -278,9 +312,11 @@ def materialized_block_refs(ds):
     zero-column bundles from shuffle ops) the schema fetch RE-EXECUTES the
     whole upstream plan with limit(1) — doubling the pipeline cost.  The
     ref bundles give the already-materialized block refs directly; fall
-    back to ``to_arrow_refs`` on Ray versions without the bundle API."""
+    back to ``to_arrow_refs`` on Ray versions without the bundle API.
+    The execution runs without op resource reservation (module
+    docstring); ``ds`` itself is not changed."""
     try:
-        return [r for b in ds.iter_internal_ref_bundles()
+        return [r for b in _unreserved(ds).iter_internal_ref_bundles()
                 for r in b.block_refs]
     except AttributeError:  # older/newer Ray: fall back
         return ds.to_arrow_refs()
@@ -306,7 +342,11 @@ def task_exchange(
     driver thread per input drains its ``iter_internal_ref_bundles()``
     and submits a split task for each block as its bundle lands, so
     splitting overlaps upstream compute and the inputs execute
-    concurrently, with no ``union`` barrier in front.  An exception
+    concurrently, with no ``union`` barrier in front.  Each drain runs
+    on a private copy of its input with op resource reservation off
+    (module docstring): the driver thread takes every bundle as it
+    lands, so no operator of the drain can be starved, and reservation
+    would only hold the first wave of tasks to one.  An exception
     raised while draining any input propagates.  Every split buckets
     its block by ``_hash_chunk(key) % num_partitions`` and emits one
     sub-table per partition (``num_returns=P`` — only refs travel to the
@@ -377,7 +417,7 @@ def task_exchange(
     def drain(ds) -> list:
         # split_refs[b][p] is block b's slice of partition p
         out = []
-        for bundle in ds.iter_internal_ref_bundles():
+        for bundle in _unreserved(ds).iter_internal_ref_bundles():
             for r in bundle.block_refs:
                 s = split.remote(r)
                 out.append(s if P > 1 else [s])

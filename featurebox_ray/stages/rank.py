@@ -165,9 +165,10 @@ def rank_in_group(ds, *, group_col: str, value_col: str, tie_col: str,
                            num_partitions=num_partitions)
 
 
-def _range_sort(ds, cols, descending: bool):
+def _range_sort(ds, cols, descending):
     """``ds`` range-sorted by ``cols`` through stand-in key columns, and
-    the stand-ins' names (callers drop them).
+    the stand-ins' names (callers drop them).  ``descending`` is one
+    bool for every column or a list with one per column.
 
     Ray's sort draws its range boundaries from samples ordered with a
     comparator under which a NULL or NaN is less than itself, so one in
@@ -176,14 +177,17 @@ def _range_sort(ds, cols, descending: bool):
     runs on stand-ins instead: per order column a class, then the value
     with NaN and NULL zeroed in float columns.  The classes put NaN
     above every number and NULL last in either direction, as SQL does."""
+    desc = (list(descending) if isinstance(descending, (list, tuple))
+            else [descending] * len(cols))
     keys = [k for i in range(len(cols)) for k in (f"__cls{i}", f"__val{i}")]
-    value, nan_cls, null_cls = (pa.scalar(c, pa.int8()) for c in (
-        (1, 2, 0) if descending else (0, 1, 2)))
+    classes = [[pa.scalar(c, pa.int8())
+                for c in ((1, 2, 0) if d else (0, 1, 2))] for d in desc]
 
     def stand_ins(t: pa.Table) -> pa.Table:
         if t.num_columns == 0:  # Ray's zero-column empty blocks
             return t
         for i, c in enumerate(cols):
+            value, nan_cls, null_cls = classes[i]
             v = t[c]
             cls = pc.if_else(pc.is_null(v), null_cls, value)
             if pa.types.is_floating(v.type):
@@ -196,8 +200,24 @@ def _range_sort(ds, cols, descending: bool):
         return t
 
     sd = ds.map_batches(stand_ins, batch_format="pyarrow",
-                        zero_copy_batch=True).sort(keys, descending=descending)
+                        zero_copy_batch=True).sort(
+        keys, descending=[d for d in desc for _ in (0, 1)])
     return sd, keys
+
+
+def range_top(ds, cols, descending, k: int, drop=()):
+    """The first ``k`` rows of ``ds`` in :func:`_range_sort`'s order
+    (NaN above every number, NULL last), without its stand-ins or the
+    columns in ``drop`` — ``sort(cols).limit(k)`` for order columns
+    that may hold NaN or NULL."""
+    sd, keys = _range_sort(ds, cols, descending)
+    gone = [*drop, *keys]
+
+    def strip(t: pa.Table) -> pa.Table:
+        return t.drop_columns([c for c in gone if c in t.column_names])
+
+    return sd.limit(k).map_batches(strip, batch_format="pyarrow",
+                                   zero_copy_batch=True)
 
 
 def global_row_number(ds, *, order_cols, rank_col: str = "g_rank",
@@ -332,7 +352,9 @@ def diversified_topk(ds, *, group_col: str, id_col: str,
     ``blocks × groups × m`` rows, never data), then a final
     ``sort.limit(k)`` over ``groups × m`` survivors.  Ties break to the
     smaller id everywhere; NULL scores sort last (DuckDB ``DESC``
-    default).  Returns ``(group_col, id_col, score_col)``.
+    default) and a NaN score ranks below every number and above NULL
+    (DuckDB: ``ORDER BY score IS NULL, isnan(score), score DESC, id``).
+    Returns ``(group_col, id_col, score_col)``.
     """
     from .partition import partitioned_map, sort_table
 
@@ -368,13 +390,10 @@ def diversified_topk(ds, *, group_col: str, id_col: str,
                                 sort_keys=[group_col, neg, id_col],
                                 num_partitions=num_partitions)
 
-    def drop_neg(t: pa.Table) -> pa.Table:
-        return (t.drop_columns([neg]) if neg in t.column_names else t)
-
-    return (survivors.sort([neg, id_col])
-            .limit(k)
-            .map_batches(drop_neg, batch_format="pyarrow",
-                         zero_copy_batch=True))
+    # ascending -score puts NaN after every number and NULL last, as
+    # the Arrow sorts above do; the range sort keeps NaN and NULL out of
+    # Ray's sampled boundaries, which they can put out of order
+    return range_top(survivors, [neg, id_col], False, k, drop=[neg])
 
 
 def budget_select(ds, *, order_cols, cost_col: str, budget: int,

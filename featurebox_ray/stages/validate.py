@@ -50,7 +50,8 @@ def validate_constraints(ds, rules: List[Dict],
     ok:bool, viol_frac:float64)``."""
     import ray
 
-    from .partition import materialized_block_refs, partitioned_map
+    from .partition import (materialized_block_refs, partitioned_map,
+                            sum_partials)
 
     for r in rules:
         if r["kind"] not in KINDS:
@@ -58,16 +59,19 @@ def validate_constraints(ds, rules: List[Dict],
     names = [r["name"] for r in rules]
     if len(set(names)) != len(names):
         raise ValueError("duplicate rule names")
-    simple = [r for r in rules if r["kind"] != "unique"]
     uniques = [r for r in rules if r["kind"] == "unique"]
 
     def partial(b: pa.Table) -> pa.Table:
-        out_r, out_v = [], []
-        for r in simple:
-            col = b[r["col"]].combine_chunks() if b.num_rows else None
-            if b.num_rows == 0:
-                v = 0
-            elif r["kind"] == "not_null":
+        # one row per rule — the uniqueness rules too, with 0, so the
+        # block's row count reaches the driver when every rule is a
+        # uniqueness rule — and the row count in its own column
+        out_v = []
+        for r in rules:
+            if b.num_rows == 0 or r["kind"] == "unique":
+                out_v.append(0)
+                continue
+            col = b[r["col"]].combine_chunks()
+            if r["kind"] == "not_null":
                 v = col.null_count
             else:
                 valid = pc.is_valid(col)
@@ -83,26 +87,21 @@ def validate_constraints(ds, rules: List[Dict],
                         col, r["pattern"]))
                 v = int(pc.sum(pc.and_(pc.fill_null(bad, False),
                                        valid)).as_py() or 0)
-            out_r.append(r["name"])
             out_v.append(v)
-        # the total row count rides once per block under a sentinel
-        # rule (its "violations" slot), so every rule — including the
-        # uniqueness rules counted in their own exchange — reports n
-        out_r.append("\x00total")
-        out_v.append(b.num_rows)
-        return pa.table({"rule": pa.array(out_r, pa.string()),
-                         "viol": pa.array(out_v, pa.int64())})
+        return pa.table({"rule": pa.array(names, pa.string()),
+                         "viol": pa.array(out_v, pa.int64()),
+                         "n": pa.array([b.num_rows] * len(rules),
+                                       pa.int64())})
 
-    agg_v: dict = {}
-    for blk in ray.get(materialized_block_refs(
+    sums = sum_partials(
+        ray.get(materialized_block_refs(
             ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=None))):
-        if "rule" not in blk.column_names:
-            continue
-        for rr, vv in zip(blk["rule"].to_pylist(),
-                          blk["viol"].to_pylist()):
-            agg_v[rr] = agg_v.get(rr, 0) + vv
-    total = agg_v.pop("\x00total", 0)
+                           zero_copy_batch=True, batch_size=None))),
+        keys=["rule"], vals=["viol", "n"])
+    agg_v = {} if sums is None else dict(
+        zip(sums["rule"].to_pylist(), sums["viol"].to_pylist()))
+    # every rule row of a block carries that block's row count
+    total = 0 if sums is None else sums["n"][0].as_py()
 
     for r in uniques:
         col = r["col"]

@@ -117,3 +117,33 @@ def test_global_row_number_nan_and_null_leading_key(descending):
     assert len(got) == n
     assert (got["g_rank"].to_numpy(np.int64)
             == want["g_rank"].to_numpy(np.int64)).all()
+
+
+def test_range_top_mixed_directions_nan_and_null():
+    """range_top (the relational top-k sorts) with a descending float
+    column that is mostly NaN and NULL and an ascending tie-break: the
+    first k rows are DuckDB's ``ORDER BY v DESC NULLS LAST, id``, each
+    once, and the stand-in columns are gone."""
+    import duckdb
+
+    from featurebox_ray.stages.rank import range_top
+
+    rng = np.random.default_rng(23)
+    n = 600
+    u = rng.random(n)
+    v = pa.array(np.where(u < 0.5, np.nan, rng.integers(0, 4, n)),
+                 mask=u > 0.85)
+    t = pa.table({"id": pa.array(rng.permutation(n), pa.int64()), "v": v})
+    k = 540  # past every NaN and number, into the NULLs
+    got = (range_top(ray.data.from_arrow(t).repartition(8), ["v", "id"],
+                     [True, False], k).to_pandas()
+           .sort_values("id").reset_index(drop=True))
+    con = duckdb.connect()
+    con.register("t", t)
+    want = con.execute(f"""
+        SELECT id, v FROM t ORDER BY v DESC NULLS LAST, id LIMIT {k}
+    """).df().sort_values("id").reset_index(drop=True)
+    con.close()
+    assert got.columns.tolist() == ["id", "v"]
+    assert len(got) == k and got["id"].is_unique
+    assert got["id"].tolist() == want["id"].tolist()

@@ -52,3 +52,61 @@ def test_all_null_field_elects_null():
     df = _run(records, pairs)
     assert len(df) == 1
     assert pd.isna(df.iloc[0].brand) and df.iloc[0]["size"] == 3
+
+
+def test_election_fuzz_matches_python_mode():
+    """Random components with many tied votes: every field elects the
+    most frequent non-NULL value, ties to the smallest, as a plain
+    Python union-find + count replay does; -0.0 and 0.0 are one vote."""
+    import numpy as np
+
+    rng = np.random.default_rng(7)
+    n = 300
+    ids = rng.permutation(np.arange(1000, 1000 + n))
+    brand = [None if r < 0.15 else f"b{int(v)}"
+             for r, v in zip(rng.random(n), rng.integers(0, 4, n))]
+    size = [None if r < 0.15 else int(v)
+            for r, v in zip(rng.random(n), rng.integers(-3, 3, n))]
+    records = pa.table({"id": pa.array(ids, pa.int64()),
+                        "brand": pa.array(brand, pa.string()),
+                        "size": pa.array(size, pa.int32())})
+    a = rng.choice(ids, 200)
+    b = rng.choice(ids, 200)
+    pairs = pa.table({"id_a": pa.array(a, pa.int64()),
+                      "id_b": pa.array(b, pa.int64())})
+
+    parent = {int(i): int(i) for i in ids}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for x, y in zip(a.tolist(), b.tolist()):
+        rx, ry = find(x), find(y)
+        parent[max(rx, ry)] = min(rx, ry)
+    members = {}
+    for i, br, sz in zip(ids.tolist(), brand, size):
+        members.setdefault(find(i), []).append((br, sz))
+
+    def mode(vals):
+        vals = [v for v in vals if v is not None]
+        if not vals:
+            return None
+        return min(set(vals), key=lambda v: (-vals.count(v), v))
+
+    want = [(e, len(m), mode([x[0] for x in m]), mode([x[1] for x in m]))
+            for e, m in sorted(members.items())]
+    for parts in (1, 4):
+        got = _run(records, pairs, parts)
+        assert [(r.entity, r.n_members, None if pd.isna(r.brand) else r.brand,
+                 None if pd.isna(r.size) else int(r.size))
+                for r in got.itertuples()] == want
+
+    # split, the zeros would lose 1-1 to the two 1.0 votes
+    zeros = pa.table({"id": pa.array([1, 2, 3, 4], pa.int64()),
+                      "brand": pa.array(["x"] * 4),
+                      "size": pa.array([-0.0, 0.0, 1.0, 1.0])})
+    z = _run(zeros, pa.table({"id_a": pa.array([1, 2, 3], pa.int64()),
+                              "id_b": pa.array([2, 3, 4], pa.int64())}))
+    assert z["size"].tolist() == [0.0]

@@ -426,3 +426,152 @@ def test_hash_chunk_string_buckets_unchanged(typ):
         got = np.concatenate([_hash_chunk(c, P) for c in chunked.chunks])
         np.testing.assert_array_equal(
             got, (_hash_string_values(arr) % np.uint64(P)).astype(np.int32))
+
+
+def _within(seconds, fn):
+    """``fn()``, failing the test if it has not returned in ``seconds``
+    (an execution that starves hangs instead of raising)."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(1)
+    try:
+        return pool.submit(fn).result(timeout=seconds)
+    finally:
+        pool.shutdown(wait=False)
+
+
+def _reservation_flags(ds):
+    from ray.data import DataContext
+
+    return (ds.context.op_resource_reservation_enabled,
+            ds._logical_plan.context.op_resource_reservation_enabled,
+            DataContext.get_current().op_resource_reservation_enabled)
+
+
+def test_drains_leave_caller_context_alone(tmp_path):
+    """partitioned_map, task_exchange, run_partitioned_checkpointed and
+    materialized_block_refs drain a private copy: the caller's Dataset
+    (its plan's context and its logical plan's) and the global context
+    keep op reservation on, while the Dataset partitioned_map returns,
+    and a chain built on it, run with it off."""
+    from featurebox_ray.stages.partition import (materialized_block_refs,
+                                                 task_exchange)
+    from featurebox_ray.state.checkpoint import run_partitioned_checkpointed
+
+    def fresh():
+        return ray.data.from_items(_side_rows(60, 7, 0, 5),
+                                   override_num_blocks=3).map_batches(
+            lambda t: t, batch_format="pyarrow")
+
+    kw = dict(key="k", sort_keys=["k", "ts"], num_partitions=3)
+    ds = fresh()
+    out = partitioned_map(ds, _running_sum, **kw)
+    assert _reservation_flags(ds) == (True, True, True)
+    assert out.context.op_resource_reservation_enabled is False
+    chained = out.map_batches(lambda t: t, batch_format="pyarrow")
+    assert chained.context.op_resource_reservation_enabled is False
+    assert chained.count() == 60
+
+    ds = fresh()
+    ray.get(task_exchange(ds, lambda p, t: t.num_rows, **kw))
+    assert _reservation_flags(ds) == (True, True, True)
+
+    ds = fresh()
+    run_partitioned_checkpointed(ds, lambda t: t, str(tmp_path / "ck"),
+                                 input_desc="ctx", **kw)
+    assert _reservation_flags(ds) == (True, True, True)
+
+    ds = fresh()
+    assert sum(b.num_rows for b in ray.get(materialized_block_refs(ds))) == 60
+    assert _reservation_flags(ds) == (True, True, True)
+
+
+class _AddTwice:
+    """Actor-pool stage: ``v2 = 2 v``."""
+
+    def __call__(self, t: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+
+        return t.append_column("v2", pc.multiply(t["v"], 2))
+
+
+def _one_pass(rows):
+    """The in-process result of ``_AddTwice`` then ``_running_sum``."""
+    import pandas as pd
+
+    df = pd.DataFrame(rows).sort_values(["k", "ts"])
+    df["v2"] = df["v"] * 2
+    return _sorted_rows(_running_sum(pa.Table.from_pandas(
+        df, preserve_index=False)).to_pandas())
+
+
+def test_actor_pool_upstream_through_exchange():
+    """An upstream with an actor-pool stage drains without op
+    reservation and completes, matching the one-pass result."""
+    import pandas as pd
+
+    rows = _side_rows(400, 31, 0, 6)
+    ds = ray.data.from_items(rows, override_num_blocks=8).map_batches(
+        _AddTwice, batch_format="pyarrow", concurrency=2)
+    got = _within(180, lambda: partitioned_map(
+        ds, _running_sum, key="k", sort_keys=["k", "ts"],
+        num_partitions=4).to_pandas())
+    want = _one_pass(rows)
+    pd.testing.assert_frame_equal(_sorted_rows(got), want)
+    assert (got.sort_values(["k", "ts"])["v2"].to_numpy()
+            == want.sort_values(["k", "ts"])["v"].to_numpy() * 2).all()
+
+
+def test_actor_pool_downstream_and_write(tmp_path):
+    """An actor-pool stage and a write_parquet chained on
+    partitioned_map's output (which runs without op reservation)
+    complete, and the written rows match the one-pass result."""
+    import pandas as pd
+
+    rows = _side_rows(400, 31, 0, 8)
+    out_dir = str(tmp_path / "out")
+
+    def run():
+        out = partitioned_map(
+            ray.data.from_items(rows, override_num_blocks=8), _running_sum,
+            key="k", sort_keys=["k", "ts"], num_partitions=4)
+        out.map_batches(_AddTwice, batch_format="pyarrow",
+                        concurrency=2).write_parquet(out_dir)
+
+    _within(180, run)
+    got = pd.read_parquet(out_dir)
+    pd.testing.assert_frame_equal(_sorted_rows(got), _one_pass(rows))
+    assert (got["v2"] == got["v"] * 2).all()
+
+
+def test_materialized_input_drains_without_reexecuting(tmp_path):
+    """A materialized input keeps its snapshot through the private
+    copies: draining it twice returns the same block refs, the exchange
+    sees the same rows, and the read never runs again."""
+    import os
+
+    from featurebox_ray.stages.partition import materialized_block_refs
+
+    calls = str(tmp_path / "calls")
+    os.makedirs(calls)
+
+    def counted(t: pa.Table) -> pa.Table:
+        import uuid
+
+        open(os.path.join(calls, uuid.uuid4().hex), "w").close()
+        return t
+
+    rows = _side_rows(120, 9, 0, 10)
+    m = ray.data.from_items(rows, override_num_blocks=4).map_batches(
+        counted, batch_format="pyarrow").materialize()
+    ran = len(os.listdir(calls))
+    assert ran == 4
+    first = materialized_block_refs(m)
+    second = materialized_block_refs(m)
+    assert first == second
+    assert ([b.to_pylist() for b in ray.get(first)]
+            == [b.to_pylist() for b in ray.get(second)])
+    got = partitioned_map(m, _running_sum, key="k", sort_keys=["k", "ts"],
+                          num_partitions=3).to_pandas()
+    assert len(got) == 120
+    assert len(os.listdir(calls)) == ran

@@ -85,3 +85,20 @@ def test_validate_bad_kind_and_dup_names_raise():
         validate_constraints(ds, [
             {"name": "x", "kind": "not_null", "col": "k"},
             {"name": "x", "kind": "not_null", "col": "k"}])
+
+
+def test_validate_rule_named_like_a_total_keeps_its_count():
+    """The row total travels in its own column, so no rule name can be
+    folded into it: a rule named ``"\\x00total"`` reports its own
+    violations and every rule reports the true row count."""
+    t = pa.table({"k": pa.array([1, None, 3, None, 5, None], pa.int64())})
+    ds = ray.data.from_arrow(t).repartition(3)
+    got = validate_constraints(ds, [
+        {"name": "\x00total", "kind": "not_null", "col": "k"},
+        {"name": "u", "kind": "unique", "col": "k"}]).to_pylist()
+    assert [r["rule"] for r in got] == ["\x00total", "u"]
+    assert [r["n"] for r in got] == [6, 6]
+    assert [r["violations"] for r in got] == [3, 0]
+    only_unique = validate_constraints(ds, [
+        {"name": "u", "kind": "unique", "col": "k"}]).to_pylist()
+    assert only_unique[0]["n"] == 6

@@ -5,6 +5,8 @@ import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+import pytest
 import ray
 
 from featurebox_ray.stages.tfidf import vocab_overlap
@@ -120,6 +122,50 @@ def test_diversified_topk_duckdb_fuzz():
         if prev is not None:
             assert got.equals(prev)
         prev = got
+
+
+@pytest.mark.parametrize("seed", [41, 42, 43])
+def test_diversified_topk_nan_and_null_scores(seed):
+    """A float score that is mostly NaN and NULL, over 8 blocks and 8
+    partitions: the final global sort keeps every survivor once and in
+    order (Ray's sampled boundaries see stand-in keys, not NaN or NULL)
+    and ranks NaN below every number and NULL last."""
+    from featurebox_ray.stages.rank import diversified_topk
+
+    rng = np.random.default_rng(seed)
+    n = 800
+    u = rng.random(n)
+    t = pa.table({
+        "g": pa.array([f"s{i}" for i in rng.integers(0, 10, n)]),
+        "id": pa.array(rng.permutation(n), pa.int64()),
+        "score": pa.array(np.where(u < 0.6, np.nan,
+                                   rng.integers(0, 5, n).astype(float)),
+                          mask=u > 0.9),
+    })
+    con = duckdb.connect()
+    con.register("t", t)
+    exp = con.sql("""
+        WITH r AS (
+          SELECT g, id, score FROM t
+          QUALIFY row_number() OVER (
+              PARTITION BY g ORDER BY score IS NULL, isnan(score),
+                                      score DESC, id) <= 75
+        )
+        SELECT g, id, score FROM r
+        ORDER BY score IS NULL, isnan(score), score DESC, id LIMIT 700
+    """).df().sort_values("id").reset_index(drop=True)
+    con.close()
+    # the quota and the cut both fall among the NaN and NULL scores
+    missing = set(t.filter(pc.is_null(t["score"], nan_is_null=True))
+                  ["id"].to_pylist())
+    assert 0 < len(missing & set(exp["id"])) < len(missing)
+    got = (diversified_topk(ray.data.from_arrow(t).repartition(8),
+                            group_col="g", id_col="id", score_col="score",
+                            m=75, k=700, num_partitions=8)
+           .to_pandas().sort_values("id").reset_index(drop=True))
+    assert got.columns.tolist() == ["g", "id", "score"]
+    assert len(got) == 700 and got["id"].is_unique
+    pd.testing.assert_frame_equal(got, exp, check_dtype=False)
 
 
 GROUP_TOP_ORACLE = r"""
