@@ -1421,10 +1421,9 @@ def replay_gk_tau(columns: dict, pairs):
 
     out = []
     for xc, yc in pairs:
-        xs = ["\x00null" if v is None else str(v)
-              for v in columns[xc]]
-        ys = ["\x00null" if v is None else str(v)
-              for v in columns[yc]]
+        # NULL is its own category, keyed as None (no stand-in string)
+        xs = [None if v is None else str(v) for v in columns[xc]]
+        ys = [None if v is None else str(v) for v in columns[yc]]
         cells = Counter(zip(xs, ys))
         n = sum(cells.values())
         if n == 0:

@@ -3,12 +3,13 @@
 The staged pipeline (scalar → window → asof) pays TWO conv-hash shuffles:
 one for the window stage, one for the as-of join.  Both stages need the
 identical partitioning (key=conv_id, sort=(conv_id, ts, ...)), so this
-module hash-partitions the tagged transcripts and the tagged feature table
-together in ONE exchange (two inputs, no ``union`` in front of it) and
-runs a fused kernel per sorted partition: as-of merge first (vectorized
-last-occurrence gather), then the window features over the merged left
-rows — exactly the "pick ONE partitioning key and reuse it across stages"
-rule from the task brief.
+module hash-partitions the transcripts and the feature table together in
+ONE exchange (two inputs, no ``union`` and no map in front of it; the
+gather hands the kernel each side as its own sorted table) and runs a
+fused kernel per partition: as-of match first (``asof._asof_match``, the
+one backward as-of kernel ``asof_join`` uses too), then the window
+features over the backfilled left rows — exactly the "pick ONE
+partitioning key and reuse it across stages" rule from the task brief.
 
 Output is identical to the staged pipeline (tests assert equality).
 """
@@ -17,14 +18,12 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
 import pyarrow as pa
 
-from ..functions import segments as seg
+from ..stages.asof import _append_matched, _asof_match
+from ..stages.join import keyed_right
 from ..stages.partition import partitioned_map
 from ..stages.window import WindowSpec, window_kernel
-
-SIDE_COL = "__side"
 
 
 def fused_features_backfill(
@@ -60,60 +59,26 @@ def fused_features_backfill(
     if left_schema is None:
         left_schema = left_ds.schema()
     ltypes = dict(zip(left_schema.names, left_schema.types))
-    left_names = list(left_schema.names)
     rschema = right_ds.schema()
     rtypes = dict(zip(rschema.names, rschema.types))
 
-    overlap_cols = [c for c in right_cols if c in left_names]
+    overlap_cols = [c for c in right_cols if c in ltypes]
     if overlap_cols:
         raise ValueError(
             f"right_cols {overlap_cols} collide with left columns; "
             "rename or project the left side first")
+    right_ds = keyed_right(right_ds, getattr(rschema, "base_schema", rschema),
+                           on=key, right_on=key, key_type=ltypes[key],
+                           cols=[ts_col] + right_cols)
 
-    left_tag = 1
-    right_tag = 2 if strict else 0
+    def kernel(left: pa.Table, right: pa.Table) -> pa.Table:
+        src = _asof_match(left, right, key=key, ts_col=ts_col, strict=strict)
+        # left is sorted by (key, ts, order); window features on top
+        return window_kernel(
+            _append_matched(left, right, src, right_cols, rtypes), spec)
 
-    def tag_left(t: pa.Table) -> pa.Table:
-        for c in right_cols:
-            t = t.append_column(c, pa.nulls(t.num_rows, rtypes[c]))
-        return t.append_column(SIDE_COL, pa.array(np.full(t.num_rows, left_tag, np.int8)))
-
-    def tag_right(t: pa.Table) -> pa.Table:
-        cols = {}
-        for c in left_names:
-            if c in (key, ts_col):
-                cols[c] = t[c].cast(ltypes[c])
-            else:
-                cols[c] = pa.nulls(t.num_rows, ltypes[c])
-        for c in right_cols:
-            cols[c] = t[c]
-        out = pa.table(cols)
-        return out.append_column(SIDE_COL, pa.array(np.full(t.num_rows, right_tag, np.int8)))
-
-    lt = left_ds.map_batches(tag_left, batch_format="pyarrow", zero_copy_batch=True)
-    rt = right_ds.map_batches(tag_right, batch_format="pyarrow", zero_copy_batch=True)
-
-    def kernel(table: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        codes = pc.dictionary_encode(table[key].combine_chunks()).indices.to_numpy(
-            zero_copy_only=False)
-        side = table[SIDE_COL].combine_chunks().to_numpy()
-        seg_start, _, _ = seg.segment_ids(codes)
-        is_right = side == right_tag
-        last = seg.last_occurrence_index(is_right, seg_start)
-        left_mask = side == left_tag
-        left_pos = np.flatnonzero(left_mask)
-        src = last[left_pos]
-        idx = pa.array(np.where(src >= 0, src, 0), type=pa.int64(), mask=(src < 0))
-        merged = table.filter(pa.array(left_mask)).drop_columns([SIDE_COL] + right_cols)
-        for c in right_cols:
-            merged = merged.append_column(c, table[c].take(idx))
-        # merged is still sorted by (key, ts, order); window features on top
-        return window_kernel(merged, spec)
-
-    sort_keys = [key, ts_col, SIDE_COL] + right_cols + [order_col]
     return partitioned_map(
-        [lt, rt], kernel, key=key, sort_keys=sort_keys,
+        [left_ds, right_ds], kernel, key=key,
+        sort_keys=[[key, ts_col, order_col], [key, ts_col] + right_cols],
         num_partitions=num_partitions, strategy=strategy,
     )

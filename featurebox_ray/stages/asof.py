@@ -8,17 +8,23 @@ axis.
 
 Physical plan (no driver-side work, one shuffle):
 
-1. tag both sides (``__side``: right sorts before left at equal ts for
-   ``<=`` semantics, after it for strict ``<``), harmonize schemas with null
-   columns;
-2. conv-hash ``partitioned_map`` of both sides together, sorted by
-   ``(key, ts, __side, right value cols)`` — every key's merged timeline
-   is contiguous and ordered;
-3. one vectorized pass: ``last_occurrence_index`` (a segmented running
-   maximum over right-row positions) gives, for each left row, the most
-   recent visible right row; Arrow ``take`` with null indices materializes
-   the backfilled columns (null where no update precedes the turn — the
-   null-backfill path for keys absent from the right side).
+1. one key-hash exchange of both sides in the per-input form
+   (``partition.task_exchange``): each partition's gather hands the
+   kernel the left rows sorted by ``(key, ts, order_col)`` and the right
+   rows sorted by ``(key, ts, right value cols)``, as two tables — the
+   right side needs no map in front of the exchange unless its key type
+   differs from the left's;
+2. :func:`_asof_match` merges the two timelines with one ``np.lexsort``
+   over numeric arrays only — (key code, ts is NULL, ts, side tag,
+   position in its side): a right row at equal ``(key, ts)`` sorts before
+   the left row for ``<=`` semantics, after it for strict ``<``.  A
+   segmented running maximum over right-row positions
+   (``last_occurrence_index``) then gives, for each left row, the most
+   recent visible right row;
+3. Arrow ``take`` with null indices materializes the backfilled columns
+   (null where no update precedes the turn — the null-backfill path for
+   keys absent from the right side).  Payload columns are never
+   concatenated or sorted together.
 
 Ties at identical ``(key, ts)`` on the right side resolve to the row with the
 largest value tuple (deterministic; the oracle SQL replicates this with a
@@ -39,9 +45,89 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions import segments as seg
+from .join import keyed_right
 from .partition import partitioned_map
 
-SIDE_COL = "__side"
+
+def _ts_values(arr: pa.Array):
+    """``(values, is_null)`` of a ts column as numpy: floats as float64,
+    everything else (ints, timestamps) as int64, NULL read as 0."""
+    is_null = np.asarray(arr.is_null())
+    if not pa.types.is_floating(arr.type):
+        arr = arr.cast(pa.int64())
+    return pc.fill_null(arr, 0).to_numpy(zero_copy_only=False), is_null
+
+
+def _asof_match(left: pa.Table, right: pa.Table, *, key: str, ts_col: str,
+                direction: str = "backward",
+                strict: bool = False) -> np.ndarray:
+    """The right row each left row as-of matches (int64; -1 = none), for
+    the two tables of a per-input gather (module docstring, step 2); the
+    right key and ts are read in the left's types.  The left tag is 1; a
+    right row at equal ``(key, ts)`` takes 0 (before the left row) where
+    it may match and 2 where it may not, so backward matches ``<=``
+    (``<`` when strict) and takes the last tied right row by value
+    tuple, forward ``>=`` (``>``) and the first.  Nearest takes the
+    smaller gap, the backward row on equal gaps; a gap to or from a NULL
+    ts is undefined and leaves the forward row.  A NULL key never
+    matches; a NULL ts sorts after every non-NULL ts of its key, as
+    Arrow's sort puts it."""
+    nl, nr = left.num_rows, right.num_rows
+    if nl == 0 or nr == 0:
+        return np.full(nl, -1, np.int64)
+    lk = left[key].combine_chunks()
+    if pa.types.is_dictionary(lk.type):
+        lk = lk.cast(lk.type.value_type)
+    keys = pa.concat_arrays([lk, right[key].combine_chunks().cast(lk.type)])
+    code = pc.fill_null(pc.dictionary_encode(keys).indices, -1).to_numpy()
+    lts = left[ts_col].combine_chunks()
+    ts, ts_null = _ts_values(pa.concat_arrays(
+        [lts, right[ts_col].combine_chunks().cast(lts.type)]))
+    # 0: right rows tied on (key, ts) sort before the left row; 2: after
+    right_tag = 2 if strict == (direction != "forward") else 0
+    tag = np.concatenate([np.ones(nl, np.int8),
+                          np.full(nr, right_tag, np.int8)])
+    pos = np.concatenate([np.arange(nl), np.arange(nr)])
+    order = np.lexsort((pos, tag, ts, ts_null, code))
+    is_right = order >= nl
+    seg_start, _, is_start = seg.segment_ids(code[order])
+    at = np.flatnonzero(~is_right)        # merged positions of left rows
+
+    def per_left(m: np.ndarray) -> np.ndarray:
+        out, m = np.empty(nl, np.int64), m[at]
+        out[order[at]] = np.where(m >= 0, order[np.maximum(m, 0)] - nl, -1)
+        return out
+
+    if direction != "forward":
+        match = back = per_left(seg.last_occurrence_index(is_right, seg_start))
+    if direction != "backward":
+        starts = np.flatnonzero(is_start)
+        ends = np.append(starts[1:], len(order))
+        match = fwd = per_left(seg.next_occurrence_index(
+            is_right, ends[np.cumsum(is_start) - 1]))
+    if direction == "nearest":
+        lt, rt, ln, rn = ts[:nl], ts[nl:], ts_null[:nl], ts_null[nl:]
+        b, f = np.maximum(back, 0), np.maximum(fwd, 0)
+        big = np.iinfo(np.int64).max // 2
+        gb = np.where(back >= 0, lt - rt[b], big)
+        gf = np.where(fwd >= 0, rt[f] - lt, big)
+        undefined = (((back >= 0) & (ln | rn[b]))
+                     | ((fwd >= 0) & (ln | rn[f])))
+        match = np.where((gb <= gf) & ~undefined, back, fwd)
+    match[code[:nl] < 0] = -1
+    return match
+
+
+def _append_matched(left: pa.Table, right: pa.Table, src: np.ndarray,
+                    right_cols: Sequence[str], right_types) -> pa.Table:
+    """``left`` with ``right_cols`` of its matched right rows appended
+    (``src``, -1 = none: NULL)."""
+    idx = pa.array(np.maximum(src, 0), pa.int64(), mask=src < 0)
+    for c in right_cols:
+        left = left.append_column(
+            c, right[c].take(idx) if right.num_rows
+            else pa.nulls(left.num_rows, right_types[c]))
+    return left
 
 
 def asof_join(
@@ -93,122 +179,49 @@ def asof_join(
             raise ValueError("tolerance_s must be non-negative")
     right_cols = list(right_cols)
     left_schema = left_ds.schema()
-    left_names = list(left_schema.names)
-    left_types = {n: t for n, t in zip(left_schema.names, left_schema.types)}
+    left_types = dict(zip(left_schema.names, left_schema.types))
     right_schema = right_ds.schema()
-    right_types = {n: t for n, t in zip(right_schema.names, right_schema.types)}
+    right_types = dict(zip(right_schema.names, right_schema.types))
 
-    overlap = [c for c in right_cols if c in left_names]
+    overlap = [c for c in right_cols if c in left_types]
     if overlap:
         raise ValueError(f"right_cols {overlap} collide with left columns")
+    tol_native = None
+    if tol_us is not None:
+        # the bound must be in the ts column's NATIVE unit: scale from
+        # seconds by the Arrow timestamp unit; plain numeric ts columns
+        # follow the repo's int64-microseconds convention
+        tt = left_types[ts_col]
+        unit = tt.unit if pa.types.is_timestamp(tt) else "us"
+        tol_native = int(round(
+            (tol_us / 1_000_000)
+            * {"s": 1, "ms": 10**3, "us": 10**6, "ns": 10**9}[unit]))
+    right_ds = keyed_right(right_ds, getattr(right_schema, "base_schema",
+                                             right_schema),
+                           on=key, right_on=key, key_type=left_types[key],
+                           cols=[ts_col] + right_cols)
 
-    left_tag = 1
-    if direction in ("backward", "nearest"):
-        # right rows at equal ts sort BEFORE left (match) unless strict;
-        # nearest uses the backward layout — an equal-ts right row is a
-        # gap-0 backward candidate, which always wins the gap compare
-        right_tag = 2 if strict else 0
-    else:
-        # forward: right rows at equal ts sort AFTER left (match) unless
-        # strict, mirroring the backward tag trick
-        right_tag = 0 if strict else 2
-    all_names = left_names + right_cols
-    # common physical schema for both sides
-    types = dict(left_types)
-    types.update({c: right_types[c] for c in right_cols})
-
-    def tag_left(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        for c in right_cols:
-            t = t.append_column(c, pa.nulls(n, types[c]))
-        return t.append_column(SIDE_COL, pa.array(np.full(n, left_tag, np.int8)))
-
-    def tag_right(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        cols = {}
-        for c in all_names:
-            if c in (key, ts_col):
-                cols[c] = t[c].cast(types[c])
-            elif c in right_cols:
-                cols[c] = t[c]
-            else:
-                cols[c] = pa.nulls(n, types[c])
-        out = pa.table(cols)
-        return out.append_column(SIDE_COL, pa.array(np.full(n, right_tag, np.int8)))
-
-    lt = left_ds.map_batches(tag_left, batch_format="pyarrow", zero_copy_batch=True)
-    rt = right_ds.map_batches(tag_right, batch_format="pyarrow", zero_copy_batch=True)
-    sides = [lt, rt]
-
-    def merge(table: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc_
-
-        codes = pc_.dictionary_encode(table[key].combine_chunks()).indices.to_numpy(
-            zero_copy_only=False
-        )
-        side = table[SIDE_COL].combine_chunks().to_numpy()
-        seg_start, _, is_start = seg.segment_ids(codes)
-        is_right = side == right_tag
-        left_mask = side == left_tag
-        if direction == "backward":
-            match = seg.last_occurrence_index(is_right, seg_start)
-        elif direction == "forward":
-            n = len(codes)
-            starts_idx = np.flatnonzero(is_start)
-            ends = np.append(starts_idx[1:], n)
-            seg_id = np.cumsum(is_start) - 1
-            match = seg.next_occurrence_index(is_right, ends[seg_id])
-        else:  # nearest: both scans, smaller |gap| wins, tie -> backward
-            n = len(codes)
-            starts_idx = np.flatnonzero(is_start)
-            ends = np.append(starts_idx[1:], n)
-            seg_id = np.cumsum(is_start) - 1
-            mb = seg.last_occurrence_index(is_right, seg_start)
-            mf = seg.next_occurrence_index(is_right, ends[seg_id])
-            ts_i = (table[ts_col].combine_chunks().cast(pa.int64())
-                    .to_numpy(zero_copy_only=False))
-            big = np.iinfo(np.int64).max // 2
-            gb = np.where(mb >= 0, ts_i - ts_i[np.where(mb >= 0, mb, 0)], big)
-            gf = np.where(mf >= 0, ts_i[np.where(mf >= 0, mf, 0)] - ts_i, big)
-            match = np.where(gb <= gf, mb, mf)
-        left_pos = np.flatnonzero(left_mask)
-        src = match[left_pos]  # right row index per left row, -1 = none
-        if tol_us is not None:
-            # the bound must be in the ts column's NATIVE unit: scale
-            # from seconds by the Arrow timestamp unit; plain numeric ts
-            # columns follow the repo's int64-microseconds convention
-            tt = table.schema.field(ts_col).type
-            unit = tt.unit if pa.types.is_timestamp(tt) else "us"
-            tol_native = int(round(
-                (tol_us / 1_000_000)
-                * {"s": 1, "ms": 10**3, "us": 10**6, "ns": 10**9}[unit]))
-            ts_np = (table[ts_col].combine_chunks().cast(pa.int64())
-                     .to_numpy(zero_copy_only=False))
-            has = src >= 0
-            gap = np.abs(ts_np[left_pos] - ts_np[np.where(has, src, 0)])
-            src = np.where(has & (gap <= tol_native), src, -1)
-        idx = pa.array(
-            np.where(src >= 0, src, 0),
-            type=pa.int64(),
-            mask=(src < 0),
-        )
-        out = table.filter(pa.array(left_mask)).drop_columns(
-            [SIDE_COL] + right_cols
-        )
-        for c in right_cols:
-            out = out.append_column(c, table[c].take(idx))
-        return out
+    def merge(left: pa.Table, right: pa.Table) -> pa.Table:
+        src = _asof_match(left, right, key=key, ts_col=ts_col,
+                          direction=direction, strict=strict)
+        if tol_native is not None and right.num_rows:
+            lt, ln = _ts_values(left[ts_col].combine_chunks())
+            rt, rn = _ts_values(right[ts_col].combine_chunks()
+                                .cast(left.schema.field(ts_col).type))
+            j = np.maximum(src, 0)
+            ok = ((src >= 0) & ~ln & ~rn[j]
+                  & (np.abs(lt - rt[j]) <= tol_native))
+            src = np.where(ok, src, -1)
+        return _append_matched(left, right, src, right_cols, right_types)
 
     # order_col last: deterministic output order for left rows tied on
-    # (key, ts) — same key list the fused transcript pipeline uses
-    sort_keys = [key, ts_col, SIDE_COL] + right_cols
-    if order_col is not None:
-        sort_keys.append(order_col)
+    # (key, ts) — the same left keys the fused transcript pipeline uses
+    left_keys = [key, ts_col] + ([order_col] if order_col is not None else [])
     return partitioned_map(
-        sides,
+        [left_ds, right_ds],
         merge,
         key=key,
-        sort_keys=sort_keys,
+        sort_keys=[left_keys, [key, ts_col] + right_cols],
         num_partitions=num_partitions,
     )
 

@@ -1,11 +1,12 @@
 """Co-partitioned hash equi-join (SURVEY.md §2.4).
 
-Both sides are tagged, schema-harmonized and hash-partitioned together by
-the join key (one shuffle); each partition kernel splits sides and joins
-vectorized.  Same machinery as the as-of join — in this sandbox it
-outperforms Ray's experimental ``Dataset.join`` aggregator-actor path by
->10x on mid-size inputs while scaling the same way (both sides exchange
-once by key hash).
+Both sides are hash-partitioned together by the join key in one exchange
+(``partition.task_exchange``, per-input form): each partition's gather
+hands the kernel the left rows and the right rows as two tables, each
+sorted by the key, and the kernel joins them with Arrow.  Same machinery
+as the as-of join — in this sandbox it outperforms Ray's experimental
+``Dataset.join`` aggregator-actor path by >10x on mid-size inputs while
+scaling the same way (both sides exchange once by key hash).
 
 For a SMALL right side prefer :func:`broadcast_join` — no shuffle at all:
 the right table rides the object store once (``ray.put``) and each batch
@@ -14,7 +15,7 @@ does a dictionary lookup.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 import pyarrow as pa
@@ -22,7 +23,49 @@ import pyarrow.compute as pc
 
 from .partition import partitioned_map
 
-SIDE = "__jside"
+
+def keyed_right(right_ds, rbase: pa.Schema, *, on: str, right_on: str,
+                key_type: pa.DataType, cols: List[str]):
+    """``right_ds`` with its key named ``on`` and typed ``key_type``,
+    projected to ``[on] + cols`` — one map, and only when ``right_on !=
+    on`` or the key types differ; otherwise ``right_ds`` itself.  It
+    runs before the exchange's split, so both sides' keys hash alike
+    and meet in one type in the kernel."""
+    if right_on == on and rbase.field(right_on).type == key_type:
+        return right_ds
+
+    def rekey(t: pa.Table) -> pa.Table:
+        return pa.table({on: t[right_on].cast(key_type),
+                         **{c: t[c] for c in cols}})
+
+    return right_ds.map_batches(rekey, batch_format="pyarrow",
+                                zero_copy_batch=True)
+
+
+def _co_sides(right_ds, lbase: pa.Schema, rbase: pa.Schema, *, on: str,
+              right_on: str, left_cols: List[str], right_cols: List[str]):
+    """The shared front of :func:`hash_join` and :func:`cogroup`.
+    Returns the right input keyed like the left (:func:`keyed_right`),
+    and ``sides(lt, rt)``, which gives a gather's two tables as
+    ``left_cols`` and ``[on] + right_cols``, typed empty when a side has
+    no rows there."""
+    key_type = lbase.field(on).type
+    right_ds = keyed_right(right_ds, rbase, on=on, right_on=right_on,
+                           key_type=key_type, cols=right_cols)
+    lempty = pa.schema([lbase.field(c) for c in left_cols]).empty_table()
+    rempty = pa.schema([pa.field(on, key_type)]
+                       + [rbase.field(c) for c in right_cols]).empty_table()
+
+    def sides(lt: pa.Table, rt: pa.Table):
+        return (lt.select(left_cols) if lt.num_rows else lempty,
+                rt.select([on] + right_cols) if rt.num_rows else rempty)
+
+    return right_ds, sides
+
+
+def _base(ds) -> pa.Schema:
+    schema = ds.schema()
+    return getattr(schema, "base_schema", schema)
 
 
 def hash_join(
@@ -49,61 +92,30 @@ def hash_join(
     "An Engine for Batches of Group-By Aggregates") formalizes: aggregate
     inside the join instead of shuffling the full join output."""
     right_on = right_on or on
-    lschema = left_ds.schema()
-    rschema = right_ds.schema()
-    left_cols = left_cols or [n for n in lschema.names]
-    right_cols = right_cols or [n for n in rschema.names if n != right_on]
-    rtypes = dict(zip(rschema.names, rschema.types))
-    ltypes = dict(zip(lschema.names, lschema.types))
+    lbase, rbase = _base(left_ds), _base(right_ds)
+    left_cols = left_cols or list(lbase.names)
+    right_cols = right_cols or [n for n in rbase.names if n != right_on]
     overlap = [c for c in right_cols if c in left_cols]
     if overlap:
         raise ValueError(f"overlapping output columns {overlap}; project first")
-    key_type = ltypes[on]
-    all_cols = {c: ltypes[c] for c in left_cols}
-    all_cols.update({c: rtypes[c] for c in right_cols})
-
-    def tag_left(t: pa.Table) -> pa.Table:
-        cols = {c: t[c] for c in left_cols}
-        for c in right_cols:
-            cols[c] = pa.nulls(t.num_rows, rtypes[c])
-        out = pa.table(cols)
-        return out.append_column(SIDE, pa.array(np.zeros(t.num_rows, np.int8)))
-
-    def tag_right(t: pa.Table) -> pa.Table:
-        cols = {}
-        for c in left_cols:
-            if c == on:
-                cols[c] = t[right_on].cast(key_type)
-            else:
-                cols[c] = pa.nulls(t.num_rows, ltypes[c])
-        for c in right_cols:
-            cols[c] = t[c]
-        out = pa.table(cols)
-        return out.append_column(SIDE, pa.array(np.ones(t.num_rows, np.int8)))
-
-    lt = left_ds.map_batches(tag_left, batch_format="pyarrow", zero_copy_batch=True)
-    rt = right_ds.map_batches(tag_right, batch_format="pyarrow", zero_copy_batch=True)
-    sides = [lt, rt]
-
+    right_ds, sides = _co_sides(right_ds, lbase, rbase, on=on,
+                                right_on=right_on, left_cols=left_cols,
+                                right_cols=right_cols)
     arrow_how = {"inner": "inner", "left": "left outer",
                  "full": "full outer"}[how]
     out_order = list(left_cols) + list(right_cols)
 
-    def merge(table: pa.Table) -> pa.Table:
+    def merge(lt: pa.Table, rt: pa.Table) -> pa.Table:
         # Arrow-native per-partition join: no pandas round-trip, and —
         # unlike pandas merge — unmatched left rows null-fill the right
         # columns WITHOUT promoting int64 -> float64, so every partition
         # emits the same fixed schema
-        side = table[SIDE].to_numpy(zero_copy_only=False)
-        lmask = side == 0
-        left_t = table.filter(pa.array(lmask)).select(left_cols)
-        right_t = table.filter(pa.array(~lmask)).select([on] + right_cols)
-        joined = left_t.join(right_t, keys=on, join_type=arrow_how)
-        joined = joined.select(out_order)
+        lt, rt = sides(lt, rt)
+        joined = lt.join(rt, keys=on, join_type=arrow_how).select(out_order)
         return combine(joined) if combine is not None else joined
 
     return partitioned_map(
-        sides, merge, key=on, sort_keys=[on],
+        [left_ds, right_ds], merge, key=on, sort_keys=[[on], [on]],
         num_partitions=num_partitions,
     )
 
@@ -177,8 +189,6 @@ def auto_join(left_ds, right_ds, *, on: str,
     with no match get nulls — for ``inner`` the null matches are
     filtered after the probe).
     """
-    import pyarrow.compute as pc
-
     # materialize once: the count probe would otherwise execute the
     # right lineage and the chosen join path would re-execute it all
     right_ds = right_ds.materialize()
@@ -246,10 +256,7 @@ def salted_join(left_ds, right_ds, *, on: str,
     right_on = right_on or on
     left_ds = left_ds.materialize()
     right_ds = right_ds.materialize()
-    lschema = left_ds.schema()
-    lbase = getattr(lschema, "base_schema", lschema)
-    rschema = right_ds.schema()
-    rbase = getattr(rschema, "base_schema", rschema)
+    lbase, rbase = _base(left_ds), _base(right_ds)
     left_cols = left_cols or list(lbase.names)
     right_cols = right_cols or [c for c in rbase.names
                                 if c != right_on]
@@ -320,8 +327,8 @@ def salted_join(left_ds, right_ds, *, on: str,
                            **{c: pa.array([], rbase.field(c).type)
                               for c in right_cols}}))
     if hot_right[right_on].type != key_type:
-        # match hash_join's tag_right cast: a right key of a narrower
-        # int type would fail Arrow's join against the left key
+        # the right key takes the left key's type, as hash_join's does:
+        # a right key of a narrower int type would fail Arrow's join
         hot_right = hot_right.set_column(
             hot_right.column_names.index(right_on), right_on,
             hot_right[right_on].cast(key_type))
@@ -373,10 +380,12 @@ def cogroup(left_ds, right_ds, *, on: str, right_on: Optional[str] = None,
     user ``kernel(left_tbl: pa.Table, right_tbl: pa.Table) ->
     pa.Table`` once per hash partition of the key, with BOTH sides'
     rows for that partition's keys co-located (never split) and each
-    side sorted by ``(key, *sort_keys∩side)``.  This is the tagged-
-    union exchange every built-in two-sided op (joins, as-of, diff)
-    rides, exposed so a user can write a custom merge/interval/
-    reconciliation operator without touching engine internals.
+    side sorted by ``(key, *sort_keys∩side)``.  This is the task
+    exchange's per-input gather (``partition.task_exchange``) that the
+    built-in two-sided ops (:func:`hash_join`, ``asof.asof_join``, the
+    fused transcript backfill) ride, exposed so a user can write a
+    custom merge/interval/reconciliation operator without touching
+    engine internals.
 
     Contract: non-key column names must be DISJOINT across sides
     (validated upfront); the right key column arrives renamed to
@@ -388,76 +397,26 @@ def cogroup(left_ds, right_ds, *, on: str, right_on: Optional[str] = None,
     Scale shape: ONE all-to-all of both inputs, then pure map —
     exactly one exchange regardless of kernel complexity.
     """
-    from .partition import partitioned_map
-
     if kernel is None:
         raise ValueError("cogroup: kernel is required")
     right_on = right_on or on
-    ls = left_ds.schema()
-    lbase = getattr(ls, "base_schema", ls)
-    rs = right_ds.schema()
-    rbase = getattr(rs, "base_schema", rs)
+    lbase, rbase = _base(left_ds), _base(right_ds)
     left_cols = list(lbase.names)
     right_cols = [c for c in rbase.names if c != right_on]
     # hash_join's stronger rule: ANY right column already present on
-    # the left clashes — including one named `on` itself (tag_right
-    # would silently overwrite the renamed key with it)
+    # the left clashes — including one named `on` itself (it would
+    # collide with the renamed right key)
     clash = [c for c in right_cols if c in left_cols]
     if clash:
         raise ValueError(
             f"cogroup: column name(s) {sorted(clash)} appear on both "
             "sides — project or rename first")
-    key_type = lbase.field(on).type
-    ltypes = {c: lbase.field(c).type for c in left_cols}
-    rtypes = {c: rbase.field(c).type for c in right_cols}
-
-    def tag_left(t: pa.Table) -> pa.Table:
-        cols = {c: t[c] for c in left_cols}
-        for c in right_cols:
-            cols[c] = pa.nulls(t.num_rows, rtypes[c])
-        return pa.table(cols).append_column(
-            SIDE, pa.array(np.zeros(t.num_rows, np.int8)))
-
-    def tag_right(t: pa.Table) -> pa.Table:
-        cols = {}
-        for c in left_cols:
-            cols[c] = (t[right_on].cast(key_type) if c == on
-                       else pa.nulls(t.num_rows, ltypes[c]))
-        for c in right_cols:
-            cols[c] = t[c]
-        return pa.table(cols).append_column(
-            SIDE, pa.array(np.ones(t.num_rows, np.int8)))
-
-    sides = [left_ds.map_batches(tag_left, batch_format="pyarrow",
-                                 zero_copy_batch=True),
-             right_ds.map_batches(tag_right, batch_format="pyarrow",
-                                  zero_copy_batch=True)]
-
+    right_ds, sides = _co_sides(right_ds, lbase, rbase, on=on,
+                                right_on=right_on, left_cols=left_cols,
+                                right_cols=right_cols)
     lsort = [on] + [k for k in sort_keys if k in left_cols]
     rsort = [on] + [k for k in sort_keys if k in right_cols]
-
-    def wrapper(t: pa.Table) -> pa.Table:
-        from .partition import sort_table
-
-        if SIDE not in t.column_names:
-            lt = pa.table({c: pa.array([], ltypes[c])
-                           for c in left_cols})
-            rt = pa.table({on: pa.array([], key_type),
-                           **{c: pa.array([], rtypes[c])
-                              for c in right_cols}})
-            return kernel(lt, rt)
-        side = t[SIDE].to_numpy(zero_copy_only=False)
-        lmask = side == 0
-        lt = sort_table(
-            t.filter(pa.array(lmask)).select(left_cols), lsort)
-        rt = sort_table(
-            t.filter(pa.array(~lmask)).select([on] + right_cols),
-            rsort)
-        return kernel(lt, rt)
-
-    # sort_keys=[]: the wrapper establishes each side's documented
-    # ordering itself — a gather-level sort of the tagged union would
-    # be thrown away immediately
-    return partitioned_map(sides, wrapper, key=on,
-                           sort_keys=[],
+    return partitioned_map([left_ds, right_ds],
+                           lambda lt, rt: kernel(*sides(lt, rt)), key=on,
+                           sort_keys=[lsort, rsort],
                            num_partitions=num_partitions)

@@ -7,17 +7,24 @@ exactly one partition, and the kernel sees the whole partition sorted by
 ``sort_keys`` so per-key runs are contiguous.
 
 One exchange, built from plain Ray tasks (:func:`task_exchange`).  It takes
-one Dataset or several (the two tagged sides of a join, say) and streams
+one Dataset or several (the two sides of a join, say) and streams
 them: a split task is submitted for each upstream block as the block lands,
 buckets it by a deterministic vectorized hash of the key
 (``_hash_chunk(key) % P``) and emits one slice per partition, each as
 one Arrow IPC stream buffer (:func:`_to_ipc`), which Ray stores as one
 out-of-band buffer instead of walking the table's columns in Python.  One
-gather task per partition opens its buffers zero-copy, concats the slices
-(in input order), sorts them once by ``sort_keys`` and runs a
-per-partition function.  Several inputs are joined by the split itself,
-so no Ray Data ``union`` runs in front of the exchange.  Both keyed
-consumers sit on it:
+gather task per partition opens its buffers zero-copy and calls a
+per-partition function in one of two forms, picked by ``sort_keys``:
+
+* one list of names: every input's slices concatenated in input order,
+  sorted once into ONE table (rows tied on every key keep input order);
+* one list per input: one table per input, each sorted by its own keys
+  (tied rows keep block order within their input) — a two-sided
+  operator reads its sides straight from it, with no side column, no
+  padding with the other side's columns and no filtering apart.
+
+Several inputs are joined by the split itself, so no Ray Data ``union``
+runs in front of the exchange.  Both keyed consumers sit on it:
 
 * :func:`partitioned_map` runs a table kernel in every gather and returns
   the outputs as a Dataset;
@@ -216,44 +223,53 @@ def _from_ipc(buf: pa.Buffer) -> pa.Table:
     return table
 
 
-def _unreserved(ds):
+def _unreserved(ds, ordered: bool = False):
     """A copy of ``ds`` that executes without Ray Data's op resource
-    reservation (see the module docstring).  The plan is deep-copied, so
-    a materialized Dataset keeps its snapshot and does not re-execute,
-    and it gets its own logical-plan handle, because linking a plan to
-    a Dataset points the shared logical plan at that plan's context."""
+    reservation (see the module docstring) and, when ``ordered``, hands
+    out its blocks in the Dataset's block order rather than as they
+    finish.  The plan is deep-copied, so a materialized Dataset keeps
+    its snapshot and does not re-execute, and it gets its own
+    logical-plan handle, because linking a plan to a Dataset points the
+    shared logical plan at that plan's context."""
     from ray.data._internal.logical.interfaces import LogicalPlan
 
     plan = ds._plan.deep_copy()
     plan._context.op_resource_reservation_enabled = False
+    if ordered:
+        plan._context.execution_options.preserve_order = True
     return type(ds)(plan, LogicalPlan(ds._logical_plan.dag, plan._context))
 
 
 def partitioned_map(
     ds,
-    kernel: Callable[[pa.Table], pa.Table],
+    kernel: Callable[..., pa.Table],
     *,
     key: str,
-    sort_keys: Sequence[str],
+    sort_keys: Sequence,
     num_partitions: int = 32,
     strategy: str = "tasks",
 ):
-    """Run ``kernel`` (``pa.Table -> pa.Table``) once per hash partition
-    of ``key``, with the partition sorted by ``sort_keys``, over the task
-    exchange (:func:`task_exchange`).  ``ds`` is one Dataset or a
-    sequence of Datasets; several inputs are partitioned together, as
-    their union would be, without running a ``union``.  Returns a
-    Dataset of the kernel outputs, one block per partition.  The
-    exchange runs eagerly: the upstream executes and every kernel has
-    run (or raised) when this returns.  The returned Dataset's context
-    has op resource reservation off, as its P blocks are already
-    materialized; chains built on it (a ``write_parquet``, say) inherit
-    that, and the caller's Datasets and the global context are left as
-    they were (module docstring).
+    """Run ``kernel`` once per hash partition of ``key``, with the
+    partition sorted by ``sort_keys``, over the task exchange
+    (:func:`task_exchange`).  ``ds`` is one Dataset or a sequence of
+    Datasets.  Returns a Dataset of the kernel outputs, one block per
+    partition.  The exchange runs eagerly: the upstream executes and
+    every kernel has run (or raised) when this returns.  The returned
+    Dataset's context has op resource reservation off, as its P blocks
+    are already materialized; chains built on it (a ``write_parquet``,
+    say) inherit that, and the caller's Datasets and the global context
+    are left as they were (module docstring).
+
+    ``sort_keys`` picks the form (module docstring): one list of names
+    calls ``kernel(table)`` on every input's rows, sorted together,
+    tied rows in input order; one list per input calls ``kernel(t_0,
+    ..., t_k)``, each table sorted by its own keys, tied rows in block
+    order, and an input with no rows there arrives empty in its own
+    schema.
 
     Contract given to the kernel:
       * all rows sharing a ``key`` value are present (never split);
-      * rows are sorted by ``sort_keys`` (stable), so per-key runs are
+      * rows are sorted by their sort keys, so per-key runs are
         contiguous and internally ordered;
       * it is called for every partition, empty ones included, so an
         empty partition still yields the kernel's schema.
@@ -268,8 +284,9 @@ def partitioned_map(
         raise ValueError(
             f"partitioned_map: unknown strategy {strategy!r}; the task "
             "exchange is the only one ('tasks')")
-    gathers = task_exchange(ds, lambda _p, t: kernel(t), key=key,
-                            sort_keys=sort_keys,
+    fn = ((lambda _p, ts: kernel(*ts)) if _per_input(sort_keys)
+          else (lambda _p, t: kernel(t)))
+    gathers = task_exchange(ds, fn, key=key, sort_keys=sort_keys,
                             num_partitions=num_partitions)
     out = ray.data.from_arrow_refs(gathers)  # its own context copy
     out.context.op_resource_reservation_enabled = False
@@ -322,12 +339,17 @@ def materialized_block_refs(ds):
         return ds.to_arrow_refs()
 
 
+def _per_input(sort_keys) -> bool:
+    """True when ``sort_keys`` holds one key list per input."""
+    return bool(sort_keys) and not isinstance(sort_keys[0], str)
+
+
 def task_exchange(
     inputs,
-    fn: Callable[[int, pa.Table], object],
+    fn: Callable[[int, object], object],
     *,
     key: str,
-    sort_keys: Sequence[str],
+    sort_keys: Sequence,
     num_partitions: int,
     partitions: Optional[Sequence[int]] = None,
 ) -> list:
@@ -337,28 +359,39 @@ def task_exchange(
     sub-second task work at mid scale (measured: Sort 'executed in 65s'
     with 0.4s remote time).
 
-    ``inputs`` is one Dataset or a sequence of Datasets, partitioned
-    together as their union would be.  The exchange streams them: one
-    driver thread per input drains its ``iter_internal_ref_bundles()``
-    and submits a split task for each block as its bundle lands, so
-    splitting overlaps upstream compute and the inputs execute
-    concurrently, with no ``union`` barrier in front.  Each drain runs
-    on a private copy of its input with op resource reservation off
-    (module docstring): the driver thread takes every bundle as it
-    lands, so no operator of the drain can be starved, and reservation
-    would only hold the first wave of tasks to one.  An exception
-    raised while draining any input propagates.  Every split buckets
-    its block by ``_hash_chunk(key) % num_partitions`` and emits one
-    sub-table per partition (``num_returns=P`` — only refs travel to the
-    driver), each framed as one Arrow IPC stream buffer (:func:`_to_ipc`;
-    the schema, extension types included, travels in the frame).  The
-    gather of partition ``p`` opens its buffers zero-copy, concats the
-    slices in input order (whatever order the drains finished in),
-    sorts them once by ``sort_keys`` and returns ``fn(p, sorted_table)``.
-    Returns the gather refs, in the order of ``partitions`` (default:
-    every partition); only those partitions are gathered.  When no input
-    yields a block, every gather gets one empty table per input, in
-    that input's schema, in the same framing.
+    ``inputs`` is one Dataset or a sequence of Datasets.  The exchange
+    streams them: one driver thread per input drains its
+    ``iter_internal_ref_bundles()`` and submits a split task for each
+    block as its bundle lands, so splitting overlaps upstream compute
+    and the inputs execute concurrently, with no ``union`` barrier in
+    front.  Each drain runs on a private copy of its input with op
+    resource reservation off (module docstring): the driver thread takes
+    every bundle as it lands, so no operator of the drain can be
+    starved, and reservation would only hold the first wave of tasks to
+    one.  An exception raised while draining any input propagates.
+    Every split buckets its block by ``_hash_chunk(key) % num_partitions``
+    and emits one sub-table per partition (``num_returns=P`` — only refs
+    travel to the driver), each framed as one Arrow IPC stream buffer
+    (:func:`_to_ipc`; the schema, extension types included, travels in
+    the frame).  The gather of partition ``p`` opens its buffers
+    zero-copy and calls ``fn`` in one of two forms:
+
+    * ``sort_keys`` one list of names: ``fn(p, table)``, the slices of
+      all inputs concatenated in input order (whatever order the drains
+      finished in) and sorted once (stable).  Rows tied on every sort key
+      reach ``fn`` in input order.  When no input yields a block, every
+      gather gets one empty table per input, in that input's schema.
+    * one list per input (``ValueError`` unless as many as inputs):
+      ``fn(p, [t_0, ..., t_k])``, each input's slices concatenated in
+      block order (its drain runs with Ray Data's ``preserve_order``)
+      and sorted (stable) by that input's own keys, so rows tied on every
+      key keep block order within their input.  An input with no rows in
+      ``p`` arrives as an empty table in its own schema; one that yields
+      no block at all gets its ``schema()``.
+
+    Sort keys a table does not carry (a zero-column empty slice) are
+    skipped.  Returns the gather refs, in the order of ``partitions``
+    (default: every partition); only those partitions are gathered.
 
     This is exactly the exchange a fixed-size cluster runs for a keyed
     shuffle: B×P objects, each fetched once, no central barrier beyond the
@@ -372,6 +405,12 @@ def task_exchange(
     inputs = list(inputs) if isinstance(inputs, (list, tuple)) else [inputs]
     if not inputs:
         raise ValueError("task_exchange: no input Dataset")
+    per_input = _per_input(sort_keys)
+    if per_input and len(sort_keys) != len(inputs):
+        raise ValueError(
+            f"task_exchange: {len(sort_keys)} sort key lists for "
+            f"{len(inputs)} inputs")
+    group_keys = [list(k) for k in sort_keys] if per_input else [sort_keys]
 
     @ray.remote(num_returns=P)
     def split(table):
@@ -403,38 +442,43 @@ def task_exchange(
         return tuple(outs) if P > 1 else outs[0]
 
     @ray.remote
-    def gather(p, *bufs):
-        parts = [_from_ipc(b) for b in bufs]
-        tables = [t for t in parts if t.num_rows > 0]
-        if not tables:
-            # all-empty partition: keep the widest schema available
-            t = max(parts, key=lambda s: s.num_columns)
-        else:
-            t = pa.concat_tables(tables, promote_options="default")
-        return fn(p, sort_table(t, [k for k in sort_keys
-                                    if k in t.column_names]))
+    def gather(p, counts, *bufs):
+        parts, tables = [_from_ipc(b) for b in bufs], []
+        for end, n, keys in zip(np.cumsum(counts), counts, group_keys):
+            mine = parts[end - n:end]
+            full = [t for t in mine if t.num_rows > 0]
+            # all-empty: keep the widest schema available
+            t = (pa.concat_tables(full, promote_options="default") if full
+                 else max(mine, key=lambda s: s.num_columns))
+            tables.append(sort_table(t, [k for k in keys
+                                         if k in t.column_names]))
+        return fn(p, tables if per_input else tables[0])
 
     def drain(ds) -> list:
         # split_refs[b][p] is block b's slice of partition p
         out = []
-        for bundle in _unreserved(ds).iter_internal_ref_bundles():
+        blocks = _unreserved(ds, ordered=per_input)
+        for bundle in blocks.iter_internal_ref_bundles():
             for r in bundle.block_refs:
                 s = split.remote(r)
                 out.append(s if P > 1 else [s])
         return out
 
+    def empty(ds) -> list:
+        # one empty slice, in the input's schema, for every partition
+        schema = ds.schema()
+        ref = ray.put(_to_ipc((schema.base_schema if schema
+                               else pa.schema([])).empty_table()))
+        return [[ref] * P]
+
     with ThreadPoolExecutor(len(inputs)) as pool:
         drained = list(pool.map(drain, inputs))
-    split_refs = [s for refs in drained for s in refs]
-    if split_refs:
-        return [gather.remote(p, *[s[p] for s in split_refs])
-                for p in partitions]
-    empties = []
-    for ds in inputs:
-        schema = ds.schema()
-        empties.append(ray.put(_to_ipc((schema.base_schema if schema
-                                        else pa.schema([])).empty_table())))
-    return [gather.remote(p, *empties) for p in partitions]
+    if per_input or not any(drained):
+        drained = [refs or empty(ds) for ds, refs in zip(inputs, drained)]
+    groups = drained if per_input else [[s for refs in drained for s in refs]]
+    counts = [len(g) for g in groups]
+    return [gather.remote(p, counts, *[s[p] for g in groups for s in g])
+            for p in partitions]
 
 
 def sum_partials(blocks, *, keys: Sequence[str],

@@ -740,17 +740,18 @@ def gk_tau(ds, pairs, *, num_partitions: int = 8):
     import ray
     from fractions import Fraction
 
-    from .partition import materialized_block_refs
+    from .partition import materialized_block_refs, sum_partials
 
     def partial(b: pa.Table) -> pa.Table:
         out_p, out_x, out_y, out_c = [], [], [], []
         for xi, (xc, yc) in enumerate(pairs):
-            xs = pc.fill_null(pc.cast(b[xc].combine_chunks(),
-                                      pa.string()), "\x00null")
-            ys = pc.fill_null(pc.cast(b[yc].combine_chunks(),
-                                      pa.string()), "\x00null")
-            ex = pc.dictionary_encode(xs)
-            ey = pc.dictionary_encode(ys)
+            # NULL is a dictionary entry of its own, not a stand-in string
+            ex = pc.dictionary_encode(
+                pc.cast(b[xc].combine_chunks(), pa.string()),
+                null_encoding="encode")
+            ey = pc.dictionary_encode(
+                pc.cast(b[yc].combine_chunks(), pa.string()),
+                null_encoding="encode")
             cx = ex.indices.to_numpy(zero_copy_only=False).astype(
                 np.int64)
             cy = ey.indices.to_numpy(zero_copy_only=False).astype(
@@ -761,42 +762,33 @@ def gk_tau(ds, pairs, *, num_partitions: int = 8):
             cnt = np.zeros(len(uc), np.int64)
             np.add.at(cnt, inv, 1)
             out_p.append(np.full(len(uc), xi, np.int64))
-            out_x.append(ex.dictionary.take(
-                pa.array(uc // ny, pa.int64())).cast(pa.string()))
-            out_y.append(ey.dictionary.take(
-                pa.array(uc % ny, pa.int64())).cast(pa.string()))
+            out_x.append(ex.dictionary.take(pa.array(uc // ny, pa.int64())))
+            out_y.append(ey.dictionary.take(pa.array(uc % ny, pa.int64())))
             out_c.append(cnt)
         return pa.table({
             "p": pa.array(np.concatenate(out_p)
                           if out_p else np.empty(0, np.int64)),
-            "x": (pa.concat_arrays([a.combine_chunks()
-                                    if isinstance(a, pa.ChunkedArray)
-                                    else a for a in out_x])
-                  if out_x else pa.array([], pa.string())),
-            "y": (pa.concat_arrays([a.combine_chunks()
-                                    if isinstance(a, pa.ChunkedArray)
-                                    else a for a in out_y])
-                  if out_y else pa.array([], pa.string())),
+            "x": (pa.concat_arrays(out_x) if out_x
+                  else pa.array([], pa.string())),
+            "y": (pa.concat_arrays(out_y) if out_y
+                  else pa.array([], pa.string())),
             "cnt": pa.array(np.concatenate(out_c)
                             if out_c else np.empty(0, np.int64))})
 
-    agg: dict = {}
-    for b in ray.get(materialized_block_refs(
+    comb = sum_partials(
+        ray.get(materialized_block_refs(
             ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=None))):
-        if b.num_rows == 0:
-            continue
-        for p, x, y, c in zip(b["p"].to_pylist(),
-                              b["x"].to_pylist(),
-                              b["y"].to_pylist(),
-                              b["cnt"].to_pylist()):
-            key = (p, x, y)
-            agg[key] = agg.get(key, 0) + c
+                           zero_copy_batch=True, batch_size=None))),
+        keys=["p", "x", "y"], vals=["cnt"])
+    per_pair: dict = {}
+    if comb is not None:
+        for p, x, y, c in zip(*(comb[n].to_pylist()
+                                for n in ("p", "x", "y", "cnt"))):
+            per_pair.setdefault(p, {})[(x, y)] = c
 
     out = {"x_col": [], "y_col": [], "n": [], "tau": []}
     for xi, (xc, yc) in enumerate(pairs):
-        cells = {(x, y): c for (p, x, y), c in agg.items()
-                 if p == xi}
+        cells = per_pair.get(xi, {})
         n = sum(cells.values())
         nx: dict = {}
         ny_: dict = {}

@@ -60,3 +60,37 @@ def test_readability_counts():
     assert r.flesch == exp
     r2 = df.iloc[1]
     assert (r2.n_words, r2.n_sents, r2.n_syll) == (0, 0, 0)
+
+
+def test_gk_tau_null_and_sentinel_string_are_two_categories():
+    """A real value spelled like the old NULL stand-in ("\\x00null")
+    stays apart from NULL, as in a DuckDB GROUP BY."""
+    import duckdb
+    from fractions import Fraction
+
+    x = ["a", "a", None, None, "\x00null", "\x00null", "b", None] * 25
+    y = ["p", "q", "p", "p", "q", "q", "p", "p"] * 25
+    t = pa.table({"x": pa.array(x, pa.string()),
+                  "y": pa.array(y, pa.string())})
+    con = duckdb.connect()
+    con.register("t", t)
+    n = t.num_rows
+    cells = con.sql("SELECT x, y, count(*)::BIGINT FROM t "
+                    "GROUP BY x, y").fetchall()
+    nx = dict(con.sql("SELECT x, count(*)::BIGINT FROM t GROUP BY x")
+              .fetchall())
+    ny = dict(con.sql("SELECT y, count(*)::BIGINT FROM t GROUP BY y")
+              .fetchall())
+    assert len(nx) == 4                  # a, b, NULL, "\x00null"
+    e_y = Fraction(sum(c * c for c in ny.values()), n)
+    e_xy = sum(Fraction(c * c, nx[xv]) for xv, _, c in cells)
+    exp = float((e_xy - e_y) / (n - e_y))
+    for parts in (1, 4):
+        ds = ray.data.from_arrow(t)
+        if parts > 1:
+            ds = ds.repartition(parts)
+        out = gk_tau(ds, [("x", "y")]).to_pandas()
+        assert int(out.n[0]) == n
+        assert out.tau[0] == exp
+    assert replay_gk_tau({"x": x, "y": y}, [("x", "y")]) == [
+        ("x", "y", n, exp)]

@@ -207,6 +207,83 @@ def test_gather_concat_follows_input_order():
     assert got == {k: [1] * 10 + [0] * 10 for k in range(4)}
 
 
+def test_per_input_tables_sorted_in_block_order():
+    """One sort key list per input: the kernel gets one table per input,
+    each sorted by its own keys, and rows tied on every key keep block
+    order within their input even when the first block lands last."""
+    from featurebox_ray.stages.partition import materialized_block_refs
+
+    def slow_first(t: pa.Table) -> pa.Table:
+        if t.num_rows and t["blk"][0].as_py() == 0:
+            time.sleep(1.0)
+        return t
+
+    rng = np.random.default_rng(8)
+    a_rows = [{"k": int(rng.integers(0, 5)), "ts": int(rng.integers(0, 3)),
+               "i": i, "blk": i // 30} for i in range(60)]
+    b_rows = [{"k": int(rng.integers(0, 5)), "w": int(rng.integers(0, 2)),
+               "i": i, "blk": i // 12} for i in range(24)]
+    a = ray.data.from_items(a_rows, override_num_blocks=2).map_batches(
+        slow_first, batch_format="pyarrow")
+    b = ray.data.from_items(b_rows, override_num_blocks=2).map_batches(
+        slow_first, batch_format="pyarrow")
+
+    def arrival(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        return pa.table({
+            "side": [0] * lt.num_rows + [1] * rt.num_rows,
+            "k": lt["k"].to_pylist() + rt["k"].to_pylist(),
+            "i": lt["i"].to_pylist() + rt["i"].to_pylist()})
+
+    out = partitioned_map([a, b], arrival, key="k",
+                          sort_keys=[["k", "ts"], ["k", "w"]],
+                          num_partitions=3)
+    parts = [t for t in ray.get(materialized_block_refs(out)) if t.num_rows]
+    assert sum(t.num_rows for t in parts) == len(a_rows) + len(b_rows)
+    for t in parts:
+        for side, rows, tie in ((0, a_rows, "ts"), (1, b_rows, "w")):
+            got = [i for s, i in zip(t["side"].to_pylist(), t["i"].to_pylist())
+                   if s == side]
+            keys = set(rows[i]["k"] for i in got)
+            # Python's sort is stable: ties stay in row (= block) order
+            want = sorted((r for r in rows if r["k"] in keys),
+                          key=lambda r: (r["k"], r[tie]))
+            assert got == [r["i"] for r in want], side
+
+
+@pytest.mark.parametrize("right", ["no_block", "sparse"])
+def test_per_input_empty_sides_are_typed(right):
+    """An input that yields no block, or has no rows in a partition,
+    reaches the kernel as an empty table in its own schema."""
+    a = ray.data.from_items([{"k": k, "v": k / 2} for k in range(12)])
+    b = ray.data.from_items([{"k": 3, "w": "x"}])
+    if right == "no_block":
+        b = b.limit(0)
+
+    def shapes(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        return pa.table({"left": [str(lt.schema)], "right": [str(rt.schema)],
+                         "nl": [lt.num_rows], "nr": [rt.num_rows]})
+
+    seen = partitioned_map([a, b], shapes, key="k",
+                           sort_keys=[["k"], ["k"]],
+                           num_partitions=5).to_pandas()
+    assert len(seen) == 5
+    assert seen["nl"].sum() == 12
+    assert seen["nr"].sum() == (0 if right == "no_block" else 1)
+    assert (seen["nr"] == 0).sum() >= 4
+    assert set(seen["left"]) == {"k: int64\nv: double"}
+    assert set(seen["right"]) == {"k: int64\nw: string"}
+
+
+def test_per_input_sort_keys_must_match_inputs():
+    a = ray.data.from_items([{"k": 1}])
+    with pytest.raises(ValueError, match="2 sort key lists for 1 inputs"):
+        partitioned_map(a, lambda t: t, key="k", sort_keys=[["k"], ["k"]],
+                        num_partitions=2)
+    with pytest.raises(ValueError, match="1 sort key lists for 2 inputs"):
+        partitioned_map([a, a], lambda lt, rt: lt, key="k",
+                        sort_keys=[["k"]], num_partitions=2)
+
+
 def test_tasks_strategy_partition_count_invariance(tiny_dir):
     base = add_scalar_features(ray.data.read_parquet(f"{tiny_dir}/transcripts"))
     a = _df(add_window_features(base, WindowSpec(), num_partitions=3))
