@@ -43,6 +43,72 @@ def segment_ids(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return seg_start, row_in_seg, is_start
 
 
+def shared_key_codes(*cols, nulls_distinct: bool = False) -> list:
+    """int64 codes of several key columns from ONE dictionary, numbered
+    in ascending value order with NULL last (Arrow's sort order): the
+    tables of a per-input gather, each sorted by its key, carry
+    non-decreasing codes, and equal keys carry equal codes across
+    tables.  Every column is read in the first column's type.  With
+    ``nulls_distinct`` every NULL gets a code of its own (no two NULLs
+    are equal), still after every value and rising in column order."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    arrs = [c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
+            for c in cols]
+    typ = arrs[0].type
+    if pa.types.is_dictionary(typ):
+        typ = typ.value_type
+    enc = pc.dictionary_encode(pa.concat_arrays([a.cast(typ) for a in arrs]))
+    n = len(enc.dictionary)
+    rank = pc.rank(enc.dictionary, sort_keys="ascending").to_numpy()
+    lut = np.append(rank.astype(np.int64) - 1, n)
+    codes = lut[pc.fill_null(enc.indices, n).to_numpy(zero_copy_only=False)]
+    if nulls_distinct:
+        null = codes == n
+        codes[null] = n + np.arange(int(null.sum()))
+    return np.split(codes, np.cumsum([len(a) for a in arrs])[:-1])
+
+
+def run_starts(codes: np.ndarray) -> np.ndarray:
+    """First row of each run of equal values in ``codes``."""
+    return np.flatnonzero(np.concatenate([[len(codes) > 0],
+                                          codes[1:] != codes[:-1]]))
+
+
+def lookup(sorted_codes: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """Index of each ``probe`` value's first row in the non-decreasing
+    ``sorted_codes`` (int64), -1 where it is absent."""
+    i = np.searchsorted(sorted_codes, probe)
+    hit = i < len(sorted_codes)
+    hit[hit] = sorted_codes[i[hit]] == probe[hit]
+    return np.where(hit, i, -1).astype(np.int64)
+
+
+def ints(t, col: str, fill: int = 0) -> np.ndarray:
+    """``t[col]`` as int64 numpy, NULL read as ``fill`` (filled before
+    the conversion, so ids above 2^53 never pass through float64); an
+    empty table, with or without the column, gives an empty array."""
+    import pyarrow.compute as pc
+
+    if t.num_rows == 0:
+        return np.empty(0, np.int64)
+    return pc.fill_null(t[col], fill).to_numpy(
+        zero_copy_only=False).astype(np.int64)
+
+
+def owners(owner_keys: np.ndarray, keys: np.ndarray,
+           msg: str) -> Tuple[np.ndarray, np.ndarray]:
+    """``(starts, run)``: the first row of each run of the sorted
+    ``owner_keys``, and for each of ``keys`` the run of its owner.  A key
+    with no owner row raises ``ValueError(msg)``."""
+    starts = run_starts(owner_keys)
+    run = lookup(owner_keys[starts], keys)
+    if (run < 0).any():
+        raise ValueError(msg)
+    return starts, run
+
+
 # ---------------------------------------------------------------------------
 # lag / lead / delta
 # ---------------------------------------------------------------------------

@@ -69,9 +69,10 @@ def _asof_match(left: pa.Table, right: pa.Table, *, key: str, ts_col: str,
     (``<`` when strict) and takes the last tied right row by value
     tuple, forward ``>=`` (``>``) and the first.  Nearest takes the
     smaller gap, the backward row on equal gaps; a gap to or from a NULL
-    ts is undefined and leaves the forward row.  A NULL key never
-    matches; a NULL ts sorts after every non-NULL ts of its key, as
-    Arrow's sort puts it."""
+    ts is undefined: when only one candidate's gap is defined nearest
+    takes that one, and when neither is, the forward row.  A NULL key
+    never matches; a NULL ts sorts after every non-NULL ts of its key,
+    as Arrow's sort puts it."""
     nl, nr = left.num_rows, right.num_rows
     if nl == 0 or nr == 0:
         return np.full(nl, -1, np.int64)
@@ -108,12 +109,11 @@ def _asof_match(left: pa.Table, right: pa.Table, *, key: str, ts_col: str,
     if direction == "nearest":
         lt, rt, ln, rn = ts[:nl], ts[nl:], ts_null[:nl], ts_null[nl:]
         b, f = np.maximum(back, 0), np.maximum(fwd, 0)
-        big = np.iinfo(np.int64).max // 2
-        gb = np.where(back >= 0, lt - rt[b], big)
-        gf = np.where(fwd >= 0, rt[f] - lt, big)
-        undefined = (((back >= 0) & (ln | rn[b]))
-                     | ((fwd >= 0) & (ln | rn[f])))
-        match = np.where((gb <= gf) & ~undefined, back, fwd)
+        db = (back >= 0) & ~ln & ~rn[b]         # gap defined
+        df = (fwd >= 0) & ~ln & ~rn[f]
+        match = np.where(db & df,
+                         np.where(lt - rt[b] <= rt[f] - lt, back, fwd),
+                         np.where(db, back, fwd))
     match[code[:nl] < 0] = -1
     return match
 
@@ -246,11 +246,12 @@ def asof_interpolate(left, right, *, key: str, ts_col: str,
     left row before the key's first or after its last right row — or
     with no right rows at all — emits NULL.
 
-    ONE tagged-union key-keyed exchange sorted ``(key, ts, side,
-    right_id)`` with right rows leading each timestamp; the kernel is
-    one segmented searchsorted.  NULL key/ts (and right NULL value)
-    rows drop.  Emits the left ``(key, ts_col, left_id)`` plus
-    ``out_col`` (float64).
+    ONE key-keyed exchange of both inputs, each sorted ``(key, ts,
+    id)``; the kernel keeps the last right row of each ``(key, ts)`` and
+    reads each left row's bracket from :func:`_asof_match` (backward,
+    and strict forward).  NULL key/ts (and right NULL value) rows drop.
+    Emits the left ``(key, ts_col, left_id)`` plus ``out_col``
+    (float64).
 
     Reference analog: none (time-axis extension of the as-of family,
     north-rule step 5).
@@ -274,9 +275,7 @@ def asof_interpolate(left, right, *, key: str, ts_col: str,
         return pa.table({
             key: b[key],
             "__ts": ts.cast(pa.int64()) if is_ts else ts,
-            "__side": pa.array(np.ones(b.num_rows, np.int8)),
-            "__id": b[left_id].combine_chunks().cast(pa.int64()),
-            "__v": pa.nulls(b.num_rows, pa.float64())})
+            "__id": b[left_id].combine_chunks().cast(pa.int64())})
 
     def prep_right(b: pa.Table) -> pa.Table:
         keep = pc.is_valid(b[key])
@@ -289,7 +288,6 @@ def asof_interpolate(left, right, *, key: str, ts_col: str,
         return pa.table({
             key: b[key],
             "__ts": ts.cast(pa.int64()) if is_ts else ts,
-            "__side": pa.array(np.zeros(b.num_rows, np.int8)),
             "__id": b[right_id].combine_chunks().cast(pa.int64()),
             "__v": pc.cast(b[value_col].combine_chunks(),
                            pa.float64())})
@@ -304,75 +302,43 @@ def asof_interpolate(left, right, *, key: str, ts_col: str,
                       left_id: pa.array([], pa.int64()),
                       out_col: pa.array([], pa.float64())})
 
-    def kernel(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or key not in t.column_names:
+    def kernel(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        if lt.num_rows == 0:
             return empty
-        keys = t[key].combine_chunks()
-        enc = pc.dictionary_encode(keys)
-        codes = enc.indices.to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        ts = t["__ts"].to_numpy(zero_copy_only=False)
-        side = t["__side"].to_numpy(zero_copy_only=False)
-        rid = pc.fill_null(t["__id"].combine_chunks(), 0).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        v = pc.fill_null(t["__v"].combine_chunks(),
-                         np.nan).to_numpy(zero_copy_only=False)
-        out_k, out_t, out_i, out_v = [], [], [], []
-        seg_start = np.flatnonzero(
-            np.concatenate([[True], codes[1:] != codes[:-1]]))
-        seg_end = np.append(seg_start[1:], len(codes))
-        for s0, s1 in zip(seg_start.tolist(), seg_end.tolist()):
-            sl = slice(s0, s1)
-            r = side[sl] == 0
-            lmask = ~r
-            if not lmask.any():
-                continue
-            lts = ts[sl][lmask]
-            lid = rid[sl][lmask]
-            rts_all = ts[sl][r]
-            rv_all = v[sl][r]
-            # last-write-wins per distinct right ts (sorted by
-            # (ts, id): keep the LAST of each ts run)
-            if len(rts_all):
-                lastw = np.concatenate(
-                    [rts_all[:-1] != rts_all[1:], [True]])
-                rts, rv = rts_all[lastw], rv_all[lastw]
-            else:
-                rts = np.empty(0, np.int64)
-                rv = np.empty(0, np.float64)
-            yv = np.full(len(lts), np.nan)
-            if len(rts):
-                i0 = np.searchsorted(rts, lts, side="right") - 1
-                inside = (i0 >= 0) & (lts <= rts[-1])
-                i0c = np.clip(i0, 0, len(rts) - 1)
-                t0, v0 = rts[i0c], rv[i0c]
-                hit = (t0 == lts) & inside
-                i1 = np.clip(i0c + 1, 0, len(rts) - 1)
-                t1, v1 = rts[i1], rv[i1]
-                den = np.where(t1 > t0, t1 - t0, 1)
-                frac = ((lts - t0).astype(np.float64)
-                        / den.astype(np.float64))
-                lerp = v0 + (v1 - v0) * frac
-                yv = np.where(hit, v0,
-                              np.where(inside & ~hit, lerp, np.nan))
-            out_k.append(np.full(len(lts), codes[s0], np.int64))
-            out_t.append(lts)
-            out_i.append(lid)
-            out_v.append(yv)
-        if not out_k:
-            return empty
-        kcodes = np.concatenate(out_k)
-        yall = np.concatenate(out_v)
+        if rt.num_rows:
+            # last-write-wins per distinct right (key, ts): rows are
+            # sorted by (key, ts, id), so keep the LAST of each run
+            kc = pc.dictionary_encode(rt[key].combine_chunks()).indices
+            kc = kc.to_numpy(zero_copy_only=False)
+            rts = rt["__ts"].to_numpy(zero_copy_only=False)
+            rt = rt.filter(pa.array(np.append(
+                (kc[1:] != kc[:-1]) | (rts[1:] != rts[:-1]), True)))
+        m = dict(key=key, ts_col="__ts")
+        back = _asof_match(lt, rt, direction="backward", **m)
+        fwd = _asof_match(lt, rt, direction="forward", strict=True, **m)
+        lts = lt["__ts"].to_numpy(zero_copy_only=False)
+        yv = np.full(len(lts), np.nan)
+        if rt.num_rows:
+            rts = rt["__ts"].to_numpy(zero_copy_only=False)
+            rv = pc.fill_null(rt["__v"].combine_chunks(),
+                              np.nan).to_numpy(zero_copy_only=False)
+            b, f = np.maximum(back, 0), np.maximum(fwd, 0)
+            t0, v0, t1, v1 = rts[b], rv[b], rts[f], rv[f]
+            hit = (back >= 0) & (t0 == lts)
+            inside = (back >= 0) & (fwd >= 0) & ~hit
+            den = np.where(t1 > t0, t1 - t0, 1)
+            frac = ((lts - t0).astype(np.float64)
+                    / den.astype(np.float64))
+            lerp = v0 + (v1 - v0) * frac
+            yv = np.where(hit, v0, np.where(inside, lerp, np.nan))
         return pa.table({
-            key: enc.dictionary.take(pa.array(kcodes, pa.int64())),
-            ts_col: pa.array(np.concatenate(out_t)),
-            left_id: pa.array(np.concatenate(out_i)),
-            out_col: pa.array(yall, pa.float64(),
-                              mask=np.isnan(yall))})
+            key: lt[key],
+            ts_col: lt["__ts"],
+            left_id: lt["__id"],
+            out_col: pa.array(yv, pa.float64(), mask=np.isnan(yv))})
 
     return partitioned_map(sides, kernel, key=key,
-                           sort_keys=[key, "__ts", "__side",
-                                      "__id"],
+                           sort_keys=[[key, "__ts", "__id"]] * 2,
                            num_partitions=num_partitions)
 
 
@@ -389,107 +355,63 @@ def asof_leakage_audit(joined_ds, right_ds, *, key: str,
     (staleness) — both audit-fatal.
 
     Emits per key: ``(key, n_rows:int64, n_matched:int64,
-    n_mismatch:int64)``.  One tagged-union keyed exchange (right rows
-    tag 0, joined rows tag 1, sorted by ts within the run); expected
-    match via one searchsorted over run-offset-normalized timestamps
-    (the q311 stride trick, overflow-guarded).  NULL key/ts rows of
-    either side drop; a NULL ``matched_ts_col`` is correct exactly
-    when no right row is at-or-before the left ts.
+    n_mismatch:int64)``.  One keyed exchange of both inputs, each
+    sorted by ``(key, ts)``; the expected match is
+    :func:`_asof_match`'s backward one.  NULL key/ts rows of either
+    side drop; a NULL ``matched_ts_col`` is correct exactly when no
+    right row is at-or-before the left ts.
     Reference analog: the operator form of the flagship's
     leakage-probe tests (north_star contract)."""
-    import ray
-
-    from .partition import partitioned_map
-
     schema = joined_ds.schema()
     base = getattr(schema, "base_schema", schema)
     key_type = base.field(key).type
-
-    def tag_right(b: pa.Table) -> pa.Table:
-        keep = pc.fill_null(pc.and_(pc.is_valid(b[key]),
-                                    pc.is_valid(b[ts_col])), False)
-        if not pc.all(keep).as_py():
-            b = b.filter(keep)
-        ts = b[ts_col].combine_chunks()
-        if pa.types.is_timestamp(ts.type):
-            ts = ts.cast(pa.int64())
-        return pa.table({key: b[key], "__tag": pa.array(
-            np.zeros(b.num_rows, np.int8)),
-            "__t": ts, "__m": pa.nulls(b.num_rows, pa.int64())})
-
-    def tag_joined(b: pa.Table) -> pa.Table:
-        keep = pc.fill_null(pc.and_(pc.is_valid(b[key]),
-                                    pc.is_valid(b[ts_col])), False)
-        if not pc.all(keep).as_py():
-            b = b.filter(keep)
-        ts = b[ts_col].combine_chunks()
-        if pa.types.is_timestamp(ts.type):
-            ts = ts.cast(pa.int64())
-        mt = b[matched_ts_col].combine_chunks()
-        if pa.types.is_timestamp(mt.type):
-            mt = mt.cast(pa.int64())
-        return pa.table({key: b[key], "__tag": pa.array(
-            np.ones(b.num_rows, np.int8)),
-            "__t": ts, "__m": mt.cast(pa.int64())})
-
-    sides = [right_ds.map_batches(tag_right, batch_format="pyarrow",
-                                  zero_copy_batch=True),
-             joined_ds.map_batches(tag_joined, batch_format="pyarrow",
-                                   zero_copy_batch=True)]
 
     empty = pa.table({key: pa.array([], key_type),
                       "n_rows": pa.array([], pa.int64()),
                       "n_matched": pa.array([], pa.int64()),
                       "n_mismatch": pa.array([], pa.int64())})
 
-    def kernel(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or key not in t.column_names:
-            return empty
-        keys = t[key].combine_chunks()
-        kc = pc.dictionary_encode(keys).indices.to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        tag = t["__tag"].to_numpy(zero_copy_only=False)
-        ts = t["__t"].to_numpy(zero_copy_only=False)
-        new_key = np.concatenate([[True], kc[1:] != kc[:-1]])
-        seg = np.cumsum(new_key.astype(np.int64)) - 1
-        n_seg = int(seg[-1]) + 1
-        mn = ts.min()
-        K = np.int64(ts.max() - mn) + 2
-        if np.int64(n_seg) * K >= np.int64(2 ** 62):
-            raise ValueError("asof_leakage_audit: run-offset stride "
-                             "overflow — raise num_partitions")
-        ts_adj = (ts - mn) + seg * K
-        is_r = tag == 0
-        r_adj = ts_adj[is_r]                   # sorted (key, tag, ts)
-        l_idx = np.flatnonzero(~is_r)
-        pos = np.searchsorted(r_adj, ts_adj[l_idx], side="right") - 1
-        # a hit must come from the SAME segment
-        ok = pos >= 0
-        exp_seg = np.where(ok, seg[np.flatnonzero(is_r)][
-            np.maximum(pos, 0)], -1)
-        ok &= exp_seg == seg[l_idx]
-        exp_ts = np.where(ok, ts[np.flatnonzero(is_r)][
-            np.maximum(pos, 0)], 0)
-        m_arr = t["__m"].combine_chunks()
-        m_valid = np.asarray(pc.is_valid(m_arr))[l_idx]
-        m_vals = np.asarray(pc.fill_null(m_arr, 0))[l_idx]
-        mismatch = (m_valid != ok) | (ok & (m_vals != exp_ts))
-        # reduce per segment over joined rows
-        lseg = seg[l_idx]
-        n_rows = np.zeros(n_seg, np.int64)
-        n_match = np.zeros(n_seg, np.int64)
-        n_mis = np.zeros(n_seg, np.int64)
-        np.add.at(n_rows, lseg, 1)
-        np.add.at(n_match, lseg, m_valid.astype(np.int64))
-        np.add.at(n_mis, lseg, mismatch.astype(np.int64))
-        firsts = np.flatnonzero(new_key)
-        keep = n_rows > 0                       # keys with joined rows
-        return pa.table({
-            key: keys.take(pa.array(firsts[keep], pa.int64())),
-            "n_rows": pa.array(n_rows[keep]),
-            "n_matched": pa.array(n_match[keep]),
-            "n_mismatch": pa.array(n_mis[keep])})
+    def untimed(a) -> pa.Array:
+        a = a.combine_chunks()
+        return a.cast(pa.int64()) if pa.types.is_timestamp(a.type) else a
 
-    return partitioned_map(sides, kernel, key=key,
-                           sort_keys=[key, "__tag", "__t"],
-                           num_partitions=num_partitions)
+    def valid(t: pa.Table) -> pa.Table:
+        # NULL key/ts rows drop; timestamps compare as int64
+        if t.num_rows == 0:
+            return t
+        t = t.filter(pc.fill_null(pc.and_(
+            pc.is_valid(t[key]), pc.is_valid(t[ts_col])), False))
+        return t.set_column(t.schema.get_field_index(ts_col), ts_col,
+                            untimed(t[ts_col]))
+
+    def kernel(joined: pa.Table, right: pa.Table) -> pa.Table:
+        joined, right = valid(joined), valid(right)
+        if joined.num_rows == 0:
+            return empty
+        src = _asof_match(joined, right, key=key, ts_col=ts_col)
+        ok = src >= 0
+        exp_ts = (_ts_values(right[ts_col].combine_chunks())[0][
+            np.maximum(src, 0)] if right.num_rows else src)
+        m_arr = untimed(joined[matched_ts_col]).cast(pa.int64())
+        m_valid = np.asarray(pc.is_valid(m_arr))
+        m_vals = np.asarray(pc.fill_null(m_arr, 0))
+        mismatch = (m_valid != ok) | (ok & (m_vals != exp_ts))
+        # reduce per key over joined rows
+        firsts = seg.run_starts(pc.dictionary_encode(
+            joined[key].combine_chunks()).indices.to_numpy(
+                zero_copy_only=False))
+        return pa.table({
+            key: joined[key].combine_chunks().take(
+                pa.array(firsts, pa.int64())),
+            "n_rows": pa.array(np.diff(np.append(firsts, len(ok)))),
+            "n_matched": pa.array(np.add.reduceat(
+                m_valid.astype(np.int64), firsts)),
+            "n_mismatch": pa.array(np.add.reduceat(
+                mismatch.astype(np.int64), firsts))})
+
+    return partitioned_map(
+        [joined_ds.select_columns(list(dict.fromkeys(
+            [key, ts_col, matched_ts_col]))),
+         right_ds.select_columns([key, ts_col])],
+        kernel, key=key, sort_keys=[[key, ts_col]] * 2,
+        num_partitions=num_partitions)

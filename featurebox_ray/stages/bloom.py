@@ -41,8 +41,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-SIDE = "__bside"
-
 _MIX1 = np.uint64(0x9E3779B97F4A7C15)   # 2^64 / golden ratio (splitmix64)
 _MIX2 = np.uint64(0xC2B2AE3D27D4EB4F)   # xxhash64 prime
 
@@ -173,7 +171,6 @@ def _bloom_join(left_ds, right_ds, *, on: str, right_on: Optional[str],
                                        zero_copy_batch=True)
         return left_ds
     lschema = left_ds.schema()
-    left_cols = list(lschema.names)
     key_type = dict(zip(lschema.names, lschema.types))[on]
 
     def split(batch: pa.Table, want_hits: bool) -> pa.Table:
@@ -204,45 +201,32 @@ def _bloom_join(left_ds, right_ds, *, on: str, right_on: Optional[str],
         zero_copy_batch=True)
 
     # keyed-exchange exact verification: exchange candidate left rows with
-    # the right KEYS only (left columns null-filled), co-partition on the
-    # key, and run an is_in per partition
-    def tag_left(t: pa.Table) -> pa.Table:
-        return t.append_column(SIDE, pa.array(np.zeros(t.num_rows, np.int8)))
-
-    ltypes = dict(zip(lschema.names, lschema.types))
-
-    def tag_right(t: pa.Table) -> pa.Table:
+    # the right KEYS only, co-partition on the key, and run an is_in per
+    # partition
+    def right_keys(t: pa.Table) -> pa.Table:
         # per-block key dedupe: verify only needs DISTINCT right keys, so
         # the exchange traffic is bounded by distinct keys per block, not
         # raw right rows
-        keys = t[right_on].combine_chunks().unique().cast(key_type)
-        cols = {}
-        for c in left_cols:
-            cols[c] = keys if c == on else pa.nulls(len(keys), ltypes[c])
-        out = pa.table(cols)
-        return out.append_column(SIDE, pa.array(np.ones(len(keys), np.int8)))
+        return pa.table(
+            {on: t[right_on].combine_chunks().unique().cast(key_type)})
 
-    lt = candidates.map_batches(tag_left, batch_format="pyarrow",
-                                zero_copy_batch=True)
-    rt = ray.data.from_arrow_refs(rkey_refs).map_batches(
-        tag_right, batch_format="pyarrow", zero_copy_batch=True)
-    sides = [lt, rt]
+    rkeys = ray.data.from_arrow_refs(rkey_refs).map_batches(
+        right_keys, batch_format="pyarrow", zero_copy_batch=True)
 
     keep_matched = how == "semi"
 
-    def verify(table: pa.Table) -> pa.Table:
-        side = table[SIDE].to_numpy(zero_copy_only=False)
-        lmask = side == 0
-        left_t = table.filter(pa.array(lmask))
-        rkeys = (table.filter(pa.array(~lmask))[on]
-                 .combine_chunks().unique())
-        matched = pc.is_in(left_t[on], value_set=rkeys)
+    def verify(left: pa.Table, right: pa.Table) -> pa.Table:
+        if left.num_rows == 0:
+            return left
+        keys = right[on].combine_chunks().unique() if right.num_rows \
+            else pa.array([], key_type)
+        matched = pc.is_in(left[on], value_set=keys)
         keep = matched if keep_matched else pc.invert(matched)
-        return left_t.filter(keep.fill_null(not keep_matched)
-                             if keep.null_count else keep
-                             ).drop_columns([SIDE])
+        return left.filter(keep.fill_null(not keep_matched)
+                           if keep.null_count else keep)
 
-    checked = partitioned_map(sides, verify, key=on, sort_keys=[on],
+    checked = partitioned_map([candidates, rkeys], verify, key=on,
+                              sort_keys=[[on], []],
                               num_partitions=num_partitions)
     if how == "semi":
         return checked

@@ -2,10 +2,11 @@
 to a base snapshot and emit the latest state per key (the merge/compact
 step every incremental 100-TB table maintenance job runs).
 
-Shape: ONE tagged-union keyed exchange (base rows tag 0, log rows tag 1)
-routed on the key, each partition sorted by ``(key, tag, *order_cols)``
-so a key's segment ends with its LAST changelog row.  The kernel is one
-vectorized run-length pass — no per-key Python.  Semantics:
+Shape: ONE keyed exchange of both inputs, each partition handing the
+kernel the base rows sorted by key and the log rows sorted by ``(key,
+*order_cols)``, so a key's log run ends with its LAST changelog row.  The
+kernel aligns the two sides' key runs on shared key codes in one
+vectorized pass — no per-key Python.  Semantics:
 
 * a key with changelog rows takes the value of the LAST log row
   (deterministic under the caller-supplied total order);
@@ -31,6 +32,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions import segments as seg
+
 __all__ = ["cdc_compact"]
 
 
@@ -50,45 +53,9 @@ def cdc_compact(base_ds, log_ds, *, key_col: str, order_cols: Sequence[str],
 
     base_schema = base_ds.schema()
     base_schema = getattr(base_schema, "base_schema", base_schema)
-    log_schema = log_ds.schema()
-    log_schema = getattr(log_schema, "base_schema", log_schema)
     key_type = base_schema.field(key_col).type
     val_type = base_schema.field(value_col).type
     pay_types = {c: base_schema.field(c).type for c in payload_cols}
-    ord_types = {c: log_schema.field(c).type for c in order_cols}
-
-    def tag_base(b: pa.Table) -> pa.Table:
-        if b[key_col].null_count:
-            raise ValueError(f"NULL {key_col} in base snapshot — filter "
-                             "keys upstream")
-        cols = {key_col: b[key_col],
-                "__side": pa.array(np.zeros(b.num_rows, np.int8))}
-        for c in order_cols:
-            cols[c] = pa.nulls(b.num_rows, ord_types[c])
-        cols[value_col] = b[value_col].combine_chunks().cast(val_type)
-        cols["__del"] = pa.array(np.zeros(b.num_rows, bool))
-        for c in payload_cols:
-            cols[c] = b[c]
-        return pa.table(cols)
-
-    def tag_log(b: pa.Table) -> pa.Table:
-        if b[key_col].null_count:
-            raise ValueError(f"NULL {key_col} in changelog — filter keys "
-                             "upstream")
-        cols = {key_col: b[key_col].combine_chunks().cast(key_type),
-                "__side": pa.array(np.ones(b.num_rows, np.int8))}
-        for c in order_cols:
-            cols[c] = b[c]
-        cols[value_col] = b[value_col].combine_chunks().cast(val_type)
-        cols["__del"] = pc.fill_null(b[delete_col], False)
-        for c in payload_cols:
-            cols[c] = pa.nulls(b.num_rows, pay_types[c])
-        return pa.table(cols)
-
-    sides = [base_ds.map_batches(tag_base, batch_format="pyarrow",
-                                 zero_copy_batch=True),
-             log_ds.map_batches(tag_log, batch_format="pyarrow",
-                                zero_copy_batch=True)]
 
     empty_cols = {key_col: pa.array([], key_type)}
     for c in payload_cols:
@@ -97,45 +64,50 @@ def cdc_compact(base_ds, log_ds, *, key_col: str, order_cols: Sequence[str],
     empty_cols["op"] = pa.array([], pa.string())
     empty = pa.table(empty_cols)
 
-    def kernel(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or key_col not in t.column_names:
+    def kernel(base: pa.Table, log: pa.Table) -> pa.Table:
+        for t, what in ((base, "base snapshot"), (log, "changelog")):
+            if t.num_rows and t[key_col].null_count:
+                raise ValueError(f"NULL {key_col} in {what} — filter "
+                                 "keys upstream")
+        if base.num_rows + log.num_rows == 0:
             return empty
-        keys = t[key_col].combine_chunks()
-        side = t["__side"].to_numpy(zero_copy_only=False)
-        codes = pc.dictionary_encode(keys).indices.to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        new_run = np.concatenate([[True], codes[1:] != codes[:-1]])
-        starts = np.flatnonzero(new_run)
-        ends = np.concatenate([starts[1:], [len(codes)]]) - 1
-        # base uniqueness: a key may contribute at most one tag-0 row
-        n_base = np.add.reduceat((side == 0).astype(np.int64), starts)
-        if int(n_base.max(initial=0)) > 1:
+        bk, lk = base[key_col], log[key_col]
+        bc, lc = seg.shared_key_codes(bk, lk)
+        if len(bc) > 1 and (bc[1:] == bc[:-1]).any():
             raise ValueError(f"duplicate {key_col} in base snapshot — "
                              "base keys must be unique (exact_dedup "
                              "upstream)")
-        has_base = side[starts] == 0
-        has_log = side[ends] == 1
-        dels = pc.fill_null(t["__del"], False).to_numpy(
-            zero_copy_only=False)
-        keep = ~(has_log & dels[ends])
-        kidx = np.flatnonzero(keep)
-        if len(kidx) == 0:
+        l_start = seg.run_starts(lc)
+        l_last = np.append(l_start[1:], len(lc)) - 1
+        # every key once, in key order: its base row, its last log row
+        codes = np.union1d(bc, lc[l_start])
+        bi = seg.lookup(bc, codes)
+        li = seg.lookup(lc[l_start], codes)
+        h_base, h_log = bi >= 0, li >= 0
+        last = np.append(l_last, -1)[li]        # -1: no log row
+        # -1 reads the appended False: a key without log rows stays
+        dels = np.append(pc.fill_null(log[delete_col], False).to_numpy(
+            zero_copy_only=False), False)
+        keep = ~dels[last]
+        if not keep.any():
             return empty
-        h_log, h_base = has_log[kidx], has_base[kidx]
-        vidx = np.where(h_log, ends[kidx], starts[kidx])
-        pidx = pa.array(np.where(h_base, starts[kidx], -1), pa.int64())
-        pidx = pc.if_else(pc.greater_equal(pidx, 0), pidx,
-                          pa.nulls(len(kidx), pa.int64()))
+        h_log, h_base = h_log[keep], h_base[keep]
+        bidx = pa.array(bi[keep], pa.int64(), mask=~h_base)
+        lidx = pa.array(last[keep], pa.int64(), mask=~h_log)
         op = np.where(~h_log, "keep",
                       np.where(h_base, "update", "insert"))
-        out = {key_col: keys.take(pa.array(starts[kidx], pa.int64()))}
+        out = {key_col: pc.coalesce(
+            bk.combine_chunks().take(bidx),
+            lk.combine_chunks().cast(key_type).take(lidx))}
         for c in payload_cols:
-            out[c] = t[c].combine_chunks().take(pidx)
-        out[value_col] = t[value_col].combine_chunks().take(
-            pa.array(vidx, pa.int64()))
+            out[c] = base[c].combine_chunks().take(bidx)
+        out[value_col] = pc.if_else(
+            pa.array(h_log),
+            log[value_col].combine_chunks().cast(val_type).take(lidx),
+            base[value_col].combine_chunks().cast(val_type).take(bidx))
         out["op"] = pa.array(op, pa.string())
         return pa.table(out)
 
-    return partitioned_map(sides, kernel, key=key_col,
-                           sort_keys=[key_col, "__side"] + order_cols,
+    return partitioned_map([base_ds, log_ds], kernel, key=key_col,
+                           sort_keys=[[key_col], [key_col] + order_cols],
                            num_partitions=num_partitions)

@@ -42,6 +42,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions import segments as seg
+
 
 def union_find_min_labels(a: np.ndarray, b: np.ndarray) -> dict:
     """Serial union-find over edges (a[i], b[i]) → {node: min id in its
@@ -169,53 +171,23 @@ def min_label_components(pairs_ds, *, pair_cols=("id_a", "id_b"),
 
     # ---- phase a: edge-min (route labels over edges, fold min) ----
 
-    def tag_vals(b: pa.Table) -> pa.Table:
-        return pa.table({"__k": b["__k"],
-                         "__tag": pa.array(np.zeros(b.num_rows, np.int8)),
-                         "to": pa.nulls(b.num_rows, pa.int64()),
-                         "lab": b["lab"]})
-
-    def tag_edges(b: pa.Table) -> pa.Table:
-        return pa.table({"__k": b["__k"],
-                         "__tag": pa.array(np.ones(b.num_rows, np.int8)),
-                         "to": b["to"],
-                         "lab": pa.nulls(b.num_rows, pa.int64())})
-
-    msg_empty = pa.table({"__k": pa.array([], pa.int64()),
-                          "__tag": pa.array([], pa.int8()),
-                          "cand": pa.array([], pa.int64()),
-                          "lab": pa.array([], pa.int64())})
-
-    def route_kernel(t: pa.Table) -> pa.Table:
-        # sorted (__k, __tag): state row leads each run; emit the own
-        # state row (tag 0) plus (to, lab_owner) messages (tag 1)
-        if t.num_rows == 0 or "__k" not in t.column_names:
-            return msg_empty
-        n = t["__k"].to_numpy(zero_copy_only=False)
-        tag = t["__tag"].to_numpy(zero_copy_only=False)
-        new_run = np.concatenate([[True], n[1:] != n[:-1]])
-        run_id = np.cumsum(new_run.astype(np.int64)) - 1
-        starts = np.flatnonzero(new_run)
-        if (tag[starts] != 0).any():
-            raise ValueError("min_label_components: node in edge list "
-                             "missing a value row")
-        # fill_null BEFORE to_numpy: null-bearing int64 → float64
-        lab_all = pc.fill_null(t["lab"].combine_chunks(), 0).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        lab_owner = lab_all[starts]
-        is_edge = tag == 1
-        to = pc.fill_null(t["to"].combine_chunks(), 0).to_numpy(
-            zero_copy_only=False).astype(np.int64)[is_edge]
-        cand = lab_owner[run_id[is_edge]]
-        n_msg = int(is_edge.sum())
-        own = pa.table({"__k": pa.array(n[starts].astype(np.int64)),
+    def route_kernel(vals: pa.Table, edges: pa.Table) -> pa.Table:
+        # emit the own state row (tag 0) plus (to, lab_owner) messages
+        # (tag 1)
+        n = seg.ints(vals, "__k")
+        starts, run = seg.owners(n, seg.ints(edges, "__k"),
+                                 "min_label_components: node in edge "
+                                 "list missing a value row")
+        lab_owner = seg.ints(vals, "lab")[starts]
+        to = seg.ints(edges, "to")
+        own = pa.table({"__k": pa.array(n[starts]),
                         "__tag": pa.array(np.zeros(len(starts), np.int8)),
                         "cand": pa.array(np.zeros(len(starts), np.int64)),
                         "lab": pa.array(lab_owner)})
         msgs = pa.table({"__k": pa.array(to),
-                         "__tag": pa.array(np.ones(n_msg, np.int8)),
-                         "cand": pa.array(cand.astype(np.int64)),
-                         "lab": pa.nulls(n_msg, pa.int64())})
+                         "__tag": pa.array(np.ones(len(to), np.int8)),
+                         "cand": pa.array(lab_owner[run]),
+                         "lab": pa.nulls(len(to), pa.int64())})
         return pa.concat_tables([own, msgs])
 
     def fold_kernel(t: pa.Table) -> pa.Table:
@@ -244,59 +216,31 @@ def min_label_components(pairs_ds, *, pair_cols=("id_a", "id_b"),
 
     # ---- phase b: pointer jump (lab ← lab(lab)) ----
 
-    def tag_state(b: pa.Table) -> pa.Table:
-        return pa.table({"__k": b["__k"],
-                         "__tag": pa.array(np.zeros(b.num_rows, np.int8)),
-                         "node": pa.nulls(b.num_rows, pa.int64()),
-                         "lab": b["lab"]})
-
-    def tag_request(b: pa.Table) -> pa.Table:
+    def request(b: pa.Table) -> pa.Table:
         # node u asks run lab(u) for lab(lab(u))
-        return pa.table({"__k": b["lab"],
-                         "__tag": pa.array(np.ones(b.num_rows, np.int8)),
-                         "node": b["__k"],
-                         "lab": pa.nulls(b.num_rows, pa.int64())})
+        return pa.table({"__k": b["lab"], "node": b["__k"]})
 
-    def jump_kernel(t: pa.Table) -> pa.Table:
-        # sorted (__k, __tag): state row of node k leads; every request
-        # (u with lab(u) = k) adopts m = lab(k).  Each node emits
-        # exactly once (via its single request row).
-        if t.num_rows == 0 or "__k" not in t.column_names:
-            return val_empty
-        n = t["__k"].to_numpy(zero_copy_only=False)
-        tag = t["__tag"].to_numpy(zero_copy_only=False)
-        new_run = np.concatenate([[True], n[1:] != n[:-1]])
-        run_id = np.cumsum(new_run.astype(np.int64)) - 1
-        starts = np.flatnonzero(new_run)
-        if (tag[starts] != 0).any():
-            # labels are always node ids, so every request run has an
-            # owner state row
-            raise ValueError("min_label_components: pointer-jump run "
-                             "missing its owner state row")
-        lab_all = pc.fill_null(t["lab"].combine_chunks(), 0).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        m_run = lab_all[starts]
-        is_req = tag == 1
-        node = pc.fill_null(t["node"].combine_chunks(), 0).to_numpy(
-            zero_copy_only=False).astype(np.int64)[is_req]
-        m = m_run[run_id[is_req]]
-        old_lab = n[is_req].astype(np.int64)      # request key == lab(u)
-        return pa.table({"__k": pa.array(node),
-                         "lab": pa.array(m.astype(np.int64)),
-                         "changed": pa.array(
-                             (m != old_lab).astype(np.int64))})
+    def jump_kernel(state: pa.Table, req: pa.Table) -> pa.Table:
+        # every request (u with lab(u) = k) adopts m = lab(k).  Each
+        # node emits exactly once (via its single request row).
+        k = seg.ints(req, "__k")                # request key == lab(u)
+        # labels are always node ids, so every request has an owner
+        # state row
+        starts, run = seg.owners(seg.ints(state, "__k"), k,
+                                 "min_label_components: pointer-jump "
+                                 "run missing its owner state row")
+        m = seg.ints(state, "lab")[starts][run]
+        return pa.table({"__k": pa.array(seg.ints(req, "node")),
+                         "lab": pa.array(m),
+                         "changed": pa.array((m != k).astype(np.int64))})
 
     it = 0
     changed = 1
     while changed and it < max_iters:
-        vals_ds = ray.data.from_arrow_refs(list(value_refs))
-        sides = [vals_ds.map_batches(tag_vals, batch_format="pyarrow",
-                                     zero_copy_batch=True),
-                 edges_dataset().map_batches(tag_edges, batch_format="pyarrow",
-                                             zero_copy_batch=True)]
-        msgs = partitioned_map(sides, route_kernel, key="__k",
-                               sort_keys=["__k", "__tag"],
-                               num_partitions=num_partitions)
+        msgs = partitioned_map(
+            [ray.data.from_arrow_refs(list(value_refs)), edges_dataset()],
+            route_kernel, key="__k", sort_keys=[["__k"], ["__k"]],
+            num_partitions=num_partitions)
         folded = partitioned_map(msgs, fold_kernel, key="__k",
                                  sort_keys=["__k", "__tag"],
                                  num_partitions=num_partitions)
@@ -304,13 +248,11 @@ def min_label_components(pairs_ds, *, pair_cols=("id_a", "id_b"),
         changed_a = int(ray.data.from_arrow_refs(list(fold_refs))
                         .sum("changed") or 0)
         vals_ds = ray.data.from_arrow_refs(list(fold_refs))
-        jump_in = [vals_ds.map_batches(tag_state, batch_format="pyarrow",
-                                       zero_copy_batch=True),
-                   vals_ds.map_batches(tag_request, batch_format="pyarrow",
-                                       zero_copy_batch=True)]
-        jumped = partitioned_map(jump_in, jump_kernel, key="__k",
-                                 sort_keys=["__k", "__tag"],
-                                 num_partitions=num_partitions)
+        jumped = partitioned_map(
+            [vals_ds, vals_ds.map_batches(request, batch_format="pyarrow",
+                                          zero_copy_batch=True)],
+            jump_kernel, key="__k", sort_keys=[["__k"], ["__k"]],
+            num_partitions=num_partitions)
         value_refs = list(materialized_block_refs(jumped))
         changed_b = int(ray.data.from_arrow_refs(list(value_refs))
                         .sum("changed") or 0)

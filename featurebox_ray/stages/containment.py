@@ -36,18 +36,18 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions import segments as seg
+
 __all__ = ["containment_join"]
 
 
-def _distinct_postings(ds, id_col, text_col, tag: int):
-    """(token:string, qid:int64, cid:int64) distinct per-doc postings,
-    with the non-side id NULL."""
+def _distinct_postings(ds, id_col, text_col, out: str):
+    """(token:string, ``out``:int64) distinct per-doc postings."""
     from .dedup import split_tokens
 
     def fn(b: pa.Table) -> pa.Table:
         empty = pa.table({"token": pa.array([], pa.string()),
-                          "qid": pa.array([], pa.int64()),
-                          "cid": pa.array([], pa.int64())})
+                          out: pa.array([], pa.int64())})
         keep = pc.is_valid(b[id_col])
         if not pc.all(pc.fill_null(keep, False)).as_py():
             b = b.filter(keep)
@@ -71,10 +71,7 @@ def _distinct_postings(ds, id_col, text_col, tag: int):
         toks = dct.take(pa.array(pair % len(dct), pa.int64()))
         doc = pa.array(ids[(pair // len(dct)).astype(np.int64)],
                        pa.int64())
-        null = pa.nulls(len(pair), pa.int64())
-        return pa.table({"token": toks.cast(pa.string()),
-                         "qid": doc if tag == 0 else null,
-                         "cid": null if tag == 0 else doc})
+        return pa.table({"token": toks.cast(pa.string()), out: doc})
 
     return ds.map_batches(fn, batch_format="pyarrow",
                           zero_copy_batch=True)
@@ -92,50 +89,37 @@ def containment_join(query_ds, corpus_ds, *, id_col: str = "doc_id",
     frac = Fraction(threshold).limit_denominator(1_000_000)
     num, den = frac.numerator, frac.denominator
 
-    postings = [_distinct_postings(query_ds, id_col, text_col, 0),
-                _distinct_postings(corpus_ds, id_col, text_col, 1)]
+    postings = [_distinct_postings(query_ds, id_col, text_col, "qid"),
+                _distinct_postings(corpus_ds, id_col, text_col, "cid")]
 
     mid_empty = pa.table({"qid": pa.array([], pa.int64()),
                           "cid": pa.array([], pa.int64()),
                           "cnt": pa.array([], pa.int64())})
 
-    def token_kernel(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "token" not in t.column_names:
+    def token_kernel(qt: pa.Table, ct: pa.Table) -> pa.Table:
+        if qt.num_rows == 0:
             return mid_empty
-        toks = t["token"].combine_chunks()
-        codes = pc.dictionary_encode(toks).indices.to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        # fill_null before to_numpy: ids > 2^53 must not round-trip
-        # through float64 (the _hash_chunk lesson)
-        is_q = pc.is_valid(t["qid"]).to_numpy(zero_copy_only=False)
-        q = pc.fill_null(t["qid"], 0).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        c = pc.fill_null(t["cid"], 0).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        new_run = np.concatenate([[True], codes[1:] != codes[:-1]])
-        starts = np.flatnonzero(new_run)
-        ends = np.concatenate([starts[1:], [len(codes)]])
-        run_id = np.cumsum(new_run.astype(np.int64)) - 1
-        nq = np.add.reduceat(is_q.astype(np.int64), starts)
-        nc = (ends - starts) - nq
+        q, c = seg.ints(qt, "qid"), seg.ints(ct, "cid")
+        # token runs of each side, on one shared token numbering
+        rq, rc = seg.shared_key_codes(
+            qt["token"], ct["token"] if ct.num_rows
+            else pa.array([], pa.string()))
+        nq = np.bincount(rq, minlength=len(rq) + len(rc) + 1)
+        nc = np.bincount(rc, minlength=len(nq))
         keep_tok = nc <= max_df
-        kq = keep_tok[run_id] & is_q
-        kc = keep_tok[run_id] & ~is_q
         n_pairs = int((nq * nc * keep_tok).sum())
         if n_pairs > max_expansion:
             raise ValueError("containment_join: pair expansion "
                              f"{n_pairs} exceeds max_expansion — "
                              "lower max_df")
-        out_q = q[kq]
+        kq = keep_tok[rq]
+        out_q, rq = q[kq], rq[kq]
         # qlen rows: one per kept query posting
         parts = [(out_q, np.full(len(out_q), -1, np.int64))]
         if n_pairs:
-            # cross q×c inside each kept token run
-            rq = run_id[kq]
-            rc = run_id[kc]
-            cc = c[kc]
-            # for each kept query posting, span of corpus postings of
-            # the same run (corpus postings sorted by run: rc sorted)
+            # cross q×c inside each kept token run: for each kept query
+            # posting, the span of corpus postings of its token (corpus
+            # postings are sorted by token)
             lo = np.searchsorted(rc, rq, "left")
             hi = np.searchsorted(rc, rq, "right")
             spans = hi - lo
@@ -143,7 +127,7 @@ def containment_join(query_ds, corpus_ds, *, id_col: str = "doc_id",
             idx = (np.arange(spans.sum())
                    - np.repeat(np.cumsum(spans) - spans, spans)
                    + lo[gid])
-            parts.append((out_q[gid], cc[idx]))
+            parts.append((out_q[gid], c[idx]))
         pq = np.concatenate([p[0] for p in parts])
         pcid = np.concatenate([p[1] for p in parts])
         if len(pq) == 0:  # no kept query postings in this partition
@@ -162,7 +146,7 @@ def containment_join(query_ds, corpus_ds, *, id_col: str = "doc_id",
             "cnt": pa.array(cnt.astype(np.int64))})
 
     mid = partitioned_map(postings, token_kernel, key="token",
-                          sort_keys=["token", "qid", "cid"],
+                          sort_keys=[["token", "qid"], ["token", "cid"]],
                           num_partitions=num_partitions)
 
     out_empty = pa.table({"qid": pa.array([], pa.int64()),

@@ -36,6 +36,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions import segments as seg
+
 CDC_A = np.uint64(0x100000001B3)           # FNV prime, odd
 
 
@@ -363,8 +365,8 @@ def cdc_scrub(ds, *, id_col: str = "doc_id", text_col: str = "text",
     scrubbed bytes, so ``n_before − n_removed == n_after`` is an
     internal invariant, not bookkeeping.
 
-    One doc-keyed tagged-union exchange (doc text tag 0, its plan
-    rows tag 1 from :func:`cdc_dup_regions`); the kernel splices each
+    One doc-keyed exchange of the doc texts and their plan rows from
+    :func:`cdc_dup_regions`, read as two tables; the kernel splices each
     doc's kept ranges vectorized over region boundaries (regions per
     doc are few — predicate spacing).  Returns ``(id_col,
     n_before:int64, n_removed:int64, n_after:int64)`` — one row per
@@ -388,68 +390,45 @@ def cdc_scrub(ds, *, id_col: str = "doc_id", text_col: str = "text",
                               max_len=max_len,
                               num_partitions=num_partitions)
 
-    def tag_docs(b: pa.Table) -> pa.Table:
+    def prep_docs(b: pa.Table) -> pa.Table:
         keep = pc.fill_null(pc.and_(pc.is_valid(b[id_col]),
                                     pc.is_valid(b[text_col])), False)
         if not pc.all(keep).as_py():
             b = b.filter(keep)
         return pa.table({
             id_col: b[id_col].combine_chunks().cast(pa.int64()),
-            "__tag": pa.array(np.zeros(b.num_rows, np.int8)),
-            "text": b[text_col].combine_chunks().cast(pa.string()),
-            "start": pa.nulls(b.num_rows, pa.int64()),
-            "length": pa.nulls(b.num_rows, pa.int64()),
-            "first_doc": pa.nulls(b.num_rows, pa.int64())})
+            "text": b[text_col].combine_chunks().cast(pa.string())})
 
-    def tag_plan(b: pa.Table) -> pa.Table:
-        return pa.table({
-            id_col: b[id_col],
-            "__tag": pa.array(np.ones(b.num_rows, np.int8)),
-            "text": pa.nulls(b.num_rows, pa.string()),
-            "start": b["start"],
-            "length": b["length"],
-            "first_doc": b["first_doc"]})
-
-    sides = [ds.map_batches(tag_docs, batch_format="pyarrow",
-                            zero_copy_batch=True),
-             regions.map_batches(tag_plan, batch_format="pyarrow",
-                                 zero_copy_batch=True)]
+    docs = ds.map_batches(prep_docs, batch_format="pyarrow",
+                          zero_copy_batch=True)
 
     empty = pa.table({id_col: pa.array([], pa.int64()),
                       "n_before": pa.array([], pa.int64()),
                       "n_removed": pa.array([], pa.int64()),
                       "n_after": pa.array([], pa.int64())})
 
-    def kernel(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or id_col not in t.column_names:
+    def kernel(docs: pa.Table, plan: pa.Table) -> pa.Table:
+        if docs.num_rows + plan.num_rows == 0:
             return empty
-        did = t[id_col].to_numpy(zero_copy_only=False).astype(
-            np.int64)
-        tag = t["__tag"].to_numpy(zero_copy_only=False)
-        new_doc = np.concatenate([[True], did[1:] != did[:-1]])
-        starts = np.flatnonzero(new_doc)
-        ends = np.append(starts[1:], len(did))
-        txt = t["text"].to_pylist()
-        st = pc.fill_null(t["start"], -1).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        ln = pc.fill_null(t["length"], 0).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        fd = pc.fill_null(t["first_doc"], -1).to_numpy(
-            zero_copy_only=False).astype(np.int64)
+        did, pid = seg.ints(docs, id_col), seg.ints(plan, id_col)
+        st, ln = seg.ints(plan, "start", -1), seg.ints(plan, "length")
+        fd = seg.ints(plan, "first_doc", -1)
+        txt = docs["text"].to_pylist() if docs.num_rows else []
         out_id, out_b, out_r, out_a = [], [], [], []
-        for s0, e0 in zip(starts, ends):
-            if tag[s0] != 0:
+        for d in np.union1d(did, pid).tolist():
+            s0, e0 = np.searchsorted(did, [d, d + 1])
+            if s0 == e0:
                 # plan rows for a doc outside this input slice —
                 # contract: the doc row always co-locates (same key)
                 raise ValueError("cdc_scrub: plan rows without their "
                                  "document row")
-            d = int(did[s0])
-            if e0 - s0 > 1 and tag[s0 + 1] == 0:
+            if e0 - s0 > 1:
                 # two document rows share the id: the plan cannot tell
                 # their regions apart, and one text would be lost
                 raise ValueError(
                     f"cdc_scrub: duplicate {id_col} {d} — one document "
                     f"row per id")
+            p0, p1 = np.searchsorted(pid, [d, d + 1])
             bs = txt[s0].encode("utf-8")
             nb = len(bs)
             if nb == 0:
@@ -457,8 +436,7 @@ def cdc_scrub(ds, *, id_col: str = "doc_id", text_col: str = "text",
             # removal ranges: plan rows of THIS doc where it is not
             # the first-seen copy
             sel = [(int(st[i]), int(ln[i]))
-                   for i in range(s0 + 1, e0)
-                   if tag[i] == 1 and fd[i] != d]
+                   for i in range(p0, p1) if fd[i] != d]
             if sel:
                 keep_mask = np.ones(nb, bool)
                 for s1, l1 in sel:
@@ -484,6 +462,6 @@ def cdc_scrub(ds, *, id_col: str = "doc_id", text_col: str = "text",
             "n_removed": pa.array(out_r, pa.int64()),
             "n_after": pa.array(out_a, pa.int64())})
 
-    return partitioned_map(sides, kernel, key=id_col,
-                           sort_keys=[id_col, "__tag", "start"],
+    return partitioned_map([docs, regions], kernel, key=id_col,
+                           sort_keys=[[id_col], [id_col, "start"]],
                            num_partitions=num_partitions)

@@ -855,42 +855,24 @@ def _verify_pairs_generic(pairs_ds, docs_ds, *, id_col: str,
         sub = batch.filter(pa.array(mask))
         return pa.table({
             id_col: sub[id_col].cast(pa.int64()),
-            "__sh": payload_fn(sub),
+            "__sh": payload_fn(sub).cast(payload_type),
         })
 
     sh_rows = docs_ds.map_batches(candidate_payloads, batch_format="pyarrow",
                                   zero_copy_batch=True)
 
-    sh_type = payload_type
     routed_empty = pa.table({id_col: pa.array([], pa.int64()),
-                             "__sh": pa.array([], sh_type),
+                             "__sh": pa.array([], payload_type),
                              PB: pa.array([], pa.int64())})
 
-    def tag_sh(t: pa.Table) -> pa.Table:
-        return pa.table({id_col: t[id_col], "__sh": t["__sh"].cast(sh_type),
-                         PB: pa.nulls(t.num_rows, pa.int64())})
-
-    def tag_req(t: pa.Table) -> pa.Table:
-        return pa.table({id_col: t[id_col],
-                         "__sh": pa.nulls(t.num_rows, sh_type),
-                         PB: t[PB]})
-
-    route_in = [sh_rows.map_batches(tag_sh, batch_format="pyarrow"),
-                requests.map_batches(tag_req, batch_format="pyarrow")]
-
-    def route_kernel(t: pa.Table) -> pa.Table:
+    def route_kernel(doc: pa.Table, req: pa.Table) -> pa.Table:
         # replicate each doc's payload to every bucket requesting it
         # (Arrow acero can't carry list payloads through Table.join, so
         # the match is a sorted searchsorted gather instead)
-        if t.num_rows == 0 or id_col not in t.column_names:
+        if doc.num_rows == 0 or req.num_rows == 0:
             return routed_empty
-        is_req = np.asarray(pc.is_valid(t[PB]))
-        req = t.filter(pa.array(is_req))
-        doc = t.filter(pa.array(~is_req))
         did = doc[id_col].to_numpy(zero_copy_only=False)
         rid = req[id_col].to_numpy(zero_copy_only=False)
-        if len(did) == 0 or len(rid) == 0:
-            return routed_empty
         idx = np.searchsorted(did, rid)
         ok = (idx < len(did)) & (did[np.minimum(idx, len(did) - 1)] == rid)
         sh_col = doc["__sh"].combine_chunks() if isinstance(
@@ -901,38 +883,21 @@ def _verify_pairs_generic(pairs_ds, docs_ds, *, id_col: str,
             PB: req[PB].filter(pa.array(ok)),
         })
 
-    routed = partitioned_map(route_in, route_kernel, key=id_col,
-                             sort_keys=[id_col], num_partitions=P)
-
-    def tag_pairs(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "id_a": t["id_a"], "id_b": t["id_b"], PB: t[PB],
-            id_col: pa.nulls(t.num_rows, pa.int64()),
-            "__sh": pa.nulls(t.num_rows, sh_type)})
-
-    def tag_docs(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "id_a": pa.nulls(t.num_rows, pa.int64()),
-            "id_b": pa.nulls(t.num_rows, pa.int64()),
-            PB: t[PB],
-            id_col: t[id_col], "__sh": t["__sh"].cast(sh_type)})
-
-    sides = [cand_pairs.map_batches(tag_pairs, batch_format="pyarrow"),
-             routed.map_batches(tag_docs, batch_format="pyarrow")]
+    routed = partitioned_map([sh_rows, requests], route_kernel, key=id_col,
+                             sort_keys=[[id_col], [id_col]],
+                             num_partitions=P)
 
     np_value_dtype = payload_type.value_type.to_pandas_dtype()
 
-    def verify(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "id_a" not in t.column_names:
+    def verify(pairs_t: pa.Table, docs_t: pa.Table) -> pa.Table:
+        if pairs_t.num_rows == 0:
             return out_schema.empty_table()
-        is_doc = np.asarray(pc.is_valid(t[id_col]))
-        docs_t = t.filter(pa.array(is_doc))
         sh = {}
-        doc_ids = docs_t[id_col].to_numpy(zero_copy_only=False)
-        sh_col = docs_t["__sh"].to_pylist()
+        doc_ids = (docs_t[id_col].to_numpy(zero_copy_only=False)
+                   if docs_t.num_rows else [])
+        sh_col = docs_t["__sh"].to_pylist() if docs_t.num_rows else []
         for i in range(len(doc_ids)):
             sh[doc_ids[i]] = np.asarray(sh_col[i], np_value_dtype)
-        pairs_t = t.filter(pa.array(~is_doc))
         a = pairs_t["id_a"].to_numpy(zero_copy_only=False)
         b = pairs_t["id_b"].to_numpy(zero_copy_only=False)
         # same pair found in several bands hashes to the same bucket:
@@ -966,8 +931,8 @@ def _verify_pairs_generic(pairs_ds, docs_ds, *, id_col: str,
             out_col: pa.array(score[keep]),
         })
 
-    return partitioned_map(sides, verify, key=PB, sort_keys=[PB],
-                           num_partitions=P)
+    return partitioned_map([cand_pairs, routed], verify, key=PB,
+                           sort_keys=[[PB], [PB]], num_partitions=P)
 
 
 def _jaccard_scorer(sa: np.ndarray, sb: np.ndarray) -> float:

@@ -3,12 +3,11 @@
 primitive of a 100-TB pipeline: diff yesterday's corpus against
 today's, reprocess only the delta, audit an upstream refresh.
 
-Physical plan: both sides stream through a tag column into ONE
-id-keyed task exchange (the established tagged-union shape — no join
-operator, no schema probe); the kernel walks id runs vectorized
-(sorted by (id, tag), runs are length 1 or 2) and classifies each id
-with pure array compares.  Unchanged ids emit nothing, so the output
-is delta-sized.
+Physical plan: both sides go as they are into ONE id-keyed task
+exchange, which hands the kernel each side as its own id-sorted table
+(no join operator, no schema probe); the kernel aligns the two sides'
+ids on shared key codes and classifies each id with pure array
+compares.  Unchanged ids emit nothing, so the output is delta-sized.
 
 Equality is SQL ``IS NOT DISTINCT FROM`` per compare column (NULL ==
 NULL is unchanged), which DuckDB replays 1:1 in a FULL OUTER JOIN.
@@ -30,6 +29,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions import segments as seg
+
 
 def snapshot_diff(old_ds, new_ds, *, id_col: str,
                   cmp_cols: Sequence[str], num_partitions: int = 16):
@@ -37,60 +38,38 @@ def snapshot_diff(old_ds, new_ds, *, id_col: str,
     in {'added', 'removed', 'changed'}; unchanged ids emit nothing."""
     from .partition import partitioned_map
 
-    cols = [id_col] + list(cmp_cols)
-
-    def tag(which: int):
-        def fn(b: pa.Table) -> pa.Table:
-            if b[id_col].null_count:
-                raise ValueError(
-                    f"NULL {id_col} in snapshot side {which} — diff "
-                    "requires non-null unique ids")
-            return b.select(cols).append_column(
-                "__side", pa.array(np.full(b.num_rows, which, np.int8)))
-        return fn
-
-    sides = [old_ds.map_batches(tag(0), batch_format="pyarrow",
-                                zero_copy_batch=True),
-             new_ds.map_batches(tag(1), batch_format="pyarrow",
-                                zero_copy_batch=True)]
-
     # id type captured once from the input schema so empty partitions
     # (including Ray's zero-column empty bundles) emit a typed block
     base = old_ds.schema()
     base = getattr(base, "base_schema", base)
-    empty = pa.table({id_col: pa.array([], base.field(id_col).type),
+    id_type = base.field(id_col).type
+    empty = pa.table({id_col: pa.array([], id_type),
                       "status": pa.array([], pa.string())})
 
-    def kernel(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or id_col not in t.column_names:
+    def kernel(old: pa.Table, new: pa.Table) -> pa.Table:
+        for which, t in enumerate((old, new)):
+            if t.num_rows and t[id_col].null_count:
+                raise ValueError(
+                    f"NULL {id_col} in snapshot side {which} — diff "
+                    "requires non-null unique ids")
+        if old.num_rows + new.num_rows == 0:
             return empty
-        # partitioned_map delivers the partition sorted by (id, side)
-        ids = t[id_col].combine_chunks()
-        side = t["__side"].to_numpy(zero_copy_only=False)
-        enc = pc.dictionary_encode(ids)
-        codes = enc.indices.to_numpy(zero_copy_only=False).astype(
-            np.int64)
-        new_run = np.concatenate([[True], codes[1:] != codes[:-1]])
-        starts = np.flatnonzero(new_run)
-        lens = np.diff(np.concatenate([starts, [len(codes)]]))
-        if int(lens.max()) > 2 or np.any(
-                (lens == 2) & (side[starts] == side[
-                    np.minimum(starts + 1, len(side) - 1)])):
+        oc, nc = seg.shared_key_codes(old[id_col], new[id_col])
+        if (oc[1:] == oc[:-1]).any() or (nc[1:] == nc[:-1]).any():
             raise ValueError(
                 f"duplicate {id_col} within one snapshot side — ids "
                 "must be unique per side (exact_dedup upstream)")
-        only = lens == 1
-        status = np.empty(len(starts), object)
-        status[only & (side[starts] == 0)] = "removed"
-        status[only & (side[starts] == 1)] = "added"
-        both = np.flatnonzero(~only)
+        codes = np.union1d(oc, nc)              # every id once, in order
+        oi, ni = seg.lookup(oc, codes), seg.lookup(nc, codes)
+        status = np.where(oi < 0, "added", "removed").astype(object)
+        both = np.flatnonzero((oi >= 0) & (ni >= 0))
         if len(both):
-            o_idx = pa.array(starts[both], pa.int64())
-            n_idx = pa.array(starts[both] + 1, pa.int64())
+            o_idx = pa.array(oi[both], pa.int64())
+            n_idx = pa.array(ni[both], pa.int64())
             same = np.ones(len(both), bool)
             for c in cmp_cols:
-                col = t[c].combine_chunks()
-                a, b = col.take(o_idx), col.take(n_idx)
+                a = old[c].combine_chunks().take(o_idx)
+                b = new[c].combine_chunks().take(n_idx)
                 # IS NOT DISTINCT FROM: equal, or both NULL — and for
                 # floating columns both-NaN counts as equal too (SQL
                 # NaN IS NOT DISTINCT FROM NaN is true; Arrow pc.equal
@@ -98,7 +77,7 @@ def snapshot_diff(old_ds, new_ds, *, id_col: str,
                 eq = pc.fill_null(pc.equal(a, b), False)
                 both_null = pc.and_(pc.is_null(a), pc.is_null(b))
                 same_c = pc.or_(eq, both_null)
-                if pa.types.is_floating(col.type):
+                if pa.types.is_floating(a.type):
                     both_nan = pc.and_(pc.fill_null(pc.is_nan(a), False),
                                        pc.fill_null(pc.is_nan(b), False))
                     same_c = pc.or_(same_c, both_nan)
@@ -107,13 +86,17 @@ def snapshot_diff(old_ds, new_ds, *, id_col: str,
         keep = np.flatnonzero(status != None)  # noqa: E711
         if len(keep) == 0:
             return empty
+        src = pa.array(oi[keep], pa.int64(), mask=oi[keep] < 0)
+        add = pa.array(ni[keep], pa.int64(), mask=oi[keep] >= 0)
         return pa.table({
-            id_col: ids.take(pa.array(starts[keep], pa.int64())),
-            "status": pa.array([status[i] for i in keep], pa.string()),
+            id_col: pc.coalesce(
+                old[id_col].combine_chunks().take(src),
+                new[id_col].combine_chunks().cast(id_type).take(add)),
+            "status": pa.array(list(status[keep]), pa.string()),
         })
 
-    return partitioned_map(sides, kernel, key=id_col,
-                           sort_keys=[id_col, "__side"],
+    return partitioned_map([old_ds, new_ds], kernel, key=id_col,
+                           sort_keys=[[id_col], [id_col]],
                            num_partitions=num_partitions)
 
 
@@ -125,8 +108,8 @@ def category_drift(old_ds, new_ds, *, col: str,
     distribution complement of :func:`snapshot_diff`'s row-level
     delta).
 
-    Both sides stream through per-block ``(value, side, partial
-    count)`` rows into ONE value-keyed exchange (the shuffle moves
+    Both sides stream through per-block ``(value, partial count)``
+    rows into ONE value-keyed exchange (the shuffle moves
     O(blocks × categories) tiny rows); grand totals are a tiny driver
     reduce over the already-materialized per-category counts.  Counts
     are exact ints and each share is one IEEE division, so SQL replays
@@ -140,64 +123,50 @@ def category_drift(old_ds, new_ds, *, col: str,
 
     from .partition import materialized_block_refs, partitioned_map
 
-    def partial(which: int):
-        def fn(b: pa.Table) -> pa.Table:
-            vals = b[col].combine_chunks().cast(pa.string())
-            enc = pc.dictionary_encode(vals)
-            idx = pc.fill_null(enc.indices, -1).to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            nulls = int((idx < 0).sum())
-            cnt = np.bincount(idx[idx >= 0],
-                              minlength=len(enc.dictionary)
-                              ).astype(np.int64)
-            out_vals = enc.dictionary.cast(pa.string())
-            out_cnt = cnt
-            if nulls:
-                out_vals = pa.concat_arrays(
-                    [out_vals, pa.array([None], pa.string())])
-                out_cnt = np.concatenate([cnt, [nulls]])
-            n = len(out_cnt)
-            return pa.table({
-                col: out_vals,
-                "side": pa.array(np.full(n, which, np.int8)),
-                "cnt": pa.array(out_cnt),
-            })
-        return fn
-
-    sides = [old_ds.map_batches(partial(0), batch_format="pyarrow",
-                                zero_copy_batch=True, batch_size=None),
-             new_ds.map_batches(partial(1), batch_format="pyarrow",
-                                zero_copy_batch=True, batch_size=None)]
-
-    def combine(t: pa.Table) -> pa.Table:
-        empty = pa.table({col: pa.array([], pa.string()),
-                          "n_old": pa.array([], pa.int64()),
-                          "n_new": pa.array([], pa.int64())})
-        if t.num_rows == 0 or col not in t.column_names:
-            return empty
-        vals = t[col].combine_chunks()
+    def partial(b: pa.Table) -> pa.Table:
+        vals = b[col].combine_chunks().cast(pa.string())
         enc = pc.dictionary_encode(vals)
-        g = len(enc.dictionary)
-        # NULL category -> the extra slot g
-        idx = pc.fill_null(enc.indices, g).to_numpy(
+        idx = pc.fill_null(enc.indices, -1).to_numpy(
             zero_copy_only=False).astype(np.int64)
-        side = t["side"].to_numpy(zero_copy_only=False)
-        cnt = t["cnt"].to_numpy(zero_copy_only=False)
-        has_null = bool((idx == g).any())
-        width = g + (1 if has_null else 0)
-        sums = np.zeros((2, width), np.int64)
-        np.add.at(sums[0], idx[side == 0], cnt[side == 0])
-        np.add.at(sums[1], idx[side == 1], cnt[side == 1])
+        nulls = int((idx < 0).sum())
+        cnt = np.bincount(idx[idx >= 0],
+                          minlength=len(enc.dictionary)
+                          ).astype(np.int64)
         out_vals = enc.dictionary.cast(pa.string())
-        if has_null:
+        out_cnt = cnt
+        if nulls:
             out_vals = pa.concat_arrays(
                 [out_vals, pa.array([None], pa.string())])
-        return pa.table({col: out_vals,
+            out_cnt = np.concatenate([cnt, [nulls]])
+        return pa.table({col: out_vals, "cnt": pa.array(out_cnt)})
+
+    sides = [d.map_batches(partial, batch_format="pyarrow",
+                           zero_copy_batch=True, batch_size=None)
+             for d in (old_ds, new_ds)]
+
+    def combine(old: pa.Table, new: pa.Table) -> pa.Table:
+        if old.num_rows + new.num_rows == 0:
+            return pa.table({col: pa.array([], pa.string()),
+                             "n_old": pa.array([], pa.int64()),
+                             "n_new": pa.array([], pa.int64())})
+        # NULL is the last code: its row comes last, as a GROUP BY's
+        codes = np.concatenate(seg.shared_key_codes(old[col], new[col]))
+        u, first, inv = np.unique(codes, return_index=True,
+                                  return_inverse=True)
+        cnt = np.concatenate([old["cnt"].to_numpy(zero_copy_only=False),
+                              new["cnt"].to_numpy(zero_copy_only=False)])
+        is_new = np.arange(len(codes)) >= old.num_rows
+        sums = np.zeros((2, len(u)), np.int64)
+        np.add.at(sums[0], inv[~is_new], cnt[~is_new])
+        np.add.at(sums[1], inv[is_new], cnt[is_new])
+        vals = pa.concat_arrays([old[col].combine_chunks(),
+                                 new[col].combine_chunks()])
+        return pa.table({col: vals.take(pa.array(first, pa.int64())),
                          "n_old": pa.array(sums[0]),
                          "n_new": pa.array(sums[1])})
 
     counted = partitioned_map(sides, combine, key=col,
-                              sort_keys=[col],
+                              sort_keys=[[col], [col]],
                               num_partitions=num_partitions)
     refs = materialized_block_refs(counted)
     blocks = [b for b in ray.get(refs) if b.num_rows > 0]

@@ -35,6 +35,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions import segments as seg
+
 __all__ = ["pagerank"]
 
 
@@ -102,103 +104,54 @@ def pagerank(edges_ds, *, src_col: str = "src", dst_col: str = "dst",
                                         batch_size=None,
                                         zero_copy_batch=True)
 
-    def tag_edges(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "__n": b["__n"],
-            "__tag": pa.array(np.ones(b.num_rows, np.int8)),
-            "dst": b["dst"], "outdeg": b["outdeg"],
-            "r": pa.nulls(b.num_rows, pa.int64())})
-
-    def tag_ranks(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "__n": b["__n"],
-            "__tag": pa.array(np.zeros(b.num_rows, np.int8)),
-            "dst": pa.nulls(b.num_rows, pa.int64()),
-            "outdeg": pa.nulls(b.num_rows, pa.int64()),
-            "r": b["r"]})
-
     part_empty = pa.table({"__n": pa.array([], pa.int64()),
                            "ps": pa.array([], pa.int64())})
 
-    def contrib_kernel(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "__n" not in t.column_names:
-            return part_empty
-        n = t["__n"].to_numpy(zero_copy_only=False)
-        tag = t["__tag"].to_numpy(zero_copy_only=False)
-        new_run = np.concatenate([[True], n[1:] != n[:-1]])
-        starts = np.flatnonzero(new_run)
-        run_id = np.cumsum(new_run.astype(np.int64)) - 1
-        if not (tag[starts] == 0).all():
-            raise ValueError("pagerank: node with edges but no rank row"
-                             " — edge list mutated between iterations")
-        # exactly one rank row per node: a block split mid-partition in
-        # init_ranks would silently duplicate mass — fail loudly instead
-        if int(np.add.reduceat((tag == 0).astype(np.int64),
-                               starts).max(initial=0)) > 1:
+    def contrib_kernel(edges: pa.Table, ranks: pa.Table) -> pa.Table:
+        # every edge's source must have exactly one rank row
+        rn = seg.ints(ranks, "__n")
+        starts, run = seg.owners(
+            rn, seg.ints(edges, "__n"),
+            "pagerank: node with edges but no rank row — edge list "
+            "mutated between iterations")
+        # a block split mid-partition in init_ranks would silently
+        # duplicate mass — fail loudly instead
+        if len(starts) < len(rn):
             raise ValueError("pagerank: duplicate rank rows for a node "
                              "(init saw a split partition block)")
-        r = t["r"].to_numpy(zero_copy_only=False)
-        seg_rank = r[starts][run_id]
-        e = tag == 1
-        if not e.any():
+        if edges.num_rows == 0:
             return part_empty
-        contrib = seg_rank[e] // t["outdeg"].to_numpy(
-            zero_copy_only=False)[e]
-        dst = t["dst"].to_numpy(zero_copy_only=False)[e]
-        u, inv = np.unique(dst, return_inverse=True)
+        contrib = seg.ints(ranks, "r")[run] // seg.ints(edges, "outdeg")
+        u, inv = np.unique(seg.ints(edges, "dst"), return_inverse=True)
         ps = np.zeros(len(u), np.int64)
         np.add.at(ps, inv, contrib)
         return pa.table({"__n": pa.array(u, pa.int64()),
                          "ps": pa.array(ps)})
 
-    def tag_parts(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "__n": b["__n"],
-            "__tag": pa.array(np.ones(b.num_rows, np.int8)),
-            "ps": b["ps"]})
-
-    def tag_nodes(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "__n": b["__n"],
-            "__tag": pa.array(np.zeros(b.num_rows, np.int8)),
-            "ps": pa.nulls(b.num_rows, pa.int64())})
-
-    rank_empty = pa.table({"__n": pa.array([], pa.int64()),
-                           "r": pa.array([], pa.int64())})
-
-    def update_kernel(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "__n" not in t.column_names:
-            return rank_empty
-        n = t["__n"].to_numpy(zero_copy_only=False)
-        tag = t["__tag"].to_numpy(zero_copy_only=False)
-        new_run = np.concatenate([[True], n[1:] != n[:-1]])
-        starts = np.flatnonzero(new_run)
-        keep = tag[starts] == 0  # partial without a node row: stale dst
-        ps = pc.fill_null(t["ps"], 0).to_numpy(zero_copy_only=False)
-        s = np.add.reduceat(ps, starts)
+    def update_kernel(nodes: pa.Table, parts: pa.Table) -> pa.Table:
+        # partials of a dst without a node row are stale: dropped
+        pn = seg.ints(parts, "__n")
+        pst = seg.run_starts(pn)
+        s = (np.add.reduceat(seg.ints(parts, "ps"), pst) if len(pst)
+             else np.empty(0, np.int64))
         if len(s) and int(np.abs(s).max()) > (1 << 62) // 17:
             raise ValueError("pagerank: contribution sum near int64 "
                              "overflow — raise num_partitions or lower "
                              "scale_bits")
-        r_new = T + (17 * s) // 20
-        return pa.table({
-            "__n": pa.array(n[starts][keep], pa.int64()),
-            "r": pa.array(r_new[keep], pa.int64())})
+        n = seg.ints(nodes, "__n")
+        n = n[seg.run_starts(n)]
+        r_new = T + (17 * np.append(s, 0)[seg.lookup(pn[pst], n)]) // 20
+        return pa.table({"__n": pa.array(n, pa.int64()),
+                         "r": pa.array(r_new, pa.int64())})
 
     for _ in range(iters):
         contribs = partitioned_map(
-            [edges_dataset().map_batches(tag_edges, batch_format="pyarrow",
-                                         zero_copy_batch=True),
-             ranks.map_batches(tag_ranks, batch_format="pyarrow",
-                               zero_copy_batch=True)],
-            contrib_kernel, key="__n", sort_keys=["__n", "__tag", "dst"],
+            [edges_dataset(), ranks], contrib_kernel, key="__n",
+            sort_keys=[["__n", "dst"], ["__n"]],
             num_partitions=num_partitions)
         ranks = partitioned_map(
-            [ranks.map_batches(tag_nodes, batch_format="pyarrow",
-                               zero_copy_batch=True),
-             contribs.map_batches(tag_parts, batch_format="pyarrow",
-                                  zero_copy_batch=True)],
-            update_kernel, key="__n", sort_keys=["__n", "__tag"],
+            [ranks, contribs], update_kernel, key="__n",
+            sort_keys=[["__n"], ["__n"]],
             num_partitions=num_partitions)
         # materialize each iteration so lineage doesn't re-execute the
         # whole chain K times when the next iteration consumes ranks twice
@@ -559,9 +512,10 @@ def k_core(edges_ds, *, max_iters: int = 1024,
     verify with a completely different serial algorithm (bucket
     peeling).
 
-    Shape: per iteration, TWO tagged-union task exchanges (the
-    pagerank shape): (1) key = value-owner routes each node's current
-    c onto its outgoing half-edges, (2) key = recipient computes the
+    Shape: per iteration, TWO task exchanges (the pagerank shape):
+    (1) key = value-owner, with the value rows and the half-edges as
+    its two inputs, routes each node's current c onto its outgoing
+    half-edges, (2) key = recipient computes the
     per-node h-index over gathered neighbor values (one descending
     sort + rank compare per partition).  Each iteration ships O(2E)
     int64 rows; rounds to convergence are bounded by the longest
@@ -624,68 +578,27 @@ def k_core(edges_ds, *, max_iters: int = 1024,
                              num_partitions=num_partitions)
     value_refs = list(materialized_block_refs(values))
 
-    def tag_vals(b: pa.Table) -> pa.Table:
-        return pa.table({"__k": b["__k"],
-                         "__tag": pa.array(
-                             np.zeros(b.num_rows, np.int8)),
-                         "to": pa.nulls(b.num_rows, pa.int64()),
-                         "c": b["c"], "deg": b["deg"]})
-
-    def tag_edges(b: pa.Table) -> pa.Table:
-        return pa.table({"__k": b["__k"],
-                         "__tag": pa.array(
-                             np.ones(b.num_rows, np.int8)),
-                         "to": b["to"],
-                         "c": pa.nulls(b.num_rows, pa.int64()),
-                         "deg": pa.nulls(b.num_rows, pa.int64())})
-
-    msg_empty = pa.table({"__k": pa.array([], pa.int64()),
-                          "__tag": pa.array([], pa.int8()),
-                          "cn": pa.array([], pa.int64()),
-                          "c": pa.array([], pa.int64()),
-                          "deg": pa.array([], pa.int64())})
-
-    def route_kernel(t: pa.Table) -> pa.Table:
-        # sorted (__k, __tag): the value row leads each run; emit the
-        # owner's c onto every outgoing half-edge, re-keyed by the
-        # recipient, PLUS the owner's own state row (tag 0)
-        if t.num_rows == 0 or "__k" not in t.column_names:
-            return msg_empty
-        n = t["__k"].to_numpy(zero_copy_only=False)
-        tag = t["__tag"].to_numpy(zero_copy_only=False)
-        new_run = np.concatenate([[True], n[1:] != n[:-1]])
-        run_id = np.cumsum(new_run.astype(np.int64)) - 1
-        starts = np.flatnonzero(new_run)
-        if (tag[starts] != 0).any():
-            raise ValueError("k_core: node in edge list missing a "
-                             "value row")
-        # fill_null BEFORE to_numpy: a null-containing int64 column
-        # converts to float64 otherwise
-        c_all = pc.fill_null(t["c"].combine_chunks(), 0).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        deg_all = pc.fill_null(t["deg"].combine_chunks(),
-                               0).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        c_owner = c_all[starts]
-        is_edge = tag == 1
-        to = pc.fill_null(t["to"].combine_chunks(), 0).to_numpy(
-            zero_copy_only=False).astype(np.int64)[is_edge]
-        cn = c_owner[run_id[is_edge]]
+    def route_kernel(vals: pa.Table, edges: pa.Table) -> pa.Table:
+        # emit the owner's c onto every outgoing half-edge, re-keyed by
+        # the recipient, PLUS the owner's own state row (tag 0)
+        n = seg.ints(vals, "__k")
+        starts, run = seg.owners(n, seg.ints(edges, "__k"),
+                                 "k_core: node in edge list missing a "
+                                 "value row")
+        c_owner = seg.ints(vals, "c")[starts]
+        to = seg.ints(edges, "to")
         own = pa.table({"__k": pa.array(n[starts]),
                         "__tag": pa.array(
                             np.zeros(len(starts), np.int8)),
                         "cn": pa.array(np.zeros(len(starts),
                                                np.int64)),
-                        "c": pa.array(c_all[starts]),
-                        "deg": pa.array(deg_all[starts])})
-        msgs = pa.table({"__k": pa.array(to.astype(np.int64)),
-                         "__tag": pa.array(
-                             np.ones(int(is_edge.sum()), np.int8)),
-                         "cn": pa.array(cn.astype(np.int64)),
-                         "c": pa.nulls(int(is_edge.sum()),
-                                       pa.int64()),
-                         "deg": pa.nulls(int(is_edge.sum()),
-                                         pa.int64())})
+                        "c": pa.array(c_owner),
+                        "deg": pa.array(seg.ints(vals, "deg")[starts])})
+        msgs = pa.table({"__k": pa.array(to),
+                         "__tag": pa.array(np.ones(len(to), np.int8)),
+                         "cn": pa.array(c_owner[run]),
+                         "c": pa.nulls(len(to), pa.int64()),
+                         "deg": pa.nulls(len(to), pa.int64())})
         return pa.concat_tables([own, msgs])
 
     def hindex_kernel(t: pa.Table) -> pa.Table:
@@ -731,14 +644,10 @@ def k_core(edges_ds, *, max_iters: int = 1024,
     it = 0
     changed = 1
     while changed and it < max_iters:
-        vals_ds = ray.data.from_arrow_refs(list(value_refs))
-        sides = [vals_ds.map_batches(tag_vals, batch_format="pyarrow",
-                                     zero_copy_batch=True),
-                 edges_dataset().map_batches(tag_edges, batch_format="pyarrow",
-                                             zero_copy_batch=True)]
-        msgs = partitioned_map(sides, route_kernel, key="__k",
-                               sort_keys=["__k", "__tag"],
-                               num_partitions=num_partitions)
+        msgs = partitioned_map(
+            [ray.data.from_arrow_refs(list(value_refs)), edges_dataset()],
+            route_kernel, key="__k", sort_keys=[["__k"], ["__k"]],
+            num_partitions=num_partitions)
         nxt = partitioned_map(msgs, hindex_kernel, key="__k",
                               sort_keys=["__k", "__tag"],
                               num_partitions=num_partitions)
@@ -838,49 +747,16 @@ def bfs_hops(edges_ds, *, seed_mod: int = 17, max_hops: int = 6,
     frontier = int(ray.data.from_arrow_refs(list(value_refs))
                    .sum("changed") or 0)
 
-    def tag_vals(b: pa.Table) -> pa.Table:
-        return pa.table({"__k": b["__k"],
-                         "__tag": pa.array(
-                             np.zeros(b.num_rows, np.int8)),
-                         "to": pa.array(
-                             np.zeros(b.num_rows, np.int64)),
-                         "d": b["d"], "changed": b["changed"]})
-
-    def tag_edges(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        return pa.table({"__k": b["__k"],
-                         "__tag": pa.array(np.ones(n, np.int8)),
-                         "to": b["to"],
-                         "d": pa.array(np.zeros(n, np.int64)),
-                         "changed": pa.array(
-                             np.zeros(n, np.int64))})
-
-    msg_empty = pa.table({"__k": pa.array([], pa.int64()),
-                          "__tag": pa.array([], pa.int8()),
-                          "nd": pa.array([], pa.int64()),
-                          "d": pa.array([], pa.int64()),
-                          "changed": pa.array([], pa.int64())})
-
-    def route_kernel(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "__k" not in t.column_names:
-            return msg_empty
-        n = t["__k"].to_numpy(zero_copy_only=False)
-        tag = t["__tag"].to_numpy(zero_copy_only=False)
-        new_run = np.concatenate([[True], n[1:] != n[:-1]])
-        run_id = np.cumsum(new_run.astype(np.int64)) - 1
-        starts = np.flatnonzero(new_run)
-        if (tag[starts] != 0).any():
-            raise ValueError("bfs_hops: node missing a value row")
-        d_all = t["d"].to_numpy(zero_copy_only=False)
-        ch_all = t["changed"].to_numpy(zero_copy_only=False)
-        d_owner = d_all[starts]
-        ch_owner = ch_all[starts]
-        is_edge = tag == 1
-        rid = run_id[is_edge]
+    def route_kernel(vals: pa.Table, edges: pa.Table) -> pa.Table:
+        n = seg.ints(vals, "__k")
+        starts, run = seg.owners(n, seg.ints(edges, "__k"),
+                                 "bfs_hops: node missing a value row")
+        d_owner = seg.ints(vals, "d")[starts]
+        ch_owner = seg.ints(vals, "changed")[starts]
         # frontier-only, capped expansion
-        send = (ch_owner[rid] == 1) & (d_owner[rid] < max_hops)
-        to = t["to"].to_numpy(zero_copy_only=False)[is_edge][send]
-        nd = d_owner[rid][send] + 1
+        send = (ch_owner[run] == 1) & (d_owner[run] < max_hops)
+        to = seg.ints(edges, "to")[send]
+        nd = d_owner[run][send] + 1
         own = pa.table({"__k": pa.array(n[starts]),
                         "__tag": pa.array(
                             np.zeros(len(starts), np.int8)),
@@ -889,10 +765,10 @@ def bfs_hops(edges_ds, *, seed_mod: int = 17, max_hops: int = 6,
                         "d": pa.array(d_owner),
                         "changed": pa.array(
                             np.zeros(len(starts), np.int64))})
-        msgs = pa.table({"__k": pa.array(to.astype(np.int64)),
+        msgs = pa.table({"__k": pa.array(to),
                          "__tag": pa.array(
                              np.ones(len(to), np.int8)),
-                         "nd": pa.array(nd.astype(np.int64)),
+                         "nd": pa.array(nd),
                          "d": pa.array(np.zeros(len(to), np.int64)),
                          "changed": pa.array(
                              np.zeros(len(to), np.int64))})
@@ -922,14 +798,10 @@ def bfs_hops(edges_ds, *, seed_mod: int = 17, max_hops: int = 6,
 
     rounds = 0
     while frontier and rounds < max_hops:
-        vals_ds = ray.data.from_arrow_refs(list(value_refs))
-        sides = [vals_ds.map_batches(tag_vals, batch_format="pyarrow",
-                                     zero_copy_batch=True),
-                 edges_dataset().map_batches(tag_edges, batch_format="pyarrow",
-                                             zero_copy_batch=True)]
-        msgs = partitioned_map(sides, route_kernel, key="__k",
-                               sort_keys=["__k", "__tag"],
-                               num_partitions=num_partitions)
+        msgs = partitioned_map(
+            [ray.data.from_arrow_refs(list(value_refs)), edges_dataset()],
+            route_kernel, key="__k", sort_keys=[["__k"], ["__k"]],
+            num_partitions=num_partitions)
         nxt = partitioned_map(msgs, relax_kernel, key="__k",
                               sort_keys=["__k", "__tag"],
                               num_partitions=num_partitions)
@@ -964,8 +836,8 @@ def two_hop_reach(edges_ds, *, max_mid_degree: int = 1024,
     expands it — Σdeg² bounded by SKIPPING mids with degree >
     ``max_mid_degree``, logged, mirrored by the oracle's HAVING — the
     q234 hub cap); a second node-keyed exchange dedups wedge
-    endpoints per source and subtracts direct neighbors + self via a
-    tagged union (direct rows lead each run).  All set algebra on
+    endpoints per source and subtracts direct neighbors + self, which
+    ride in the same input as tagged rows (direct rows lead each run).  All set algebra on
     sorted int runs — exact, partition-invariant, full SQL oracle
     (DISTINCT wedge self-join + anti-join).
 

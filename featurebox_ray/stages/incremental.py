@@ -150,9 +150,16 @@ def refresh_agg_state(state_ds, delta_ds, *, key_cols: List[str],
     pre = units.map_batches(_local_combine(key_cols, empty),
                             batch_format="pyarrow",
                             zero_copy_batch=True, batch_size=None)
-    return partitioned_map([state_ds, pre],
-                           _merge_kernel_factory(key_cols, empty),
-                           key=key_cols[0], sort_keys=list(key_cols),
+    combine = _local_combine(key_cols, empty)
+
+    def merge(state: pa.Table, delta: pa.Table) -> pa.Table:
+        # one sort of both inputs together (neither is sorted alone)
+        full = [t for t in (state, delta) if t.num_rows]
+        return (combine(pa.concat_tables(full, promote_options="default"))
+                if full else empty)
+
+    return partitioned_map([state_ds, pre], merge, key=key_cols[0],
+                           sort_keys=[[], []],
                            num_partitions=num_partitions)
 
 

@@ -166,8 +166,8 @@ def bucketed_interval_join(
     cover timestamps inside its own bucket), so one global sorted
     searchsorted walk per partition is correct with no per-bucket loop
     and no cross-bucket duplicates (each true (fact, interval) match
-    meets exactly once, in the fact's bucket).  Both tagged streams ride
-    ONE bucket-keyed task exchange.
+    meets exactly once, in the fact's bucket).  Both streams ride ONE
+    bucket-keyed task exchange, as its two inputs.
 
     Partitioning assumption (documented per the custom-operator rule):
     interval width should be ≤ a few buckets — an interval spanning more
@@ -228,13 +228,9 @@ def bucketed_interval_join(
         b = b.filter(pc.is_valid(b[ts_col]))
         ts = _as_int64(b[ts_col])
         cols = {"__b": pa.array(ts // width, pa.int64()),
-                "__ts": pa.array(ts, pa.int64()),
-                "__lo": pa.nulls(b.num_rows, pa.int64()),
-                "__hi": pa.nulls(b.num_rows, pa.int64())}
+                "__ts": pa.array(ts, pa.int64())}
         for c in fact_cols:
             cols[c] = b[c]
-        for c, t in i_types.items():
-            cols[c] = pa.nulls(b.num_rows, t)
         return pa.table(cols)
 
     def interval_emit(b: pa.Table) -> pa.Table:
@@ -260,11 +256,8 @@ def bucketed_interval_join(
         hi_c = np.minimum(hi[rep], (bb + 1) * width)
         rep_idx = pa.array(rep, pa.int64())
         cols = {"__b": pa.array(bb, pa.int64()),
-                "__ts": pa.nulls(len(bb), pa.int64()),
                 "__lo": pa.array(lo_c, pa.int64()),
                 "__hi": pa.array(hi_c, pa.int64())}
-        for c, t in f_types.items():
-            cols[c] = pa.nulls(len(bb), t)
         for c in interval_cols:
             cols[c] = b[c].take(rep_idx)
         return pa.table(cols)
@@ -273,12 +266,7 @@ def bucketed_interval_join(
                   + [(c, i_types[c]) for c in interval_cols])
     out_empty = pa.schema(out_fields).empty_table()
 
-    def kernel(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "__ts" not in t.column_names:
-            return out_empty
-        is_f = pc.is_valid(t["__ts"])
-        f = t.filter(is_f)
-        iv = t.filter(pc.invert(is_f))
+    def kernel(f: pa.Table, iv: pa.Table) -> pa.Table:
         if f.num_rows == 0 or iv.num_rows == 0:
             return out_empty
         ts = f["__ts"].to_numpy(zero_copy_only=False)
@@ -307,7 +295,7 @@ def bucketed_interval_join(
              intervals.map_batches(interval_emit, batch_format="pyarrow",
                                    zero_copy_batch=True)]
     return partitioned_map(sides, kernel, key="__b",
-                           sort_keys=["__b"],
+                           sort_keys=[["__b"], ["__b"]],
                            num_partitions=num_partitions)
 
 

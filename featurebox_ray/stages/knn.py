@@ -37,9 +37,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions import segments as seg
+
 from .cohesion import _batch_mat
 
-SIDE_RIGHT, SIDE_LEFT = 0, 1
 
 
 def _assign(Vq: np.ndarray, Cq: np.ndarray, n_probe: int) -> np.ndarray:
@@ -104,9 +105,7 @@ def knn_join(left, right, *, k: int = 5, n_centroids: int = 8,
         buckets = _assign(Vq, ray.get(cent_ref), 1)[:, 0]
         return pa.table({
             "__bucket": pa.array(buckets),
-            "__side": pa.array(np.zeros(b.num_rows, np.int8)),
             "rid": b[right_id].combine_chunks().cast(pa.int64()),
-            "lid": pa.nulls(b.num_rows, pa.int64()),
             "vec": b[vec_col],
         })
 
@@ -117,52 +116,46 @@ def knn_join(left, right, *, k: int = 5, n_centroids: int = 8,
         rep = pa.array(np.repeat(np.arange(n), n_probe), pa.int64())
         return pa.table({
             "__bucket": pa.array(probes.ravel()),
-            "__side": pa.array(np.ones(n * n_probe, np.int8)),
-            "rid": pa.nulls(n * n_probe, pa.int64()),
             "lid": b[left_id].combine_chunks().cast(
                 pa.int64()).take(rep),
             "vec": b[vec_col].combine_chunks().take(rep),
         })
 
-    r_tagged = right.map_batches(right_map, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-    l_tagged = left.map_batches(left_map, batch_format="pyarrow",
+    r_bucketed = right.map_batches(right_map, batch_format="pyarrow",
+                                   zero_copy_batch=True)
+    l_probes = left.map_batches(left_map, batch_format="pyarrow",
                                 zero_copy_batch=True)
 
     cand_schema = pa.schema([("lid", pa.int64()), ("rid", pa.int64()),
                              ("dot", pa.int64())])
 
-    def bucket_kernel(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "__bucket" not in t.column_names:
+    def bucket_kernel(rt: pa.Table, lt: pa.Table) -> pa.Table:
+        if rt.num_rows == 0 or lt.num_rows == 0:
             return cand_schema.empty_table()
-        bk = t["__bucket"].to_numpy(zero_copy_only=False)
-        side = t["__side"].to_numpy(zero_copy_only=False)
-        Vq, dims = _batch_mat(t, "vec", quant_bits)
-        lids = t["lid"].to_numpy(zero_copy_only=False)
-        rids = t["rid"].to_numpy(zero_copy_only=False)
+        rb = rt["__bucket"].to_numpy(zero_copy_only=False)
+        lb = lt["__bucket"].to_numpy(zero_copy_only=False)
+        Rq, dims = _batch_mat(rt, "vec", quant_bits)
+        Lq, _ = _batch_mat(lt, "vec", quant_bits)
+        rids = rt["rid"].to_numpy(zero_copy_only=False)
+        lids = lt["lid"].to_numpy(zero_copy_only=False)
         out_l, out_r, out_d = [], [], []
-        starts = np.flatnonzero(
-            np.concatenate([[True], bk[1:] != bk[:-1]]))
-        ends = np.append(starts[1:], len(bk))
+        starts = seg.run_starts(lb)
+        ends = np.append(starts[1:], len(lb))
         for s, e in zip(starts, ends):
-            m_r = side[s:e] == SIDE_RIGHT
-            m_l = ~m_r
-            nr = int(m_r.sum())
-            nl = int(m_l.sum())
-            if nr == 0 or nl == 0:
+            r0, r1 = np.searchsorted(rb, [lb[s], lb[s] + 1])
+            if r0 == r1:
                 continue
-            R = Vq[s:e][m_r]
-            L = Vq[s:e][m_l]
+            R = Rq[r0:r1]
+            L = Lq[s:e]
             _guard_dot(int(np.abs(L).max()), int(np.abs(R).max()), dims)
             dots = L @ R.T
-            # rows sorted by (side, id): R columns already ascend by
-            # rid, so a stable descending-dot argsort breaks ties to
+            # each side sorted by (bucket, id): R columns already ascend
+            # by rid, so a stable descending-dot argsort breaks ties to
             # the smaller right id
             order = np.argsort(-dots, axis=1, kind="stable")[:, :k]
             kk = order.shape[1]
-            out_l.append(np.repeat(
-                lids[s:e][m_l].astype(np.int64), kk))
-            out_r.append(rids[s:e][m_r].astype(np.int64)[order.ravel()])
+            out_l.append(np.repeat(lids[s:e].astype(np.int64), kk))
+            out_r.append(rids[r0:r1].astype(np.int64)[order.ravel()])
             out_d.append(np.take_along_axis(dots, order, 1).ravel())
         if not out_l:
             return cand_schema.empty_table()
@@ -170,10 +163,10 @@ def knn_join(left, right, *, k: int = 5, n_centroids: int = 8,
                          "rid": pa.array(np.concatenate(out_r)),
                          "dot": pa.array(np.concatenate(out_d))})
 
-    cands = partitioned_map([r_tagged, l_tagged], bucket_kernel,
+    cands = partitioned_map([r_bucketed, l_probes], bucket_kernel,
                             key="__bucket",
-                            sort_keys=["__bucket", "__side", "rid",
-                                       "lid"],
+                            sort_keys=[["__bucket", "rid"],
+                                       ["__bucket", "lid"]],
                             num_partitions=num_partitions)
 
     def add_negdot(t: pa.Table) -> pa.Table:

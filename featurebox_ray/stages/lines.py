@@ -13,14 +13,14 @@ Plan (two keyed exchanges, corpus scanned ONCE):
 1. one streaming map splits each document into ``(doc, pos, line)``
    rows (Arrow C++ ``split_pattern`` + ragged offsets — zero per-row
    Python) and appends one tiny ``(doc, n_lines)`` marker row per
-   document (tagged union, the ``dup_token_stats`` shape); the emit is
-   materialized once and branched without re-execution;
+   document (the ``dup_token_stats`` shape); the emit is materialized
+   once and branched without re-execution;
 2. the line rows ride ONE line-keyed exchange; each partition counts
    distinct documents per line with run masks over its
    ``(line, doc, pos)`` sort (all occurrences of a line are co-located,
    so the count is exact) and emits only rows of lines below the bar;
-3. survivors plus the marker rows ride ONE doc-keyed exchange; each
-   document renders in a single vectorized ``list-offsets +
+3. survivors and the marker rows ride ONE doc-keyed exchange as two
+   inputs; each document renders in a single vectorized ``list-offsets +
    binary_join`` pass (the q41/q100 render shape — never a per-group
    UDF).
 
@@ -40,6 +40,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from ..functions import segments as seg
 
 
 def _line_rows(texts: pa.ChunkedArray, sep: str):
@@ -131,7 +133,7 @@ def remove_duplicate_lines(ds, *, id_col: str = "doc_id",
 
     def marker_branch(t: pa.Table) -> pa.Table:
         p = t["pos"].to_numpy(zero_copy_only=False)
-        return t.filter(pa.array(p < 0))
+        return t.filter(pa.array(p < 0)).select([id_col, "n_lines"])
 
     lines_ds = ray.data.from_arrow_refs(list(refs)).map_batches(
         line_branch, batch_format="pyarrow", zero_copy_batch=True)
@@ -163,43 +165,34 @@ def remove_duplicate_lines(ds, *, id_col: str = "doc_id",
                                 sort_keys=["line", id_col, "pos"],
                                 num_partitions=num_partitions)
 
-    def tag(t: pa.Table) -> pa.Table:
-        return t.append_column("n_lines", pa.nulls(t.num_rows, pa.int64()))
-
-    sides = [survivors.map_batches(tag, batch_format="pyarrow",
-                                   zero_copy_batch=True), markers_ds]
-
-    def render_kernel(t: pa.Table) -> pa.Table:
-        """Partition sorted by (id, pos): marker rows (pos = -1) lead
-        each doc run; render survivors with one binary_join pass."""
+    def render_kernel(lines: pa.Table, markers: pa.Table) -> pa.Table:
+        """Survivors sorted by (id, pos) and one marker row per doc:
+        render each doc's survivors with one binary_join pass."""
         out_schema = pa.schema([
-            pa.field(id_col, t.schema.field(id_col).type
-                     if id_col in t.column_names else pa.int64()),
+            pa.field(id_col, markers.schema.field(id_col).type
+                     if id_col in markers.column_names else pa.int64()),
             pa.field("clean_text", pa.string()),
             pa.field("n_lines", pa.int64()),
             pa.field("n_kept", pa.int64()),
         ])
-        if t.num_rows == 0 or id_col not in t.column_names:
+        if markers.num_rows == 0 and lines.num_rows == 0:
             return out_schema.empty_table()
-        idv = t[id_col].combine_chunks()
-        first = _adj_change(idv)
-        run_id = np.cumsum(first) - 1
-        n_docs = int(run_id[-1]) + 1
-        pos = t["pos"].to_numpy(zero_copy_only=False)
-        is_line = pos >= 0
-        # every doc run starts with exactly one marker (pos=-1 sorts
-        # before any line pos); its n_lines is the doc's total
-        starts = np.flatnonzero(first)
-        if not bool(np.all(pos[starts] == -1)):
+        ids = markers[id_col].combine_chunks()
+        mc, lc = seg.shared_key_codes(
+            ids, lines[id_col] if lines.num_rows else ids.slice(0, 0),
+            nulls_distinct=True)
+        starts = seg.run_starts(mc)
+        n_docs = len(starts)
+        doc = seg.lookup(mc[starts], lc)
+        if (doc < 0).any():
             raise AssertionError(
-                "render kernel: a document run is missing its marker "
-                "row — the tagged union lost rows")
-        n_lines = t["n_lines"].combine_chunks().take(
-            pa.array(starts, pa.int64()))
-        kept_counts = np.bincount(run_id[is_line], minlength=n_docs)
+                "render kernel: survivor lines of a document with no "
+                "marker row")
+        kept_counts = np.bincount(doc, minlength=n_docs)
         offsets = np.concatenate([[0], np.cumsum(kept_counts)]).astype(
             np.int64)
-        pieces = t["line"].combine_chunks().filter(pa.array(is_line))
+        pieces = (lines["line"].combine_chunks() if lines.num_rows
+                  else pa.array([], pa.string()))
         joined = pc.binary_join(
             pa.LargeListArray.from_arrays(
                 pa.array(offsets, pa.int64()),
@@ -207,13 +200,14 @@ def remove_duplicate_lines(ds, *, id_col: str = "doc_id",
             pa.scalar(sep, pa.large_string()))
         joined = pc.if_else(pa.array(kept_counts > 0), joined,
                             pa.nulls(n_docs, pa.large_string()))
+        first = pa.array(starts, pa.int64())
         return pa.table({
-            id_col: idv.take(pa.array(starts, pa.int64())),
+            id_col: ids.take(first),
             "clean_text": pc.cast(joined, pa.string()),
-            "n_lines": n_lines,
+            "n_lines": markers["n_lines"].combine_chunks().take(first),
             "n_kept": pa.array(kept_counts.astype(np.int64)),
         })
 
-    return partitioned_map(sides, render_kernel, key=id_col,
-                           sort_keys=[id_col, "pos"],
+    return partitioned_map([survivors, markers_ds], render_kernel,
+                           key=id_col, sort_keys=[[id_col, "pos"], [id_col]],
                            num_partitions=num_partitions)

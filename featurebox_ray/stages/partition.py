@@ -13,15 +13,12 @@ buckets it by a deterministic vectorized hash of the key
 (``_hash_chunk(key) % P``) and emits one slice per partition, each as
 one Arrow IPC stream buffer (:func:`_to_ipc`), which Ray stores as one
 out-of-band buffer instead of walking the table's columns in Python.  One
-gather task per partition opens its buffers zero-copy and calls a
-per-partition function in one of two forms, picked by ``sort_keys``:
-
-* one list of names: every input's slices concatenated in input order,
-  sorted once into ONE table (rows tied on every key keep input order);
-* one list per input: one table per input, each sorted by its own keys
-  (tied rows keep block order within their input) — a two-sided
-  operator reads its sides straight from it, with no side column, no
-  padding with the other side's columns and no filtering apart.
+gather task per partition opens its buffers zero-copy and hands the
+per-partition function one sorted table per input.  ``sort_keys`` is one
+flat list of names for exactly one input, and one list per input
+otherwise: a several-input operator reads each input as its own table,
+with no side column, no padding with the other inputs' columns and no
+filtering apart.
 
 Several inputs are joined by the split itself, so no Ray Data ``union``
 runs in front of the exchange.  Both keyed consumers sit on it:
@@ -260,12 +257,12 @@ def partitioned_map(
     say) inherit that, and the caller's Datasets and the global context
     are left as they were (module docstring).
 
-    ``sort_keys`` picks the form (module docstring): one list of names
-    calls ``kernel(table)`` on every input's rows, sorted together,
-    tied rows in input order; one list per input calls ``kernel(t_0,
-    ..., t_k)``, each table sorted by its own keys, tied rows in block
-    order, and an input with no rows there arrives empty in its own
-    schema.
+    ``sort_keys`` is one flat list of names for one input, which calls
+    ``kernel(table)``, and one list per input otherwise, which calls
+    ``kernel(t_0, ..., t_k)``: each table sorted by its own keys, tied
+    rows in block order, and an input with no rows there arrives empty
+    in its own schema.  Several inputs with one flat list raise
+    ``ValueError``.
 
     Contract given to the kernel:
       * all rows sharing a ``key`` value are present (never split);
@@ -344,6 +341,19 @@ def _per_input(sort_keys) -> bool:
     return bool(sort_keys) and not isinstance(sort_keys[0], str)
 
 
+def exchange_inputs(inputs, sort_keys) -> list:
+    """``inputs`` as a list, checked against ``sort_keys``: one flat
+    list for exactly one input, else one list per input."""
+    inputs = list(inputs) if isinstance(inputs, (list, tuple)) else [inputs]
+    if not inputs:
+        raise ValueError("task_exchange: no input Dataset")
+    n = len(sort_keys) if _per_input(sort_keys) else 1
+    if n != len(inputs):
+        raise ValueError(f"task_exchange: {n} sort key lists for "
+                         f"{len(inputs)} inputs (a flat list counts as one)")
+    return inputs
+
+
 def task_exchange(
     inputs,
     fn: Callable[[int, object], object],
@@ -374,20 +384,16 @@ def task_exchange(
     travel to the driver), each framed as one Arrow IPC stream buffer
     (:func:`_to_ipc`; the schema, extension types included, travels in
     the frame).  The gather of partition ``p`` opens its buffers
-    zero-copy and calls ``fn`` in one of two forms:
-
-    * ``sort_keys`` one list of names: ``fn(p, table)``, the slices of
-      all inputs concatenated in input order (whatever order the drains
-      finished in) and sorted once (stable).  Rows tied on every sort key
-      reach ``fn`` in input order.  When no input yields a block, every
-      gather gets one empty table per input, in that input's schema.
-    * one list per input (``ValueError`` unless as many as inputs):
-      ``fn(p, [t_0, ..., t_k])``, each input's slices concatenated in
-      block order (its drain runs with Ray Data's ``preserve_order``)
-      and sorted (stable) by that input's own keys, so rows tied on every
-      key keep block order within their input.  An input with no rows in
-      ``p`` arrives as an empty table in its own schema; one that yields
-      no block at all gets its ``schema()``.
+    zero-copy, concatenates each input's slices in block order and sorts
+    them (stable) by that input's keys, so rows tied on every key keep
+    block order within their input.  ``sort_keys`` is one flat list of
+    names for exactly one input, which calls ``fn(p, table)`` and drains
+    in whatever order the blocks finish; otherwise it is one list per
+    input (``ValueError`` unless as many as inputs), which calls ``fn(p,
+    [t_0, ..., t_k])`` and drains each input with Ray Data's
+    ``preserve_order``.  An input with no rows in ``p`` arrives as an
+    empty table in its own schema; one that yields no block at all gets
+    its ``schema()``.
 
     Sort keys a table does not carry (a zero-column empty slice) are
     skipped.  Returns the gather refs, in the order of ``partitions``
@@ -402,14 +408,8 @@ def task_exchange(
     P = num_partitions
     if partitions is None:
         partitions = range(P)
-    inputs = list(inputs) if isinstance(inputs, (list, tuple)) else [inputs]
-    if not inputs:
-        raise ValueError("task_exchange: no input Dataset")
+    inputs = exchange_inputs(inputs, sort_keys)
     per_input = _per_input(sort_keys)
-    if per_input and len(sort_keys) != len(inputs):
-        raise ValueError(
-            f"task_exchange: {len(sort_keys)} sort key lists for "
-            f"{len(inputs)} inputs")
     group_keys = [list(k) for k in sort_keys] if per_input else [sort_keys]
 
     @ray.remote(num_returns=P)
@@ -473,9 +473,7 @@ def task_exchange(
 
     with ThreadPoolExecutor(len(inputs)) as pool:
         drained = list(pool.map(drain, inputs))
-    if per_input or not any(drained):
-        drained = [refs or empty(ds) for ds, refs in zip(inputs, drained)]
-    groups = drained if per_input else [[s for refs in drained for s in refs]]
+    groups = [refs or empty(ds) for ds, refs in zip(inputs, drained)]
     counts = [len(g) for g in groups]
     return [gather.remote(p, counts, *[s[p] for g in groups for s in g])
             for p in partitions]

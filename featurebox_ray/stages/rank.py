@@ -30,6 +30,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions import segments as seg
+
 RANK_COLS = ("row_number", "rank", "dense_rank", "percent_rank",
              "cume_dist")
 
@@ -503,21 +505,6 @@ def rrf_fuse(rank_dss, *, id_col: str, rank_cols, k: int = 60,
 
     from .partition import partitioned_map
 
-    tagged = []
-    for i, (ds, col) in enumerate(zip(rank_dss, rank_cols)):
-        def mk(i=i, col=col):
-            def fn(b: pa.Table) -> pa.Table:
-                return pa.table({
-                    id_col: b[id_col],
-                    "__which": pa.array(
-                        np.full(b.num_rows, i, np.int64)),
-                    "__r": b[col].combine_chunks().cast(pa.int64())})
-
-            return fn
-
-        tagged.append(ds.map_batches(mk(), batch_format="pyarrow",
-                                     zero_copy_batch=True))
-
     n = len(rank_cols)
     # id stays its input type (string ids are the canonical RRF use
     # case).  Prefer the no-execution schema probe: global_row_number
@@ -534,40 +521,37 @@ def rrf_fuse(rank_dss, *, id_col: str, rank_cols, k: int = 60,
     empty_cols["rrf"] = pa.array([], pa.float64())
     empty = pa.table(empty_cols)
 
-    def kernel(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or id_col not in t.column_names:
+    def kernel(*ts: pa.Table) -> pa.Table:
+        if not any(t.num_rows for t in ts):
             return empty
-        id_arr = t[id_col].combine_chunks()
-        codes = pc.dictionary_encode(id_arr).indices.to_numpy(
-            zero_copy_only=False)
-        which = t["__which"].to_numpy(zero_copy_only=False)
-        r = t["__r"].to_numpy(zero_copy_only=False)
-        new_run = np.concatenate([[True], codes[1:] != codes[:-1]])
-        starts = np.flatnonzero(new_run)
-        lens = np.diff(np.concatenate([starts, [len(codes)]]))
-        if len(lens) and (lens > n).any():
+        ids = [t[id_col].combine_chunks() if t.num_rows
+               else pa.array([], id_type) for t in ts]
+        codes = seg.shared_key_codes(*ids, nulls_distinct=True)
+        _, lens = np.unique(np.concatenate(codes), return_counts=True)
+        if (lens > n).any():
             raise ValueError("rrf_fuse: duplicate ranking rows for "
                              "an id")
-        if len(lens) and (lens < n).any():
+        if (lens < n).any():
             raise ValueError("rrf_fuse: an id is missing from some "
                              "ranking — full rankings required")
-        # rows per id are sorted by __which (the partition sort)
-        rm = r.reshape(-1, n)
-        if len(lens) and not (which.reshape(-1, n)
-                              == np.arange(n)).all():
+        # every id once per ranking, so each sorted ranking lists the
+        # ids in the same order
+        if any((c[1:] == c[:-1]).any() for c in codes):
             raise ValueError("rrf_fuse: duplicate ranking rows for an "
                              "id")
-        rrf = np.zeros(len(starts), np.float64)
+        rm = np.stack([t[c].combine_chunks().cast(pa.int64()).to_numpy(
+            zero_copy_only=False) for t, c in zip(ts, rank_cols)], axis=1)
+        rrf = np.zeros(len(rm), np.float64)
         for i in range(n):  # fixed left-assoc order, matches SQL
             rrf = rrf + 1.0 / (k + rm[:, i]).astype(np.float64)
-        cols = {id_col: id_arr.take(pa.array(starts, pa.int64()))}
+        cols = {id_col: ids[0]}
         for i, c in enumerate(rank_cols):
             cols[c] = pa.array(rm[:, i], pa.int64())
         cols["rrf"] = pa.array(rrf, pa.float64())
         return pa.table(cols)
 
-    return partitioned_map(tagged, kernel, key=id_col,
-                           sort_keys=[id_col, "__which"],
+    return partitioned_map(list(rank_dss), kernel, key=id_col,
+                           sort_keys=[[id_col]] * n,
                            num_partitions=num_partitions)
 
 

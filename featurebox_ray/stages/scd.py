@@ -22,6 +22,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions import segments as seg
+
 __all__ = ["scd2_intervals", "scd2_apply"]
 
 
@@ -120,8 +122,9 @@ def scd2_apply(dim_ds, snap_ds, *, key_col: str, state_col: str,
     are deletes.  ``key_type`` avoids a ``.schema()`` probe on lazy
     mapped inputs (the flagship left_schema convention).
 
-    ONE key-keyed tagged-union exchange (dim tag 0, snapshot tag 1).
-    Returns the same ``(key_col, state, valid_from, valid_to,
+    ONE key-keyed exchange of both inputs; the kernel reads the dim
+    rows sorted by ``(key, valid_from)`` and the snapshot rows sorted by
+    key as two tables, aligned on shared key codes.  Returns the same ``(key_col, state, valid_from, valid_to,
     n_rows)`` layout (new rows carry ``n_rows = 0`` — counts belong
     to the event stream, not the merge).
     Reference analog: none (warehouse family: scd2_intervals / cdc /
@@ -138,7 +141,6 @@ def scd2_apply(dim_ds, snap_ds, *, key_col: str, state_col: str,
             pa.int64()), int(OPEN))
         return pa.table({
             key_col: b[key_col],
-            "__tag": pa.array(np.zeros(b.num_rows, np.int8)),
             "state": b["state"].combine_chunks().cast(pa.string()),
             "vf": b["valid_from"].combine_chunks().cast(pa.int64()),
             "vt": vt,
@@ -149,12 +151,8 @@ def scd2_apply(dim_ds, snap_ds, *, key_col: str, state_col: str,
         b = b.filter(pc.is_valid(b[key_col]))
         return pa.table({
             key_col: b[key_col],
-            "__tag": pa.array(np.ones(b.num_rows, np.int8)),
             "state": b[state_col].combine_chunks().cast(
-                pa.string()),
-            "vf": pa.array(np.zeros(b.num_rows, np.int64)),
-            "vt": pa.array(np.zeros(b.num_rows, np.int64)),
-            "nr": pa.array(np.zeros(b.num_rows, np.int64))})
+                pa.string())})
 
     sides = [dim_ds.map_batches(prep_dim, batch_format="pyarrow",
                                 zero_copy_batch=True),
@@ -173,52 +171,47 @@ def scd2_apply(dim_ds, snap_ds, *, key_col: str, state_col: str,
                       "valid_to": pa.array([], pa.int64()),
                       "n_rows": pa.array([], pa.int64())})
 
-    def merge_kernel(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or key_col not in t.column_names:
+    i64 = pa.array([], pa.int64())
+    dim_empty = pa.table({key_col: pa.array([], ktype),
+                          "state": pa.array([], pa.string()),
+                          "vf": i64, "vt": i64, "nr": i64})
+
+    def merge_kernel(d: pa.Table, s: pa.Table) -> pa.Table:
+        if d.num_rows + s.num_rows == 0:
             return empty
-        keys = t[key_col].combine_chunks()
-        codes = pc.dictionary_encode(keys).indices.to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        tag = t["__tag"].to_numpy(zero_copy_only=False)
-        st_enc = pc.dictionary_encode(t["state"].combine_chunks())
+        d = d if d.num_rows else dim_empty
+        s = s if s.num_rows else dim_empty.select([key_col, "state"])
+        dk = d[key_col].combine_chunks()
+        kd, ks = seg.shared_key_codes(dk, s[key_col])
+        st_enc = pc.dictionary_encode(pa.concat_arrays(
+            [d["state"].combine_chunks(), s["state"].combine_chunks()]))
         st_codes = pc.fill_null(st_enc.indices, -1).to_numpy(
             zero_copy_only=False).astype(np.int64)
-        st_dict = st_enc.dictionary
-        if bool(((st_codes < 0) & (tag == 0)).any()):
+        st_dim, st_snap = st_codes[:d.num_rows], st_codes[d.num_rows:]
+        if bool((st_dim < 0).any()):
             raise ValueError("scd2_apply: NULL dim state — "
                              "dimension states must be non-null "
                              "(NULL snapshot states are deletes)")
-        vf = t["vf"].to_numpy(zero_copy_only=False)
-        vt = t["vt"].to_numpy(zero_copy_only=False)
-        nr = t["nr"].to_numpy(zero_copy_only=False)
-        new = np.concatenate([[True], codes[1:] != codes[:-1]])
-        rid = np.cumsum(new.astype(np.int64)) - 1
-        starts = np.flatnonzero(new)
-        n_keys = len(starts)
-
-        is_open = (tag == 0) & (vt == OPEN)
-        is_snap = tag == 1
-        cnt_open = np.zeros(n_keys, np.int64)
-        np.add.at(cnt_open, rid[is_open], 1)
-        if (cnt_open > 1).any():
+        vf = d["vf"].to_numpy(zero_copy_only=False)
+        vt = d["vt"].to_numpy(zero_copy_only=False)
+        nr = d["nr"].to_numpy(zero_copy_only=False)
+        is_open = vt == OPEN
+        open_rows = np.flatnonzero(is_open)
+        if (kd[open_rows][1:] == kd[open_rows][:-1]).any():
             raise ValueError("scd2_apply: multiple open dim rows "
                              "for a key")
-        cnt_snap = np.zeros(n_keys, np.int64)
-        np.add.at(cnt_snap, rid[is_snap], 1)
-        if (cnt_snap > 1).any():
+        if (ks[1:] == ks[:-1]).any():
             raise ValueError("scd2_apply: duplicate snapshot rows "
                              "for a key")
-        open_of = np.full(n_keys, -1, np.int64)
-        open_of[rid[is_open]] = np.flatnonzero(is_open)
-        snap_of = np.full(n_keys, -1, np.int64)
-        snap_of[rid[is_snap]] = np.flatnonzero(is_snap)
+        keys = np.union1d(kd, ks)
+        # per key: its open dim row and its snapshot row, or -1
+        open_of = np.append(open_rows, -1)[seg.lookup(kd[open_rows], keys)]
+        snap_of = seg.lookup(ks, keys)
         # NULL snapshot states (code -1) are deletes
-        snap_state = np.where(
-            snap_of >= 0, st_codes[np.clip(snap_of, 0, None)], -1)
-        open_state = np.where(
-            open_of >= 0, st_codes[np.clip(open_of, 0, None)], -2)
+        snap_state = np.append(st_snap, -1)[snap_of]
+        open_state = np.append(st_dim, -2)[open_of]
 
-        hist = np.flatnonzero((tag == 0) & (vt != OPEN))
+        hist = np.flatnonzero(~is_open)
         keep_open = (open_of >= 0) & (snap_state >= 0) \
             & (open_state == snap_state)
         close_open = (open_of >= 0) & ~keep_open
@@ -229,11 +222,8 @@ def scd2_apply(dim_ds, snap_ds, *, key_col: str, state_col: str,
         idx_close = open_of[close_open]
         nk = np.flatnonzero(new_open)
 
-        out_row = np.concatenate([hist, idx_keep, idx_close,
-                                  starts[nk]])
-        out_state = np.concatenate([
-            st_codes[hist], st_codes[idx_keep],
-            st_codes[idx_close], snap_state[nk]])
+        out_row = np.concatenate([hist, idx_keep, idx_close])
+        out_state = np.concatenate([st_dim[out_row], snap_state[nk]])
         out_vf = np.concatenate([
             vf[hist], vf[idx_keep], vf[idx_close],
             np.full(len(nk), TS, np.int64)])
@@ -251,8 +241,11 @@ def scd2_apply(dim_ds, snap_ds, *, key_col: str, state_col: str,
             nr[hist], nr[idx_keep], nr[idx_close],
             np.zeros(len(nk), np.int64)])
         return pa.table({
-            key_col: keys.take(pa.array(out_row, pa.int64())),
-            "state": st_dict.take(
+            key_col: pa.concat_arrays([
+                dk.take(pa.array(out_row, pa.int64())),
+                s[key_col].combine_chunks().cast(dk.type).take(
+                    pa.array(snap_of[nk], pa.int64()))]),
+            "state": st_enc.dictionary.take(
                 pa.array(out_state, pa.int64())).cast(pa.string()),
             "valid_from": pa.array(out_vf.astype(np.int64)),
             "valid_to": pa.array(out_vt, pa.int64(),
@@ -260,5 +253,5 @@ def scd2_apply(dim_ds, snap_ds, *, key_col: str, state_col: str,
             "n_rows": pa.array(out_nr.astype(np.int64))})
 
     return partitioned_map(sides, merge_kernel, key=key_col,
-                           sort_keys=[key_col, "__tag", "vf"],
+                           sort_keys=[[key_col, "vf"], [key_col]],
                            num_partitions=num_partitions)

@@ -43,6 +43,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions import segments as seg
+
 __all__ = ["dup_spans", "dup_token_stats", "ngram_novelty",
            "prefix_dedup", "cross_source_grams"]
 
@@ -195,8 +197,8 @@ def dup_token_stats(ds, *, id_col: str = "doc_id", text_col: str = "text",
     ``k``-gram spans).
 
     Same two-exchange plan as :func:`dup_spans`, but the final doc-keyed
-    exchange also carries one tiny ``(doc, n_tokens)`` row per document
-    (tagged union — no separate join, no schema probe on a lazy mapped
+    exchange also takes one tiny ``(doc, n_tokens)`` row per document as
+    a second input (no separate join, no schema probe on a lazy mapped
     dataset), so the kernel emits every tokenized document exactly once:
     ``(id_col, n_tokens:int64, dup_tokens:int64, dup_frac:float64)``
     with ``dup_frac`` one IEEE division of small ints (bit-exact in SQL,
@@ -242,11 +244,7 @@ def dup_token_stats(ds, *, id_col: str = "doc_id", text_col: str = "text",
     def count_branch(t: pa.Table) -> pa.Table:
         p = t["pos"].to_numpy(zero_copy_only=False)
         c = t.filter(pa.array(p == 0))
-        return pa.table({
-            id_col: c[id_col],
-            "pos": c["pos"],
-            "n_tok": c["gh"],
-        })
+        return pa.table({id_col: c[id_col], "n_tok": c["gh"]})
 
     grams = ray.data.from_arrow_refs(list(refs)).map_batches(
         gram_branch, batch_format="pyarrow", zero_copy_batch=True)
@@ -257,62 +255,47 @@ def dup_token_stats(ds, *, id_col: str = "doc_id", text_col: str = "text",
                                  min_count=min_count,
                                  num_partitions=num_partitions)
 
-    def tag_dups(t: pa.Table) -> pa.Table:
-        return t.append_column("n_tok", pa.nulls(t.num_rows, pa.int64()))
-
-    sides = [dups.map_batches(tag_dups, batch_format="pyarrow",
-                              zero_copy_batch=True), counts_ds]
-
-    def stats_kernel(t: pa.Table) -> pa.Table:
+    def stats_kernel(dups: pa.Table, counts: pa.Table) -> pa.Table:
         out_schema = pa.schema([
-            pa.field(id_col, t.schema.field(id_col).type),
+            pa.field(id_col, counts.schema.field(id_col).type),
             pa.field("n_tokens", pa.int64()),
             pa.field("dup_tokens", pa.int64()),
             pa.field("dup_frac", pa.float64())])
-        n = t.num_rows
-        if n == 0:
+        if counts.num_rows + dups.num_rows == 0:
             return out_schema.empty_table()
-        # sorted by (doc, pos): the pos=0 count row leads each doc run
-        ids = t[id_col].combine_chunks()
-        codes = pc.dictionary_encode(ids).indices.to_numpy(
-            zero_copy_only=False)
-        s = t["pos"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ntok = pc.fill_null(t["n_tok"], -1).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        is_count = ntok >= 0
-        # per-doc dup coverage: islands over the dup rows only (with
-        # sorted pos and fixed k, dup interval ends are monotone per doc)
-        idx_dup = np.flatnonzero(~is_count)
-        dup_tokens = np.zeros(n, np.int64)
-        if len(idx_dup):
-            d_codes = codes[idx_dup]
-            d_s = s[idx_dup]
+        ids = counts[id_col].combine_chunks()
+        cc, dc = seg.shared_key_codes(
+            ids, dups[id_col] if dups.num_rows else ids.slice(0, 0))
+        # per-doc dup coverage: islands over the dup rows, sorted by
+        # (doc, pos) (with fixed k, dup interval ends are monotone per
+        # doc)
+        dup_tokens = np.zeros(len(cc) + len(dc) + 1, np.int64)
+        if len(dc):
+            d_s = dups["pos"].to_numpy(zero_copy_only=False).astype(
+                np.int64)
             d_e = d_s + k
-            d_first = np.empty(len(idx_dup), np.bool_)
+            d_first = np.empty(len(dc), np.bool_)
             d_first[0] = True
-            d_first[1:] = d_codes[1:] != d_codes[:-1]
+            d_first[1:] = dc[1:] != dc[:-1]
             d_brk = d_first | np.concatenate(
                 [[True], d_s[1:] > d_e[:-1]])
             starts = np.flatnonzero(d_brk)
-            ends = np.concatenate([starts[1:], [len(idx_dup)]]) - 1
-            span_len = d_e[ends] - d_s[starts]
-            span_doc = d_codes[starts]
-            np.add.at(dup_tokens, span_doc, span_len)
+            ends = np.concatenate([starts[1:], [len(dc)]]) - 1
+            np.add.at(dup_tokens, dc[starts], d_e[ends] - d_s[starts])
         # one output row per count row (every tokenized doc)
-        cnt_idx = np.flatnonzero(is_count)
-        doc_codes = codes[cnt_idx]
-        ntoks = ntok[cnt_idx]
-        dups_per_doc = dup_tokens[doc_codes]
+        ntoks = counts["n_tok"].to_numpy(zero_copy_only=False).astype(
+            np.int64)
+        dups_per_doc = dup_tokens[cc]
         return pa.table({
-            id_col: ids.take(pa.array(cnt_idx, pa.int64())),
+            id_col: ids,
             "n_tokens": pa.array(ntoks),
             "dup_tokens": pa.array(dups_per_doc),
             "dup_frac": pa.array(dups_per_doc.astype(np.float64)
                                  / ntoks.astype(np.float64)),
         })
 
-    return partitioned_map(sides, stats_kernel, key=id_col,
-                           sort_keys=[id_col, "pos"],
+    return partitioned_map([dups, counts_ds], stats_kernel, key=id_col,
+                           sort_keys=[[id_col, "pos"], [id_col]],
                            num_partitions=num_partitions)
 
 
@@ -332,8 +315,8 @@ def ngram_novelty(ds, *, id_col: str = "doc_id", text_col: str = "text",
     ``doc == first doc of the gram run`` and collapses straight to
     per-doc ``(n, novel)`` partials — the second shuffle moves
     O(partitions × docs) partial rows, never grams; (2) a doc-keyed
-    exchange sums partials with zero-gram marker rows (tagged union)
-    so short docs emit ``n_grams=0, novelty=NULL``.
+    exchange sums partials together with zero-gram marker rows (its
+    second input) so short docs emit ``n_grams=0, novelty=NULL``.
 
     Gram keys follow the :func:`dup_spans` convention: ``md5`` mode is
     SQL-replayable (its equality classes ARE string equality, so the
@@ -419,8 +402,13 @@ def ngram_novelty(ds, *, id_col: str = "doc_id", text_col: str = "text",
                          "novelty": pa.array(novelty, pa.float64(),
                                              mask=n == 0)})
 
-    return partitioned_map([partials, marks], combine, key=id_col,
-                           sort_keys=[id_col],
+    def combine_both(partials: pa.Table, marks: pa.Table) -> pa.Table:
+        full = [t for t in (partials, marks) if t.num_rows]
+        return combine(pa.concat_tables(full, promote_options="default")
+                       if full else partials)
+
+    return partitioned_map([partials, marks], combine_both, key=id_col,
+                           sort_keys=[[], []],
                            num_partitions=num_partitions)
 
 

@@ -100,7 +100,15 @@ def _window_group_agg(key_arr: pa.ChunkedArray, w_start: np.ndarray,
 
 def window_kernel(table: pa.Table, spec: WindowSpec) -> pa.Table:
     """Append window features to one sorted partition (total over 0 rows —
-    empty partitions must still produce the full output schema)."""
+    empty partitions must still produce the full output schema).  A NULL
+    ts raises ``ValueError``: gaps, sessions and time windows need a ts
+    on every row."""
+    n_null = table[spec.ts_col].null_count
+    if n_null:
+        raise ValueError(
+            f"window_kernel: {n_null} NULL {spec.ts_col!r} value(s); "
+            "the window features need a ts on every row — filter or "
+            "fill them upstream")
     codes = _codes(table[spec.key_col])
     ts = table[spec.ts_col].combine_chunks().cast(pa.int64()).to_numpy()
     v = table[spec.value_col].combine_chunks().to_numpy(zero_copy_only=False).astype(np.float64)

@@ -51,7 +51,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..stages.partition import string_buffers, task_exchange
+from ..stages.partition import (exchange_inputs, string_buffers,
+                                task_exchange)
 
 
 HASH_SCHEME = "arrow-sort-sha1-v1"
@@ -236,8 +237,9 @@ def run_partitioned_checkpointed(
 ) -> List[dict]:
     """Run ``kernel`` per sorted hash partition, writing each partition's
     output + manifest from inside the task (resumable).  Returns the list of
-    manifests (existing + new).  ``ds`` is one Dataset or a sequence of
-    Datasets exchanged together (``stages/partition.py:task_exchange``).
+    manifests (existing + new).  ``ds`` is one Dataset, exchanged by
+    ``stages/partition.py:task_exchange``; several inputs raise
+    ``ValueError`` before anything is written.
 
     A run-level manifest (``_manifest/_run.json``) records
     (key, sort_keys, num_partitions, input_desc); a resume whose parameters
@@ -250,6 +252,7 @@ def run_partitioned_checkpointed(
     instead of re-reading and re-hashing the full input."""
     import ray
 
+    exchange_inputs(ds, sort_keys)
     mdir = os.path.join(out_dir, "_manifest")
     os.makedirs(mdir, exist_ok=True)
     params = _run_params(key, sort_keys, num_partitions, input_desc,

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 
 def load_transcripts(d: str) -> pd.DataFrame:
@@ -42,24 +44,35 @@ def oracle_features(
     # unknown roles -> -1 sentinel, mirroring stages/scalar.py
     df["role_code"] = df["role"].map(role_codes).fillna(-1).astype("int32")
 
-    g = df.groupby("conv_id", sort=False)
+    # group on Arrow dictionary codes, not on the values: pandas' string
+    # hash stops at an embedded NUL (it makes "" and "\x00null" one
+    # conversation, and its sort may interleave their rows), and a NULL
+    # key is a conversation of its own, as in the engine.  Each
+    # conversation's rows are made contiguous, in the order given.
+    codes = pc.dictionary_encode(
+        pa.array(df["conv_id"], from_pandas=True),
+        null_encoding="encode").indices.to_numpy(zero_copy_only=False)
+    order = np.argsort(codes, kind="stable")
+    df = df.iloc[order]
+    conv = pd.Series(codes[order], index=df.index)
+    g = df.groupby(conv, sort=False)
     df["turn_number"] = g.cumcount().astype("int64")
     df["delta_ts_s"] = g["ts"].diff().dt.total_seconds()
     new_sess = (df["delta_ts_s"] > session_gap_s) | (df["turn_number"] == 0)
     df["session_id"] = (
-        new_sess.groupby(df["conv_id"], sort=False).cumsum().astype("int64") - 1
+        new_sess.groupby(conv, sort=False).cumsum().astype("int64") - 1
     )
     v = df[value_col].astype(float)
     for k in lags:
         df[f"lag{k}_{value_col}"] = g[value_col].shift(k).astype(float)
         df[f"lead{k}_{value_col}"] = g[value_col].shift(-k).astype(float)
     for k in rolling_rows:
-        r = v.groupby(df["conv_id"], sort=False).rolling(k, min_periods=1)
+        r = v.groupby(conv, sort=False).rolling(k, min_periods=1)
         df[f"roll{k}_count_{value_col}"] = r.count().reset_index(level=0, drop=True)
         df[f"roll{k}_sum_{value_col}"] = r.sum().reset_index(level=0, drop=True)
         df[f"roll{k}_mean_{value_col}"] = r.mean().reset_index(level=0, drop=True)
         df[f"roll{k}_std_{value_col}"] = (
-            v.groupby(df["conv_id"], sort=False)
+            v.groupby(conv, sort=False)
             .rolling(k, min_periods=1)
             .std(ddof=ddof)
             .reset_index(level=0, drop=True)
@@ -72,13 +85,13 @@ def oracle_features(
         rw = (
             tmp[value_col]
             .astype(float)
-            .groupby(tmp["conv_id"], sort=False)
+            .groupby(conv.to_numpy(), sort=False)
             .rolling(pd.Timedelta(seconds=w_s), closed="both")
         )
         df[f"win_{tag}_count_{value_col}"] = rw.count().reset_index(drop=True).values
         df[f"win_{tag}_sum_{value_col}"] = rw.sum().reset_index(drop=True).values
         df[f"win_{tag}_mean_{value_col}"] = rw.mean().reset_index(drop=True).values
-    return df
+    return df.iloc[np.argsort(order)]
 
 
 def oracle_asof(

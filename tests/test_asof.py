@@ -249,3 +249,25 @@ def test_nearest_asof_tolerance_bounds_abs_gap():
            .to_pandas().sort_values("row"))
     assert got["val"].iloc[0] == 7.0      # |gap| = 2 <= 5
     assert np.isnan(got["val"].iloc[1])   # |gap| = 88 > 5
+
+
+@pytest.mark.parametrize("right_ts", [[3, None], [None, 3]])
+def test_nearest_takes_the_candidate_with_a_defined_gap(right_ts):
+    """Nearest with one NULL-ts candidate: a left row at ts 5, with right
+    rows at ts 3 and at a NULL ts, matches the ts-3 row, whose gap is
+    the only one defined.  A NULL left ts defines no gap and keeps the
+    forward candidate: none, as a NULL ts sorts after every ts."""
+    from featurebox_ray.stages.asof import _asof_match
+
+    right = pa.table({"k": ["a", "a"], "ts": pa.array(right_ts, pa.int64()),
+                      "v": ["r0", "r1"]})
+    right = right.sort_by([("k", "ascending"), ("ts", "ascending")])
+    left = pa.table({"k": ["a", "a"], "ts": pa.array([5, None], pa.int64())})
+    got = _asof_match(left, right, key="k", ts_col="ts", direction="nearest")
+    three = right["ts"].to_pylist().index(3)
+    assert got.tolist() == [three, -1]
+    out = asof_join(ray.data.from_arrow(left), ray.data.from_arrow(right),
+                    key="k", ts_col="ts", right_cols=["v"],
+                    direction="nearest", num_partitions=2)
+    rows = {r["ts"]: r["v"] for r in out.take_all()}
+    assert rows == {5: right["v"][three].as_py(), None: None}

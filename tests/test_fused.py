@@ -62,3 +62,29 @@ def test_fused_left_schema_fast_path(tiny_dir):
     assert list(a.columns) == list(b.columns)
     for c in a.columns:
         assert (a[c].fillna("∅").values == b[c].fillna("∅").values).all(), c
+
+
+def test_null_ts_refused_with_count(tiny_dir):
+    """A NULL left ts is refused by the window kernel with a ValueError
+    that names the ts column and the NULL count, in the windowed stage
+    and in the fused flagship kernel alike."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pytest
+
+    t = ray.data.read_parquet(f"{tiny_dir}/transcripts").to_arrow_refs()
+    t = pa.concat_tables(ray.get(t))
+    conv = t["conv_id"].to_pylist()[0]
+    hit = pc.equal(t["conv_id"], conv).to_numpy(zero_copy_only=False)
+    hit &= np.cumsum(hit) <= 2                  # two rows of one key
+    ts = pc.if_else(pa.array(hit), pa.nulls(t.num_rows, t["ts"].type),
+                    t["ts"])
+    base = add_scalar_features(ray.data.from_arrow(
+        t.set_column(t.schema.get_field_index("ts"), "ts", ts)))
+    ft = ray.data.read_parquet(f"{tiny_dir}/feature_table")
+    with pytest.raises(ValueError, match="2 NULL 'ts' value"):
+        add_window_features(base, WindowSpec(), num_partitions=4)
+    with pytest.raises(ValueError, match="2 NULL 'ts' value"):
+        fused_features_backfill(base, ft, WindowSpec(),
+                                right_cols=["f_score", "f_label"],
+                                num_partitions=4)

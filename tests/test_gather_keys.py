@@ -1,7 +1,9 @@
 """Adversarial keys through the per-input gather: ``hash_join``,
 ``cogroup``, ``asof_join`` and ``fused_features_backfill`` against DuckDB
-(and ``tests/oracle.py`` for the window features), at 1, 3 and 8
-partitions over 1 or 8 blocks per input.
+(and ``tests/oracle.py`` for the window features), then ``snapshot_diff``,
+``cdc_compact``, ``rrf_fuse``, ``asof_leakage_audit`` and
+``refresh_agg_state``, at 1, 3 and 8 partitions over 1 or 8 blocks per
+input.  An operator that refuses NULL keys is checked to refuse them.
 
 Keys: NULL next to ``""`` and a string spelled like a NULL stand-in; a
 ``large_string`` right key against a ``string`` left key; an ``int32``
@@ -20,9 +22,14 @@ import pytest
 import ray
 
 from featurebox_ray.pipelines.transcript import fused_features_backfill
-from featurebox_ray.stages.asof import asof_join
+from featurebox_ray.stages.asof import asof_join, asof_leakage_audit
+from featurebox_ray.stages.cdc import cdc_compact
+from featurebox_ray.stages.diff import snapshot_diff
+from featurebox_ray.stages.incremental import (group_agg_state,
+                                               refresh_agg_state)
 from featurebox_ray.stages.join import cogroup, hash_join
 from featurebox_ray.stages.partition import materialized_block_refs
+from featurebox_ray.stages.rank import rrf_fuse
 from featurebox_ray.stages.scalar import add_scalar_features
 from featurebox_ray.stages.window import WindowSpec
 
@@ -180,18 +187,19 @@ def _asof_oracle(left, right, direction, strict, tol_us=None):
         match = pick("rx > lx" if strict else "rx >= lx", fwd_order)
     else:
         # the backward candidate unless the forward one is strictly
-        # closer; a gap to or from a NULL ts is undefined and leaves
-        # the forward candidate
+        # closer; a gap to or from a NULL ts is undefined: the one
+        # candidate with a defined gap wins, and with none the forward
         back = pick("rx <= lx", back_order)
         fwd = pick("rx > lx", fwd_order)
         match = {}
         for i, t in lts.items():
             b, f = back.get(i), fwd.get(i)
-            undefined = ((b is not None and (t is None or b[2] is None))
-                         or (f is not None and (t is None or f[2] is None)))
-            gb = BIG if b is None else (0 if undefined else t - b[2])
-            gf = BIG if f is None else (0 if undefined else f[2] - t)
-            m = f if undefined or gb > gf else b
+            db = b is not None and t is not None and b[2] is not None
+            df = f is not None and t is not None and f[2] is not None
+            if db and df:
+                m = f if f[2] - t < t - b[2] else b
+            else:
+                m = b if db else f
             if m is not None:
                 match[i] = m
     out = {}
@@ -281,10 +289,6 @@ def test_fused_backfill_adversarial_keys(kind, num_partitions, blocks):
     assert have == want
 
     keyed = left.filter(pc.is_valid(left["conv_id"]))
-    # pandas' string hash table stops at an embedded NUL, so "" and
-    # "\x00null" would be one group: the oracle groups on key codes
-    keyed = keyed.set_column(0, "conv_id", pc.dictionary_encode(
-        keyed["conv_id"]).combine_chunks().indices.cast(pa.int64()))
     oracle = oracle_features(keyed.to_pandas().sort_values(
         ["conv_id", "ts", "turn_idx"]).reset_index(drop=True))
     oracle = oracle.sort_values("turn_idx").reset_index(drop=True)
@@ -297,3 +301,210 @@ def test_fused_backfill_adversarial_keys(kind, num_partitions, blocks):
     for c in feats:
         assert np.allclose(mine[c].astype(float), oracle[c].astype(float),
                            equal_nan=True), c
+
+
+ID_KINDS = ["str", "large", "big"]
+
+
+def _ids(kind, n, second=False):
+    """``n`` distinct ids and their type: strings with ``""`` and a NULL
+    stand-in (``large_string`` on the second input for "large"), or
+    int64 ids above 2^53 that differ only past float64 precision."""
+    if kind == "big":
+        return [2 ** 53 + i for i in range(n)], pa.int64()
+    return (["", "\x00null"] + [f"k{i}" for i in range(n - 2)],
+            pa.large_string() if kind == "large" and second
+            else pa.string())
+
+
+def _with_null_key(t: pa.Table, col: str) -> pa.Table:
+    vals = t[col].to_pylist()
+    return t.set_column(t.schema.get_field_index(col), col,
+                        pa.array([None] + vals[1:], t[col].type))
+
+
+def _sql(sql, **tables):
+    con = duckdb.connect()
+    for name, t in tables.items():
+        con.register(name, t)
+    return con.sql(sql).arrow()
+
+
+@pytest.mark.parametrize("kind", ID_KINDS)
+@pytest.mark.parametrize("num_partitions,blocks", LAYOUTS)
+def test_snapshot_diff_adversarial_keys(kind, num_partitions, blocks):
+    rng = np.random.default_rng(3)
+    ids, _ = _ids(kind, 60)
+
+    def side(second):
+        pick = sorted(rng.choice(len(ids), 45, replace=False))
+        return pa.table({
+            "id": pa.array([ids[i] for i in pick], _ids(kind, 1, second)[1]),
+            "v": pa.array(_maybe_null(rng, rng.integers(0, 2, 45).tolist(),
+                                      0.2), pa.int64())})
+
+    old, new = side(False), side(True)
+
+    def diff(o, n):
+        return _table(snapshot_diff(_ds(o, blocks), _ds(n, blocks),
+                                    id_col="id", cmp_cols=["v"],
+                                    num_partitions=num_partitions))
+
+    want = _sql("""
+        SELECT coalesce(o.id, n.id) AS id,
+               CASE WHEN n.id IS NULL THEN 'removed'
+                    WHEN o.id IS NULL THEN 'added' ELSE 'changed' END
+                 AS status
+        FROM o FULL JOIN n ON o.id = n.id
+        WHERE o.id IS NULL OR n.id IS NULL OR o.v IS DISTINCT FROM n.v""",
+                o=old, n=new)
+    cols = ["id", "status"]
+    assert _rows(diff(old, new), cols) == _rows(want, cols)
+    if blocks > 1:
+        with pytest.raises(ValueError, match="NULL id in snapshot side 1"):
+            diff(old, _with_null_key(new, "id"))
+
+
+@pytest.mark.parametrize("kind", ID_KINDS)
+@pytest.mark.parametrize("num_partitions,blocks", LAYOUTS)
+def test_cdc_compact_adversarial_keys(kind, num_partitions, blocks):
+    rng = np.random.default_rng(5)
+    ids, _ = _ids(kind, 50)
+    pick = sorted(rng.choice(50, 30, replace=False))
+    base = pa.table({
+        "key": pa.array([ids[i] for i in pick], _ids(kind, 1)[1]),
+        "name": pa.array([f"n{i}" for i in pick]),
+        "cents": pa.array(rng.integers(0, 99, 30), pa.int64())})
+    n = 80
+    log = pa.table({
+        "key": pa.array([ids[i] for i in rng.integers(0, 50, n)],
+                        _ids(kind, 1, True)[1]),
+        "seq": pa.array(rng.permutation(n), pa.int64()),
+        "cents": pa.array(_maybe_null(rng, rng.integers(0, 99, n).tolist(),
+                                      0.1), pa.int64()),
+        "del": pa.array(_maybe_null(rng, (rng.random(n) < 0.3).tolist(),
+                                    0.1), pa.bool_())})
+
+    def compact(b, lg):
+        return _table(cdc_compact(_ds(b, blocks), _ds(lg, blocks),
+                                  key_col="key", order_cols=["seq"],
+                                  value_col="cents", delete_col="del",
+                                  payload_cols=["name"],
+                                  num_partitions=num_partitions))
+
+    want = _sql("""
+        WITH last AS (SELECT * FROM (
+            SELECT *, row_number() OVER (PARTITION BY key ORDER BY seq DESC)
+              AS rn FROM lg) WHERE rn = 1)
+        SELECT coalesce(b.key, last.key) AS key, b.name,
+               CASE WHEN last.key IS NULL THEN b.cents ELSE last.cents END
+                 AS cents,
+               CASE WHEN last.key IS NULL THEN 'keep'
+                    WHEN b.key IS NULL THEN 'insert' ELSE 'update' END AS op
+        FROM b FULL JOIN last ON b.key = last.key
+        WHERE last.key IS NULL OR NOT coalesce(last.del, false)""",
+                b=base, lg=log)
+    cols = ["key", "name", "cents", "op"]
+    assert _rows(compact(base, log), cols) == _rows(want, cols)
+    if blocks > 1:
+        with pytest.raises(ValueError, match="NULL key in base snapshot"):
+            compact(_with_null_key(base, "key"), log)
+        with pytest.raises(ValueError, match="NULL key in changelog"):
+            compact(base, _with_null_key(log, "key"))
+
+
+@pytest.mark.parametrize("kind", ID_KINDS)
+@pytest.mark.parametrize("num_partitions,blocks", LAYOUTS)
+def test_rrf_fuse_adversarial_keys(kind, num_partitions, blocks):
+    rng = np.random.default_rng(9)
+    ids, _ = _ids(kind, 40)
+    ranks = [pa.table({
+        "id": pa.array([ids[i] for i in rng.permutation(40)],
+                       _ids(kind, 1, i > 0)[1]),
+        f"r{i}": pa.array(np.arange(1, 41), pa.int64())}) for i in range(3)]
+
+    def fuse(tables):
+        return _table(rrf_fuse([_ds(t, blocks) for t in tables],
+                               id_col="id", rank_cols=["r0", "r1", "r2"],
+                               k=60, num_partitions=num_partitions))
+
+    want = _sql("""
+        SELECT a.id, r0, r1, r2,
+               1.0::DOUBLE / (60 + r0) + 1.0::DOUBLE / (60 + r1)
+                 + 1.0::DOUBLE / (60 + r2) AS rrf
+        FROM a JOIN b ON a.id = b.id JOIN c ON a.id = c.id""",
+                a=ranks[0], b=ranks[1], c=ranks[2])
+    cols = ["id", "r0", "r1", "r2", "rrf"]
+    assert _rows(fuse(ranks), cols) == _rows(want, cols)
+    if blocks > 1:
+        # NULL ids are never equal: each is missing from the others
+        with pytest.raises(ValueError, match="missing from some ranking"):
+            fuse([_with_null_key(t, "id") for t in ranks])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("num_partitions,blocks", LAYOUTS)
+def test_asof_leakage_audit_adversarial_keys(kind, num_partitions, blocks):
+    """NULL keys and NULL ts drop on both sides; every other row's
+    matched ts is checked against the latest right ts at or before it."""
+    left, right = _sides(kind)
+    rng = np.random.default_rng(13)
+    right = pa.table({"k": right["rk"], "ts": right["rts"]})
+    exp = _sql("""
+        SELECT l.id, (SELECT max(r.ts) FROM r
+                      WHERE r.k = l.k AND r.ts <= l.ts) AS mts
+        FROM l""", l=left, r=right)
+    exp = dict(zip(exp["id"].to_pylist(), exp["mts"].to_pylist()))
+    # plant errors: a third of the rows lose their match or get a
+    # right ts that is not the latest eligible one
+    pool = [t for t in right["ts"].to_pylist() if t is not None]
+    mts = [exp[i] if rng.random() < 0.67 else
+           (None if rng.random() < 0.5 else pool[rng.integers(len(pool))])
+           for i in left["id"].to_pylist()]
+    joined = left.append_column("mts", pa.array(mts, pa.timestamp("us")))
+    got = _table(asof_leakage_audit(
+        _ds(joined, blocks), _ds(right, blocks), key="k", ts_col="ts",
+        matched_ts_col="mts", num_partitions=num_partitions))
+    want = _sql("""
+        WITH l AS (SELECT * FROM j WHERE k IS NOT NULL AND ts IS NOT NULL),
+             e AS (SELECT l.k, l.mts, (SELECT max(r.ts) FROM r
+                   WHERE r.k = l.k AND r.ts <= l.ts) AS exp FROM l)
+        SELECT k, count(*) AS n_rows, count(mts) AS n_matched,
+               sum(CASE WHEN (mts IS NULL) <> (exp IS NULL) OR mts <> exp
+                        THEN 1 ELSE 0 END) AS n_mismatch
+        FROM e GROUP BY k""", j=joined, r=right)
+    cols = ["k", "n_rows", "n_matched", "n_mismatch"]
+    assert _rows(got, cols) == _rows(want, cols)
+    assert sum(got["n_mismatch"].to_pylist()) > 0
+
+
+@pytest.mark.parametrize("kind", ID_KINDS)
+@pytest.mark.parametrize("num_partitions,blocks", LAYOUTS)
+def test_refresh_agg_state_adversarial_keys(kind, num_partitions, blocks):
+    """NULL keys drop; the refreshed state equals a GROUP BY over the
+    base rows and the delta rows together.  Both inputs carry one key
+    type: the merge concatenates them."""
+    rng = np.random.default_rng(17)
+    ids, typ = _ids(kind, 12, second=True)
+
+    def rows(n):
+        return pa.table({
+            "k": pa.array(_maybe_null(rng, [ids[i] for i in
+                                            rng.integers(0, 12, n)], 0.1),
+                          typ),
+            "v": pa.array(np.round(rng.uniform(-50, 50, n), 2))})
+
+    base, delta = rows(150), rows(90)
+    state = group_agg_state(_ds(base, blocks), key_cols=["k"],
+                            value_col="v", num_partitions=num_partitions)
+    got = _table(refresh_agg_state(state, _ds(delta, blocks),
+                                   key_cols=["k"], value_col="v",
+                                   num_partitions=num_partitions))
+    want = _sql("""
+        WITH e AS (SELECT k, CAST(round(coalesce(v, 0) * 100) AS BIGINT)
+                     AS c FROM (SELECT * FROM b UNION ALL SELECT * FROM d)
+                   WHERE k IS NOT NULL)
+        SELECT k, count(*) AS n, sum(c) AS sum_c, min(c) AS min_c,
+               max(c) AS max_c FROM e GROUP BY k""", b=base, d=delta)
+    cols = ["k", "n", "sum_c", "min_c", "max_c"]
+    assert _rows(got, cols) == _rows(want, cols)

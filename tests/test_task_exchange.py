@@ -1,6 +1,7 @@
 """The task exchange (the engine's one keyed exchange) against the pandas
 oracle (tests/oracle.py), plus its partition-count invariance and its
-multi-input form (several Datasets exchanged together, no union)."""
+several-input form (Datasets exchanged together, no union, one sort key
+list per input)."""
 
 import glob
 import time
@@ -101,110 +102,101 @@ def _sorted_rows(df):
 @pytest.mark.parametrize("blocks", [1, 8])
 @pytest.mark.parametrize("num_partitions", [1, 3, 8])
 def test_multi_input_matches_union(num_partitions, blocks):
-    """partitioned_map([a, b]) equals partitioned_map(a.union(b)), and
-    both equal one in-process pass, whatever the partition and block
-    counts."""
+    """partitioned_map([a, b]) with one sort key list per input equals
+    partitioned_map(a.union(b)), and both equal one in-process pass,
+    whatever the partition and block counts: every row of a key meets
+    the key's rows of the other input in one gather."""
     import pandas as pd
+
+    from featurebox_ray.stages.partition import sort_table
 
     ra, rb = _side_rows(300, 17, 0, 1), _side_rows(120, 23, 1, 2)
     a = ray.data.from_items(ra, override_num_blocks=blocks)
     b = ray.data.from_items(rb, override_num_blocks=blocks)
-    kw = dict(key="k", sort_keys=["k", "ts", "side"],
-              num_partitions=num_partitions)
+    keys = ["k", "ts", "side"]
+    kw = dict(key="k", num_partitions=num_partitions)
+
+    def both(ta: pa.Table, tb: pa.Table) -> pa.Table:
+        return _running_sum(sort_table(pa.concat_tables([ta, tb]), keys))
+
     want = _sorted_rows(_running_sum(pa.Table.from_pandas(
-        pd.DataFrame(ra + rb).sort_values(["k", "ts", "side"]),
+        pd.DataFrame(ra + rb).sort_values(keys),
         preserve_index=False)).to_pandas())
-    multi = _sorted_rows(partitioned_map([a, b], _running_sum, **kw).to_pandas())
-    union = _sorted_rows(partitioned_map(a.union(b), _running_sum, **kw).to_pandas())
+    multi = _sorted_rows(partitioned_map(
+        [a, b], both, sort_keys=[keys, keys], **kw).to_pandas())
+    union = _sorted_rows(partitioned_map(
+        a.union(b), _running_sum, sort_keys=keys, **kw).to_pandas())
     pd.testing.assert_frame_equal(multi, want)
     pd.testing.assert_frame_equal(union, want)
 
 
 @pytest.mark.parametrize("empty", ["second", "both"])
 def test_multi_input_empty_inputs(empty):
-    """Inputs that yield no block: every gather still runs, and when no
-    input yields a block each gather sees the inputs' schemas."""
+    """Inputs that yield no block: every gather still runs, and each
+    input that yields no block reaches every gather as an empty table in
+    its own schema."""
     a = ray.data.from_items(_side_rows(50, 7, 0, 3))
     b = ray.data.from_items([{**r, "w": 1.0}
                              for r in _side_rows(20, 7, 1, 4)]).limit(0)
     if empty == "both":
         a = a.limit(0)
-    kw = dict(key="k", sort_keys=["k", "ts"], num_partitions=5)
+    kw = dict(key="k", sort_keys=[["k", "ts"], ["k", "ts"]],
+              num_partitions=5)
 
-    def count(t: pa.Table) -> pa.Table:
-        return pa.table({"rows": [t.num_rows],
-                         "cols": [",".join(t.column_names)]})
+    def count(ta: pa.Table, tb: pa.Table) -> pa.Table:
+        return pa.table({"rows": [ta.num_rows], "rows_b": [tb.num_rows],
+                         "cols": [",".join(ta.column_names)],
+                         "cols_b": [",".join(tb.column_names)]})
 
     seen = partitioned_map([a, b], count, **kw).take_all()
     assert len(seen) == 5
     assert sum(r["rows"] for r in seen) == (50 if empty == "second" else 0)
+    assert sum(r["rows_b"] for r in seen) == 0
+    assert {r["cols"] for r in seen} == {"k,ts,side,v"}
+    assert {r["cols_b"] for r in seen} == {"k,ts,side,v,w"}
 
-    def number(t: pa.Table) -> pa.Table:
-        return t.append_column("n", pa.array(np.arange(t.num_rows), pa.int64()))
+    def number(ta: pa.Table, tb: pa.Table) -> pa.Table:
+        t = pa.concat_tables([ta, tb], promote_options="default")
+        return t.append_column("n", pa.array(np.arange(t.num_rows),
+                                             pa.int64()))
 
     out = partitioned_map([a, b], number, **kw)
-    names = ["k", "ts", "side", "v"] + (["w"] if empty == "both" else [])
-    assert out.schema().names == names + ["n"]
+    assert out.schema().names == ["k", "ts", "side", "v", "w", "n"]
     assert out.count() == (50 if empty == "second" else 0)
 
 
-def test_second_input_without_key_raises(tiny_dir, tmp_path):
-    """A non-empty block of any input that lacks the key is refused; the
-    checkpoint runner then records no partition as finished."""
-    from featurebox_ray.stages.window import window_kernel
-    from featurebox_ray.state.checkpoint import (
-        finished_partitions, run_partitioned_checkpointed)
-
+def test_second_input_without_key_raises():
+    """A non-empty block of any input that lacks the key is refused.
+    (The checkpoint runner's refusal is
+    tests/test_checkpoint.py::test_misspelled_key_raises_and_writes_no_part_manifests.)"""
     good = ray.data.from_items([{"k": 1}, {"k": 2}])
     bad = ray.data.from_items([{"kk": 3}])
     with pytest.raises(KeyError, match="'k' missing"):
-        partitioned_map([good, bad], lambda t: t, key="k", sort_keys=["k"],
-                        num_partitions=2)
-
-    base = add_scalar_features(ray.data.read_parquet(f"{tiny_dir}/transcripts"))
-    keyless = ray.data.read_parquet(f"{tiny_dir}/feature_table").drop_columns(
-        ["conv_id"])
-    out = str(tmp_path / "ckpt")
-    spec = WindowSpec()
-    with pytest.raises(KeyError, match="'conv_id' missing"):
-        run_partitioned_checkpointed(
-            [base, keyless], lambda t: window_kernel(t, spec), out,
-            key="conv_id", sort_keys=["conv_id", "ts", "turn_idx"],
-            num_partitions=8, input_desc="test")
-    assert finished_partitions(out) == set()
-    assert not glob.glob(f"{out}/_manifest/part-*.json")
-    assert not glob.glob(f"{out}/part-*.parquet")
+        partitioned_map([good, bad], lambda ta, tb: ta, key="k",
+                        sort_keys=[["k"], ["k"]], num_partitions=2)
 
 
-def test_gather_concat_follows_input_order():
-    """Rows tied on every sort key reach the kernel in input order, not
-    in the order the inputs finished draining: the slow input listed
-    first still comes first."""
-    def slow(t: pa.Table) -> pa.Table:
-        time.sleep(1.0)
-        return t
+def test_several_inputs_with_one_flat_list_raise(tmp_path):
+    """One flat list of sort keys is for one input: several inputs with
+    one refuse before anything runs, in partitioned_map, task_exchange
+    and the checkpoint runner, which writes no manifest."""
+    from featurebox_ray.stages.partition import task_exchange
+    from featurebox_ray.state.checkpoint import run_partitioned_checkpointed
 
-    rows = [{"k": i % 4, "__side": 0} for i in range(40)]
-    slow_ds = ray.data.from_items(rows, override_num_blocks=2).map_batches(
-        slow, batch_format="pyarrow")
-    fast_ds = ray.data.from_items([{**r, "__side": 1} for r in rows],
-                                  override_num_blocks=2)
-
-    def side_order(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "pos", pa.array(np.arange(t.num_rows), pa.int64()))
-
-    def sides_per_key(inputs):
-        df = partitioned_map(inputs, side_order, key="k", sort_keys=["k"],
-                             num_partitions=3).to_pandas()
-        return {k: g.sort_values("pos")["__side"].tolist()
-                for k, g in df.groupby("k")}
-
-    for _ in range(2):
-        got = sides_per_key([slow_ds, fast_ds])
-        assert got == {k: [0] * 10 + [1] * 10 for k in range(4)}
-    got = sides_per_key([fast_ds, slow_ds])
-    assert got == {k: [1] * 10 + [0] * 10 for k in range(4)}
+    a = ray.data.from_items([{"k": 1}, {"k": 2}])
+    b = ray.data.from_items([{"k": 2}])
+    kw = dict(key="k", sort_keys=["k"], num_partitions=2)
+    msg = "1 sort key lists for 2 inputs"
+    with pytest.raises(ValueError, match=msg):
+        partitioned_map([a, b], lambda t: t, **kw)
+    with pytest.raises(ValueError, match=msg):
+        task_exchange([a, b], lambda p, t: t, **kw)
+    out = tmp_path / "ck"
+    with pytest.raises(ValueError, match=msg):
+        run_partitioned_checkpointed([a, b], lambda t: t, str(out),
+                                     input_desc="two", **kw)
+    assert not glob.glob(f"{out}/**/*.json", recursive=True)
+    assert not glob.glob(f"{out}/**/*.parquet", recursive=True)
 
 
 def test_per_input_tables_sorted_in_block_order():
