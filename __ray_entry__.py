@@ -1136,20 +1136,18 @@ def _skew_report_q(sf_dir: str):
     import ray
 
     from featurebox_ray.stages.partition import (key_histogram,
-                                                 materialized_block_refs)
+                                                 materialized_block_refs,
+                                                 sum_partials)
 
     ev = (ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                 columns=["user_id"])
           .map_batches(lambda b: b.filter(
               pc.fill_null(pc.is_valid(b["user_id"]), False)),
               batch_format="pyarrow", zero_copy_batch=True))
-    total = 0
-    for blk in ray.get(materialized_block_refs(ev.map_batches(
-            lambda b: pa.table({"n": pa.array([b.num_rows],
-                                              pa.int64())}),
-            batch_format="pyarrow", batch_size=None))):
-        if "n" in blk.column_names:
-            total += sum(blk["n"].to_pylist())
+    rows = sum_partials(ray.get(materialized_block_refs(ev.map_batches(
+        lambda b: pa.table({"n": pa.array([b.num_rows], pa.int64())}),
+        batch_format="pyarrow", batch_size=None))), keys=[], vals=["n"])
+    total = 0 if rows is None else rows["n"][0].as_py()
     top = key_histogram(ev, "user_id", top=10)
     n = top["count()"].astype("int64")
     return pa.table({
@@ -1170,7 +1168,8 @@ def _redaction_audit_q(sf_dir: str):
     import pyarrow.compute as pc
     import ray
 
-    from featurebox_ray.stages.partition import materialized_block_refs
+    from featurebox_ray.stages.partition import (materialized_block_refs,
+                                                 sum_partials)
     from featurebox_ray.stages.redact import pattern_redact
 
     PAT = r"\b(spark|hash|join)\b"
@@ -1184,9 +1183,9 @@ def _redaction_audit_q(sf_dir: str):
     red = pattern_redact(docs, pattern=PAT,
                          replacement="[REDACTED]")
 
+    cols = ["n_docs", "n_redacted_docs", "n_markers", "n_residual"]
+
     def audit(b: pa.Table) -> pa.Table:
-        cols = ("n_docs", "n_redacted_docs", "n_markers",
-                "n_residual")
         if b.num_rows == 0 or "text" not in b.column_names:
             return pa.table({c: pa.array([], pa.int64())
                              for c in cols})
@@ -1206,20 +1205,11 @@ def _redaction_audit_q(sf_dir: str):
             "n_residual": pa.array(
                 [int(pc.sum(residual).as_py() or 0)], pa.int64())})
 
-    tot = [0, 0, 0, 0]
-    for blk in ray.get(materialized_block_refs(
-            red.map_batches(audit, batch_format="pyarrow",
-                            zero_copy_batch=True, batch_size=None))):
-        if "n_docs" not in blk.column_names:
-            continue
-        for i, c in enumerate(("n_docs", "n_redacted_docs",
-                               "n_markers", "n_residual")):
-            tot[i] += sum(blk[c].to_pylist())
-    return pa.table({
-        "n_docs": pa.array([tot[0]], pa.int64()),
-        "n_redacted_docs": pa.array([tot[1]], pa.int64()),
-        "n_markers": pa.array([tot[2]], pa.int64()),
-        "n_residual": pa.array([tot[3]], pa.int64())})
+    return sum_partials(ray.get(materialized_block_refs(
+        red.map_batches(audit, batch_format="pyarrow",
+                        zero_copy_batch=True, batch_size=None))),
+        keys=[], vals=cols) or pa.table(
+        {c: pa.array([0], pa.int64()) for c in cols})
 
 
 def _corpus_factory_q(sf_dir: str):
@@ -1234,7 +1224,8 @@ def _corpus_factory_q(sf_dir: str):
     import ray
 
     from featurebox_ray.stages.dedup import exact_dedup
-    from featurebox_ray.stages.partition import materialized_block_refs
+    from featurebox_ray.stages.partition import (materialized_block_refs,
+                                                 sum_partials)
     from featurebox_ray.stages.text import gopher_quality_fn
 
     docs = (ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -1270,27 +1261,17 @@ def _corpus_factory_q(sf_dir: str):
         return pa.table({"lang": enc.dictionary,
                          "n": pa.array(n), "tok": pa.array(tok)})
 
-    agg: dict = {}
-    for blk in ray.get(materialized_block_refs(
-            gq.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=None))):
-        if "lang" not in blk.column_names:
-            continue
-        for lg, n, tk in zip(blk["lang"].to_pylist(),
-                             blk["n"].to_pylist(),
-                             blk["tok"].to_pylist()):
-            cur = agg.setdefault(lg, [0, 0])
-            cur[0] += n
-            cur[1] += tk
-    langs = sorted(agg)
+    agg = sum_partials(ray.get(materialized_block_refs(
+        gq.map_batches(partial, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None))),
+        keys=["lang"], vals=["n", "tok"])
+    if agg is None:
+        agg = partial(pa.table({}))
     return pa.table({
-        "lang": pa.array(langs, pa.string()),
-        "n_docs": pa.array([agg[lg][0] for lg in langs], pa.int64()),
-        "n_tokens": pa.array([agg[lg][1] for lg in langs],
-                             pa.int64()),
-        "avg_tokens": pa.array(
-            [float(agg[lg][1]) / float(agg[lg][0]) for lg in langs],
-            pa.float64())})
+        "lang": agg["lang"].cast(pa.string()), "n_docs": agg["n"],
+        "n_tokens": agg["tok"],
+        "avg_tokens": pa.array(agg["tok"].to_numpy()
+                               / agg["n"].to_numpy(), pa.float64())})
 
 
 def _double_charge_q(sf_dir: str):

@@ -43,7 +43,7 @@ def release_gate(docs_ds, *, rules, qi_cols, sensitive_col: str,
         passes through the driver, only two ints per block."""
         import ray
 
-        from ..stages.partition import materialized_block_refs
+        from ..stages.partition import materialized_block_refs, sum_partials
 
         def part(b: pa.Table) -> pa.Table:
             if b.num_rows == 0 or flag_col not in b.column_names:
@@ -56,16 +56,12 @@ def release_gate(docs_ds, *, rules, qi_cols, sensitive_col: str,
                 "v": pa.array([int(pc.sum(pc.cast(
                     bad, pa.int64())).as_py() or 0)], pa.int64())})
 
-        n = v = 0
-        for blk in ray.get(materialized_block_refs(
-                ds.map_batches(part, batch_format="pyarrow",
-                               zero_copy_batch=True,
-                               batch_size=None))):
-            if "n" not in blk.column_names:
-                continue
-            n += int(pc.sum(blk["n"]).as_py() or 0)
-            v += int(pc.sum(blk["v"]).as_py() or 0)
-        return n, v
+        tot = sum_partials(ray.get(materialized_block_refs(
+            ds.map_batches(part, batch_format="pyarrow",
+                           zero_copy_batch=True, batch_size=None))),
+            keys=[], vals=["n", "v"])
+        return ((0, 0) if tot is None
+                else (tot["n"][0].as_py(), tot["v"][0].as_py()))
 
     ka_n, ka_v = _count_flags(
         k_anonymity(docs_ds.map_batches(

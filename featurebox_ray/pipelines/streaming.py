@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-import numpy as np
 import pyarrow as pa
 
 
@@ -31,28 +30,3 @@ def iter_feature_batches(ds, *, batch_size: int = 4096,
     yield from ds.iter_batches(batch_size=batch_size,
                                batch_format="pyarrow",
                                prefetch_batches=prefetch_batches)
-
-
-def streaming_column_moments(ds, columns: Sequence[str],
-                             *, batch_size: int = 8192) -> dict:
-    """Driver-side running mean/std over a streamed Dataset: one pass of
-    per-batch partial sums — constant driver memory no matter the input
-    size (the consumption-side analog of the engine's distributed
-    aggregate; useful when the consumer IS the driver, e.g. fitting a
-    scaler before a training loop)."""
-    n = 0
-    s = np.zeros(len(columns))
-    sq = np.zeros(len(columns))
-    for batch in iter_feature_batches(ds, batch_size=batch_size,
-                                      columns=columns):
-        M = np.column_stack([
-            batch[c].to_numpy(zero_copy_only=False).astype(np.float64)
-            for c in columns])
-        n += len(M)
-        s += M.sum(axis=0)
-        sq += (M * M).sum(axis=0)
-    mean = s / max(n, 1)
-    var = np.maximum(sq / max(n, 1) - mean * mean, 0.0)
-    return {"n": n,
-            "mean": dict(zip(columns, mean)),
-            "std": dict(zip(columns, np.sqrt(var)))}

@@ -382,8 +382,8 @@ def markov_attribution(ds, *, key_col: str, ts_col: str,
     FIRST ``conv_type`` event; the non-conv prefix is the channel
     path, absorbed by conv (if reached) or null (journey ended
     unconverted).  Transition counts are EXACT integers from one
-    key-keyed exchange (per-partition vectorized pair counting,
-    driver dict combine); the only float work is the tiny
+    key-keyed exchange (per-partition vectorized pair counting, one
+    ``sum_partials`` combine); the only float work is the tiny
     (K+1)-state absorbing-chain solve on the driver, replayed
     bit-identically by the serial fixture (identical count matrix →
     identical ``np.linalg.solve`` sequence).
@@ -393,7 +393,10 @@ def markov_attribution(ds, *, key_col: str, ts_col: str,
     removal effects (NULL when all effects are 0).  Rows with NULL
     key/ts/order/type drop.  Keys whose journey is empty contribute
     nothing.  ``(key, ts, order)`` must be unique (raises otherwise —
-    a tie would leave journey order block-layout-dependent).
+    a tie would leave journey order block-layout-dependent).  A
+    channel value spelled like a chain state (``"\\x00start"``,
+    ``"\\x00conv"``, ``"\\x00null"``) raises ``ValueError`` naming it:
+    it would merge into that state.
     """
     import ray
 
@@ -420,6 +423,11 @@ def markov_attribution(ds, *, key_col: str, ts_col: str,
               .to_numpy(zero_copy_only=False).astype(np.int64))
         tenc = pc.dictionary_encode(t[type_col].combine_chunks())
         tdict = tenc.dictionary.to_pylist()
+        for v in (START, CONV, NULLA):
+            if v in tdict and v != conv_type:
+                raise ValueError(
+                    f"markov_attribution: {type_col} value {v!r} is "
+                    "the name of a chain state; rename the channel")
         tc = tenc.indices.to_numpy(zero_copy_only=False).astype(
             np.int64)
         # (key, ts, order) must be unique (the q248/watermark

@@ -260,7 +260,7 @@ def collapse_rare(ds, *, col: str, min_count: int,
     """
     import ray
 
-    from .partition import materialized_block_refs
+    from .partition import materialized_block_refs, sum_partials
 
     out_col = out_col or f"{col}_rc"
 
@@ -274,14 +274,14 @@ def collapse_rare(ds, *, col: str, min_count: int,
         return pa.table({"v": vc.field("values").cast(pa.string()),
                          "cnt": vc.field("counts")})
 
-    counts: dict = {}
     cds = ds.map_batches(count_partial, batch_format="pyarrow",
                          zero_copy_batch=True)
-    for b in ray.get(materialized_block_refs(cds)):
-        for vv, cv in zip(b["v"].to_pylist(), b["cnt"].to_pylist()):
-            counts[vv] = counts.get(vv, 0) + int(cv)
-    keep = pa.array(sorted(v for v, n in counts.items()
-                           if n >= min_count), pa.string())
+    counts = sum_partials(ray.get(materialized_block_refs(cds)),
+                          keys=["v"], vals=["cnt"])
+    keep = pa.array([], pa.string())
+    if counts is not None:
+        keep = counts.filter(pc.greater_equal(counts["cnt"], min_count))
+        keep = keep["v"].combine_chunks()
     keep_ref = ray.put(keep)
 
     def recode(batch: pa.Table) -> pa.Table:

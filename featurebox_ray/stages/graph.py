@@ -193,7 +193,8 @@ def triangle_count(edges_ds, *, src_col: str = "src",
     """
     import ray
 
-    from .partition import materialized_block_refs, partitioned_map
+    from .partition import (materialized_block_refs, partitioned_map,
+                            sum_partials)
 
     def prep(b: pa.Table) -> pa.Table:
         keep = pc.fill_null(pc.and_(pc.is_valid(b[src_col]),
@@ -299,12 +300,10 @@ def triangle_count(edges_ds, *, src_col: str = "src",
     partials = partitioned_map(mid, close_kernel, key="x",
                                sort_keys=["x", "y", "tag"],
                                num_partitions=num_partitions)
-    e = w = mt = 0
-    for blk in ray.get(materialized_block_refs(partials)):
-        for r in range(blk.num_rows):
-            e += blk["n_edges"][r].as_py()
-            w += blk["n_wedges"][r].as_py()
-            mt += blk["matches"][r].as_py()
+    tot = sum_partials(ray.get(materialized_block_refs(partials)),
+                       keys=[], vals=["n_edges", "n_wedges", "matches"])
+    e, w, mt = ((0, 0, 0) if tot is None else
+                (tot[c][0].as_py() for c in tot.column_names))
     if mt % 3:
         raise AssertionError("triangle_count: wedge-closure total not "
                              "divisible by 3 — duplicate edges "

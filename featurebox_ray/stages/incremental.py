@@ -140,11 +140,16 @@ def refresh_agg_state(state_ds, delta_ds, *, key_cols: List[str],
     """Fold a raw-row delta into an existing state table: the delta
     reduces to states (same combiner pushdown), and ONE keyed exchange
     of it together with the old state re-merges — the old raw data is
-    never read."""
-    base = delta_ds.schema()
+    never read.  The delta's keys take the state's key types, so a
+    ``large_string`` or ``int32`` delta meets a ``string`` or ``int64``
+    state."""
+    base = state_ds.schema()
+    if base is None:
+        base = delta_ds.schema()
     base = getattr(base, "base_schema", base)
     empty = _empty_state(base, key_cols)
-    units = delta_ds.map_batches(_unit_states(key_cols, value_col),
+    unit = _unit_states(key_cols, value_col)
+    units = delta_ds.map_batches(lambda b: unit(b).cast(empty.schema),
                                  batch_format="pyarrow",
                                  zero_copy_batch=True)
     pre = units.map_batches(_local_combine(key_cols, empty),

@@ -324,7 +324,8 @@ def busy_window_overlap(ds, *, key_col: str, ts_col: str, id_col: str,
     import ray
 
     from ..functions import segments as seg
-    from .partition import materialized_block_refs, partitioned_map
+    from .partition import (materialized_block_refs, partitioned_map,
+                            sum_partials)
 
     gap_us = int(gap_s * 1e6)
     width_us = int(width_s * 1e6)
@@ -342,14 +343,14 @@ def busy_window_overlap(ds, *, key_col: str, ts_col: str, id_col: str,
         return pa.table({"b": pa.array(u, pa.int64()),
                          "cnt": pa.array(c.astype(np.int64))})
 
-    counts: dict = {}
     bds = ds.map_batches(bucket_partial, batch_format="pyarrow",
                          zero_copy_batch=True)
-    for blk in ray.get(materialized_block_refs(bds)):
-        for bv, cv in zip(blk["b"].to_pylist(), blk["cnt"].to_pylist()):
-            counts[bv] = counts.get(bv, 0) + int(cv)
-    top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
-    ws = np.array([b * width_us for b, _ in top], np.int64)
+    counts = sum_partials(ray.get(materialized_block_refs(bds)),
+                          keys=["b"], vals=["cnt"])
+    ws = np.empty(0, np.int64)
+    if counts is not None:
+        top = counts.sort_by([("cnt", "descending"), ("b", "ascending")])
+        ws = top["b"].to_numpy()[:top_k] * width_us
     we = ws + width_us
 
     def prep(b: pa.Table) -> pa.Table:

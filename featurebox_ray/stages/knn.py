@@ -356,7 +356,7 @@ def knn_classifier_eval(ds, *, vec_col: str = "embedding",
     import ray
 
     from .cohesion import _batch_mat
-    from .partition import materialized_block_refs
+    from .partition import materialized_block_refs, sum_partials
 
     refs = list(materialized_block_refs(ds))
 
@@ -465,40 +465,25 @@ def knn_classifier_eval(ds, *, vec_col: str = "embedding",
     parts_ds = ray.data.from_arrow_refs(list(refs)).map_batches(
         Vote, batch_format="pyarrow", zero_copy_batch=True,
         concurrency=concurrency)
-    agg: dict = {}
-    for b in ray.get(materialized_block_refs(parts_ds)):
-        if b.num_rows == 0:
-            continue
-        for lab, kind, cnt in zip(b["lab"].to_pylist(),
-                                  b["kind"].to_pylist(),
-                                  b["cnt"].to_pylist()):
-            key = (lab, kind)
-            agg[key] = agg.get(key, 0) + cnt
-    classes = sorted({lab for lab, _ in agg})
-    out = {"label": [], "n_true": [], "tp": [], "fp": [], "fn": [],
-           "precision": [], "recall": [], "f1": []}
-    for c in classes:
-        n_true = agg.get((c, 0), 0)
-        tp = agg.get((c, 1), 0)
-        fp = agg.get((c, 2), 0)
-        fn = agg.get((c, 3), 0)
-        out["label"].append(c)
-        out["n_true"].append(n_true)
-        out["tp"].append(tp)
-        out["fp"].append(fp)
-        out["fn"].append(fn)
-        out["precision"].append(float(tp) / float(tp + fp)
-                                if tp + fp else None)
-        out["recall"].append(float(tp) / float(n_true)
-                             if n_true else None)
-        out["f1"].append(float(2 * tp) / float(2 * tp + fp + fn)
-                         if 2 * tp + fp + fn else None)
+    agg = sum_partials(ray.get(materialized_block_refs(parts_ds)),
+                       keys=["lab", "kind"], vals=["cnt"])
+    lab = (np.empty(0, np.int64) if agg is None
+           else agg["lab"].to_numpy())
+    classes, ci = np.unique(lab, return_inverse=True)
+    cells = np.zeros((len(classes), 4), np.int64)
+    if agg is not None:
+        cells[ci, agg["kind"].to_numpy()] = agg["cnt"].to_numpy()
+    n_true, tp, fp, fn = cells.T
+
+    def ratio(num, den):
+        # one IEEE division per class; NULL where the count is 0
+        return pa.array(num / np.where(den == 0, 1, den), pa.float64(),
+                        mask=den == 0)
+
     return pa.table({
-        "label": pa.array(out["label"], pa.int64()),
-        "n_true": pa.array(out["n_true"], pa.int64()),
-        "tp": pa.array(out["tp"], pa.int64()),
-        "fp": pa.array(out["fp"], pa.int64()),
-        "fn": pa.array(out["fn"], pa.int64()),
-        "precision": pa.array(out["precision"], pa.float64()),
-        "recall": pa.array(out["recall"], pa.float64()),
-        "f1": pa.array(out["f1"], pa.float64())})
+        "label": pa.array(classes, pa.int64()),
+        "n_true": pa.array(n_true), "tp": pa.array(tp),
+        "fp": pa.array(fp), "fn": pa.array(fn),
+        "precision": ratio(tp, tp + fp),
+        "recall": ratio(tp, n_true),
+        "f1": ratio(2 * tp, 2 * tp + fp + fn)})

@@ -52,7 +52,7 @@ def label_propagation(ds, *, vec_col: str = "embedding",
 
     from .cohesion import _batch_mat
     from .knn import _guard_dot
-    from .partition import materialized_block_refs
+    from .partition import materialized_block_refs, sum_partials
 
     in_refs = list(materialized_block_refs(ds))
     thr = int(threshold_num)
@@ -166,28 +166,12 @@ def label_propagation(ds, *, vec_col: str = "embedding",
 
         votes = ray.data.from_arrow_refs(list(adj_refs)).map_batches(
             vote, batch_format="pyarrow", zero_copy_batch=True)
-        vs, vl, vc = [], [], []
-        for b in ray.get(materialized_block_refs(votes)):
-            if b.num_rows:
-                vs.append(b["src"].to_numpy(zero_copy_only=False))
-                vl.append(b["lab"].to_numpy(zero_copy_only=False))
-                vc.append(b["cnt"].to_numpy(zero_copy_only=False))
-        if not vs:
+        tally = sum_partials(ray.get(materialized_block_refs(votes)),
+                             keys=["src", "lab"], vals=["cnt"])
+        if tally is None:
             break
-        s = np.concatenate(vs)
-        l_ = np.concatenate(vl)
-        c = np.concatenate(vc)
-        # combine partials across blocks, then majority with
-        # (count desc, label asc) per src
-        o = np.lexsort((l_, s))
-        s, l_, c = s[o], l_[o], c[o]
-        new = np.concatenate([[True], (s[1:] != s[:-1])
-                              | (l_[1:] != l_[:-1])])
-        st = np.flatnonzero(new)
-        rid = np.cumsum(new.astype(np.int64)) - 1
-        tot = np.zeros(len(st), np.int64)
-        np.add.at(tot, rid, c)
-        su, lu = s[st], l_[st]
+        # majority with (count desc, label asc) per src
+        su, lu, tot = (tally[c].to_numpy() for c in ("src", "lab", "cnt"))
         o2 = np.lexsort((lu, -tot, su))
         su, lu = su[o2], lu[o2]
         first = np.concatenate([[True], su[1:] != su[:-1]])

@@ -57,7 +57,8 @@ def fit_multinomial_nb(ds, *, text_col: str = "text",
     document counts."""
     import ray
 
-    from .partition import materialized_block_refs, partitioned_map
+    from .partition import (materialized_block_refs, partitioned_map,
+                            sum_partials)
 
     vocab_ds = top_terms(ds, id_col=id_col, text_col=text_col, k=top_v,
                          by="term_count", num_partitions=num_partitions)
@@ -84,18 +85,16 @@ def fit_multinomial_nb(ds, *, text_col: str = "text",
         return pa.table({"lab": vc.field("values").cast(pa.string()),
                          "cnt": vc.field("counts")})
 
-    cls_counts: dict = {}
     lab_ds = ds.map_batches(label_partial, batch_format="pyarrow",
                             zero_copy_batch=True)
-    for b in ray.get(materialized_block_refs(lab_ds)):
-        for lv, cv in zip(b["lab"].to_pylist(), b["cnt"].to_pylist()):
-            cls_counts[lv] = cls_counts.get(lv, 0) + int(cv)
-    classes = sorted(cls_counts)
-    class_docs = np.array([cls_counts[c] for c in classes], np.int64)
-    n_classes = len(classes)
-    if n_classes == 0:
+    cls_counts = sum_partials(ray.get(materialized_block_refs(lab_ds)),
+                              keys=["lab"], vals=["cnt"])
+    if cls_counts is None:
         raise ValueError("fit_multinomial_nb: no non-null labels")
-    cls_arr = pa.array(classes, type=pa.array(classes).type)
+    cls_arr = cls_counts["lab"].combine_chunks()
+    classes = cls_arr.to_pylist()
+    class_docs = cls_counts["cnt"].to_numpy()
+    n_classes = len(classes)
 
     def cell_partial(batch: pa.Table) -> pa.Table:
         lab = batch[label_col].combine_chunks()

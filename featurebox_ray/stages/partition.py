@@ -482,24 +482,52 @@ def task_exchange(
 def sum_partials(blocks, *, keys: Sequence[str],
                  vals: Sequence[str]):
     """Combine per-block integer partial tables with ONE Arrow
-    ``group_by(...).aggregate(sum)`` — the canonical driver combine
+    ``group_by(...).aggregate(sum)`` — the engine's driver combine
     (no per-row Python): concat the non-empty blocks, sum ``vals``
     per ``keys`` tuple, return a table with the ORIGINAL column
-    names sorted ascending by ``keys``.  Returns ``None`` when no
-    block carries the partial columns (all-empty upstream).  Arrow
-    int64 sums are exact; callers needing >2^63 accumulation must
-    keep their own split-word path."""
+    names sorted ascending by ``keys`` (a NULL key is one group and
+    sorts last).  ``keys=[]`` gives one row of global sums.  Returns
+    ``None`` when no block carries the partial columns (all-empty
+    upstream).
+
+    Sums are exact: integer columns add in ``decimal128(38, 0)`` and
+    come back as int64 (uint64 for unsigned inputs), and a total
+    outside that type raises ``OverflowError`` naming the column
+    instead of wrapping.  Dictionary-typed key columns are decoded to
+    their value type first, so blocks whose dictionaries differ
+    combine.  Callers accumulating past 2^63 keep their own
+    split-word path."""
     need = [*keys, *vals]
     tbls = [b.select(need) for b in blocks
             if b.num_rows and set(need) <= set(b.column_names)]
     if not tbls:
         return None
-    t = pa.concat_tables(tbls, promote_options="default")
+    t = pa.concat_tables(
+        [b.cast(pa.schema([f.with_type(f.type.value_type)
+                           if f.name in keys
+                           and pa.types.is_dictionary(f.type) else f
+                           for f in b.schema])) for b in tbls],
+        promote_options="default")
+    # integer sums come back in the type Arrow's own sum gives them
+    wide = {v: pa.uint64() if pa.types.is_unsigned_integer(t[v].type)
+            else pa.int64() for v in vals
+            if pa.types.is_integer(t[v].type)}
+    for v in wide:
+        t = t.set_column(t.schema.get_field_index(v), v,
+                         t[v].cast(pa.decimal128(38, 0)))
     agg = t.group_by(list(keys)).aggregate(
         [(v, "sum") for v in vals])
-    out = pa.table({**{k: agg[k] for k in keys},
-                    **{v: agg[f"{v}_sum"] for v in vals}})
-    return out.sort_by([(k, "ascending") for k in keys])
+    out = {k: agg[k] for k in keys}
+    for v in vals:
+        out[v] = agg[f"{v}_sum"]
+        if v in wide:
+            try:
+                out[v] = out[v].cast(wide[v])
+            except pa.ArrowInvalid:
+                raise OverflowError(f"sum_partials: the sum of {v!r} "
+                                    f"overflows {wide[v]}") from None
+    out = pa.table(out)
+    return out.sort_by([(k, "ascending") for k in keys]) if keys else out
 
 
 def key_histogram(ds, key: str, top: int = 20):

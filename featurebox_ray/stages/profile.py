@@ -592,7 +592,8 @@ def temporal_split_audit(ds, *, user_col: str = "user_id",
     import ray
 
     from .partition import (global_span_cut,
-                            materialized_block_refs, partitioned_map)
+                            materialized_block_refs, partitioned_map,
+                            sum_partials)
 
     def prep(b: pa.Table) -> pa.Table:
         keep = pc.and_(pc.is_valid(b[user_col]),
@@ -661,14 +662,10 @@ def temporal_split_audit(ds, *, user_col: str = "user_id",
     counted = partitioned_map(pairs, user_kernel, key=user_col,
                               sort_keys=[user_col, "__s"],
                               num_partitions=num_partitions)
-    u_tr = u_te = u_bo = 0
-    for blk in ray.get(materialized_block_refs(counted)):
-        for a, b_, c in zip(blk["tr"].to_pylist(),
-                            blk["te"].to_pylist(),
-                            blk["bo"].to_pylist()):
-            u_tr += a
-            u_te += b_
-            u_bo += c
+    tot = sum_partials(ray.get(materialized_block_refs(counted)),
+                       keys=[], vals=["tr", "te", "bo"])
+    u_tr, u_te, u_bo = ((0, 0, 0) if tot is None else
+                        (tot[c][0].as_py() for c in tot.column_names))
     leak = None if u_te == 0 else float(u_bo) / float(u_te)
     return pa.table({
         "cut_ts": pa.array([cut], pa.int64()),

@@ -485,7 +485,7 @@ def global_quantile_element(ds, *, value_col: str, q: float,
     """
     import ray
 
-    from .partition import materialized_block_refs
+    from .partition import materialized_block_refs, sum_partials
 
     empty0 = pa.table({"n": pa.array([], pa.int64()),
                        "mn": pa.array([], pa.int64()),
@@ -559,28 +559,20 @@ def global_quantile_element(ds, *, value_col: str, q: float,
                 "bin": pa.array(nz.astype(np.int64)),
                 "cnt": pa.array(cnt[nz].astype(np.int64))})
 
-        counts = np.zeros(nb, dtype=object)
-        for blk in ray.get(materialized_block_refs(
-                ds.map_batches(cpass, batch_format="pyarrow",
-                               zero_copy_batch=True,
-                               batch_size=None))):
-            if "bin" not in blk.column_names:
-                continue      # empty pass-through bundle
-            for bb, cc in zip(blk["bin"].to_pylist(),
-                              blk["cnt"].to_pylist()):
-                counts[bb] += cc
-        run = below
-        b_idx = None
-        for i in range(nb):
-            if run + counts[i] >= rank:
-                b_idx = i
-                break
-            run += counts[i]
-        if b_idx is None:
+        tot = sum_partials(ray.get(materialized_block_refs(
+            ds.map_batches(cpass, batch_format="pyarrow",
+                           zero_copy_batch=True, batch_size=None))),
+            keys=["bin"], vals=["cnt"])
+        counts = np.zeros(nb, np.int64)
+        if tot is not None:
+            counts[tot["bin"].to_numpy()] = tot["cnt"].to_numpy()
+        run = below + np.cumsum(counts)
+        b_idx = int(np.searchsorted(run, rank))
+        if b_idx == nb:
             raise AssertionError(
                 "global_quantile_element: rank not reached — "
                 "input changed between passes?")
-        below = run
+        below = int(run[b_idx] - counts[b_idx])
         lo = clo + b_idx * w
         hi = min(hi, clo + (b_idx + 1) * w - 1)
     if lo != hi:

@@ -698,7 +698,7 @@ def calibration_bins(ds, *, pred_col: str, label_col: str,
     """
     import ray
 
-    from .partition import materialized_block_refs
+    from .partition import materialized_block_refs, sum_partials
 
     scale = float(1 << quant_bits)
 
@@ -728,20 +728,13 @@ def calibration_bins(ds, *, pred_col: str, label_col: str,
                          "sp": pa.array(sp[present]),
                          "sy": pa.array(sy[present])})
 
-    agg: dict = {}
     pds = ds.map_batches(partial, batch_format="pyarrow",
                          zero_copy_batch=True, batch_size=None)
-    for blk in ray.get(materialized_block_refs(pds)):
-        for bb, nn, ss, yy in zip(blk["bin"].to_pylist(),
-                                  blk["n"].to_pylist(),
-                                  blk["sp"].to_pylist(),
-                                  blk["sy"].to_pylist()):
-            n0, s0, y0 = agg.get(bb, (0, 0, 0))
-            agg[bb] = (n0 + nn, s0 + ss, y0 + yy)
-    bins = sorted(agg)
-    n = np.array([agg[b][0] for b in bins], np.int64)
-    sp = np.array([agg[b][1] for b in bins], np.int64)
-    sy = np.array([agg[b][2] for b in bins], np.int64)
+    agg = sum_partials(ray.get(materialized_block_refs(pds)),
+                       keys=["bin"], vals=["n", "sp", "sy"])
+    bins, n, sp, sy = (
+        np.empty(0, np.int64) if agg is None else agg[c].to_numpy()
+        for c in ("bin", "n", "sp", "sy"))
     avg_p = sp.astype(np.float64) / n.astype(np.float64) / scale
     avg_y = sy.astype(np.float64) / n.astype(np.float64)
     return pa.table({
@@ -773,7 +766,7 @@ def crosstab_chi2(ds, *, row_col: str, col_col: str):
     """
     import ray
 
-    from .partition import materialized_block_refs
+    from .partition import materialized_block_refs, sum_partials
 
     def partial(batch: pa.Table) -> pa.Table:
         keep = pc.and_(pc.is_valid(batch[row_col]),
@@ -793,40 +786,33 @@ def crosstab_chi2(ds, *, row_col: str, col_col: str):
         return pa.table({"r": g["r"], "c": g["c"],
                          "o": g["count_all"].cast(pa.int64())})
 
-    cells: dict = {}
     pds = ds.map_batches(partial, batch_format="pyarrow",
                          zero_copy_batch=True)
-    for blk in ray.get(materialized_block_refs(pds)):
-        for rv, cv, ov in zip(blk["r"].to_pylist(),
-                              blk["c"].to_pylist(),
-                              blk["o"].to_pylist()):
-            cells[(rv, cv)] = cells.get((rv, cv), 0) + int(ov)
-    if not cells:
+    cells = sum_partials(ray.get(materialized_block_refs(pds)),
+                         keys=["r", "c"], vals=["o"])
+    if cells is None:
         return pa.table({row_col: pa.array([], pa.string()),
                          col_col: pa.array([], pa.string()),
                          "observed": pa.array([], pa.int64()),
                          "expected": pa.array([], pa.float64()),
                          "contrib": pa.array([], pa.float64())})
-    rtot: dict = {}
-    ctot: dict = {}
-    n = 0
-    for (rv, cv), o in cells.items():
-        rtot[rv] = rtot.get(rv, 0) + o
-        ctot[cv] = ctot.get(cv, 0) + o
-        n += o
-    keys = sorted(cells)
-    obs, exp, contrib = [], [], []
-    for rv, cv in keys:
-        o, r, c = cells[(rv, cv)], rtot[rv], ctot[cv]
-        obs.append(o)
+
+    def margin(k):
+        t = sum_partials([cells], keys=[k], vals=["o"])
+        return dict(zip(t[k].to_pylist(), t["o"].to_pylist()))
+
+    rtot, ctot = margin("r"), margin("c")
+    n = sum(rtot.values())
+    exp, contrib = [], []
+    for rv, cv, o in zip(*(cells[k].to_pylist() for k in ("r", "c", "o"))):
+        r, c = rtot[rv], ctot[cv]
         exp.append(float(np.float64(r * c) / np.float64(n)))
         diff = o * n - r * c
         contrib.append(float(np.float64(diff * diff)
                              / np.float64(n * r * c)))
     return pa.table({
-        row_col: pa.array([k[0] for k in keys], pa.string()),
-        col_col: pa.array([k[1] for k in keys], pa.string()),
-        "observed": pa.array(obs, pa.int64()),
+        row_col: cells["r"], col_col: cells["c"],
+        "observed": cells["o"],
         "expected": pa.array(exp, pa.float64()),
         "contrib": pa.array(contrib, pa.float64()),
     })
@@ -1380,7 +1366,7 @@ def cohen_kappa(ds, *, group_col: str, rater_a_col: str,
     """
     import ray
 
-    from .partition import materialized_block_refs
+    from .partition import materialized_block_refs, sum_partials
 
     def partial(b: pa.Table) -> pa.Table:
         gtype = b.schema.field(group_col).type
@@ -1418,22 +1404,22 @@ def cohen_kappa(ds, *, group_col: str, rater_a_col: str,
 
     pds = ds.map_batches(partial, batch_format="pyarrow",
                          zero_copy_batch=True, batch_size=None)
-    agg: dict = {}
-    for blk in ray.get(materialized_block_refs(pds)):
-        for g, c, nn in zip(blk[group_col].to_pylist(),
-                            blk["cell"].to_pylist(),
-                            blk["n"].to_pylist()):
-            cur = agg.setdefault(g, [0, 0, 0, 0])
-            cur[c] += nn
-
+    agg = sum_partials(ray.get(materialized_block_refs(pds)),
+                       keys=[group_col, "cell"], vals=["n"])
     schema = ds.schema()
     base = getattr(schema, "base_schema", schema)
     gtype = base.field(group_col).type
-    groups = sorted(agg)
-    n11 = [agg[g][0] for g in groups]
-    n10 = [agg[g][1] for g in groups]
-    n01 = [agg[g][2] for g in groups]
-    n00 = [agg[g][3] for g in groups]
+    if agg is None:
+        agg = pa.table({group_col: pa.array([], gtype),
+                        "cell": pa.array([], pa.int64()),
+                        "n": pa.array([], pa.int64())})
+    # the table is sorted by group, so dictionary codes count up
+    enc = pc.dictionary_encode(agg[group_col].combine_chunks())
+    cells = np.zeros((len(enc.dictionary), 4), np.int64)
+    gi = enc.indices.to_numpy()
+    cells[gi, agg["cell"].to_numpy()] = agg["n"].to_numpy()
+    groups = enc.dictionary
+    n11, n10, n01, n00 = (cells[:, i].tolist() for i in range(4))
     kappa = []
     for a11, a10, a01, a00 in zip(n11, n10, n01, n00):
         n = a11 + a10 + a01 + a00          # Python ints: exact
@@ -1444,7 +1430,7 @@ def cohen_kappa(ds, *, group_col: str, rater_a_col: str,
                      else float(n * (a11 + a00) - chance)
                      / float(den))
     return pa.table({
-        group_col: pa.array(groups, gtype),
+        group_col: groups.cast(gtype),
         "n": pa.array([a + b_ + c + d for a, b_, c, d
                        in zip(n11, n10, n01, n00)], pa.int64()),
         "n11": pa.array(n11, pa.int64()),
@@ -2723,7 +2709,7 @@ def conformal_intervals(ds, *, vec_col: str = "embedding",
     """
     import ray
 
-    from .partition import materialized_block_refs
+    from .partition import materialized_block_refs, sum_partials
     from .sample import add_hash_bucket_col
 
     B = int(n_buckets)
@@ -2790,19 +2776,17 @@ def conformal_intervals(ds, *, vec_col: str = "embedding",
             "cnt": pa.array(np.concatenate(
                 [[nt], cts.astype(np.int64)]))})
 
-    agg: dict = {}
-    n_train = 0
-    for blk in ray.get(materialized_block_refs(
-            withb.map_batches(cal_partial, batch_format="pyarrow",
-                              zero_copy_batch=True,
-                              batch_size=None))):
-        for vv, cc in zip(blk["val"].to_pylist(),
-                          blk["cnt"].to_pylist()):
-            if vv == -1:
-                n_train += cc
-            else:
-                agg[vv] = agg.get(vv, 0) + cc
-    n_cal = sum(agg.values())
+    agg = sum_partials(ray.get(materialized_block_refs(
+        withb.map_batches(cal_partial, batch_format="pyarrow",
+                          zero_copy_batch=True, batch_size=None))),
+        keys=["val"], vals=["cnt"])
+    if agg is None:
+        agg = pa.table({"val": [-1], "cnt": [0]})
+    # the val = -1 group (sorted first) is the train row count
+    vals, cnts = agg["val"].to_numpy(), agg["cnt"].to_numpy()
+    n_train = int(cnts[0])
+    vals, cnts = vals[1:], cnts[1:]
+    n_cal = int(cnts.sum())
     if n_cal == 0:
         raise ValueError("conformal_intervals: empty calibration "
                          "split")
@@ -2812,14 +2796,7 @@ def conformal_intervals(ds, *, vec_col: str = "embedding",
     if idx > n_cal:
         raise ValueError("conformal_intervals: alpha too small for "
                          f"n_cal={n_cal} (infinite interval)")
-    run = 0
-    q_int = None
-    for vv in sorted(agg):
-        run += agg[vv]
-        if run >= idx:
-            q_int = vv
-            break
-    assert q_int is not None
+    q_int = int(vals[np.searchsorted(np.cumsum(cnts), idx)])
 
     def test_partial(b: pa.Table) -> pa.Table:
         m = pc.fill_null(pc.and_(
@@ -2836,15 +2813,12 @@ def conformal_intervals(ds, *, vec_col: str = "embedding",
             "n": pa.array([len(ae)], pa.int64()),
             "cov": pa.array([int((ae <= q_int).sum())], pa.int64())})
 
-    n_test = cov = 0
-    for blk in ray.get(materialized_block_refs(
-            withb.map_batches(test_partial, batch_format="pyarrow",
-                              zero_copy_batch=True,
-                              batch_size=None))):
-        for n, c in zip(blk["n"].to_pylist(),
-                        blk["cov"].to_pylist()):
-            n_test += n
-            cov += c
+    tot = sum_partials(ray.get(materialized_block_refs(
+        withb.map_batches(test_partial, batch_format="pyarrow",
+                          zero_copy_batch=True, batch_size=None))),
+        keys=[], vals=["n", "cov"])
+    n_test, cov = ((0, 0) if tot is None
+                   else (tot["n"][0].as_py(), tot["cov"][0].as_py()))
     if n_test == 0:
         raise ValueError("conformal_intervals: empty test split")
     denom = float(S) * float(y_scale)

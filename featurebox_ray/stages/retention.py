@@ -26,6 +26,8 @@ funnel_features and session stats).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -320,9 +322,10 @@ def _survival_cells(ds, *, user_col: str = "user_id",
     Plan: ONE user-keyed exchange merges per-block (user, min, max)
     partials (blocks pre-reduce, the exchange moves one row per
     user per block); the kernel emits tiny (cohort, dur, deaths,
-    censored) cells, combined on the driver (cells are
-    cohorts × horizon-days).  The global max ts rides the same
-    partials.  NULL user/ts/seq/type rows drop.
+    censored) cells, combined on the driver by ``sum_partials`` (cells
+    are cohorts × horizon-days) and returned as tuples in (cohort,
+    dur) order.  The global max ts rides the same partials.  NULL
+    user/ts/seq/type rows drop.
 
     Output: one row per (cohort, death duration):
     ``(cohort, dur_days, at_risk, deaths, censored, surv)``.
@@ -331,7 +334,8 @@ def _survival_cells(ds, *, user_col: str = "user_id",
     """
     import ray
 
-    from .partition import materialized_block_refs, partitioned_map
+    from .partition import (materialized_block_refs, partitioned_map,
+                            sum_partials)
 
     def partial(b: pa.Table) -> pa.Table:
         keep = pc.and_(
@@ -413,7 +417,7 @@ def _survival_cells(ds, *, user_col: str = "user_id",
     maxes = [m for m in ray.get([blk_max.remote(r) for r in prefs])
              if m is not None]
     if not maxes:
-        return {}
+        return []
     global_mx = max(maxes)
     cutoff = global_mx - censor_window_us
 
@@ -450,16 +454,10 @@ def _survival_cells(ds, *, user_col: str = "user_id",
                             cells_kernel, key=user_col,
                             sort_keys=[user_col, "__mn", "__sq"],
                             num_partitions=num_partitions)
-    agg: dict = {}
-    for blk in ray.get(materialized_block_refs(users)):
-        for ty, d, de, ce in zip(blk["__ty"].to_pylist(),
-                                 blk["__dur"].to_pylist(),
-                                 blk["deaths"].to_pylist(),
-                                 blk["cens"].to_pylist()):
-            cur = agg.setdefault((ty, d), [0, 0])
-            cur[0] += de
-            cur[1] += ce
-    return agg
+    cells = sum_partials(ray.get(materialized_block_refs(users)),
+                         keys=["__ty", "__dur"], vals=["deaths", "cens"])
+    return [] if cells is None else list(zip(*(
+        cells[c].to_pylist() for c in ("__ty", "__dur", "deaths", "cens"))))
 
 
 def kaplan_meier(ds, *, user_col: str = "user_id",
@@ -471,11 +469,11 @@ def kaplan_meier(ds, *, user_col: str = "user_id",
     the per-user lifetime derivation and exactness contract (this
     split exists so :func:`logrank_test` shares ONE copy of the
     censoring/cohort semantics)."""
-    agg = _survival_cells(ds, user_col=user_col, ts_col=ts_col,
-                          seq_col=seq_col, type_col=type_col,
-                          censor_window_us=censor_window_us,
-                          num_partitions=num_partitions)
-    if not agg:
+    cells = _survival_cells(ds, user_col=user_col, ts_col=ts_col,
+                            seq_col=seq_col, type_col=type_col,
+                            censor_window_us=censor_window_us,
+                            num_partitions=num_partitions)
+    if not cells:
         return pa.table({
             "cohort": pa.array([], pa.string()),
             "dur_days": pa.array([], pa.int64()),
@@ -484,13 +482,12 @@ def kaplan_meier(ds, *, user_col: str = "user_id",
             "censored": pa.array([], pa.int64()),
             "surv": pa.array([], pa.float64())})
     out = []
-    for ty in sorted({k[0] for k in agg}):
-        durs = sorted(d for (t2, d) in agg if t2 == ty)
-        total = sum(agg[(ty, d)][0] + agg[(ty, d)][1] for d in durs)
+    for ty, grp in itertools.groupby(cells, key=lambda r: r[0]):
+        grp = list(grp)
+        total = sum(de + ce for _, _, de, ce in grp)
         gone = 0
         num, den = 1, 1
-        for d in durs:
-            deaths, cens = agg[(ty, d)]
+        for _, d, deaths, cens in grp:
             at_risk = total - gone
             if deaths > 0:
                 num *= at_risk - deaths
@@ -539,10 +536,10 @@ def logrank_test(ds, *, user_col: str = "user_id",
     """
     from fractions import Fraction
 
-    agg = _survival_cells(ds, user_col=user_col, ts_col=ts_col,
-                          seq_col=seq_col, type_col=type_col,
-                          censor_window_us=censor_window_us,
-                          num_partitions=num_partitions)
+    cells = _survival_cells(ds, user_col=user_col, ts_col=ts_col,
+                            seq_col=seq_col, type_col=type_col,
+                            censor_window_us=censor_window_us,
+                            num_partitions=num_partitions)
     empty = pa.table({"cohort_a": pa.array([], pa.string()),
                       "cohort_b": pa.array([], pa.string()),
                       "n_a": pa.array([], pa.int64()),
@@ -550,11 +547,11 @@ def logrank_test(ds, *, user_col: str = "user_id",
                       "u": pa.array([], pa.float64()),
                       "v": pa.array([], pa.float64()),
                       "z": pa.array([], pa.float64())})
-    if not agg:
+    if not cells:
         return empty
-    cohorts = sorted({k[0] for k in agg})
-    per = {c: {d: agg[(c2, d)] for (c2, d) in agg if c2 == c}
-           for c in cohorts}
+    per = {c: {d: (de, ce) for _, d, de, ce in grp}
+           for c, grp in itertools.groupby(cells, key=lambda r: r[0])}
+    cohorts = list(per)
     totals = {c: sum(v[0] + v[1] for v in per[c].values())
               for c in cohorts}
     rows = []
@@ -690,7 +687,8 @@ def daily_new_vs_returning(ds, *, key_col: str, ts_col: str,
     """
     import ray
 
-    from .partition import materialized_block_refs, partitioned_map
+    from .partition import (materialized_block_refs, partitioned_map,
+                            sum_partials)
 
     US_DAY = 86_400_000_000
 
@@ -733,24 +731,14 @@ def daily_new_vs_returning(ds, *, key_col: str, ts_col: str,
 
     prepped = ds.map_batches(prep, batch_format="pyarrow",
                              zero_copy_batch=True)
-    agg: dict = {}
-    for blk in ray.get(materialized_block_refs(
-            partitioned_map(prepped, kernel, key=key_col,
-                            sort_keys=[key_col, "__day"],
-                            num_partitions=num_partitions))):
-        if "day" not in blk.column_names:
-            continue
-        for d, a, nn in zip(blk["day"].to_pylist(),
-                            blk["act"].to_pylist(),
-                            blk["new"].to_pylist()):
-            cur = agg.setdefault(d, [0, 0])
-            cur[0] += a
-            cur[1] += nn
-    days = sorted(agg)
+    agg = sum_partials(ray.get(materialized_block_refs(
+        partitioned_map(prepped, kernel, key=key_col,
+                        sort_keys=[key_col, "__day"],
+                        num_partitions=num_partitions))),
+        keys=["day"], vals=["act", "new"])
+    if agg is None:
+        agg = empty
     return pa.table({
-        "day": pa.array(days, pa.int64()),
-        "n_active": pa.array([agg[d][0] for d in days], pa.int64()),
-        "n_new": pa.array([agg[d][1] for d in days], pa.int64()),
-        "new_frac": pa.array(
-            [float(agg[d][1]) / float(agg[d][0]) for d in days],
-            pa.float64())})
+        "day": agg["day"], "n_active": agg["act"], "n_new": agg["new"],
+        "new_frac": pa.array(agg["new"].to_numpy()
+                             / agg["act"].to_numpy(), pa.float64())})

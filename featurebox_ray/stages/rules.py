@@ -43,7 +43,8 @@ def association_rules(ds, *, basket_col: str, item_col: str,
     """
     import ray
 
-    from .partition import materialized_block_refs, partitioned_map
+    from .partition import (materialized_block_refs, partitioned_map,
+                            sum_partials)
 
     def prep(b: pa.Table) -> pa.Table:
         keep = pc.and_(pc.is_valid(b[basket_col]),
@@ -115,24 +116,25 @@ def association_rules(ds, *, basket_col: str, item_col: str,
                                sort_keys=["__b", "__i"],
                                num_partitions=num_partitions)
 
-    pair_n: dict = {}
-    single_n: dict = {}
-    n_baskets = 0
-    for blk in ray.get(materialized_block_refs(partials)):
-        for a, b, n in zip(blk["a"].to_pylist(), blk["b"].to_pylist(),
-                           blk["n"].to_pylist()):
-            if a is None:
-                n_baskets += n
-            elif a == b:
-                single_n[a] = single_n.get(a, 0) + n
-            else:
-                pair_n[(a, b)] = pair_n.get((a, b), 0) + n
-
+    agg = sum_partials(ray.get(materialized_block_refs(partials)),
+                       keys=["a", "b"], vals=["n"])
+    if agg is None:
+        agg = pa.table({"a": pa.array([], pa.string()),
+                        "b": pa.array([], pa.string()),
+                        "n": pa.array([], pa.int64())})
+    # the kernels' (NULL, NULL) rows carry the basket counts
+    basket = pc.is_null(agg["a"])
+    n_baskets = pc.sum(agg.filter(basket)["n"]).as_py() or 0
+    agg = agg.filter(pc.invert(basket))
+    same = pc.equal(agg["a"], agg["b"])
+    single = agg.filter(same)
+    single_n = dict(zip(single["a"].to_pylist(), single["n"].to_pylist()))
+    pairs = agg.filter(pc.and_(pc.invert(same),
+                               pc.greater_equal(agg["n"], min_count)))
     ants, conss, n_abs, n_ants, n_conss = [], [], [], [], []
     sups, confs, lifts = [], [], []
-    for (a, b), n_ab in sorted(pair_n.items()):
-        if n_ab < min_count:
-            continue
+    for a, b, n_ab in zip(pairs["a"].to_pylist(), pairs["b"].to_pylist(),
+                          pairs["n"].to_pylist()):
         for ant, cons in ((a, b), (b, a)):
             na, nc = single_n[ant], single_n[cons]
             ants.append(ant)

@@ -375,7 +375,8 @@ def ngram_novelty(ds, *, id_col: str = "doc_id", text_col: str = "text",
                                num_partitions=num_partitions)
 
     def markers(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col]
+        # int64 ids, as gram_kernel emits them, so the two concatenate
+        ids = batch[id_col].cast(pa.int64())
         z = pa.array(np.zeros(batch.num_rows, np.int64))
         return pa.table({id_col: ids, "n": z, "novel": z})
 
@@ -550,7 +551,8 @@ def cross_source_grams(ds, *, group_col: str = "source",
     """
     import ray
 
-    from .partition import materialized_block_refs, partitioned_map
+    from .partition import (materialized_block_refs, partitioned_map,
+                            sum_partials)
 
     def emit(b: pa.Table) -> pa.Table:
         gtype = b.schema.field(group_col).type
@@ -614,18 +616,15 @@ def cross_source_grams(ds, *, group_col: str = "source",
     cells = partitioned_map(partials, kernel, key="gh",
                             sort_keys=["gh", "gh2", group_col],
                             num_partitions=num_partitions)
-    agg: dict = {}
-    for blk in ray.get(materialized_block_refs(cells)):
-        for a, b_, nn in zip(blk["src_a"].to_pylist(),
-                             blk["src_b"].to_pylist(),
-                             blk["n"].to_pylist()):
-            agg[(a, b_)] = agg.get((a, b_), 0) + nn
     schema = ds.schema()
     base = getattr(schema, "base_schema", schema)
     gtype = base.field(group_col).type
-    pairs = sorted(agg)
-    return pa.table({
-        "src_a": pa.array([p[0] for p in pairs], gtype),
-        "src_b": pa.array([p[1] for p in pairs], gtype),
-        "shared_grams": pa.array([agg[p] for p in pairs],
-                                 pa.int64())})
+    agg = sum_partials(ray.get(materialized_block_refs(cells)),
+                       keys=["src_a", "src_b"], vals=["n"])
+    if agg is None:
+        return pa.table({"src_a": pa.array([], gtype),
+                         "src_b": pa.array([], gtype),
+                         "shared_grams": pa.array([], pa.int64())})
+    return pa.table({"src_a": agg["src_a"].cast(gtype),
+                     "src_b": agg["src_b"].cast(gtype),
+                     "shared_grams": agg["n"]})

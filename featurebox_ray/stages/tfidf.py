@@ -1900,7 +1900,7 @@ def topk_two_pass(ds, *, text_col: str = "text", k: int = 10,
     """
     import ray
 
-    from .partition import materialized_block_refs
+    from .partition import materialized_block_refs, sum_partials
 
     empty = pa.table({"term": pa.array([], pa.string()),
                       "cnt": pa.array([], pa.int64())})
@@ -1979,17 +1979,11 @@ def topk_two_pass(ds, *, text_col: str = "text", k: int = 10,
         return pa.table({"term": dct.dictionary,
                          "cnt": pa.array(counts)})
 
-    tot: dict = {}
-    for blk in ray.get(materialized_block_refs(
-            ds.map_batches(exact, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=None))):
-        if "term" not in blk.column_names:
-            continue
-        for t, c in zip(blk["term"].to_pylist(),
-                        blk["cnt"].to_pylist()):
-            tot[t] = tot.get(t, 0) + c
-    top = sorted(tot.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-    return pa.table({"term": pa.array([t for t, _ in top],
-                                      pa.string()),
-                     "cnt": pa.array([c for _, c in top],
-                                     pa.int64())})
+    tot = sum_partials(ray.get(materialized_block_refs(
+        ds.map_batches(exact, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None))),
+        keys=["term"], vals=["cnt"])
+    if tot is None:
+        return empty
+    return tot.sort_by([("cnt", "descending"), ("term", "ascending")]
+                       ).slice(0, k).cast(empty.schema)

@@ -335,7 +335,8 @@ def eventually_follows(ds, *, key_col: str, ts_col: str,
     """
     import ray
 
-    from .partition import materialized_block_refs, partitioned_map
+    from .partition import (materialized_block_refs, partitioned_map,
+                            sum_partials)
 
     def prep(b: pa.Table) -> pa.Table:
         keep = pc.is_valid(b[key_col])
@@ -414,23 +415,15 @@ def eventually_follows(ds, *, key_col: str, ts_col: str,
     partials = partitioned_map(prepped, kernel, key=key_col,
                                sort_keys=[key_col, "__ty", "__ts"],
                                num_partitions=num_partitions)
-    agg: dict = {}
-    for b in ray.get(materialized_block_refs(partials)):
-        if b.num_rows == 0 or "type_a" not in b.column_names:
-            continue
-        for a, b2, s, n2 in zip(b["type_a"].to_pylist(),
-                                b["type_b"].to_pylist(),
-                                b["n_keys"].to_pylist(),
-                                b["n_both"].to_pylist()):
-            cur = agg.setdefault((a, b2), [0, 0])
-            cur[0] += s
-            cur[1] += n2
-    pairs = sorted(agg)
-    return pa.table({
-        "type_a": pa.array([p[0] for p in pairs], pa.string()),
-        "type_b": pa.array([p[1] for p in pairs], pa.string()),
-        "n_keys": pa.array([agg[p][0] for p in pairs], pa.int64()),
-        "n_both": pa.array([agg[p][1] for p in pairs], pa.int64())})
+    agg = sum_partials(ray.get(materialized_block_refs(partials)),
+                       keys=["type_a", "type_b"],
+                       vals=["n_keys", "n_both"])
+    if agg is None:
+        return pa.table({"type_a": pa.array([], pa.string()),
+                         "type_b": pa.array([], pa.string()),
+                         "n_keys": pa.array([], pa.int64()),
+                         "n_both": pa.array([], pa.int64())})
+    return agg
 
 
 def transition_predictability(ds, *, key_col: str, ts_col: str,

@@ -120,18 +120,14 @@ def validate_constraints(ds, rules: List[Dict],
                 "nd": pa.array([pc.count_distinct(t[c]).as_py()],
                                pa.int64())})
 
-        nn = nd = 0
         prepped = ds.map_batches(prep, batch_format="pyarrow",
                                  zero_copy_batch=True)
-        for blk in ray.get(materialized_block_refs(
-                partitioned_map(prepped, kernel, key=col,
-                                sort_keys=[col],
-                                num_partitions=num_partitions))):
-            if "nn" not in blk.column_names:
-                continue
-            nn += sum(blk["nn"].to_pylist())
-            nd += sum(blk["nd"].to_pylist())
-        agg_v[r["name"]] = nn - nd
+        tot = sum_partials(ray.get(materialized_block_refs(
+            partitioned_map(prepped, kernel, key=col, sort_keys=[col],
+                            num_partitions=num_partitions))),
+            keys=[], vals=["nn", "nd"])
+        agg_v[r["name"]] = (0 if tot is None else
+                            tot["nn"][0].as_py() - tot["nd"][0].as_py())
 
     out = {"rule": [], "n": [], "violations": [], "ok": [],
            "viol_frac": []}

@@ -31,6 +31,7 @@ from featurebox_ray.stages.join import cogroup, hash_join
 from featurebox_ray.stages.partition import materialized_block_refs
 from featurebox_ray.stages.rank import rrf_fuse
 from featurebox_ray.stages.scalar import add_scalar_features
+from featurebox_ray.stages.substr import ngram_novelty
 from featurebox_ray.stages.window import WindowSpec
 
 from .oracle import oracle_features
@@ -508,3 +509,53 @@ def test_refresh_agg_state_adversarial_keys(kind, num_partitions, blocks):
                max(c) AS max_c FROM e GROUP BY k""", b=base, d=delta)
     cols = ["k", "n", "sum_c", "min_c", "max_c"]
     assert _rows(got, cols) == _rows(want, cols)
+
+
+@pytest.mark.parametrize("types", [(pa.string(), pa.large_string()),
+                                   (pa.int64(), pa.int32())],
+                         ids=["large_string", "int32"])
+@pytest.mark.parametrize("num_partitions,blocks", LAYOUTS)
+def test_refresh_agg_state_mixed_key_types(types, num_partitions, blocks):
+    """A state and a delta whose keys differ in type merge: the delta's
+    keys take the state's type, and the refreshed state equals a GROUP BY
+    over the base rows and the delta rows together."""
+    rng = np.random.default_rng(23)
+    pool = ["", "\x00null", "k1", "k2", "k3"] if pa.types.is_string(
+        types[0]) else [-3, 0, 7, 2 ** 31 - 1, 11]
+
+    def rows(n, typ):
+        return pa.table({
+            "k": pa.array([pool[i] for i in rng.integers(0, 5, n)], typ),
+            "v": pa.array(np.round(rng.uniform(-50, 50, n), 2))})
+
+    base, delta = rows(150, types[0]), rows(90, types[1])
+    state = group_agg_state(_ds(base, blocks), key_cols=["k"],
+                            value_col="v", num_partitions=num_partitions)
+    got = _table(refresh_agg_state(state, _ds(delta, blocks),
+                                   key_cols=["k"], value_col="v",
+                                   num_partitions=num_partitions))
+    assert got.schema.field("k").type == types[0]
+    want = _sql("""
+        WITH e AS (SELECT k, CAST(round(v * 100) AS BIGINT) AS c
+                   FROM (SELECT * FROM b UNION ALL SELECT * FROM d))
+        SELECT k, count(*) AS n, sum(c) AS sum_c, min(c) AS min_c,
+               max(c) AS max_c FROM e GROUP BY k""", b=base, d=delta)
+    cols = ["k", "n", "sum_c", "min_c", "max_c"]
+    assert _rows(got, cols) == _rows(want, cols)
+
+
+@pytest.mark.parametrize("num_partitions,blocks", LAYOUTS)
+def test_ngram_novelty_int32_ids(num_partitions, blocks):
+    """int32 document ids give the rows of the same ids as int64: the
+    zero-gram marker rows are int64 like the gram partials they meet."""
+    texts = ["a b c d", "a b c e", "x y", "b c d e f", "a b c d", None]
+    docs = pa.table({"doc_id": pa.array(range(len(texts)), pa.int32()),
+                     "text": pa.array(texts, pa.string())})
+    got = _table(ngram_novelty(_ds(docs, blocks),
+                               num_partitions=num_partitions))
+    want = _table(ngram_novelty(
+        _ds(docs.set_column(0, "doc_id", docs["doc_id"].cast(pa.int64())),
+            blocks), num_partitions=num_partitions))
+    cols = ["doc_id", "n_grams", "n_novel", "novelty"]
+    assert _rows(got, cols) == _rows(want, cols)
+    assert len(got) == len(texts)

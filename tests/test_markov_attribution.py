@@ -2,6 +2,8 @@
 markov_attribution) vs the serial replay; hand case with a known
 chain; partition invariance."""
 
+import re
+
 import numpy as np
 import pytest
 import pyarrow as pa
@@ -96,3 +98,18 @@ def test_markov_duplicate_key_ts_order_raises():
         markov_attribution(ray.data.from_arrow(t), key_col="k",
                            ts_col="t", order_col="o", type_col="ty",
                            conv_type="purchase").to_pandas()
+
+
+@pytest.mark.parametrize("name", ["\x00start", "\x00conv", "\x00null"])
+def test_markov_channel_named_like_a_chain_state_raises(name):
+    # a channel spelled like the start state or an absorber would
+    # merge into it: the kernel refuses it by name
+    t = pa.table({
+        "k": pa.array([1, 1, 2, 2], pa.int64()),
+        "t": pa.array([1, 2, 1, 2], pa.int64()),
+        "o": pa.array([1, 2, 3, 4], pa.int64()),
+        "ty": pa.array(["ad", "purchase", name, "purchase"], pa.string())})
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        markov_attribution(ray.data.from_arrow(t), key_col="k",
+                           ts_col="t", order_col="o", type_col="ty",
+                           conv_type="purchase")
