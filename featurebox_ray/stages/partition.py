@@ -20,6 +20,17 @@ otherwise: a several-input operator reads each input as its own table,
 with no side column, no padding with the other inputs' columns and no
 filtering apart.
 
+An input whose plan is a ``Read`` followed only by task-pool
+``map_batches`` stages that take whole pyarrow blocks (``batch_format=
+"pyarrow"``, ``batch_size=None``, a plain function, no constructor args,
+no ``ray_remote_args``) is *lowered* into its split tasks: one plain
+task per read task calls the read task, runs the map functions in plan
+order once per table the read task yields, concatenates the results and
+splits them, so no Ray Data execution runs in front of the exchange
+(:func:`_read_and_maps`).  Every other input -- actor pools, filters,
+limits, unions, a ``batch_size``, other formats or sources, a Dataset
+that holds computed output -- is drained through Ray Data as before.
+
 Several inputs are joined by the split itself, so no Ray Data ``union``
 runs in front of the exchange.  Both keyed consumers sit on it:
 
@@ -40,9 +51,10 @@ detected by :func:`key_histogram` and can be salted — see
 ``stages/window.py`` docstring for the state-carry contract.
 
 Every Ray Data execution the engine drains itself — each input drain of
-:func:`task_exchange`, :func:`materialized_block_refs`, and the Dataset
-:func:`partitioned_map` returns (so a caller's ``write_parquet`` on it)
-— runs on a private copy of the Dataset whose ``DataContext`` has
+:func:`task_exchange` that is not lowered,
+:func:`materialized_block_refs`, and the Dataset :func:`partitioned_map`
+returns (so a caller's ``write_parquet`` on it) — runs on a private
+copy of the Dataset whose ``DataContext`` has
 ``op_resource_reservation_enabled = False`` (:func:`_unreserved`).
 Reservation splits one execution's budget between its operators so a
 downstream operator is never starved; until the first task reports its
@@ -61,8 +73,10 @@ replaces its implicit "whole DataFrame in memory" assumption
 
 from __future__ import annotations
 
+import inspect
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from types import GeneratorType
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -237,6 +251,83 @@ def _unreserved(ds, ordered: bool = False):
     return type(ds)(plan, LogicalPlan(ds._logical_plan.dag, plan._context))
 
 
+def _read_and_maps(ds):
+    """``(read_tasks, maps)`` when ``ds`` can be lowered into the split
+    tasks of :func:`task_exchange`: its plan is a ``Read`` followed only
+    by task-pool ``map_batches`` stages that take whole pyarrow blocks
+    (``batch_format="pyarrow"``, ``batch_size=None``, a plain function,
+    no constructor args, no ``ray_remote_args``).  ``read_tasks`` are the
+    Read op's, at its parallelism (Ray's autodetection when that is -1);
+    ``maps`` holds each stage's ``(fn, args, kwargs)`` in plan order.
+    ``None`` for every other plan, for a Dataset that already holds
+    computed output, and on a Ray whose plan internals differ
+    (``tests/test_task_exchange.py`` pins them)."""
+    try:
+        from ray.data._internal.compute import TaskPoolStrategy
+        from ray.data._internal.logical.operators.map_operator import (
+            MapBatches)
+        from ray.data._internal.logical.operators.read_operator import Read
+        from ray.data._internal.util import _autodetect_parallelism
+
+        if ds._plan.has_computed_output():
+            return None
+        op, maps = ds._logical_plan.dag, []
+        while isinstance(op, MapBatches):
+            fn = op._fn
+            if (op._batch_format != "pyarrow" or op._batch_size is not None
+                    or not isinstance(op._compute, TaskPoolStrategy)
+                    or inspect.isclass(fn) or inspect.iscoroutinefunction(fn)
+                    or inspect.isasyncgenfunction(fn)
+                    or op._fn_constructor_args or op._fn_constructor_kwargs
+                    or op._ray_remote_args or op._ray_remote_args_fn):
+                return None
+            maps.append((fn, op._fn_args or (), op._fn_kwargs or {}))
+            op = op.input_dependencies[0]
+        if not isinstance(op, Read):
+            return None
+        reader, n = op._datasource_or_legacy_reader, op._parallelism
+        if n == -1:
+            ctx = ds.context
+            n = _autodetect_parallelism(-1, ctx.target_max_block_size, ctx,
+                                        reader, op._mem_size)[0]
+        read_tasks = reader.get_read_tasks(n)
+    except (AttributeError, ImportError):
+        return None
+    return (read_tasks, maps[::-1]) if read_tasks else None
+
+
+def _run_read_task(read_task, maps) -> pa.Table:
+    """Call ``read_task`` and run ``maps`` (:func:`_read_and_maps`) over
+    each table it yields, as Ray Data runs a ``map_batches`` stage: an
+    empty table passes a stage unmapped, and a stage may return a
+    generator or any batch type Ray accepts.  Returns the outputs
+    concatenated; with no rows, one empty table (the read task's schema
+    when it yields none)."""
+    from ray.data.block import BlockAccessor
+
+    def arrow(batch) -> pa.Table:
+        return BlockAccessor.for_block(
+            BlockAccessor.batch_to_block(batch)).to_arrow()
+
+    tables = [arrow(b) for b in read_task()]
+    for fn, args, kwargs in maps:
+        out = []
+        for t in tables:
+            if t.num_rows == 0:
+                out.append(t)
+                continue
+            res = fn(t, *args, **kwargs)
+            out += [arrow(r) for r in
+                    (res if isinstance(res, GeneratorType) else [res])]
+        tables = out
+    full = [t for t in tables if t.num_rows > 0]
+    if not full:
+        schema = read_task.schema
+        full = tables[:1] or [(schema if isinstance(schema, pa.Schema)
+                               else pa.schema([])).empty_table()]
+    return pa.concat_tables(full, promote_options="default")
+
+
 def partitioned_map(
     ds,
     kernel: Callable[..., pa.Table],
@@ -369,8 +460,17 @@ def task_exchange(
     sub-second task work at mid scale (measured: Sort 'executed in 65s'
     with 0.4s remote time).
 
-    ``inputs`` is one Dataset or a sequence of Datasets.  The exchange
-    streams them: one driver thread per input drains its
+    ``inputs`` is one Dataset or a sequence of Datasets.  An input whose
+    plan is a ``Read`` followed only by whole-block pyarrow
+    ``map_batches`` task stages (:func:`_read_and_maps`) is lowered:
+    one split task per read task, submitted in read-task order, calls
+    the read task, runs the map functions in plan order once per table
+    the read task yields (an empty table passes a stage unmapped, as in
+    Ray Data), concatenates the results and splits them; no Ray Data
+    execution runs for it, and a stage's exception surfaces with its
+    own type.  A read task that yields no rows sends every gather an
+    empty table in its read schema.  Every other input drains as
+    before: one driver thread per input drains its
     ``iter_internal_ref_bundles()`` and submits a split task for each
     block as its bundle lands, so splitting overlaps upstream compute
     and the inputs execute concurrently, with no ``union`` barrier in
@@ -390,10 +490,10 @@ def task_exchange(
     names for exactly one input, which calls ``fn(p, table)`` and drains
     in whatever order the blocks finish; otherwise it is one list per
     input (``ValueError`` unless as many as inputs), which calls ``fn(p,
-    [t_0, ..., t_k])`` and drains each input with Ray Data's
-    ``preserve_order``.  An input with no rows in ``p`` arrives as an
-    empty table in its own schema; one that yields no block at all gets
-    its ``schema()``.
+    [t_0, ..., t_k])`` and drains each input that is not lowered with
+    Ray Data's ``preserve_order``.  An input with no rows in ``p``
+    arrives as an empty table in its own schema; a drained one that
+    yields no block at all gets its ``schema()``.
 
     Sort keys a table does not carry (a zero-column empty slice) are
     skipped.  Returns the gather refs, in the order of ``partitions``
@@ -412,8 +512,7 @@ def task_exchange(
     per_input = _per_input(sort_keys)
     group_keys = [list(k) for k in sort_keys] if per_input else [sort_keys]
 
-    @ray.remote(num_returns=P)
-    def split(table):
+    def split_table(table):
         if not isinstance(table, pa.Table):  # rare non-arrow block
             import pandas as pd
 
@@ -441,6 +540,14 @@ def task_exchange(
                 for p in range(P)]
         return tuple(outs) if P > 1 else outs[0]
 
+    @ray.remote(num_returns=P)
+    def split(table):
+        return split_table(table)
+
+    @ray.remote(num_returns=P)
+    def read_split(read_task, maps):
+        return split_table(_run_read_task(read_task, maps))
+
     @ray.remote
     def gather(p, counts, *bufs):
         parts, tables = [_from_ipc(b) for b in bufs], []
@@ -456,13 +563,17 @@ def task_exchange(
 
     def drain(ds) -> list:
         # split_refs[b][p] is block b's slice of partition p
-        out = []
-        blocks = _unreserved(ds, ordered=per_input)
-        for bundle in blocks.iter_internal_ref_bundles():
-            for r in bundle.block_refs:
-                s = split.remote(r)
-                out.append(s if P > 1 else [s])
-        return out
+        lowered = _read_and_maps(ds)
+        if lowered is not None:
+            read_tasks, maps = lowered
+            maps = ray.put(maps)
+            splits = (read_split.remote(t, maps) for t in read_tasks)
+        else:
+            blocks = _unreserved(ds, ordered=per_input)
+            splits = (split.remote(r)
+                      for bundle in blocks.iter_internal_ref_bundles()
+                      for r in bundle.block_refs)
+        return [s if P > 1 else [s] for s in splits]
 
     def empty(ds) -> list:
         # one empty slice, in the input's schema, for every partition

@@ -1702,9 +1702,13 @@ def _salted_prep(ds, *, key_col: str, ts_col: str, order_col: str,
     ts rows, cast ts to int64, string-cast keys (NULLs → the sentinel
     so they form ONE group), coalesce values to int64; materialize
     and return ``(prepped_refs, span, key_type, order_type)`` with
-    ``span = global_span_cut`` over ``__t`` (None when empty).  Keeping
-    this in one place is the contract — a null/ts/key-handling fix
-    here serves every salted operator."""
+    ``span = global_span_cut`` over ``__t`` (None when empty).  A key
+    whose string form is the sentinel raises ``ValueError`` naming it:
+    it would merge into the NULL group.  Keeping this in one place is
+    the contract — a null/ts/key-handling fix here serves every salted
+    operator."""
+    import ray
+
     from .partition import global_span_cut, materialized_block_refs
 
     schema = ds.schema()
@@ -1731,6 +1735,19 @@ def _salted_prep(ds, *, key_col: str, ts_col: str, order_col: str,
     refs = materialized_block_refs(
         ds.map_batches(prep, batch_format="pyarrow",
                        zero_copy_batch=True))
+
+    @ray.remote
+    def spelled_null(blk) -> bool:
+        if blk.num_rows == 0:
+            return False
+        return pc.any(pc.and_(pc.is_valid(blk["__key_orig"]),
+                              pc.equal(blk["__k"], _SALTED_NULL_KEY))
+                      ).as_py() or False
+
+    if any(ray.get([spelled_null.remote(r) for r in refs])):
+        raise ValueError(
+            f"{key_col} value {_SALTED_NULL_KEY!r} is the salted "
+            "operators' NULL-key sentinel; rename the key")
     span = global_span_cut(refs, col="__t", num=1, den=2)
     return refs, span, key_type, order_type
 

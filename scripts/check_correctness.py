@@ -6,6 +6,7 @@ value hash.  Usage:  python scripts/check_correctness.py [sf_dir] [names...]
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -45,7 +46,8 @@ def main():
 
     logging.getLogger("ray.data").setLevel(logging.ERROR)
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
     import __ray_entry__ as entry
 
     qs = entry.queries()

@@ -1,13 +1,15 @@
 """Group changepoint (stages/changepoint.py:group_changepoint) vs the
 serial exact replay; planted step recovery; partition invariance."""
 
+import os
 import sys
 
 import numpy as np
 import pyarrow as pa
 import ray
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 from _oracle_replays import replay_changepoint  # noqa: E402
 
 from featurebox_ray.stages.changepoint import group_changepoint  # noqa

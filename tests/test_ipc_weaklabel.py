@@ -56,9 +56,11 @@ def test_rule_label_tie_min_topic():
 
 
 def test_doc_scorecard_flags():
+    import os
     import sys
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
     import __ray_entry__ as e
 
     # run the composed scorecard on a tiny planted corpus by writing

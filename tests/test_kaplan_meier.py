@@ -2,13 +2,15 @@
 serial replay; hand-checked KM numbers with censoring; partition
 invariance."""
 
+import os
 import sys
 
 import numpy as np
 import pyarrow as pa
 import ray
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 from _oracle_replays import replay_kaplan_meier  # noqa: E402
 
 from featurebox_ray.stages.retention import kaplan_meier  # noqa

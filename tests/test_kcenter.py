@@ -2,13 +2,15 @@
 integer replay; planted-geometry order; duplicate early-stop;
 partition invariance."""
 
+import os
 import sys
 
 import numpy as np
 import pyarrow as pa
 import ray
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 from _oracle_replays import replay_k_center  # noqa: E402
 
 from featurebox_ray.stages.cohesion import k_center_select  # noqa

@@ -91,6 +91,30 @@ def test_salted_time_window_sum_mega_key_duckdb():
             got.astype(exp.dtypes.to_dict()), exp), (W, nb)
 
 
+
+@pytest.mark.parametrize("op", ["running_total", "time_window_sum"])
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_salted_key_spelled_like_the_null_sentinel_raises(op, blocks):
+    """A key whose string form is the salted operators' NULL sentinel
+    would merge into the NULL group; both operators refuse it, naming
+    the value, whether or not a NULL key is in the same block."""
+    from featurebox_ray.stages.window import (salted_running_total,
+                                              salted_time_window_sum)
+
+    t = pa.table({"k": pa.array(["a", None, "b", "\x00null", "a", None]),
+                  "ts": pa.array([1, 2, 3, 4, 5, 6], pa.int64()),
+                  "o": pa.array(np.arange(6, dtype=np.int64)),
+                  "v": pa.array([1, 2, 3, 4, 5, 6], pa.int64())})
+    ds = ray.data.from_arrow(t).repartition(blocks)
+    kw = dict(key_col="k", ts_col="ts", order_col="o", int_value_col="v",
+              n_buckets=2, num_partitions=3)
+    with pytest.raises(ValueError, match=r"k value '\\x00null'"):
+        if op == "running_total":
+            salted_running_total(ds, **kw)
+        else:
+            salted_time_window_sum(ds, window=2, **kw)
+
+
 def test_finalized_tumbling_holds_back_open_windows():
     """finalized_tumbling == tumbling filtered to closed windows; the
     newest window is always held back (its inputs can still change),

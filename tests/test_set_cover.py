@@ -1,13 +1,15 @@
 """Greedy set-cover selection (stages/tfidf.py:set_cover_select) vs
 the serial replay; planted coverage order; partition invariance."""
 
+import os
 import sys
 
 import numpy as np
 import pyarrow as pa
 import ray
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 from _oracle_replays import replay_set_cover  # noqa: E402
 
 from featurebox_ray.stages.tfidf import set_cover_select  # noqa

@@ -2,13 +2,15 @@
 vs the serial exact-rational replay; hand-checked 2-channel game;
 partition invariance."""
 
+import os
 import sys
 
 import numpy as np
 import pyarrow as pa
 import ray
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 from _oracle_replays import replay_shapley  # noqa: E402
 
 from featurebox_ray.stages.attribution import (  # noqa

@@ -644,3 +644,210 @@ def test_materialized_input_drains_without_reexecuting(tmp_path):
                           num_partitions=3).to_pandas()
     assert len(got) == 120
     assert len(os.listdir(calls)) == ran
+
+
+def _write_parquet(d, table: pa.Table, files: int, row_group_size=None):
+    """``table`` split over ``files`` parquet files in directory ``d``."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    os.makedirs(d)
+    for i, idx in enumerate(np.array_split(np.arange(table.num_rows), files)):
+        pq.write_table(table.take(pa.array(idx, pa.int64())),
+                       os.path.join(d, f"part-{i:02d}.parquet"),
+                       row_group_size=row_group_size)
+    return str(d)
+
+
+_add_twice = _AddTwice()  # the same stage as a plain callable
+
+
+def _halves(t: pa.Table):
+    """A generator stage: the table as two slices."""
+    yield t.slice(0, t.num_rows // 2)
+    yield t.slice(t.num_rows // 2)
+
+
+def _count_drains(monkeypatch) -> list:
+    """Record every drain :func:`task_exchange` starts (each goes
+    through ``partition._unreserved``)."""
+    from featurebox_ray.stages import partition
+
+    drains, real = [], partition._unreserved
+
+    def counted(ds, ordered=False):
+        drains.append(ds)
+        return real(ds, ordered)
+
+    monkeypatch.setattr(partition, "_unreserved", counted)
+    return drains
+
+
+def test_perfbench_shaped_plan_is_lowered(tmp_path, monkeypatch):
+    """The benchmark's plan -- read_parquet(override_num_blocks=8), three
+    whole-block pyarrow map_batches stages, and a bare read_parquet right
+    side -- is lowered into its split tasks at the one-list and the
+    per-input form: no input is drained.  It pins the Ray plan internals
+    the lowering reads; a Ray that renames one fails here instead of
+    falling back in silence."""
+    import pyarrow.parquet as pq
+
+    from featurebox_ray.sources.synthetic import write_dataset
+    from featurebox_ray.stages.dedup import minhash_bands_fn
+    from featurebox_ray.stages.partition import _read_and_maps, task_exchange
+    from featurebox_ray.stages.scalar import turn_scalar_features
+    from featurebox_ray.stages.text import text_features_fn
+    from featurebox_ray.state.checkpoint import run_partitioned_checkpointed
+
+    d = str(tmp_path)
+    write_dataset(d, n_convs=24, n_shards=8, mega_turns=0)
+    fns = [turn_scalar_features, text_features_fn, minhash_bands_fn]
+    left = ray.data.read_parquet(f"{d}/transcripts", override_num_blocks=8)
+    for fn in fns:
+        left = left.map_batches(fn, batch_format="pyarrow",
+                                zero_copy_batch=True, batch_size=None)
+    right = ray.data.read_parquet(f"{d}/feature_table")
+
+    read_tasks, maps = _read_and_maps(left)
+    assert len(read_tasks) == 8
+    assert maps == [(fn, (), {}) for fn in fns]
+    read_tasks, maps = _read_and_maps(right)
+    assert read_tasks and maps == []
+
+    drains = _count_drains(monkeypatch)
+    n_left = pq.read_table(f"{d}/transcripts").num_rows
+    n_right = pq.read_table(f"{d}/feature_table").num_rows
+    got = ray.get(task_exchange(left, lambda p, t: t.num_rows, key="conv_id",
+                                sort_keys=["conv_id", "ts", "turn_idx"],
+                                num_partitions=4))
+    assert sum(got) == n_left
+    got = ray.get(task_exchange(
+        [left, right], lambda p, ts: [t.num_rows for t in ts],
+        key="conv_id", sort_keys=[["conv_id", "ts", "turn_idx"],
+                                  ["conv_id", "ts"]], num_partitions=4))
+    assert [sum(g[i] for g in got) for i in (0, 1)] == [n_left, n_right]
+    # the benchmark's two jobs reach the exchange through these two
+    out = fused_features_backfill(left, right, WindowSpec(),
+                                  right_cols=["f_score", "f_label"],
+                                  num_partitions=4,
+                                  left_schema=left.schema())
+    assert out.count() == n_left
+    manifests = run_partitioned_checkpointed(
+        left, lambda t: t, str(tmp_path / "ck"), key="conv_id",
+        sort_keys=["conv_id", "ts", "turn_idx"], num_partitions=4)
+    assert sum(m["rows"] for m in manifests) == n_left
+    assert drains == []
+
+
+_UNLOWERABLE = {
+    "actor_pool": lambda ds: ds.map_batches(
+        _AddTwice, batch_format="pyarrow", concurrency=1),
+    "filter": lambda ds: ds.map_batches(
+        _add_twice, batch_format="pyarrow").filter(lambda r: r["v"] >= 0),
+    "batch_size_64": lambda ds: ds.map_batches(
+        _add_twice, batch_format="pyarrow", batch_size=64),
+    "pandas": lambda ds: ds.map_batches(
+        lambda df: df.assign(v2=df["v"] * 2), batch_format="pandas"),
+    "materialized": lambda ds: ds.map_batches(
+        _add_twice, batch_format="pyarrow").materialize(),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_UNLOWERABLE) + ["from_items"])
+def test_unlowerable_plans_drain(kind, tmp_path, monkeypatch):
+    """Every plan the lowering does not take still drains through Ray
+    Data and gives the one-pass rows."""
+    import pandas as pd
+
+    from featurebox_ray.stages.partition import _read_and_maps
+
+    rows = _side_rows(300, 23, 0, 12)
+    if kind == "from_items":
+        ds = ray.data.from_items(rows, override_num_blocks=4).map_batches(
+            _add_twice, batch_format="pyarrow")
+    else:
+        d = _write_parquet(tmp_path / "in", pa.Table.from_pylist(rows), 4)
+        ds = _UNLOWERABLE[kind](ray.data.read_parquet(d))
+        if kind == "filter":
+            rows = [r for r in rows if r["v"] >= 0]
+    assert _read_and_maps(ds) is None
+    drains = _count_drains(monkeypatch)
+    got = partitioned_map(ds, _running_sum, key="k", sort_keys=["k", "ts"],
+                          num_partitions=4).to_pandas()
+    assert len(drains) == 1
+    pd.testing.assert_frame_equal(_sorted_rows(got), _one_pass(rows))
+    assert (got["v2"] == got["v"] * 2).all()
+
+
+@pytest.mark.parametrize("blocks", [1, 8])
+@pytest.mark.parametrize("num_partitions", [1, 8])
+def test_lowered_equals_drained(num_partitions, blocks, tmp_path,
+                                monkeypatch):
+    """A lowered input gives the drain's gathers row for row, in order:
+    read tasks that yield several tables (small row groups; one read
+    task over eight files), a generator stage, ties on every sort key
+    kept in block order.  A zero-row parquet input reaches every
+    gather as an empty table in its file schema."""
+    from featurebox_ray.stages import partition
+
+    rng = np.random.default_rng(15)
+    n = 400
+    left = pa.table({"k": pa.array(rng.integers(0, 29, n), pa.int64()),
+                     "ts": pa.array(rng.integers(0, 40, n), pa.int64()),
+                     "v": pa.array(np.arange(n), pa.int64())})
+    ld = _write_parquet(tmp_path / "left", left, 8, row_group_size=16)
+    zero = pa.schema([("k", pa.int64()), ("w", pa.string())])
+    rd = _write_parquet(tmp_path / "right", zero.empty_table(), 2)
+
+    def inputs():
+        ds = ray.data.read_parquet(ld, override_num_blocks=blocks)
+        for fn in (_add_twice, _halves):
+            ds = ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
+        return [ds, ray.data.read_parquet(rd)]
+
+    read_tasks, _ = partition._read_and_maps(inputs()[0])
+    assert len(read_tasks) == blocks
+    assert len(list(read_tasks[0]())) > 1
+
+    def gathers(kernel):
+        return ray.get(partition.task_exchange(
+            inputs(), kernel, key="k", sort_keys=[["k", "ts"], ["k"]],
+            num_partitions=num_partitions))
+
+    def left_rows(p, ts):
+        return ts[0]
+
+    lowered = gathers(left_rows)
+    rights = gathers(lambda p, ts: ts[1])
+    monkeypatch.setattr(partition, "_read_and_maps", lambda ds: None)
+    drained = gathers(left_rows)
+    assert len(lowered) == len(drained) == num_partitions
+    for a, b in zip(lowered, drained):
+        assert a.equals(b)
+    assert sum(t.num_rows for t in lowered) == n
+    assert all(t.num_rows == 0 and t.schema.remove_metadata() == zero
+               for t in rights)
+
+
+def test_stage_error_in_lowered_split_keeps_its_type(tmp_path):
+    """A stage function that raises inside a lowered split surfaces with
+    its own exception type and message, and a missing key still raises
+    the split's ``KeyError``."""
+    from featurebox_ray.stages.partition import _read_and_maps
+
+    d = _write_parquet(tmp_path / "in",
+                       pa.Table.from_pylist(_side_rows(40, 5, 0, 3)), 2)
+
+    def bad_stage(t: pa.Table) -> pa.Table:
+        raise LookupError(f"stage refused {t.num_rows} rows")
+
+    ds = ray.data.read_parquet(d).map_batches(bad_stage,
+                                              batch_format="pyarrow")
+    assert _read_and_maps(ds) is not None
+    with pytest.raises(LookupError, match="stage refused 20 rows"):
+        partitioned_map(ds, _running_sum, key="k", sort_keys=["k", "ts"],
+                        num_partitions=3)
+    with pytest.raises(KeyError, match="'kk' missing"):
+        partitioned_map(ray.data.read_parquet(d), _running_sum, key="kk",
+                        sort_keys=["k"], num_partitions=3)
