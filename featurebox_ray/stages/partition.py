@@ -23,13 +23,18 @@ filtering apart.
 An input whose plan is a ``Read`` followed only by task-pool
 ``map_batches`` stages that take whole pyarrow blocks (``batch_format=
 "pyarrow"``, ``batch_size=None``, a plain function, no constructor args,
-no ``ray_remote_args``) is *lowered* into its split tasks: one plain
-task per read task calls the read task, runs the map functions in plan
-order once per table the read task yields, concatenates the results and
-splits them, so no Ray Data execution runs in front of the exchange
-(:func:`_read_and_maps`).  Every other input -- actor pools, filters,
-limits, unions, a ``batch_size``, other formats or sources, a Dataset
-that holds computed output -- is drained through Ray Data as before.
+no ``ray_remote_args``) and whose read has at least as many read tasks
+(files, for parquet) as blocks requested is *lowered* into its split
+tasks: one plain task per read task calls the read task, runs the map
+functions in plan order once per table the read task yields,
+concatenates the results and splits them, so no Ray Data execution runs
+in front of the exchange (:func:`_read_and_maps`).  Every other input
+-- actor pools, filters, limits, unions, a ``batch_size``, other formats
+or sources, a Dataset that holds computed output, and a read with fewer
+read tasks than requested blocks (say one file read with
+``override_num_blocks=8``), whose output Ray Data splits into more
+blocks than read tasks so that the maps run in parallel -- is drained
+through Ray Data as before.
 
 Several inputs are joined by the split itself, so no Ray Data ``union``
 runs in front of the exchange.  Both keyed consumers sit on it:
@@ -260,8 +265,15 @@ def _read_and_maps(ds):
     Read op's, at its parallelism (Ray's autodetection when that is -1);
     ``maps`` holds each stage's ``(fn, args, kwargs)`` in plan order.
     ``None`` for every other plan, for a Dataset that already holds
-    computed output, and on a Ray whose plan internals differ
-    (``tests/test_task_exchange.py`` pins them)."""
+    computed output, on a Ray whose plan internals differ
+    (``tests/test_task_exchange.py`` pins them), and when the reader
+    makes fewer read tasks than that parallelism: Ray Data then splits
+    each read task's output into several blocks and maps them in
+    parallel, where one lowered task would read, map and split a whole
+    file on one core.  A read task whose files are larger than
+    ``target_max_block_size`` is still lowered, as one task that holds
+    its whole mapped output (Ray Data runs it as one fused task too, but
+    hands its blocks on as they fill)."""
     try:
         from ray.data._internal.compute import TaskPoolStrategy
         from ray.data._internal.logical.operators.map_operator import (
@@ -293,7 +305,11 @@ def _read_and_maps(ds):
         read_tasks = reader.get_read_tasks(n)
     except (AttributeError, ImportError):
         return None
-    return (read_tasks, maps[::-1]) if read_tasks else None
+    if not read_tasks or len(read_tasks) < n:
+        # Ray Data would split each read task's output into several
+        # blocks (its SetReadParallelismRule) and run the maps on each
+        return None
+    return read_tasks, maps[::-1]
 
 
 def _run_read_task(read_task, maps) -> pa.Table:
@@ -309,17 +325,19 @@ def _run_read_task(read_task, maps) -> pa.Table:
         return BlockAccessor.for_block(
             BlockAccessor.batch_to_block(batch)).to_arrow()
 
-    tables = [arrow(b) for b in read_task()]
-    for fn, args, kwargs in maps:
-        out = []
-        for t in tables:
-            if t.num_rows == 0:
-                out.append(t)
-                continue
-            res = fn(t, *args, **kwargs)
-            out += [arrow(r) for r in
-                    (res if isinstance(res, GeneratorType) else [res])]
-        tables = out
+    def stage(t, fn, args, kwargs) -> list:
+        if t.num_rows == 0:
+            return [t]
+        res = fn(t, *args, **kwargs)
+        return [arrow(r) for r in
+                (res if isinstance(res, GeneratorType) else [res])]
+
+    tables = []
+    for b in read_task():  # each read table runs the whole chain in turn
+        out = [arrow(b)]
+        for fn, args, kwargs in maps:
+            out = [r for t in out for r in stage(t, fn, args, kwargs)]
+        tables += out
     full = [t for t in tables if t.num_rows > 0]
     if not full:
         schema = read_task.schema
@@ -462,7 +480,8 @@ def task_exchange(
 
     ``inputs`` is one Dataset or a sequence of Datasets.  An input whose
     plan is a ``Read`` followed only by whole-block pyarrow
-    ``map_batches`` task stages (:func:`_read_and_maps`) is lowered:
+    ``map_batches`` task stages, with at least as many read tasks as
+    requested blocks (:func:`_read_and_maps`), is lowered:
     one split task per read task, submitted in read-task order, calls
     the read task, runs the map functions in plan order once per table
     the read task yields (an empty table passes a stage unmapped, as in

@@ -780,6 +780,29 @@ def test_unlowerable_plans_drain(kind, tmp_path, monkeypatch):
     assert (got["v2"] == got["v"] * 2).all()
 
 
+@pytest.mark.parametrize("files", [1, 2])
+def test_fewer_files_than_blocks_drain(files, tmp_path, monkeypatch):
+    """A read with fewer read tasks than requested blocks -- one file at
+    ``override_num_blocks=8`` -- is not lowered: Ray Data splits each
+    read task's output into several blocks and maps them in parallel,
+    so the input drains and gives the one-pass rows."""
+    import pandas as pd
+
+    from featurebox_ray.stages.partition import _read_and_maps
+
+    rows = _side_rows(300, 23, 0, 12)
+    d = _write_parquet(tmp_path / "in", pa.Table.from_pylist(rows), files)
+    ds = ray.data.read_parquet(d, override_num_blocks=8).map_batches(
+        _add_twice, batch_format="pyarrow", batch_size=None)
+    assert _read_and_maps(ds) is None
+    drains = _count_drains(monkeypatch)
+    got = partitioned_map(ds, _running_sum, key="k", sort_keys=["k", "ts"],
+                          num_partitions=4).to_pandas()
+    assert len(drains) == 1
+    pd.testing.assert_frame_equal(_sorted_rows(got), _one_pass(rows))
+    assert (got["v2"] == got["v"] * 2).all()
+
+
 @pytest.mark.parametrize("blocks", [1, 8])
 @pytest.mark.parametrize("num_partitions", [1, 8])
 def test_lowered_equals_drained(num_partitions, blocks, tmp_path,
@@ -804,7 +827,7 @@ def test_lowered_equals_drained(num_partitions, blocks, tmp_path,
         ds = ray.data.read_parquet(ld, override_num_blocks=blocks)
         for fn in (_add_twice, _halves):
             ds = ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
-        return [ds, ray.data.read_parquet(rd)]
+        return [ds, ray.data.read_parquet(rd, override_num_blocks=2)]
 
     read_tasks, _ = partition._read_and_maps(inputs()[0])
     assert len(read_tasks) == blocks
@@ -842,8 +865,8 @@ def test_stage_error_in_lowered_split_keeps_its_type(tmp_path):
     def bad_stage(t: pa.Table) -> pa.Table:
         raise LookupError(f"stage refused {t.num_rows} rows")
 
-    ds = ray.data.read_parquet(d).map_batches(bad_stage,
-                                              batch_format="pyarrow")
+    ds = ray.data.read_parquet(d, override_num_blocks=2).map_batches(
+        bad_stage, batch_format="pyarrow")
     assert _read_and_maps(ds) is not None
     with pytest.raises(LookupError, match="stage refused 20 rows"):
         partitioned_map(ds, _running_sum, key="k", sort_keys=["k", "ts"],
