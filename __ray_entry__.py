@@ -4257,7 +4257,8 @@ def _rrf_fusion_q(sf_dir: str):
 
     from featurebox_ray.stages.dedup import split_tokens
     from featurebox_ray.stages.partition import materialized_block_refs
-    from featurebox_ray.stages.rank import global_row_number, rrf_fuse
+    from featurebox_ray.stages.rank import (global_row_number, range_top,
+                                            rrf_fuse)
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["doc_id", "text", "n_chars"])
@@ -4298,8 +4299,7 @@ def _rrf_fusion_q(sf_dir: str):
     fused = rrf_fuse(ranks, id_col="doc_id",
                      rank_cols=["r1", "r2", "r3"], k=60,
                      num_partitions=8)
-    return fused.sort(["rrf", "doc_id"],
-                      descending=[True, False]).limit(50)
+    return range_top(fused, ["rrf", "doc_id"], [True, False], 50)
 
 
 def _table_checksum_q(sf_dir: str):
@@ -5640,20 +5640,23 @@ def _ab_test_q(sf_dir: str):
 def _balance_corpus_q(sf_dir: str):
     """q144: corpus rebalancing — cap every language at the SMALLEST
     language's document count (equal-representation downsample), the
-    min discovered with one tiny column-pruned count pass and the cap
-    applied by the deterministic hash-order cap_per_group (pure
-    function of ids: stable across runs, partitionings and cluster
-    sizes — stages/sample.py)."""
+    min discovered with one tiny column-pruned, lang-keyed count
+    exchange (``partition.group_count`` per gather; a NULL lang is a
+    language of its own) and the cap applied by the deterministic
+    hash-order cap_per_group (pure function of ids: stable across runs,
+    partitionings and cluster sizes — stages/sample.py)."""
     import ray
 
+    from featurebox_ray.stages.partition import group_count, partitioned_map
     from featurebox_ray.stages.sample import cap_per_group
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["doc_id", "lang"])
-    counts = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["lang"]).groupby(
-        "lang").count().take_all()
-    m = min(int(r["count()"]) for r in counts)
+    counts = partitioned_map(ray.data.read_parquet(
+        f"{sf_dir}/documents.parquet", columns=["lang"]),
+        lambda t: group_count(t, ["lang"]), key="lang",
+        sort_keys=[]).take_all()
+    m = min(int(r["count_all"]) for r in counts)
     return cap_per_group(docs, group_col="lang", id_col="doc_id", m=m)
 
 
@@ -7309,10 +7312,9 @@ def _corpus_freq_q(sf_dir: str):
 
 def _global_rank_q(sf_dir: str):
     """q85: exact global row_number over (value, event_id) — Ray range
-    sort is the one all-to-all; block offsets come from per-block
-    (first-key, count) metadata ordered by CONTENT on the driver (one
-    tuple per block), so the result is independent of streaming bundle
-    arrival order.  The curriculum-ordering primitive."""
+    sort is the one all-to-all, read in range order; block offsets are
+    prefix sums of the bundle metadata's row counts (one count per
+    block).  The curriculum-ordering primitive."""
     import pyarrow.compute as pc
     import ray
 
@@ -7754,28 +7756,29 @@ def _composition_parse(sf_dir: str):
     import numpy as np
     import pyarrow as pa
     import ray
-    from ray.data.aggregate import Count
 
     from featurebox_ray.stages.parse import expand_composition
+    from featurebox_ray.stages.partition import group_count, partitioned_map
 
     VOCAB = ["click", "view", "purchase", "signup", "error"]
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["user_id", "event_type"])
-    counts = ev.groupby(["user_id", "event_type"]).aggregate(Count())
 
     def render_part(t: pa.Table) -> pa.Table:
-        # whole hash partition, sorted by (user_id, event_type): render
-        # every user's composition in one vectorized pass (list-offsets +
-        # binary_join), never one UDF call per user
+        # whole hash partition: count each (user, type) pair, sort the
+        # counts and render every user's composition in one vectorized
+        # pass (list-offsets + binary_join), never one UDF call per user
         import pyarrow.compute as pc
 
         if t.num_rows == 0 or "user_id" not in t.column_names:
             return pa.table({"user_id": pa.array([], pa.int64()),
                              "comp_str": pa.array([], pa.string())})
+        t = group_count(t, ["user_id", "event_type"]).sort_by(
+            [("user_id", "ascending"), ("event_type", "ascending")])
         uid = t["user_id"].to_numpy(zero_copy_only=False)
         piece = pc.binary_join_element_wise(
             t["event_type"].cast(pa.string()),
-            pc.cast(t["count()"], pa.string()), "")
+            pc.cast(t["count_all"], pa.string()), "")
         if isinstance(piece, pa.ChunkedArray):
             piece = piece.combine_chunks()
         change = np.flatnonzero(uid[1:] != uid[:-1]) + 1
@@ -7786,10 +7789,8 @@ def _composition_parse(sf_dir: str):
         return pa.table({"user_id": t["user_id"].take(pa.array(starts)),
                          "comp_str": comp})
 
-    from featurebox_ray.stages.partition import partitioned_map
-
-    strings = partitioned_map(counts, render_part, key="user_id",
-                              sort_keys=["user_id", "event_type"],
+    strings = partitioned_map(ev, render_part, key="user_id",
+                              sort_keys=[],
                               num_partitions=8)
     out = expand_composition(strings, col="comp_str", vocab=VOCAB)
 

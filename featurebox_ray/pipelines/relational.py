@@ -40,15 +40,6 @@ def _round_cols(ds, cols: Sequence[str], nd: int = 6):
     return ds.map_batches(r, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def rename(ds, mapping: dict):
-    def r(batch: pa.Table) -> pa.Table:
-        return batch.rename_columns(
-            [mapping.get(c, c) for c in batch.column_names]
-        )
-
-    return ds.map_batches(r, batch_format="pyarrow", zero_copy_batch=True)
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -160,24 +151,31 @@ def filter_project_revenue(sf_dir: str, min_ship: str = "1995-01-01"):
 
 def top_customers(sf_dir: str, k: int = 10):
     """orders ⋈ customer (broadcast small side) → per-customer revenue →
-    global top-k.  The dim table rides the object store ONCE
-    (``broadcast_join``: ``ray.put`` + per-batch Arrow hash join inside
-    the tasks — the driver never materializes or loops over it); at 100 TB
-    with a large dim side swap for ``hash_join``."""
-    from ray.data.aggregate import Sum
-
+    global top-k.  The revenue is one customer-keyed exchange whose
+    gathers sum their partition with a one-key Arrow ``group_by``.  The dim
+    table rides the object store ONCE (``broadcast_join``: ``ray.put`` +
+    per-batch Arrow hash join inside the tasks — the driver never
+    materializes or loops over it); at 100 TB with a large dim side swap
+    for ``hash_join``."""
     from ..stages.join import broadcast_join
+    from ..stages.partition import partitioned_map
     from ..stages.rank import range_top
 
+    def spend(t: pa.Table) -> pa.Table:
+        s = t.group_by("o_custkey", use_threads=False).aggregate(
+            [("o_totalprice", "sum")])
+        return pa.table({"o_custkey": s["o_custkey"],
+                         "total_spent": s["o_totalprice_sum"]})
+
     orders = read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    per_cust = orders.groupby("o_custkey").aggregate(Sum("o_totalprice"))
+    per_cust = partitioned_map(orders, spend, key="o_custkey",
+                               sort_keys=[])
     cust = read(sf_dir, "customer", ["c_custkey", "c_name"])
     named = broadcast_join(per_cust, cust, on="o_custkey",
                            right_on="c_custkey")
-    named = rename(named, {"sum(o_totalprice)": "total_spent"})
     named = _round_cols(named, ["total_spent"], 4)
     # a NaN price makes a NaN total, and a customer whose every price is
-    # NULL a NULL one: range_top keeps both out of Ray's sort boundaries
+    # NULL a NULL one: range_top ranks NaN below every number, NULL last
     return range_top(named, ["total_spent", "o_custkey"], [True, False], k)
 
 
@@ -229,19 +227,28 @@ def order_priority_revenue(sf_dir: str):
 
 
 def distinct_users_per_type(sf_dir: str):
-    """count(distinct user_id) per event_type: two-level hash aggregate
-    (distinct pairs first, then count) — no driver-side set building."""
-    from ray.data.aggregate import Count
+    """count(distinct user_id) per event_type: one user-keyed exchange
+    whose gathers count their distinct ``(event_type, user_id)`` pairs
+    per type (a user's rows all land in one partition), then one driver
+    sum of the P partials — no driver-side set building.  A NULL user_id
+    counts as one user of each type it appears with, and a NULL
+    event_type is a type of its own."""
+    import ray
+
+    from ..stages.partition import group_count, sum_partials, task_exchange
+
+    def users(_p, t: pa.Table) -> pa.Table:
+        pairs = group_count(t, ["event_type", "user_id"])
+        return group_count(pairs, ["event_type"])
 
     ev = read(sf_dir, "events", ["event_type", "user_id"])
-    pairs = ev.groupby(["event_type", "user_id"]).aggregate(Count())
-    out = pairs.groupby("event_type").aggregate(Count())
-    out = rename(out, {"count()": "n_users"})
-
-    def fix(batch: pa.Table) -> pa.Table:
-        return batch.select(["event_type", "n_users"])
-
-    return out.map_batches(fix, batch_format="pyarrow")
+    parts = ray.get(task_exchange(ev, users, key="user_id",
+                                  sort_keys=[],
+                                  num_partitions=32))
+    out = sum_partials(parts, keys=["event_type"], vals=["count_all"])
+    if out is None:  # no events: an empty partial has the schema
+        out = parts[0]
+    return ray.data.from_arrow(out.rename_columns(["event_type", "n_users"]))
 
 
 def group_stats_kernels(sf_dir: str):

@@ -125,6 +125,11 @@ def oof_target_encode(ds, *, cat_col: str, fold_key_col: str,
                            key=cat_col, sort_keys=[cat_col])
 
 
+# The most reference rows one group of ecdf_encode may hold: every
+# encoder keeps each group's sorted values (8 bytes a row) in its heap.
+ECDF_MAX_GROUP_ROWS = 1 << 25
+
+
 def ecdf_encode(query_ds, ref_table, *, group_col: str, value_col: str,
                 cnt_col: str = "cnt_below", n_col: str = "n_ref",
                 pct_col: str = "pct", concurrency=(1, 8)):
@@ -150,9 +155,11 @@ def ecdf_encode(query_ds, ref_table, *, group_col: str, value_col: str,
     differently in numpy vs SQL; ``isfinite`` filters mirror it).
 
     At 100 TB the per-group reference arrays must fit a worker's heap
-    (they are value-only, one float per ref row); past that, aggregate
-    the reference into the q61 dyadic-histogram sketch and encode
-    against bin edges instead.
+    (they are value-only, one float per ref row): a group with more
+    than ``ECDF_MAX_GROUP_ROWS`` kept reference rows raises
+    ``ValueError`` naming it, before any encoder starts.  Past that,
+    aggregate the reference into the q61 dyadic-histogram sketch and
+    encode against bin edges instead.
 
     Reference analog: ``MagnitudeTransformer``'s fit-then-apply shape
     (symbol/preprocess.py:25-170) generalized from column means to the
@@ -160,12 +167,45 @@ def ecdf_encode(query_ds, ref_table, *, group_col: str, value_col: str,
     """
     import ray
 
-    from .partition import materialized_block_refs
+    from .partition import materialized_block_refs, sum_partials
 
     if isinstance(ref_table, pa.Table):
         refs = [ray.put(ref_table)]
     else:
         refs = materialized_block_refs(ref_table)
+
+    def kept(b: pa.Table) -> pa.Table:
+        """The reference rows an encoder holds: group and value valid,
+        value finite."""
+        b = b.select([group_col, value_col])
+        # non-Kleene and_: null values make keep NULL, and Table.filter
+        # drops nulls — safe here, but normalize anyway so the mask is a
+        # plain boolean
+        keep = pc.fill_null(
+            pc.and_(pc.and_(pc.is_valid(b[group_col]),
+                            pc.is_valid(b[value_col])),
+                    pc.is_finite(b[value_col])), False)
+        return b.filter(keep)
+
+    @ray.remote
+    def group_rows(b: pa.Table) -> pa.Table:
+        if b.num_rows == 0:  # sum_partials skips it
+            return b
+        return kept(b).group_by(group_col).aggregate([([], "count_all")])
+
+    sizes = sum_partials(
+        ray.get([group_rows.remote(r) for r in refs]),
+        keys=[group_col], vals=["count_all"])
+    if sizes is not None:
+        big = sizes.filter(pc.greater(sizes["count_all"],
+                                      ECDF_MAX_GROUP_ROWS))
+        if big.num_rows:
+            raise ValueError(
+                f"ecdf_encode: {group_col} {big[group_col][0].as_py()!r} "
+                f"has {big['count_all'][0].as_py()} reference rows, over "
+                f"ECDF_MAX_GROUP_ROWS={ECDF_MAX_GROUP_ROWS} that one "
+                "encoder holds; aggregate the reference into the q61 "
+                "dyadic-histogram sketch and encode against its bin edges")
 
     class Encoder:
         def __init__(self):
@@ -173,18 +213,8 @@ def ecdf_encode(query_ds, ref_table, *, group_col: str, value_col: str,
                       if isinstance(b, pa.Table) and b.num_rows]
             self.sorted_vals: dict = {}
             if blocks:
-                rt = pa.concat_tables(
-                    [b.select([group_col, value_col]) for b in blocks],
-                    promote_options="default")
-                g = rt[group_col].combine_chunks()
-                v = rt[value_col].combine_chunks()
-                # non-Kleene and_: null values make keep NULL, and
-                # Table.filter drops nulls — safe here, but normalize
-                # anyway so the mask is a plain boolean
-                keep = pc.fill_null(
-                    pc.and_(pc.and_(pc.is_valid(g), pc.is_valid(v)),
-                            pc.is_finite(v)), False)
-                rt = rt.filter(keep)
+                rt = pa.concat_tables([kept(b) for b in blocks],
+                                      promote_options="default")
                 gd = pc.dictionary_encode(rt[group_col].combine_chunks())
                 codes = gd.indices.to_numpy(zero_copy_only=False)
                 vals = (rt[value_col].combine_chunks()

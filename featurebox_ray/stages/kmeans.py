@@ -68,6 +68,7 @@ def kmeans_fit(ds, *, vec_col: str = "embedding", id_col: str = "vec_id",
     import ray
 
     from .partition import materialized_block_refs
+    from .rank import top_k
 
     def to_mat(batch: pa.Table) -> np.ndarray:
         arr = batch[vec_col].combine_chunks()
@@ -77,11 +78,7 @@ def kmeans_fit(ds, *, vec_col: str = "embedding", id_col: str = "vec_id",
         return quantize(flat.reshape(len(arr), -1), quant_bits)
 
     # deterministic init: vectors of the k smallest ids (driver-tiny)
-    seed = ds.sort(id_col).limit(k)
-    seed_t = pa.concat_tables(
-        [b for b in ray.get(materialized_block_refs(seed))
-         if b.num_rows > 0], promote_options="default")
-    cents = to_mat(seed_t)[:k]
+    cents = to_mat(top_k(ds, [id_col], False, k))
     if cents.shape[0] < k:
         raise ValueError(f"need at least k={k} rows, got {cents.shape[0]}")
     dims = cents.shape[1]

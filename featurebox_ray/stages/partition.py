@@ -45,10 +45,13 @@ runs in front of the exchange.  Both keyed consumers sit on it:
   partitions a resume is missing and writes each one's part file and
   manifest inside its gather.
 
-Ray Data's sort-based ``groupby`` shuffle and its hash-shuffle
-``repartition`` are not used: the task exchange hands each kernel its
-whole partition, so there is no mixed- or split-partition batch to guard
-against, and it avoids the shuffle barrier (see :func:`task_exchange`).
+The task exchange is the engine's one keyed shuffle: no Ray Data
+``groupby`` (a keyed count is an Arrow ``group_by`` in a gather) or
+hash-shuffle ``repartition`` runs, so no kernel sees a mixed- or
+split-partition batch, and there is no shuffle barrier (see
+:func:`task_exchange`).  The one Ray Data sort is ``rank._range_sort``,
+the range all-to-all a global order needs, read in range order; a
+top-k is no sort (``rank.top_k``).
 
 Scale notes (100 TB): P should be ~ total_bytes / 512 MB so each kernel call
 fits worker heap; mega-conversations (single key > partition cap) are
@@ -70,6 +73,12 @@ takes each bundle as it lands, and the returned Dataset starts from P
 blocks already materialized.  Chains built on the returned Dataset
 inherit its context, and so run without reservation too; the caller's
 Dataset and ``DataContext.get_current()`` are never changed.
+
+A map stage's exception keeps its type on both paths: a lowered input
+runs the stage in its split task, and a drain's private context sets
+``raise_original_map_exception``, so Ray Data raises, say,
+``RayTaskError(ValueError)``, a ``ValueError``, not a
+``UserCodeException``.
 
 Reference analog: the reference is single-machine and has no shuffle; this
 replaces its implicit "whole DataFrame in memory" assumption
@@ -241,16 +250,18 @@ def _from_ipc(buf: pa.Buffer) -> pa.Table:
 
 def _unreserved(ds, ordered: bool = False):
     """A copy of ``ds`` that executes without Ray Data's op resource
-    reservation (see the module docstring) and, when ``ordered``, hands
-    out its blocks in the Dataset's block order rather than as they
-    finish.  The plan is deep-copied, so a materialized Dataset keeps
-    its snapshot and does not re-execute, and it gets its own
+    reservation and raises a map stage's exception with its own type
+    (see the module docstring) and, when ``ordered``, hands out its
+    blocks in the Dataset's block order rather than as they finish.
+    The plan is deep-copied, so a materialized Dataset keeps its
+    snapshot and does not re-execute, and it gets its own
     logical-plan handle, because linking a plan to a Dataset points the
     shared logical plan at that plan's context."""
     from ray.data._internal.logical.interfaces import LogicalPlan
 
     plan = ds._plan.deep_copy()
     plan._context.op_resource_reservation_enabled = False
+    plan._context.raise_original_map_exception = True
     if ordered:
         plan._context.execution_options.preserve_order = True
     return type(ds)(plan, LogicalPlan(ds._logical_plan.dag, plan._context))
@@ -434,15 +445,12 @@ def materialized_block_refs(ds):
     after execution, and when block schemas fail to unify (Ray's empty
     zero-column bundles from shuffle ops) the schema fetch RE-EXECUTES the
     whole upstream plan with limit(1) — doubling the pipeline cost.  The
-    ref bundles give the already-materialized block refs directly; fall
-    back to ``to_arrow_refs`` on Ray versions without the bundle API.
-    The execution runs without op resource reservation (module
-    docstring); ``ds`` itself is not changed."""
-    try:
-        return [r for b in _unreserved(ds).iter_internal_ref_bundles()
-                for r in b.block_refs]
-    except AttributeError:  # older/newer Ray: fall back
-        return ds.to_arrow_refs()
+    ref bundles give the already-materialized block refs directly.  The
+    execution runs without op resource reservation, and a map stage's
+    exception keeps its type (module docstring); ``ds`` itself is not
+    changed."""
+    return [r for b in _unreserved(ds).iter_internal_ref_bundles()
+            for r in b.block_refs]
 
 
 def _per_input(sort_keys) -> bool:
@@ -486,9 +494,8 @@ def task_exchange(
     the read task, runs the map functions in plan order once per table
     the read task yields (an empty table passes a stage unmapped, as in
     Ray Data), concatenates the results and splits them; no Ray Data
-    execution runs for it, and a stage's exception surfaces with its
-    own type.  A read task that yields no rows sends every gather an
-    empty table in its read schema.  Every other input drains as
+    execution runs for it.  A read task that yields no rows sends every
+    gather an empty table in its read schema.  Every other input drains as
     before: one driver thread per input drains its
     ``iter_internal_ref_bundles()`` and submits a split task for each
     block as its bundle lands, so splitting overlaps upstream compute
@@ -497,7 +504,8 @@ def task_exchange(
     resource reservation off (module docstring): the driver thread takes
     every bundle as it lands, so no operator of the drain can be
     starved, and reservation would only hold the first wave of tasks to
-    one.  An exception raised while draining any input propagates.
+    one.  An exception raised while draining any input propagates; on
+    either path a map stage's exception surfaces with its own type.
     Every split buckets its block by ``_hash_chunk(key) % num_partitions``
     and emits one sub-table per partition (``num_returns=P`` — only refs
     travel to the driver), each framed as one Arrow IPC stream buffer
@@ -660,15 +668,40 @@ def sum_partials(blocks, *, keys: Sequence[str],
     return out.sort_by([(k, "ascending") for k in keys]) if keys else out
 
 
-def key_histogram(ds, key: str, top: int = 20):
-    """Small driver-side skew probe: rows per key, descending (for salting
-    decisions).  Uses a distributed count aggregate, only ``top`` rows come
-    back to the driver."""
-    from ray.data.aggregate import Count
+def group_count(t: pa.Table, keys: Sequence[str],
+                count_col: str = "count_all") -> pa.Table:
+    """Rows per distinct ``keys`` tuple of ``t``, a NULL being a value of
+    its own: the key columns and ``count_col``, in no set order.  It
+    groups the keys' dictionary codes, because Arrow's multi-key
+    ``group_by`` (pyarrow 16) splits a NULL key by the bytes under its
+    NULL slot."""
+    codes = {k: pc.dictionary_encode(t[k].combine_chunks(),
+                                     null_encoding="encode") for k in keys}
+    g = pa.table({k: c.indices for k, c in codes.items()}).group_by(
+        list(keys), use_threads=False).aggregate([([], "count_all")])
+    return pa.table({**{k: codes[k].dictionary.take(g[k]) for k in keys},
+                     count_col: g["count_all"]})
 
-    agg = ds.groupby(key).aggregate(Count())
-    return (agg.sort(["count()", key], descending=[True, False])
-            .limit(top).to_pandas())
+
+def key_histogram(ds, key: str, top: int = 20):
+    """Small driver-side skew probe (for salting decisions): the ``top``
+    keys with the most rows, as a pandas frame ``(key, "count()")``
+    ordered by count descending, then key ascending (a NULL key is one
+    key, last among its ties).  One keyed exchange: each gather counts
+    its keys (:func:`group_count`) and keeps its own top ``top``,
+    so only ``P × top`` rows come back to the driver."""
+    import ray
+
+    order = [("count()", "descending"), (key, "ascending")]
+
+    def counts(_p, t: pa.Table) -> pa.Table:
+        return group_count(t, [key], "count()").sort_by(order).slice(0, top)
+
+    keyed = ds.map_batches(lambda b: b.select([key]), batch_format="pyarrow")
+    parts = ray.get(task_exchange(keyed, counts, key=key, sort_keys=[],
+                                  num_partitions=32))
+    return (pa.concat_tables(parts).sort_by(order).slice(0, top)
+            .to_pandas())
 
 
 def global_span_cut(refs, *, col: str, num: int, den: int):

@@ -39,6 +39,7 @@ def pq_encode(ds, *, vec_col: str = "embedding", id_col: str = "vec_id",
     import pyarrow.compute as pc
 
     from .cohesion import _batch_mat
+    from .rank import top_k
 
     def clean(b: pa.Table) -> pa.Table:
         keep = pc.fill_null(pc.and_(pc.is_valid(b[id_col]),
@@ -51,9 +52,8 @@ def pq_encode(ds, *, vec_col: str = "embedding", id_col: str = "vec_id",
                              zero_copy_batch=True)
 
     # codebook: k lowest-id vectors, quantized — driver-tiny
-    cb_tbl = pa.Table.from_pylist(
-        cleaned.sort(id_col).limit(k).take_all())
-    cbq, dim = _batch_mat(cb_tbl, vec_col, quant_bits)
+    cbq, dim = _batch_mat(top_k(cleaned, [id_col], False, k), vec_col,
+                          quant_bits)
     if len(cbq) < k:
         raise ValueError(f"pq_encode: need at least k={k} vectors, "
                          f"got {len(cbq)}")

@@ -167,25 +167,28 @@ def rank_in_group(ds, *, group_col: str, value_col: str, tie_col: str,
                            num_partitions=num_partitions)
 
 
-def _range_sort(ds, cols, descending):
-    """``ds`` range-sorted by ``cols`` through stand-in key columns, and
-    the stand-ins' names (callers drop them).  ``descending`` is one
+def _stand_ins(cols, descending):
+    """``(keys, sort_keys, add)``: the names of stand-in key columns that
+    order rows by ``cols`` (callers drop them), their ``(name, order)``
+    sort keys, and ``add(t)``, which appends them.  ``descending`` is one
     bool for every column or a list with one per column.
 
-    Ray's sort draws its range boundaries from samples ordered with a
-    comparator under which a NULL or NaN is less than itself, so one in
-    an order column with another column after it can put the boundaries
-    out of order, and the overlapping ranges duplicate rows.  The sort
-    runs on stand-ins instead: per order column a class, then the value
-    with NaN and NULL zeroed in float columns.  The classes put NaN
-    above every number and NULL last in either direction, as SQL does."""
+    Per order column the stand-ins are a class, then the value with NaN
+    and NULL zeroed in float columns.  The classes put NaN above every
+    number and NULL last in either direction, as SQL does, and keep NaN
+    and NULL out of Ray's sort, which samples its range boundaries with
+    a comparator under which a NULL or NaN is less than itself: with
+    another column after it, the boundaries can come out of order and
+    the overlapping ranges duplicate rows."""
     desc = (list(descending) if isinstance(descending, (list, tuple))
             else [descending] * len(cols))
     keys = [k for i in range(len(cols)) for k in (f"__cls{i}", f"__val{i}")]
     classes = [[pa.scalar(c, pa.int8())
                 for c in ((1, 2, 0) if d else (0, 1, 2))] for d in desc]
+    sort_keys = [(k, "descending" if desc[i // 2] else "ascending")
+                 for i, k in enumerate(keys)]
 
-    def stand_ins(t: pa.Table) -> pa.Table:
+    def add(t: pa.Table) -> pa.Table:
         if t.num_columns == 0:  # Ray's zero-column empty blocks
             return t
         for i, c in enumerate(cols):
@@ -201,25 +204,91 @@ def _range_sort(ds, cols, descending):
             t = t.append_column(keys[2 * i + 1], v)
         return t
 
-    sd = ds.map_batches(stand_ins, batch_format="pyarrow",
+    return keys, sort_keys, add
+
+
+def _range_sort(ds, cols, descending):
+    """``ds`` range-sorted by ``cols`` through :func:`_stand_ins`, and
+    the stand-ins' names (callers drop them).  This is the engine's one
+    Ray Data sort: a global order (a row number, a running total, each
+    row's successor) needs a range all-to-all, which the hash exchange
+    of ``partition.task_exchange`` is not.  Read its blocks with
+    :func:`_blocks_in_order`."""
+    keys, sort_keys, add = _stand_ins(cols, descending)
+    sd = ds.map_batches(add, batch_format="pyarrow",
                         zero_copy_batch=True).sort(
-        keys, descending=[d for d in desc for _ in (0, 1)])
+        keys, descending=[o == "descending" for _, o in sort_keys])
     return sd, keys
 
 
+def _blocks_in_order(ds) -> list:
+    """``(block ref, rows)`` for each non-empty block of ``ds``, in block
+    order: the drain runs with Ray Data's ``preserve_order``
+    (``partition._unreserved``), and the row counts come from the
+    bundles' block metadata, so no block is read to place it.  For a
+    :func:`_range_sort` output that is range order
+    (``tests/test_global_rank.py`` pins it)."""
+    from .partition import _unreserved
+
+    return [(r, m.num_rows)
+            for b in _unreserved(ds, ordered=True).iter_internal_ref_bundles()
+            for r, m in b.blocks if m.num_rows]
+
+
+def _empty_like(sd, keys, col: str, typ):
+    """The empty result of a global-order operator: ``sd``'s schema
+    without the stand-ins ``keys``, plus ``col`` of type ``typ``."""
+    import ray
+
+    schema = sd.schema()
+    base = getattr(schema, "base_schema", schema)
+    if not isinstance(base, pa.Schema):
+        return sd  # schema unknown (fully schemaless empty dataset)
+    base = pa.schema([f for f in base if f.name not in keys])
+    return ray.data.from_arrow(base.append(pa.field(col, typ)).empty_table())
+
+
+def top_k(ds, cols, descending, k: int, drop=()) -> pa.Table:
+    """The first ``k`` rows of ``ds`` ordered by ``cols`` as
+    :func:`_range_sort` orders them (NaN above every number, NULL last),
+    as one table, without the stand-ins or the columns in ``drop``.
+
+    No sort of the Dataset: one task per block keeps the block's own
+    first ``k`` rows (``pc.sort_indices`` on the stand-ins, then
+    ``take``), which is sound because a row with ``k`` rows of its own
+    block before it cannot be among the first ``k`` overall; the driver
+    then orders the at most ``blocks × k`` survivors once.  Both sorts
+    are stable and the survivors arrive in block order
+    (:func:`_blocks_in_order`), so rows tied on every order column keep
+    block order.  An empty input gives an empty table in the
+    input's schema (no columns when Ray knows none, as after a filter
+    that drops every row)."""
+    import ray
+
+    keys, sort_keys, add = _stand_ins(list(cols), descending)
+
+    @ray.remote
+    def first_k(t: pa.Table) -> pa.Table:
+        t = add(t)
+        return t.take(pc.sort_indices(t, sort_keys=sort_keys)[:k])
+
+    parts = ray.get([first_k.remote(r) for r, _ in _blocks_in_order(ds)])
+    if parts:
+        t = pa.concat_tables(parts, promote_options="default")
+        t = t.take(pc.sort_indices(t, sort_keys=sort_keys)[:k])
+    else:
+        schema = ds.schema()
+        t = (schema.base_schema if schema else pa.schema([])).empty_table()
+    gone = {*drop, *keys}
+    return t.drop_columns([c for c in t.column_names if c in gone])
+
+
 def range_top(ds, cols, descending, k: int, drop=()):
-    """The first ``k`` rows of ``ds`` in :func:`_range_sort`'s order
-    (NaN above every number, NULL last), without its stand-ins or the
-    columns in ``drop`` — ``sort(cols).limit(k)`` for order columns
-    that may hold NaN or NULL."""
-    sd, keys = _range_sort(ds, cols, descending)
-    gone = [*drop, *keys]
+    """:func:`top_k` as a one-block Dataset: the first ``k`` rows in
+    order, for order columns that may hold NaN or NULL."""
+    import ray
 
-    def strip(t: pa.Table) -> pa.Table:
-        return t.drop_columns([c for c in gone if c in t.column_names])
-
-    return sd.limit(k).map_batches(strip, batch_format="pyarrow",
-                                   zero_copy_batch=True)
+    return ray.data.from_arrow(top_k(ds, cols, descending, k, drop))
 
 
 def global_row_number(ds, *, order_cols, rank_col: str = "g_rank",
@@ -227,20 +296,17 @@ def global_row_number(ds, *, order_cols, rank_col: str = "g_rank",
     """Exact GLOBAL ``row_number() OVER (ORDER BY order_cols)`` — 1-based
     position under the corpus-wide total order.
 
-    The all-to-all is Ray's distributed range sort (unavoidable for a
-    global order); everything after it is metadata-sized: each sorted
-    block contributes only ``(first-row key, num_rows)`` to the driver,
-    which orders the blocks by first key (block key ranges are disjoint
-    because ``order_cols`` must be a UNIQUE key — include a row id) and
-    prefix-sums the offsets; one tiny task per block then appends
-    ``offset + arange``.  No block ever moves twice and the driver holds
-    one tuple per block, so this scales with block count, not rows.
+    The all-to-all is Ray's distributed range sort (:func:`_range_sort`;
+    a global order needs one); everything after it is metadata-sized.
+    The sorted blocks are read in range order (:func:`_blocks_in_order`),
+    so each block's offset is the prefix sum of the row counts in its
+    bundle metadata, and one tiny task per block then appends ``offset +
+    arange``.  No block ever moves twice and the driver holds one count
+    per block, so this scales with block count, not rows.
 
     Raw Ray tasks are used below the Dataset API deliberately: a global
     running offset is cross-block state that ``map_batches`` cannot
-    express, and streaming execution does not guarantee bundle order, so
-    the offsets are derived from block CONTENT (first key), never from
-    arrival order.
+    express.
 
     ``order_cols`` must be unique as a tuple and, except for float
     columns, null-free (filter first); a float column may hold NaN and
@@ -254,18 +320,7 @@ def global_row_number(ds, *, order_cols, rank_col: str = "g_rank",
     """
     import ray
 
-    from .partition import materialized_block_refs
-
-    cols = list(order_cols)
-    sd, keys = _range_sort(ds, cols, descending)
-    refs = materialized_block_refs(sd)
-
-    @ray.remote
-    def blk_meta(blk: pa.Table):
-        if blk.num_rows == 0:
-            return None
-        return (tuple(blk.column(c)[0].as_py() for c in keys),
-                blk.num_rows)
+    sd, keys = _range_sort(ds, list(order_cols), descending)
 
     @ray.remote
     def add_rank(blk: pa.Table, off: int) -> pa.Table:
@@ -273,38 +328,12 @@ def global_row_number(ds, *, order_cols, rank_col: str = "g_rank",
         return blk.drop_columns(keys).append_column(
             rank_col, pa.array(np.arange(off + 1, off + 1 + n)))
 
-    def robust_key(key_tuple):
-        # Python tuple comparison is not a total order under float NaN
-        # (every compare is False, so timsort can leave a NaN-first-key
-        # block out of position with no error) and raises on None; map
-        # each element to (class, value) with numbers < NaN < null —
-        # exactly where Arrow's sort put those rows
-        out = []
-        for e in key_tuple:
-            if e is None:
-                out.append((2, 0.0))
-            elif isinstance(e, float) and e != e:
-                out.append((1, 0.0))
-            else:
-                out.append((0, e))
-        return tuple(out)
-
-    metas = ray.get([blk_meta.remote(r) for r in refs])
-    live = [(m[0], m[1], r) for m, r in zip(metas, refs) if m is not None]
-    live.sort(key=lambda x: robust_key(x[0]), reverse=descending)
     out_refs, off = [], 0
-    for _, n, r in live:
+    for r, n in _blocks_in_order(sd):
         out_refs.append(add_rank.remote(r, off))
         off += n
     if not out_refs:
-        # empty input: still honor the output-schema contract
-        schema = sd.schema()
-        base = getattr(schema, "base_schema", schema)
-        if isinstance(base, pa.Schema):
-            base = pa.schema([f for f in base if f.name not in keys])
-            return ray.data.from_arrow(base.append(
-                pa.field(rank_col, pa.int64())).empty_table())
-        return sd  # schema unknown (fully schemaless empty dataset)
+        return _empty_like(sd, keys, rank_col, pa.int64())
     return ray.data.from_arrow_refs(out_refs)
 
 
@@ -351,11 +380,12 @@ def diversified_topk(ds, *, group_col: str, id_col: str,
     Streaming per-block per-group top-``m`` partials (sound: a row
     outside its group's block top-m cannot be in the group's global
     top-m), ONE tiny group-keyed exchange re-ranks (the exchange moves
-    ``blocks × groups × m`` rows, never data), then a final
-    ``sort.limit(k)`` over ``groups × m`` survivors.  Ties break to the
-    smaller id everywhere; NULL scores sort last (DuckDB ``DESC``
-    default) and a NaN score ranks below every number and above NULL
-    (DuckDB: ``ORDER BY score IS NULL, isnan(score), score DESC, id``).
+    ``blocks × groups × m`` rows, never data), then a final per-block
+    top-``k`` (:func:`top_k`) over the ``groups × m`` survivors.  Ties
+    break to the smaller id everywhere; NULL scores sort last (DuckDB
+    ``DESC`` default) and a NaN score ranks below every number and above
+    NULL (DuckDB: ``ORDER BY score IS NULL, isnan(score), score DESC,
+    id``).
     Returns ``(group_col, id_col, score_col)``.
     """
     from .partition import partitioned_map, sort_table
@@ -392,9 +422,8 @@ def diversified_topk(ds, *, group_col: str, id_col: str,
                                 sort_keys=[group_col, neg, id_col],
                                 num_partitions=num_partitions)
 
-    # ascending -score puts NaN after every number and NULL last, as
-    # the Arrow sorts above do; the range sort keeps NaN and NULL out of
-    # Ray's sampled boundaries, which they can put out of order
+    # ascending -score puts NaN after every number and NULL last, in
+    # the Arrow sorts above and in top_k alike
     return range_top(survivors, [neg, id_col], False, k, drop=[neg])
 
 
@@ -407,13 +436,12 @@ def budget_select(ds, *, order_cols, cost_col: str, budget: int,
     top-cost-prefix cut for curriculum subsets).
 
     Same metadata-sized plan as :func:`global_row_number`: one range
-    sort (the unavoidable all-to-all for a global order), then each
-    sorted block contributes ``(first key, rows, cost sum)`` to the
-    driver, which orders blocks by CONTENT (never arrival order),
-    prefix-sums block costs as Python ints (exact at any corpus size),
-    and schedules one tiny task per block that cumsums internally,
-    adds its offset and filters ``cum ≤ budget``.  Blocks entirely
-    past the budget are dropped without being touched.
+    sort (the unavoidable all-to-all for a global order), read in range
+    order; each sorted block contributes its cost sum to the driver,
+    which prefix-sums block costs as Python ints (exact at any corpus
+    size), and schedules one tiny task per block that cumsums
+    internally, adds its offset and filters ``cum ≤ budget``.  Blocks
+    entirely past the budget are dropped without being touched.
 
     ``order_cols`` must be unique as a tuple and null-free outside
     float columns (NaN and NULL rank as in :func:`global_row_number`);
@@ -424,21 +452,14 @@ def budget_select(ds, *, order_cols, cost_col: str, budget: int,
     """
     import ray
 
-    from .partition import materialized_block_refs
-
-    cols = list(order_cols)
-    sd, keys = _range_sort(ds, cols, descending)
-    refs = materialized_block_refs(sd)
+    sd, keys = _range_sort(ds, list(order_cols), descending)
 
     @ray.remote
-    def blk_meta(blk: pa.Table):
-        if blk.num_rows == 0:
-            return None
+    def cost_sum(blk: pa.Table) -> int:
         cost = blk[cost_col].to_numpy(zero_copy_only=False)
         if cost.min() < 0:
             raise ValueError("budget_select: negative cost")
-        return (tuple(blk.column(c)[0].as_py() for c in keys),
-                blk.num_rows, int(cost.sum()))
+        return int(cost.sum())
 
     @ray.remote
     def cut(blk: pa.Table, off: int) -> pa.Table:
@@ -448,34 +469,14 @@ def budget_select(ds, *, order_cols, cost_col: str, budget: int,
         out = blk.drop_columns(keys).append_column(cum_col, pa.array(cum))
         return out.filter(pa.array(cum <= budget))
 
-    def robust_key(key_tuple):
-        out = []
-        for e in key_tuple:
-            if e is None:
-                out.append((2, 0.0))
-            elif isinstance(e, float) and e != e:
-                out.append((1, 0.0))
-            else:
-                out.append((0, e))
-        return tuple(out)
-
-    metas = ray.get([blk_meta.remote(r) for r in refs])
-    live = [(m[0], m[1], m[2], r)
-            for m, r in zip(metas, refs) if m is not None]
-    live.sort(key=lambda x: robust_key(x[0]), reverse=descending)
+    refs = [r for r, _ in _blocks_in_order(sd)]
     out_refs, off = [], 0
-    for _, _n, csum, r in live:
+    for r, csum in zip(refs, ray.get([cost_sum.remote(r) for r in refs])):
         if off <= budget:          # block may still contribute rows
             out_refs.append(cut.remote(r, off))
         off += csum
     if not out_refs:
-        schema = sd.schema()
-        base = getattr(schema, "base_schema", schema)
-        if isinstance(base, pa.Schema):
-            base = pa.schema([f for f in base if f.name not in keys])
-            return ray.data.from_arrow(base.append(
-                pa.field(cum_col, pa.int64())).empty_table())
-        return sd
+        return _empty_like(sd, keys, cum_col, pa.int64())
     return ray.data.from_arrow_refs(out_refs)
 
 

@@ -215,27 +215,20 @@ def weighted_sample_k(ds, *, key_col: str, weight_col: str, k: int):
     weight w win proportionally more often — the quality-weighted
     corpus downsampler.
 
-    Distributed as streaming partial top-k per block + one tiny keyed
-    combine (the cap_per_group shape): the exchange moves
-    ``blocks × k`` (id, score) rows, never data.  Ties (possible only
-    for duplicated ids) break by id ascending.  Weights must be finite
-    and > 0; null keys/weights are excluded.
+    Distributed as the per-block top-k of ``rank.top_k`` on ``(score
+    desc, id asc)``: only ``blocks × k`` rows reach the driver, never
+    data.  Weights must be finite and > 0; null keys/weights are
+    excluded.
 
     The selection score uses ``pow`` — libm ulps differ across engines,
     so this op takes a serial numpy REPLAY oracle (same arithmetic),
     not a SQL one.  Returns the selected rows with a ``ws_score``
     float64 column attached.
     """
-    from .partition import partitioned_map
+    from .rank import range_top
 
     if k < 1:
         raise ValueError("k must be >= 1")
-
-    def topk(t: pa.Table) -> pa.Table:
-        s = t["ws_score"].to_numpy(zero_copy_only=False)
-        ids = t[key_col].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, -s))[:k]
-        return t.take(pa.array(order, pa.int64()))
 
     def score_batch(batch: pa.Table) -> pa.Table:
         cols = [batch[key_col], batch[weight_col]]
@@ -256,16 +249,9 @@ def weighted_sample_k(ds, *, key_col: str, weight_col: str, k: int):
         score = u ** (1.0 / w)
         return batch.append_column("ws_score", pa.array(score))
 
-    def partial_topk(batch: pa.Table) -> pa.Table:
-        return topk(score_batch(batch))
-
-    partials = ds.map_batches(partial_topk, batch_format="pyarrow",
-                              zero_copy_batch=True, batch_size=None)
-    # global pick over the blocks×k survivors in ONE partition (correct
-    # for a global top-k); sort_keys is just the exchange's required
-    # pre-sort over those few rows — topk re-orders by (-score, id)
-    return partitioned_map(partials, topk, key=key_col,
-                           sort_keys=[key_col], num_partitions=1)
+    scored = ds.map_batches(score_batch, batch_format="pyarrow",
+                            zero_copy_batch=True, batch_size=None)
+    return range_top(scored, ["ws_score", key_col], [True, False], k)
 
 
 def temperature_thresholds(counts: dict, alpha: float) -> dict:
@@ -596,8 +582,8 @@ def weighted_interleave(ds, *, source_col: str, id_col: str,
 
     Stages: one source-keyed exchange for the per-source ranks (rank
     runs are segment arithmetic, no Python loop), then the
-    global_row_number range sort over ``(pos, source, id)`` — block
-    metadata ordered by content — and a final ``ord <= limit`` mask.
+    global_row_number range sort over ``(pos, source, id)`` — read in
+    range order — and a final ``ord <= limit`` mask.
     Blocks past the horizon are filtered, never collected.
 
     Rows with NULL source/id drop (mirror in SQL); weights must be

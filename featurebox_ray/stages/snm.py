@@ -8,8 +8,8 @@ deterministic, exact-recall-within-window blocker whose candidate count
 is exactly ``n·window`` — no skew, no tuning of band/row trade-offs.
 
 Scale shape:
-  1. rank: ``rank.global_row_number`` (range sort; blocks move once,
-     driver holds one (first-key, count) tuple per block);
+  1. rank: ``rank.global_row_number`` (range sort read in range
+     order; blocks move once, driver holds one count per block);
   2. band the rank space: each row replicates to rank-buckets
      ``r//W`` and ``r//W − 1`` (≤2×), so every pair with rank distance
      ≤ W is co-located in exactly one bucket (the LOWER row's own

@@ -422,16 +422,16 @@ def prefix_dedup(ds, *, id_col: str = "doc_id",
     at 1 kB and a recrawl that got 10 kB produce a prefix pair; only
     the longer one should train.
 
-    Algorithm: ONE distributed range sort by ``(text, id)`` (the only
-    all-to-all), then a single adjacent compare per row — in a
-    byte-lexicographic order, ``a`` is a prefix of ANY later string
-    iff it is a prefix of its IMMEDIATE successor (every string
+    Algorithm: ONE distributed range sort by ``(text, id)``
+    (``rank._range_sort``, the only all-to-all: each row's successor
+    is a global-order question), then a single adjacent compare per
+    row — in a byte-lexicographic order, ``a`` is a prefix of ANY later
+    string iff it is a prefix of its IMMEDIATE successor (every string
     between them starts with ``a``), so adjacency is sufficient.
-    Block boundaries: each sorted block contributes its first
-    ``(text)`` to the driver (ordered by CONTENT, the
-    global_row_number idiom — never bundle arrival order), and each
-    block's last row compares against the next live block's first
-    text.
+    Block boundaries: the sorted blocks are read in range order (the
+    global_row_number idiom), each contributes its first text to the
+    driver, and each block's last row compares against the next
+    block's first text.
 
     The per-row compare is vectorized over the Arrow string buffers
     (offset/byte arrays + ``np.minimum.reduceat`` over ragged
@@ -448,7 +448,7 @@ def prefix_dedup(ds, *, id_col: str = "doc_id",
     """
     import ray
 
-    from .partition import materialized_block_refs
+    from .rank import _blocks_in_order, _range_sort
 
     def prep(b: pa.Table) -> pa.Table:
         keep = pc.fill_null(pc.is_valid(b[text_col]), False)
@@ -457,17 +457,14 @@ def prefix_dedup(ds, *, id_col: str = "doc_id",
             t = t.filter(keep)
         return t
 
-    sd = ds.map_batches(prep, batch_format="pyarrow",
-                        zero_copy_batch=True).sort(
-        [text_col, id_col])
-    refs = materialized_block_refs(sd)
+    sd, _ = _range_sort(ds.map_batches(prep, batch_format="pyarrow",
+                                       zero_copy_batch=True),
+                        [text_col, id_col], False)
+    refs = [r for r, _ in _blocks_in_order(sd)]
 
     @ray.remote
-    def blk_meta(blk: pa.Table):
-        if blk.num_rows == 0:
-            return None
-        return (blk.column(text_col)[0].as_py(),
-                blk.column(id_col)[0].as_py())
+    def first_text(blk: pa.Table):
+        return blk.column(text_col)[0].as_py()
 
     @ray.remote
     def keep_non_prefix(blk: pa.Table, boundary) -> pa.Table:
@@ -507,13 +504,10 @@ def prefix_dedup(ds, *, id_col: str = "doc_id",
         return pa.table({id_col: ids.filter(
             pa.array(~is_pref))})
 
-    metas = ray.get([blk_meta.remote(r) for r in refs])
-    live = [(m, r) for m, r in zip(metas, refs) if m is not None]
-    live.sort(key=lambda x: x[0])
-    out_refs = []
-    for k, (_, r) in enumerate(live):
-        boundary = live[k + 1][0][0] if k + 1 < len(live) else None
-        out_refs.append(keep_non_prefix.remote(r, boundary))
+    # each boundary travels task to task as a ref, never via the driver
+    firsts = [first_text.remote(r) for r in refs[1:]]
+    out_refs = [keep_non_prefix.remote(r, boundary)
+                for r, boundary in zip(refs, [*firsts, None])]
     if not out_refs:
         schema = ds.schema()
         base = getattr(schema, "base_schema", schema)

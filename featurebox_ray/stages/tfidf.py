@@ -187,8 +187,6 @@ def top_terms(ds, *, id_col: str = "doc_id", text_col: str = "text",
     Run :func:`~featurebox_ray.stages.dedup.exact_dedup` first if the
     corpus may contain duplicate ids.
     """
-    from .partition import partitioned_map
-
     if by not in ("doc_freq", "term_count"):
         raise ValueError("by must be 'doc_freq' or 'term_count'")
 
@@ -226,40 +224,20 @@ def _exact_topk_exchange(partials, *, k: int, num_partitions: int):
     (sound post-summation), one final global pick under the
     deterministic ``(count desc, term asc)`` order."""
     from .partition import partitioned_map
+    from .rank import range_top
 
     def sum_local_topk(t: pa.Table) -> pa.Table:
-        dct = pc.dictionary_encode(t["term"].combine_chunks())
-        sums = np.zeros(len(dct.dictionary), np.int64)
-        np.add.at(sums, dct.indices.to_numpy(zero_copy_only=False),
-                  t["cnt"].to_numpy(zero_copy_only=False))
-        # local top-k by (count desc, term asc); dictionary order is not
-        # sorted, so rank terms bytewise first
-        term_rank = pc.sort_indices(dct.dictionary)  # positions by term
-        inv = np.empty(len(dct.dictionary), np.int64)
-        inv[term_rank.to_numpy(zero_copy_only=False)] = np.arange(
-            len(dct.dictionary))
-        order = np.lexsort((inv, -sums))[:k]
-        return pa.table({
-            "term": dct.dictionary.take(pa.array(order, pa.int64())),
-            "cnt": pa.array(sums[order]),
-        })
+        # local top-k by (count desc, term asc), terms compared bytewise
+        s = t.group_by("term", use_threads=False).aggregate(
+            [("cnt", "sum")])
+        s = pa.table({"term": s["term"], "cnt": s["cnt_sum"]})
+        return s.sort_by([("cnt", "descending"),
+                          ("term", "ascending")]).slice(0, k)
 
     local = partitioned_map(partials, sum_local_topk, key="term",
-                            sort_keys=["term"],
-                            num_partitions=num_partitions)
-
-    def global_topk(t: pa.Table) -> pa.Table:
-        # survivors are already fully summed; just order and cut
-        sums = t["cnt"].to_numpy(zero_copy_only=False)
-        term_rank = pc.sort_indices(t["term"].combine_chunks())
-        inv = np.empty(t.num_rows, np.int64)
-        inv[term_rank.to_numpy(zero_copy_only=False)] = np.arange(
-            t.num_rows)
-        order = np.lexsort((inv, -sums))[:k]
-        return t.take(pa.array(order, pa.int64()))
-
-    return partitioned_map(local, global_topk, key="term",
-                           sort_keys=["term"], num_partitions=1)
+                            sort_keys=[], num_partitions=num_partitions)
+    # survivors are already fully summed; just order and cut
+    return range_top(local, ["cnt", "term"], [True, False], k)
 
 
 def top_bigrams(ds, *, id_col: str = "doc_id", text_col: str = "text",
@@ -484,6 +462,7 @@ def collocation_pmi(ds, *, id_col: str = "doc_id", text_col: str = "text",
     import ray
 
     from .partition import materialized_block_refs, partitioned_map
+    from .rank import range_top
 
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
@@ -632,8 +611,8 @@ def collocation_pmi(ds, *, id_col: str = "doc_id", text_col: str = "text",
 
     scored = ray.data.from_arrow_refs(list(bi_refs)).map_batches(
         score, batch_format="pyarrow", zero_copy_batch=True)
-    return scored.sort(["pmi_score", "w1", "w2"],
-                       descending=[True, False, False]).limit(k)
+    return range_top(scored, ["pmi_score", "w1", "w2"],
+                     [True, False, False], k)
 
 
 def vocab_overlap(ds, *, group_col: str, text_col: str = "text",
@@ -804,6 +783,7 @@ def rising_terms(ds, *, id_col: str = "doc_id", text_col: str = "text",
     Returns ``(term, early:int64, late:int64, rise:float64)``.
     """
     from .partition import partitioned_map
+    from .rank import range_top
 
     def partial(batch: pa.Table) -> pa.Table:
         ids_col = batch[id_col]
@@ -832,45 +812,21 @@ def rising_terms(ds, *, id_col: str = "doc_id", text_col: str = "text",
                          "late": pa.array(late)})
 
     def local_topk(t: pa.Table) -> pa.Table:
-        dct = pc.dictionary_encode(t["term"].combine_chunks())
-        g = len(dct.dictionary)
-        codes = dct.indices.to_numpy(zero_copy_only=False).astype(
-            np.int64)
-        early = np.zeros(g, np.int64)
-        late = np.zeros(g, np.int64)
-        np.add.at(early, codes,
-                  t["early"].to_numpy(zero_copy_only=False))
-        np.add.at(late, codes,
-                  t["late"].to_numpy(zero_copy_only=False))
-        rise = (late + 1).astype(np.float64) / (early + 1).astype(
-            np.float64)
-        term_rank = pc.sort_indices(dct.dictionary)
-        inv = np.empty(g, np.int64)
-        inv[term_rank.to_numpy(zero_copy_only=False)] = np.arange(g)
-        order = np.lexsort((inv, -rise))[:k]
-        return pa.table({
-            "term": dct.dictionary.take(pa.array(order, pa.int64())),
-            "early": pa.array(early[order]),
-            "late": pa.array(late[order]),
-            "rise": pa.array(rise[order], pa.float64()),
-        })
-
-    def global_topk(t: pa.Table) -> pa.Table:
-        rise = t["rise"].to_numpy(zero_copy_only=False)
-        term_rank = pc.sort_indices(t["term"].combine_chunks())
-        inv = np.empty(t.num_rows, np.int64)
-        inv[term_rank.to_numpy(zero_copy_only=False)] = np.arange(
-            t.num_rows)
-        order = np.lexsort((inv, -rise))[:k]
-        return t.take(pa.array(order, pa.int64()))
+        s = t.group_by("term", use_threads=False).aggregate(
+            [("early", "sum"), ("late", "sum")])
+        early, late = s["early_sum"], s["late_sum"]
+        rise = pc.divide(pc.add(late, 1).cast(pa.float64()),
+                         pc.add(early, 1).cast(pa.float64()))
+        s = pa.table({"term": s["term"], "early": early, "late": late,
+                      "rise": rise})
+        return s.sort_by([("rise", "descending"),
+                          ("term", "ascending")]).slice(0, k)
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True, batch_size=None)
     local = partitioned_map(partials, local_topk, key="term",
-                            sort_keys=["term"],
-                            num_partitions=num_partitions)
-    return partitioned_map(local, global_topk, key="term",
-                           sort_keys=["term"], num_partitions=1)
+                            sort_keys=[], num_partitions=num_partitions)
+    return range_top(local, ["rise", "term"], [True, False], k)
 
 
 def _group_term_counts(batch: pa.Table, group_col: str,

@@ -1707,8 +1707,6 @@ def _salted_prep(ds, *, key_col: str, ts_col: str, order_col: str,
     it would merge into the NULL group.  Keeping this in one place is
     the contract — a null/ts/key-handling fix here serves every salted
     operator."""
-    import ray
-
     from .partition import global_span_cut, materialized_block_refs
 
     schema = ds.schema()
@@ -1723,9 +1721,12 @@ def _salted_prep(ds, *, key_col: str, ts_col: str, order_col: str,
         ts = b[ts_col].combine_chunks()
         if pa.types.is_timestamp(ts.type):
             ts = ts.cast(pa.int64())
-        k = pc.fill_null(
-            b[key_col].combine_chunks().cast(pa.string()),
-            _SALTED_NULL_KEY)
+        k = b[key_col].combine_chunks().cast(pa.string())
+        if pc.any(pc.equal(k, _SALTED_NULL_KEY)).as_py():
+            raise ValueError(
+                f"{key_col} value {_SALTED_NULL_KEY!r} is the salted "
+                "operators' NULL-key sentinel; rename the key")
+        k = pc.fill_null(k, _SALTED_NULL_KEY)
         v = pc.fill_null(
             b[int_value_col].combine_chunks().cast(pa.int64()), 0)
         return pa.table({"__k": k, "__t": ts,
@@ -1735,19 +1736,6 @@ def _salted_prep(ds, *, key_col: str, ts_col: str, order_col: str,
     refs = materialized_block_refs(
         ds.map_batches(prep, batch_format="pyarrow",
                        zero_copy_batch=True))
-
-    @ray.remote
-    def spelled_null(blk) -> bool:
-        if blk.num_rows == 0:
-            return False
-        return pc.any(pc.and_(pc.is_valid(blk["__key_orig"]),
-                              pc.equal(blk["__k"], _SALTED_NULL_KEY))
-                      ).as_py() or False
-
-    if any(ray.get([spelled_null.remote(r) for r in refs])):
-        raise ValueError(
-            f"{key_col} value {_SALTED_NULL_KEY!r} is the salted "
-            "operators' NULL-key sentinel; rename the key")
     span = global_span_cut(refs, col="__t", num=1, den=2)
     return refs, span, key_type, order_type
 

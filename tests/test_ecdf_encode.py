@@ -88,3 +88,26 @@ def test_ecdf_encode_hand_case():
     assert got.cnt_below.tolist() == [1, 0, 4]
     assert got.n_ref.tolist() == [4, 4, 4]
     assert got.pct.tolist() == [0.25, 0.0, 1.0]
+
+
+def test_ecdf_encode_refuses_a_group_over_the_row_bound(monkeypatch):
+    """A group with more kept reference rows than ECDF_MAX_GROUP_ROWS
+    raises ValueError naming it and the q61 sketch, for a Dataset and a
+    table reference; NULL and non-finite values do not count, and a
+    group at the bound encodes."""
+    import pytest
+
+    from featurebox_ray.stages import encode
+
+    monkeypatch.setattr(encode, "ECDF_MAX_GROUP_ROWS", 3)
+    ref = pa.table({"g": ["a", "a", "a", "a", "b", "b", "b", "b"],
+                    "v": [1.0, 2.0, 3.0, 4.0, 1.0, 2.0, None, np.nan]})
+    qry = pa.table({"id": [0, 1], "g": ["a", "b"], "v": [2.5, 1.5]})
+    for r in (ray.data.from_arrow([ref.slice(0, 3), ref.slice(3)]), ref):
+        with pytest.raises(ValueError,
+                           match=r"g 'a' has 4 reference rows.*q61"):
+            ecdf_encode(ray.data.from_arrow(qry), r, group_col="g",
+                        value_col="v")
+    got = ecdf_encode(ray.data.from_arrow(qry), ref.slice(4),
+                      group_col="g", value_col="v").to_pandas()
+    assert got.sort_values("id")["cnt_below"].tolist() == [0, 1]

@@ -874,3 +874,40 @@ def test_stage_error_in_lowered_split_keeps_its_type(tmp_path):
     with pytest.raises(KeyError, match="'kk' missing"):
         partitioned_map(ray.data.read_parquet(d), _running_sum, key="kk",
                         sort_keys=["k"], num_partitions=3)
+
+
+@pytest.mark.parametrize("exc", [ValueError, AttributeError])
+@pytest.mark.parametrize("consumer", ["materialized_block_refs",
+                                      "partitioned_map"])
+def test_stage_error_in_drained_input_keeps_its_type(exc, consumer,
+                                                     tmp_path):
+    """A stage that raises in a drained map (one file read at 8 blocks,
+    so not lowered) surfaces with its own type and message, both under
+    ``materialized_block_refs`` and through the exchange, and the
+    upstream runs once: nothing catches the error and re-runs the
+    plan."""
+    from featurebox_ray.stages.partition import (_read_and_maps,
+                                                 materialized_block_refs)
+
+    d = _write_parquet(tmp_path / "in",
+                       pa.Table.from_pylist(_side_rows(400, 7, 0, 5)), 1)
+    marker = str(tmp_path / "raised")
+
+    def refuse_ts_13(t: pa.Table) -> pa.Table:
+        if 13 in t["ts"].to_pylist():
+            with open(marker, "a") as f:
+                f.write("x")
+            raise exc("stage refused ts 13")
+        return t
+
+    ds = ray.data.read_parquet(d, override_num_blocks=8).map_batches(
+        refuse_ts_13, batch_format="pyarrow", batch_size=None)
+    assert _read_and_maps(ds) is None
+    with pytest.raises(exc, match="stage refused ts 13"):
+        if consumer == "materialized_block_refs":
+            materialized_block_refs(ds)
+        else:
+            partitioned_map(ds, _running_sum, key="k",
+                            sort_keys=["k", "ts"], num_partitions=3)
+    with open(marker) as f:
+        assert f.read() == "x"
