@@ -1066,7 +1066,7 @@ def _min_components_q(sf_dir: str):
     40-id blocks, so the oracle is ``doc_id − doc_id % 40`` with NO
     recursion.  The engine runs the real multi-super-round min-label
     propagation (stages/components.py:min_label_components — edge-min
-    exchanges + pointer jumping over 8 partitions; chain diameter ~16
+    supersteps + pointer jumping over 8 partitions; chain diameter ~16
     exercises the jumping), then labels the corpus via the broadcast
     apply.  Duplicate edges and the partial final block are covered
     by construction."""
@@ -1149,10 +1149,9 @@ def _skew_report_q(sf_dir: str):
         batch_format="pyarrow", batch_size=None))), keys=[], vals=["n"])
     total = 0 if rows is None else rows["n"][0].as_py()
     top = key_histogram(ev, "user_id", top=10)
-    n = top["count()"].astype("int64")
+    n = top["count()"]
     return pa.table({
-        "user_id": pa.array(top["user_id"].astype("int64"),
-                            pa.int64()),
+        "user_id": pa.array(top["user_id"], pa.int64()),
         "n": pa.array(n, pa.int64()),
         "share": pa.array([float(v) / float(total) for v in n],
                           pa.float64())})
@@ -2580,9 +2579,9 @@ def _scd2_apply_q(sf_dir: str):
 def _two_hop_q(sf_dir: str):
     """q259: two-hop reach over the hourly co-occurrence graph
     (stages/graph.py:two_hop_reach) — wedges at the mid node
-    (degree-capped, q234 hub rule), tagged-union dedup/subtract at
-    the source.  SQL replays with a DISTINCT wedge self-join + NOT
-    EXISTS anti-join."""
+    (degree-capped, q234 hub rule), then dedup and subtract at the
+    source over one sorted input of direct and wedge rows.  SQL
+    replays with a DISTINCT wedge self-join + NOT EXISTS anti-join."""
     import ray
 
     from featurebox_ray.stages.graph import (two_hop_reach,
@@ -3176,8 +3175,8 @@ def _mahalanobis_q(sf_dir: str):
 def _bfs_q(sf_dir: str):
     """q240: multi-source BFS hop distance from seed users
     (user_id % 17 == 0) over the hourly co-occurrence graph
-    (stages/graph.py:bfs_hops) — frontier-bounded min-fold rounds on
-    the k_core exchange skeleton, all-int, capped at 4 hops.  SQL
+    (stages/graph.py:bfs_hops) — frontier-bounded min-fold rounds,
+    each one vertex-program superstep, all-int, capped at 4 hops.  SQL
     replays with a recursive CTE (UNION-dedup on (node, d)) +
     min(d) per node."""
     import ray
@@ -3198,10 +3197,10 @@ def _bfs_q(sf_dir: str):
 def _k_core_q(sf_dir: str):
     """q239: core-number decomposition of the hourly user
     co-occurrence graph (stages/graph.py:k_core) — h-index fixed
-    point over two tagged-union exchanges per round, all-int, order-
-    independent invariant.  Fixture oracle: INDEPENDENT serial replay
-    (_oracle_replays.replay_k_core — dict/set edge build +
-    Batagelj–Zaveršnik bucket peeling)."""
+    point, one vertex-program superstep (two node-keyed exchanges) per
+    round, all-int, order-independent invariant.  Fixture oracle:
+    INDEPENDENT serial replay (_oracle_replays.replay_k_core — dict/set
+    edge build + Batagelj–Zaveršnik bucket peeling)."""
     import os
 
     import pyarrow as pa
@@ -7937,17 +7936,13 @@ def _radius_neighbors(sf_dir: str):
 def _skew_probe(sf_dir: str):
     """Key-skew histogram (the salting-decision probe,
     stages/partition.py:key_histogram): rows per user, top 10."""
-    import pyarrow as pa
     import ray
 
     from featurebox_ray.stages.partition import key_histogram
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
     df = key_histogram(ev, "user_id", top=10)
-    df = df.rename(columns={"count()": "n_rows"})
-    df["user_id"] = df["user_id"].astype("int64")
-    df["n_rows"] = df["n_rows"].astype("int64")
-    return df
+    return df.rename(columns={"count()": "n_rows"})
 
 
 def _consensus_rank(sf_dir: str):

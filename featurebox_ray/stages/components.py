@@ -7,23 +7,23 @@ Physical plan, size-dispatched (the auto_join pattern): pair sets up
 to ``small_threshold`` run serial union-find in ONE off-driver Ray
 task (milliseconds at test scale); larger sets run fully distributed
 — the pair set is then NEVER concatenated on one worker — as
-iterative min-label propagation over the node-keyed task exchange.
-Per super-round:
+iterative min-label propagation, a vertex program on
+``graph.superstep``.  Per super-round:
 
-* **edge-min** (two exchanges, the ``k_core`` message shape): each
-  node's current label routes onto its half-edges keyed by the
-  recipient, which folds ``lab ← min(lab, incoming)`` — extends label
-  knowledge by one hop;
-* **pointer jump** (one exchange over the label map itself): each node
-  ``u`` re-keys to ``lab(u)`` and adopts ``lab(lab(u))`` — halves
-  pointer chains, so convergence is O(log diameter) super-rounds
-  rather than O(diameter) (a 2^16-node path converges in ~16 rounds,
-  not 32768).
+* **edge-min** (one superstep): each node's current label routes onto
+  its half-edges keyed by the recipient, which folds ``lab ← min(lab,
+  incoming)`` — extends label knowledge by one hop;
+* **pointer jump** (one node exchange of the labels and the requests
+  they make): each node ``u`` asks ``lab(u)`` for its label and adopts
+  ``lab(lab(u))`` — halves pointer chains, so convergence is O(log
+  diameter) super-rounds rather than O(diameter) (a 2^16-node path
+  converges in ~16 rounds, not 32768).
 
 Every exchange ships O(V + E) int64 rows sharded across
 ``num_partitions`` gather tasks; per-round state lives in the object
-store and the convergence check is a distributed ``sum("changed")`` —
-nothing graph-sized touches the driver.
+store as block refs and the convergence check is one small task per
+block (``graph.changed_rows``) — nothing graph-sized touches the
+driver.
 
 Determinism: the component label (min reachable id) is a property of
 the edge SET — independent of edge order, block structure, or the
@@ -81,7 +81,8 @@ def min_label_components(pairs_ds, *, pair_cols=("id_a", "id_b"),
 
     Returns a Dataset ``(node:int64, component:int64)`` with one row
     per distinct node appearing in any pair; ``component`` = min id
-    reachable.  NULL ids and self-pairs are ignored.  Raises if
+    reachable.  A pair with a NULL id is dropped; a self-pair links
+    nothing but still gives its node a row.  Raises if
     ``max_iters`` super-rounds don't converge (needs ~log2(diameter)
     rounds).
 
@@ -96,34 +97,24 @@ def min_label_components(pairs_ds, *, pair_cols=("id_a", "id_b"),
     min-label invariant."""
     import ray
 
-    from .partition import materialized_block_refs, partitioned_map
+    from .graph import (changed_rows, half_edges, map_blocks,
+                        node_exchange, superstep)
 
     ca, cb = pair_cols
 
-    def symm(b: pa.Table) -> pa.Table:
-        if ca not in b.column_names:
-            # Ray shuffle ops emit benign zero-column empty bundles
-            return pa.table({"__k": pa.array([], pa.int64()),
-                             "to": pa.array([], pa.int64())})
-        keep = pc.fill_null(pc.and_(pc.is_valid(b[ca]),
-                                    pc.is_valid(b[cb])), False)
-        if not pc.all(keep).as_py():
-            b = b.filter(keep)
-        s = b[ca].combine_chunks().cast(pa.int64())
-        d = b[cb].combine_chunks().cast(pa.int64())
-        return pa.table({
-            "__k": pa.concat_arrays([s, d]),
-            "to": pa.concat_arrays([d, s])})
+    def valid(b: pa.Table) -> pa.Table:
+        if b.num_rows == 0:
+            return b
+        return b.filter(pc.and_(pc.is_valid(b[ca]), pc.is_valid(b[cb])))
 
-    half = pairs_ds.map_batches(symm, batch_format="pyarrow",
-                                zero_copy_batch=True)
-    edge_refs = list(materialized_block_refs(half))
-    empty_out = pa.table({"node": pa.array([], pa.int64()),
-                          "component": pa.array([], pa.int64())})
-    n_half = (ray.data.from_arrow_refs(list(edge_refs)).count()
-              if edge_refs else 0)
+    edges = half_edges(pairs_ds.map_batches(
+        valid, batch_format="pyarrow", zero_copy_batch=True),
+        ca, cb, who="min_label_components")
+    n_half = ray.data.from_arrow_refs(edges).count() if edges else 0
     if n_half == 0:
-        return ray.data.from_arrow(empty_out)
+        return ray.data.from_arrow(pa.table({
+            "node": pa.array([], pa.int64()),
+            "component": pa.array([], pa.int64())}))
 
     if n_half <= 2 * small_threshold:
         # small path: one off-driver task, serial union-find
@@ -140,76 +131,37 @@ def min_label_components(pairs_ds, *, pair_cols=("id_a", "id_b"),
             return pa.table({"node": pa.array(keys[order]),
                              "component": pa.array(vals[order])})
 
-        return ray.data.from_arrow_refs(
-            [small_labels.remote(*edge_refs)])
+        return ray.data.from_arrow_refs([small_labels.remote(*edges)])
 
-    def edges_dataset():
-        return ray.data.from_arrow_refs(list(edge_refs))
-
-    val_empty = pa.table({"__k": pa.array([], pa.int64()),
-                          "lab": pa.array([], pa.int64()),
-                          "changed": pa.array([], pa.int64())})
-
-    def init_kernel(t: pa.Table) -> pa.Table:
-        # sorted (__k, to): per node, lab = min(node, smallest neighbor)
-        if t.num_rows == 0 or "__k" not in t.column_names:
-            return val_empty
-        n = t["__k"].to_numpy(zero_copy_only=False)
-        to = t["to"].to_numpy(zero_copy_only=False)
-        new_run = np.concatenate([[True], n[1:] != n[:-1]])
-        starts = np.flatnonzero(new_run)
-        lab = np.minimum(n[starts], to[starts]).astype(np.int64)
-        return pa.table({"__k": pa.array(n[starts].astype(np.int64)),
-                         "lab": pa.array(lab),
-                         "changed": pa.array(
-                             np.ones(len(starts), np.int64))})
-
-    values = partitioned_map(edges_dataset(), init_kernel, key="__k",
-                             sort_keys=["__k", "to"],
-                             num_partitions=num_partitions)
-    value_refs = list(materialized_block_refs(values))
+    def init(e: pa.Table) -> pa.Table:
+        # per node, lab = min(node, smallest neighbor)
+        n = seg.ints(e, "__k")
+        starts = seg.run_starts(n)
+        lab = n[starts].copy()
+        np.minimum.at(lab, np.searchsorted(n[starts], n), seg.ints(e, "to"))
+        return pa.table({"__k": pa.array(n[starts]), "lab": pa.array(lab),
+                         "changed": pa.array(np.ones(len(starts),
+                                                     np.int64))})
 
     # ---- phase a: edge-min (route labels over edges, fold min) ----
 
-    def route_kernel(vals: pa.Table, edges: pa.Table) -> pa.Table:
-        # emit the own state row (tag 0) plus (to, lab_owner) messages
-        # (tag 1)
-        n = seg.ints(vals, "__k")
-        starts, run = seg.owners(n, seg.ints(edges, "__k"),
+    def send(vals: pa.Table, e: pa.Table) -> pa.Table:
+        starts, run = seg.owners(seg.ints(vals, "__k"), seg.ints(e, "__k"),
                                  "min_label_components: node in edge "
                                  "list missing a value row")
-        lab_owner = seg.ints(vals, "lab")[starts]
-        to = seg.ints(edges, "to")
-        own = pa.table({"__k": pa.array(n[starts]),
-                        "__tag": pa.array(np.zeros(len(starts), np.int8)),
-                        "cand": pa.array(np.zeros(len(starts), np.int64)),
-                        "lab": pa.array(lab_owner)})
-        msgs = pa.table({"__k": pa.array(to),
-                         "__tag": pa.array(np.ones(len(to), np.int8)),
-                         "cand": pa.array(lab_owner[run]),
-                         "lab": pa.nulls(len(to), pa.int64())})
-        return pa.concat_tables([own, msgs])
+        return pa.table({"__k": pa.array(seg.ints(e, "to")),
+                         "cand": pa.array(
+                             seg.ints(vals, "lab")[starts][run])})
 
-    def fold_kernel(t: pa.Table) -> pa.Table:
-        # sorted (__k, __tag): per run, min over {own lab} ∪ {cands}
-        if t.num_rows == 0 or "__k" not in t.column_names:
-            return val_empty
-        n = t["__k"].to_numpy(zero_copy_only=False)
-        tag = t["__tag"].to_numpy(zero_copy_only=False)
-        new_run = np.concatenate([[True], n[1:] != n[:-1]])
-        run_id = np.cumsum(new_run.astype(np.int64)) - 1
-        starts = np.flatnonzero(new_run)
-        if (tag[starts] != 0).any():
-            raise ValueError("min_label_components: message run "
-                             "missing its state row")
-        lab_old = pc.fill_null(t["lab"].combine_chunks(), 0).to_numpy(
-            zero_copy_only=False).astype(np.int64)[starts]
-        cand = pc.fill_null(t["cand"].combine_chunks(), 0).to_numpy(
-            zero_copy_only=False).astype(np.int64)
+    def fold(vals: pa.Table, msgs: pa.Table) -> pa.Table:
+        n = seg.ints(vals, "__k")
+        starts, run = seg.owners(n, seg.ints(msgs, "__k"),
+                                 "min_label_components: message for a "
+                                 "node without a value row")
+        lab_old = seg.ints(vals, "lab")[starts]
         lab_new = lab_old.copy()
-        is_msg = tag == 1
-        np.minimum.at(lab_new, run_id[is_msg], cand[is_msg])
-        return pa.table({"__k": pa.array(n[starts].astype(np.int64)),
+        np.minimum.at(lab_new, run, seg.ints(msgs, "cand"))
+        return pa.table({"__k": pa.array(n[starts]),
                          "lab": pa.array(lab_new),
                          "changed": pa.array(
                              (lab_new != lab_old).astype(np.int64))})
@@ -220,7 +172,7 @@ def min_label_components(pairs_ds, *, pair_cols=("id_a", "id_b"),
         # node u asks run lab(u) for lab(lab(u))
         return pa.table({"__k": b["lab"], "node": b["__k"]})
 
-    def jump_kernel(state: pa.Table, req: pa.Table) -> pa.Table:
+    def jump(state: pa.Table, req: pa.Table) -> pa.Table:
         # every request (u with lab(u) = k) adopts m = lab(k).  Each
         # node emits exactly once (via its single request row).
         k = seg.ints(req, "__k")                # request key == lab(u)
@@ -234,29 +186,14 @@ def min_label_components(pairs_ds, *, pair_cols=("id_a", "id_b"),
                          "lab": pa.array(m),
                          "changed": pa.array((m != k).astype(np.int64))})
 
+    values = node_exchange([edges], init, num_partitions)
     it = 0
     changed = 1
     while changed and it < max_iters:
-        msgs = partitioned_map(
-            [ray.data.from_arrow_refs(list(value_refs)), edges_dataset()],
-            route_kernel, key="__k", sort_keys=[["__k"], ["__k"]],
-            num_partitions=num_partitions)
-        folded = partitioned_map(msgs, fold_kernel, key="__k",
-                                 sort_keys=["__k", "__tag"],
-                                 num_partitions=num_partitions)
-        fold_refs = list(materialized_block_refs(folded))
-        changed_a = int(ray.data.from_arrow_refs(list(fold_refs))
-                        .sum("changed") or 0)
-        vals_ds = ray.data.from_arrow_refs(list(fold_refs))
-        jumped = partitioned_map(
-            [vals_ds, vals_ds.map_batches(request, batch_format="pyarrow",
-                                          zero_copy_batch=True)],
-            jump_kernel, key="__k", sort_keys=[["__k"], ["__k"]],
-            num_partitions=num_partitions)
-        value_refs = list(materialized_block_refs(jumped))
-        changed_b = int(ray.data.from_arrow_refs(list(value_refs))
-                        .sum("changed") or 0)
-        changed = changed_a + changed_b
+        folded = superstep(values, edges, send, fold, num_partitions)
+        values = node_exchange([folded, map_blocks(request, folded)],
+                               jump, num_partitions)
+        changed = changed_rows(folded + values)
         it += 1
     if changed:
         raise RuntimeError(
@@ -266,7 +203,7 @@ def min_label_components(pairs_ds, *, pair_cols=("id_a", "id_b"),
     def finalize(b: pa.Table) -> pa.Table:
         return pa.table({"node": b["__k"], "component": b["lab"]})
 
-    return ray.data.from_arrow_refs(list(value_refs)).map_batches(
+    return ray.data.from_arrow_refs(values).map_batches(
         finalize, batch_format="pyarrow", zero_copy_batch=True)
 
 

@@ -1,28 +1,40 @@
-"""Distributed PageRank in exact fixed-point arithmetic — the iterative
-graph-centrality primitive (content/entity importance ranking over a
-link or co-occurrence graph; the classic web-corpus quality prior for
-training-data curation).
+"""Graph operators over int64 node ids, and the vertex-program round
+that the iterative ones share.
 
-Floating-point PageRank is order-dependent (float sums), so this engine
-runs the iteration entirely in scaled INTEGERS: ranks are int64 in
-units of ``2^-scale_bits``, each edge contributes ``rank // outdeg``
+The iterative operators -- :func:`pagerank`, :func:`k_core`,
+:func:`bfs_hops` and ``components.min_label_components`` -- are vertex
+programs: every node holds one value row keyed ``__k``, and each round
+is one :func:`superstep` over block refs.  A superstep is two
+``__k``-keyed task exchanges, each with one sorted table per input
+(:func:`node_exchange`):
+
+1. ``send(values, edges)``, keyed by the owner, routes each node's value
+   onto its out-edges and returns only the messages, keyed ``__k`` by
+   the recipient;
+2. ``fold(values, msgs)``, keyed by the recipient, folds each node's
+   messages into its new value row.
+
+The edge blocks are materialized once (:func:`half_edges` gives both
+directions of an undirected edge list) and re-split every round; the
+values stay block refs from round to round, and a round's
+``changed`` count is one small task per block (:func:`changed_rows`), so
+no round runs a Ray Data execution and nothing graph-sized reaches the
+driver.  Every fold and min is an exact integer operation, so the
+result does not depend on partitioning or block layout.
+
+:func:`pagerank` runs the iteration in scaled INTEGERS: ranks are int64
+in units of ``2^-scale_bits``, each edge contributes ``rank // outdeg``
 (floor division), and the update is
 
     r' = (3·S) // 20  +  (17 · Σ contrib) // 20        (damping 0.85)
 
-— every operation an exact integer op, so the result is independent of
-summation order, partitioning, AND replays bit-exactly in SQL.  The
+-- every operation an exact integer op, so the result is independent of
+summation order and partitioning, and replays bit-exactly in SQL.  The
 quantization error vs real PageRank is ≤ outdeg·2^-scale_bits per node
-per iteration — noise at ``scale_bits=40``.
-
-Scale shape: per iteration exactly TWO keyed exchanges of
-metadata-sized tables — (A) ranks route to their node's edge partition
-and emit PER-PARTITION pre-aggregated ``(dst, partial_sum)`` rows (the
-combiner runs inside the kernel, so the second exchange moves
-O(partitions × nodes-touched), never O(edges)); (B) partials + the node
-list merge into the new rank vector.  Edges are partitioned ONCE by
-``src`` and re-used via materialized block refs across all iterations —
-no driver-side state beyond dataset lineage.
+per iteration -- noise at ``scale_bits=40``.  Its ``send`` pre-aggregates
+per partition (one ``(dst, partial_sum)`` row per destination it
+touches), so the message exchange moves O(partitions × nodes touched),
+never O(edges).
 
 Reference analog: none (no graph ops in the reference); added as the
 iterative-algorithm representative alongside k-means
@@ -37,7 +49,71 @@ import pyarrow.compute as pc
 
 from ..functions import segments as seg
 
-__all__ = ["pagerank"]
+__all__ = ["bfs_hops", "changed_rows", "degree_assortativity",
+           "half_edges", "k_core", "map_blocks", "node_exchange",
+           "pagerank", "superstep", "triangle_count", "two_hop_reach",
+           "window_cooccurrence_edges"]
+
+
+def half_edges(edges_ds, a: str, b: str, *, who: str) -> list:
+    """Block refs of the half-edges ``(__k, to)`` int64 of the edge list
+    ``(a, b)``, in both directions, materialized once: the edge input a
+    vertex program re-reads every round.  A NULL id raises
+    ``ValueError`` naming ``who``."""
+    from .partition import materialized_block_refs
+
+    def symm(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:  # zero-column empty blocks included
+            return pa.table({"__k": pa.array([], pa.int64()),
+                             "to": pa.array([], pa.int64())})
+        if t[a].null_count or t[b].null_count:
+            raise ValueError(f"{who}: NULL node ids in the edge list")
+        s = t[a].combine_chunks().cast(pa.int64())
+        d = t[b].combine_chunks().cast(pa.int64())
+        return pa.table({"__k": pa.concat_arrays([s, d]),
+                         "to": pa.concat_arrays([d, s])})
+
+    return materialized_block_refs(edges_ds.map_batches(
+        symm, batch_format="pyarrow", zero_copy_batch=True))
+
+
+def node_exchange(inputs, kernel, num_partitions: int) -> list:
+    """Run ``kernel(t_0, ..., t_k)`` once per hash partition of the node
+    id ``__k`` over ``inputs`` (lists of block refs, or Datasets): each
+    input one table sorted by ``__k``, tied rows in block order, an
+    input with no rows there empty in its own schema.  Returns the
+    gather refs."""
+    from .partition import task_exchange
+
+    return task_exchange(inputs, lambda _p, ts: kernel(*ts), key="__k",
+                         sort_keys=[["__k"]] * len(inputs),
+                         num_partitions=num_partitions)
+
+
+def superstep(values, edges, send, fold, num_partitions: int) -> list:
+    """One vertex-program round over block refs: ``send(values, edges)``
+    runs keyed on the owner and returns the messages keyed ``__k`` by
+    recipient; ``fold(values, msgs)`` runs keyed on the recipient and
+    returns the new value rows, whose block refs come back."""
+    msgs = node_exchange([values, edges], send, num_partitions)
+    return node_exchange([values, msgs], fold, num_partitions)
+
+
+def map_blocks(fn, refs) -> list:
+    """``fn`` over each block of ``refs``, one small task per block."""
+    import ray
+
+    task = ray.remote(fn)
+    return [task.remote(r) for r in refs]
+
+
+def changed_rows(refs) -> int:
+    """The sum of ``changed`` over the value blocks ``refs``, one small
+    task per block (no Ray Data execution)."""
+    import ray
+
+    return sum(ray.get(map_blocks(
+        lambda t: pc.sum(t["changed"]).as_py() or 0, refs)))
 
 
 def pagerank(edges_ds, *, src_col: str = "src", dst_col: str = "dst",
@@ -46,10 +122,12 @@ def pagerank(edges_ds, *, src_col: str = "src", dst_col: str = "dst",
     """PageRank over a directed edge list (int64 node ids, pre-deduped,
     every node present as a ``src`` at least once — callers with
     dangling nodes add self-loops or filter).  Returns ``(node:int64,
-    rank:int64)`` with ranks in units of ``2^-scale_bits``."""
-    import ray
+    rank:int64)`` with ranks in units of ``2^-scale_bits``.
 
-    from .partition import materialized_block_refs, partitioned_map
+    One src-keyed exchange attaches out-degrees to the edges, whose
+    blocks every round re-reads; each of ``iters`` rounds is one
+    :func:`superstep`."""
+    import ray
 
     S = 1 << scale_bits
     T = (3 * S) // 20
@@ -58,60 +136,32 @@ def pagerank(edges_ds, *, src_col: str = "src", dst_col: str = "dst",
         if b[src_col].null_count or b[dst_col].null_count:
             raise ValueError("pagerank: NULL node ids in the edge list")
         return pa.table({
-            "__n": b[src_col].combine_chunks().cast(pa.int64()),
+            "__k": b[src_col].combine_chunks().cast(pa.int64()),
             "dst": b[dst_col].combine_chunks().cast(pa.int64())})
 
-    prepped = edges_ds.map_batches(prep, batch_format="pyarrow",
-                                   zero_copy_batch=True)
+    def with_outdeg(e: pa.Table) -> pa.Table:
+        n = seg.ints(e, "__k")
+        starts = seg.run_starts(n)
+        lens = np.diff(np.append(starts, len(n)))
+        return e.append_column("outdeg", pa.array(np.repeat(lens, lens)))
 
-    deg_empty = pa.table({"__n": pa.array([], pa.int64()),
-                          "dst": pa.array([], pa.int64()),
-                          "outdeg": pa.array([], pa.int64())})
+    edges = node_exchange([edges_ds.map_batches(
+        prep, batch_format="pyarrow", zero_copy_batch=True)],
+        with_outdeg, num_partitions)
 
-    def deg_kernel(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "__n" not in t.column_names:
-            return deg_empty
-        n = t["__n"].to_numpy(zero_copy_only=False)
-        new_run = np.concatenate([[True], n[1:] != n[:-1]])
-        starts = np.flatnonzero(new_run)
-        lens = np.diff(np.concatenate([starts, [len(n)]]))
-        run_id = np.cumsum(new_run.astype(np.int64)) - 1
-        return t.append_column("outdeg",
-                               pa.array(lens[run_id], pa.int64()))
+    def init_ranks(e: pa.Table) -> pa.Table:
+        # an edge block is a whole src partition, so its first row of
+        # each run gives each node exactly once
+        n = seg.ints(e, "__k")
+        n = n[seg.run_starts(n)]
+        return pa.table({"__k": pa.array(n),
+                         "r": pa.array(np.full(len(n), S, np.int64))})
 
-    # ONE src-keyed exchange computes out-degrees; the partitioned edge
-    # blocks are materialized once and re-read every iteration
-    edges = partitioned_map(prepped, deg_kernel, key="__n",
-                            sort_keys=["__n", "dst"],
-                            num_partitions=num_partitions)
-    edge_refs = list(materialized_block_refs(edges))
-
-    def edges_dataset():
-        return ray.data.from_arrow_refs(list(edge_refs))
-
-    def init_ranks(b: pa.Table) -> pa.Table:
-        n = b["__n"].to_numpy(zero_copy_only=False)
-        first = np.concatenate([[True], n[1:] != n[:-1]])
-        idx = np.flatnonzero(first)
-        return pa.table({
-            "__n": pa.array(n[idx], pa.int64()),
-            "r": pa.array(np.full(len(idx), S, np.int64))})
-
-    # blocks are whole src-partitions, so per-block first-of-run gives
-    # each node exactly once globally
-    ranks = edges_dataset().map_batches(init_ranks,
-                                        batch_format="pyarrow",
-                                        batch_size=None,
-                                        zero_copy_batch=True)
-
-    part_empty = pa.table({"__n": pa.array([], pa.int64()),
-                           "ps": pa.array([], pa.int64())})
-
-    def contrib_kernel(edges: pa.Table, ranks: pa.Table) -> pa.Table:
+    def contrib(ranks: pa.Table, e: pa.Table) -> pa.Table:
         # every edge's source must have exactly one rank row
-        rn = seg.ints(ranks, "__n")
+        rn = seg.ints(ranks, "__k")
         starts, run = seg.owners(
-            rn, seg.ints(edges, "__n"),
+            rn, seg.ints(e, "__k"),
             "pagerank: node with edges but no rank row — edge list "
             "mutated between iterations")
         # a block split mid-partition in init_ranks would silently
@@ -119,18 +169,16 @@ def pagerank(edges_ds, *, src_col: str = "src", dst_col: str = "dst",
         if len(starts) < len(rn):
             raise ValueError("pagerank: duplicate rank rows for a node "
                              "(init saw a split partition block)")
-        if edges.num_rows == 0:
-            return part_empty
-        contrib = seg.ints(ranks, "r")[run] // seg.ints(edges, "outdeg")
-        u, inv = np.unique(seg.ints(edges, "dst"), return_inverse=True)
+        c = seg.ints(ranks, "r")[run] // seg.ints(e, "outdeg")
+        u, inv = np.unique(seg.ints(e, "dst"), return_inverse=True)
         ps = np.zeros(len(u), np.int64)
-        np.add.at(ps, inv, contrib)
-        return pa.table({"__n": pa.array(u, pa.int64()),
+        np.add.at(ps, inv, c)
+        return pa.table({"__k": pa.array(u, pa.int64()),
                          "ps": pa.array(ps)})
 
-    def update_kernel(nodes: pa.Table, parts: pa.Table) -> pa.Table:
-        # partials of a dst without a node row are stale: dropped
-        pn = seg.ints(parts, "__n")
+    def update(ranks: pa.Table, parts: pa.Table) -> pa.Table:
+        # partials of a dst without a rank row are stale: dropped
+        pn = seg.ints(parts, "__k")
         pst = seg.run_starts(pn)
         s = (np.add.reduceat(seg.ints(parts, "ps"), pst) if len(pst)
              else np.empty(0, np.int64))
@@ -138,31 +186,21 @@ def pagerank(edges_ds, *, src_col: str = "src", dst_col: str = "dst",
             raise ValueError("pagerank: contribution sum near int64 "
                              "overflow — raise num_partitions or lower "
                              "scale_bits")
-        n = seg.ints(nodes, "__n")
+        n = seg.ints(ranks, "__k")
         n = n[seg.run_starts(n)]
         r_new = T + (17 * np.append(s, 0)[seg.lookup(pn[pst], n)]) // 20
-        return pa.table({"__n": pa.array(n, pa.int64()),
+        return pa.table({"__k": pa.array(n, pa.int64()),
                          "r": pa.array(r_new, pa.int64())})
 
+    ranks = map_blocks(init_ranks, edges)
     for _ in range(iters):
-        contribs = partitioned_map(
-            [edges_dataset(), ranks], contrib_kernel, key="__n",
-            sort_keys=[["__n", "dst"], ["__n"]],
-            num_partitions=num_partitions)
-        ranks = partitioned_map(
-            [ranks, contribs], update_kernel, key="__n",
-            sort_keys=[["__n"], ["__n"]],
-            num_partitions=num_partitions)
-        # materialize each iteration so lineage doesn't re-execute the
-        # whole chain K times when the next iteration consumes ranks twice
-        ranks = ray.data.from_arrow_refs(
-            list(materialized_block_refs(ranks)))
+        ranks = superstep(ranks, edges, contrib, update, num_partitions)
 
     def rename(b: pa.Table) -> pa.Table:
-        return pa.table({"node": b["__n"], "rank": b["r"]})
+        return pa.table({"node": b["__k"], "rank": b["r"]})
 
-    return ranks.map_batches(rename, batch_format="pyarrow",
-                             zero_copy_batch=True)
+    return ray.data.from_arrow_refs(ranks).map_batches(
+        rename, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def triangle_count(edges_ds, *, src_col: str = "src",
@@ -511,18 +549,16 @@ def k_core(edges_ds, *, max_iters: int = 1024,
     verify with a completely different serial algorithm (bucket
     peeling).
 
-    Shape: per iteration, TWO task exchanges (the pagerank shape):
-    (1) key = value-owner, with the value rows and the half-edges as
-    its two inputs, routes each node's current c onto its outgoing
-    half-edges, (2) key = recipient computes the
-    per-node h-index over gathered neighbor values (one descending
-    sort + rank compare per partition).  Each iteration ships O(2E)
-    int64 rows; rounds to convergence are bounded by the longest
-    strictly-decreasing h-index chain — single digits on social-shaped
-    graphs, but Θ(path length) on chain-shaped peripheries (a 130-node
-    path needs 65 rounds), hence the generous ``max_iters`` runaway
-    cap.  Raises (naming the fix) if the cap is hit with changes
-    pending.  All-int arithmetic — no float anywhere.
+    Shape: one :func:`superstep` per iteration: ``send`` routes each
+    node's current c onto its half-edges, keyed by the recipient, and
+    ``fold`` takes the per-node h-index of the gathered neighbor values
+    (one descending sort + rank compare per partition).  Each iteration
+    ships O(2E) int64 rows; rounds to convergence are bounded by the
+    longest strictly-decreasing h-index chain — single digits on
+    social-shaped graphs, but Θ(path length) on chain-shaped
+    peripheries (a 130-node path needs 65 rounds), hence the generous
+    ``max_iters`` runaway cap.  Raises (naming the fix) if the cap is
+    hit with changes pending.  All-int arithmetic — no float anywhere.
 
     Returns ``(node:int64, degree:int64, core:int64)``.
     Reference analog: none (graph suite extension alongside
@@ -530,131 +566,53 @@ def k_core(edges_ds, *, max_iters: int = 1024,
     """
     import ray
 
-    from .partition import materialized_block_refs, partitioned_map
-
-    def symm(b: pa.Table) -> pa.Table:
-        if b["src"].null_count or b["dst"].null_count:
-            raise ValueError("k_core: NULL node ids in the edge list")
-        s = b["src"].combine_chunks().cast(pa.int64())
-        d = b["dst"].combine_chunks().cast(pa.int64())
-        return pa.table({
-            "__k": pa.concat_arrays([s, d]),
-            "to": pa.concat_arrays([d, s])})
-
-    half_edges = edges_ds.map_batches(symm, batch_format="pyarrow",
-                                      zero_copy_batch=True)
-    edge_refs = list(materialized_block_refs(half_edges))
-    if not edge_refs or ray.data.from_arrow_refs(
-            list(edge_refs)).count() == 0:
+    edges = half_edges(edges_ds, "src", "dst", who="k_core")
+    if not edges or ray.data.from_arrow_refs(edges).count() == 0:
         return pa.table({"node": pa.array([], pa.int64()),
                          "degree": pa.array([], pa.int64()),
                          "core": pa.array([], pa.int64())})
 
-    def edges_dataset():
-        return ray.data.from_arrow_refs(list(edge_refs))
-
-    deg_empty = pa.table({"__k": pa.array([], pa.int64()),
-                          "c": pa.array([], pa.int64()),
-                          "deg": pa.array([], pa.int64()),
-                          "changed": pa.array([], pa.int64())})
-
-    def deg_kernel(t: pa.Table) -> pa.Table:
+    def init(e: pa.Table) -> pa.Table:
         # per __k-run length = degree; init c = degree
-        if t.num_rows == 0 or "__k" not in t.column_names:
-            return deg_empty
-        n = t["__k"].to_numpy(zero_copy_only=False)
-        new_run = np.concatenate([[True], n[1:] != n[:-1]])
-        starts = np.flatnonzero(new_run)
-        lens = np.diff(np.append(starts, len(n)))
-        return pa.table({"__k": pa.array(n[starts]),
-                         "c": pa.array(lens.astype(np.int64)),
-                         "deg": pa.array(lens.astype(np.int64)),
-                         "changed": pa.array(
-                             np.ones(len(starts), np.int64))})
+        n = seg.ints(e, "__k")
+        starts = seg.run_starts(n)
+        deg = np.diff(np.append(starts, len(n)))
+        return pa.table({"__k": pa.array(n[starts]), "c": pa.array(deg),
+                         "deg": pa.array(deg),
+                         "changed": pa.array(np.ones(len(starts),
+                                                     np.int64))})
 
-    values = partitioned_map(edges_dataset(), deg_kernel, key="__k",
-                             sort_keys=["__k", "to"],
-                             num_partitions=num_partitions)
-    value_refs = list(materialized_block_refs(values))
-
-    def route_kernel(vals: pa.Table, edges: pa.Table) -> pa.Table:
-        # emit the owner's c onto every outgoing half-edge, re-keyed by
-        # the recipient, PLUS the owner's own state row (tag 0)
-        n = seg.ints(vals, "__k")
-        starts, run = seg.owners(n, seg.ints(edges, "__k"),
+    def send(vals: pa.Table, e: pa.Table) -> pa.Table:
+        starts, run = seg.owners(seg.ints(vals, "__k"), seg.ints(e, "__k"),
                                  "k_core: node in edge list missing a "
                                  "value row")
-        c_owner = seg.ints(vals, "c")[starts]
-        to = seg.ints(edges, "to")
-        own = pa.table({"__k": pa.array(n[starts]),
-                        "__tag": pa.array(
-                            np.zeros(len(starts), np.int8)),
-                        "cn": pa.array(np.zeros(len(starts),
-                                               np.int64)),
-                        "c": pa.array(c_owner),
-                        "deg": pa.array(seg.ints(vals, "deg")[starts])})
-        msgs = pa.table({"__k": pa.array(to),
-                         "__tag": pa.array(np.ones(len(to), np.int8)),
-                         "cn": pa.array(c_owner[run]),
-                         "c": pa.nulls(len(to), pa.int64()),
-                         "deg": pa.nulls(len(to), pa.int64())})
-        return pa.concat_tables([own, msgs])
+        return pa.table({"__k": pa.array(seg.ints(e, "to")),
+                         "cn": pa.array(seg.ints(vals, "c")[starts][run])})
 
-    def hindex_kernel(t: pa.Table) -> pa.Table:
-        # sorted (__k, __tag, -cn is not needed): per run, state row
-        # first, then neighbor values; h-index via descending sort +
-        # rank compare
-        if t.num_rows == 0 or "__k" not in t.column_names:
-            return deg_empty
-        n = t["__k"].to_numpy(zero_copy_only=False)
-        tag = t["__tag"].to_numpy(zero_copy_only=False)
-        cn = pc.fill_null(t["cn"].combine_chunks(), 0).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        new_run = np.concatenate([[True], n[1:] != n[:-1]])
-        run_id = np.cumsum(new_run.astype(np.int64)) - 1
-        starts = np.flatnonzero(new_run)
-        if (tag[starts] != 0).any():
-            raise ValueError("k_core: message run missing its state "
-                             "row")
-        c_old = pc.fill_null(t["c"].combine_chunks(), 0).to_numpy(
-            zero_copy_only=False).astype(np.int64)[starts]
-        deg = pc.fill_null(t["deg"].combine_chunks(), 0).to_numpy(
-            zero_copy_only=False).astype(np.int64)[starts]
-        is_msg = tag == 1
-        # descending cn within run: sort by (run, -cn)
-        order = np.lexsort((-cn[is_msg], run_id[is_msg]))
-        rid = run_id[is_msg][order]
-        vals = cn[is_msg][order]
-        # local rank within run (1-based)
-        msg_new = np.concatenate([[True], rid[1:] != rid[:-1]])
-        msg_starts = np.flatnonzero(msg_new)
-        msg_runid = np.cumsum(msg_new.astype(np.int64)) - 1
-        rank = np.arange(len(vals)) - msg_starts[msg_runid] + 1
-        ok = vals >= rank
-        h = np.zeros(len(starts), np.int64)
-        # rid values index the outer runs directly
-        np.add.at(h, rid[ok], 1)
+    def fold(vals: pa.Table, msgs: pa.Table) -> pa.Table:
+        # h-index per node: its messages by descending cn, each one
+        # ranked within its node, count the values >= their rank
+        n = seg.ints(vals, "__k")
+        starts, run = seg.owners(n, seg.ints(msgs, "__k"),
+                                 "k_core: message for a node without a "
+                                 "value row")
+        cn = seg.ints(msgs, "cn")
+        order = np.lexsort((-cn, run))
+        rid = run[order]
+        rank = np.arange(len(rid)) - np.searchsorted(rid, rid) + 1
+        h = np.bincount(rid[cn[order] >= rank], minlength=len(starts))
+        c_old = seg.ints(vals, "c")[starts]
         return pa.table({"__k": pa.array(n[starts]),
-                         "c": pa.array(h),
-                         "deg": pa.array(deg),
-                         "changed": pa.array(
-                             (h != c_old).astype(np.int64))})
+                         "c": pa.array(h.astype(np.int64)),
+                         "deg": pa.array(seg.ints(vals, "deg")[starts]),
+                         "changed": pa.array((h != c_old).astype(np.int64))})
 
+    values = node_exchange([edges], init, num_partitions)
     it = 0
     changed = 1
     while changed and it < max_iters:
-        msgs = partitioned_map(
-            [ray.data.from_arrow_refs(list(value_refs)), edges_dataset()],
-            route_kernel, key="__k", sort_keys=[["__k"], ["__k"]],
-            num_partitions=num_partitions)
-        nxt = partitioned_map(msgs, hindex_kernel, key="__k",
-                              sort_keys=["__k", "__tag"],
-                              num_partitions=num_partitions)
-        value_refs = list(materialized_block_refs(nxt))
-        # distributed reduce over the materialized refs — per-node
-        # state never lands on the driver
-        changed = int(ray.data.from_arrow_refs(list(value_refs))
-                      .sum("changed") or 0)
+        values = superstep(values, edges, send, fold, num_partitions)
+        changed = changed_rows(values)
         it += 1
     if changed:
         raise RuntimeError(
@@ -666,7 +624,7 @@ def k_core(edges_ds, *, max_iters: int = 1024,
         return pa.table({"node": b["__k"], "degree": b["deg"],
                          "core": b["c"]})
 
-    return ray.data.from_arrow_refs(list(value_refs)).map_batches(
+    return ray.data.from_arrow_refs(values).map_batches(
         finalize, batch_format="pyarrow", zero_copy_batch=True)
 
 
@@ -680,14 +638,13 @@ def bfs_hops(edges_ds, *, seed_mod: int = 17, max_hops: int = 6,
     landmark-distance / influence-radius feature (how far is each
     actor from the moderated/flagged set?).
 
-    Shape: frontier iteration on the k_core exchange skeleton — per
-    round, ONLY nodes whose distance improved last round send
-    ``dist+1`` to their neighbors (exchange 1, keyed by owner), and
-    recipients fold ``min(old, min(incoming))`` (exchange 2, keyed by
-    recipient).  Message volume is frontier-bounded (Σ over rounds =
-    one relaxation per directed edge in the worst case), rounds ≤
-    ``max_hops``.  All-int arithmetic; min-fold is order-independent,
-    so the result is exact and partition-invariant.
+    Shape: frontier iteration, one :func:`superstep` per round — ONLY
+    nodes whose distance improved last round send ``dist+1`` to their
+    neighbors, and recipients fold ``min(old, min(incoming))``.
+    Message volume is frontier-bounded (Σ over rounds = one relaxation
+    per directed edge in the worst case), rounds ≤ ``max_hops``.
+    All-int arithmetic; min-fold is order-independent, so the result
+    is exact and partition-invariant.
 
     SQL replays with a recursive CTE (``UNION`` dedup on (node, d),
     ``WHERE d < max_hops``) + ``min(d)`` per node.
@@ -697,128 +654,58 @@ def bfs_hops(edges_ds, *, seed_mod: int = 17, max_hops: int = 6,
     """
     import ray
 
-    from .partition import materialized_block_refs, partitioned_map
-
     UNSET = np.int64(2**62)
 
-    def symm(b: pa.Table) -> pa.Table:
-        if b["src"].null_count or b["dst"].null_count:
-            raise ValueError("bfs_hops: NULL node ids in the edge "
-                             "list")
-        s = b["src"].combine_chunks().cast(pa.int64())
-        d = b["dst"].combine_chunks().cast(pa.int64())
-        return pa.table({"__k": pa.concat_arrays([s, d]),
-                         "to": pa.concat_arrays([d, s])})
+    edges = half_edges(edges_ds, "src", "dst", who="bfs_hops")
+    if not edges or ray.data.from_arrow_refs(edges).count() == 0:
+        return pa.table({"node": pa.array([], pa.int64()),
+                         "hops": pa.array([], pa.int64())})
 
-    half_edges = edges_ds.map_batches(symm, batch_format="pyarrow",
-                                      zero_copy_batch=True)
-    edge_refs = list(materialized_block_refs(half_edges))
-    out_empty = pa.table({"node": pa.array([], pa.int64()),
-                          "hops": pa.array([], pa.int64())})
-    if not edge_refs or ray.data.from_arrow_refs(
-            list(edge_refs)).count() == 0:
-        return out_empty
-
-    def edges_dataset():
-        return ray.data.from_arrow_refs(list(edge_refs))
-
-    val_empty = pa.table({"__k": pa.array([], pa.int64()),
-                          "d": pa.array([], pa.int64()),
-                          "changed": pa.array([], pa.int64())})
-
-    def init_kernel(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "__k" not in t.column_names:
-            return val_empty
-        n = t["__k"].to_numpy(zero_copy_only=False)
-        new_run = np.concatenate([[True], n[1:] != n[:-1]])
-        nodes = n[np.flatnonzero(new_run)]
+    def init(e: pa.Table) -> pa.Table:
+        n = seg.ints(e, "__k")
+        nodes = n[seg.run_starts(n)]
         is_seed = (nodes % seed_mod) == 0
-        d = np.where(is_seed, np.int64(0), UNSET)
         return pa.table({"__k": pa.array(nodes),
-                         "d": pa.array(d),
-                         "changed": pa.array(
-                             is_seed.astype(np.int64))})
+                         "d": pa.array(np.where(is_seed, np.int64(0), UNSET)),
+                         "changed": pa.array(is_seed.astype(np.int64))})
 
-    values = partitioned_map(edges_dataset(), init_kernel, key="__k",
-                             sort_keys=["__k", "to"],
-                             num_partitions=num_partitions)
-    value_refs = list(materialized_block_refs(values))
-    frontier = int(ray.data.from_arrow_refs(list(value_refs))
-                   .sum("changed") or 0)
-
-    def route_kernel(vals: pa.Table, edges: pa.Table) -> pa.Table:
-        n = seg.ints(vals, "__k")
-        starts, run = seg.owners(n, seg.ints(edges, "__k"),
+    def send(vals: pa.Table, e: pa.Table) -> pa.Table:
+        starts, run = seg.owners(seg.ints(vals, "__k"), seg.ints(e, "__k"),
                                  "bfs_hops: node missing a value row")
-        d_owner = seg.ints(vals, "d")[starts]
-        ch_owner = seg.ints(vals, "changed")[starts]
+        d = seg.ints(vals, "d")[starts][run]
         # frontier-only, capped expansion
-        send = (ch_owner[run] == 1) & (d_owner[run] < max_hops)
-        to = seg.ints(edges, "to")[send]
-        nd = d_owner[run][send] + 1
-        own = pa.table({"__k": pa.array(n[starts]),
-                        "__tag": pa.array(
-                            np.zeros(len(starts), np.int8)),
-                        "nd": pa.array(np.zeros(len(starts),
-                                               np.int64)),
-                        "d": pa.array(d_owner),
-                        "changed": pa.array(
-                            np.zeros(len(starts), np.int64))})
-        msgs = pa.table({"__k": pa.array(to),
-                         "__tag": pa.array(
-                             np.ones(len(to), np.int8)),
-                         "nd": pa.array(nd),
-                         "d": pa.array(np.zeros(len(to), np.int64)),
-                         "changed": pa.array(
-                             np.zeros(len(to), np.int64))})
-        return pa.concat_tables([own, msgs])
+        go = (seg.ints(vals, "changed")[starts][run] == 1) & (d < max_hops)
+        return pa.table({"__k": pa.array(seg.ints(e, "to")[go]),
+                         "nd": pa.array(d[go] + 1)})
 
-    def relax_kernel(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "__k" not in t.column_names:
-            return val_empty
-        n = t["__k"].to_numpy(zero_copy_only=False)
-        tag = t["__tag"].to_numpy(zero_copy_only=False)
-        nd = t["nd"].to_numpy(zero_copy_only=False)
-        new_run = np.concatenate([[True], n[1:] != n[:-1]])
-        run_id = np.cumsum(new_run.astype(np.int64)) - 1
-        starts = np.flatnonzero(new_run)
-        if (tag[starts] != 0).any():
-            raise ValueError("bfs_hops: message run missing its "
-                             "state row")
-        d_old = t["d"].to_numpy(zero_copy_only=False)[starts]
-        is_msg = tag == 1
-        best = np.full(len(starts), UNSET)
-        np.minimum.at(best, run_id[is_msg], nd[is_msg])
-        d_new = np.minimum(d_old, best)
+    def fold(vals: pa.Table, msgs: pa.Table) -> pa.Table:
+        n = seg.ints(vals, "__k")
+        starts, run = seg.owners(n, seg.ints(msgs, "__k"),
+                                 "bfs_hops: message for a node without "
+                                 "a value row")
+        d_old = seg.ints(vals, "d")[starts]
+        d_new = d_old.copy()
+        np.minimum.at(d_new, run, seg.ints(msgs, "nd"))
         return pa.table({"__k": pa.array(n[starts]),
                          "d": pa.array(d_new),
                          "changed": pa.array(
                              (d_new < d_old).astype(np.int64))})
 
+    values = node_exchange([edges], init, num_partitions)
+    frontier = changed_rows(values)
     rounds = 0
     while frontier and rounds < max_hops:
-        msgs = partitioned_map(
-            [ray.data.from_arrow_refs(list(value_refs)), edges_dataset()],
-            route_kernel, key="__k", sort_keys=[["__k"], ["__k"]],
-            num_partitions=num_partitions)
-        nxt = partitioned_map(msgs, relax_kernel, key="__k",
-                              sort_keys=["__k", "__tag"],
-                              num_partitions=num_partitions)
-        value_refs = list(materialized_block_refs(nxt))
-        frontier = int(ray.data.from_arrow_refs(list(value_refs))
-                       .sum("changed") or 0)
+        values = superstep(values, edges, send, fold, num_partitions)
+        frontier = changed_rows(values)
         rounds += 1
 
     def finalize(b: pa.Table) -> pa.Table:
-        d = b["d"].to_numpy(zero_copy_only=False)
+        d = seg.ints(b, "d")
         keep = d != UNSET
-        return pa.table({
-            "node": pa.array(
-                b["__k"].to_numpy(zero_copy_only=False)[keep]
-                .astype(np.int64)),
-            "hops": pa.array(d[keep].astype(np.int64))})
+        return pa.table({"node": pa.array(seg.ints(b, "__k")[keep]),
+                         "hops": pa.array(d[keep])})
 
-    return ray.data.from_arrow_refs(list(value_refs)).map_batches(
+    return ray.data.from_arrow_refs(values).map_batches(
         finalize, batch_format="pyarrow", zero_copy_batch=True)
 
 
@@ -847,19 +734,9 @@ def two_hop_reach(edges_ds, *, max_mid_degree: int = 1024,
     import ray
 
     from ..functions.segments import triangular_pairs
-    from .partition import materialized_block_refs, partitioned_map
+    from .partition import partitioned_map
 
-    def symm(b: pa.Table) -> pa.Table:
-        if b["src"].null_count or b["dst"].null_count:
-            raise ValueError("two_hop_reach: NULL node ids")
-        s = b["src"].combine_chunks().cast(pa.int64())
-        d = b["dst"].combine_chunks().cast(pa.int64())
-        return pa.table({"__k": pa.concat_arrays([s, d]),
-                         "to": pa.concat_arrays([d, s])})
-
-    half = edges_ds.map_batches(symm, batch_format="pyarrow",
-                                zero_copy_batch=True)
-    half_refs = list(materialized_block_refs(half))
+    half_refs = half_edges(edges_ds, "src", "dst", who="two_hop_reach")
 
     wedge_empty = pa.table({"__k": pa.array([], pa.int64()),
                             "w": pa.array([], pa.int64()),

@@ -22,8 +22,8 @@ Shape: the id-sorted quantized catalog broadcasts once per actor
 each round is one map over those refs against the freshly-broadcast
 label vector plus a driver-tiny fold of per-src majorities (bounded
 by the labeled frontier).  Beyond-heap corpora: swap the catalog for
-the bucketed pair search and ride the k_core exchange skeleton —
-the vote kernel is unchanged.
+the bucketed pair search and run the rounds as a vertex program on
+``graph.superstep`` — the vote kernel is unchanged.
 
 Reference analog: none (weak-supervision extension next to
 dbscan_embed / mutual_nn_pairs / knn_join).

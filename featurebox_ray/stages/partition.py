@@ -486,10 +486,14 @@ def task_exchange(
     sub-second task work at mid scale (measured: Sort 'executed in 65s'
     with 0.4s remote time).
 
-    ``inputs`` is one Dataset or a sequence of Datasets.  An input whose
-    plan is a ``Read`` followed only by whole-block pyarrow
-    ``map_batches`` task stages, with at least as many read tasks as
-    requested blocks (:func:`_read_and_maps`), is lowered:
+    ``inputs`` is one Dataset or a sequence of inputs, each a Dataset or
+    a list of block refs.  A list of block refs is split as it stands,
+    one split task per ref in list order, with no Ray Data execution
+    (the vertex programs of ``stages/graph.py`` feed gather refs back
+    this way).  A Dataset whose plan is a ``Read`` followed only by
+    whole-block pyarrow ``map_batches`` task stages, with at least as
+    many read tasks as requested blocks (:func:`_read_and_maps`), is
+    lowered:
     one split task per read task, submitted in read-task order, calls
     the read task, runs the map functions in plan order once per table
     the read task yields (an empty table passes a stage unmapped, as in
@@ -590,8 +594,10 @@ def task_exchange(
 
     def drain(ds) -> list:
         # split_refs[b][p] is block b's slice of partition p
-        lowered = _read_and_maps(ds)
-        if lowered is not None:
+        lowered = None if isinstance(ds, list) else _read_and_maps(ds)
+        if isinstance(ds, list):  # block refs: split each as it is
+            splits = (split.remote(r) for r in ds)
+        elif lowered is not None:
             read_tasks, maps = lowered
             maps = ray.put(maps)
             splits = (read_split.remote(t, maps) for t in read_tasks)
@@ -604,7 +610,7 @@ def task_exchange(
 
     def empty(ds) -> list:
         # one empty slice, in the input's schema, for every partition
-        schema = ds.schema()
+        schema = None if isinstance(ds, list) else ds.schema()
         ref = ray.put(_to_ipc((schema.base_schema if schema
                                else pa.schema([])).empty_table()))
         return [[ref] * P]
@@ -620,11 +626,12 @@ def task_exchange(
 def sum_partials(blocks, *, keys: Sequence[str],
                  vals: Sequence[str]):
     """Combine per-block integer partial tables with ONE Arrow
-    ``group_by(...).aggregate(sum)`` — the engine's driver combine
-    (no per-row Python): concat the non-empty blocks, sum ``vals``
-    per ``keys`` tuple, return a table with the ORIGINAL column
-    names sorted ascending by ``keys`` (a NULL key is one group and
-    sorts last).  ``keys=[]`` gives one row of global sums.  Returns
+    ``group_by(...).aggregate(sum)`` (:func:`group_aggregate`) — the
+    engine's driver combine (no per-row Python): concat the non-empty
+    blocks, sum ``vals`` per ``keys`` tuple, return a table with the
+    ORIGINAL column names sorted ascending by ``keys`` (a NULL key is
+    one group, whatever bytes sit under its NULL slots, and sorts
+    last).  ``keys=[]`` gives one row of global sums.  Returns
     ``None`` when no block carries the partial columns (all-empty
     upstream).
 
@@ -653,8 +660,7 @@ def sum_partials(blocks, *, keys: Sequence[str],
     for v in wide:
         t = t.set_column(t.schema.get_field_index(v), v,
                          t[v].cast(pa.decimal128(38, 0)))
-    agg = t.group_by(list(keys)).aggregate(
-        [(v, "sum") for v in vals])
+    agg = group_aggregate(t, keys, [(v, "sum") for v in vals])
     out = {k: agg[k] for k in keys}
     for v in vals:
         out[v] = agg[f"{v}_sum"]
@@ -668,28 +674,39 @@ def sum_partials(blocks, *, keys: Sequence[str],
     return out.sort_by([(k, "ascending") for k in keys]) if keys else out
 
 
+def group_aggregate(t: pa.Table, keys: Sequence[str], aggs) -> pa.Table:
+    """``t.group_by(keys).aggregate(aggs)`` with a NULL being a key value
+    of its own: the key columns, then the aggregates under Arrow's names,
+    in no set order.  It groups the keys' dictionary codes and takes the
+    values back, because Arrow's multi-key ``group_by`` (pyarrow 16)
+    splits a NULL key by the bytes under its NULL slot."""
+    codes = {k: pc.dictionary_encode(t[k].combine_chunks(),
+                                     null_encoding="encode") for k in keys}
+    for k, c in codes.items():
+        t = t.set_column(t.schema.get_field_index(k), k, c.indices)
+    g = t.group_by(list(keys), use_threads=False).aggregate(aggs)
+    return pa.table({**{k: codes[k].dictionary.take(g[k]) for k in keys},
+                     **{c: g[c] for c in g.column_names if c not in codes}})
+
+
 def group_count(t: pa.Table, keys: Sequence[str],
                 count_col: str = "count_all") -> pa.Table:
     """Rows per distinct ``keys`` tuple of ``t``, a NULL being a value of
-    its own: the key columns and ``count_col``, in no set order.  It
-    groups the keys' dictionary codes, because Arrow's multi-key
-    ``group_by`` (pyarrow 16) splits a NULL key by the bytes under its
-    NULL slot."""
-    codes = {k: pc.dictionary_encode(t[k].combine_chunks(),
-                                     null_encoding="encode") for k in keys}
-    g = pa.table({k: c.indices for k, c in codes.items()}).group_by(
-        list(keys), use_threads=False).aggregate([([], "count_all")])
-    return pa.table({**{k: codes[k].dictionary.take(g[k]) for k in keys},
-                     count_col: g["count_all"]})
+    its own: the key columns and ``count_col``, in no set order
+    (:func:`group_aggregate`)."""
+    return group_aggregate(t.select(list(keys)), keys, [([], "count_all")]
+                           ).rename_columns([*keys, count_col])
 
 
 def key_histogram(ds, key: str, top: int = 20):
     """Small driver-side skew probe (for salting decisions): the ``top``
     keys with the most rows, as a pandas frame ``(key, "count()")``
     ordered by count descending, then key ascending (a NULL key is one
-    key, last among its ties).  One keyed exchange: each gather counts
-    its keys (:func:`group_count`) and keeps its own top ``top``,
-    so only ``P × top`` rows come back to the driver."""
+    key, last among its ties).  Integer keys stay exact: with a NULL
+    among them the key column holds Python ints and ``None`` (object
+    dtype) instead of rounding through float64.  One keyed exchange:
+    each gather counts its keys (:func:`group_count`) and keeps its own
+    top ``top``, so only ``P × top`` rows come back to the driver."""
     import ray
 
     order = [("count()", "descending"), (key, "ascending")]
@@ -701,7 +718,7 @@ def key_histogram(ds, key: str, top: int = 20):
     parts = ray.get(task_exchange(keyed, counts, key=key, sort_keys=[],
                                   num_partitions=32))
     return (pa.concat_tables(parts).sort_by(order).slice(0, top)
-            .to_pandas())
+            .to_pandas(integer_object_nulls=True))
 
 
 def global_span_cut(refs, *, col: str, num: int, den: int):

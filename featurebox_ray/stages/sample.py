@@ -102,7 +102,8 @@ def cap_per_group(ds, *, group_col: str, id_col: str, m: int):
     stream filters with ``pc.is_in``.  Deterministic across runs,
     partitionings and cluster sizes (pure function of ids), and
     SQL-replayable: ``QUALIFY row_number() OVER (PARTITION BY g ORDER BY
-    ((id % 4294967296) * 2654435761) % 4294967296, id) <= m``.
+    ((id % 4294967296) * 2654435761) % 4294967296, id) <= m``, whose
+    ``PARTITION BY`` makes the NULL group one group, as here.
 
     Requires non-negative integer ids (same domain note as
     :func:`hash_sample`).  At extreme group cardinality the winner set is
@@ -123,7 +124,8 @@ def cap_per_group(ds, *, group_col: str, id_col: str, m: int):
                              id_col: pa.array([], pa.int64())})
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         h = key_hash(ids).astype(np.int64)
-        gd = pc.dictionary_encode(batch[group_col].combine_chunks())
+        gd = pc.dictionary_encode(batch[group_col].combine_chunks(),
+                                  null_encoding="encode")  # NULL: a group
         codes = gd.indices.to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.lexsort((ids, h, codes))
         c_s = codes[order]

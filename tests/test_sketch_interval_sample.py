@@ -337,6 +337,32 @@ def test_cap_per_group_matches_serial_and_partition_invariant():
     assert all_rows == n
 
 
+@pytest.mark.parametrize("blocks", [1, 8])
+def test_cap_per_group_null_group_matches_duckdb(blocks):
+    """A NULL group is one group, as in SQL's ``PARTITION BY``: the kept
+    rows equal DuckDB's ``QUALIFY row_number() <= m``."""
+    import duckdb
+
+    from featurebox_ray.stages.sample import cap_per_group
+
+    rng = np.random.default_rng(55 + blocks)
+    n = 400
+    g = rng.choice(["a", "b", "c", ""], n).tolist()
+    for i in rng.choice(n, 60, replace=False):
+        g[i] = None
+    t = pa.table({"id": pa.array(rng.permutation(10 ** 6)[:n], pa.int64()),
+                  "g": pa.array(g, pa.string())})
+    want = sorted(r[0] for r in duckdb.sql(
+        "SELECT id FROM t QUALIFY row_number() OVER (PARTITION BY g "
+        "ORDER BY ((CAST(id AS HUGEINT) % 4294967296) * 2654435761) "
+        "% 4294967296, id) <= 9").fetchall())
+    ds = ray.data.from_arrow([t.slice(i * n // blocks, n // blocks)
+                              for i in range(blocks)])
+    got = cap_per_group(ds, group_col="g", id_col="id", m=9).to_pandas()
+    assert sorted(got["id"]) == want
+    assert got["g"].isna().sum() == 9
+
+
 # ------------------------------------------------- histogram quantiles ----
 
 def _hist_replay(df, qs, w):

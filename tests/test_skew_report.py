@@ -56,6 +56,28 @@ def test_key_histogram_matches_duckdb_with_null_keys(typ, blocks):
                 .where(want["k"][:top].notna(), None).tolist())
 
 
+@pytest.mark.parametrize("blocks", [1, 8])
+def test_key_histogram_keeps_int_keys_above_2_53_exact(blocks):
+    """With a NULL among int64 keys above 2^53, the keys come back as the
+    exact ints DuckDB's ``GROUP BY`` gives, and NULL as a missing value."""
+    import duckdb
+
+    rng = np.random.default_rng(53 + blocks)
+    keys = rng.integers(0, 12, 600)
+    vals = [None if k == 0 else 2**53 + int(k) * (2**40 + 1) for k in keys]
+    t = pa.table({"k": pa.array(vals, pa.int64())})
+    want = duckdb.sql(
+        'SELECT k, count(*) FROM t GROUP BY k '
+        'ORDER BY count(*) DESC, k ASC NULLS LAST').fetchall()
+    ds = ray.data.from_arrow([t.slice(i * 600 // blocks, 600 // blocks)
+                              for i in range(blocks)])
+    got = key_histogram(ds, "k", top=20)
+    assert got["k"].isna().sum() == 1
+    assert [(None if k is None else int(k), int(c)) for k, c in
+            zip(got["k"], got["count()"])] == want
+    assert all(type(k) is int for k in got["k"] if k is not None)
+
+
 def test_distinct_users_counts_a_null_user_once_per_type(tmp_path):
     """q05 counts a NULL user_id as one user of each type it appears
     with, whatever bytes sit under the NULL slots (Arrow's multi-key

@@ -84,3 +84,32 @@ def test_temperature_rebalance_dictionary_group_column():
                                  key_col="id").to_pandas()
     assert sorted(got["id"]) == sorted(want["id"])
     assert 0 < len(got) < sum(b.num_rows for b in blocks)
+
+
+def test_null_int_key_with_bytes_under_its_slots_is_one_group():
+    """Two keys, one a nullable int64 whose NULL slots hold random bytes:
+    the groups and sums equal DuckDB's ``GROUP BY`` (Arrow's multi-key
+    ``group_by`` alone splits the NULL by those bytes)."""
+    import duckdb
+    import numpy as np
+
+    rng = np.random.default_rng(16)
+    blocks = []
+    for _ in range(6):
+        n = 200
+        valid = rng.random(n) >= 0.3
+        data = rng.integers(0, 4, n).astype(np.int64) + 2 ** 60
+        data[~valid] = rng.integers(-2 ** 62, 2 ** 62, int((~valid).sum()))
+        k = pa.Array.from_buffers(
+            pa.int64(), n, [pa.py_buffer(np.packbits(valid, bitorder="little")),
+                            pa.py_buffer(data)],
+            null_count=int((~valid).sum()))
+        blocks.append(pa.table({
+            "s": pa.array(rng.choice(["a", "b", "c"], n).tolist()),
+            "k": k, "n": pa.array(rng.integers(1, 9, n), pa.int64())}))
+    t = pa.concat_tables(blocks)
+    want = duckdb.sql("SELECT s, k, sum(n) FROM t GROUP BY s, k "
+                      "ORDER BY s, k NULLS LAST").fetchall()
+    got = sum_partials(blocks, keys=["s", "k"], vals=["n"])
+    assert [tuple(r.values()) for r in got.to_pylist()] == want
+    assert got.num_rows == 15
