@@ -115,7 +115,7 @@ def rfm_segments(ds, *, user_col: str = "user_id", ts_col: str = "ts",
     """
     import ray
 
-    from ..stages.partition import materialized_block_refs, partitioned_map
+    from ..stages.partition import partitioned_map, partitioned_refs
 
     def partial(b: pa.Table) -> pa.Table:
         keep = pc.and_(pc.is_valid(b[user_col]), pc.is_valid(b[ts_col]))
@@ -160,14 +160,10 @@ def rfm_segments(ds, *, user_col: str = "user_id", ts_col: str = "ts",
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True, batch_size=None)
-    per_user = partitioned_map(partials, combine, key=user_col,
-                               sort_keys=[user_col],
-                               num_partitions=num_partitions)
-    refs = materialized_block_refs(per_user)
-    # reuse the materialized blocks for the final pass — consuming the
-    # lazy per_user twice would re-run the whole combiner exchange
-    per_user = ray.data.from_arrow_refs(list(refs))
-    blocks = [b for b in ray.get(refs) if b.num_rows > 0]
+    per_user = partitioned_refs(partials, combine, key=user_col,
+                                sort_keys=[user_col],
+                                num_partitions=num_partitions)
+    blocks = [b for b in ray.get(per_user) if b.num_rows > 0]
     if not blocks:
         raise ValueError("rfm_segments: no valid rows")
     max_ts = max(int(b["last"].to_numpy(zero_copy_only=False).max())
@@ -218,5 +214,5 @@ def rfm_segments(ds, *, user_col: str = "user_id", ts_col: str = "ts",
         })
 
     # exact global tiles need ONE kernel over all users (small table)
-    return partitioned_map(per_user, finalize, key=user_col,
+    return partitioned_map([per_user], finalize, key=user_col,
                            sort_keys=[user_col], num_partitions=1)

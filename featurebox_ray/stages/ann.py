@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 import pyarrow as pa
 
-from .partition import each_group, partitioned_map
+from .partition import each_group, partitioned_map, partitioned_refs
 
 
 def _normalize(M: np.ndarray) -> np.ndarray:
@@ -301,7 +301,7 @@ def ivf_topk(ds, queries: np.ndarray, *, k: int = 10, n_centroids: int = 16,
             "cosine": pa.array(out_c),
         })
 
-    local = partitioned_map(
+    local = partitioned_refs(
         assigned, each_group(search_bucket, ["__cent", "__sub"]),
         key="__bucket", sort_keys=["__cent", "__sub"])
 
@@ -312,7 +312,7 @@ def ivf_topk(ds, queries: np.ndarray, *, k: int = 10, n_centroids: int = 16,
         df = df.sort_values(["cosine", id_col], ascending=[False, True]).head(k)
         return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
 
-    return partitioned_map(local, each_group(global_topk, ["query_id"]),
+    return partitioned_map([local], each_group(global_topk, ["query_id"]),
                            key="query_id", sort_keys=["query_id"])
 
 

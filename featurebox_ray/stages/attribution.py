@@ -54,7 +54,7 @@ def linear_attribution(ds, *, key_col: str, ts_col: str, seq_col: str,
     replays with ``//``/``%`` + a window rank."""
     import ray
 
-    from .partition import materialized_block_refs, partitioned_map
+    from .partition import partitioned_refs
 
     h = int(horizon)
 
@@ -185,12 +185,12 @@ def linear_attribution(ds, *, key_col: str, ts_col: str, seq_col: str,
                          "credit": pa.array(s),
                          "touches": pa.array(cnt)})
 
-    partials = partitioned_map(prepped, kernel, key=key_col,
-                               sort_keys=[key_col, "__t", "__s"],
-                               num_partitions=num_partitions)
+    partials = partitioned_refs(prepped, kernel, key=key_col,
+                                sort_keys=[key_col, "__t", "__s"],
+                                num_partitions=num_partitions)
     from .partition import sum_partials
 
-    comb = sum_partials(ray.get(materialized_block_refs(partials)),
+    comb = sum_partials(ray.get(partials),
                         keys=["event_type"],
                         vals=["credit", "touches"])
     if comb is None:
@@ -247,7 +247,7 @@ def shapley_attribution(ds, *, key_col: str, type_col: str,
 
     import ray
 
-    from .partition import materialized_block_refs, partitioned_map
+    from .partition import materialized_block_refs, partitioned_refs
 
     def types_partial(b: pa.Table) -> pa.Table:
         col = b[type_col]
@@ -313,13 +313,12 @@ def shapley_attribution(ds, *, key_col: str, type_col: str,
 
     prepped = ds.map_batches(prep, batch_format="pyarrow",
                              zero_copy_batch=True, batch_size=None)
-    cells = partitioned_map(prepped, kernel, key=key_col,
-                            sort_keys=[key_col, type_col],
-                            num_partitions=num_partitions)
+    cells = partitioned_refs(prepped, kernel, key=key_col,
+                             sort_keys=[key_col, type_col],
+                             num_partitions=num_partitions)
     from .partition import sum_partials
 
-    comb = sum_partials(ray.get(materialized_block_refs(cells)),
-                        keys=["cell"], vals=["n"])
+    comb = sum_partials(ray.get(cells), keys=["cell"], vals=["n"])
     users: dict = {}
     convs: dict = {}
     if comb is not None:
@@ -400,7 +399,7 @@ def markov_attribution(ds, *, key_col: str, ts_col: str,
     """
     import ray
 
-    from .partition import materialized_block_refs, partitioned_map
+    from .partition import partitioned_refs
 
     def prep(b: pa.Table) -> pa.Table:
         mask = pc.is_valid(b[key_col])
@@ -499,11 +498,10 @@ def markov_attribution(ds, *, key_col: str, ts_col: str,
                              zero_copy_batch=True)
     from .partition import sum_partials
 
-    comb = sum_partials(ray.get(materialized_block_refs(
-        partitioned_map(prepped, kernel, key=key_col,
-                        sort_keys=[key_col, ts_col, order_col],
-                        num_partitions=num_partitions))),
-        keys=["f", "t"], vals=["cnt"])
+    comb = sum_partials(ray.get(partitioned_refs(
+        prepped, kernel, key=key_col,
+        sort_keys=[key_col, ts_col, order_col],
+        num_partitions=num_partitions)), keys=["f", "t"], vals=["cnt"])
     counts = {} if comb is None else {
         (f, to): int(c)
         for f, to, c in zip(comb["f"].to_pylist(),

@@ -41,7 +41,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from .partition import partitioned_map
+from .partition import partitioned_refs
 from .sample import knuth_hash
 
 SPEC_NAME = "_bucketspec.json"
@@ -106,15 +106,12 @@ def write_bucketed(ds, path: str, *, key: str,
 
     withb = ds.map_batches(add_bucket, batch_format="pyarrow",
                            zero_copy_batch=True)
-    manifest = partitioned_map(withb, kernel, key="__bucket",
-                               sort_keys=["__bucket"],
-                               num_partitions=B)
+    manifest = partitioned_refs(withb, kernel, key="__bucket",
+                                sort_keys=["__bucket"],
+                                num_partitions=B)
     import ray
 
-    from .partition import materialized_block_refs
-
-    blocks = [b for b in ray.get(materialized_block_refs(manifest))
-              if b.num_rows > 0]
+    blocks = [b for b in ray.get(manifest) if b.num_rows > 0]
     man = (pa.concat_tables(blocks) if blocks
            else pa.table({"bucket": pa.array([], pa.int64()),
                           "rows": pa.array([], pa.int64()),
@@ -283,15 +280,12 @@ def write_range_partitioned(ds, path: str, *, key: str,
 
     withp = ds.map_batches(add_part, batch_format="pyarrow",
                            zero_copy_batch=True)
-    manifest = partitioned_map(withp, kernel, key="__bucket",
-                               sort_keys=["__bucket"],
-                               num_partitions=len(cuts) - 1)
+    manifest = partitioned_refs(withp, kernel, key="__bucket",
+                                sort_keys=["__bucket"],
+                                num_partitions=len(cuts) - 1)
     import ray
 
-    from .partition import materialized_block_refs
-
-    blocks = [b for b in ray.get(materialized_block_refs(manifest))
-              if b.num_rows > 0]
+    blocks = [b for b in ray.get(manifest) if b.num_rows > 0]
     man = (pa.concat_tables(blocks) if blocks
            else pa.table({"part": pa.array([], pa.int64()),
                           "rows": pa.array([], pa.int64()),

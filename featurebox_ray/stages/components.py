@@ -203,8 +203,7 @@ def min_label_components(pairs_ds, *, pair_cols=("id_a", "id_b"),
     def finalize(b: pa.Table) -> pa.Table:
         return pa.table({"node": b["__k"], "component": b["lab"]})
 
-    return ray.data.from_arrow_refs(values).map_batches(
-        finalize, batch_format="pyarrow", zero_copy_batch=True)
+    return ray.data.from_arrow_refs(map_blocks(finalize, values))
 
 
 def pack_label_map(labels_ds):

@@ -84,7 +84,7 @@ def containment_join(query_ds, corpus_ds, *, id_col: str = "doc_id",
     """Returns ``(qid:int64, cid:int64, inter:int64, qlen:int64,
     containment:float64)`` for pairs with ``inter/qlen ≥ threshold``
     over tokens whose corpus df ≤ ``max_df``."""
-    from .partition import partitioned_map
+    from .partition import partitioned_map, partitioned_refs
 
     frac = Fraction(threshold).limit_denominator(1_000_000)
     num, den = frac.numerator, frac.denominator
@@ -145,9 +145,9 @@ def containment_join(query_ds, corpus_ds, *, id_col: str = "doc_id",
                             mask=pcid[st] == -1),
             "cnt": pa.array(cnt.astype(np.int64))})
 
-    mid = partitioned_map(postings, token_kernel, key="token",
-                          sort_keys=[["token", "qid"], ["token", "cid"]],
-                          num_partitions=num_partitions)
+    mid = partitioned_refs(postings, token_kernel, key="token",
+                           sort_keys=[["token", "qid"], ["token", "cid"]],
+                           num_partitions=num_partitions)
 
     out_empty = pa.table({"qid": pa.array([], pa.int64()),
                           "cid": pa.array([], pa.int64()),
@@ -189,6 +189,6 @@ def containment_join(query_ds, corpus_ds, *, id_col: str = "doc_id",
                 inter[keep].astype(np.float64)
                 / ql[keep].astype(np.float64), pa.float64())})
 
-    return partitioned_map(mid, qid_kernel, key="qid",
+    return partitioned_map([mid], qid_kernel, key="qid",
                            sort_keys=["qid", "cid"],
                            num_partitions=num_partitions)

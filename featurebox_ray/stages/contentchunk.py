@@ -208,7 +208,7 @@ def cdc_dup_share(ds, *, id_col: str = "doc_id",
     dup_share:float64)`` — docs with no chunks (empty text) emit
     nothing.
     Reference analog: none (dedup family; the CDC composition)."""
-    from .partition import partitioned_map
+    from .partition import partitioned_map, partitioned_refs
 
     schema = ds.schema()
     base = getattr(schema, "base_schema", schema)
@@ -252,11 +252,11 @@ def cdc_dup_share(ds, *, id_col: str = "doc_id",
             "n": pa.array(cnt),
             "nd": pa.array(cnt * dup)})
 
-    partials = partitioned_map(chunks, first_kernel,
-                               key="chunk_hash",
-                               sort_keys=["chunk_hash", "length",
-                                          id_col],
-                               num_partitions=num_partitions)
+    partials = partitioned_refs(chunks, first_kernel,
+                                key="chunk_hash",
+                                sort_keys=["chunk_hash", "length",
+                                           id_col],
+                                num_partitions=num_partitions)
 
     out_empty = pa.table({id_col: pa.array([], pa.int64()),
                           "n_chunks": pa.array([], pa.int64()),
@@ -284,7 +284,7 @@ def cdc_dup_share(ds, *, id_col: str = "doc_id",
             "dup_share": pa.array(td.astype(np.float64)
                                   / tn.astype(np.float64))})
 
-    return partitioned_map(partials, doc_kernel, key=id_col,
+    return partitioned_map([partials], doc_kernel, key=id_col,
                            sort_keys=[id_col],
                            num_partitions=num_partitions)
 

@@ -781,7 +781,8 @@ def _verify_pairs_generic(pairs_ds, docs_ds, *, id_col: str,
     >= ``threshold``."""
     import ray
 
-    from .partition import materialized_block_refs, partitioned_map
+    from .partition import (materialized_block_refs, partitioned_map,
+                            partitioned_refs)
 
     P = num_partitions
     PB = "__pb"
@@ -883,9 +884,9 @@ def _verify_pairs_generic(pairs_ds, docs_ds, *, id_col: str,
             PB: req[PB].filter(pa.array(ok)),
         })
 
-    routed = partitioned_map([sh_rows, requests], route_kernel, key=id_col,
-                             sort_keys=[[id_col], [id_col]],
-                             num_partitions=P)
+    routed = partitioned_refs([sh_rows, requests], route_kernel, key=id_col,
+                              sort_keys=[[id_col], [id_col]],
+                              num_partitions=P)
 
     np_value_dtype = payload_type.value_type.to_pandas_dtype()
 

@@ -121,7 +121,7 @@ def category_drift(old_ds, new_ds, *, col: str,
     """
     import ray
 
-    from .partition import materialized_block_refs, partitioned_map
+    from .partition import partitioned_refs
 
     def partial(b: pa.Table) -> pa.Table:
         vals = b[col].combine_chunks().cast(pa.string())
@@ -165,10 +165,9 @@ def category_drift(old_ds, new_ds, *, col: str,
                          "n_old": pa.array(sums[0]),
                          "n_new": pa.array(sums[1])})
 
-    counted = partitioned_map(sides, combine, key=col,
-                              sort_keys=[[col], [col]],
-                              num_partitions=num_partitions)
-    refs = materialized_block_refs(counted)
+    refs = partitioned_refs(sides, combine, key=col,
+                            sort_keys=[[col], [col]],
+                            num_partitions=num_partitions)
     blocks = [b for b in ray.get(refs) if b.num_rows > 0]
     tot_old = sum(int(pc.sum(b["n_old"]).as_py() or 0)
                   for b in blocks)

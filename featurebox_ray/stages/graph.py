@@ -20,7 +20,15 @@ values stay block refs from round to round, and a round's
 ``changed`` count is one small task per block (:func:`changed_rows`), so
 no round runs a Ray Data execution and nothing graph-sized reaches the
 driver.  Every fold and min is an exact integer operation, so the
-result does not depend on partitioning or block layout.
+result does not depend on partitioning or block layout.  Each returns
+a Dataset whose blocks all carry its declared columns, an empty graph
+included: the last values go through one small task per block
+(:func:`map_blocks`), which also runs on an empty block.
+
+The two-exchange operators (:func:`triangle_count`,
+:func:`two_hop_reach`, :func:`window_cooccurrence_edges`) hand the
+first exchange's gather refs straight to the second
+(``partitioned_refs``), so the middle result is never a Dataset.
 
 :func:`pagerank` runs the iteration in scaled INTEGERS: ranks are int64
 in units of ``2^-scale_bits``, each edge contributes ``rank // outdeg``
@@ -78,16 +86,16 @@ def half_edges(edges_ds, a: str, b: str, *, who: str) -> list:
 
 
 def node_exchange(inputs, kernel, num_partitions: int) -> list:
-    """Run ``kernel(t_0, ..., t_k)`` once per hash partition of the node
-    id ``__k`` over ``inputs`` (lists of block refs, or Datasets): each
-    input one table sorted by ``__k``, tied rows in block order, an
-    input with no rows there empty in its own schema.  Returns the
-    gather refs."""
-    from .partition import task_exchange
+    """``partitioned_refs`` keyed on the node id ``__k``: runs
+    ``kernel(t_0, ..., t_k)`` once per hash partition over ``inputs``
+    (lists of block refs, or Datasets), each input one table sorted by
+    ``__k``, tied rows in block order, an input with no rows there
+    empty in its own schema.  Returns the gather refs."""
+    from .partition import partitioned_refs
 
-    return task_exchange(inputs, lambda _p, ts: kernel(*ts), key="__k",
-                         sort_keys=[["__k"]] * len(inputs),
-                         num_partitions=num_partitions)
+    return partitioned_refs(inputs, kernel, key="__k",
+                            sort_keys=[["__k"]] * len(inputs),
+                            num_partitions=num_partitions)
 
 
 def superstep(values, edges, send, fold, num_partitions: int) -> list:
@@ -199,8 +207,7 @@ def pagerank(edges_ds, *, src_col: str = "src", dst_col: str = "dst",
     def rename(b: pa.Table) -> pa.Table:
         return pa.table({"node": b["__k"], "rank": b["r"]})
 
-    return ray.data.from_arrow_refs(ranks).map_batches(
-        rename, batch_format="pyarrow", zero_copy_batch=True)
+    return ray.data.from_arrow_refs(map_blocks(rename, ranks))
 
 
 def triangle_count(edges_ds, *, src_col: str = "src",
@@ -231,8 +238,7 @@ def triangle_count(edges_ds, *, src_col: str = "src",
     """
     import ray
 
-    from .partition import (materialized_block_refs, partitioned_map,
-                            sum_partials)
+    from .partition import partitioned_refs, sum_partials
 
     def prep(b: pa.Table) -> pa.Table:
         keep = pc.fill_null(pc.and_(pc.is_valid(b[src_col]),
@@ -304,9 +310,9 @@ def triangle_count(edges_ds, *, src_col: str = "src",
             "cnt": pa.array(np.concatenate(parts_c)),
             "tag": pa.array(np.concatenate(parts_t))})
 
-    mid = partitioned_map(posted, wedge_kernel, key="__m",
-                          sort_keys=["__m", "__n"],
-                          num_partitions=num_partitions)
+    mid = partitioned_refs(posted, wedge_kernel, key="__m",
+                           sort_keys=["__m", "__n"],
+                           num_partitions=num_partitions)
 
     out_empty = pa.table({"n_edges": pa.array([], pa.int64()),
                           "n_wedges": pa.array([], pa.int64()),
@@ -335,10 +341,10 @@ def triangle_count(edges_ds, *, src_col: str = "src",
                          "n_wedges": pa.array([n_wedges], pa.int64()),
                          "matches": pa.array([matches], pa.int64())})
 
-    partials = partitioned_map(mid, close_kernel, key="x",
-                               sort_keys=["x", "y", "tag"],
-                               num_partitions=num_partitions)
-    tot = sum_partials(ray.get(materialized_block_refs(partials)),
+    partials = partitioned_refs([mid], close_kernel, key="x",
+                                sort_keys=["x", "y", "tag"],
+                                num_partitions=num_partitions)
+    tot = sum_partials(ray.get(partials),
                        keys=[], vals=["n_edges", "n_wedges", "matches"])
     e, w, mt = ((0, 0, 0) if tot is None else
                 (tot[c][0].as_py() for c in tot.column_names))
@@ -372,7 +378,7 @@ def window_cooccurrence_edges(ds, *, ts_col: str, actor_col: str,
     ``src < dst``, one row per distinct edge.
     """
     from ..functions.segments import triangular_pairs
-    from .partition import partitioned_map
+    from .partition import partitioned_map, partitioned_refs
 
     def prep(b: pa.Table) -> pa.Table:
         ts = b[ts_col].combine_chunks()
@@ -420,9 +426,9 @@ def window_cooccurrence_edges(ds, *, ts_col: str, actor_col: str,
         return pa.table({"src": pa.array(u[i]),
                          "dst": pa.array(u[j])})
 
-    pairs = partitioned_map(distinct_bu, pair_kernel, key="b",
-                            sort_keys=["b", "u"],
-                            num_partitions=num_partitions)
+    pairs = partitioned_refs(distinct_bu, pair_kernel, key="b",
+                             sort_keys=["b", "u"],
+                             num_partitions=num_partitions)
 
     def dedup_kernel(t: pa.Table) -> pa.Table:
         if t.num_rows == 0 or "src" not in t.column_names:
@@ -434,7 +440,7 @@ def window_cooccurrence_edges(ds, *, ts_col: str, actor_col: str,
         return pa.table({"src": pa.array(s[new]),
                          "dst": pa.array(d[new])})
 
-    return partitioned_map(pairs, dedup_kernel, key="src",
+    return partitioned_map([pairs], dedup_kernel, key="src",
                            sort_keys=["src", "dst"],
                            num_partitions=num_partitions)
 
@@ -560,7 +566,8 @@ def k_core(edges_ds, *, max_iters: int = 1024,
     ``max_iters`` runaway cap.  Raises (naming the fix) if the cap is
     hit with changes pending.  All-int arithmetic — no float anywhere.
 
-    Returns ``(node:int64, degree:int64, core:int64)``.
+    Returns a Dataset ``(node:int64, degree:int64, core:int64)``, empty
+    with those columns for an empty edge list.
     Reference analog: none (graph suite extension alongside
     pagerank / triangle_count / degree_assortativity).
     """
@@ -568,9 +575,10 @@ def k_core(edges_ds, *, max_iters: int = 1024,
 
     edges = half_edges(edges_ds, "src", "dst", who="k_core")
     if not edges or ray.data.from_arrow_refs(edges).count() == 0:
-        return pa.table({"node": pa.array([], pa.int64()),
-                         "degree": pa.array([], pa.int64()),
-                         "core": pa.array([], pa.int64())})
+        return ray.data.from_arrow(pa.table({
+            "node": pa.array([], pa.int64()),
+            "degree": pa.array([], pa.int64()),
+            "core": pa.array([], pa.int64())}))
 
     def init(e: pa.Table) -> pa.Table:
         # per __k-run length = degree; init c = degree
@@ -624,8 +632,7 @@ def k_core(edges_ds, *, max_iters: int = 1024,
         return pa.table({"node": b["__k"], "degree": b["deg"],
                          "core": b["c"]})
 
-    return ray.data.from_arrow_refs(values).map_batches(
-        finalize, batch_format="pyarrow", zero_copy_batch=True)
+    return ray.data.from_arrow_refs(map_blocks(finalize, values))
 
 
 def bfs_hops(edges_ds, *, seed_mod: int = 17, max_hops: int = 6,
@@ -649,7 +656,9 @@ def bfs_hops(edges_ds, *, seed_mod: int = 17, max_hops: int = 6,
     SQL replays with a recursive CTE (``UNION`` dedup on (node, d),
     ``WHERE d < max_hops``) + ``min(d)`` per node.
 
-    Returns ``(node:int64, hops:int64)`` for reached nodes.
+    Returns a Dataset ``(node:int64, hops:int64)`` of the reached
+    nodes, empty with those columns when none is reached or the edge
+    list is empty.
     Reference analog: none (graph suite extension).
     """
     import ray
@@ -658,8 +667,9 @@ def bfs_hops(edges_ds, *, seed_mod: int = 17, max_hops: int = 6,
 
     edges = half_edges(edges_ds, "src", "dst", who="bfs_hops")
     if not edges or ray.data.from_arrow_refs(edges).count() == 0:
-        return pa.table({"node": pa.array([], pa.int64()),
-                         "hops": pa.array([], pa.int64())})
+        return ray.data.from_arrow(pa.table({
+            "node": pa.array([], pa.int64()),
+            "hops": pa.array([], pa.int64())}))
 
     def init(e: pa.Table) -> pa.Table:
         n = seg.ints(e, "__k")
@@ -705,8 +715,7 @@ def bfs_hops(edges_ds, *, seed_mod: int = 17, max_hops: int = 6,
         return pa.table({"node": pa.array(seg.ints(b, "__k")[keep]),
                          "hops": pa.array(d[keep])})
 
-    return ray.data.from_arrow_refs(values).map_batches(
-        finalize, batch_format="pyarrow", zero_copy_batch=True)
+    return ray.data.from_arrow_refs(map_blocks(finalize, values))
 
 
 def two_hop_reach(edges_ds, *, max_mid_degree: int = 1024,
@@ -731,10 +740,8 @@ def two_hop_reach(edges_ds, *, max_mid_degree: int = 1024,
     the edge list (n2 counts only paths through surviving mids).
     Reference analog: none (graph suite).
     """
-    import ray
-
     from ..functions.segments import triangular_pairs
-    from .partition import partitioned_map
+    from .partition import partitioned_map, partitioned_refs
 
     half_refs = half_edges(edges_ds, "src", "dst", who="two_hop_reach")
 
@@ -784,10 +791,9 @@ def two_hop_reach(edges_ds, *, max_mid_degree: int = 1024,
                                                     np.int8))})
         return pa.concat_tables([direct, wedges])
 
-    wedges = partitioned_map(ray.data.from_arrow_refs(half_refs),
-                             wedge_kernel, key="__k",
-                             sort_keys=["__k", "to"],
-                             num_partitions=num_partitions)
+    wedges = partitioned_refs([half_refs], wedge_kernel, key="__k",
+                              sort_keys=["__k", "to"],
+                              num_partitions=num_partitions)
 
     out_empty = pa.table({"node": pa.array([], pa.int64()),
                           "n1": pa.array([], pa.int64()),
@@ -824,6 +830,6 @@ def two_hop_reach(edges_ds, *, max_mid_degree: int = 1024,
                          "n1": pa.array(n1s, pa.int64()),
                          "n2": pa.array(n2s, pa.int64())})
 
-    return partitioned_map(wedges, count_kernel, key="__k",
+    return partitioned_map([wedges], count_kernel, key="__k",
                            sort_keys=["__k", "tag", "w"],
                            num_partitions=num_partitions)

@@ -114,7 +114,7 @@ def top_k_per_group(ds, *, group_col: str, order_col: str, tie_col: str,
     One keyed exchange on ``group_col``; the returned table is
     O(groups × k) rows of ``keep_cols``, intended for broadcast.
     """
-    from .partition import each_group, materialized_block_refs, partitioned_map
+    from .partition import each_group, partitioned_refs
 
     import ray
 
@@ -124,10 +124,9 @@ def top_k_per_group(ds, *, group_col: str, order_col: str, tie_col: str,
         sel = np.lexsort((tie, -v))[:k]
         return t.select(list(keep_cols)).take(pa.array(np.sort(sel), pa.int64()))
 
-    small = partitioned_map(ds, each_group(topk, [group_col]),
-                            key=group_col, sort_keys=[group_col])
-    blocks = [b for b in ray.get(materialized_block_refs(small))
-              if b.num_rows > 0]
+    small = partitioned_refs(ds, each_group(topk, [group_col]),
+                             key=group_col, sort_keys=[group_col])
+    blocks = [b for b in ray.get(small) if b.num_rows > 0]
     if not blocks:
         # preserve the source column types so empty and non-empty
         # results have the same schema (callers cast/take on these)
@@ -427,7 +426,7 @@ def session_concurrency(ds, *, key_col: str, ts_col: str, id_col: str,
     time = window · width in native ts units).
     """
     from ..functions import segments as seg
-    from .partition import partitioned_map
+    from .partition import partitioned_map, partitioned_refs
 
     gap_us = int(gap_s * 1e6)
     width_us = int(width_s * 1e6)
@@ -487,10 +486,10 @@ def session_concurrency(ds, *, key_col: str, ts_col: str, id_col: str,
 
     prepped = ds.map_batches(prep, batch_format="pyarrow",
                              zero_copy_batch=True)
-    partials = partitioned_map(prepped, kernel, key=key_col,
-                               sort_keys=[key_col, "__ts", id_col],
-                               num_partitions=num_partitions)
-    return partitioned_map(partials, combine, key="window",
+    partials = partitioned_refs(prepped, kernel, key=key_col,
+                                sort_keys=[key_col, "__ts", id_col],
+                                num_partitions=num_partitions)
+    return partitioned_map([partials], combine, key="window",
                            sort_keys=["window"],
                            num_partitions=max(num_partitions // 4, 1))
 

@@ -80,7 +80,7 @@ def isotonic_fit(ds, *, x_col: str, y_col: str, x_scale: float = 1,
     units)."""
     import ray
 
-    from .partition import materialized_block_refs, partitioned_map
+    from .partition import partitioned_refs
 
     def partial(batch: pa.Table) -> pa.Table:
         xc, yc = batch[x_col], batch[y_col]
@@ -112,11 +112,10 @@ def isotonic_fit(ds, *, x_col: str, y_col: str, x_scale: float = 1,
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True, batch_size=None)
-    agg = partitioned_map(partials, combine, key="x",
-                          sort_keys=["x"],
-                          num_partitions=num_partitions)
-    blocks = [b for b in ray.get(materialized_block_refs(agg))
-              if b.num_rows > 0]
+    agg = partitioned_refs(partials, combine, key="x",
+                           sort_keys=["x"],
+                           num_partitions=num_partitions)
+    blocks = [b for b in ray.get(agg) if b.num_rows > 0]
     if not blocks:
         return pa.table({"x": pa.array([], pa.int64()),
                          "n": pa.array([], pa.int64()),

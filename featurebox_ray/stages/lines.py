@@ -90,7 +90,8 @@ def remove_duplicate_lines(ds, *, id_col: str = "doc_id",
     """
     import ray
 
-    from .partition import materialized_block_refs, partitioned_map
+    from .partition import (materialized_block_refs, partitioned_map,
+                            partitioned_refs)
 
     if min_docs < 1:
         raise ValueError("min_docs must be >= 1")
@@ -161,9 +162,9 @@ def remove_duplicate_lines(ds, *, id_col: str = "doc_id",
         keep = doc_counts[run_id] < min_docs
         return t.select([id_col, "pos", "line"]).filter(pa.array(keep))
 
-    survivors = partitioned_map(lines_ds, freq_kernel, key="line",
-                                sort_keys=["line", id_col, "pos"],
-                                num_partitions=num_partitions)
+    survivors = partitioned_refs(lines_ds, freq_kernel, key="line",
+                                 sort_keys=["line", id_col, "pos"],
+                                 num_partitions=num_partitions)
 
     def render_kernel(lines: pa.Table, markers: pa.Table) -> pa.Table:
         """Survivors sorted by (id, pos) and one marker row per doc:

@@ -88,7 +88,7 @@ def fit_bigram_lm(ds, *, text_col: str = "text", top_v: int = 256,
     UNK last)."""
     import ray
 
-    from .partition import materialized_block_refs, partitioned_map
+    from .partition import materialized_block_refs, partitioned_refs
 
     vocab_ds = top_terms(ds, id_col=id_col, text_col=text_col, k=top_v,
                          by="term_count", num_partitions=num_partitions)
@@ -121,11 +121,10 @@ def fit_bigram_lm(ds, *, text_col: str = "text", top_v: int = 256,
 
     partials = ds.map_batches(pair_partial, batch_format="pyarrow",
                               zero_copy_batch=True, batch_size=None)
-    pair_ds = partitioned_map(partials, pair_combine, key="pair",
-                              sort_keys=["pair"],
-                              num_partitions=num_partitions)
-    blocks = [b for b in ray.get(materialized_block_refs(pair_ds))
-              if b.num_rows > 0]
+    pair_refs = partitioned_refs(partials, pair_combine, key="pair",
+                                 sort_keys=["pair"],
+                                 num_partitions=num_partitions)
+    blocks = [b for b in ray.get(pair_refs) if b.num_rows > 0]
     if blocks:
         pairs = pa.concat_tables(blocks, promote_options="default")
         pr = pairs["pair"].to_numpy(zero_copy_only=False)

@@ -57,7 +57,7 @@ def fit_multinomial_nb(ds, *, text_col: str = "text",
     document counts."""
     import ray
 
-    from .partition import (materialized_block_refs, partitioned_map,
+    from .partition import (materialized_block_refs, partitioned_refs,
                             sum_partials)
 
     vocab_ds = top_terms(ds, id_col=id_col, text_col=text_col, k=top_v,
@@ -121,11 +121,11 @@ def fit_multinomial_nb(ds, *, text_col: str = "text",
 
     partials = ds.map_batches(cell_partial, batch_format="pyarrow",
                               zero_copy_batch=True, batch_size=None)
-    cell_ds = partitioned_map(partials, cell_combine, key="cell",
-                              sort_keys=["cell"],
-                              num_partitions=num_partitions)
+    cell_refs = partitioned_refs(partials, cell_combine, key="cell",
+                                 sort_keys=["cell"],
+                                 num_partitions=num_partitions)
     counts = np.zeros((n_slots, n_classes), np.int64)
-    for b in ray.get(materialized_block_refs(cell_ds)):
+    for b in ray.get(cell_refs):
         if b.num_rows == 0:
             continue
         cell = b["cell"].to_numpy(zero_copy_only=False)

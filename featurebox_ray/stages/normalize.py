@@ -170,7 +170,7 @@ def add_group_norm_features(ds, *, key_col: str, int_value_col: str,
     """
     import ray
 
-    from .partition import materialized_block_refs, partitioned_map
+    from .partition import partitioned_refs
 
     def partial(b: pa.Table) -> pa.Table:
         import pandas as pd
@@ -200,11 +200,10 @@ def add_group_norm_features(ds, *, key_col: str, int_value_col: str,
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True, batch_size=None)
-    stats = partitioned_map(partials, lambda t: _sum_groups(t, key_col),
-                            key=key_col, sort_keys=[key_col],
-                            num_partitions=num_partitions)
-    blocks = [b for b in ray.get(materialized_block_refs(stats))
-              if b.num_rows > 0]
+    stats = partitioned_refs(partials, lambda t: _sum_groups(t, key_col),
+                             key=key_col, sort_keys=[key_col],
+                             num_partitions=num_partitions)
+    blocks = [b for b in ray.get(stats) if b.num_rows > 0]
     if blocks:
         gt = pa.concat_tables(blocks, promote_options="default")
     else:

@@ -37,10 +37,14 @@ blocks than read tasks so that the maps run in parallel -- is drained
 through Ray Data as before.
 
 Several inputs are joined by the split itself, so no Ray Data ``union``
-runs in front of the exchange.  Both keyed consumers sit on it:
+runs in front of the exchange.  Three keyed consumers sit on it:
 
-* :func:`partitioned_map` runs a table kernel in every gather and returns
-  the outputs as a Dataset;
+* :func:`partitioned_refs` runs a table kernel in every gather and
+  returns the gather refs, for a consumer inside the engine: a driver
+  ``ray.get`` or combine, or a further exchange, which splits the refs
+  as one input (``[refs]``) with no Ray Data execution;
+* :func:`partitioned_map` wraps those refs as the Dataset a public
+  operator returns;
 * ``state/checkpoint.py:run_partitioned_checkpointed`` gathers only the
   partitions a resume is missing and writes each one's part file and
   manifest inside its gather.
@@ -401,13 +405,26 @@ def partitioned_map(
         raise ValueError(
             f"partitioned_map: unknown strategy {strategy!r}; the task "
             "exchange is the only one ('tasks')")
-    fn = ((lambda _p, ts: kernel(*ts)) if _per_input(sort_keys)
-          else (lambda _p, t: kernel(t)))
-    gathers = task_exchange(ds, fn, key=key, sort_keys=sort_keys,
-                            num_partitions=num_partitions)
-    out = ray.data.from_arrow_refs(gathers)  # its own context copy
+    out = ray.data.from_arrow_refs(partitioned_refs(
+        ds, kernel, key=key, sort_keys=sort_keys,
+        num_partitions=num_partitions))  # its own context copy
     out.context.op_resource_reservation_enabled = False
     return out
+
+
+def partitioned_refs(ds, kernel: Callable[..., pa.Table], *, key: str,
+                     sort_keys: Sequence, num_partitions: int = 32) -> list:
+    """:func:`partitioned_map`'s exchange without the Dataset: the
+    kernel's output refs, one per partition in partition order, for a
+    consumer inside the engine (``ray.get``, :func:`sum_partials`, or
+    another exchange, which takes them as one input when wrapped as
+    ``[refs]``).  Same kernel calls and contract as
+    :func:`partitioned_map`; every kernel has run (or raised) when the
+    refs are fetched."""
+    fn = ((lambda _p, ts: kernel(*ts)) if _per_input(sort_keys)
+          else (lambda _p, t: kernel(t)))
+    return task_exchange(ds, fn, key=key, sort_keys=sort_keys,
+                         num_partitions=num_partitions)
 
 
 def each_group(fn: Callable[[pa.Table], pa.Table],
@@ -488,13 +505,14 @@ def task_exchange(
 
     ``inputs`` is one Dataset or a sequence of inputs, each a Dataset or
     a list of block refs.  A list of block refs is split as it stands,
-    one split task per ref in list order, with no Ray Data execution
-    (the vertex programs of ``stages/graph.py`` feed gather refs back
-    this way).  A Dataset whose plan is a ``Read`` followed only by
-    whole-block pyarrow ``map_batches`` task stages, with at least as
-    many read tasks as requested blocks (:func:`_read_and_maps`), is
-    lowered:
-    one split task per read task, submitted in read-task order, calls
+    one split task per ref in list order, with no Ray Data execution:
+    this is how an engine operator feeds one exchange's gather refs
+    (:func:`partitioned_refs`) to the next, in partition order.  One
+    ref list is one input only when wrapped as ``[refs]``; a bare list
+    is a sequence of inputs.  A Dataset whose plan is a ``Read``
+    followed only by whole-block pyarrow ``map_batches`` task stages,
+    with at least as many read tasks as requested blocks
+    (:func:`_read_and_maps`), is lowered: one split task per read task, submitted in read-task order, calls
     the read task, runs the map functions in plan order once per table
     the read task yields (an empty table passes a stage unmapped, as in
     Ray Data), concatenates the results and splits them; no Ray Data

@@ -84,7 +84,7 @@ def pca_fit(ds, *, vec_col: str = "embedding", n_components: int = 4,
     colsum: (d,) int64 exact quantized column sums)``."""
     import ray
 
-    from .partition import materialized_block_refs, partitioned_map
+    from .partition import partitioned_refs
 
     def partial(b: pa.Table) -> pa.Table:
         qi = _quantized_int(b, vec_col, quant_bits)
@@ -111,11 +111,10 @@ def pca_fit(ds, *, vec_col: str = "embedding", n_components: int = 4,
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True, batch_size=None)
-    stats = partitioned_map(partials, combine, key="cell",
-                            sort_keys=["cell"],
-                            num_partitions=num_partitions)
-    blocks = [b for b in ray.get(materialized_block_refs(stats))
-              if b.num_rows > 0]
+    stats = partitioned_refs(partials, combine, key="cell",
+                             sort_keys=["cell"],
+                             num_partitions=num_partitions)
+    blocks = [b for b in ray.get(stats) if b.num_rows > 0]
     if not blocks:
         raise ValueError("pca_fit: empty input")
     st = pa.concat_tables(blocks)

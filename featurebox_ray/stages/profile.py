@@ -36,7 +36,7 @@ __all__ = ["profile_columns"]
 
 
 def profile_columns(ds, *, cols: Sequence[str], num_partitions: int = 8):
-    from .partition import partitioned_map
+    from .partition import partitioned_map, partitioned_refs
 
     cols = list(cols)
 
@@ -111,9 +111,9 @@ def profile_columns(ds, *, cols: Sequence[str], num_partitions: int = 8):
         return pa.Table.from_pandas(df, preserve_index=False).cast(
             out_schema)
 
-    staged = partitioned_map(partials, per_partition, key="val",
-                             sort_keys=["col", "val"],
-                             num_partitions=num_partitions)
+    staged = partitioned_refs(partials, per_partition, key="val",
+                              sort_keys=["col", "val"],
+                              num_partitions=num_partitions)
 
     def final(t: pa.Table) -> pa.Table:
         import pandas as pd
@@ -138,7 +138,7 @@ def profile_columns(ds, *, cols: Sequence[str], num_partitions: int = 8):
         return pa.Table.from_pandas(g, preserve_index=False
                                     ).cast(t.schema)
 
-    return partitioned_map(staged, final, key="col",
+    return partitioned_map([staged], final, key="col",
                            sort_keys=["col"], num_partitions=1)
 
 
@@ -591,9 +591,8 @@ def temporal_split_audit(ds, *, user_col: str = "user_id",
     """
     import ray
 
-    from .partition import (global_span_cut,
-                            materialized_block_refs, partitioned_map,
-                            sum_partials)
+    from .partition import (global_span_cut, materialized_block_refs,
+                            partitioned_refs, sum_partials)
 
     def prep(b: pa.Table) -> pa.Table:
         keep = pc.and_(pc.is_valid(b[user_col]),
@@ -659,11 +658,10 @@ def temporal_split_audit(ds, *, user_col: str = "user_id",
             "bo": pa.array([int((has_tr & has_te).sum())],
                            pa.int64())})
 
-    counted = partitioned_map(pairs, user_kernel, key=user_col,
-                              sort_keys=[user_col, "__s"],
-                              num_partitions=num_partitions)
-    tot = sum_partials(ray.get(materialized_block_refs(counted)),
-                       keys=[], vals=["tr", "te", "bo"])
+    counted = partitioned_refs(pairs, user_kernel, key=user_col,
+                               sort_keys=[user_col, "__s"],
+                               num_partitions=num_partitions)
+    tot = sum_partials(ray.get(counted), keys=[], vals=["tr", "te", "bo"])
     u_tr, u_te, u_bo = ((0, 0, 0) if tot is None else
                         (tot[c][0].as_py() for c in tot.column_names))
     leak = None if u_te == 0 else float(u_bo) / float(u_te)

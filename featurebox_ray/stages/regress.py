@@ -870,7 +870,7 @@ def fit_ridge(ds, *, vec_col: str = "embedding", y_col: str = "label",
     """
     import ray
 
-    from .partition import materialized_block_refs, partitioned_map
+    from .partition import partitioned_refs
 
     def partial(b: pa.Table) -> pa.Table:
         keep = pc.and_(pc.is_valid(b[vec_col]), pc.is_valid(b[y_col]))
@@ -901,11 +901,10 @@ def fit_ridge(ds, *, vec_col: str = "embedding", y_col: str = "label",
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True, batch_size=None)
-    stats = partitioned_map(partials, combine, key="cell",
-                            sort_keys=["cell"],
-                            num_partitions=num_partitions)
-    blocks = [b for b in ray.get(materialized_block_refs(stats))
-              if b.num_rows > 0]
+    stats = partitioned_refs(partials, combine, key="cell",
+                             sort_keys=["cell"],
+                             num_partitions=num_partitions)
+    blocks = [b for b in ray.get(stats) if b.num_rows > 0]
     if not blocks:
         raise ValueError("fit_ridge: empty input")
     st = pa.concat_tables(blocks)
@@ -1714,7 +1713,7 @@ def ridge_influence(ds, *, vec_col: str = "embedding",
     """
     import ray
 
-    from .partition import materialized_block_refs, partitioned_map
+    from .partition import partitioned_refs
 
     def partial(b: pa.Table) -> pa.Table:
         keep = pc.and_(pc.and_(pc.is_valid(b[vec_col]),
@@ -1771,11 +1770,11 @@ def ridge_influence(ds, *, vec_col: str = "embedding",
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True, batch_size=None)
-    stats = partitioned_map(partials, combine, key="g",
-                            sort_keys=["g", "cell"],
-                            num_partitions=num_partitions)
+    stats = partitioned_refs(partials, combine, key="g",
+                             sort_keys=["g", "cell"],
+                             num_partitions=num_partitions)
     per_group: dict = {}
-    for b in ray.get(materialized_block_refs(stats)):
+    for b in ray.get(stats):
         if b.num_rows == 0:
             continue
         for gv, cv, vv in zip(b["g"].to_pylist(),
@@ -2438,7 +2437,7 @@ def _grouped_ridge_stats(ds, *, vec_col: str, y_col: str,
     length d1²+d1+1)."""
     import ray
 
-    from .partition import materialized_block_refs, partitioned_map
+    from .partition import partitioned_refs
 
     empty = pa.table({"g": pa.array([], pa.int64()),
                       "cell": pa.array([], pa.int64()),
@@ -2497,11 +2496,10 @@ def _grouped_ridge_stats(ds, *, vec_col: str, y_col: str,
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True, batch_size=None)
-    stats = partitioned_map(partials, combine, key="g",
-                            sort_keys=["g", "cell"],
-                            num_partitions=num_partitions)
-    blocks = [b for b in ray.get(materialized_block_refs(stats))
-              if b.num_rows > 0]
+    stats = partitioned_refs(partials, combine, key="g",
+                             sort_keys=["g", "cell"],
+                             num_partitions=num_partitions)
+    blocks = [b for b in ray.get(stats) if b.num_rows > 0]
     if not blocks:
         raise ValueError(f"{op}: empty input")
     st = pa.concat_tables(blocks)

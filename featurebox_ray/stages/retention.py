@@ -43,7 +43,7 @@ def retention_cohorts(ds, *, key_col: str = "user_id",
     (``epoch_us // period_us``), offset = activity period − cohort,
     n_users = distinct users of that cohort active at that offset.
     """
-    from .partition import partitioned_map
+    from .partition import partitioned_map, partitioned_refs
 
     if period not in _PERIOD_US:
         raise ValueError(f"period must be one of {sorted(_PERIOD_US)}")
@@ -96,9 +96,9 @@ def retention_cohorts(ds, *, key_col: str = "user_id",
 
     prepped = ds.map_batches(prep, batch_format="pyarrow",
                              zero_copy_batch=True)
-    partials = partitioned_map(prepped, per_user, key=key_col,
-                               sort_keys=[key_col, "__per"],
-                               num_partitions=num_partitions)
+    partials = partitioned_refs(prepped, per_user, key=key_col,
+                                sort_keys=[key_col, "__per"],
+                                num_partitions=num_partitions)
 
     def combine(t: pa.Table) -> pa.Table:
         if t.num_rows == 0 or "cohort" not in t.column_names:
@@ -120,7 +120,7 @@ def retention_cohorts(ds, *, key_col: str = "user_id",
             "n_users": pa.array(sums),
         })
 
-    return partitioned_map(partials, combine, key="cohort",
+    return partitioned_map([partials], combine, key="cohort",
                            sort_keys=["cohort", "offset"],
                            num_partitions=min(num_partitions, 8))
 
@@ -143,7 +143,7 @@ def cohort_value_curve(ds, *, key_col: str = "user_id",
     ``coalesce``).  Emits ``(cohort:int64, offset:int64,
     cents:int64)``.
     """
-    from .partition import partitioned_map
+    from .partition import partitioned_map, partitioned_refs
 
     if period not in _PERIOD_US:
         raise ValueError(f"period must be one of {sorted(_PERIOD_US)}")
@@ -211,10 +211,10 @@ def cohort_value_curve(ds, *, key_col: str = "user_id",
 
     prepped = ds.map_batches(prep, batch_format="pyarrow",
                              zero_copy_batch=True)
-    partials = partitioned_map(prepped, kernel, key=key_col,
-                               sort_keys=[key_col, "__per"],
-                               num_partitions=num_partitions)
-    return partitioned_map(partials, combine, key="cohort",
+    partials = partitioned_refs(prepped, kernel, key=key_col,
+                                sort_keys=[key_col, "__per"],
+                                num_partitions=num_partitions)
+    return partitioned_map([partials], combine, key="cohort",
                            sort_keys=["cohort", "offset"],
                            num_partitions=max(num_partitions // 4, 1))
 
@@ -334,7 +334,7 @@ def _survival_cells(ds, *, user_col: str = "user_id",
     """
     import ray
 
-    from .partition import (materialized_block_refs, partitioned_map,
+    from .partition import (materialized_block_refs, partitioned_refs,
                             sum_partials)
 
     def partial(b: pa.Table) -> pa.Table:
@@ -450,11 +450,10 @@ def _survival_cells(ds, *, user_col: str = "user_id",
             "deaths": pa.array(np.where(c_flag == 0, n, 0)),
             "cens": pa.array(np.where(c_flag == 1, n, 0))})
 
-    users = partitioned_map(ray.data.from_arrow_refs(prefs),
-                            cells_kernel, key=user_col,
-                            sort_keys=[user_col, "__mn", "__sq"],
-                            num_partitions=num_partitions)
-    cells = sum_partials(ray.get(materialized_block_refs(users)),
+    users = partitioned_refs([prefs], cells_kernel, key=user_col,
+                             sort_keys=[user_col, "__mn", "__sq"],
+                             num_partitions=num_partitions)
+    cells = sum_partials(ray.get(users),
                          keys=["__ty", "__dur"], vals=["deaths", "cens"])
     return [] if cells is None else list(zip(*(
         cells[c].to_pylist() for c in ("__ty", "__dur", "deaths", "cens"))))
@@ -687,8 +686,7 @@ def daily_new_vs_returning(ds, *, key_col: str, ts_col: str,
     """
     import ray
 
-    from .partition import (materialized_block_refs, partitioned_map,
-                            sum_partials)
+    from .partition import partitioned_refs, sum_partials
 
     US_DAY = 86_400_000_000
 
@@ -731,11 +729,9 @@ def daily_new_vs_returning(ds, *, key_col: str, ts_col: str,
 
     prepped = ds.map_batches(prep, batch_format="pyarrow",
                              zero_copy_batch=True)
-    agg = sum_partials(ray.get(materialized_block_refs(
-        partitioned_map(prepped, kernel, key=key_col,
-                        sort_keys=[key_col, "__day"],
-                        num_partitions=num_partitions))),
-        keys=["day"], vals=["act", "new"])
+    agg = sum_partials(ray.get(partitioned_refs(
+        prepped, kernel, key=key_col, sort_keys=[key_col, "__day"],
+        num_partitions=num_partitions)), keys=["day"], vals=["act", "new"])
     if agg is None:
         agg = empty
     return pa.table({

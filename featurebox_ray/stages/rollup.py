@@ -48,7 +48,7 @@ def rollup_counts(ds, *, g1: str, g2: str, int_sum_cols: Sequence[str],
     emits tiny incomplete g2 partials and a SECOND exchange — over
     ≤ partitions × |g2| partial rows, never the data — completes them.
     """
-    from .partition import partitioned_map
+    from .partition import partitioned_map, partitioned_refs
 
     sum_names = [f"sum_{c}" for c in int_sum_cols]
 
@@ -141,17 +141,12 @@ def rollup_counts(ds, *, g1: str, g2: str, int_sum_cols: Sequence[str],
             parts.append(_lvl2_table(df, dic2, gt1))
         return pa.concat_tables(parts)
 
-    staged = partitioned_map(partials, combine, key=g1,
-                             sort_keys=[g1], num_partitions=num_partitions)
+    refs = partitioned_refs(partials, combine, key=g1,
+                            sort_keys=[g1], num_partitions=num_partitions)
 
     # grand partials (one per partition) meet in one tiny final combine;
-    # complete rows pass through untouched.  Build both branches from the
-    # SAME materialized refs — a lazy Dataset consumed twice re-executes.
+    # complete rows pass through untouched.
     import ray
-
-    from .partition import materialized_block_refs
-
-    refs = materialized_block_refs(staged)
 
     def split_done(b: pa.Table) -> pa.Table:
         lv = b["lvl"].to_numpy(zero_copy_only=False)

@@ -43,8 +43,7 @@ def association_rules(ds, *, basket_col: str, item_col: str,
     """
     import ray
 
-    from .partition import (materialized_block_refs, partitioned_map,
-                            sum_partials)
+    from .partition import partitioned_refs, sum_partials
 
     def prep(b: pa.Table) -> pa.Table:
         keep = pc.and_(pc.is_valid(b[basket_col]),
@@ -112,12 +111,11 @@ def association_rules(ds, *, basket_col: str, item_col: str,
 
     prepped = ds.map_batches(prep, batch_format="pyarrow",
                              zero_copy_batch=True, batch_size=None)
-    partials = partitioned_map(prepped, kernel, key="__b",
-                               sort_keys=["__b", "__i"],
-                               num_partitions=num_partitions)
+    partials = partitioned_refs(prepped, kernel, key="__b",
+                                sort_keys=["__b", "__i"],
+                                num_partitions=num_partitions)
 
-    agg = sum_partials(ray.get(materialized_block_refs(partials)),
-                       keys=["a", "b"], vals=["n"])
+    agg = sum_partials(ray.get(partials), keys=["a", "b"], vals=["n"])
     if agg is None:
         agg = pa.table({"a": pa.array([], pa.string()),
                         "b": pa.array([], pa.string()),

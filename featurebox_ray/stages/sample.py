@@ -112,7 +112,7 @@ def cap_per_group(ds, *, group_col: str, id_col: str, m: int):
     """
     import ray
 
-    from .partition import partitioned_map
+    from .partition import partitioned_refs
 
     def key_hash(k: np.ndarray) -> np.ndarray:
         return knuth_hash(k, op="cap_per_group")
@@ -145,13 +145,11 @@ def cap_per_group(ds, *, group_col: str, id_col: str, m: int):
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True, batch_size=None)
-    winners = partitioned_map(partials, combine, key=group_col,
-                              sort_keys=[group_col, "h", id_col],
-                              num_partitions=8)
-    from .partition import materialized_block_refs
+    winners = partitioned_refs(partials, combine, key=group_col,
+                               sort_keys=[group_col, "h", id_col],
+                               num_partitions=8)
 
-    blocks = [b for b in ray.get(materialized_block_refs(winners))
-              if b.num_rows > 0]
+    blocks = [b for b in ray.get(winners) if b.num_rows > 0]
     if not blocks:
         return ds.map_batches(lambda b: b.slice(0, 0),
                               batch_format="pyarrow", zero_copy_batch=True)

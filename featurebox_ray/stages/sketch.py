@@ -223,7 +223,7 @@ def cms_term_estimates(ds, *, text_col: str = "text", depth: int = 4,
     """
     import ray
 
-    from .partition import materialized_block_refs, partitioned_map
+    from .partition import materialized_block_refs, partitioned_refs
     from .tfidf import top_terms
 
     if depth <= 0 or width <= 0:
@@ -261,14 +261,13 @@ def cms_term_estimates(ds, *, text_col: str = "text", depth: int = 4,
         np.add.at(sums, inv, cnts)
         return pa.table({"cell": pa.array(uc), "cnt": pa.array(sums)})
 
-    sketch_ds = partitioned_map(partials, combine, key="cell",
-                                sort_keys=["cell"],
-                                num_partitions=num_partitions)
+    sketch_refs = partitioned_refs(partials, combine, key="cell",
+                                   sort_keys=["cell"],
+                                   num_partitions=num_partitions)
 
     # the combined sketch is <= depth*width rows (driver-tiny, like the
     # tfidf vocabulary); point queries are min over depth cells
-    blocks = [b for b in ray.get(materialized_block_refs(sketch_ds))
-              if b.num_rows > 0]
+    blocks = [b for b in ray.get(sketch_refs) if b.num_rows > 0]
     cell_map = np.zeros(depth * width, np.int64)
     if blocks:
         st = pa.concat_tables(blocks)

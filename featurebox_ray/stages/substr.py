@@ -325,7 +325,7 @@ def ngram_novelty(ds, *, id_col: str = "doc_id", text_col: str = "text",
     Returns ``(id_col, n_grams:int64, n_novel:int64,
     novelty:float64)``; novelty = one double/double division.
     """
-    from .partition import partitioned_map
+    from .partition import partitioned_map, partitioned_refs
 
     emit = _check_hash_mode(hash_mode)
 
@@ -370,9 +370,9 @@ def ngram_novelty(ds, *, id_col: str = "doc_id", text_col: str = "text",
 
     pairs = ds.map_batches(distinct_pairs, batch_format="pyarrow",
                            zero_copy_batch=True, batch_size=None)
-    partials = partitioned_map(pairs, gram_kernel, key="gh",
-                               sort_keys=["gh", "gh2", id_col],
-                               num_partitions=num_partitions)
+    partials = partitioned_refs(pairs, gram_kernel, key="gh",
+                                sort_keys=["gh", "gh2", id_col],
+                                num_partitions=num_partitions)
 
     def markers(batch: pa.Table) -> pa.Table:
         # int64 ids, as gram_kernel emits them, so the two concatenate
@@ -545,8 +545,7 @@ def cross_source_grams(ds, *, group_col: str = "source",
     """
     import ray
 
-    from .partition import (materialized_block_refs, partitioned_map,
-                            sum_partials)
+    from .partition import partitioned_refs, sum_partials
 
     def emit(b: pa.Table) -> pa.Table:
         gtype = b.schema.field(group_col).type
@@ -607,14 +606,13 @@ def cross_source_grams(ds, *, group_col: str = "source",
 
     partials = ds.map_batches(emit, batch_format="pyarrow",
                               zero_copy_batch=True, batch_size=None)
-    cells = partitioned_map(partials, kernel, key="gh",
-                            sort_keys=["gh", "gh2", group_col],
-                            num_partitions=num_partitions)
+    cells = partitioned_refs(partials, kernel, key="gh",
+                             sort_keys=["gh", "gh2", group_col],
+                             num_partitions=num_partitions)
     schema = ds.schema()
     base = getattr(schema, "base_schema", schema)
     gtype = base.field(group_col).type
-    agg = sum_partials(ray.get(materialized_block_refs(cells)),
-                       keys=["src_a", "src_b"], vals=["n"])
+    agg = sum_partials(ray.get(cells), keys=["src_a", "src_b"], vals=["n"])
     if agg is None:
         return pa.table({"src_a": pa.array([], gtype),
                          "src_b": pa.array([], gtype),

@@ -79,7 +79,7 @@ def tfidf_topk(ds, *, id_col: str = "doc_id", text_col: str = "text",
     """
     import ray
 
-    from .partition import materialized_block_refs, partitioned_map
+    from .partition import partitioned_refs
 
     if n_docs is None:
         n_docs = ds.count()
@@ -107,11 +107,10 @@ def tfidf_topk(ds, *, id_col: str = "doc_id", text_col: str = "text",
 
     partials = ds.map_batches(df_partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    df_ds = partitioned_map(partials, df_combine, key="term",
-                            sort_keys=["term"],
-                            num_partitions=num_partitions)
-    blocks = [b for b in ray.get(materialized_block_refs(df_ds))
-              if b.num_rows > 0]
+    df_refs = partitioned_refs(partials, df_combine, key="term",
+                               sort_keys=["term"],
+                               num_partitions=num_partitions)
+    blocks = [b for b in ray.get(df_refs) if b.num_rows > 0]
     if not blocks:
         empty = pa.schema([(id_col, pa.int64()), ("term", pa.string()),
                            ("tf", pa.int64()), ("tfidf", pa.float64())])
@@ -461,7 +460,7 @@ def collocation_pmi(ds, *, id_col: str = "doc_id", text_col: str = "text",
     """
     import ray
 
-    from .partition import materialized_block_refs, partitioned_map
+    from .partition import materialized_block_refs, partitioned_refs
     from .rank import range_top
 
     if min_count < 1:
@@ -542,12 +541,12 @@ def collocation_pmi(ds, *, id_col: str = "doc_id", text_col: str = "text",
     bi_ds = ray.data.from_arrow_refs(list(refs)).map_batches(
         bi_branch, batch_format="pyarrow", zero_copy_batch=True)
 
-    uni_tot = partitioned_map(uni_ds, sum_by_key(["w1"]), key="w1",
-                              sort_keys=["w1"],
+    uni_tot = partitioned_refs(uni_ds, sum_by_key(["w1"]), key="w1",
+                               sort_keys=["w1"],
+                               num_partitions=num_partitions)
+    bi_tot = partitioned_refs(bi_ds, sum_by_key(["w1", "w2"]), key="w1",
+                              sort_keys=["w1", "w2"],
                               num_partitions=num_partitions)
-    bi_tot = partitioned_map(bi_ds, sum_by_key(["w1", "w2"]), key="w1",
-                             sort_keys=["w1", "w2"],
-                             num_partitions=num_partitions)
 
     out_schema = pa.schema([
         ("w1", pa.string()), ("w2", pa.string()), ("c_xy", pa.int64()),
@@ -555,8 +554,7 @@ def collocation_pmi(ds, *, id_col: str = "doc_id", text_col: str = "text",
         ("pmi_score", pa.float64())])
 
     # unigram table: prune to c_x >= min_count, broadcast once
-    ublocks = [b for b in ray.get(materialized_block_refs(uni_tot))
-               if b.num_rows > 0]
+    ublocks = [b for b in ray.get(uni_tot) if b.num_rows > 0]
     if not ublocks:
         return ray.data.from_arrow(out_schema.empty_table())
     utab = pa.concat_tables(ublocks, promote_options="default")
@@ -567,15 +565,13 @@ def collocation_pmi(ds, *, id_col: str = "doc_id", text_col: str = "text",
     uni_ref = ray.put((uterms, ucnts))
 
     # N = total adjacent-bigram occurrences (tiny exact reduce)
-    bi_refs = materialized_block_refs(bi_tot)
-
     @ray.remote
     def _sum_n(*blocks):
         return int(sum(
             int(pc.sum(b["cnt"]).as_py() or 0) for b in blocks
             if "cnt" in b.column_names))
 
-    n_total = ray.get(_sum_n.remote(*bi_refs))
+    n_total = ray.get(_sum_n.remote(*bi_tot))
     if n_total == 0:
         return ray.data.from_arrow(out_schema.empty_table())
 
@@ -609,7 +605,7 @@ def collocation_pmi(ds, *, id_col: str = "doc_id", text_col: str = "text",
             "pmi_score": pa.array(num.astype(np.float64) /
                                   den.astype(np.float64))})
 
-    scored = ray.data.from_arrow_refs(list(bi_refs)).map_batches(
+    scored = ray.data.from_arrow_refs(bi_tot).map_batches(
         score, batch_format="pyarrow", zero_copy_batch=True)
     return range_top(scored, ["pmi_score", "w1", "w2"],
                      [True, False, False], k)
@@ -637,7 +633,7 @@ def vocab_overlap(ds, *, group_col: str, text_col: str = "text",
     """
     import ray
 
-    from .partition import materialized_block_refs, partitioned_map
+    from .partition import partitioned_refs
 
     row_schema = pa.schema([("w", pa.string()), ("g", pa.string())])
 
@@ -722,11 +718,10 @@ def vocab_overlap(ds, *, group_col: str, text_col: str = "text",
             "cnt": pa.array(cnt)})
         return pa.concat_tables([size_tab, pair_tab])
 
-    partials = partitioned_map(rows, kernel, key="w",
-                               sort_keys=["w", "g"],
-                               num_partitions=num_partitions)
-    blocks = [b for b in ray.get(materialized_block_refs(partials))
-              if b.num_rows > 0]
+    partials = partitioned_refs(rows, kernel, key="w",
+                                sort_keys=["w", "g"],
+                                num_partitions=num_partitions)
+    blocks = [b for b in ray.get(partials) if b.num_rows > 0]
     out_schema = pa.schema([
         ("grp_a", pa.string()), ("grp_b", pa.string()),
         ("inter", pa.int64()), ("n_a", pa.int64()),
@@ -995,7 +990,7 @@ def chi2_keyness(ds, *, group_col: str = "source",
     """
     import ray
 
-    from .partition import materialized_block_refs, partitioned_map
+    from .partition import materialized_block_refs, partitioned_refs
 
     def partial(batch: pa.Table) -> pa.Table:
         keep = pc.fill_null(pc.is_valid(batch[group_col]), False)
@@ -1105,13 +1100,13 @@ def chi2_keyness(ds, *, group_col: str = "source",
             "cnt": pa.array(np.array(rows_a, np.int64)[sel]),
             "chi2": pa.array(chi[sel])})
 
-    scored = partitioned_map(
-        ray.data.from_arrow_refs(refs), kernel, key="term",
+    scored = partitioned_refs(
+        [refs], kernel, key="term",
         sort_keys=["term", group_col],
         num_partitions=num_partitions)
 
     # driver merge: ≤ partitions × groups × k rows
-    blocks = [b for b in ray.get(materialized_block_refs(scored))
+    blocks = [b for b in ray.get(scored)
               if b.num_rows and "term" in b.column_names]
     if not blocks:
         return pa.table({group_col: pa.array([], gtype or pa.string()),
@@ -1159,7 +1154,7 @@ def novelty_curve(ds, *, id_col: str = "doc_id", text_col: str = "text",
     import ray
 
     from .dedup import split_tokens
-    from .partition import materialized_block_refs, partitioned_map
+    from .partition import partitioned_refs
 
     def partial(batch: pa.Table) -> pa.Table:
         empty = pa.table({"term": pa.array([], pa.string()),
@@ -1200,13 +1195,12 @@ def novelty_curve(ds, *, id_col: str = "doc_id", text_col: str = "text",
         return pa.table({"bucket": pa.array(u, pa.int64()),
                          "cnt": pa.array(c.astype(np.int64))})
 
-    bparts = partitioned_map(partials, bucket_kernel, key="term",
-                             sort_keys=["term"],
-                             num_partitions=num_partitions)
+    bparts = partitioned_refs(partials, bucket_kernel, key="term",
+                              sort_keys=["term"],
+                              num_partitions=num_partitions)
     from .partition import sum_partials
 
-    comb = sum_partials(ray.get(materialized_block_refs(bparts)),
-                        keys=["bucket"], vals=["cnt"])
+    comb = sum_partials(ray.get(bparts), keys=["bucket"], vals=["cnt"])
     if comb is None:
         return pa.table({"bucket": pa.array([], pa.int64()),
                          "n_new_terms": pa.array([], pa.int64()),
@@ -1250,7 +1244,7 @@ def vocab_coverage(ds, *, group_col: str = "source",
     """
     import ray
 
-    from .partition import materialized_block_refs, partitioned_map
+    from .partition import partitioned_refs
 
     def partial(b: pa.Table) -> pa.Table:
         gtype = b.schema.field(group_col).type
@@ -1325,15 +1319,15 @@ def vocab_coverage(ds, *, group_col: str = "source",
             "n2": pa.array(n2[present]),
             "n": pa.array(ntok[present])})
 
-    per_part = partitioned_map(partials, kernel, key="term",
-                               sort_keys=["term", group_col],
-                               num_partitions=num_partitions)
+    per_part = partitioned_refs(partials, kernel, key="term",
+                                sort_keys=["term", group_col],
+                                num_partitions=num_partitions)
     from .partition import sum_partials
 
     schema = ds.schema()
     base = getattr(schema, "base_schema", schema)
     gtype = base.field(group_col).type
-    comb = sum_partials(ray.get(materialized_block_refs(per_part)),
+    comb = sum_partials(ray.get(per_part),
                         keys=[group_col],
                         vals=["v", "n1", "n2", "n"])
     if comb is None:
@@ -1669,7 +1663,7 @@ def weighted_jaccard(ds, *, group_col: str, text_col: str,
     """
     import ray
 
-    from .partition import materialized_block_refs, partitioned_map
+    from .partition import partitioned_refs
 
     def prep(b: pa.Table) -> pa.Table:
         keep = pc.fill_null(pc.and_(pc.is_valid(b[group_col]),
@@ -1783,12 +1777,12 @@ def weighted_jaccard(ds, *, group_col: str, text_col: str,
             "tot": pa.array(np.concatenate(
                 [np.zeros(n_p, np.int64), totals]))})
 
-    parts = partitioned_map(prepped, kernel, key="tok",
-                            sort_keys=["tok", "g"],
-                            num_partitions=num_partitions)
+    parts = partitioned_refs(prepped, kernel, key="tok",
+                             sort_keys=["tok", "g"],
+                             num_partitions=num_partitions)
     pair_min: dict = {}
     group_tot: dict = {}
-    for b in ray.get(materialized_block_refs(parts)):
+    for b in ray.get(parts):
         if b.num_rows == 0 or "ga" not in b.column_names:
             continue
         for ga, gb, sm, tg, tv in zip(b["ga"].to_pylist(),

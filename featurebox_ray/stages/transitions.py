@@ -32,7 +32,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions import segments as seg
-from .partition import each_group, partitioned_map
+from .partition import each_group, partitioned_map, partitioned_refs
 from .window import _key_codes_dic
 
 
@@ -76,9 +76,9 @@ def event_transition_counts(ds, *, key_col: str, ts_col: str,
             "cnt": pa.array(mat[nz]),
         })
 
-    partials = partitioned_map(ds, kernel, key=key_col,
-                               sort_keys=[key_col, ts_col, order_col],
-                               num_partitions=num_partitions)
+    partials = partitioned_refs(ds, kernel, key=key_col,
+                                sort_keys=[key_col, ts_col, order_col],
+                                num_partitions=num_partitions)
 
     def finalize(t: pa.Table) -> pa.Table:
         td = pc.dictionary_encode(t["to_type"].combine_chunks())
@@ -97,7 +97,7 @@ def event_transition_counts(ds, *, key_col: str, ts_col: str,
         })
 
     # second exchange: O(partitions × |types|²) partial rows
-    return partitioned_map(partials, each_group(finalize, ["from_type"]),
+    return partitioned_map([partials], each_group(finalize, ["from_type"]),
                            key="from_type", sort_keys=["from_type"])
 
 
@@ -235,10 +235,10 @@ def session_cooccurrence(ds, *, key_col: str, ts_col: str,
 
     prepped = ds.map_batches(prep, batch_format="pyarrow",
                              zero_copy_batch=True)
-    partials = partitioned_map(prepped, kernel, key=key_col,
-                               sort_keys=[key_col, "__ts", order_col],
-                               num_partitions=num_partitions)
-    return partitioned_map(partials, combine, key="type_a",
+    partials = partitioned_refs(prepped, kernel, key=key_col,
+                                sort_keys=[key_col, "__ts", order_col],
+                                num_partitions=num_partitions)
+    return partitioned_map([partials], combine, key="type_a",
                            sort_keys=["type_a", "type_b"],
                            num_partitions=min(num_partitions, 4))
 
@@ -335,8 +335,7 @@ def eventually_follows(ds, *, key_col: str, ts_col: str,
     """
     import ray
 
-    from .partition import (materialized_block_refs, partitioned_map,
-                            sum_partials)
+    from .partition import sum_partials
 
     def prep(b: pa.Table) -> pa.Table:
         keep = pc.is_valid(b[key_col])
@@ -412,10 +411,10 @@ def eventually_follows(ds, *, key_col: str, ts_col: str,
 
     prepped = ds.map_batches(prep, batch_format="pyarrow",
                              zero_copy_batch=True)
-    partials = partitioned_map(prepped, kernel, key=key_col,
-                               sort_keys=[key_col, "__ty", "__ts"],
-                               num_partitions=num_partitions)
-    agg = sum_partials(ray.get(materialized_block_refs(partials)),
+    partials = partitioned_refs(prepped, kernel, key=key_col,
+                                sort_keys=[key_col, "__ty", "__ts"],
+                                num_partitions=num_partitions)
+    agg = sum_partials(ray.get(partials),
                        keys=["type_a", "type_b"],
                        vals=["n_keys", "n_both"])
     if agg is None:
@@ -765,7 +764,7 @@ def session_coactivity(ds, *, key_col: str, ts_col: str,
             pa.array(np.flatnonzero(a), pa.int64())),
             "coact": pa.array(coact)})
 
-    counts = partitioned_map(
+    counts = partitioned_refs(
         starts.map_batches(spread, batch_format="pyarrow",
                            zero_copy_batch=True),
         count_kernel, key="__b", sort_keys=["__b", "tag", "__ts"],
@@ -796,7 +795,7 @@ def session_coactivity(ds, *, key_col: str, ts_col: str,
             "max_coactive": pa.array(mx),
             "n_coordinated": pa.array(nc)})
 
-    return partitioned_map(counts, agg_kernel, key=key_col,
+    return partitioned_map([counts], agg_kernel, key=key_col,
                            sort_keys=[key_col],
                            num_partitions=num_partitions)
 

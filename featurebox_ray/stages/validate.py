@@ -50,7 +50,7 @@ def validate_constraints(ds, rules: List[Dict],
     ok:bool, viol_frac:float64)``."""
     import ray
 
-    from .partition import (materialized_block_refs, partitioned_map,
+    from .partition import (materialized_block_refs, partitioned_refs,
                             sum_partials)
 
     for r in rules:
@@ -122,10 +122,9 @@ def validate_constraints(ds, rules: List[Dict],
 
         prepped = ds.map_batches(prep, batch_format="pyarrow",
                                  zero_copy_batch=True)
-        tot = sum_partials(ray.get(materialized_block_refs(
-            partitioned_map(prepped, kernel, key=col, sort_keys=[col],
-                            num_partitions=num_partitions))),
-            keys=[], vals=["nn", "nd"])
+        tot = sum_partials(ray.get(partitioned_refs(
+            prepped, kernel, key=col, sort_keys=[col],
+            num_partitions=num_partitions)), keys=[], vals=["nn", "nd"])
         agg_v[r["name"]] = (0 if tot is None else
                             tot["nn"][0].as_py() - tot["nd"][0].as_py())
 

@@ -1393,7 +1393,7 @@ def sax_encode(ds, *, key_col: str, ts_col: str, order_col: str,
     import ray
 
     from ..functions.segments import cents_exact
-    from .partition import materialized_block_refs
+    from .partition import partitioned_refs
     from .quantile import group_quantiles
 
     def prep(b: pa.Table) -> pa.Table:
@@ -1450,10 +1450,9 @@ def sax_encode(ds, *, key_col: str, ts_col: str, order_col: str,
             "win_idx": pa.array(wi[wstarts], pa.int64()),
             "wsum": pa.array(sums.astype(np.int64))})
 
-    wins = partitioned_map(prepped, win_kernel, key=key_col,
-                           sort_keys=[key_col, "__t", "__o"],
-                           num_partitions=num_partitions)
-    refs = materialized_block_refs(wins)
+    refs = partitioned_refs(prepped, win_kernel, key=key_col,
+                            sort_keys=[key_col, "__t", "__o"],
+                            num_partitions=num_partitions)
 
     def tag(b: pa.Table) -> pa.Table:
         if b.num_rows == 0 or "wsum" not in b.column_names:

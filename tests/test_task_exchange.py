@@ -878,16 +878,19 @@ def test_stage_error_in_lowered_split_keeps_its_type(tmp_path):
 
 @pytest.mark.parametrize("exc", [ValueError, AttributeError])
 @pytest.mark.parametrize("consumer", ["materialized_block_refs",
-                                      "partitioned_map"])
+                                      "partitioned_map", "partitioned_refs",
+                                      "chained"])
 def test_stage_error_in_drained_input_keeps_its_type(exc, consumer,
                                                      tmp_path):
     """A stage that raises in a drained map (one file read at 8 blocks,
     so not lowered) surfaces with its own type and message, both under
-    ``materialized_block_refs`` and through the exchange, and the
-    upstream runs once: nothing catches the error and re-runs the
-    plan."""
+    ``materialized_block_refs`` and through the exchange, whether its
+    refs are fetched or passed on to a second exchange as one input,
+    and the upstream runs once: nothing catches the error and re-runs
+    the plan."""
     from featurebox_ray.stages.partition import (_read_and_maps,
-                                                 materialized_block_refs)
+                                                 materialized_block_refs,
+                                                 partitioned_refs)
 
     d = _write_parquet(tmp_path / "in",
                        pa.Table.from_pylist(_side_rows(400, 7, 0, 5)), 1)
@@ -906,8 +909,39 @@ def test_stage_error_in_drained_input_keeps_its_type(exc, consumer,
     with pytest.raises(exc, match="stage refused ts 13"):
         if consumer == "materialized_block_refs":
             materialized_block_refs(ds)
-        else:
+        elif consumer == "partitioned_map":
             partitioned_map(ds, _running_sum, key="k",
                             sort_keys=["k", "ts"], num_partitions=3)
+        else:
+            refs = partitioned_refs(ds, _running_sum, key="k",
+                                    sort_keys=["k", "ts"], num_partitions=3)
+            if consumer == "partitioned_refs":
+                ray.get(refs)
+            else:
+                partitioned_map([refs], _running_sum, key="k",
+                                sort_keys=["k", "ts"], num_partitions=2)
     with open(marker) as f:
         assert f.read() == "x"
+
+
+@pytest.mark.parametrize("consumer", ["partitioned_refs", "chained"])
+def test_kernel_error_through_refs_keeps_its_type(consumer):
+    """A kernel that refuses its partition surfaces as its own type
+    with its message when its refs are fetched, and when a second
+    exchange takes those refs as its one input (``[refs]``)."""
+    from featurebox_ray.stages.partition import partitioned_refs
+
+    def refuse_key_3(t: pa.Table) -> pa.Table:
+        if 3 in t["k"].to_pylist():
+            raise ValueError("kernel refused key 3")
+        return _running_sum(t)
+
+    ds = ray.data.from_arrow(pa.Table.from_pylist(_side_rows(200, 7, 0, 2)))
+    refs = partitioned_refs(ds, refuse_key_3, key="k", sort_keys=["k", "ts"],
+                            num_partitions=3)
+    with pytest.raises(ValueError, match="kernel refused key 3"):
+        if consumer == "partitioned_refs":
+            ray.get(refs)
+        else:
+            partitioned_map([refs], _running_sum, key="k",
+                            sort_keys=["k", "ts"], num_partitions=2)

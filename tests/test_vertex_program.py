@@ -133,3 +133,26 @@ def test_task_exchange_splits_block_refs_like_their_dataset():
     assert sum(t.num_rows for t in by_refs) == 155
     for x, y in zip(by_refs, by_ds):
         assert x.equals(y)
+
+
+@pytest.mark.parametrize("edges", [[(1, 2), (2, 3)], []],
+                         ids=["no_seed", "no_edges"])
+def test_k_core_and_bfs_hops_keep_their_columns(edges):
+    """Both operators return a Dataset whose every block has their
+    declared columns, also when nothing is reached (no id of the path
+    1-2-3 is a multiple of 17) and when the edge list is empty.  (Ray's
+    ``to_pandas`` of a Dataset with no rows has no columns whatever its
+    blocks, so the blocks are what is checked.)"""
+    def block_columns(out) -> set:
+        assert isinstance(out, ray.data.Dataset)
+        return {tuple(t.column_names)
+                for b in out.iter_internal_ref_bundles()
+                for t in ray.get(b.block_refs)}
+
+    ds = _ds(edges, blocks=max(len(edges), 1))
+    hops = bfs_hops(ds, seed_mod=17, num_partitions=4)
+    core = k_core(ds, num_partitions=4)
+    assert block_columns(hops) == {("node", "hops")}
+    assert block_columns(core) == {("node", "degree", "core")}
+    assert hops.count() == 0
+    assert core.count() == (3 if edges else 0)
