@@ -193,9 +193,7 @@ def label_prototypes(ds, *, vec_col: str = "embedding",
     [1-based, matching SQL subscripts], n:int64, sum_q:int64,
     mean:float64)``.
     """
-    import ray
-
-    from .partition import materialized_block_refs, partitioned_map
+    from .partition import partitioned_map
 
     def partial(b: pa.Table) -> pa.Table:
         keep = pc.and_(pc.is_valid(b[vec_col]),

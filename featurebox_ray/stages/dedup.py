@@ -45,24 +45,57 @@ _PAIR_MIX = np.uint64(0x9E3779B97F4A7C15)
 # batched tokenization + hashing (shared by minhash / simhash)
 # ---------------------------------------------------------------------------
 
-_TOKEN_HASH_CACHE: dict = {}
-_TOKEN_HASH_CACHE_MAX = 1 << 20
+# the cache is probed whole once per batch (~15 ns per cached token), so
+# its cap bounds that probe at a few ms, about what hashing one batch's
+# few thousand distinct tokens costs
+_TOKEN_HASH_CACHE_MAX = 1 << 18
 
 
-def _hash_token(t: str) -> int:
-    """True 64-bit token hash (blake2b/8B).  crc32-based widening is NOT
-    enough: crc32(b, salt) differs from crc32(b) by a constant that
-    depends only on len(b) (CRC linearity), so same-length tokens collide
-    at 32-bit birthday rates.  blake2b per UNIQUE token with a per-worker
-    vocab cache keeps cost ~one hash per vocabulary word."""
-    h = _TOKEN_HASH_CACHE.get(t)
-    if h is None:
-        if len(_TOKEN_HASH_CACHE) >= _TOKEN_HASH_CACHE_MAX:
-            _TOKEN_HASH_CACHE.clear()
-        h = int.from_bytes(
-            hashlib.blake2b(t.encode(), digest_size=8).digest(), "little")
-        _TOKEN_HASH_CACHE[t] = h
-    return h
+def _blake2b_u64(tokens: pa.Array) -> np.ndarray:
+    return np.fromiter(
+        (int.from_bytes(hashlib.blake2b(t.encode(), digest_size=8).digest(),
+                        "little") for t in tokens.to_pylist()),
+        np.uint64, count=len(tokens))
+
+
+class _TokenHashCache:
+    """True 64-bit token hashes (blake2b/8B), one hash per token ever
+    seen by this worker.  crc32-based widening is NOT enough: crc32(b,
+    salt) differs from crc32(b) by a constant that depends only on
+    len(b) (CRC linearity), so same-length tokens collide at 32-bit
+    birthday rates.  The known tokens are held as one Arrow
+    ``large_string`` array beside a ``uint64`` array of their hashes; a
+    batch's distinct tokens are found in it with one ``pc.index_in``
+    (the cache probed against the batch, so the hash table built is the
+    batch's, not the cache's) and only the misses are hashed.  Past
+    ``_TOKEN_HASH_CACHE_MAX`` tokens the cache restarts from the batch's
+    distinct tokens."""
+
+    def __init__(self):
+        self.tokens = pa.nulls(0, pa.large_string())
+        self.hashes = np.empty(0, np.uint64)
+
+    def lookup(self, words: pa.Array) -> np.ndarray:
+        """uint64 hash of each of the distinct tokens ``words``."""
+        words = words.cast(pa.large_string())
+        at = pc.fill_null(pc.index_in(self.tokens, value_set=words), -1)
+        at = at.to_numpy(zero_copy_only=False)
+        hit = at >= 0
+        out = np.empty(len(words), np.uint64)
+        out[at[hit]] = self.hashes[hit]
+        miss = np.ones(len(words), bool)
+        miss[at[hit]] = False
+        new = words.filter(pa.array(miss))
+        out[miss] = new_hashes = _blake2b_u64(new)
+        if len(self.tokens) + len(new) > _TOKEN_HASH_CACHE_MAX:
+            self.tokens, self.hashes = words, out.copy()
+        elif len(new):
+            self.tokens = pa.concat_arrays([self.tokens, new])
+            self.hashes = np.concatenate([self.hashes, new_hashes])
+        return out
+
+
+_TOKEN_HASHES = _TokenHashCache()
 
 
 def split_tokens(texts: "pa.ChunkedArray | pa.Array"
@@ -220,15 +253,13 @@ def _batch_token_hashes(texts: "pa.ChunkedArray | pa.Array"
     row offsets) where row i's tokens are ``flat[off[i]:off[i+1]]``.
 
     Tokens are split with Arrow (C++), then hashed once per DISTINCT token
-    in the batch (dictionary encode → blake2b per dictionary entry, with
-    the per-worker vocab cache on top)."""
+    in the batch (dictionary encode → the per-worker
+    :class:`_TokenHashCache` per dictionary entry)."""
     flat_tokens, off = split_tokens(texts)
     if len(flat_tokens) == 0:
         return np.empty(0, np.uint64), off
     d = pc.dictionary_encode(flat_tokens)
-    uniques = d.dictionary.to_pylist()
-    lut = np.fromiter((_hash_token(u) for u in uniques), dtype=np.uint64,
-                      count=len(uniques))
+    lut = _TOKEN_HASHES.lookup(d.dictionary)
     idx = d.indices.to_numpy(zero_copy_only=False)
     return lut[idx], off
 

@@ -144,8 +144,6 @@ def kmeans_cluster_stats(ds, *, vec_col: str = "embedding",
     """
     import ray
 
-    from .partition import materialized_block_refs
-
     cents, labels = kmeans_fit(ds, vec_col=vec_col, id_col=id_col, k=k,
                                iters=iters, quant_bits=quant_bits)
     cents_ref = ray.put(cents)

@@ -14,6 +14,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .text import TOKEN_PATTERN, count_matches
+
 ROLE_CODES = {"user": 0, "assistant": 1, "system": 2, "tool": 3}
 
 
@@ -21,9 +23,11 @@ def turn_scalar_features(batch: pa.Table) -> pa.Table:
     """Append ``text_len``, ``n_tokens``, ``is_tool_turn``, ``role_code``."""
     text = batch["text"]
     text_len = pc.utf8_length(text)
-    # token count = number of non-whitespace runs — exact Python
-    # str.split() semantics incl. leading/trailing/multiple whitespace
-    n_tokens = pc.count_substring_regex(text, r"\S+")
+    # token count = number of RE2 ``\S+`` runs, whitespace being
+    # [\t\n\f\r ]: leading, trailing and repeated whitespace count as
+    # Python's str.split() does, but "\v" and non-ASCII spaces sit inside
+    # a token ("a\vb" is 1 token here, 2 under str.split())
+    (n_tokens,) = count_matches(text, TOKEN_PATTERN)
     is_tool = pc.is_valid(batch["tool"])
     # unknown roles code as -1 (visible sentinel) rather than null — a
     # null would silently NaN every downstream numeric feature, and the

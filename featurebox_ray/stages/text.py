@@ -3,10 +3,13 @@ scoring, token counting, fingerprinting.  All stateless vectorized
 ``map_batches`` stages (constant tables / stopword value-sets built once
 per actor via callable classes).
 
-Fully batch-vectorized: character-level counts run as Arrow RE2 kernels
-(``count_substring_regex`` / ``utf8_length``), token-level stats
-(stopword hits, mean token length) run as ``pc.is_in`` + numpy
-``reduceat`` over the token-list offsets from
+Fully batch-vectorized: the character-level regex counts (``\\S+``
+runs, BPE pieces, punctuation, uppercase) are one pass of numpy byte-class
+masks over the Arrow string buffers (:func:`count_matches`, equal to
+RE2's ``count_substring_regex`` on valid UTF-8, which it falls back to
+otherwise), character lengths are ``utf8_length``; token-level stats
+(stopword hits, mean token length) run as ``pc.is_in`` over the batch's
+distinct tokens + numpy ``reduceat`` over the token-list offsets from
 :func:`..stages.dedup.split_tokens`.  The md5 winnowing fingerprint
 (smallest md5 over a row's token 5-grams — md5 because DuckDB ``md5()``
 can replay it, giving the q26 oracle a value-hash check on every output
@@ -15,7 +18,7 @@ column) hashes every gram of the batch at once with
 lanes for grams of at most 55 bytes, ``hashlib`` for the rare longer
 ones; the per-row minimum is a segmented ``reduceat``.
 
-Regex semantics note: counts use RE2 (Arrow + DuckDB both), where ``\\w``
+Regex semantics note: counts follow RE2 (Arrow + DuckDB both), where ``\\w``
 is ASCII ``[0-9A-Za-z_]`` and uppercase is ``[A-Z]`` — byte-identical
 between engine and oracle; non-ASCII corpora would need the unicode-aware
 variants.
@@ -26,6 +29,7 @@ operators the engine adds for 100 TB corpora (task brief).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict
 
 import numpy as np
@@ -33,6 +37,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .dedup import row_gram_md5, split_tokens
+from .partition import string_buffers
 
 # tiny public stopword profiles for the stopword-ratio language heuristic
 _LANG_STOPWORDS: Dict[str, tuple] = {
@@ -46,11 +51,102 @@ _LANG_STOPWORDS: Dict[str, tuple] = {
            "de", "que", "en", "por", "para"),
 }
 
+TOKEN_PATTERN = r"\S+"
 BPE_PATTERN = r"[A-Za-z]+|[0-9]+|[^\sA-Za-z0-9]"
 PUNCT_PATTERN = r"[^\w\s]"
 UPPER_PATTERN = r"[A-Z]"
 FINGERPRINT_W = 5
 _HEX_DIGITS = np.frombuffer(b"0123456789abcdef", np.uint8)
+
+
+class _ByteClasses:
+    """RE2 UTF-8-mode classes of the bytes ``b`` of a string buffer,
+    each mask computed on first use.  RE2's ``\\s`` is ``[\\t\\n\\f\\r ]``
+    (no ``\\v``), ``\\w`` is ``[0-9A-Za-z_]``, and on valid UTF-8 a code
+    point starts at every byte that is not a continuation byte
+    (``0x80``-``0xBF``).  The tests are uint8 compares that wrap below
+    zero, not table lookups, which numpy runs several times slower."""
+
+    def __init__(self, b: np.ndarray, row_start: np.ndarray):
+        self.b = b
+        self.row_start = row_start
+
+    @cached_property
+    def space(self) -> np.ndarray:
+        b = self.b
+        return ((b - 9 < 5) & (b != 11)) | (b == 32)
+
+    @cached_property
+    def letter(self) -> np.ndarray:
+        return (self.b | 32) - 97 < 26
+
+    @cached_property
+    def digit(self) -> np.ndarray:
+        return self.b - 48 < 10
+
+    @cached_property
+    def other(self) -> np.ndarray:
+        """A code point that is neither a letter, a digit nor space."""
+        return ~(self.space | self.letter | self.digit
+                 | (self.b & 0xC0 == 0x80))
+
+    def run_starts(self, inside: np.ndarray) -> np.ndarray:
+        """The bytes that begin a run of ``inside`` bytes; a run never
+        spans two rows."""
+        start = inside.copy()
+        start[1:] &= ~inside[:-1]
+        start[self.row_start] = inside[self.row_start]
+        return start
+
+
+# per pattern, the bytes where a match starts: with no empty match and
+# no match crossing a row, the per-row count of these bytes is
+# pc.count_substring_regex's count on valid UTF-8
+_MATCH_STARTS = {
+    TOKEN_PATTERN: lambda c: c.run_starts(~c.space),
+    # a letter run, a digit run, or one other code point
+    BPE_PATTERN: lambda c: (c.run_starts(c.letter) | c.run_starts(c.digit)
+                            | c.other),
+    PUNCT_PATTERN: lambda c: c.other & (c.b != 95),
+    UPPER_PATTERN: lambda c: c.b - 65 < 26,
+}
+
+
+def _count_matches_array(arr: pa.Array, patterns) -> list:
+    if not (pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type)):
+        return [pc.count_substring_regex(arr, p) for p in patterns]
+    try:
+        arr.validate(full=True)
+    except pa.ArrowInvalid:
+        # RE2 skips invalid UTF-8 bytes, which a byte class cannot follow
+        return [pc.count_substring_regex(arr, p) for p in patterns]
+    off, data = string_buffers(arr)
+    lo = int(off[0])
+    b = data[lo:int(off[-1])]
+    row_start = off[:-1] - lo
+    classes = _ByteClasses(b, row_start[row_start < len(b)])
+    out_type = pa.int64() if pa.types.is_large_string(arr.type) else pa.int32()
+    mask = (arr.is_null().to_numpy(zero_copy_only=False)
+            if arr.null_count else None)
+    return [pa.array(_row_sums(_MATCH_STARTS[p](classes), off - lo)
+                     .astype(out_type.to_pandas_dtype()), out_type, mask=mask)
+            for p in patterns]
+
+
+def count_matches(texts: "pa.ChunkedArray | pa.Array", *patterns) -> list:
+    """``[pc.count_substring_regex(texts, p) for p in patterns]`` for the
+    patterns of ``_MATCH_STARTS``, counted with byte-class masks over the
+    string buffers: the bytes where a match starts are flagged with
+    numpy compares and summed per row with ``reduceat`` over the offsets.
+    Same values, NULLs and type (int32, int64 for ``large_string``) as
+    RE2, one result chunk per input chunk; an array that is not valid
+    UTF-8 keeps RE2."""
+    if not isinstance(texts, pa.ChunkedArray):
+        return _count_matches_array(texts, patterns)
+    if texts.num_chunks == 0:
+        return [pc.count_substring_regex(texts, p) for p in patterns]
+    per_chunk = [_count_matches_array(c, patterns) for c in texts.chunks]
+    return [pa.chunked_array(col) for col in zip(*per_chunk)]
 
 
 def _row_sums(values: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -67,7 +163,9 @@ def _row_sums(values: np.ndarray, off: np.ndarray) -> np.ndarray:
     counts = np.diff(off)
     nonempty = np.flatnonzero(counts > 0)
     if len(nonempty):
-        out[nonempty] = np.add.reduceat(values, off[:-1][nonempty])
+        # dtype: a bool mask sums to a count, not to a logical or
+        out[nonempty] = np.add.reduceat(values, off[:-1][nonempty],
+                                        dtype=out.dtype)
     return out
 
 
@@ -115,11 +213,11 @@ class TextFeaturizer:
             texts = texts.combine_chunks()
         n = len(texts)
         n_chars = pc.utf8_length(texts).cast(pa.int64())
-        n_bpe = pc.count_substring_regex(texts, BPE_PATTERN).cast(pa.int64())
-        n_punct = pc.count_substring_regex(
-            texts, PUNCT_PATTERN).to_numpy(zero_copy_only=False)
-        n_upper = pc.count_substring_regex(
-            texts, UPPER_PATTERN).to_numpy(zero_copy_only=False)
+        n_bpe, n_punct, n_upper = count_matches(
+            texts, BPE_PATTERN, PUNCT_PATTERN, UPPER_PATTERN)
+        n_bpe = n_bpe.cast(pa.int64())
+        n_punct = n_punct.to_numpy(zero_copy_only=False)
+        n_upper = n_upper.to_numpy(zero_copy_only=False)
 
         flat, off = split_tokens(texts)
         counts = np.diff(off)
@@ -128,12 +226,14 @@ class TextFeaturizer:
                     .astype(np.int64) if len(flat) else np.empty(0, np.int64))
         mean_tok_len = _row_sums(tok_lens, off) / denom
 
-        lower = pc.utf8_lower(flat) if len(flat) else flat
+        # stopword hits looked up once per distinct token, then gathered
+        words = pc.dictionary_encode(flat)
+        lower = pc.utf8_lower(words.dictionary)
+        word_idx = words.indices.to_numpy(zero_copy_only=False)
         ratios = np.empty((len(self.langs), n), np.float64)
         for li, lg in enumerate(self.langs):
-            hits = (pc.is_in(lower, value_set=self.stop_sets[lg])
-                    .to_numpy(zero_copy_only=False).astype(np.int64)
-                    if len(flat) else np.empty(0, np.int64))
+            hits = pc.is_in(lower, value_set=self.stop_sets[lg]).to_numpy(
+                zero_copy_only=False)[word_idx]
             ratios[li] = _row_sums(hits, off) / denom
         best_idx = np.argmax(ratios, axis=0)  # first max wins on ties
         best_score = ratios[best_idx, np.arange(n)] if n else np.empty(0)

@@ -447,8 +447,6 @@ def transition_predictability(ds, *, key_col: str, ts_col: str,
     Reference analog: none (behavioral family: transitions /
     burstiness / phase conformity).
     """
-    import ray
-
     from .partition import partitioned_map
 
     def prep(b: pa.Table) -> pa.Table:
@@ -651,8 +649,6 @@ def session_coactivity(ds, *, key_col: str, ts_col: str,
     Reference analog: none (abuse-audit family: ts_collision_audit /
     profile_similarity / oscillation_audit).
     """
-    import ray
-
     from .partition import partitioned_map
 
     gapn = _gap_native(ds, ts_col, gap_s)
