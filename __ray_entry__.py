@@ -11,10 +11,27 @@ here calls ray.init()/ray.shutdown().
 
 from __future__ import annotations
 
-import os as _os
-
+import datetime
+import functools
+import http.server
+import importlib.util
+import itertools
+import json
+import math
+import os
+import shutil
+import sys
+import threading
+import zlib
 from collections.abc import Callable
 from typing import Any
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+import ray
 
 SF0001 = "/root/testdata/sf0.001"
 
@@ -22,7 +39,7 @@ SF0001 = "/root/testdata/sf0.001"
 # gate/bench runs never clobber each other's fixtures.  queries() and
 # oracle_sql() run in the same driver process, so the pid is consistent
 # between the writer (query callable) and the reader (oracle SQL).
-_ORACLE_DIR = f"/tmp/fbr_oracle_{_os.getpid()}"
+_ORACLE_DIR = f"/tmp/fbr_oracle_{os.getpid()}"
 
 # Session gap used by sessionize queries (seconds)
 GAP_S = 1800
@@ -31,8 +48,6 @@ GAP_S = 1800
 def entry() -> Any:
     """Flagship: events → user-hash partition + ts sort → sessionize +
     lag/lead + rolling + time windows → as-of backfill of latest error."""
-    import ray
-
     from featurebox_ray.pipelines.events_features import event_features
     from featurebox_ray.pipelines.events_queries import asof_backfill
 
@@ -53,8 +68,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         the DuckDB oracle computes all-pairs exact 3-gram Jaccard, so both
         recall (banding found every true pair) and precision (verification
         dropped every sub-threshold candidate) are value-hash-checked."""
-        import ray
-
         from featurebox_ray.stages.dedup import minhash_lsh_dedup
 
         docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -67,8 +80,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         the all-pairs DuckDB oracle checks recall=1.0 of the prefix
         filter itself, not a probabilistic banding.  Lower threshold
         than q22 (0.7) exercises pairs the LSH path never reports."""
-        import ray
-
         from featurebox_ray.stages.dedup import ngram_jaccard_join
 
         docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -80,13 +91,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         fixture: an independent O(n²) numpy pass over the same simhashes
         writes the ground-truth pair list to a parquet the oracle reads —
         checking the 4×16 pigeonhole banding is a complete cover."""
-        import os
-
-        import numpy as np
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-        import ray
-
         from featurebox_ray.stages.dedup import SimHasher, simhash_dedup
 
         docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet")
@@ -161,8 +165,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         cosine (DOUBLE[]) at the same threshold.  At t=0.45 with r=2, b=48
         the banding miss probability per true pair is ~4e-12, so the LSH
         path must reproduce the exact all-pairs answer."""
-        import ray
-
         from featurebox_ray.stages.dedup import embedding_neardup
 
         emb = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet")
@@ -174,10 +176,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         iterations) so the DuckDB oracle can replay the exact
         assignment → probe → in-bucket search → global merge.  The
         kmeans-trained variant is covered by tests/test_dedup_text_ann."""
-        import numpy as np
-        import pyarrow as pa
-        import ray
-
         from featurebox_ray.stages.ann import ivf_topk
 
         emb = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet")
@@ -187,7 +185,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
                        centroid_init="first")
 
         def fin(batch: pa.Table) -> pa.Table:
-            import numpy as np
             v = batch["cosine"].to_numpy(zero_copy_only=False)
             return pa.table({
                 "query_id": batch["query_id"].cast(pa.int64()),
@@ -202,10 +199,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         BPE-ish token count, md5 winnowing fingerprint) — every column is
         replayed by the DuckDB oracle (same RE2 regexes, same stopword
         lists, min(md5(5-gram)) fingerprint)."""
-        import numpy as np
-        import pyarrow as pa
-        import ray
-
         from featurebox_ray.stages.text import text_features_fn
 
         docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -234,14 +227,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         codec; the oracle is an INDEPENDENT pure-Python (math/statistics,
         no numpy) replay of decode+features written to a fixture parquet —
         a dual-implementation check on the vectorized path."""
-        import math
-        import os
-
-        import numpy as np
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-        import ray
-
         from featurebox_ray.stages.multimodal import (
             add_image_features, fake_decode, make_fake_media_table)
 
@@ -645,8 +630,6 @@ def _group_completeness_q(sf_dir: str):
     counts, missing counts (NULL or empty string), fill rate (one
     division of exact ints); per-block partials + the shared Arrow
     combine, no shuffle."""
-    import ray
-
     from featurebox_ray.stages.profile import group_completeness
 
     docs = ray.data.read_parquet(
@@ -664,10 +647,6 @@ def _cdc_chunks_fixture(sf_dir: str) -> None:
     names the source directory).  The fixture is param-keyed and
     byte-deterministic, and the replay is the most expensive pure-Python
     loop in the suite, so it runs once per ``sf_dir``."""
-    import os
-
-    import pyarrow.parquet as pq
-
     from _oracle_replays import replay_cdc_chunks
 
     fpath = f"{_ORACLE_DIR}/cdc_chunks_w16m7l800.parquet"
@@ -694,8 +673,6 @@ def _scrub_dedup_q(sf_dir: str):
     bytes (n_before − n_removed == n_after is an internal invariant).
     Oracle: per-doc removal sums over the shared serial CDC replay
     fixture joined to octet lengths."""
-    import ray
-
     from featurebox_ray.stages.contentchunk import cdc_scrub
 
     W, MB, ML = 16, 7, 800
@@ -713,8 +690,6 @@ def _dup_regions_q(sf_dir: str):
     repeats, with class size and first-seen doc: the keep-first
     removal plan behind q317's rates.  Oracle: SQL HAVING/JOIN over
     the same independent serial CDC replay fixture as q316/q317."""
-    import ray
-
     from featurebox_ray.stages.contentchunk import cdc_dup_regions
 
     W, MB, ML = 16, 7, 800
@@ -735,10 +710,6 @@ def _leakage_audit_q(sf_dir: str):
     inequality join and asserts n_mismatch = 0 — the engine's column
     must agree (a leaking or stale engine join would emit nonzero
     mismatches and/or different match counts)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.asof import (asof_join,
                                             asof_leakage_audit)
 
@@ -774,8 +745,6 @@ def _event_spans_q(sf_dir: str):
     pairing in (ts, order) order); unmatched ranks NULL-sided,
     negative durations preserved as the audit signal.  SQL replays
     with a FULL JOIN of row_number-ranked sides."""
-    import ray
-
     from featurebox_ray.stages.transitions import paired_spans
 
     ev = ray.data.read_parquet(
@@ -795,8 +764,6 @@ def _cdc_dup_share_q(sf_dir: str):
     keyed exchanges.  Oracle: SQL OVER the independent serial CDC
     replay (the q316 fixture recomputed here), so the chunking AND
     the dedup rollup are both externally checked."""
-    import ray
-
     from featurebox_ray.stages.contentchunk import cdc_dup_share
 
     W, MB, ML = 16, 7, 800
@@ -816,8 +783,6 @@ def _cdc_chunks_q(sf_dir: str):
     insertions (the dedup-friendly property fixed windows lack).
     Fixture oracle: INDEPENDENT per-doc serial rolling-hash replay
     (_oracle_replays.replay_cdc_chunks) — not SQL-expressible."""
-    import ray
-
     from featurebox_ray.stages.contentchunk import cdc_chunk
 
     W, MB, ML = 16, 7, 800
@@ -834,8 +799,6 @@ def _embedding_drift_q(sf_dir: str):
     id-halves' centroid sums; exact object-int dots/norms, ONE
     float64 division; HUGEINT unnest SQL oracle (q292 technique +
     q116 half-up quantizer)."""
-    import ray
-
     from featurebox_ray.stages.cohesion import embedding_period_drift
 
     emb = ray.data.read_parquet(
@@ -853,8 +816,6 @@ def _latency_profile_q(sf_dir: str):
     gap as exact quantile_disc order statistics (shared
     _disc_index_vec convention); single-event keys emit NULL stats.
     One keyed exchange, one lexsort + disc-rank gather."""
-    import ray
-
     from featurebox_ray.stages.transitions import latency_profile
 
     ev = ray.data.read_parquet(
@@ -871,8 +832,6 @@ def _coverage_curve_q(sf_dir: str):
     percent of total characters; sort-free exact ints from
     distinct-length value-count partials; SQL replays with a
     descending window cumsum + cross-multiplied threshold."""
-    import ray
-
     from featurebox_ray.stages.profile import coverage_curve
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -887,9 +846,6 @@ def _salted_time_window_q(sf_dir: str):
     timeline range-split into 8 buckets with halo replication of
     window-reach rows; per-bucket local exact sums equal the plain
     RANGE window bit-exactly."""
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.stages.window import salted_time_window_sum
 
     ev = ray.data.read_parquet(
@@ -920,10 +876,6 @@ def _salted_running_total_q(sf_dir: str):
     local cumsums plus exact per-(key,bucket) offset totals (per-block
     partials, driver combine, broadcast) reproduce the plain windowed
     cumulative sum bit-exactly.  Values are cents (q96 convention)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.window import salted_running_total
 
     ev = ray.data.read_parquet(
@@ -932,8 +884,6 @@ def _salted_running_total_q(sf_dir: str):
         override_num_blocks=8)
 
     def cents(b: pa.Table) -> pa.Table:
-        import numpy as np
-
         from featurebox_ray.functions.segments import cents_exact
 
         return pa.table({
@@ -954,8 +904,6 @@ def _delta_contributors_q(sf_dir: str):
     per event_type exact cent sums before/after, delta, and share of
     the total delta (one float division of exact ints).  Per-block
     partials + the shared Arrow combine; no shuffle."""
-    import ray  # noqa: F401
-
     from featurebox_ray.stages.diff import delta_contributors
 
     ev = ray.data.read_parquet(
@@ -972,8 +920,6 @@ def _dialogue_profile_q(sf_dir: str):
     (role alternations + 1), longest run, distinct types; one keyed
     exchange, shifted compares + reduceat, all-int; SQL islands
     (row_number difference) replay exactly."""
-    import ray
-
     from featurebox_ray.stages.transitions import dialogue_profile
 
     ev = ray.data.read_parquet(
@@ -992,10 +938,6 @@ def _impute_median_q(sf_dir: str):
     fills each from its event_type's exact quantile_disc median (an
     element selection, q51 convention — bit-exact in SQL).  One
     group-keyed median exchange + a streaming broadcast-fill pass."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.quantile import impute_group_median
 
     ev = ray.data.read_parquet(
@@ -1004,8 +946,6 @@ def _impute_median_q(sf_dir: str):
         override_num_blocks=8)
 
     def inject(b: pa.Table) -> pa.Table:
-        import numpy as np
-
         eid = b["event_id"].to_numpy(zero_copy_only=False)
         mask = (eid % 7 == 0)
         v = b["value"].to_numpy(zero_copy_only=False).copy()
@@ -1029,8 +969,6 @@ def _provenance_read_q(sf_dir: str):
     in-file row index), the record-level lineage a resumable run's
     partition manifests audit against.  DuckDB replays exactly via
     read_parquet(filename=true, file_row_number=true)."""
-    import ray  # noqa: F401  (Dataset machinery)
-
     from featurebox_ray.sources.io import read_with_provenance
 
     return read_with_provenance(
@@ -1045,8 +983,6 @@ def _rolling_extrema_q(sf_dir: str):
     window expansion + minimum.at/maximum.at; min/max are selections
     of the stored doubles so the SQL ROWS-window replay is
     bit-exact."""
-    import ray
-
     from featurebox_ray.stages.window import rolling_extrema
 
     ev = ray.data.read_parquet(
@@ -1070,10 +1006,6 @@ def _min_components_q(sf_dir: str):
     exercises the jumping), then labels the corpus via the broadcast
     apply.  Duplicate edges and the partial final block are covered
     by construction."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.stages.components import connected_components
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -1110,8 +1042,6 @@ def _salted_join_q(sf_dir: str):
     cardinality).  Hot detection is approximate by design and only
     changes ROUTING — the result replays as a plain SQL inner join
     (exact rows, no tolerance)."""
-    import ray
-
     from featurebox_ray.stages.join import salted_join
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -1131,10 +1061,6 @@ def _skew_report_q(sf_dir: str):
     the engine's own salting-decision probe surfaced as an audited
     operator) — top-10 hottest user keys with exact counts and share
     of all rows; GROUP BY + LIMIT SQL replay is exact."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.partition import (key_histogram,
                                                  materialized_block_refs,
                                                  sum_partials)
@@ -1163,10 +1089,6 @@ def _redaction_audit_q(sf_dir: str):
     equal the original match count and ZERO residual matches remain.
     One summary row, every count an exact Arrow-RE2 integer; the
     regexp_replace SQL replay recomputes the same invariants."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.partition import (materialized_block_refs,
                                                  sum_partials)
     from featurebox_ray.stages.redact import pattern_redact
@@ -1217,11 +1139,6 @@ def _corpus_factory_q(sf_dir: str):
     per-text contract) → Gopher quality filter (q156 integer-rule
     contract) → per-language rollup (exact doc/token counts, one
     division).  The chained-CTE oracle replays every stage."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.dedup import exact_dedup
     from featurebox_ray.stages.partition import (materialized_block_refs,
                                                  sum_partials)
@@ -1236,7 +1153,6 @@ def _corpus_factory_q(sf_dir: str):
                 batch_format="pyarrow", zero_copy_batch=True))
     dd = exact_dedup(docs, text_col="text", id_col="doc_id",
                      num_partitions=16)
-    import functools
 
     gq = dd.map_batches(functools.partial(gopher_quality_fn,
                                           min_words=5,
@@ -1277,11 +1193,6 @@ def _double_charge_q(sf_dir: str):
     """q299: double-charge audit (stages/interval.py:
     near_duplicate_events) — same user + same exact cents within 7
     days of a previous occurrence; lag-window SQL replay is exact."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.interval import near_duplicate_events
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -1310,8 +1221,6 @@ def _new_vs_returning_q(sf_dir: str):
     daily_new_vs_returning) — exact distinct-active and first-day
     counts per UTC day from one user-keyed exchange; DISTINCT +
     min-day-join SQL replay is exact."""
-    import ray
-
     from featurebox_ray.stages.retention import daily_new_vs_returning
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -1326,12 +1235,6 @@ def _split_contamination_q(sf_dir: str):
     threshold_similarity_join, q127 contract) against the TRAIN
     split, leaky test ids reduced distributively; one summary row.
     HUGEINT knuth + unnest-join SQL oracle replays the whole chain."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-    import ray
-
     from featurebox_ray.stages.ann import threshold_similarity_join
     from featurebox_ray.stages.partition import materialized_block_refs
     from featurebox_ray.stages.sample import knuth_hash
@@ -1394,8 +1297,6 @@ def _seasonal_backtest_q(sf_dir: str):
     daily-count predictor over the corpus tail; exact sparse integer
     errors (absent days are 0 both sides), one division; grid
     LEFT-JOIN SQL replay is exact."""
-    import ray
-
     from featurebox_ray.stages.seasonal import seasonal_naive_backtest
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -1410,11 +1311,6 @@ def _release_gate_q(sf_dir: str):
     k-anonymity × q293 l-diversity over the (lang, 500-char bucket)
     QI grid, summarized to three (check, units, violations, ok) rows;
     the chained-CTE oracle replays the whole composition."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.pipelines.governance import release_gate
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -1449,8 +1345,6 @@ def _mixed_language_q(sf_dir: str):
     — language-ID each half of every document's token list (q26
     stopword-ratio contract), flag disagreeing halves; list_slice +
     list_filter SQL replay is exact."""
-    import ray
-
     from featurebox_ray.stages.text import mixed_language_fn
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -1466,11 +1360,6 @@ def _l_diversity_q(sf_dir: str):
     — (lang, 500-char length bucket) quasi groups × distinct sources;
     exact sizes and distinct counts on one quasi-keyed exchange;
     count(DISTINCT) SQL replay is exact."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.profile import l_diversity_audit
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -1498,8 +1387,6 @@ def _embed_diversity_q(sf_dir: str):
     the Gram identity 2nΣ|x|² − 2|Σx|² (NO pair enumeration), exact
     int sufficient statistics, fixed two-division float; unnest +
     HUGEINT SQL replay is bit-exact."""
-    import ray
-
     from featurebox_ray.stages.cohesion import group_embedding_diversity
 
     emb = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
@@ -1517,14 +1404,6 @@ def _range_pruned_q(sf_dir: str):
     overlapping partition dirs (spec-file pruning) + exact residual
     filter.  WHERE-clause SQL oracle over the same integer cut
     arithmetic."""
-    import os
-    import shutil
-
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.bucketed import (read_range,
                                                 write_range_partitioned)
 
@@ -1574,8 +1453,6 @@ def _gini_q(sf_dir: str):
     """q290: per-source document-length concentration (stages/
     profile.py:group_lorenz_gini) — exact integer Lorenz sums, one
     IEEE division; row_number()-window SQL replay is bit-exact."""
-    import ray
-
     from featurebox_ray.stages.profile import group_lorenz_gini
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -1591,12 +1468,6 @@ def _markov_attr_q(sf_dir: str):
     exchange, tiny absorbing-chain solve + per-channel removal
     effects on the driver.  Fixture oracle: serial replay sharing the
     solve path, bit-identical."""
-    import os
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
     from _oracle_replays import replay_markov_attribution
 
     t = pq.read_table(f"{sf_dir}/events.parquet",
@@ -1634,11 +1505,6 @@ def _qq_drift_q(sf_dir: str):
     user_id%2 cohorts' spend distributions, exact quantile_disc
     elements, integer max; quantile_disc + GREATEST SQL replay is
     exact."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.diff import group_qq_drift
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -1669,8 +1535,6 @@ def _adaptive_sessionize_q(sf_dir: str):
     user's median inter-event gap (exact quantile_disc element),
     integer gaps-and-islands; lag → per-key quantile_disc → islands
     SQL replay is bit-exact."""
-    import ray
-
     from featurebox_ray.stages.window import adaptive_sessionize
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -1686,8 +1550,6 @@ def _outlier_explain_q(sf_dir: str):
     per-dim sufficient statistics, one IEEE division per (row, dim),
     argmax (z desc, dim asc).  Unnest + GROUP BY SQL replay is
     bit-exact."""
-    import ray
-
     from featurebox_ray.stages.cohesion import outlier_explanation
 
     emb = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
@@ -1703,15 +1565,6 @@ def _schema_evolution_q(sf_dir: str):
     target schema with footer-only planning, per-group column-pruned
     reads, safe-cast promotion and null-fill.  UNION-ALL SQL oracle
     over the same deterministic split."""
-    import os
-    import shutil
-
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-    import ray
-
     from featurebox_ray.sources.io import read_evolved
 
     root = f"/tmp/fbr_evolve_{os.getpid()}"
@@ -1749,11 +1602,6 @@ def _compaction_q(sf_dir: str):
     only (order-preserving next-fit by bytes), merged one-task-per-output-file,
     then verified content-identical to the SOURCE table via the q204
     order-invariant checksum (same columns, same oracle SQL)."""
-    import os
-    import shutil
-
-    import ray
-
     from featurebox_ray.stages.compact import compact_fragments
     from featurebox_ray.stages.profile import table_checksum
 
@@ -1780,8 +1628,6 @@ def _validate_q(sf_dir: str):
     over documents, exact violation counts from per-block partials
     (+ one keyed exchange for the uniqueness rule), one IEEE division
     per rule; UNION-of-checks SQL replay is exact."""
-    import ray
-
     from featurebox_ray.stages.validate import validate_constraints
 
     docs = ray.data.read_parquet(
@@ -1807,8 +1653,6 @@ def _topk_two_pass_q(sf_dir: str):
     bounds, provably-superset candidate set, broadcast exact-count
     verify pass; identical result and SQL oracle as the exchange-based
     top_terms, zero exchange."""
-    import ray
-
     from featurebox_ray.stages.tfidf import topk_two_pass
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -1823,11 +1667,6 @@ def _global_quantile_q(sf_dir: str):
     value cents as true data elements via iterative range-narrowing
     counting passes (no shuffle, O(n_bins) driver state); DuckDB
     quantile_disc replay is element-exact."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.quantile import global_quantile_element
 
     def prep(b: pa.Table) -> pa.Table:
@@ -1864,12 +1703,6 @@ def _incremental_agg_q(sf_dir: str):
     the delta's combiner-pushdown states, one keyed exchange).  The
     maintenance invariant IS the oracle: the refreshed view must
     bit-match the plain GROUP BY over base+delta together."""
-    import os
-    import shutil
-
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.sources.io import write_table
     from featurebox_ray.stages.incremental import (finalize_agg,
                                                    group_agg_state,
@@ -1880,9 +1713,6 @@ def _incremental_agg_q(sf_dir: str):
 
     def keep(want_delta):
         def f(b):
-            import numpy as np
-            import pyarrow as pa
-
             col = b["event_id"].combine_chunks()
             ids = pc.fill_null(col, 1).to_numpy(zero_copy_only=False)
             is_delta = (ids % 3) == 0
@@ -1918,11 +1748,6 @@ def _bucketed_join_q(sf_dir: str):
     ZERO shuffle: one Ray task per bucket reads only its own
     fragments from both sides and hash-joins in-task.  Plain SQL
     inner-join oracle."""
-    import os
-    import shutil
-
-    import ray
-
     from featurebox_ray.stages.bucketed import (bucketed_join,
                                                 write_bucketed)
 
@@ -1952,12 +1777,6 @@ def _conformal_q(sf_dir: str):
     residuals, order-statistic conformal threshold, integer coverage
     count; one IEEE division per reported float.  Fixture oracle:
     serial replay, bit-identical."""
-    import os
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
     from _oracle_replays import replay_conformal
 
     QB, LN, LD = 10, 1, 10
@@ -1997,12 +1816,6 @@ def _learning_curve_q(sf_dir: str):
     sets (all K ridge fits from ONE statistics pass), holdout scored
     for all K models in one read via quantized-coefficient integer
     scoring.  Fixture oracle: serial replay, bit-identical."""
-    import os
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
     from _oracle_replays import replay_learning_curve
 
     KB, QB, LN, LD = 6, 10, 1, 10
@@ -2041,13 +1854,6 @@ def _grouped_ridge_q(sf_dir: str):
     grouped_ridge); exact int64 per-group XᵀX/Xᵀy partials on one
     group-keyed exchange, shared ridge_solve per group.  Fixture
     oracle: serial replay, bit-identical (q169 contract)."""
-    import os
-
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
     from _oracle_replays import replay_grouped_ridge
 
     QB, YS, LN, LD = 10, 1, 1, 10
@@ -2072,8 +1878,6 @@ def _grouped_ridge_q(sf_dir: str):
     from featurebox_ray.stages.regress import grouped_ridge
 
     def add_grp(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         col = b["vec_id"].combine_chunks()
         ids = pc.fill_null(col, 0).to_numpy(zero_copy_only=False)
         return b.append_column(
@@ -2100,18 +1904,12 @@ def _watermark_q(sf_dir: str):
     a deterministic local shuffle of it: each block of 4 global ids is
     reversed (arr = (id//4)*4 + 3 − id%4, a bijection), which injects
     genuine bounded out-of-orderness for the watermark to catch."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.stages.window import watermark_lateness
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["user_id", "event_id", "ts"])
 
     def add_arrival(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         col = b["event_id"].combine_chunks()
         ids = pc.fill_null(col, 0).to_numpy(zero_copy_only=False)
         arr = (ids // 4) * 4 + 3 - (ids % 4)
@@ -2133,11 +1931,6 @@ def _pr_sweep_q(sf_dir: str):
     cumulative-window SQL replay is bit-exact.  Same (grp, y, cents)
     mapping as q122 so AUC and the operating point describe the same
     scorer."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.regress import pr_threshold_sweep
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -2170,13 +1963,6 @@ def _ridge_eval_q(sf_dir: str):
     integer scoring, per-shard (vec_id % 7) n/mae/rmse/r2 from exact
     moment sums (split-word Σe²).  Fixture oracle: serial replay,
     bit-identical."""
-    import os
-
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
     from _oracle_replays import replay_ridge_eval
 
     t = pq.read_table(f"{sf_dir}/embeddings.parquet",
@@ -2219,12 +2005,6 @@ def _csv_roundtrip_q(sf_dir: str):
     the Catalog, verified by the q204 order-invariant checksum
     against the parquet truth (q108/q252 convention — completes the
     parquet/JSONL/IPC/CSV sink-source matrix)."""
-    import os
-    import shutil
-
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.sources.io import Catalog, write_table
     from featurebox_ray.stages.profile import table_checksum
 
@@ -2249,10 +2029,6 @@ def _doc_scorecard_q(sf_dir: str):
     len/4, exact ints), flesch ≥ −300; keep = flags ≥ 2.  Chained
     CTE oracle — the corpus-side sibling of the q268 bot
     scorecard."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.stages.text import (gopher_quality_fn,
                                             lexical_diversity_fn,
                                             readability_fn)
@@ -2292,8 +2068,6 @@ def _coactivity_q(sf_dir: str):
     session_coactivity) — per user, how many OTHER users started a
     session within ±5 min of each of theirs (gap rule 1800s);
     coordination/raid signal.  Banded self-join SQL replay."""
-    import ray
-
     from featurebox_ray.stages.transitions import session_coactivity
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -2309,8 +2083,6 @@ def _oscillation_q(sf_dir: str):
     (stages/transitions.py:oscillation_audit) — longest alternating
     type run (the stuck-agent/tool-loop signature); exact int run
     arithmetic; two-lag + gaps-and-islands SQL replay."""
-    import ray
-
     from featurebox_ray.stages.transitions import oscillation_audit
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -2331,10 +2103,6 @@ def _bot_scorecard_q(sf_dir: str):
     ``is_bot = flags ≥ 2``.  Every component is SQL-exact, so the
     whole chain value-hashes against ONE chained-CTE replay — the
     composition itself is checked (q168 convention)."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.stages.join import hash_join
     from featurebox_ray.stages.profile import ts_collision_audit
     from featurebox_ray.stages.seasonal import profile_similarity
@@ -2395,8 +2163,6 @@ def _predictability_q(sf_dir: str):
     transitions.py:transition_predictability) — Simpson
     concentration Σc²/(Σc)² of adjacent type pairs; exact int
     sufficient stats + one division; lead()+GROUP BY SQL replay."""
-    import ray
-
     from featurebox_ray.stages.transitions import (
         transition_predictability)
 
@@ -2415,8 +2181,6 @@ def _activation_q(sf_dir: str):
     """q266: time-to-5th-event activation latency per user
     (stages/retention.py:activation_latency) — exact int64 position
     picks in (ts, event_id) order; row_number pivot SQL replay."""
-    import ray
-
     from featurebox_ray.stages.retention import activation_latency
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -2433,8 +2197,6 @@ def _weighted_jaccard_q(sf_dir: str):
     bags (stages/tfidf.py:weighted_jaccard) — Σmin/Σmax of exact
     token counts via one token-keyed exchange (Σmax from the totals
     identity), one division per source pair."""
-    import ray
-
     from featurebox_ray.stages.tfidf import weighted_jaccard
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -2449,8 +2211,6 @@ def _next_latency_q(sf_dir: str):
     (stages/funnel.py:next_latency) — strict next-match searchsorted,
     exact int latencies, per-user discrete-quantile median; SQL
     replays with an ASOF join (a.t < b.t) + quantile_disc."""
-    import ray
-
     from featurebox_ray.stages.funnel import next_latency
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -2469,8 +2229,6 @@ def _eventually_q(sf_dir: str):
     pair, users with some a strictly before some b (min_ts(a) <
     max_ts(b)); exact int supports, per-(user,type) min/max CTE +
     pair-join SQL replay."""
-    import ray
-
     from featurebox_ray.stages.transitions import eventually_follows
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -2487,8 +2245,6 @@ def _ts_collision_q(sf_dir: str):
     (stages/profile.py:ts_collision_audit) — same-instant burst
     detection; exact run-length counts, GROUP BY/HAVING SQL
     replay."""
-    import ray
-
     from featurebox_ray.stages.profile import ts_collision_audit
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -2503,8 +2259,6 @@ def _seasonal_anomaly_q(sf_dir: str):
     (stages/seasonal.py:seasonal_anomaly) — per hour-of-day bin
     median/MAD as exact quantile_disc ELEMENTS, flag = |c − med| >
     3·mad in pure integers."""
-    import ray
-
     from featurebox_ray.stages.seasonal import seasonal_anomaly
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -2522,10 +2276,6 @@ def _scd2_apply_q(sf_dir: str):
     unchanged opens pass, changed/deleted opens close, changed/new
     keys open.  SQL replays the whole chain (gaps-and-islands dim +
     QUALIFY snapshot + FULL-JOIN merge)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.scd import scd2_apply, scd2_intervals
 
     ev = ray.data.read_parquet(
@@ -2569,11 +2319,10 @@ def _scd2_apply_q(sf_dir: str):
 
     snap = latest.map_batches(snap_cols, batch_format="pyarrow",
                               zero_copy_batch=True)
-    import pyarrow as _pa
 
     return scd2_apply(dim, snap, key_col="user_id",
                       state_col="event_type", snap_ts=ts_snap,
-                      num_partitions=8, key_type=_pa.int64())
+                      num_partitions=8, key_type=pa.int64())
 
 
 def _two_hop_q(sf_dir: str):
@@ -2582,8 +2331,6 @@ def _two_hop_q(sf_dir: str):
     (degree-capped, q234 hub rule), then dedup and subtract at the
     source over one sorted input of direct and wedge rows.  SQL
     replays with a DISTINCT wedge self-join + NOT EXISTS anti-join."""
-    import ray
-
     from featurebox_ray.stages.graph import (two_hop_reach,
                                              window_cooccurrence_edges)
 
@@ -2602,8 +2349,6 @@ def _bootstrap_ci_q(sf_dir: str):
     (stages/regress.py:bootstrap_group_ci) — 32 Knuth-bit bags,
     exact (n, Σcents) cells, one division per bag mean, dyadic
     quantile_disc element picks (1/16, 15/16)."""
-    import ray
-
     from featurebox_ray.stages.regress import bootstrap_group_ci
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -2622,8 +2367,6 @@ def _decay_attr_q(sf_dir: str):
     split by the weighted largest-remainder method ((rem desc, touch
     order) ties), credits reconcile to the cent.  SQL replays with
     bit-shift weights + // / % + window ranks."""
-    import ray
-
     from featurebox_ray.stages.attribution import linear_attribution
 
     ev = ray.data.read_parquet(
@@ -2644,13 +2387,6 @@ def _gk_tau_q(sf_dir: str):
     three column pairs over derived categoricals (user bucket, value
     sign); exact int contingency cells + exact-Fraction tau.
     Fixture oracle: independent Counter/Fraction replay."""
-    import os
-
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
     from _oracle_replays import replay_gk_tau
 
     PAIRS = [("user_bucket", "event_type"),
@@ -2687,8 +2423,6 @@ def _gk_tau_q(sf_dir: str):
     from featurebox_ray.stages.profile import gk_tau
 
     def derive_batch(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         u = b["user_id"].combine_chunks()
         uvalid = pc.is_valid(u).to_numpy(zero_copy_only=False)
         un = (pc.fill_null(u, 0).to_numpy(zero_copy_only=False)
@@ -2718,8 +2452,6 @@ def _readability_q(sf_dir: str):
     """q255: Flesch readability (stages/text.py:readability_fn) —
     RE2 word/sentence/vowel-group counts, fixed IEEE expression
     (literals CAST AS DOUBLE — the q64 decimal-literal trap)."""
-    import ray
-
     from featurebox_ray.stages.text import readability_fn
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -2736,12 +2468,6 @@ def _logrank_q(sf_dir: str):
     q215 (12h censor window), exact-Fraction U/V over pooled death
     times, z = u/sqrt(v).  Fixture oracle: independent serial replay
     (_oracle_replays.replay_logrank), bit-identical."""
-    import os
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
     from _oracle_replays import replay_logrank
     from featurebox_ray.stages.retention import logrank_test
 
@@ -2780,8 +2506,6 @@ def _mmd_q(sf_dir: str):
     sufficient statistics (G, s4, n): one pass, no pair enumeration.
     SQL replays the traces via an unnest Gram build + (i,j) join +
     the identical cast/divide/2·exy−exx−eyy sequence."""
-    import ray
-
     from featurebox_ray.stages.cohesion import mmd_drift
 
     emb = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
@@ -2798,11 +2522,6 @@ def _ipc_roundtrip_q(sf_dir: str):
     verified by the q204 order-invariant checksum; the oracle
     computes the same checksum straight off the parquet table, so
     any corruption/row loss in the IPC path hash-mismatches."""
-    import os
-    import shutil
-
-    import ray
-
     from featurebox_ray.sources.io import read_ipc, write_ipc
     from featurebox_ray.stages.profile import table_checksum
 
@@ -2823,8 +2542,6 @@ def _weak_label_q(sf_dir: str):
     word-boundary RE2 occurrence counts, argmax topic with (score
     desc, topic asc) ties, NULL when nothing hits.  SQL replays via
     len(regexp_extract_all) sums + a CASE argmax."""
-    import ray
-
     from featurebox_ray.stages.text import rule_label_fn
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -2846,9 +2563,6 @@ def _asof_interp_q(sf_dir: str):
     rows, last-write-wins right dedup, fixed IEEE lerp); NULL
     outside the right span.  SQL replays with two DuckDB ASOF
     joins + the identical expression."""
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.asof import asof_interpolate
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -2857,8 +2571,6 @@ def _asof_interp_q(sf_dir: str):
                                override_num_blocks=16)
     def only(kind):
         def fn(b: "pa.Table") -> "pa.Table":
-            import pyarrow as pa
-
             return b.filter(pc.fill_null(
                 pc.equal(b["event_type"], kind), False))
         return fn
@@ -2867,13 +2579,12 @@ def _asof_interp_q(sf_dir: str):
                           zero_copy_batch=True)
     right = ev.map_batches(only("purchase"), batch_format="pyarrow",
                            zero_copy_batch=True)
-    import pyarrow.parquet as _pq
 
     return asof_interpolate(left, right, key="user_id",
                             ts_col="ts", left_id="event_id",
                             right_id="event_id",
                             value_col="value", num_partitions=8,
-                            left_schema=_pq.read_schema(
+                            left_schema=pq.read_schema(
                                 f"{sf_dir}/events.parquet"))
 
 
@@ -2883,8 +2594,6 @@ def _hour_profile_q(sf_dir: str):
     user's 24-bin histogram and the corpus histogram; exact int64
     dot/u2/v2, final value = fixed (d·d)/(d·d) IEEE sequence (exact
     both sides even past 2^53, q234 convention)."""
-    import ray
-
     from featurebox_ray.stages.seasonal import profile_similarity
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -2901,8 +2610,6 @@ def _knn_eval_q(sf_dir: str):
     votes, per-class tp/fp/fn + one-division P/R/F1.  SQL replays
     with the q164 unnest self-join + two QUALIFYs + identical
     divisions."""
-    import ray
-
     from featurebox_ray.stages.knn import knn_classifier_eval
 
     emb = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
@@ -2919,10 +2626,6 @@ def _golden_q(sf_dir: str):
     mode with (count desc, value asc) ties over ONE entity-keyed
     exchange; singletons elect themselves.  SQL replays the whole
     chain (recursive-CTE closure + QUALIFY modes)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.linkage import (blocked_pair_score,
                                                golden_records)
     from featurebox_ray.stages.phonetic import soundex_key
@@ -2953,12 +2656,6 @@ def _label_prop_q(sf_dir: str):
     vec_id % 3 == 0 (others' labels hidden), dot ≥ 20000 neighbors,
     5 frontier rounds, (count desc, label asc) majority.  Fixture
     oracle: independent O(n²) serial replay."""
-    import os
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
     from _oracle_replays import replay_label_propagation
 
     t = pq.read_table(f"{sf_dir}/embeddings.parquet",
@@ -2982,9 +2679,6 @@ def _label_prop_q(sf_dir: str):
     from featurebox_ray.stages.labelprop import label_propagation
 
     def hide(b: pa.Table) -> pa.Table:
-        import numpy as np
-        import pyarrow.compute as pc
-
         ids_ = b["vec_id"].to_numpy(zero_copy_only=False)
         keep = pa.array(ids_ % 3 == 0)
         lab = pc.if_else(keep, pc.cast(b["label"].combine_chunks(),
@@ -3009,12 +2703,6 @@ def _dbscan_q(sf_dir: str):
     border = min neighbor label, noise = NULL.  Fixture oracle:
     INDEPENDENT serial replay (_oracle_replays.replay_dbscan —
     O(n²) BFS expansion)."""
-    import os
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
     from _oracle_replays import replay_dbscan
 
     t = pq.read_table(f"{sf_dir}/embeddings.parquet",
@@ -3046,10 +2734,6 @@ def _randomization_q(sf_dir: str):
     64 deterministic Knuth-bit pseudo-permutations, every rational
     comparison cross-multiplied to exact ints (Python ints; HUGEINT
     in SQL), p = (n_ge+1)/65."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.stages.regress import randomization_test
 
     def prep(b: pa.Table) -> pa.Table:
@@ -3076,8 +2760,6 @@ def _mutual_nn_q(sf_dir: str):
     id asc) NN per row, mutuality via a lo-keyed run-length check.
     SQL replays with the q164 unnest self-join + QUALIFY + a
     reciprocal self-join of the NN table."""
-    import ray
-
     from featurebox_ray.stages.knn import mutual_nn_pairs
 
     emb = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
@@ -3092,14 +2774,6 @@ def _ridge_influence_q(sf_dir: str):
     total−group subtraction, shared ridge_solve per complement;
     shard = vec_id % 7.  Fixture oracle: serial replay
     (_oracle_replays.replay_ridge_influence), bit-identical."""
-    import os
-
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-    import ray
-
     from _oracle_replays import replay_ridge_influence
 
     t = pq.read_table(f"{sf_dir}/embeddings.parquet",
@@ -3141,12 +2815,6 @@ def _mahalanobis_q(sf_dir: str):
     d2 chain.  Fixture oracle: serial replay
     (_oracle_replays.replay_mahalanobis), bit-identical — shared
     mahalanobis_params, integer matmuls, elementwise float chain."""
-    import os
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
     from _oracle_replays import replay_mahalanobis
 
     t = pq.read_table(f"{sf_dir}/embeddings.parquet",
@@ -3179,8 +2847,6 @@ def _bfs_q(sf_dir: str):
     each one vertex-program superstep, all-int, capped at 4 hops.  SQL
     replays with a recursive CTE (UNION-dedup on (node, d)) +
     min(d) per node."""
-    import ray
-
     from featurebox_ray.stages.graph import (bfs_hops,
                                              window_cooccurrence_edges)
 
@@ -3201,12 +2867,6 @@ def _k_core_q(sf_dir: str):
     round, all-int, order-independent invariant.  Fixture oracle:
     INDEPENDENT serial replay (_oracle_replays.replay_k_core — dict/set
     edge build + Batagelj–Zaveršnik bucket peeling)."""
-    import os
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
     from _oracle_replays import replay_k_core
     from featurebox_ray.stages.graph import (k_core,
                                              window_cooccurrence_edges)
@@ -3241,8 +2901,6 @@ def _haar_q(sf_dir: str):
     ΣD²/2^j (exact dyadic); one user-keyed exchange.  SQL replays
     via sign-by-bit bucket sums + HUGEINT sum(d*d) + the identical
     CAST + power-of-two division."""
-    import ray
-
     from featurebox_ray.stages.wavelet import haar_energy
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -3261,8 +2919,6 @@ def _wasserstein_q(sf_dir: str):
     the merged support, one correctly-rounded cast+division; per-block
     histogram partials, driver-tiny combine, NO shuffle.  SQL replays
     with HUGEINT window sums + the identical CAST/division."""
-    import ray
-
     from featurebox_ray.stages.diff import wasserstein_drift
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -3279,12 +2935,6 @@ def _jenks_q(sf_dir: str):
     Fixture oracle: serial FULL-Fraction DP replay
     (_oracle_replays.replay_jenks) — both land on the exact optimum,
     bit-identical outputs."""
-    import os
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
     from _oracle_replays import replay_jenks
     from featurebox_ray.stages.binning import jenks_breaks
 
@@ -3318,8 +2968,6 @@ def _bm25_q(sf_dir: str):
     10S clear every denominator; raw-odds idf (no ln, q53
     convention); two streaming passes, driver-tiny global combine +
     per-block local top-k merge, NO exchange."""
-    import ray
-
     from featurebox_ray.stages.tfidf import bm25_topk
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -3337,8 +2985,6 @@ def _assortativity_q(sf_dir: str):
     Σ(j²+k²)) each guarded < 2^53, r from the fixed double op
     sequence (q228 convention); two keyed exchanges build the edge
     set, degrees broadcast once."""
-    import ray
-
     from featurebox_ray.stages.graph import (degree_assortativity,
                                              window_cooccurrence_edges)
 
@@ -3359,8 +3005,6 @@ def _kn_bigram_q(sf_dir: str):
     sides (guarded < 2^53); per-block Arrow group_by partials, ONE
     source-keyed exchange derives tot/F/B/T by run-length; top-15
     per source with total (p desc, w1, w2) tie-break."""
-    import ray
-
     from featurebox_ray.stages.lm import kn_bigram_topk
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -3377,8 +3021,6 @@ def _quantile_normalize_q(sf_dir: str):
     pure integer rank arithmetic + positional gather (bit-exact SQL
     window replay); pooled histogram reduced from per-block partials
     and broadcast once, ONE source-keyed exchange."""
-    import ray
-
     from featurebox_ray.stages.encode import quantile_normalize
 
     docs = ray.data.read_parquet(
@@ -3398,8 +3040,6 @@ def _churn_profile_q(sf_dir: str):
     non-ASCII and >4096-byte rows excluded by contract, mirrored in
     the oracle); ONE source-keyed exchange, one O(max_len) vectorized
     DP over all pairs of a partition."""
-    import ray
-
     from featurebox_ray.stages.editdist import consecutive_editdist
 
     docs = ray.data.read_parquet(
@@ -3418,8 +3058,6 @@ def _sax_q(sf_dir: str):
     quantile_disc selection, strict-compare symbols 0-3; one
     user-keyed exchange + a tiny quantile exchange, sums
     materialized once for both consumers."""
-    import ray
-
     from featurebox_ray.stages.window import sax_encode
 
     ev = ray.data.read_parquet(
@@ -3438,8 +3076,6 @@ def _kendall_tau_q(sf_dir: str):
     BIGINT→DOUBLE both sides); one user-keyed exchange, vectorized
     pair-triangle kernel; the DuckDB oracle is the all-pairs
     self-join."""
-    import ray
-
     from featurebox_ray.stages.regress import kendall_tau
 
     ev = ray.data.read_parquet(
@@ -3456,8 +3092,6 @@ def _chi2_keyness_q(sf_dir: str):
     (DuckDB HUGEINT→DOUBLE is not correctly rounded — measured — so
     the single-division form is avoided); one term-keyed exchange,
     driver merges ≤ partitions×groups×k rows."""
-    import ray
-
     from featurebox_ray.stages.tfidf import chi2_keyness
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -3472,8 +3106,6 @@ def _encoding_audit_q(sf_dir: str):
     text.py:encoding_audit) — U+FFFD, Latin-1 lead-byte artifacts and
     stray C0 controls counted with Arrow RE2 (DuckDB RE2 parity);
     per-block partials, driver combine."""
-    import ray
-
     from featurebox_ray.stages.text import encoding_audit
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -3487,8 +3119,6 @@ def _quota_sample_q(sf_dir: str):
     (stages/sample.py:quota_sample) — Hamilton quotas + per-group
     Knuth-hash rank; exactly 300 rows, fully integer decision
     path."""
-    import ray
-
     from featurebox_ray.stages.sample import quota_sample
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -3502,9 +3132,6 @@ def _fk_audit_q(sf_dir: str):
     (stages/profile.py:fk_audit) — exact bloom-anti orphan counts for
     lineitem->orders and orders->customer; orphan_share one
     division."""
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.stages.profile import fk_audit
 
     li = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
@@ -3529,10 +3156,6 @@ def _kmv_setops_q(sf_dir: str):
     distinct-user union/intersection estimates between the first and
     last event types from two mergeable k-min sketches; the q48
     md5-prefix contract makes the whole decision SQL-replayable."""
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-    import ray
-
     from featurebox_ray.stages.sketch import kmv_set_ops
 
     types = pq.read_table(f"{sf_dir}/events.parquet",
@@ -3552,12 +3175,6 @@ def _shapley_q(sf_dir: str):
     type, channels = the rest; exact-set coalition values as
     rationals, one user-keyed exchange + 2^k driver cells.  Fixture
     oracle: serial exact-rational replay (bit-identical)."""
-    import os
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
     from _oracle_replays import replay_shapley
     from featurebox_ray.stages.attribution import shapley_attribution
 
@@ -3586,11 +3203,6 @@ def _did_q(sf_dir: str):
     regress.py:did_estimate) — user-parity sides, 80/20 temporal cut
     (q217 convention), four exact int64 cell means, fixed-order
     subtraction."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.regress import did_estimate
 
     ev = ray.data.read_parquet(
@@ -3617,8 +3229,6 @@ def _quota_q(sf_dir: str):
     across sources (stages/sample.py:quota_allocate) — integer floor
     shares + remainder-ranked top-up, never over/under-allocates;
     per-block count partials, driver combine."""
-    import ray
-
     from featurebox_ray.stages.sample import quota_allocate
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -3631,9 +3241,6 @@ def _pareto_q(sf_dir: str):
     (stages/rank.py:pareto_front) — non-dominated rows under
     maximize-both; ONE group-keyed exchange, run arithmetic + grouped
     suffix cummax, pure integer domination."""
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.stages.rank import pareto_front
 
     ev = ray.data.read_parquet(
@@ -3665,8 +3272,6 @@ def _prep_corpus_q(sf_dir: str):
     prep_corpus) — prefix_dedup → bloom semi join → Gopher rules →
     weighted interleave; the composition itself is value-checked as
     one chained-CTE SQL replay (the q168 convention)."""
-    import ray
-
     from featurebox_ray.pipelines.cleaning import prep_corpus
 
     docs = ray.data.read_parquet(
@@ -3683,12 +3288,6 @@ def _set_cover_q(sf_dir: str):
     corpus has a 31-word unigram vocab — unigram cover is vacuous);
     exact integer gains, (gain desc, id asc) ties.  Fixture oracle:
     serial replay is bit-identical."""
-    import os
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
     from _oracle_replays import replay_set_cover
     from featurebox_ray.stages.tfidf import set_cover_select
 
@@ -3717,8 +3316,6 @@ def _split_audit_q(sf_dir: str):
     profile.py:temporal_split_audit) — 80/20 cut at
     min + (max−min)·4//5 epoch-us, exact side/user counts, one
     user-keyed distinct exchange; leak_share = ONE division."""
-    import ray
-
     from featurebox_ray.stages.profile import temporal_split_audit
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -3733,8 +3330,6 @@ def _cross_source_q(sf_dir: str):
     (gram-md5, source) rows, ONE gram-keyed exchange, pair expansion
     via triangular_pairs, driver combine over <= |sources|^2
     cells."""
-    import ray
-
     from featurebox_ray.stages.substr import cross_source_grams
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -3752,12 +3347,6 @@ def _kaplan_meier_q(sf_dir: str):
     the same partials, tiny (cohort, dur) cells; survival kept as an
     exact rational, ONE float division emitted.  Fixture oracle:
     serial replay (identical int arithmetic)."""
-    import os
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
     from _oracle_replays import replay_kaplan_meier
     from featurebox_ray.stages.retention import kaplan_meier
 
@@ -3793,10 +3382,6 @@ def _mann_whitney_q(sf_dir: str):
     regress.py:mann_whitney) — sides = user_id parity; doubled
     tie-averaged integer ranks (the q122 trick), tie-corrected
     normal z from exact ints; one group-keyed exchange."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.stages.regress import mann_whitney
 
     ev = ray.data.read_parquet(
@@ -3804,8 +3389,6 @@ def _mann_whitney_q(sf_dir: str):
         columns=["event_type", "user_id", "value"])
 
     def side(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         keep = pc.fill_null(pc.is_valid(b["user_id"]), False)
         if not pc.all(keep).as_py():
             b = b.filter(keep)
@@ -3825,8 +3408,6 @@ def _loo_encode_q(sf_dir: str):
     (stages/encode.py:loo_target_encode) — one category-keyed
     exchange, run sums broadcast back by segment arithmetic;
     loo = ONE division of exact int64 cents."""
-    import ray
-
     from featurebox_ray.stages.encode import loo_target_encode
 
     ev = ray.data.read_parquet(
@@ -3843,8 +3424,6 @@ def _vocab_coverage_q(sf_dir: str):
     (source, term, cnt) partials, per-group sufficient stats combined
     on the driver; unseen_mass and chao1 are single divisions of
     exact integer counts."""
-    import ray
-
     from featurebox_ray.stages.tfidf import vocab_coverage
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -3860,12 +3439,6 @@ def _changepoint_q(sf_dir: str):
     ordered cents series; float prune + exact Python-int
     cross-mult argmax, ties to the smallest split.  Fixture oracle:
     serial exact replay (pure int compares -> bit-identical)."""
-    import os
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
     from _oracle_replays import replay_changepoint
     from featurebox_ray.stages.changepoint import group_changepoint
 
@@ -3903,12 +3476,6 @@ def _k_center_q(sf_dir: str):
     sampling over exact quantized-int distances; k rounds of one tiny
     task per block, vectors never reshuffle.  Fixture oracle: the
     serial integer replay is bit-identical (pure int compares)."""
-    import os
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
     from _oracle_replays import replay_k_center
     from featurebox_ray.stages.cohesion import k_center_select
 
@@ -3918,7 +3485,6 @@ def _k_center_q(sf_dir: str):
     X = [v for v in t["embedding"].to_pylist()]
     keep = [(i, v) for i, v in zip(ids, X)
             if i is not None and v is not None]
-    import numpy as np
 
     exp = replay_k_center(np.array([i for i, _ in keep], np.int64),
                           np.array([v for _, v in keep], np.float64),
@@ -3944,8 +3510,6 @@ def _silhouette_q(sf_dir: str):
     simplified_silhouette) — exact quantized-integer distances to
     every label centroid from one sufficient-stats pass + broadcast;
     sil = (b−a)/max(a,b) over identically-computed doubles."""
-    import ray
-
     from featurebox_ray.stages.cohesion import simplified_silhouette
 
     emb = ray.data.read_parquet(
@@ -3962,18 +3526,12 @@ def _interleave_q(sf_dir: str):
     source (w = length(source) %% 3 + 1), one source-keyed rank
     exchange + the global_row_number range sort, first 500 rows of
     the training order."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.sample import weighted_interleave
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["doc_id", "source"])
 
     def with_weight(b: pa.Table) -> pa.Table:
-        import numpy as np
-
         lens = pc.utf8_length(pc.fill_null(b["source"], "")).cast(
             pa.int64()).to_numpy(zero_copy_only=False)
         return b.append_column(
@@ -3994,10 +3552,6 @@ def _prefix_dedup_q(sf_dir: str):
     content-ordered block boundaries.  Arrow utf8_slice_codeunits ==
     SQL substr (both codepoint-based); byte-prefix == codepoint-prefix
     on valid UTF-8."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.substr import prefix_dedup
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -4023,8 +3577,6 @@ def _assoc_rules_q(sf_dir: str):
     exchange of deduped (user, type) rows, tiny |types|^2 pair
     partials combined on the driver; support/confidence/lift each ONE
     division of exact integers."""
-    import ray
-
     from featurebox_ray.stages.rules import association_rules
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -4039,10 +3591,6 @@ def _kappa_q(sf_dir: str):
     — two heuristic binary quality raters (n_chars >= 500; whitespace
     tokens >= 80, both RE2-parity with DuckDB) scored per source;
     exact int64 2x2 partials, driver combine, ONE division."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.regress import cohen_kappa
 
     docs = ray.data.read_parquet(
@@ -4069,10 +3617,6 @@ def _context_trim_q(sf_dir: str):
     per event, how many immediately preceding same-user events fit in
     a 25-token budget (greedy suffix of history) + the exact kept
     total; one keyed exchange, one global searchsorted kernel."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.context import context_trim
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -4095,8 +3639,6 @@ def _feature_hash_q(sf_dir: str):
     hashing_vectorizer) — signed 64-dim md5 feature hashing of
     document tokens, sparse (doc_id, dim, weight) output; map-only,
     no vocabulary, no shuffle."""
-    import ray
-
     from featurebox_ray.stages.encode import hashing_vectorizer
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -4110,8 +3652,6 @@ def _seasonal_peak_q(sf_dir: str):
     (stages/seasonal.py) — phase-folded (ts//1h)%24 cents profile per
     event type, peak bin by one IEEE mean division with lowest-bin
     ties; block partials + one tiny group exchange."""
-    import ray
-
     from featurebox_ray.stages.seasonal import seasonal_peak
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -4126,8 +3666,6 @@ def _lag_autocov_q(sf_dir: str):
     (stages/window.py:lag_autocov) — integer-exact Σx·x₊₂ / head /
     tail / total sums over the (ts, event_id)-ordered cents series;
     one keyed exchange, shifted-product kernel."""
-    import ray
-
     from featurebox_ray.stages.window import lag_autocov
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -4143,10 +3681,6 @@ def _containment_q(sf_dir: str):
     — inverted-index large×large join: query docs (doc_id % 31 == 0)
     vs the rest, containment = |A∩B|/|A| ≥ 0.6 over tokens with
     corpus df ≤ 1000; two keyed exchanges, integer cross-mult filter."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.containment import containment_join
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -4154,8 +3688,6 @@ def _containment_q(sf_dir: str):
 
     def side(is_query: bool):
         def fn(b: pa.Table) -> pa.Table:
-            import numpy as np
-
             ids = b["doc_id"].combine_chunks().to_numpy(
                 zero_copy_only=False)
             m = pa.array(ids % 31 == 0)
@@ -4174,8 +3706,6 @@ def _benford_q(sf_dir: str):
     benford_digits) — per event type, count/share of each first
     significant cents digit; integer power-of-ten searchsorted, block
     partials + one tiny exchange."""
-    import ray
-
     from featurebox_ray.stages.profile import benford_digits
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -4191,11 +3721,6 @@ def _triangle_census_q(sf_dir: str):
     330000; exact wedge-closure count over two keyed exchanges; the
     at-scale edge builder is the LSH path (q24), the gate substrate
     broadcasts the quantized matrix once (q20/q127 shape)."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
     from featurebox_ray.stages.cohesion import _batch_mat
     from featurebox_ray.stages.graph import triangle_count
 
@@ -4232,8 +3757,6 @@ def _rolling_rank_q(sf_dir: str):
     rolling_rank) — per event, how many of the previous 10 same-user
     events had strictly smaller value + the window size; bounded
     span-walk kernel, raw IEEE compares, SQL bounded self-join."""
-    import ray
-
     from featurebox_ray.stages.window import rolling_rank
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -4249,11 +3772,6 @@ def _rrf_fusion_q(sf_dir: str):
     exact global rankings of documents (chars, tokens, distinct
     tokens; negated-signal ascending row_number) fused by
     1/(60+r1)+1/(60+r2)+1/(60+r3) in fixed IEEE order; top 50."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.dedup import split_tokens
     from featurebox_ray.stages.partition import materialized_block_refs
     from featurebox_ray.stages.rank import (global_row_number, range_top,
@@ -4307,8 +3825,6 @@ def _table_checksum_q(sf_dir: str):
     row string), commutative int sum mod 2^61-1; per-block partials,
     driver merges exact Python ints.  The queryable variant of the
     checkpoint manifests' feature hashes."""
-    import ray
-
     from featurebox_ray.stages.profile import table_checksum
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -4324,10 +3840,6 @@ def _er_match_q(sf_dir: str):
     (stages/phonetic.py), scored by integer agreement weights
     (brand 3, type 2, size 2), kept at score >= 5; one block-keyed
     exchange, vectorized triangular pair scoring."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.linkage import blocked_pair_score
     from featurebox_ray.stages.phonetic import soundex_key
 
@@ -4355,8 +3867,6 @@ def _soundex_q(sf_dir: str):
     """q193: phonetic blocking keys (stages/phonetic.py) — simplified
     Soundex over part names as pure RE2 substitution chains (Arrow and
     DuckDB run the same regex program); map-only, no shuffle."""
-    import ray
-
     from featurebox_ray.stages.phonetic import add_soundex_key
 
     part = ray.data.read_parquet(f"{sf_dir}/part.parquet",
@@ -4370,8 +3880,6 @@ def _novelty_curve_q(sf_dir: str):
     novelty_curve) — per doc-id bucket, how many vocabulary terms
     first appear there + running total; term-keyed min exchange,
     driver combines tiny bucket partials."""
-    import ray
-
     from featurebox_ray.stages.tfidf import novelty_curve
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -4384,10 +3892,6 @@ def _funnel_path_q(sf_dir: str):
     """q191: 3-step sequential funnel view→click→purchase within 3
     days (stages/funnel.py:funnel_path) — greedy earliest chain, one
     keyed exchange, one masked reduceat per step; int64-exact."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.funnel import funnel_path
 
     ev = ray.data.read_parquet(
@@ -4411,8 +3915,6 @@ def _pq_codes_q(sf_dir: str):
     4 subspaces x 16 centroids (k lowest-id vectors, half-up 2^10
     grid), integer squared distances, first-min ties; stateless
     map_batches encode, codebook broadcast via closure."""
-    import ray
-
     from featurebox_ray.stages.pq import pq_encode
 
     emb = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
@@ -4426,8 +3928,6 @@ def _scd2_q(sf_dir: str):
     — per-user event_type state runs → [valid_from, valid_to) rows;
     one keyed exchange, vectorized run-length pass, gaps-and-islands
     SQL replay."""
-    import ray
-
     from featurebox_ray.stages.scd import scd2_intervals
 
     ev = ray.data.read_parquet(
@@ -4443,8 +3943,6 @@ def _attribution_q(sf_dir: str):
     each positive-value purchase splits its cents across the touches
     in the preceding 7 days via largest-remainder integer division;
     one user-keyed exchange + driver combine of per-type partials."""
-    import ray
-
     from featurebox_ray.stages.attribution import linear_attribution
 
     ev = ray.data.read_parquet(
@@ -4463,10 +3961,6 @@ def _pagerank_q(sf_dir: str):
     directions).  Three iterations, ranks int64 in 2^-40 units, every
     update (3S)//20 + (17·Σ(r//outdeg))//20 — pure integer arithmetic,
     order-free, replayed by three chained SQL iterations."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.stages.graph import pagerank
     from featurebox_ray.stages.partition import partitioned_map
 
@@ -4515,8 +4009,6 @@ def _theil_sen_q(sf_dir: str):
     group_theil_sen) — median of pairwise slopes over (epoch_us,
     value), one keyed exchange, vectorized triangular pair decode;
     every slope and the discrete-median pick replay bit-exactly."""
-    import ray
-
     from featurebox_ray.stages.regress import group_theil_sen
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -4533,9 +4025,6 @@ def _zorder_layout_q(sf_dir: str):
     metadata-only range-sort offsets; all arithmetic integer-exact in
     SQL.  The µs timestamp pre-scales to days so range x 2^16 stays
     inside int64 (the engine's overflow guard rejects raw µs)."""
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.stages.zorder import zorder_layout
 
     orders = ray.data.read_parquet(
@@ -4543,8 +4032,6 @@ def _zorder_layout_q(sf_dir: str):
         columns=["o_orderkey", "o_custkey", "o_orderdate"])
 
     def prep(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         days = pc.divide(b["o_orderdate"].combine_chunks().cast(
             pa.int64()), 86400000000)
         return pa.table({"o_orderkey": b["o_orderkey"],
@@ -4565,11 +4052,6 @@ def _cdc_compact_q(sf_dir: str):
     deletes, keyed on user_id*13 so the log exercises updates,
     inserts (keys past the customer range) and deletes; one
     tagged-union keyed exchange, latest-per-key by (ts, event_id)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import numpy as np
-    import ray
-
     from featurebox_ray.stages.cdc import cdc_compact
 
     base = ray.data.read_parquet(
@@ -4620,8 +4102,6 @@ def _order_violations_q(sf_dir: str):
     order_violations) — walking events in event_id order, count ts
     going backwards; one key-keyed exchange, exact counts + one
     division."""
-    import ray
-
     from featurebox_ray.stages.profile import order_violations
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -4634,8 +4114,6 @@ def _longest_streak_q(sf_dir: str):
     """q182: per-user longest consecutive-day activity streak
     (stages/retention.py:longest_streak) — gaps-and-islands maximum,
     one key-keyed exchange, exact run-length ints."""
-    import ray
-
     from featurebox_ray.stages.retention import longest_streak
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -4647,8 +4125,6 @@ def _cohort_value_q(sf_dir: str):
     """q181: weekly cohort value (LTV) curve (stages/retention.py:
     cohort_value_curve) — exact int64 cents per (cohort, offset) on
     the retention two-exchange shape."""
-    import ray
-
     from featurebox_ray.stages.retention import cohort_value_curve
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -4661,8 +4137,6 @@ def _rfm_segments_q(sf_dir: str):
     rfm_segments) — one user-keyed combiner exchange, exact int64
     (last_ts, n, cents), three ANSI NTILE(5) passes with deterministic
     tie-breaks."""
-    import ray
-
     from featurebox_ray.pipelines.events_features import rfm_segments
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -4675,12 +4149,6 @@ def _ks_drift_q(sf_dir: str):
     late halves of the time range (stages/regress.py:group_ks_drift)
     — run-end cumulative counts, exact int64 cross-multiplied
     maximand, one division."""
-    import datetime as _dt
-
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.regress import group_ks_drift
 
     ev = ray.data.read_parquet(
@@ -4692,8 +4160,8 @@ def _ks_drift_q(sf_dir: str):
     def _us(v) -> int:
         if hasattr(v, "value"):
             return int(v.value) // 1000
-        epoch = _dt.datetime(1970, 1, 1, tzinfo=v.tzinfo)
-        return (v - epoch) // _dt.timedelta(microseconds=1)
+        epoch = datetime.datetime(1970, 1, 1, tzinfo=v.tzinfo)
+        return (v - epoch) // datetime.timedelta(microseconds=1)
 
     lo, hi = _us(lohi["min(ts)"]), _us(lohi["max(ts)"])
     mid = lo + (hi - lo) // 2
@@ -4721,14 +4189,6 @@ def _compression_ratio_q(sf_dir: str):
     compression_ratio_fn) — the Gopher redundancy signal; one
     deterministic C zlib call per doc.  Fixture oracle: identical
     zlib calls replayed serially."""
-    import os
-    import zlib
-
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
     from featurebox_ray.stages.text import compression_ratio_fn
 
     t = pq.read_table(f"{sf_dir}/documents.parquet",
@@ -4767,8 +4227,6 @@ def _group_top_terms_q(sf_dir: str):
     top_terms_per_group) — grouped heavy hitters: composite
     (group·V+term) partial counts, one group-keyed exchange, per-group
     (cnt desc, term asc) top-k."""
-    import ray
-
     from featurebox_ray.stages.tfidf import top_terms_per_group
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -4782,8 +4240,6 @@ def _lexical_diversity_q(sf_dir: str):
     """q176: per-doc inverse-Simpson lexical diversity (stages/text.py:
     lexical_diversity_fn) — rational-exact type-token measure (no
     logs), one stateless vectorized pass."""
-    import ray
-
     from featurebox_ray.stages.text import lexical_diversity_fn
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -4798,10 +4254,6 @@ def _wilson_rates_q(sf_dir: str):
     """q175: per-event-type success rate with the Wilson lower bound
     (stages/regress.py:wilson_rates) — success = value > 0; exact
     (n, k) combiner partials, one fixed IEEE expression."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.regress import wilson_rates
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -4829,8 +4281,6 @@ def _label_prototypes_q(sf_dir: str):
     label_prototypes) — half-up quantized int64 (Σxq, n) cell partials
     on one keyed exchange; mean = two exact divisions (second by a
     power of two)."""
-    import ray
-
     from featurebox_ray.stages.cohesion import label_prototypes
 
     emb = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
@@ -4844,10 +4294,6 @@ def _k_anonymity_q(sf_dir: str):
     quasi-identifiers (stages/profile.py:k_anonymity) — per-block
     combo partials, one combo-keyed exchange, exact counts + below-k
     flag."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.profile import k_anonymity
 
     docs = ray.data.read_parquet(
@@ -4870,8 +4316,6 @@ def _rising_terms_q(sf_dir: str):
     late-vs-early halves by doc_id midpoint, add-one-smoothed DOUBLE
     ratio ranking identical on both engines; one term-keyed exchange +
     local/global top-k."""
-    import ray
-
     from featurebox_ray.stages.tfidf import rising_terms
 
     ids = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -4890,8 +4334,6 @@ def _concurrency_q(sf_dir: str):
     (stages/interval.py:session_concurrency) — sessionize + bounded
     window expansion collapsed to partials before one tiny
     window-keyed exchange; exact int counts."""
-    import ray
-
     from featurebox_ray.stages.interval import session_concurrency
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -4907,8 +4349,6 @@ def _burstiness_q(sf_dir: str):
     a vectorized split-word decomposition, no int64 overflow, no
     per-gap Python), one fixed IEEE float sequence; keys with <2 gaps
     NULL."""
-    import ray
-
     from featurebox_ray.stages.window import group_burstiness
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -4923,12 +4363,6 @@ def _ridge_fit_q(sf_dir: str):
     one cell-keyed exchange (d²-sized shuffle), driver solve; the
     fixture replays the identical arithmetic serially (bit-exact
     because the reconstructed float matrices are identical)."""
-    import os
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
     from _oracle_replays import replay_ridge
     from featurebox_ray.stages.regress import fit_ridge
 
@@ -4962,8 +4396,6 @@ def _curate_corpus_q(sf_dir: str):
     curate_corpus) — Gopher rules → temperature rebalance (α=0.5) →
     token-budget selection, every stage integer/IEEE-exact so the
     WHOLE chain replays as one SQL query of chained CTEs."""
-    import ray
-
     from featurebox_ray.pipelines.cleaning import curate_corpus
 
     docs = ray.data.read_parquet(
@@ -4979,10 +4411,6 @@ def _rolling_slope_q(sf_dir: str):
     rolling_slope) — exact int64 prefix-sum sufficient statistics
     (Σy, Σj·y; Σx/Σx² closed-form in m), ONE division; single-row
     windows NULL."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.stages.window import rolling_slope
 
     ev = ray.data.read_parquet(
@@ -4990,8 +4418,6 @@ def _rolling_slope_q(sf_dir: str):
         columns=["event_id", "user_id", "ts", "value"])
 
     def prep(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         keep = pc.is_valid(b["value"])
         if not pc.all(keep).as_py():
             b = b.filter(keep)
@@ -5014,8 +4440,6 @@ def _stratified_folds_q(sf_dir: str):
     (stages/sample.py:stratified_folds) — fold sizes within every
     group differ by ≤1 (rank-mod-K over the deterministic Knuth-hash
     order); one group-keyed exchange."""
-    import ray
-
     from featurebox_ray.stages.sample import stratified_folds
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -5030,8 +4454,6 @@ def _crosstab_chi2_q(sf_dir: str):
     (stages/regress.py:crosstab_chi2) — combiner count pass,
     unbounded-int margins, exact diff² and two correctly-rounded
     divisions per cell."""
-    import ray
-
     from featurebox_ray.stages.regress import crosstab_chi2
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -5045,8 +4467,6 @@ def _hard_negatives_q(sf_dir: str):
     label (contrastive-pair miner): catalog built once per actor from
     materialized refs, one exact int64 matmul per batch with
     same-label/self masking, (dot desc, id asc) argmax."""
-    import ray
-
     from featurebox_ray.stages.ann import hard_negatives
 
     emb = ray.data.read_parquet(
@@ -5061,10 +4481,6 @@ def _trimmed_mean_q(sf_dir: str):
     group_trimmed_mean) — cents-quantized int64 values, exact
     ⌊n/10⌋-per-side trim via prefix sums, one double division; one
     group-keyed exchange."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.stages.quantile import group_trimmed_mean
 
     li = ray.data.read_parquet(
@@ -5090,10 +4506,6 @@ def _weighted_quantiles_q(sf_dir: str):
     (stages/quantile.py:weighted_group_quantiles) — exact rational
     crossing test cumw·den ≥ num·W in int64 (no float in the
     decision); one group-keyed exchange."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.stages.quantile import weighted_group_quantiles
 
     li = ray.data.read_parquet(
@@ -5120,8 +4532,6 @@ def _resample_q(sf_dir: str):
     last-write-wins collapse, one key-keyed exchange, searchsorted
     neighbors, fixed-order IEEE lerp (bit-exact vs the SQL grid-join
     replay)."""
-    import ray
-
     from featurebox_ray.stages.window import resample_linear
 
     ev = ray.data.read_parquet(
@@ -5138,18 +4548,12 @@ def _calibration_q(sf_dir: str):
     vs label = (event_type = 'click'); half-up 2^10 quantized partials,
     driver combine (bins ≤ 10 — no shuffle), every float op one
     IEEE-exact division/subtract/abs."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.regress import calibration_bins
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["ts", "event_type"])
 
     def prep(b: pa.Table) -> pa.Table:
-        import numpy as np
-
         ts = b["ts"].combine_chunks()
         ok = pc.is_valid(ts)
         t_us = pc.cast(pc.if_else(ok, ts, pa.scalar(0, ts.type)),
@@ -5177,8 +4581,6 @@ def _busy_overlap_q(sf_dir: str):
     counts as combiner partials, top-5 broadcast as ints, one
     user-keyed exchange sessionizing (q06 gap rule) + vectorized
     clip-sum; all int64 us, exact."""
-    import ray
-
     from featurebox_ray.stages.interval import busy_window_overlap
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -5195,10 +4597,6 @@ def _collapse_rare_q(sf_dir: str):
     (floor(value·10), exact both engines), every category with corpus
     count < 25 recoded to '__other__': one combiner count pass +
     broadcast kept-set + shuffle-free recode."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.encode import collapse_rare
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -5225,10 +4623,6 @@ def _budget_select_q(sf_dir: str):
     'best docs up to a token budget' curation cut); one range sort +
     metadata-sized block offsets, blocks past the budget never
     touched."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.rank import budget_select
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -5260,10 +4654,6 @@ def _gopher_rules_q(sf_dir: str):
     with every ratio threshold compared as cross-multiplied integers
     (exact keep decision, zero float thresholds); one stateless
     vectorized Arrow-RE2 pass."""
-    import functools
-
-    import ray
-
     from featurebox_ray.stages.text import gopher_quality_fn
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -5283,8 +4673,6 @@ def _ngram_novelty_q(sf_dir: str):
     (gram-keyed first-of-run + doc-keyed partial sum with zero-gram
     markers).  md5 gram keys ⇒ the SQL oracle groups by the gram
     string directly."""
-    import ray
-
     from featurebox_ray.stages.substr import ngram_novelty
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -5301,13 +4689,6 @@ def _isotonic_q(sf_dir: str):
     comparisons; the only float is one division per pooled block.
     Fixture oracle: _oracle_replays.replay_isotonic (independent
     Fraction-based PAV), bit-exact."""
-    import os
-
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-    import ray
-
     from _oracle_replays import replay_isotonic
     from featurebox_ray.stages.isotonic import isotonic_fit
 
@@ -5356,12 +4737,6 @@ def _naive_bayes_q(sf_dir: str):
     first-max argmax.  Fixture oracle:
     _oracle_replays.replay_multinomial_nb recomputes serially from
     Counters with the same documented reduction — BIT-EXACT."""
-    import os
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
     from _oracle_replays import replay_multinomial_nb
     from featurebox_ray.stages.nb import multinomial_nb_predict
 
@@ -5397,8 +4772,6 @@ def _skipgram_pairs_q(sf_dir: str):
     statistic as one vectorized per-distance pair emit + the shared
     exact heavy-hitters exchange; the shuffle moves distinct pairs per
     block, never tokens."""
-    import ray
-
     from featurebox_ray.stages.tfidf import skipgram_pairs
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -5416,14 +4789,11 @@ def _ecdf_encode_q(sf_dir: str):
     half reduces to per-type sorted arrays built once per actor, the
     query half streams through one searchsorted per batch.  Exact
     int counts; pct = one double division."""
-    import ray
-
     from featurebox_ray.stages.encode import ecdf_encode
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "ts", "event_type", "value"])
-    import datetime as _dt
 
     lohi = ev.aggregate(ray.data.aggregate.Min("ts"),
                         ray.data.aggregate.Max("ts"))
@@ -5431,13 +4801,11 @@ def _ecdf_encode_q(sf_dir: str):
     def _us(v) -> int:
         if hasattr(v, "value"):           # pandas Timestamp (ns)
             return int(v.value) // 1000
-        epoch = _dt.datetime(1970, 1, 1, tzinfo=v.tzinfo)
-        return (v - epoch) // _dt.timedelta(microseconds=1)
+        epoch = datetime.datetime(1970, 1, 1, tzinfo=v.tzinfo)
+        return (v - epoch) // datetime.timedelta(microseconds=1)
 
     lo, hi = _us(lohi["min(ts)"]), _us(lohi["max(ts)"])
     mid = lo + (hi - lo) // 2
-
-    import pyarrow.compute as pc
 
     def ts_us(b):
         return pc.cast(b["ts"].combine_chunks(), "int64")
@@ -5463,8 +4831,6 @@ def _temperature_mix_q(sf_dir: str):
     one tiny count aggregate + one shuffle-free Knuth-hash filter;
     alpha=0.5 is a chain of IEEE sqrt so the threshold arithmetic is
     bit-identical to the DuckDB replay."""
-    import ray
-
     from featurebox_ray.stages.sample import temperature_rebalance
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -5478,8 +4844,6 @@ def _group_gini_q(sf_dir: str):
     distinct-tuple count partials, ONE user-keyed exchange, reduceat
     kernel (stages/profile.py:group_gini); the rational-arithmetic
     stand-in for entropy, HUGEINT SQL replay bit-exact."""
-    import ray
-
     from featurebox_ray.stages.profile import group_gini
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -5496,10 +4860,6 @@ def _line_dedup_q(sf_dir: str):
     with one vectorized binary_join pass per partition.  Two keyed
     exchanges (line-keyed distinct-doc count, doc-keyed render), corpus
     scanned once."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.lines import remove_duplicate_lines
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -5527,10 +4887,6 @@ def _forward_fill_q(sf_dir: str):
     maximum.accumulate over last-valid indices per column, a single
     take per column (values pass through untouched, so the SQL
     last_value IGNORE NULLS replay is bit-exact)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.window import add_forward_fill
 
     ev = ray.data.read_parquet(
@@ -5570,8 +4926,6 @@ def _rolling_distinct_q(sf_dir: str):
     trick (one lexsort + one difference-array cumsum serves every
     row), never O(n·window); exact int64, SQL count(DISTINCT) OVER
     replay."""
-    import ray
-
     from featurebox_ray.stages.window import add_rolling_distinct
 
     ev = ray.data.read_parquet(
@@ -5592,8 +4946,6 @@ def _collocation_pmi_q(sf_dir: str):
     term-keyed exchange each, min_count-pruned unigram table broadcast
     once, score = ONE IEEE division of exact int64 products
     (stages/tfidf.py:collocation_pmi)."""
-    import ray
-
     from featurebox_ray.stages.tfidf import collocation_pmi
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -5608,11 +4960,6 @@ def _ab_test_q(sf_dir: str):
     (n, Σy, Σy²)-per-side partials, one group-keyed exchange,
     Python-int combine, fixed float64 op sequence (HUGEINT SQL
     replay bit-exact; degenerate arms NULL out on both sides)."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.regress import group_ab_test
 
     ev = ray.data.read_parquet(
@@ -5644,8 +4991,6 @@ def _balance_corpus_q(sf_dir: str):
     language of its own) and the cap applied by the deterministic
     hash-order cap_per_group (pure function of ids: stable across runs,
     partitionings and cluster sizes — stages/sample.py)."""
-    import ray
-
     from featurebox_ray.stages.partition import group_count, partitioned_map
     from featurebox_ray.stages.sample import cap_per_group
 
@@ -5666,13 +5011,6 @@ def _knn_join_q(sf_dir: str):
     exchange (right rows ship once, left ×n_probe), exact int64 dots,
     candidate-sized merge exchange.  Pure function of the inputs, so
     the serial replay fixture is bit-identical."""
-    import os
-
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
     from _oracle_replays import replay_knn_join
     from featurebox_ray.stages.knn import knn_join
 
@@ -5721,8 +5059,6 @@ def _keep_best_dedup_q(sf_dir: str):
     (max n_chars, ties min doc_id): the curation keep rule
     (stages/dedup.py:keep_best_dedup — one text-keyed exchange, sort +
     first-of-run, descending score as a negated sort column)."""
-    import ray
-
     from featurebox_ray.stages.dedup import keep_best_dedup
     from featurebox_ray.stages.text import normalize_text
 
@@ -5739,8 +5075,6 @@ def _latest_event_q(sf_dir: str):
     stages/rank.py:last_row_per_key) — one keyed exchange, last-of-run
     mask per sorted partition; every column rides along untouched so
     doubles and strings replay bit-exactly."""
-    import ray
-
     from featurebox_ray.stages.rank import last_row_per_key
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet")
@@ -5756,8 +5090,6 @@ def _vocab_overlap_q(sf_dir: str):
     finishes the dedup and expands sorted group runs to pairs (q128
     gather), tiny partial combine; Jaccard = one IEEE division of
     exact int64 counts."""
-    import ray
-
     from featurebox_ray.stages.tfidf import vocab_overlap
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -5772,8 +5104,6 @@ def _diversified_topk_q(sf_dir: str):
     per-block per-group top-m partials, one tiny group-keyed exchange,
     final sort.limit over groups×m survivors; ties to the smaller id
     everywhere so the LIMIT boundary is deterministic."""
-    import ray
-
     from featurebox_ray.stages.rank import diversified_topk
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -5790,8 +5120,6 @@ def _snm_neardup_q(sf_dir: str):
     distinct-token Jaccard within a 10-wide window (stages/snm.py);
     integer cross-multiply threshold, DuckDB window + self-join replay
     is bit-exact."""
-    import ray
-
     from featurebox_ray.stages.snm import snm_neardup
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -5808,11 +5136,6 @@ def _target_encode_q(sf_dir: str):
     bit-exact (double(int)/double(int)).  Reference analog: sklearn
     cross_val fold exclusion (selection/quickmethod.py:310) as a
     feature stage."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.encode import oof_target_encode
 
     li = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
@@ -5839,11 +5162,6 @@ def _drawdown_q(sf_dir: str):
     signed by event type: purchases add, errors subtract) — the CUSUM
     prefix trick with a running MAX (stages/window.py:add_drawdown);
     int64-exact, two-window SQL replay."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.window import add_drawdown
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -5877,22 +5195,16 @@ def _incremental_neardup_q(sf_dir: str):
     dropping same-side pairs BEFORE the verification exchange
     (stages/dedup.py:incremental_neardup); the oracle is the q22
     all-pairs exact-Jaccard restricted to cross-side pairs."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.dedup import incremental_neardup
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["doc_id", "text"])
 
     def even(b: pa.Table) -> pa.Table:
-        import numpy as np
         ids = b["doc_id"].to_numpy(zero_copy_only=False)
         return b.filter(pa.array(ids % 2 == 0))
 
     def odd(b: pa.Table) -> pa.Table:
-        import numpy as np
         ids = b["doc_id"].to_numpy(zero_copy_only=False)
         return b.filter(pa.array(ids % 2 == 1))
 
@@ -5914,18 +5226,12 @@ def _category_drift_q(sf_dir: str):
     q120 retention rule) — one value-keyed exchange of per-block count
     partials, tiny driver totals, exact counts + one IEEE division per
     share (stages/diff.py:category_drift)."""
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.diff import category_drift
 
     old = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                 columns=["doc_id", "source"])
     new = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                 columns=["doc_id", "source"])
-
-    import numpy as np
-    import pyarrow as pa
 
     def keep(b: pa.Table) -> pa.Table:
         ids = b["doc_id"].to_numpy(zero_copy_only=False)
@@ -5943,11 +5249,6 @@ def _group_spearman_q(sf_dir: str):
     columns), vectorized rank stats, one keyed exchange
     (stages/regress.py:group_spearman); rank()/count() window SQL
     replay is bit-exact (never a float ranking)."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.regress import group_spearman
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -5983,13 +5284,6 @@ def _mmr_select_q(sf_dir: str):
     (stages/ann.py:mmr_select).  Greedy selection is recursive (not
     SQL); the fixture replays the identical integer arithmetic
     serially — bit-exact."""
-    import os
-
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
     from _oracle_replays import replay_mmr
     from featurebox_ray.stages.ann import mmr_select
 
@@ -6032,11 +5326,6 @@ def _time_weighted_avg_q(sf_dir: str):
     ≤ max|v|·span, guarded), one keyed exchange, one IEEE division
     (stages/window.py:time_weighted_avg); lead() window SQL replay is
     bit-exact."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.window import time_weighted_avg
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -6064,8 +5353,6 @@ def _session_journeys_q(sf_dir: str):
     renders each session's ordered type chain with one list-offsets +
     binary_join pass, then the exact heavy-hitters exchange picks the
     global top-k (stages/transitions.py:top_session_journeys)."""
-    import ray
-
     from featurebox_ray.stages.transitions import top_session_journeys
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -6083,8 +5370,6 @@ def _session_cooccurrence_q(sf_dir: str):
     expands each session's sorted distinct-type set to unordered pairs,
     a tiny second exchange sums counts
     (stages/transitions.py:session_cooccurrence); exact int64."""
-    import ray
-
     from featurebox_ray.stages.transitions import session_cooccurrence
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -6103,10 +5388,6 @@ def _semantic_decontam_q(sf_dir: str):
     (stages/ann.py:threshold_similarity_join).  Half-up floor
     quantization + exact int64 dot products; HUGEINT SQL replay is
     bit-exact."""
-    import numpy as np
-    import pyarrow.parquet as pq
-    import ray
-
     from featurebox_ray.stages.ann import threshold_similarity_join
 
     qt = pq.read_table(f"{sf_dir}/embeddings.parquet",
@@ -6132,11 +5413,6 @@ def _cusum_q(sf_dir: str):
     s_t = max(0, s_{t-1} + v − k) collapsed to a segment cumsum + a
     grouped running min (stages/window.py:add_cusum); int64-exact, SQL
     replays it with two window aggregates bit-identically."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.window import add_cusum
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -6166,12 +5442,6 @@ def _throttle_q(sf_dir: str):
     state no SQL window expresses (lag measures the previous RAW row);
     the oracle is a serial greedy replay fixture.  The engine kernel
     jumps with one scalar searchsorted per KEPT row (output-sized)."""
-    import os
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
     from featurebox_ray.stages.sample import throttle_min_interval
 
     GAP_S_ = 600
@@ -6221,11 +5491,6 @@ def _weighted_stats_q(sf_dir: str):
     partials, one exchange, Python-int combine, fixed float64 op
     sequence (stages/regress.py:group_weighted_stats); HUGEINT SQL
     replay is bit-exact."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.regress import group_weighted_stats
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -6256,11 +5521,6 @@ def _lift_table_q(sf_dir: str):
     primitives: rank.global_row_number (range sort + content-ordered
     block offsets) → streaming decile partials → tiny int64 group sum.
     All-integer outputs, exact SQL window replay."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.partition import each_group, partitioned_map
     from featurebox_ray.stages.rank import global_row_number
 
@@ -6326,11 +5586,6 @@ def _group_auc_q(sf_dir: str):
     + ties − 1), one keyed exchange, one IEEE division
     (stages/regress.py:group_auc); rank()/count() window SQL replay is
     bit-exact."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.regress import group_auc
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -6362,8 +5617,6 @@ def _retention_q(sf_dir: str):
     (cohort + distinct activity periods per user segment, vectorized),
     then a tiny (cohort, offset) partial-count sum
     (stages/retention.py); all-int64, exact SQL replay."""
-    import ray
-
     from featurebox_ray.stages.retention import retention_cohorts
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -6376,10 +5629,6 @@ def _snapshot_diff_q(sf_dir: str):
     table and a deterministically perturbed next version — one id-keyed
     tagged-union exchange, vectorized run classification, delta-sized
     output, IS NOT DISTINCT FROM equality (stages/diff.py)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.diff import snapshot_diff
 
     old = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -6388,7 +5637,6 @@ def _snapshot_diff_q(sf_dir: str):
                                      columns=["doc_id", "text"])
 
     def perturb(b: pa.Table) -> pa.Table:
-        import numpy as np
         ids = b["doc_id"].to_numpy(zero_copy_only=False)
         keep = ids % 17 != 0
         kept = b.filter(pa.array(keep))
@@ -6422,8 +5670,6 @@ def _top_bigrams_q(sf_dir: str):
     vectorized binary_join partials, one term-keyed exchange,
     local-then-global top-k; stages/tfidf.py:top_bigrams).  Deterministic
     (count desc, bigram asc) LIMIT boundary, exact SQL replay."""
-    import ray
-
     from featurebox_ray.stages.tfidf import top_bigrams
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -6437,10 +5683,6 @@ def _windowed_distinct_q(sf_dir: str):
     count_distinct kernel per co-located group
     (stages/profile.py:group_count_distinct); the exact counterpart of
     the HLL/KMV sketches."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.profile import group_count_distinct
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -6465,8 +5707,6 @@ def _script_profile_q(sf_dir: str):
     count replays exactly), disjoint-class sc_other subtraction, one
     IEEE-division latin ratio (stages/text.py:script_profile_fn).
     Stateless vectorized map, zero per-row Python."""
-    import ray
-
     from featurebox_ray.stages.text import script_profile_fn
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -6481,8 +5721,6 @@ def _centroid_distance_q(sf_dir: str):
     once, streaming integer score pass (stages/cohesion.py); half-UP
     floor quantization + HUGEINT SQL arithmetic make the replay
     bit-exact (np.round/SQL round would tie-break differently)."""
-    import ray
-
     from featurebox_ray.stages.cohesion import group_centroid_distance
 
     emb = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
@@ -6497,11 +5735,6 @@ def _group_moments_q(sf_dir: str):
     statistics — int64 partials, one group-keyed exchange, Python-int
     combine, FIXED float64 op sequence (stages/regress.py:group_moments);
     HUGEINT SQL replay is bit-exact (never skewness()/kurtosis())."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.regress import group_moments
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -6530,8 +5763,6 @@ def _funnel_q(sf_dir: str):
     One user-keyed exchange + vectorized masked-reduceat segment pass
     (stages/funnel.py); all outputs int64 ts/counts so the SQL replay
     is exact by construction."""
-    import ray
-
     from featurebox_ray.stages.funnel import funnel_features
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -6549,11 +5780,6 @@ def _bucketed_interval_q(sf_dir: str):
     searchsorted walk per partition exact — no per-bucket loop, no
     cross-bucket duplicates), one bucket-keyed task exchange
     (stages/interval.py:bucketed_interval_join)."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.interval import bucketed_interval_join
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -6589,12 +5815,6 @@ def _lm_perplexity_q(sf_dir: str):
     (stages/lm.py).  Fixture oracle: _oracle_replays.replay_bigram_lm
     recomputes serially from Counters with the same documented
     reduction — BIT-EXACT, no rounding."""
-    import os
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
     from _oracle_replays import replay_bigram_lm
     from featurebox_ray.stages.lm import bigram_lm_perplexity
 
@@ -6632,10 +5852,6 @@ def _centered_window_q(sf_dir: str):
     """q111: centered ±3-row window sum/count of spend (cents) per user
     — ROWS BETWEEN 3 PRECEDING AND 3 FOLLOWING via one segment-masked
     prefix sum per partition; int64-exact, bit-exact SQL window replay."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.stages.window import add_centered_window_sum
 
     ev = ray.data.read_parquet(
@@ -6643,7 +5859,6 @@ def _centered_window_q(sf_dir: str):
         columns=["event_id", "user_id", "ts", "value"])
 
     def scale(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         v = b["value"].combine_chunks()
         cents = np.round(np.nan_to_num(
             v.to_numpy(zero_copy_only=False), nan=0.0) * 100.0
@@ -6668,17 +5883,12 @@ def _group_corr_q(sf_dir: str):
     statistics; r = one division by a product of two correctly-rounded
     IEEE sqrts, so the HUGEINT SQL replay is bit-exact (never corr() —
     float accumulation order differs)."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.stages.regress import group_corr
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["event_type", "ts", "value"])
 
     def quantize(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         b = b.filter(pc.and_(pc.is_valid(b["value"]),
                              pc.is_valid(b["ts"])))
         ep = b["ts"].combine_chunks().cast(pa.int64()).to_numpy(
@@ -6700,8 +5910,6 @@ def _robust_zscore_q(sf_dir: str):
     outlier-resistant normalization next to q98's mean/std z-score.
     Two vectorized quantile_disc element picks per group + two IEEE ops,
     replayed bit-exactly by quantile_disc CTEs in SQL."""
-    import ray
-
     from featurebox_ray.stages.normalize import add_robust_zscore
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -6718,13 +5926,6 @@ def _jsonl_roundtrip_q(sf_dir: str):
     recomputes the same aggregate from the parquet view, so the hash
     match proves the round trip is value-exact.  Exercises the engine's
     multi-format Catalog surface (parquet/csv/jsonl)."""
-    import os
-    import shutil
-
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.sources.io import write_table
     from featurebox_ray.stages.partition import each_group, partitioned_map
 
@@ -6733,7 +5934,6 @@ def _jsonl_roundtrip_q(sf_dir: str):
                                         "event_type", "value"])
 
     def quantize(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         v = b["value"].combine_chunks()
         cents = np.round(np.nan_to_num(
             v.to_numpy(zero_copy_only=False), nan=0.0) * 100.0
@@ -6753,7 +5953,6 @@ def _jsonl_roundtrip_q(sf_dir: str):
     back = ray.data.read_json(out_dir)
 
     def partial(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         gd = pc.dictionary_encode(b["event_type"].combine_chunks())
         codes = gd.indices.to_numpy(zero_copy_only=False).astype(np.int64)
         ids = b["event_id"].combine_chunks().cast(pa.int64()).to_numpy(
@@ -6794,10 +5993,6 @@ def _editdist_join_q(sf_dir: str):
     pigeonhole partition scheme (EXACT recall, no LSH probability) +
     batch-vectorized DP verification.  The oracle is the all-pairs
     levenshtein join (integer distances, value-hash exact)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.editdist import edit_distance_join
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -6820,8 +6015,6 @@ def _transitions_q(sf_dir: str):
     shifted compare, ≤|types|² partials per partition, tiny second
     exchange; p = two exact-int casts + one IEEE division (bit-exact
     SQL replay via lead() + window sum)."""
-    import ray
-
     from featurebox_ray.stages.transitions import event_transition_counts
 
     ev = ray.data.read_parquet(
@@ -6838,8 +6031,6 @@ def _rolling_median_q(sf_dir: str):
     exact quantile_disc element pick over a sliding_window_view with
     segment-boundary masking (one keyed exchange, n×w bounded window
     matrix, no per-row Python).  Element pick = bit-exact SQL replay."""
-    import ray
-
     from featurebox_ray.stages.window import add_rolling_quantile
 
     ev = ray.data.read_parquet(
@@ -6859,9 +6050,6 @@ def _asof_nearest_q(sf_dir: str):
     merge pass computes both segmented scans; the oracle composes two
     DuckDB ASOF joins with tie-deduped right sides and an exact integer
     gap compare."""
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.asof import asof_join
 
     ev = ray.data.read_parquet(
@@ -6885,8 +6073,6 @@ def _unpivot_q(sf_dir: str):
     row per (line, measure).  Pure streaming flat map (zero-copy column
     selections, constant-factor row expansion, no exchange); values pass
     through unchanged so the UNION ALL oracle hashes exactly."""
-    import ray
-
     from featurebox_ray.stages.pivot import unpivot
 
     li = ray.data.read_parquet(
@@ -6907,17 +6093,12 @@ def _group_linfit_q(sf_dir: str):
     combine, closed form as a fixed float64 op sequence.  The oracle
     replays it with HUGEINT sums + explicit DOUBLE casts (NEVER
     regr_slope — float accumulation is order-dependent)."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.stages.regress import group_linfit
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["user_id", "ts", "value"])
 
     def quantize(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         b = b.filter(pc.and_(pc.is_valid(b["value"]),
                              pc.is_valid(b["ts"])))
         ep = b["ts"].combine_chunks().cast(pa.int64()).to_numpy(
@@ -6943,8 +6124,6 @@ def _hll_distinct_q(sf_dir: str):
     so the raw-HLL estimate is two IEEE ops from exact values and DuckDB
     replays it bit-identically (register ranks via printf('%b') bit
     lengths, the integer sum via <<)."""
-    import ray
-
     from featurebox_ray.stages.sketch import hll_distinct
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -6958,8 +6137,6 @@ def _event_chain_q(sf_dir: str):
     string_agg (the behavioral-sequence feature): one keyed exchange,
     every group rendered in one vectorized cast→offsets→binary_join
     pass (the q41 render shape, never a per-group UDF)."""
-    import ray
-
     from featurebox_ray.stages.pivot import group_concat
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -6976,8 +6153,6 @@ def _group_topk_q(sf_dir: str):
     generalized group mode (per-block dictionary-code partials, one
     group-keyed exchange, vectorized pick), deterministic (cnt desc,
     value asc) ranking = SQL QUALIFY row_number() <= 3."""
-    import ray
-
     from featurebox_ray.stages.pivot import group_topk_values
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -6992,10 +6167,6 @@ def _group_norm_q(sf_dir: str):
     (n, sum, sum²) per user via one tiny keyed exchange, broadcast once,
     fact stream maps with a fixed float64 op order written identically
     in SQL (bit-exact; single-row groups NULL z)."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.stages.normalize import add_group_norm_features
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -7023,8 +6194,6 @@ def _profile_q(sf_dir: str):
     Values profile through their VARCHAR cast (bytewise min/max,
     shortest-roundtrip float formatting — parity with DuckDB checked
     across SFs)."""
-    import ray
-
     from featurebox_ray.stages.profile import profile_columns
 
     ev = ray.data.read_parquet(
@@ -7040,10 +6209,6 @@ def _running_total_q(sf_dir: str):
     (o_orderdate, o_orderkey) order) — one keyed exchange, segment-
     masked np.cumsum; int sums are order-independent-exact so the SQL
     window replays bit-identically."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.stages.window import add_running_totals
 
     orders = ray.data.read_parquet(
@@ -7075,13 +6240,6 @@ def _ewm_q(sf_dir: str):
     replays the SAME blocked arithmetic serially, so the comparison is
     bit-exact (block boundaries are segment-relative, independent of
     partitioning)."""
-    import os
-
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
     from featurebox_ray.functions.segments import ewm_mean
     from featurebox_ray.stages.window import add_ewm
 
@@ -7123,8 +6281,6 @@ def _canon_dedup_q(sf_dir: str):
     whitespace-collapse + trim (pure Arrow kernels) feeding exact_dedup
     keyed on the CANONICAL text, so near-identical casings/spacings
     collapse; keeps the min-doc_id representative per canonical form."""
-    import ray
-
     from featurebox_ray.stages.dedup import exact_dedup
     from featurebox_ray.stages.text import normalize_text
 
@@ -7140,8 +6296,6 @@ def _json_extract_q(sf_dir: str):
     """q93: typed-field extraction from the props JSON column — one
     Arrow RE2 extract_regex pass (zero per-row Python), the identical
     regex replayed by DuckDB regexp_extract (both RE2)."""
-    import ray
-
     from featurebox_ray.stages.scalar import extract_json_fields
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -7158,12 +6312,6 @@ def _pca_q(sf_dir: str):
     keyed exchange, eigh runs driver-side on the exactly-reconstructed
     covariance, and the projection is integer matmul again — so the
     serial replay fixture is BIT-IDENTICAL (no rounding at all)."""
-    import os
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
     from featurebox_ray.stages.pca import (_finish_fit, _project_serial,
                                            _quantized_int,
                                            pca_fit_transform)
@@ -7198,10 +6346,6 @@ def _asof_tolerance_q(sf_dir: str):
     (pandas merge_asof tolerance semantics) — a match further than the
     bound nulls out inside the same fused merge kernel (the matched
     right index is already there; one |gap| compare, no extra pass)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.pipelines.events_queries import _finish, read
     from featurebox_ray.stages.asof import asof_join
 
@@ -7229,8 +6373,6 @@ def _group_mode_q(sf_dir: str):
     with deterministic (count desc, value asc) tie-break; per-block
     (group, value, cnt) partials, one group-keyed exchange, vectorized
     final pick.  The categorical-feature counterpart to q66's pivot."""
-    import ray
-
     from featurebox_ray.stages.pivot import group_mode
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -7245,8 +6387,6 @@ def _dup_fraction_q(sf_dir: str):
     exchange also carries one (doc, n_tokens) row per document (tagged
     union, no separate join), so every tokenized doc emits exactly once;
     dup_frac is one IEEE division of small ints (bit-exact in SQL)."""
-    import ray
-
     from featurebox_ray.stages.substr import dup_token_stats
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -7263,8 +6403,6 @@ def _cms_counts_q(sf_dir: str):
     cells regardless of vocabulary size), 60-bit md5 bucket hashes so
     DuckDB rebuilds the IDENTICAL sketch; point estimates (min over
     depth) for the exact top-20 terms, overestimate guaranteed."""
-    import ray
-
     from featurebox_ray.stages.sketch import cms_term_estimates
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -7278,8 +6416,6 @@ def _hopping_window_q(sf_dir: str):
     expands to exactly 3 overlapping windows, collapses to per-block
     (key, w_start) partials BEFORE the exchange; aggregates are the q52
     order-independent-exact set (count, int64 id sum, min/max)."""
-    import ray
-
     from featurebox_ray.pipelines.events_queries import _finish, read
     from featurebox_ray.stages.window import hopping_window_stats
 
@@ -7300,8 +6436,6 @@ def _corpus_freq_q(sf_dir: str):
     with ray.put, per-doc n_tokens / n_invocab / fam_sum as pure int64
     bincounts (no log-prob: libm ulps differ across engines; counting
     replays in SQL)."""
-    import ray
-
     from featurebox_ray.stages.tfidf import corpus_freq_score
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -7314,9 +6448,6 @@ def _global_rank_q(sf_dir: str):
     sort is the one all-to-all, read in range order; block offsets are
     prefix sums of the bundle metadata's row counts (one count per
     block).  The curriculum-ordering primitive."""
-    import pyarrow.compute as pc
-    import ray
-
     from featurebox_ray.stages.rank import global_row_number
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -7335,8 +6466,6 @@ def _dup_spans_q(sf_dir: str):
     merges overlapping/adjacent intervals into maximal spans.  md5 mode
     so DuckDB replays the decision procedure bit-exactly; the vectorized
     poly-hash mode is the 100-TB path (tested equal)."""
-    import ray
-
     from featurebox_ray.stages.substr import dup_spans
 
     # the gram emit is CPU-bound (one md5 per gram): split the single
@@ -7356,10 +6485,6 @@ def _cube_q(sf_dir: str):
     them.  lvl mirrors SQL GROUPING(g1, g2); price pre-scaled x100 to
     int64 cents so every sum is order-independent-exact (no float
     output at all)."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.stages.rollup import rollup_counts
 
     orders = ray.data.read_parquet(
@@ -7385,8 +6510,6 @@ def _winsorize_q(sf_dir: str):
     comparison + substitution and the SQL CASE replays bit-exactly).
     The q71 two-stage shape: one keyed exchange for edges, one broadcast
     map over the fact stream."""
-    import ray
-
     from featurebox_ray.stages.binning import winsorize
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -7400,19 +6523,16 @@ def _full_join_q(sf_dir: str):
     both inputs pre-filtered so BOTH null sides occur (orders without a
     BUILDING customer, BUILDING customers without a big order); the key
     coalesces so right-only rows keep their key."""
-    import pyarrow.compute as pc_
-    import ray
-
     from featurebox_ray.stages.join import hash_join
 
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey", "o_totalprice"],
-        filter=(pc_.field("o_totalprice") > 300000.0))
+        filter=(pc.field("o_totalprice") > 300000.0))
     cust = ray.data.read_parquet(
         f"{sf_dir}/customer.parquet",
         columns=["c_custkey", "c_mktsegment"],
-        filter=(pc_.field("c_mktsegment") == "BUILDING"))
+        filter=(pc.field("c_mktsegment") == "BUILDING"))
     return hash_join(orders, cust, on="o_custkey", right_on="c_custkey",
                      how="full", num_partitions=8,
                      right_cols=["c_mktsegment"])
@@ -7424,8 +6544,6 @@ def _group_split_q(sf_dir: str):
     stages/sample.py), so every row of a user lands in the same split
     and the SQL replay is the identical HUGEINT arithmetic under a
     CASE."""
-    import ray
-
     from featurebox_ray.stages.sample import add_split_column
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -7439,8 +6557,6 @@ def _redact_q(sf_dir: str):
     """q80: regex pattern redaction (the PII-scrub shape) — Arrow
     replace_substring_regex and DuckDB regexp_replace(...,'g') are both
     RE2, so cleaned text + match counts value-hash exactly."""
-    import ray
-
     from featurebox_ray.stages.redact import pattern_redact
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -7455,8 +6571,6 @@ def _inverted_index_q(sf_dir: str):
     (vectorized int→string + binary_join).  Postings ship as a CSV
     string so the DuckDB list_sort/array_to_string replay value-hashes
     byte-identically; min_df=2 exercises the hapax prune."""
-    import ray
-
     from featurebox_ray.stages.invindex import inverted_index
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -7470,10 +6584,6 @@ def _clean_corpus_q(sf_dir: str):
     dyadic-threshold filter.  Fully SQL-replayable: survivors = min id
     per text, fractions are the q73 divisions, overlap is the q72 IN —
     thresholds are dyadic doubles so every comparison is bit-exact."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.pipelines.cleaning import clean_corpus
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -7497,12 +6607,6 @@ def _dup_components_q(sf_dir: str):
     (no engine hashing) + BFS labels; engine recall over these pairs is
     exact on this corpus per the q22 coupling note
     (dedup.minhash_lsh_dedup docstring)."""
-    import os
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
     from featurebox_ray.stages.components import connected_components
     from featurebox_ray.stages.dedup import minhash_lsh_dedup
 
@@ -7569,12 +6673,6 @@ def _bpe_train_q(sf_dir: str):
     integer counts + a total-order tie-break make the merge table
     deterministic; the fixture is an independent dict-based replay
     (_oracle_replays.replay_bpe_merges) over the raw parquet."""
-    import os
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
     from _oracle_replays import replay_bpe_merges
     from featurebox_ray.stages.bpe import bpe_train
 
@@ -7604,11 +6702,6 @@ def _semantic_dedup_q(sf_dir: str):
     norm EXACT in float64 (stages/semdedup.py docstring), so the serial
     single-process replay — identical arithmetic, zero distribution —
     is bit-identical for any partitioning; no rounding in the fixture."""
-    import os
-
-    import pyarrow.parquet as pq
-    import ray
-
     from featurebox_ray.stages.semdedup import (semantic_dedup,
                                                 semantic_dedup_serial)
 
@@ -7635,8 +6728,6 @@ def _repetition_q(sf_dir: str):
     mean word length.  Map-only (no shuffle); every fraction is one
     int/int float64 division so the DuckDB aggregate replay is
     bit-exact."""
-    import ray
-
     from featurebox_ray.stages.repetition import repetition_features
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -7651,10 +6742,6 @@ def _decontaminate_q(sf_dir: str):
     side reduces to one broadcast (sorted-hash prefilter + exact string
     verify), the corpus streams; the DuckDB oracle replays the exact
     string semantics with IN over regexp-extracted n-grams."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.stages.decontam import ngram_decontaminate
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -7673,9 +6760,6 @@ def _decontaminate_q(sf_dir: str):
 def _bpe_tokens(sf_dir: str):
     """BPE-ish tokenizer count (stages/text.py regex) with a strong DuckDB
     oracle running the identical regex."""
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.stages.text import text_features_fn
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -7697,10 +6781,6 @@ def _group_dispose_feature(sf_dir: str):
     symbol/functions/npfunc.py:3-61) over an x_group-packed lineitem pair
     [l_extendedprice, l_quantity]; each dispose variant is one output
     column with an exact SQL equivalent."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.functions.expr import apply_expression
 
     li = ray.data.read_parquet(
@@ -7752,10 +6832,6 @@ def _composition_parse(sf_dir: str):
     stages/parse.py grammar, and densely expanded over the event-type
     vocabulary; the oracle computes the same dense counts directly from
     events, so the build→parse→expand round trip is value-hash-checked."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.stages.parse import expand_composition
     from featurebox_ray.stages.partition import group_count, partitioned_map
 
@@ -7767,8 +6843,6 @@ def _composition_parse(sf_dir: str):
         # whole hash partition: count each (user, type) pair, sort the
         # counts and render every user's composition in one vectorized
         # pass (list-offsets + binary_join), never one UDF call per user
-        import pyarrow.compute as pc
-
         if t.num_rows == 0 or "user_id" not in t.column_names:
             return pa.table({"user_id": pa.array([], pa.int64()),
                              "comp_str": pa.array([], pa.string())})
@@ -7812,10 +6886,6 @@ def _replays():
 
         return rep
     except ImportError:
-        import importlib.util
-        import os
-        import sys
-
         path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                             "_oracle_replays.py")
         spec = importlib.util.spec_from_file_location("_oracle_replays", path)
@@ -7826,11 +6896,6 @@ def _replays():
 
 
 def _write_fixture(df, name: str):
-    import os
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
     os.makedirs(_ORACLE_DIR, exist_ok=True)
     # atomic: a reader never sees a half-written file
     tmp = f"{_ORACLE_DIR}/{name}.parquet.tmp"
@@ -7845,9 +6910,6 @@ def _multi_ego_rank(sf_dir: str):
     independent serial replay (_oracle_replays.replay_multi_ego —
     fsum/scalar Pi/L/Ei) writes the expected top-10 as a fixture the
     DuckDB oracle reads back."""
-    import numpy as np
-    import pandas as pd
-
     from featurebox_ray.selection.search import MultiEgo
 
     X, y, cols = _feature_matrix(sf_dir)
@@ -7878,9 +6940,6 @@ def _voronoi_stats(sf_dir: str):
     (rank, value) event points — the count_voronoinn analog
     (stages/voronoi.py); the DuckDB oracle replays the exact midpoint
     test with bit-identical arithmetic."""
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.stages.voronoi import add_voronoi_features
 
     ev = ray.data.read_parquet(
@@ -7908,9 +6967,6 @@ def _radius_neighbors(sf_dir: str):
     distance rounding, per-(type, distance) multiplicity counts).  The
     DuckDB oracle replays the self-join with the identical direct-form
     sqrt, so every boundary decision is bit-identical."""
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.stages.neighbor import add_radius_neighbors
 
     ev = ray.data.read_parquet(
@@ -7936,8 +6992,6 @@ def _radius_neighbors(sf_dir: str):
 def _skew_probe(sf_dir: str):
     """Key-skew histogram (the salting-decision probe,
     stages/partition.py:key_histogram): rows per user, top 10."""
-    import ray
-
     from featurebox_ray.stages.partition import key_histogram
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
@@ -7951,16 +7005,12 @@ def _consensus_rank(sf_dir: str):
     Value oracle: independent serial replay of the score matrix + Pareto
     + consensus (_oracle_replays.replay_consensus_rank) written as a
     fixture."""
-    import numpy as np
-    import pandas as pd
-
     from featurebox_ray.selection.consensus import (
         consensus_ranking, score_matrix)
 
     rng = np.random.default_rng(13)
     X = rng.normal(size=(200, 5))
     y = X[:, 0] - 0.5 * X[:, 2] + rng.normal(0, 0.1, 200)
-    import itertools
 
     subsets = list(itertools.combinations(range(5), 2))
     _write_fixture(_replays().replay_consensus_rank(X, y, subsets),
@@ -7978,10 +7028,6 @@ def _expression_feature(sf_dir: str):
     """Expression promotion (ref add_tree_to_features, symbol/base.py:695):
     evaluate (l_quantity + l_tax) * l_discount as a new column via the
     vectorized expression engine."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.functions.expr import apply_expression
 
     li = ray.data.read_parquet(
@@ -8009,9 +7055,6 @@ def _group_select(sf_dir: str):
     serial replay (re-derived DBSCAN via core-graph components +
     fsum Calinski-Harabasz, _oracle_replays.replay_group_select) written
     as a fixture."""
-    import numpy as np
-    import pandas as pd
-
     from featurebox_ray.selection.groupsel import GroupSelect
 
     rng = np.random.default_rng(11)
@@ -8033,9 +7076,6 @@ def _feature_matrix(sf_dir: str):
     """Small driver-side (X, y) from lineitem numeric columns (the
     selection layer operates on the engine's materialized feature matrix,
     as the reference's selection operates on the featurizer output)."""
-    import numpy as np
-    import ray
-
     base = ["l_quantity", "l_discount", "l_tax", "l_partkey", "l_suppkey"]
     ds = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
                                columns=base + ["l_extendedprice"])
@@ -8061,8 +7101,6 @@ def _subset_select(sf_dir: str):
     (corr(l_extendedprice, anything) ~ 0), so near-zero CV r2 is the
     correct answer here; the planted-relation parity tests live in
     tests/test_selection_expr.py."""
-    import pandas as pd
-
     from featurebox_ray.selection.search import Exhaustion
 
     X, y, cols = _feature_matrix(sf_dir)
@@ -8095,9 +7133,6 @@ def _clf_select(sf_dir: str):
     as a fixture the DuckDB oracle reads back.  Accuracy is an integer
     ratio, so the two solvers' ulp-level coefficient differences cannot
     move any reported value."""
-    import numpy as np
-    import pandas as pd
-
     from featurebox_ray.selection.search import Exhaustion
 
     X, y_reg, cols = _feature_matrix(sf_dir)
@@ -8134,9 +7169,6 @@ def _grid_search_cv(sf_dir: str):
     reads back.  Distinct alphas on a smooth CV curve keep every score
     gap ≫ the ~1e-13 solver coupling, so 6-dp rounding and the is_best
     argmax are both stable."""
-    import numpy as np
-    import pandas as pd
-
     from featurebox_ray.selection.grid import GridSearchCV
     from featurebox_ray.selection.models import Ridge
 
@@ -8170,12 +7202,6 @@ def _rotate_slices_q(sf_dir: str):
     (_oracle_replays.replay_rotate_slices — per-step loop, one fiber at a
     time, the reference's own shape) writes the expected table as a
     fixture the DuckDB oracle reads back."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-    import ray
-
     from featurebox_ray.functions.tensor import rotate_slices_fn
 
     # independent replay over the same rows, read serially
@@ -8235,12 +7261,6 @@ def _http_fetch_q(sf_dir: str):
     the id (0.125 steps, halves, integers — all binary-representable),
     so the DuckDB oracle recomputes the identical table directly from
     `documents` with no fixture and no rounding."""
-    import http.server
-    import json as _json
-    import threading
-
-    import ray
-
     from featurebox_ray.sources.fetch import fetch_records
 
     def _rec(i: int) -> dict:
@@ -8257,13 +7277,13 @@ def _http_fetch_q(sf_dir: str):
             pass
 
         def do_POST(self):
-            body = _json.loads(
+            body = json.loads(
                 self.rfile.read(int(self.headers["Content-Length"])))
             ids = body["criteria"]["material_id"]["$in"]
             props = body["properties"]
             out = [{p: v for p, v in _rec(int(s)).items() if p in props}
                    for s in ids]
-            payload = _json.dumps(out).encode()
+            payload = json.dumps(out).encode()
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(payload)))
@@ -8278,8 +7298,6 @@ def _http_fetch_q(sf_dir: str):
         threading.Thread(target=srv.serve_forever, daemon=True).start()
         _http_fetch_q._srv = srv
     endpoint = f"http://127.0.0.1:{srv.server_address[1]}/query"
-
-    import pyarrow as pa
 
     def to_ids(batch: pa.Table) -> pa.Table:
         ids = [i for i in batch["doc_id"].to_pylist() if i % 3 == 0]
@@ -8303,8 +7321,6 @@ def _kmv_distinct_q(sf_dir: str):
     sketch exactly replayable in SQL: DuckDB recomputes the identical
     60-bit hashes, row_numbers them per group and applies the same
     (k-1)/u_k estimator, so k_used/kth_hash/est_distinct all value-hash."""
-    import ray
-
     from featurebox_ray.stages.sketch import kmv_distinct
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -8321,11 +7337,6 @@ def _interval_join_q(sf_dir: str):
     searchsorted probes per batch (beyond-reference operator; the as-of
     analog is q10).  Aggregates are order-independent-exact: counts and
     int64 id sums, min/max doubles."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.stages.interval import (broadcast_interval_join,
                                                 top_k_per_group)
     from featurebox_ray.stages.partition import partitioned_map
@@ -8334,10 +7345,8 @@ def _interval_join_q(sf_dir: str):
         f"{sf_dir}/events.parquet",
         columns=["event_id", "event_type", "ts", "value"])
     # mirror the oracle's WHERE value IS NOT NULL on the anchor side
-    import pyarrow.compute as _pc
-
     anchor_src = ev.map_batches(
-        lambda b: b.filter(_pc.is_valid(b["value"])),
+        lambda b: b.filter(pc.is_valid(b["value"])),
         batch_format="pyarrow", zero_copy_batch=True)
     anchors = top_k_per_group(anchor_src, group_col="event_type",
                               order_col="value", tie_col="event_id", k=10,
@@ -8385,10 +7394,6 @@ def _hash_sample_q(sf_dir: str):
     the sample.  Stable across runs/partitionings/cluster sizes — the
     shuffle-free estimation sample a 100-TB pipeline debugs with
     (beyond-reference operator)."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.stages.partition import partitioned_map
     from featurebox_ray.stages.sample import hash_sample, sample_threshold
 
@@ -8421,7 +7426,6 @@ def _hash_sample_q(sf_dir: str):
                        sort=False).agg(n_rows=("n_rows", "sum"),
                                        qty_i=("qty_i", "sum"),
                                        price_i=("price_i", "sum"))
-        import numpy as np
         return pa.table({
             "l_returnflag": pa.array(g["l_returnflag"]),
             "l_linestatus": pa.array(g["l_linestatus"]),
@@ -8445,8 +7449,6 @@ def _group_quantiles_q(sf_dir: str):
     reference's per-entry PropertyStats.quantile to a grouped aggregate).
     Values are exact data elements picked at DuckDB's quantile_disc rank
     max(ceil(q*n)-1, 0), so the oracle matches bit-exactly, no rounding."""
-    import ray
-
     from featurebox_ray.stages.quantile import group_quantiles
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -8465,14 +7467,6 @@ def _batch_files_q(sf_dir: str):
     value-hash, no fixture.  The pipeline exercises name filtering
     (junk.txt dropped), dir-layer filtering (g2 subtrees excluded) and
     the cofactor-determinant volume."""
-    import os
-
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-    import ray
-
     from featurebox_ray.sources.files import (discover_files, filter_files,
                                               read_poscar_fn)
 
@@ -8533,8 +7527,6 @@ def _cap_per_group_q(sf_dir: str):
     primitive (cap documents per domain before training).  Two-pass: tiny
     per-group top-m exchange, then a broadcast winner-id semi-join filter;
     pure function of ids, so SQL replays it with the identical hash."""
-    import ray
-
     from featurebox_ray.stages.sample import cap_per_group
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -8550,16 +7542,8 @@ def _kmeans_q(sf_dir: str):
     per-cluster sum EXACT under any block structure, so the serial numpy
     replay (same arithmetic, zero distribution) is bit-identical — the
     fixture oracle needs no rounding at all."""
-    import os
-
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
-    from featurebox_ray.stages.kmeans import (_iterate_serial, assign,
-                                              kmeans_cluster_stats,
-                                              quantize)
+    from featurebox_ray.stages.kmeans import (_iterate_serial,
+                                              kmeans_cluster_stats, quantize)
 
     K, ITERS, QB, SD = 8, 5, 10, 3
 
@@ -8607,8 +7591,6 @@ def _tfidf_q(sf_dir: str):
     ulps differ between engines), so tf*(N/df) is two IEEE ops DuckDB
     reproduces bit-exactly — full value-hash, no rounding, including the
     (tfidf DESC, term ASC) tie-break."""
-    import ray
-
     from featurebox_ray.stages.tfidf import tfidf_topk
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -8625,9 +7607,6 @@ def _symbolic_golden(sf_dir: str):
     exact recovery (sign/commutation variants fold into the fitted
     (a, b)), and bit-equal to the planted target, which the fixture
     recomputes in scalar Python."""
-    import numpy as np
-    import pandas as pd
-
     from featurebox_ray.functions.expr import eval_expr, golden_recover
 
     rng = np.random.default_rng(7)
@@ -8666,9 +7645,6 @@ def _ego_rank(sf_dir: str):
     EI over a search grid → top-10.  Value oracle: independent serial
     replay of the bootstrap ensemble + closed-form EI
     (_oracle_replays.replay_ego_rank) written as a fixture."""
-    import numpy as np
-    import pandas as pd
-
     from featurebox_ray.selection.search import Ego
 
     X, y, cols = _feature_matrix(sf_dir)
@@ -8698,10 +7674,6 @@ def _bloom_semi_q(sf_dir: str):
     moves ~matches+ε rows, not the whole lineitem table.  Aggregated per
     returnflag with exact int64 sums (qty integral; price in 1e-4
     units) so values replay bit-exactly under any summation order."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.stages.bloom import bloom_semi_join
     from featurebox_ray.stages.partition import partitioned_map
 
@@ -8722,8 +7694,6 @@ def _bloom_semi_q(sf_dir: str):
                            num_bits=1 << 17, num_partitions=16)
 
     def partial(b: pa.Table) -> pa.Table:
-        import pandas as pd
-
         qty = np.round(b["l_quantity"].to_numpy(zero_copy_only=False)
                        ).astype(np.int64)
         price_i = np.round(b["l_extendedprice"].to_numpy(
@@ -8739,8 +7709,6 @@ def _bloom_semi_q(sf_dir: str):
                                 zero_copy_batch=True)
 
     def combine(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
         df = (t.to_pandas().groupby("l_returnflag", as_index=False).sum())
         return pa.table({
             "l_returnflag": pa.array(df["l_returnflag"]),
@@ -8760,17 +7728,12 @@ def _bloom_anti_q(sf_dir: str):
     unmatched, no false negatives) stream straight to the output with no
     exchange; only the ~20% bloom hits ride the verify exchange.  Raw
     left rows out — bit-exact trivially."""
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.stages.bloom import bloom_anti_join
 
     cust = ray.data.read_parquet(f"{sf_dir}/customer.parquet",
                                  columns=["c_custkey", "c_mktsegment"])
 
     def building(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         return (b.filter(pc.equal(b["c_mktsegment"], "BUILDING"))
                 .select(["c_custkey"]))
 
@@ -8791,8 +7754,6 @@ def _rank_family_q(sf_dir: str):
     exchange + O(n) numpy prefix math per sorted partition;
     percent_rank/cume_dist are single int/int IEEE divisions, so the
     DuckDB window functions replay them bit-exactly."""
-    import ray
-
     from featurebox_ray.stages.rank import rank_in_group
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -8810,8 +7771,6 @@ def _hist_quantiles_q(sf_dir: str):
     reported value is the lower edge of the bin holding the
     quantile_disc rank — deterministic, error ≤ bin width, and every
     arithmetic step replays bit-exactly in SQL."""
-    import ray
-
     from featurebox_ray.stages.quantile import histogram_quantiles
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -8827,8 +7786,6 @@ def _top_terms_q(sf_dir: str):
     them, partition-local top-k (sound after global summation), one
     final pick.  Total order (count desc, term asc) makes the LIMIT
     boundary deterministic and SQL-replayable."""
-    import ray
-
     from featurebox_ray.stages.tfidf import top_terms
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -8841,8 +7798,6 @@ def _stratified_sample_q(sf_dir: str):
     primitive: keep 100% zh, 50% de, 25% en, 12.5% of everything else,
     decided by the same Knuth multiplicative hash as q50 so the SQL
     replay is the identical integer arithmetic under a CASE."""
-    import ray
-
     from featurebox_ray.stages.sample import stratified_hash_sample
 
     docs = ray.data.read_parquet(
@@ -8859,8 +7814,6 @@ def _cont_quantiles_q(sf_dir: str):
     parity (RN = q·(n-1) in float64, (⌈RN⌉-RN)·lo + (RN-⌊RN⌋)·hi with
     DuckDB's exact operation order), complementing q51's discrete picks.
     Doubles value-hash bit-exactly — no rounding."""
-    import ray
-
     from featurebox_ray.stages.quantile import group_quantiles
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -8877,10 +7830,6 @@ def _rollup_q(sf_dir: str):
     levels, a tiny final combine for the grand total.  lvl mirrors SQL
     GROUPING(g1, g2); qty pre-scaled ×100 to int64 so every sum is
     order-independent-exact."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
     from featurebox_ray.stages.rollup import rollup_counts
 
     li = ray.data.read_parquet(
@@ -8898,8 +7847,6 @@ def _rollup_q(sf_dir: str):
                         int_sum_cols=["qty_c"], num_partitions=8)
 
     def finish(b: pa.Table) -> pa.Table:
-        import numpy as np
-
         s = b["sum_qty_c"].to_numpy(zero_copy_only=False).astype(np.float64)
         return (b.select(["l_returnflag", "l_linestatus", "lvl", "n_rows"])
                 .append_column("sum_qty", pa.array(np.round(s / 100.0, 4))))
@@ -8914,8 +7861,6 @@ def _pivot_q(sf_dir: str):
     Fixed-width per-block partials (np.add.at into a groups×categories
     matrix), one user-keyed exchange sums them; category list passed
     explicitly so the schema is static."""
-    import ray
-
     from featurebox_ray.stages.pivot import pivot_agg
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -8932,11 +7877,6 @@ def _weighted_sample_q(sf_dir: str):
     Top-50 documents by n_chars weight.  The score uses pow (libm ulps
     differ across engines), so the oracle is an independent serial
     numpy replay written as a fixture — bit-exact, no rounding."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow.parquet as pq
-    import ray
-
     from featurebox_ray.stages.sample import (MOD, knuth_hash,
                                               weighted_sample_k)
 
@@ -8966,8 +7906,6 @@ def _chunk_docs_q(sf_dir: str):
     every chunk's token indices with one ragged arange + one Arrow take
     + binary_join (zero per-row Python).  DuckDB replays the identical
     spec with generate_series over list slices."""
-    import ray
-
     from featurebox_ray.stages.chunk import chunk_documents
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -8996,7 +7934,6 @@ def _serial_next_fit(ids, toks, budget):
         pack_pos.append(pos)
         acc += t
         pos += 1
-    import numpy as np
 
     return ([int(ids[j]) for j in order], [int(toks[j]) for j in order],
             np.asarray(local_pack, np.int64), np.asarray(pack_pos, np.int64))
@@ -9009,11 +7946,6 @@ def _pack_sequences_q(sf_dir: str):
     of chunking).  Packing is order-defined, so the oracle is an
     INDEPENDENT serial replay (pure-python next-fit + inline hash, no
     engine pack helpers)."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow.parquet as pq
-    import ray
-
     from featurebox_ray.stages.pack import PACK_SHIFT, pack_sequences
 
     BUDGET, P, B = 2000, 8, 256
@@ -9048,12 +7980,6 @@ def _llm_prep_q(sf_dir: str):
     flat-map expansion feeds the keyed packing exchange directly, no
     materialization between stages.  Oracle: independent serial replay
     (python str.split chunking + the per-bucket next-fit arithmetic)."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
     from featurebox_ray.stages.chunk import chunk_documents
     from featurebox_ray.stages.pack import PACK_SHIFT, pack_sequences
 
@@ -9121,8 +8047,6 @@ def _quantile_bin_q(sf_dir: str):
     into its event_type's quartile bucket (the distribution-aware
     feature discretizer).  Edges are exact quantile_disc data elements,
     so the <= comparisons and buckets replay bit-exactly in SQL."""
-    import ray
-
     from featurebox_ray.stages.binning import quantile_bin
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -13480,9 +12404,9 @@ def oracle_sql() -> dict[str, str]:
             SELECT 'value', count(*), count(*) - count(value),
                    count(DISTINCT value),
                    min(regexp_replace(CAST(value AS VARCHAR),
-                                      '\.0$', '')),
+                                      '\\.0$', '')),
                    max(regexp_replace(CAST(value AS VARCHAR),
-                                      '\.0$', ''))
+                                      '\\.0$', ''))
             FROM events
         """,
         # running total: int64 cents window sum, exact both sides

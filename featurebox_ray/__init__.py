@@ -17,6 +17,8 @@ Layout:
     state/       per-partition checkpoints + lineage manifests
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
 
@@ -84,8 +86,6 @@ def __getattr__(name):
                                  "verify_jaccard_pairs"),
     }
     if name in _API:
-        import importlib
-
         mod, attr = _API[name]
         return getattr(importlib.import_module(mod), attr)
     raise AttributeError(name)

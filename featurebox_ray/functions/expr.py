@@ -22,9 +22,12 @@ An expression is a nested tuple tree::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import itertools
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+import pyarrow as pa
+import ray
 
 from .dims import Dim
 
@@ -255,8 +258,6 @@ def apply_expression(ds, expr, *, columns: Sequence, out_col: str,
     LIST of column names — that terminal binds to the packed 2-D group
     (reference ``x_group``) for DISPOSE ops.  ``params`` supplies fitted
     inner coefficients for ``("k", i, ...)`` nodes."""
-    import pyarrow as pa
-
     columns = list(columns)
 
     def kernel(batch: pa.Table) -> pa.Table:
@@ -399,8 +400,6 @@ def fit_inner_coefficients(expr, cols, y, *, max_iter: int = 60,
 def enumerate_height2(n_features: int, ops: Sequence[str] = ("add", "sub", "mul")):
     """All expressions binop(binop(xi,xj), binop(xk,xl)) plus height-1
     binop(xi,xj) — the reference's exhaustive height-2 recovery space."""
-    import itertools
-
     leaves = [("x", i) for i in range(n_features)]
     h1 = [(o, a, b) for o in ops for a, b in
           itertools.combinations_with_replacement(leaves, 2)]
@@ -424,8 +423,6 @@ def golden_recover(X: np.ndarray, y: np.ndarray, *, ops=("add", "sub", "mul"),
                    batch_size: int = 2000) -> Tuple[tuple, float]:
     """Exhaustive height-2 search for the best-scoring expression, scored in
     parallel Ray tasks over the broadcast column block."""
-    import ray
-
     cols = [np.ascontiguousarray(X[:, j], dtype=np.float64) for j in range(X.shape[1])]
     cols_ref = ray.put(cols)
     y_ref = ray.put(np.asarray(y, dtype=np.float64))
@@ -644,8 +641,6 @@ class SymbolicSearch:
     def fit(self, X, y: np.ndarray) -> "SymbolicSearch":
         """``X``: (n, p) matrix, or a pre-packed COLUMN LIST (1-D arrays
         and 2-D ``pack_groups`` terminals) for grouped searches."""
-        import ray
-
         rng = np.random.default_rng(self.seed)
         if isinstance(X, (list, tuple)):
             cols = [np.asarray(c, dtype=np.float64) for c in X]

@@ -18,6 +18,7 @@ Works with BOTH kinds of estimator in this repo:
 
 from __future__ import annotations
 
+import inspect
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -70,8 +71,6 @@ def _accepts_y(fn) -> bool:
     (the target) — decided from the signature, NOT by catching
     TypeError (which would mask genuine TypeErrors raised inside fit and
     mis-retry them without y)."""
-    import inspect
-
     try:
         sig = inspect.signature(fn)
     except (TypeError, ValueError):

@@ -28,8 +28,6 @@ same shape, and return shape (n_rows,).  NaNs are NOT silently skipped
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 __all__ = [

@@ -14,9 +14,14 @@ per-conversation windowed aggregates.
 
 from __future__ import annotations
 
+import math
+import warnings
 from typing import Optional, Tuple
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+from numpy.lib.stride_tricks import sliding_window_view
 
 # ---------------------------------------------------------------------------
 # segment structure
@@ -51,9 +56,6 @@ def shared_key_codes(*cols, nulls_distinct: bool = False) -> list:
     tables.  Every column is read in the first column's type.  With
     ``nulls_distinct`` every NULL gets a code of its own (no two NULLs
     are equal), still after every value and rising in column order."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
     arrs = [c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
             for c in cols]
     typ = arrs[0].type
@@ -89,8 +91,6 @@ def ints(t, col: str, fill: int = 0) -> np.ndarray:
     """``t[col]`` as int64 numpy, NULL read as ``fill`` (filled before
     the conversion, so ids above 2^53 never pass through float64); an
     empty table, with or without the column, gives an empty array."""
-    import pyarrow.compute as pc
-
     if t.num_rows == 0:
         return np.empty(0, np.int64)
     return pc.fill_null(t[col], fill).to_numpy(
@@ -313,8 +313,6 @@ def _finish_stats_exact(values: np.ndarray, win_start: np.ndarray, k: int,
     """Exact trailing-k window stats via a (chunk, k) sliding view —
     per-window summation like SQL engines do, no prefix cancellation.
     Memory bounded at ~chunk×k doubles."""
-    from numpy.lib.stride_tricks import sliding_window_view
-
     v = np.asarray(values, dtype=np.float64)
     n = len(v)
     ok = ~np.isnan(v)
@@ -411,7 +409,6 @@ def rolling_min_max_rows(
         return v.copy(), v.copy()
     pad = np.concatenate([np.full(k - 1, np.nan), v])
     win = np.lib.stride_tricks.sliding_window_view(pad, k)
-    import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -504,8 +501,6 @@ def ewm_mean(values: np.ndarray, alpha: float, is_seg_start: np.ndarray,
     serially" (the q95 fixture-oracle pattern), with agreement to the
     naive recursion at ~1e-12.
     """
-    import math
-
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must be in (0, 1]")
     n = len(values)
@@ -549,8 +544,6 @@ def cents_exact(arr, *, col: str = "value") -> np.ndarray:
     INT64_MIN, and the DuckDB oracle's ``CAST(round(v*100) AS
     BIGINT)`` errors on the same input, so failing loudly keeps the
     engine and oracle in lockstep."""
-    import pyarrow.compute as pc
-
     v = pc.fill_null(arr, 0.0)
     x = v.to_numpy(zero_copy_only=False).astype(np.float64)
     if len(x) and not np.isfinite(x).all():

@@ -37,6 +37,7 @@ import warnings
 from typing import List, Optional, Tuple
 
 import numpy as np
+import pyarrow as pa
 
 __all__ = ["rotate_slice", "rotate_slices", "rotatespilt", "rotate_slices_fn"]
 
@@ -142,8 +143,6 @@ def rotate_slices_fn(batch, *, angle: float = 30, axis: int = 0,
     (volume, angle) with the flattened slice + its 2-D shape.  Pure
     per-row fan-out (no state, no shuffle) — volumes of 100 TB corpora
     scale out block-parallel."""
-    import pyarrow as pa
-
     tensors = batch[tensor_col].to_pylist()
     shapes = batch[shape_col].to_pylist()
     ids = batch[id_col].to_pylist()

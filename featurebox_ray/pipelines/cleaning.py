@@ -21,8 +21,11 @@ Reference analog: none (beyond-reference; composition of q17+q72+q73).
 
 from __future__ import annotations
 
-import numpy as np
+import functools
+
 import pyarrow as pa
+import pyarrow.compute as pc
+import ray
 
 from ..stages.decontam import (_resolve_bench, bench_ngram_set,
                                count_overlap_hits)
@@ -40,8 +43,6 @@ def clean_corpus(docs, bench, *, id_col: str = "doc_id",
     Dataset of benchmark docs (reduced here) or a ready
     ``bench_ngram_set`` ObjectRef.  Thresholds default to dyadic values
     (see module docstring)."""
-    import ray
-
     if isinstance(bench, ray.ObjectRef):
         bench_ref = bench
     else:
@@ -99,10 +100,6 @@ def curate_corpus(docs, *, id_col: str = "doc_id",
     as one SQL query of chained CTEs (q168).  Returns the selected
     rows ``(id_col, group_col, gq_n_words, cum_cost)``.
     """
-    import functools
-
-    import pyarrow.compute as pc
-
     from ..stages.rank import budget_select
     from ..stages.sample import temperature_rebalance
     from ..stages.text import gopher_quality_fn
@@ -153,10 +150,6 @@ def prep_corpus(docs, *, id_col: str = "doc_id",
 
     Output: ``(source, id, rn, pos, ord)`` with ``ord <= limit``.
     """
-    import functools
-
-    import pyarrow.compute as pc
-
     from ..stages.bloom import bloom_semi_join
     from ..stages.sample import weighted_interleave
     from ..stages.substr import prefix_dedup

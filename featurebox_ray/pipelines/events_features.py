@@ -12,9 +12,10 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from ..functions import segments as seg
-from ..stages.partition import partitioned_map
+from ..stages.partition import partitioned_map, partitioned_refs
 from ..stages.window import WindowSpec, add_window_features
 
 EVENT_SPEC = WindowSpec(
@@ -43,8 +44,6 @@ def session_stats(ds, *, gap_s: float = 1800.0, num_partitions: int = 32):
     gap_us = int(gap_s * 1e6)
 
     def kernel(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         if t.num_rows == 0:
             return pa.table({
                 "user_id": pa.array([], t.schema.field("user_id").type),
@@ -113,10 +112,6 @@ def rfm_segments(ds, *, user_col: str = "user_id", ts_col: str = "ts",
     r_tile:int64, f_tile:int64, m_tile:int64, segment:int64)``.
     NULL users/ts drop; NULL values count 0 toward M.
     """
-    import ray
-
-    from ..stages.partition import partitioned_map, partitioned_refs
-
     def partial(b: pa.Table) -> pa.Table:
         keep = pc.and_(pc.is_valid(b[user_col]), pc.is_valid(b[ts_col]))
         if not pc.all(keep).as_py():
@@ -193,9 +188,8 @@ def rfm_segments(ds, *, user_col: str = "user_id", ts_col: str = "ts",
                              "f_tile": pa.array([], pa.int64()),
                              "m_tile": pa.array([], pa.int64()),
                              "segment": pa.array([], pa.int64())})
-        import ray as _ray
 
-        mx = _ray.get(mref)
+        mx = ray.get(mref)
         users = t[user_col].to_numpy(zero_copy_only=False)
         last = t["last"].to_numpy(zero_copy_only=False)
         n = t["n"].to_numpy(zero_copy_only=False)

@@ -154,8 +154,6 @@ def normalized_value(sf_dir: str):
 def event_type_lookup(sf_dir: str):
     """Broadcast dim-table depart lookup on event_type (DepartElement
     analog): constants table joined per row without a shuffle."""
-    import ray
-
     from ..stages.lookup import add_depart_lookup
 
     dim = event_type_props()
@@ -269,8 +267,6 @@ def ann_topk(sf_dir: str, k: int = 5, n_queries: int = 3):
     """Brute-force cosine top-k; queries = the first ``n_queries`` corpus
     vectors (deterministic).  Ties broken by vec_id asc in both engine and
     oracle."""
-    import ray
-
     from ..stages.ann import brute_force_topk
 
     emb = read(sf_dir, "embeddings", ["vec_id", "embedding"])

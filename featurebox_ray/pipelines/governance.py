@@ -19,6 +19,9 @@ from __future__ import annotations
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
+
+from ..stages.partition import materialized_block_refs, sum_partials
 
 
 def release_gate(docs_ds, *, rules, qi_cols, sensitive_col: str,
@@ -41,10 +44,6 @@ def release_gate(docs_ds, *, rules, qi_cols, sensitive_col: str,
     def _count_flags(ds, flag_col, bad_when):
         """Distributive (n_units, n_violations) — the QI grid never
         passes through the driver, only two ints per block."""
-        import ray
-
-        from ..stages.partition import materialized_block_refs, sum_partials
-
         def part(b: pa.Table) -> pa.Table:
             if b.num_rows == 0 or flag_col not in b.column_names:
                 return pa.table({"n": pa.array([], pa.int64()),

@@ -12,16 +12,19 @@ Conventions:
 
 from __future__ import annotations
 
+import datetime
 from typing import List, Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
+
+from ..stages.partition import (each_group, group_count, partitioned_map,
+                                sum_partials, task_exchange)
 
 
 def read(sf_dir: str, table: str, columns: Optional[List[str]] = None):
-    import ray
-
     return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
@@ -51,8 +54,6 @@ def pricing_summary(sf_dir: str):
     single gather task on the task exchange sums the tiny partials.  No
     Ray sort/hash-aggregate op runs at all: the only exchange moves
     ~blocks×6 partial rows."""
-    from ..stages.partition import partitioned_map
-
     ds = read(sf_dir, "lineitem",
               ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice",
                "l_discount", "l_tax"])
@@ -129,10 +130,6 @@ def pricing_summary(sf_dir: str):
 
 def filter_project_revenue(sf_dir: str, min_ship: str = "1995-01-01"):
     """Predicate pushdown-style filter + derived projection."""
-    import datetime
-
-    import pyarrow.dataset as pads
-
     ds = read(sf_dir, "lineitem",
               ["l_orderkey", "l_linenumber", "l_extendedprice", "l_discount",
                "l_shipdate"])
@@ -158,7 +155,6 @@ def top_customers(sf_dir: str, k: int = 10):
     materializes or loops over it); at 100 TB with a large dim side swap
     for ``hash_join``."""
     from ..stages.join import broadcast_join
-    from ..stages.partition import partitioned_map
     from ..stages.rank import range_top
 
     def spend(t: pa.Table) -> pa.Table:
@@ -185,7 +181,6 @@ def order_priority_revenue(sf_dir: str):
     partials per partition; a single task-exchange gather sums them (no
     Ray hash-aggregate op)."""
     from ..stages.join import hash_join
-    from ..stages.partition import partitioned_map
 
     orders = read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
     li = read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
@@ -205,8 +200,6 @@ def order_priority_revenue(sf_dir: str):
     def partial_by_priority(joined: pa.Table) -> pa.Table:
         # combiner: 5-row partial sums leave each join partition instead of
         # the full joined rowset
-        import pandas as pd
-
         df = joined.to_pandas().groupby("o_orderpriority", as_index=False)["revenue_i"].sum()
         return pa.Table.from_pandas(df, preserve_index=False)
 
@@ -233,10 +226,6 @@ def distinct_users_per_type(sf_dir: str):
     sum of the P partials — no driver-side set building.  A NULL user_id
     counts as one user of each type it appears with, and a NULL
     event_type is a type of its own."""
-    import ray
-
-    from ..stages.partition import group_count, sum_partials, task_exchange
-
     def users(_p, t: pa.Table) -> pa.Table:
         pairs = group_count(t, ["event_type", "user_id"])
         return group_count(pairs, ["event_type"])
@@ -256,7 +245,6 @@ def group_stats_kernels(sf_dir: str):
     (population std, reference skew/kurt edge rules) — the §2.6 kernel
     library applied group-wise."""
     from ..functions import propstats as ps
-    from ..stages.partition import each_group, partitioned_map
 
     ev = read(sf_dir, "events", ["event_type", "value"])
 
@@ -284,8 +272,6 @@ def corr_matrix(sf_dir: str, cols: Sequence[str] = ("l_quantity", "l_extendedpri
     """Pairwise Pearson correlations via one distributed pass of partial
     sums (n, Σx, Σxy) combined on the driver — SURVEY.md §2.5 corr
     (selection/corr.py:58-73) without materializing rows."""
-    import ray
-
     cols = list(cols)
     ds = read(sf_dir, "lineitem", cols)
     p = len(cols)

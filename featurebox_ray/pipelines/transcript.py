@@ -41,7 +41,10 @@ def fused_features_backfill(
     """window features + as-of backfill in one shuffle.
 
     ``strategy`` is passed on to :func:`partitioned_map` (``"tasks"``
-    is its one legal value).
+    is its one legal value).  Only the benchmark
+    (``perfbench/jobs.py``) passes it; it goes with
+    ``partitioned_map``'s once the next benchmark change stops passing
+    it (ROADMAP item 1).
 
     ``left_schema``: the schema of ``left_ds`` if the caller already
     knows it.  When ``left_ds`` ends in expensive lazy map stages,

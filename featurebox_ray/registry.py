@@ -7,7 +7,7 @@ stage, and the group fold/unfold index arithmetic of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import pyarrow as pa

@@ -10,9 +10,10 @@ in); the consensus algebra itself is tiny and driver-side.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
+import ray
 
 from .models import cv_score
 
@@ -21,8 +22,6 @@ def score_matrix(X, y, subsets: Sequence[Tuple[int, ...]],
                  alphas: Sequence[float] = (1e-6, 1e-2, 1.0),
                  *, k: int = 5, seed: int = 0, batch_size: int = 32) -> np.ndarray:
     """(n_models, n_subsets) CV-score matrix via Ray task fan-out."""
-    import ray
-
     @ray.remote
     def score_chunk(x_ref, y_ref, chunk, alpha):
         return [cv_score(x_ref[:, list(s)], y_ref, alpha=alpha, k=k, seed=seed)
@@ -35,10 +34,9 @@ def score_matrix(X, y, subsets: Sequence[Tuple[int, ...]],
             futs[(mi, i)] = score_chunk.remote(
                 x_ref, y_ref, list(subsets[i:i + batch_size]), a)
     out = np.empty((len(alphas), len(subsets)))
-    import ray as _ray
 
     for (mi, i), f in futs.items():
-        vals = _ray.get(f)
+        vals = ray.get(f)
         out[mi, i:i + len(vals)] = vals
     return out
 

@@ -19,6 +19,7 @@ import itertools
 from typing import Optional, Sequence
 
 import numpy as np
+import ray
 
 from .models import cv_score_any, quick_models, quick_models_clf
 
@@ -44,9 +45,7 @@ def expand_grid(param_grid) -> list:
 
 
 def _remote_cv_eval():
-    """Lazily-defined remote fn (keeps `import featurebox_ray` Ray-free)."""
-    import ray
-
+    """The remote CV scorer, defined when a Ray sweep first needs it."""
     @ray.remote(num_cpus=1)
     def eval_combo(X, y, cls, base, combo, cv, scoring, seed):
         merged = {**base, **combo}
@@ -108,8 +107,6 @@ class GridSearchCV:
 
         use_ray = self.parallel == "ray" and len(combos) > 1
         if use_ray:
-            import ray
-
             if not ray.is_initialized():
                 use_ray = False
         if use_ray:

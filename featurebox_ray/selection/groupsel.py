@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+import ray
 
 from .models import Ridge, kfold_indices
 
@@ -35,8 +36,6 @@ def cv_predictions(X: np.ndarray, y: np.ndarray, subsets: Sequence[Tuple[int, ..
     """(n_subsets, n_samples) out-of-fold prediction matrix, computed in
     parallel Ray tasks against the broadcast (X, y).  ``model``:
     optional quick_models() name / factory (default: Ridge(alpha))."""
-    import ray
-
     from .search import resolve_model
 
     factory = resolve_model(model)

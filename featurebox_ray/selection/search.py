@@ -22,16 +22,16 @@ reference makes with joblib (featurebox/tools/tool.py:78-123).
 from __future__ import annotations
 
 import itertools
+from math import erf
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+import ray
 
 from .models import Ridge, cv_score, r2_score
 
 
 def _score_batch_remote():
-    import ray
-
     @ray.remote
     def score_batch(x_ref, y_ref, subsets: List[Tuple[int, ...]],
                     alpha: float, k: int, seed: int) -> List[float]:
@@ -70,8 +70,6 @@ def default_scoring(model) -> str:
 
 
 def _score_batch_model_remote():
-    import ray
-
     from .models import cv_score_any
 
     @ray.remote
@@ -112,8 +110,6 @@ class Exhaustion:
         self.all_scores_: List[Tuple[Tuple[int, ...], float]] = []
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "Exhaustion":
-        import ray
-
         n = X.shape[1]
         cands: List[Tuple[int, ...]] = []
         for size in self.n_select:
@@ -194,8 +190,6 @@ class BackForward:
         return tuple(sorted(current)), score
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "BackForward":
-        import ray
-
         search = ray.remote(BackForward._search)
         x_ref, y_ref = ray.put(np.ascontiguousarray(X)), ray.put(np.ascontiguousarray(y))
         futs = [search.remote(x_ref, y_ref, self.seed + i, self.max_features,
@@ -231,8 +225,6 @@ class BackForwardCV:
         self.estimator_: Optional[Ridge] = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "BackForwardCV":
-        import ray
-
         from .models import kfold_indices
 
         X = np.ascontiguousarray(X, dtype=np.float64)
@@ -286,8 +278,6 @@ class GASelect:
         self.history_: List[float] = []
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GASelect":
-        import ray
-
         rng = np.random.default_rng(self.seed)
         n = X.shape[1]
         pop = (rng.random((self.pop, n)) < 0.3)
@@ -379,8 +369,6 @@ class Ego:
         self.rank_: Optional[np.ndarray] = None
 
     def fit_predict(self, X, y, searchspace) -> np.ndarray:
-        import ray
-
         @ray.remote
         def boot_fit_predict(x_ref, y_ref, space_ref, seed, alpha):
             rng = np.random.default_rng(seed)
@@ -398,8 +386,6 @@ class Ego:
         self.std_ = preds.std(axis=0)
         y_best = float(np.max(y))
         # closed-form EI under normal assumption (no scipy: use erf)
-        from math import erf, exp, pi, sqrt
-
         z = np.where(self.std_ > 0, (self.mean_ - y_best) / np.where(self.std_ > 0, self.std_, 1), 0.0)
         phi = np.exp(-0.5 * z ** 2) / np.sqrt(2 * np.pi)
         Phi = 0.5 * (1 + np.array([erf(v / np.sqrt(2)) for v in z]))
@@ -455,8 +441,6 @@ class MultiEgo:
 
     def fit_predict(self, X, Y, searchspace, *, feature_slices=None,
                     sign=None) -> np.ndarray:
-        import ray
-
         X = np.asarray(X, float)
         Y = np.asarray(Y, float)
         space = np.asarray(searchspace, float)

@@ -25,10 +25,14 @@ columns, transposed).
 from __future__ import annotations
 
 import json
+import time
+import urllib.error
+import urllib.request
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
+import ray
 
 # the reference's default property list (fetcher_pymatgen.py:35-49)
 MP_PROPS = [
@@ -43,11 +47,6 @@ MP_NUMERIC = (
 
 
 def _post_json(url: str, payload: dict, timeout: float, retries: int) -> list:
-    import time
-    import urllib.request
-
-    import urllib.error
-
     body = json.dumps(payload).encode()
     last: Optional[Exception] = None
     for attempt in range(retries + 1):
@@ -161,8 +160,6 @@ def fetch_records(endpoint: str, ids: Iterable, *,
     column — the at-scale path: a 10⁸-id table never touches the driver,
     the fetch rides the Dataset's own blocks.
     """
-    import ray
-
     if hasattr(ids, "map_batches"):  # already a Dataset of ids
         ds = ids
     else:

@@ -21,11 +21,15 @@ mounted object store); single-node semantics are identical.
 from __future__ import annotations
 
 import os
+import shutil
 from typing import Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
+
+from ..stages.partition import partitioned_map
 
 _META_SCHEMA = pa.schema([
     ("path", pa.string()),
@@ -73,8 +77,6 @@ def discover_files(root: str, *, suffix: Optional[str] = None):
     ``*.xml``.  ``dirs`` holds the dir segments relative to ``root``
     (empty list for files directly under it).
     """
-    import ray
-
     root = os.path.abspath(root)
     try:
         entries = sorted(os.listdir(root))
@@ -212,10 +214,6 @@ def stage_files(ds, new_root: str, *, flatten: bool = True,
     Raises on destination collisions like the reference (detected
     distributed: per-destination count via the keyed exchange, no
     driver-side set)."""
-    import shutil
-
-    from ..stages.partition import partitioned_map
-
     def add_dest(batch: pa.Table) -> pa.Table:
         dests = merge_paths(batch, new_root, flatten=flatten,
                             add_dir=add_dir)

@@ -12,8 +12,18 @@ case.
 
 from __future__ import annotations
 
+import glob
+import logging
 import os
+import urllib.parse
+import urllib.request
+import uuid
+from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
 
 _READERS = {
     ".parquet": "read_parquet",
@@ -43,8 +53,6 @@ class Catalog:
         return sorted(self._tables)
 
     def read(self, name: str, columns: Optional[List[str]] = None, **kw):
-        import ray
-
         path = self._tables[name]
         if os.path.isdir(path):
             # directory of shard fragments: sniff the fragment format
@@ -83,9 +91,6 @@ class Catalog:
         the fetched artifact should land on shared storage, not a single
         node's disk.
         """
-        import urllib.parse
-        import urllib.request
-
         if params:
             sep = "&" if urllib.parse.urlparse(url).query else "?"
             url = url + sep + urllib.parse.urlencode(params)
@@ -139,10 +144,6 @@ def write_ipc(ds, path: str) -> int:
     directory-of-shards layout as the parquet writer; clean the
     directory first — shard names are unique per write (uuid), so
     stale shards from a prior run would otherwise accumulate."""
-    import uuid
-
-    import pyarrow as pa
-
     os.makedirs(path, exist_ok=True)
 
     def w(b: "pa.Table") -> "pa.Table":
@@ -169,9 +170,6 @@ def read_ipc(path: str):
     """Arrow IPC source — reads a ``write_ipc`` directory back as a
     Dataset, one block per shard file (``read_binary_files`` streams
     the bytes; the IPC decode is zero-copy from the buffer)."""
-    import pyarrow as pa
-    import ray
-
     def decode(b: "pa.Table") -> "pa.Table":
         tables = []
         for buf in b["bytes"].to_pylist():
@@ -207,13 +205,6 @@ def read_evolved(path: str, *, schema: "pa.Schema",
     this is what 100-TB tables actually look like after a year of
     schema changes.
     """
-    import logging
-
-    import pyarrow as pa
-    import pyarrow.compute as pc  # noqa: F401  (kernel cast path)
-    import pyarrow.parquet as pq
-    import ray
-
     frags = sorted(
         os.path.join(path, f) for f in os.listdir(path)
         if f.endswith(".parquet"))
@@ -303,15 +294,9 @@ def read_with_provenance(path: str, *, columns=None,
     file_row_number=true)`` produces the identical stamps.  Returns a
     ``ray.data.Dataset``; raises on an empty directory.
     """
-    import glob as _glob
-    import os as _os
-
-    import pyarrow.parquet as _pq
-    import ray
-
-    if _os.path.isdir(path):
-        files = sorted(_glob.glob(_os.path.join(path, "**", "*.parquet"),
-                                  recursive=True))
+    if os.path.isdir(path):
+        files = sorted(glob.glob(os.path.join(path, "**", "*.parquet"),
+                                 recursive=True))
     else:
         files = [path]
     if not files:
@@ -320,10 +305,8 @@ def read_with_provenance(path: str, *, columns=None,
     # footer scans are independent — run them in a thread pool so a
     # many-fragment layout doesn't serialize startup on the driver
     # (footer reads release the GIL in Arrow's IO layer)
-    from concurrent.futures import ThreadPoolExecutor
-
     def _footer(f):
-        md = _pq.ParquetFile(f).metadata
+        md = pq.ParquetFile(f).metadata
         out, off = [], 0
         for g in range(md.num_row_groups):
             out.append((f, g, off))
@@ -337,14 +320,11 @@ def read_with_provenance(path: str, *, columns=None,
 
     @ray.remote
     def read_group(f: str, g: int, off: int):
-        import pyarrow as _pa
-        import pyarrow.parquet as _pq2
-
-        t = _pq2.ParquetFile(f).read_row_group(g, columns=columns)
-        return (t.append_column(file_col, _pa.array(
-                    [_os.path.basename(f)] * t.num_rows, _pa.string()))
-                 .append_column(row_col, _pa.array(
-                    range(off, off + t.num_rows), _pa.int64())))
+        t = pq.ParquetFile(f).read_row_group(g, columns=columns)
+        return (t.append_column(file_col, pa.array(
+                    [os.path.basename(f)] * t.num_rows, pa.string()))
+                 .append_column(row_col, pa.array(
+                    range(off, off + t.num_rows), pa.int64())))
 
     return ray.data.from_arrow_refs(
         [read_group.remote(f, g, off) for f, g, off in work])

@@ -16,8 +16,8 @@ multiple parquet fragments so the engine must actually repartition/sort.
 
 from __future__ import annotations
 
+import concurrent.futures as cf
 import os
-from typing import Optional
 
 import numpy as np
 import pyarrow as pa
@@ -224,8 +224,6 @@ def write_dataset(
              mega_every, mega_turns)
             for s in range(n_shards)]
     if processes > 1:
-        import concurrent.futures as cf
-
         with cf.ProcessPoolExecutor(max_workers=processes) as ex:
             list(ex.map(_write_shard, jobs))
     else:

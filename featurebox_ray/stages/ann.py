@@ -13,13 +13,17 @@ No reference analog; part of the engine's large-scale training-data surface.
 
 from __future__ import annotations
 
+import hashlib
 import os
 from typing import Optional
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import ray
 
-from .partition import each_group, partitioned_map, partitioned_refs
+from .partition import (each_group, materialized_block_refs, partitioned_map,
+                        partitioned_refs)
 
 
 def _normalize(M: np.ndarray) -> np.ndarray:
@@ -33,8 +37,6 @@ class _BatchTopK:
     top-k (query_id, vec_id, cosine) triples."""
 
     def __init__(self, queries_ref, k: int, vec_col: str, id_col: str):
-        import ray
-
         Q = queries_ref if isinstance(queries_ref, np.ndarray) else ray.get(queries_ref)
         self.Q = _normalize(np.asarray(Q, dtype=np.float64))
         self.k = k
@@ -74,8 +76,6 @@ def brute_force_topk(ds, queries: np.ndarray, *, k: int = 10,
     """Exact cosine top-k per query.  Returns Dataset
     ``(query_id, vec_id, cosine)`` with exactly k rows per query (ties by
     larger cosine; deterministic final sort on (cosine desc, vec_id))."""
-    import ray
-
     qref = ray.put(np.asarray(queries, dtype=np.float64))
     local = ds.map_batches(
         _BatchTopK,
@@ -87,8 +87,6 @@ def brute_force_topk(ds, queries: np.ndarray, *, k: int = 10,
     )
 
     def global_topk(group: pa.Table) -> pa.Table:
-        import pandas as pd
-
         df = group.to_pandas()
         df = df.sort_values(["cosine", id_col], ascending=[False, True]).head(k)
         return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
@@ -153,8 +151,6 @@ def ivf_topk(ds, queries: np.ndarray, *, k: int = 10, n_centroids: int = 16,
     extra full-corpus pass), so a cache from a different corpus, seed or
     sample is retrained and overwritten, never silently reused; legacy
     ``.npy`` caches without a fingerprint are also retrained."""
-    import ray
-
     if centroid_init == "first":
         rows = sorted(
             ds.filter(expr=f"{id_col} < {n_centroids}").take(n_centroids * 2),
@@ -167,8 +163,6 @@ def ivf_topk(ds, queries: np.ndarray, *, k: int = 10, n_centroids: int = 16,
         C = None
         fp = None
         if centroid_cache is not None:
-            import hashlib
-
             digest = hashlib.blake2b(
                 np.ascontiguousarray(sample, np.float64).tobytes(),
                 digest_size=8).digest()
@@ -306,8 +300,6 @@ def ivf_topk(ds, queries: np.ndarray, *, k: int = 10, n_centroids: int = 16,
         key="__bucket", sort_keys=["__cent", "__sub"])
 
     def global_topk(group: pa.Table) -> pa.Table:
-        import pandas as pd
-
         df = group.to_pandas()
         df = df.sort_values(["cosine", id_col], ascending=[False, True]).head(k)
         return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
@@ -343,10 +335,6 @@ def threshold_similarity_join(ds, queries: np.ndarray, *,
     no shuffle of the corpus.  Returns ``(query_id, id_col,
     dot:int64)``.
     """
-    import ray
-
-    import pyarrow.compute as pc
-
     from .cohesion import _batch_mat, quantize_half_up
 
     Q = quantize_half_up(np.asarray(queries, np.float64), quant_bits)
@@ -417,10 +405,6 @@ def mmr_select(ds, query: np.ndarray, *, k: int = 10,
     Returns a driver-side ``pa.Table`` ``(rank:int64, id, rel:int64,
     score:int64)`` of the k selections in pick order.
     """
-    import ray
-
-    import pyarrow.compute as pc
-
     from .cohesion import _batch_mat, quantize_half_up
 
     Qv = quantize_half_up(np.asarray(query, np.float64).reshape(1, -1),
@@ -450,7 +434,6 @@ def mmr_select(ds, query: np.ndarray, *, k: int = 10,
 
     pool_parts = ds.map_batches(partial, batch_format="pyarrow",
                                 zero_copy_batch=True, batch_size=None)
-    from .partition import materialized_block_refs
 
     blocks = [b for b in ray.get(materialized_block_refs(pool_parts))
               if b.num_rows > 0]
@@ -518,11 +501,7 @@ def hard_negatives(ds, catalog=None, *, vec_col: str = "embedding",
     ``knn.knn_join`` and post-filter label mismatches from its k
     candidates (recall trades like any IVF).
     """
-    import pyarrow.compute as pc
-    import ray
-
     from .cohesion import _batch_mat
-    from .partition import materialized_block_refs
 
     src = catalog if catalog is not None else ds
     refs = materialized_block_refs(src)

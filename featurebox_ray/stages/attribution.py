@@ -27,9 +27,15 @@ over session context windows (SURVEY.md §2.5 windowed aggregates).
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import factorial
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
+
+from .partition import materialized_block_refs, partitioned_refs, sum_partials
 
 __all__ = ["linear_attribution", "shapley_attribution"]
 
@@ -52,10 +58,6 @@ def linear_attribution(ds, *, key_col: str, ts_col: str, seq_col: str,
     cents to the largest remainders, ``(rem desc, touch order)``
     ties.  Credit totals still reconcile to the cent, and SQL
     replays with ``//``/``%`` + a window rank."""
-    import ray
-
-    from .partition import partitioned_refs
-
     h = int(horizon)
 
     def prep(b: pa.Table) -> pa.Table:
@@ -188,7 +190,6 @@ def linear_attribution(ds, *, key_col: str, ts_col: str, seq_col: str,
     partials = partitioned_refs(prepped, kernel, key=key_col,
                                 sort_keys=[key_col, "__t", "__s"],
                                 num_partitions=num_partitions)
-    from .partition import sum_partials
 
     comb = sum_partials(ray.get(partials),
                         keys=["event_type"],
@@ -242,13 +243,6 @@ def shapley_attribution(ds, *, key_col: str, type_col: str,
     Output: ``(channel, n_users_with, shapley)``.  Reference analog:
     none — companion of linear_attribution (q188).
     """
-    from fractions import Fraction
-    from math import factorial
-
-    import ray
-
-    from .partition import materialized_block_refs, partitioned_refs
-
     def types_partial(b: pa.Table) -> pa.Table:
         col = b[type_col]
         keep = pc.fill_null(pc.is_valid(col), False)
@@ -316,7 +310,6 @@ def shapley_attribution(ds, *, key_col: str, type_col: str,
     cells = partitioned_refs(prepped, kernel, key=key_col,
                              sort_keys=[key_col, type_col],
                              num_partitions=num_partitions)
-    from .partition import sum_partials
 
     comb = sum_partials(ray.get(cells), keys=["cell"], vals=["n"])
     users: dict = {}
@@ -397,10 +390,6 @@ def markov_attribution(ds, *, key_col: str, ts_col: str,
     ``"\\x00conv"``, ``"\\x00null"``) raises ``ValueError`` naming it:
     it would merge into that state.
     """
-    import ray
-
-    from .partition import partitioned_refs
-
     def prep(b: pa.Table) -> pa.Table:
         mask = pc.is_valid(b[key_col])
         for c in (ts_col, order_col, type_col):
@@ -496,7 +485,6 @@ def markov_attribution(ds, *, key_col: str, ts_col: str,
 
     prepped = ds.map_batches(prep, batch_format="pyarrow",
                              zero_copy_batch=True)
-    from .partition import sum_partials
 
     comb = sum_partials(ray.get(partitioned_refs(
         prepped, kernel, key=key_col,

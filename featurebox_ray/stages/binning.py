@@ -20,11 +20,15 @@ variant a training pipeline uses for robust features.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
+
+from .partition import materialized_block_refs, partitioned_map
 
 
 def quantile_bin(ds, *, group_col: str, value_col: str,
@@ -32,9 +36,6 @@ def quantile_bin(ds, *, group_col: str, value_col: str,
                  num_partitions: int = 8, out_col: str = "q_bucket"):
     """Append ``out_col`` (int64 in ``[0, len(qs)]``, null for null
     value/group) to every row of ``ds``."""
-    import ray
-
-    from .partition import materialized_block_refs
     from .quantile import group_quantiles
 
     qs = list(qs)
@@ -88,9 +89,6 @@ def winsorize(ds, *, group_col: str, value_col: str,
     it bit-exactly.  NULL value/group rows keep a NULL output; a group
     whose edges are null (no non-null values) passes values through
     un-clipped."""
-    import ray
-
-    from .partition import materialized_block_refs
     from .quantile import group_quantiles
 
     edges_ds = group_quantiles(ds, group_col=group_col,
@@ -173,8 +171,6 @@ def jenks_breaks(ds, *, group_col: str, value_col: str, k: int = 4,
     n_rows:int64, mean:float64, within_ss:float64)``.  Reference
     analog: none (feature-binning extension next to quantile_bin).
     """
-    from .partition import partitioned_map
-
     def partial(b: pa.Table) -> pa.Table:
         v = b[value_col].combine_chunks()
         keep = pc.and_(pc.fill_null(pc.is_valid(b[group_col]), False),
@@ -267,8 +263,6 @@ def _jenks_dp(vals: np.ndarray, wts: np.ndarray, k: int):
     the sorted distinct (value, weight) sequence.  Float64 pruning +
     Fraction refine of near-ties (1e-9 relative), split ties to the
     SMALLEST index.  Returns k (start, end) inclusive index pairs."""
-    from fractions import Fraction
-
     n = len(vals)
     w = wts.astype(np.float64)
     x = vals.astype(np.float64)

@@ -40,6 +40,9 @@ from typing import Optional
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
+
+from .partition import materialized_block_refs, partitioned_map
 
 _MIX1 = np.uint64(0x9E3779B97F4A7C15)   # 2^64 / golden ratio (splitmix64)
 _MIX2 = np.uint64(0xC2B2AE3D27D4EB4F)   # xxhash64 prime
@@ -86,10 +89,6 @@ def _build_bloom_counted(ds, *, key_col: str, num_bits: int,
                          num_hashes: int):
     """Returns ``(bitmap_ref, n_keys_ref)`` — the exact non-null key
     count rides along so callers can short-circuit an empty side."""
-    import ray
-
-    from .partition import materialized_block_refs
-
     if num_bits % 64:
         raise ValueError("num_bits must be a multiple of 64")
     words = num_bits // 64
@@ -143,12 +142,6 @@ def bloom_maybe_mask(bitmap: np.ndarray, keys: np.ndarray, *,
 def _bloom_join(left_ds, right_ds, *, on: str, right_on: Optional[str],
                 how: str, num_bits: int, num_hashes: int,
                 num_partitions: int):
-    import ray
-
-    from .partition import partitioned_map
-
-    from .partition import materialized_block_refs
-
     right_on = right_on or on
     # the right key column is consumed twice (bloom build + verify
     # exchange): materialize the column-pruned blocks ONCE so the scan and

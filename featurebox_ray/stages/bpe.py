@@ -31,8 +31,10 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from .dedup import split_tokens
+from .partition import materialized_block_refs, partitioned_map
 
 END = "</w>"
 
@@ -40,8 +42,6 @@ END = "</w>"
 def word_counts(ds, *, text_col: str = "text", num_partitions: int = 8):
     """Corpus → ``(word, cnt int64)`` — per-block partials, one
     term-keyed exchange (the top_terms shape without the top-k cut)."""
-    from .partition import partitioned_map
-
     def partial(batch: pa.Table) -> pa.Table:
         flat, _ = split_tokens(batch[text_col].combine_chunks())
         if len(flat) == 0:
@@ -111,10 +111,6 @@ def bpe_train(ds, *, text_col: str = "text", num_merges: int = 20,
     corpus pass is distributed; the merge loop runs in one Ray task over
     the reduced vocabulary (see module docstring for why that is the
     right plan at any corpus size)."""
-    import ray
-
-    from .partition import materialized_block_refs
-
     wc = word_counts(ds, text_col=text_col, num_partitions=num_partitions)
     refs = materialized_block_refs(wc)
 

@@ -40,6 +40,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray
 
 from .partition import partitioned_refs
 from .sample import knuth_hash
@@ -109,7 +110,6 @@ def write_bucketed(ds, path: str, *, key: str,
     manifest = partitioned_refs(withb, kernel, key="__bucket",
                                 sort_keys=["__bucket"],
                                 num_partitions=B)
-    import ray
 
     blocks = [b for b in ray.get(manifest) if b.num_rows > 0]
     man = (pa.concat_tables(blocks) if blocks
@@ -136,8 +136,6 @@ def bucketed_join(left_path: str, right_path: str, *,
     names join positionally — the right key column is dropped from
     the output like a SQL USING join keeps one key).  Returns a
     ``ray.data.Dataset`` of the inner join, one block per bucket."""
-    import ray
-
     ls, rs = _read_spec(left_path), _read_spec(right_path)
     if ls["num_buckets"] != rs["num_buckets"] or \
             ls["hash"] != rs["hash"]:
@@ -283,7 +281,6 @@ def write_range_partitioned(ds, path: str, *, key: str,
     manifest = partitioned_refs(withp, kernel, key="__bucket",
                                 sort_keys=["__bucket"],
                                 num_partitions=len(cuts) - 1)
-    import ray
 
     blocks = [b for b in ray.get(manifest) if b.num_rows > 0]
     man = (pa.concat_tables(blocks) if blocks
@@ -303,8 +300,6 @@ def read_range(path: str, *, lo: int, hi: int,
     (pruned from the spec's cut vector; no footers touched for skipped
     partitions) and applies the exact residual filter inside the read
     tasks.  Returns a ``ray.data.Dataset``."""
-    import ray
-
     with open(f"{path}/{RANGE_SPEC}") as f:
         spec = json.load(f)
     cuts = spec["cuts"]

@@ -33,6 +33,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions import segments as seg
+from .partition import partitioned_map
 
 __all__ = ["cdc_compact"]
 
@@ -46,8 +47,6 @@ def cdc_compact(base_ds, log_ds, *, key_col: str, order_cols: Sequence[str],
     ``value_col`` + boolean ``delete_col``) → latest state per key:
     ``(key_col, *payload_cols, value_col, op:string)`` with ``op`` in
     {'keep', 'update', 'insert'}; deleted keys emit nothing."""
-    from .partition import partitioned_map
-
     order_cols = list(order_cols)
     payload_cols = list(payload_cols)
 

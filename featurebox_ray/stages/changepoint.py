@@ -44,6 +44,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .partition import partitioned_map
+
 logger = logging.getLogger(__name__)
 
 
@@ -58,7 +60,6 @@ def group_changepoint(ds, *, key_col: str, ts_col: str, seq_col: str,
     rows drop; NULL values coalesce to 0 cents (the house
     cents_exact contract)."""
     from ..functions.segments import cents_exact
-    from .partition import partitioned_map
 
     if min_seg < 1:
         raise ValueError("group_changepoint: min_seg must be >= 1")

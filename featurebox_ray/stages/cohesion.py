@@ -38,6 +38,10 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
+
+from .partition import (global_span_cut, materialized_block_refs,
+                        partitioned_map)
 
 
 def quantize_half_up(x: np.ndarray, quant_bits: int) -> np.ndarray:
@@ -68,10 +72,6 @@ def _collect_group_stats(ds, *, vec_col: str, group_col: str,
     """Exact per-group quantized sufficient statistics: one
     partial-sums pass + tiny driver combine; returns ``(gvals,
     n_arr, s_mat)`` with groups sorted by value (deterministic)."""
-    import ray
-
-    from .partition import materialized_block_refs
-
     def partial(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.and_(pc.is_valid(batch[group_col]),
                                      pc.is_valid(batch[vec_col])))
@@ -125,8 +125,6 @@ def group_centroid_distance(ds, *, vec_col: str = "embedding",
     squared euclidean distance from the (quantized) vector to its
     group's exact centroid.  Rows with NULL group or NULL vector drop.
     """
-    import ray
-
     gvals, n_arr, s_mat = _collect_group_stats(
         ds, vec_col=vec_col, group_col=group_col,
         quant_bits=quant_bits)
@@ -193,8 +191,6 @@ def label_prototypes(ds, *, vec_col: str = "embedding",
     [1-based, matching SQL subscripts], n:int64, sum_q:int64,
     mean:float64)``.
     """
-    from .partition import partitioned_map
-
     def partial(b: pa.Table) -> pa.Table:
         keep = pc.and_(pc.is_valid(b[vec_col]),
                        pc.is_valid(b[label_col]))
@@ -295,8 +291,6 @@ def simplified_silhouette(ds, *, vec_col: str = "embedding",
     Reference analog: none — companion of group_centroid_distance /
     label_prototypes in the embedding-QA family.
     """
-    import ray
-
     gvals, n_arr, s_mat = _collect_group_stats(
         ds, vec_col=vec_col, group_col=group_col,
         quant_bits=quant_bits)
@@ -387,10 +381,6 @@ def k_center_select(ds, *, vec_col: str = "embedding",
     embedding-curation family (the deterministic alternative to
     kmeans++ seeding).
     """
-    import ray
-
-    from .partition import materialized_block_refs
-
     if k < 1:
         raise ValueError("k_center_select: k must be >= 1")
 
@@ -496,10 +486,6 @@ def mahalanobis_outliers(ds, *, vec_col: str = "embedding",
     label/vector rows drop.  Reference analog: none (multivariate
     outlier audit next to group_centroid_distance / PCA).
     """
-    import ray
-
-    from .partition import materialized_block_refs
-
     def partial(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.and_(pc.is_valid(batch[label_col]),
                                      pc.is_valid(batch[vec_col])))
@@ -659,10 +645,6 @@ def mmd_drift(ds, *, vec_col: str = "embedding",
     rows drop.  Reference analog: none (distribution-shift family:
     q133/q179/q237).
     """
-    import ray
-
-    from .partition import materialized_block_refs
-
     def partial(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.and_(pc.is_valid(batch[group_col]),
                                      pc.is_valid(batch[vec_col])))
@@ -783,10 +765,6 @@ def outlier_explanation(ds, *, vec_col: str = "embedding",
     3·d ints.  Rows with NULL id/vector drop.  Returns ``(id_col,
     dim:int64 — 1-based, z:float64)``.
     """
-    import ray
-
-    from .partition import materialized_block_refs
-
     def stats(b: pa.Table) -> pa.Table:
         empty = pa.table({"j": pa.array([], pa.int64()),
                           "n": pa.array([], pa.int64()),
@@ -896,10 +874,6 @@ def group_embedding_diversity(ds, *, vec_col: str = "embedding",
     partial rows.  Returns ``(group_col, n:int64,
     mean_d2:float64)``.
     """
-    import ray
-
-    from .partition import materialized_block_refs
-
     def partial(b: pa.Table) -> pa.Table:
         gtype = (b.schema.field(group_col).type
                  if group_col in b.column_names else pa.int64())
@@ -1003,10 +977,6 @@ def embedding_period_drift(ds, *, vec_col: str = "embedding",
     shared Arrow combine) — no shuffle.  Returns ``(label_col,
     n_before:int64, n_after:int64, cos2_signed:float64)``.
     Reference analog: none (drift family)."""
-    import ray
-
-    from .partition import global_span_cut, materialized_block_refs
-
     schema = ds.schema()
     base = getattr(schema, "base_schema", schema)
     ltype = base.field(label_col).type

@@ -31,6 +31,7 @@ from typing import List
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+import ray
 
 
 def plan_compaction(path_in: str,
@@ -65,8 +66,6 @@ def compact_fragments(path_in: str, path_out: str, *,
     """Execute the plan; returns the manifest ``(out_file:string,
     n_inputs:int64, rows:int64)``.  Refuses a non-empty output dir
     (the write_bucketed convention — a retried job must clean up)."""
-    import ray
-
     os.makedirs(path_out, exist_ok=True)
     if os.listdir(path_out):
         raise ValueError(f"compact_fragments: {path_out} is not "

@@ -41,8 +41,10 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from ..functions import segments as seg
+from .partition import materialized_block_refs
 
 
 def union_find_min_labels(a: np.ndarray, b: np.ndarray) -> dict:
@@ -95,8 +97,6 @@ def min_label_components(pairs_ds, *, pair_cols=("id_a", "id_b"),
     all pairs.  Pass ``small_threshold=0`` to force the distributed
     path (the fuzz tests do).  Both paths produce the identical
     min-label invariant."""
-    import ray
-
     from .graph import (changed_rows, half_edges, map_blocks,
                         node_exchange, superstep)
 
@@ -213,10 +213,6 @@ def pack_label_map(labels_ds):
     packed map is matched-node-sized — orders of magnitude smaller
     than the pair set it came from — which is the documented bound for
     the broadcast-apply path."""
-    import ray
-
-    from .partition import materialized_block_refs
-
     refs = materialized_block_refs(labels_ds)
 
     @ray.remote
@@ -253,8 +249,6 @@ def connected_components(pairs_ds, corpus_ds, *, id_col: str = "doc_id",
     distributed propagation beyond — the pair set then never lands on
     one worker); the resulting matched-node-sized map broadcasts once
     and the corpus pass streams."""
-    import ray
-
     labels = min_label_components(pairs_ds, pair_cols=pair_cols,
                                   num_partitions=num_partitions,
                                   max_iters=max_iters,

@@ -37,6 +37,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions import segments as seg
+from .partition import partitioned_map, partitioned_refs
 
 __all__ = ["containment_join"]
 
@@ -84,8 +85,6 @@ def containment_join(query_ds, corpus_ds, *, id_col: str = "doc_id",
     """Returns ``(qid:int64, cid:int64, inter:int64, qlen:int64,
     containment:float64)`` for pairs with ``inter/qlen ≥ threshold``
     over tokens whose corpus df ≤ ``max_df``."""
-    from .partition import partitioned_map, partitioned_refs
-
     frac = Fraction(threshold).limit_denominator(1_000_000)
     num, den = frac.numerator, frac.denominator
 

@@ -37,6 +37,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions import segments as seg
+from .partition import partitioned_map, partitioned_refs
 
 CDC_A = np.uint64(0x100000001B3)           # FNV prime, odd
 
@@ -208,8 +209,6 @@ def cdc_dup_share(ds, *, id_col: str = "doc_id",
     dup_share:float64)`` — docs with no chunks (empty text) emit
     nothing.
     Reference analog: none (dedup family; the CDC composition)."""
-    from .partition import partitioned_map, partitioned_refs
-
     schema = ds.schema()
     base = getattr(schema, "base_schema", schema)
     if not pa.types.is_integer(base.field(id_col).type):
@@ -307,8 +306,6 @@ def cdc_dup_regions(ds, *, id_col: str = "doc_id",
     first_doc:int64)``.
     Reference analog: none (dedup family; Lee et al. ExactSubstr's
     span shape at CDC granularity)."""
-    from .partition import partitioned_map
-
     schema = ds.schema()
     base = getattr(schema, "base_schema", schema)
     if not pa.types.is_integer(base.field(id_col).type):
@@ -377,8 +374,6 @@ def cdc_scrub(ds, *, id_col: str = "doc_id", text_col: str = "text",
     operates on.
     Reference analog: none (the q301 scrub-then-prove shape for
     chunk dedup)."""
-    from .partition import partitioned_map
-
     schema = ds.schema()
     base = getattr(schema, "base_schema", schema)
     if not pa.types.is_integer(base.field(id_col).type):

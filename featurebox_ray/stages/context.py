@@ -28,6 +28,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .partition import partitioned_map
+
 __all__ = ["context_trim"]
 
 
@@ -39,8 +41,6 @@ def context_trim(ds, *, key_col: str, ts_col: str, seq_col: str,
     same-key rows fit in ``budget`` tokens and their exact total.
     NULL key/ts/seq rows drop; NULL token counts count 0 (SQL
     ``coalesce``)."""
-    from .partition import partitioned_map
-
     B = int(budget)
     if B < 0:
         raise ValueError("context_trim: budget must be >= 0")

@@ -36,6 +36,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
+
+from .partition import materialized_block_refs, partitioned_map
 
 __all__ = ["dbscan_embed"]
 
@@ -46,12 +49,9 @@ def dbscan_embed(ds, *, vec_col: str = "embedding",
                  num_partitions: int = 8, concurrency=(1, 8)):
     """Returns ``(id_col:int64, cluster:int64 — NULL for noise,
     is_core:int64)``; NULL-vector rows drop."""
-    import ray
-
     from .cohesion import _batch_mat
     from .components import union_find_min_labels
     from .knn import _guard_dot
-    from .partition import materialized_block_refs, partitioned_map
 
     in_refs = list(materialized_block_refs(ds))
 

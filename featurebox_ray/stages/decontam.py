@@ -35,9 +35,10 @@ from typing import Tuple
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from .dedup import split_tokens
-from .partition import _hash_string_values
+from .partition import _hash_string_values, materialized_block_refs
 
 # Per-worker cache of the resolved broadcast object: ray.get zero-copies
 # the numpy hash array but RE-UNPICKLES the by_hash dict on every call —
@@ -48,8 +49,6 @@ _BENCH_CACHE: dict = {}
 
 
 def _resolve_bench(bench_ref):
-    import ray
-
     got = _BENCH_CACHE.get(bench_ref)
     if got is None:
         if len(_BENCH_CACHE) >= 4:
@@ -95,10 +94,6 @@ def bench_ngram_set(bench_ds, *, text_col: str = "text", n: int = 5):
     ``ObjectRef[(sorted_hashes: uint64[:], by_hash: dict[int, str |
     tuple[str, ...]])]``.  The union runs IN a Ray task — gram strings
     never stream through the driver."""
-    import ray
-
-    from .partition import materialized_block_refs
-
     per_block = bench_ds.map_batches(
         _unique_grams_fn, batch_format="pyarrow", zero_copy_batch=True,
         fn_kwargs={"text_col": text_col, "n": n})
@@ -164,8 +159,6 @@ def ngram_decontaminate(ds, bench, *, id_col: str = "doc_id",
     ``ObjectRef`` already produced by :func:`bench_ngram_set`.
 
     Output: ``(id_col, n_hits int64)`` — one row per input row."""
-    import ray
-
     if isinstance(bench, ray.ObjectRef):
         bench_ref = bench
     else:

@@ -31,12 +31,17 @@ dictionary-encoded unique-token pass, and per-row minima / bit-sums from
 from __future__ import annotations
 
 import hashlib
+import logging
 import math
 from typing import List, Optional, Tuple
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
+
+from .partition import (materialized_block_refs, partitioned_map,
+                        partitioned_refs, string_buffers)
 
 _PAIR_MIX = np.uint64(0x9E3779B97F4A7C15)
 
@@ -210,8 +215,6 @@ def row_gram_md5(flat: pa.Array, off: np.ndarray, k: int, *,
     from the Arrow buffers, so every gram is one contiguous byte range;
     grams of <= 55 bytes hash in bounded chunks through
     :func:`_md5_one_block`, longer ones through ``hashlib``."""
-    from .partition import string_buffers
-
     counts = np.diff(off)
     n_grams = np.maximum(counts - k + 1, 0)
     if short_rows:
@@ -352,8 +355,6 @@ def _bucketed_distinct(ds, key_cols: List[str], hash_cols: List[str],
         df = df.drop_duplicates(distinct_cols, keep="first").drop(columns="__b")
         return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
 
-    from .partition import partitioned_map
-
     bucketed = ds.map_batches(bucket, batch_format="pyarrow",
                               zero_copy_batch=True)
     return partitioned_map(bucketed, distinct, key="__b",
@@ -405,8 +406,6 @@ def _bucketed_pair_search(exploded, *, id_col: str, pair_fn,
             if e - s < 2:
                 continue
             if e - s > bucket_cap:
-                import logging
-
                 logging.getLogger("featurebox_ray.dedup").warning(
                     "%s over cap (%d rows) skipped — near-dup pairs inside "
                     "it are not reported", cap_msg, e - s)
@@ -417,8 +416,6 @@ def _bucketed_pair_search(exploded, *, id_col: str, pair_fn,
         if not outs:
             return empty_table
         return pa.concat_tables(outs)
-
-    from .partition import partitioned_map
 
     coarsed = exploded.map_batches(coarse, batch_format="pyarrow",
                                    zero_copy_batch=True)
@@ -460,8 +457,6 @@ def exact_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id",
         first[1:] = codes[1:] != codes[:-1]
         return t.filter(pa.array(first))
 
-    from .partition import partitioned_map
-
     return partitioned_map(ds, first_per_text, key=text_col,
                            sort_keys=[text_col, id_col],
                            num_partitions=num_partitions)
@@ -481,8 +476,6 @@ def keep_best_dedup(ds, *, text_col: str = "text",
     duplicate (SQL ``ORDER BY score DESC NULLS LAST``); NULL text rows
     are all kept.
     """
-    from .partition import partitioned_map
-
     neg = "__negscore"
 
     def prep(b: pa.Table) -> pa.Table:
@@ -810,11 +803,6 @@ def _verify_pairs_generic(pairs_ds, docs_ds, *, id_col: str,
     externally-supplied pairs) are skipped with a logged warning, never
     a crash.  Output: ``(id_a, id_b, <out_col>)`` with score
     >= ``threshold``."""
-    import ray
-
-    from .partition import (materialized_block_refs, partitioned_map,
-                            partitioned_refs)
-
     P = num_partitions
     PB = "__pb"
     out_schema = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()),
@@ -949,8 +937,6 @@ def _verify_pairs_generic(pairs_ds, docs_ds, *, id_col: str,
                 continue
             score[i] = pair_scorer(sa, sb)
         if missing:
-            import logging
-
             logging.getLogger("featurebox_ray.dedup").warning(
                 "%d candidate pairs referenced doc ids absent from the "
                 "corpus; skipped", missing)

@@ -28,16 +28,17 @@ from typing import Sequence
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from ..functions import segments as seg
+from .partition import (global_span_cut, materialized_block_refs,
+                        partitioned_map, partitioned_refs, sum_partials)
 
 
 def snapshot_diff(old_ds, new_ds, *, id_col: str,
                   cmp_cols: Sequence[str], num_partitions: int = 16):
     """Diff two keyed datasets → ``(id_col, status:string)`` with status
     in {'added', 'removed', 'changed'}; unchanged ids emit nothing."""
-    from .partition import partitioned_map
-
     # id type captured once from the input schema so empty partitions
     # (including Ray's zero-column empty bundles) emit a typed block
     base = old_ds.schema()
@@ -119,10 +120,6 @@ def category_drift(old_ds, new_ds, *, col: str,
     Returns ``(col, n_old:int64, n_new:int64, share_old:float64,
     share_new:float64)`` — shares are NULL when that side is empty.
     """
-    import ray
-
-    from .partition import partitioned_refs
-
     def partial(b: pa.Table) -> pa.Table:
         vals = b[col].combine_chunks().cast(pa.string())
         enc = pc.dictionary_encode(vals)
@@ -231,10 +228,6 @@ def wasserstein_drift(ds, *, group_col: str, value_col: str):
     tooling); standard W1-between-empiricals construction, e.g.
     scipy.stats.wasserstein_distance, re-expressed in exact ints.
     """
-    import ray
-
-    from .partition import materialized_block_refs
-
     def partial(b: pa.Table) -> pa.Table:
         keep = pc.fill_null(pc.and_(pc.is_valid(b[group_col]),
                                     pc.is_valid(b[value_col])), False)
@@ -353,7 +346,6 @@ def group_qq_drift(ds, *, group_col: str, side_col: str,
     (group, side) run in one vectorized pick.  Returns ``(group_col,
     n_a:int64, n_b:int64, qq_dist:int64)``.
     """
-    from .partition import partitioned_map
     from .quantile import _disc_index_vec
 
     base = ds.schema()
@@ -445,11 +437,7 @@ def delta_contributors(ds, *, ts_col: str, dim_col: str,
     delta:int64, share:float64)``.
     Reference analog: none (drift/compare family next to
     snapshot_diff / category_drift)."""
-    import ray
-
     from ..functions.segments import cents_exact
-    from .partition import (global_span_cut, materialized_block_refs,
-                            sum_partials)
 
     schema = ds.schema()
     base = getattr(schema, "base_schema", schema)

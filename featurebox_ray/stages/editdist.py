@@ -49,7 +49,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .partition import _hash_string_values
+from .partition import _hash_string_values, partitioned_map
 
 _EMPTY_PAIRS = pa.table({
     "id_a": pa.array([], pa.int64()), "id_b": pa.array([], pa.int64()),
@@ -327,8 +327,6 @@ def consecutive_editdist(ds, *, key_col: str, order_col: str,
     analog: none (corpus-audit extension; the dedup family's
     consecutive-pair specialization).
     """
-    from .partition import partitioned_map
-
     def prep(b: pa.Table) -> pa.Table:
         txt = b[text_col].combine_chunks()
         blen = pc.binary_length(txt)

@@ -38,8 +38,11 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
-from featurebox_ray.stages.partition import each_group, partitioned_map
+from featurebox_ray.stages.partition import (each_group,
+                                             materialized_block_refs,
+                                             partitioned_map, sum_partials)
 from featurebox_ray.stages.sample import knuth_hash
 
 
@@ -165,10 +168,6 @@ def ecdf_encode(query_ds, ref_table, *, group_col: str, value_col: str,
     (symbol/preprocess.py:25-170) generalized from column means to the
     full per-group ECDF.
     """
-    import ray
-
-    from .partition import materialized_block_refs, sum_partials
-
     if isinstance(ref_table, pa.Table):
         refs = [ray.put(ref_table)]
     else:
@@ -288,10 +287,6 @@ def collapse_rare(ds, *, col: str, min_count: int,
     ``min_count`` — by construction ≤ corpus_rows / min_count entries,
     so the broadcast is bounded by the threshold itself.
     """
-    import ray
-
-    from .partition import materialized_block_refs, sum_partials
-
     out_col = out_col or f"{col}_rc"
 
     def count_partial(batch: pa.Table) -> pa.Table:
@@ -408,7 +403,6 @@ def loo_target_encode(ds, *, id_col: str, cat_col: str,
     (mirror in SQL).  Output: ``(id, cat, loo_cents)``.
     """
     from ..functions.segments import cents_exact
-    from .partition import partitioned_map
 
     def prep(b: pa.Table) -> pa.Table:
         keep = pc.and_(pc.is_valid(b[id_col]),
@@ -505,10 +499,6 @@ def quantile_normalize(ds, *, id_col: str, group_col: str,
     companion of MagnitudeTransformer's per-column scaling,
     stages/normalize.py).
     """
-    import ray
-
-    from .partition import partitioned_map
-
     def partial(t: pa.Table) -> pa.Table:
         v = t[value_col].combine_chunks()
         keep = pc.and_(pc.and_(pc.is_valid(t[id_col]),

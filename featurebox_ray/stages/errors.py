@@ -19,7 +19,7 @@ fragile stages (codec decode, parsers) with this.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import pyarrow as pa
 

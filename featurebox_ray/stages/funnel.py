@@ -24,9 +24,13 @@ transitions and session stats).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from .partition import partitioned_map
 
 
 def funnel_features(ds, *, key_col: str = "user_id",
@@ -50,8 +54,6 @@ def funnel_features(ds, *, key_col: str = "user_id",
     — pass a later-typed step or filter upstream for strictly-after
     semantics.
     """
-    from .partition import partitioned_map
-
     def prep(b: pa.Table) -> pa.Table:
         # SQL range predicates on NULL ts are false -> drop early; only
         # A/B rows matter, so the exchange moves a fraction of events
@@ -173,8 +175,6 @@ def funnel_path(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     int64 native-unit timestamps — exact under any partitioning, and
     the SQL replay is k chained ``min() ... WHERE ts > prev`` CTEs.
     """
-    from .partition import partitioned_map
-
     steps = list(steps)
     if len(steps) < 2:
         raise ValueError("funnel_path: need at least 2 steps")
@@ -282,10 +282,6 @@ def next_latency(ds, *, key_col: str, ts_col: str, seq_col: str,
     med_latency:int64|NULL)``.
     Reference analog: none (funnel family).
     """
-    import math
-
-    from .partition import partitioned_map
-
     schema = ds.schema()
     base = getattr(schema, "base_schema", schema)
     ktype = base.field(key_col).type

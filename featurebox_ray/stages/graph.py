@@ -51,11 +51,16 @@ iterative-algorithm representative alongside k-means
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from ..functions import segments as seg
+from .partition import (materialized_block_refs, partitioned_map,
+                        partitioned_refs, sum_partials)
 
 __all__ = ["bfs_hops", "changed_rows", "degree_assortativity",
            "half_edges", "k_core", "map_blocks", "node_exchange",
@@ -68,8 +73,6 @@ def half_edges(edges_ds, a: str, b: str, *, who: str) -> list:
     ``(a, b)``, in both directions, materialized once: the edge input a
     vertex program re-reads every round.  A NULL id raises
     ``ValueError`` naming ``who``."""
-    from .partition import materialized_block_refs
-
     def symm(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:  # zero-column empty blocks included
             return pa.table({"__k": pa.array([], pa.int64()),
@@ -91,8 +94,6 @@ def node_exchange(inputs, kernel, num_partitions: int) -> list:
     (lists of block refs, or Datasets), each input one table sorted by
     ``__k``, tied rows in block order, an input with no rows there
     empty in its own schema.  Returns the gather refs."""
-    from .partition import partitioned_refs
-
     return partitioned_refs(inputs, kernel, key="__k",
                             sort_keys=[["__k"]] * len(inputs),
                             num_partitions=num_partitions)
@@ -109,8 +110,6 @@ def superstep(values, edges, send, fold, num_partitions: int) -> list:
 
 def map_blocks(fn, refs) -> list:
     """``fn`` over each block of ``refs``, one small task per block."""
-    import ray
-
     task = ray.remote(fn)
     return [task.remote(r) for r in refs]
 
@@ -118,8 +117,6 @@ def map_blocks(fn, refs) -> list:
 def changed_rows(refs) -> int:
     """The sum of ``changed`` over the value blocks ``refs``, one small
     task per block (no Ray Data execution)."""
-    import ray
-
     return sum(ray.get(map_blocks(
         lambda t: pc.sum(t["changed"]).as_py() or 0, refs)))
 
@@ -135,8 +132,6 @@ def pagerank(edges_ds, *, src_col: str = "src", dst_col: str = "dst",
     One src-keyed exchange attaches out-degrees to the edges, whose
     blocks every round re-reads; each of ``iters`` rounds is one
     :func:`superstep`."""
-    import ray
-
     S = 1 << scale_bits
     T = (3 * S) // 20
 
@@ -236,10 +231,6 @@ def triangle_count(edges_ds, *, src_col: str = "src",
     The driver merges one tiny partial row per partition (Python-int
     sums).  SQL replay: the ``a<b<c`` three-way self-join.
     """
-    import ray
-
-    from .partition import partitioned_refs, sum_partials
-
     def prep(b: pa.Table) -> pa.Table:
         keep = pc.fill_null(pc.and_(pc.is_valid(b[src_col]),
                                     pc.is_valid(b[dst_col])), False)
@@ -378,7 +369,6 @@ def window_cooccurrence_edges(ds, *, ts_col: str, actor_col: str,
     ``src < dst``, one row per distinct edge.
     """
     from ..functions.segments import triangular_pairs
-    from .partition import partitioned_map, partitioned_refs
 
     def prep(b: pa.Table) -> pa.Table:
         ts = b[ts_col].combine_chunks()
@@ -413,8 +403,6 @@ def window_cooccurrence_edges(ds, *, ts_col: str, actor_col: str,
         keep_seg = lens <= max_actors
         n_skip = int((~keep_seg).sum())
         if n_skip:
-            import logging
-
             logging.getLogger(__name__).warning(
                 "window_cooccurrence_edges: skipped %d windows with "
                 "> %d actors", n_skip, max_actors)
@@ -474,10 +462,6 @@ def degree_assortativity(edges_ds):
     r:float64)``.  Reference analog: none (graph-audit extension next
     to pagerank / triangle_count).
     """
-    import ray
-
-    from .partition import materialized_block_refs
-
     refs = materialized_block_refs(edges_ds)
     edges = ray.data.from_arrow_refs(refs)
 
@@ -571,8 +555,6 @@ def k_core(edges_ds, *, max_iters: int = 1024,
     Reference analog: none (graph suite extension alongside
     pagerank / triangle_count / degree_assortativity).
     """
-    import ray
-
     edges = half_edges(edges_ds, "src", "dst", who="k_core")
     if not edges or ray.data.from_arrow_refs(edges).count() == 0:
         return ray.data.from_arrow(pa.table({
@@ -661,8 +643,6 @@ def bfs_hops(edges_ds, *, seed_mod: int = 17, max_hops: int = 6,
     list is empty.
     Reference analog: none (graph suite extension).
     """
-    import ray
-
     UNSET = np.int64(2**62)
 
     edges = half_edges(edges_ds, "src", "dst", who="bfs_hops")
@@ -741,7 +721,6 @@ def two_hop_reach(edges_ds, *, max_mid_degree: int = 1024,
     Reference analog: none (graph suite).
     """
     from ..functions.segments import triangular_pairs
-    from .partition import partitioned_map, partitioned_refs
 
     half_refs = half_edges(edges_ds, "src", "dst", who="two_hop_reach")
 
@@ -767,8 +746,6 @@ def two_hop_reach(edges_ds, *, max_mid_degree: int = 1024,
         keep = lens <= max_mid_degree
         n_skip = int((~keep).sum())
         if n_skip:
-            import logging
-
             logging.getLogger(__name__).warning(
                 "two_hop_reach: skipped %d mids with degree > %d",
                 n_skip, max_mid_degree)

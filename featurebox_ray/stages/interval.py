@@ -27,6 +27,10 @@ from typing import Sequence
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
+
+from .partition import (each_group, materialized_block_refs, partitioned_map,
+                        partitioned_refs, sum_partials)
 
 
 def _as_int64(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
@@ -56,8 +60,6 @@ def broadcast_interval_join(
     rows matching no interval are dropped, rows matching m intervals appear
     m times.
     """
-    import ray
-
     if intervals.num_rows == 0:
         # keep the output schema identical to the non-empty path:
         # keep_cols + the interval attach columns, all correctly typed
@@ -114,10 +116,6 @@ def top_k_per_group(ds, *, group_col: str, order_col: str, tie_col: str,
     One keyed exchange on ``group_col``; the returned table is
     O(groups × k) rows of ``keep_cols``, intended for broadcast.
     """
-    from .partition import each_group, partitioned_refs
-
-    import ray
-
     def topk(t: pa.Table) -> pa.Table:
         v = t[order_col].to_numpy(zero_copy_only=False).astype(np.float64)
         tie = t[tie_col].to_numpy(zero_copy_only=False)
@@ -189,8 +187,6 @@ def bucketed_interval_join(
     Reference analog: none (the reference joins on equality/as-of keys
     only); beyond-reference alongside the as-of and bloom joins.
     """
-    from .partition import partitioned_map
-
     dup = set(fact_cols) & set(interval_cols)
     if dup:
         raise ValueError(f"fact_cols and interval_cols overlap: {dup}")
@@ -320,11 +316,7 @@ def busy_window_overlap(ds, *, key_col: str, ts_col: str, id_col: str,
     Rows with NULL key/ts drop; emits ``(key_col, overlap_us:int64)``
     with one row per key that has any event.
     """
-    import ray
-
     from ..functions import segments as seg
-    from .partition import (materialized_block_refs, partitioned_map,
-                            sum_partials)
 
     gap_us = int(gap_s * 1e6)
     width_us = int(width_s * 1e6)
@@ -426,7 +418,6 @@ def session_concurrency(ds, *, key_col: str, ts_col: str, id_col: str,
     time = window · width in native ts units).
     """
     from ..functions import segments as seg
-    from .partition import partitioned_map, partitioned_refs
 
     gap_us = int(gap_s * 1e6)
     width_us = int(width_s * 1e6)
@@ -514,8 +505,6 @@ def near_duplicate_events(ds, *, key_col: str, amount_col: str,
     with NULL key/amount/ts/id drop.  Scale note: the flagged set is
     anomaly-sized; nothing else leaves the exchange.
     """
-    from .partition import partitioned_map
-
     base = ds.schema()
     base = getattr(base, "base_schema", base)
     ktype = base.field(key_col).type

@@ -24,6 +24,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .partition import partitioned_map
 from .tfidf import _doc_term_tf
 
 
@@ -31,8 +32,6 @@ def inverted_index(ds, *, id_col: str = "doc_id", text_col: str = "text",
                    num_partitions: int = 8, min_df: int = 1):
     """Corpus → ``(term, df int64, postings str)``; postings is the
     comma-joined ascending doc-id list."""
-    from .partition import partitioned_map
-
     def pairs(batch: pa.Table) -> pa.Table:
         docs, terms, _ = _doc_term_tf(batch, id_col, text_col)
         if len(terms) == 0:

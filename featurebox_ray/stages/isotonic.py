@@ -35,6 +35,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
+
+from .partition import partitioned_refs
 
 
 def pav_pool(xs, ns, ss, *, increasing: bool = True):
@@ -78,10 +81,6 @@ def isotonic_fit(ds, *, x_col: str, y_col: str, x_scale: float = 1,
     sum_y:int64, pool:int64, fitted:float64)`` where ``fitted`` is the
     pooled mean ``double(pool_sum)/double(pool_n)`` (in y-quantized
     units)."""
-    import ray
-
-    from .partition import partitioned_refs
-
     def partial(batch: pa.Table) -> pa.Table:
         xc, yc = batch[x_col], batch[y_col]
         keep = pc.and_(pc.is_valid(xc), pc.is_valid(yc))

@@ -20,8 +20,9 @@ from typing import List, Optional
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
-from .partition import partitioned_map
+from .partition import materialized_block_refs, partitioned_map, sum_partials
 
 
 def keyed_right(right_ds, rbase: pa.Schema, *, on: str, right_on: str,
@@ -131,14 +132,10 @@ def broadcast_join(left_ds, right_table, *, on: str,
     ``right_table`` may be a ``pa.Table`` (``ray.put`` once) or a Ray
     ``Dataset`` — then only its block REFS travel through the driver and
     the bytes are concatenated inside each actor."""
-    import ray
-
     right_on = right_on or on
     if isinstance(right_table, pa.Table):
         refs = [ray.put(right_table)]
     else:
-        from .partition import materialized_block_refs
-
         refs = materialized_block_refs(right_table)
 
     class Joiner:
@@ -146,8 +143,6 @@ def broadcast_join(left_ds, right_table, *, on: str,
             blocks = []
             for b in ray.get(list(refs)):
                 if not isinstance(b, pa.Table):  # rare pandas block
-                    import pandas as pd
-
                     b = pa.Table.from_pandas(b, preserve_index=False)
                 blocks.append(b)
             rt = pa.concat_tables(blocks, promote_options="default")
@@ -249,10 +244,6 @@ def salted_join(left_ds, right_ds, *, on: str,
     Reference analog: none (scale operator; the operator form of the
     key_histogram→salting playbook in stages/partition.py).
     """
-    import ray
-
-    from .partition import materialized_block_refs, sum_partials
-
     right_on = right_on or on
     left_ds = left_ds.materialize()
     right_ds = right_ds.materialize()

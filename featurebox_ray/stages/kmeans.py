@@ -30,6 +30,9 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import ray
+
+from .partition import materialized_block_refs, partitioned_map
 
 
 def quantize(x: np.ndarray, quant_bits: int) -> np.ndarray:
@@ -65,9 +68,6 @@ def kmeans_fit(ds, *, vec_col: str = "embedding", id_col: str = "vec_id",
                batch_size: int = 4096):
     """Fit k-means on ``ds[vec_col]``; returns ``(centroids ndarray,
     assignments Dataset[(id_col, cluster:int64)])``."""
-    import ray
-
-    from .partition import materialized_block_refs
     from .rank import top_k
 
     def to_mat(batch: pa.Table) -> np.ndarray:
@@ -142,8 +142,6 @@ def kmeans_cluster_stats(ds, *, vec_col: str = "embedding",
     dyadic sum of squared norms), so the serial replay is bit-identical.
     Returns a Dataset ``(cluster, n, id_sum, xx_sum, s0..s{stat_dims-1})``.
     """
-    import ray
-
     cents, labels = kmeans_fit(ds, vec_col=vec_col, id_col=id_col, k=k,
                                iters=iters, quant_bits=quant_bits)
     cents_ref = ray.put(cents)
@@ -183,8 +181,6 @@ def kmeans_cluster_stats(ds, *, vec_col: str = "embedding",
         for d in range(stat_dims):
             out[f"s{d}"] = pa.array(g[f"s{d}"].to_numpy(np.float64))
         return pa.table(out)
-
-    from .partition import partitioned_map
 
     return partitioned_map(parts, combine_all, key="cluster",
                            sort_keys=["cluster"], num_partitions=1)

@@ -36,10 +36,12 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from ..functions import segments as seg
 
 from .cohesion import _batch_mat
+from .partition import materialized_block_refs, partitioned_map, sum_partials
 
 
 
@@ -75,10 +77,6 @@ def knn_join(left, right, *, k: int = 5, n_centroids: int = 8,
     4·n_centroids`` (dense-ish ids; pass a pre-filtered right side
     otherwise).
     """
-    import ray
-
-    from .partition import partitioned_map
-
     if k < 1 or n_probe < 1 or n_centroids < 1:
         raise ValueError("k, n_probe, n_centroids must be >= 1")
     if n_probe > n_centroids:
@@ -233,12 +231,6 @@ def mutual_nn_pairs(ds, *, vec_col: str = "embedding",
     ``id_a < id_b``.  Reference analog: none (retrieval-quality
     extension of knn_join / hard_negatives).
     """
-    import pyarrow.compute as pc
-    import ray
-
-    from .cohesion import _batch_mat
-    from .partition import materialized_block_refs, partitioned_map
-
     # materialize once: the catalog AND the query pass both read these
     # refs — ds.map_batches on the lazy input would re-execute its
     # whole upstream plan a second time
@@ -352,12 +344,6 @@ def knn_classifier_eval(ds, *, vec_col: str = "embedding",
     feature matrices (selection/quickmethod.py); this is the
     distributed LOO evaluation over row embeddings.
     """
-    import pyarrow.compute as pc
-    import ray
-
-    from .cohesion import _batch_mat
-    from .partition import materialized_block_refs, sum_partials
-
     refs = list(materialized_block_refs(ds))
 
     class Vote:

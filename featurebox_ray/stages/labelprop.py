@@ -34,6 +34,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
+
+from .partition import materialized_block_refs, sum_partials
 
 __all__ = ["label_propagation"]
 
@@ -48,11 +51,8 @@ def label_propagation(ds, *, vec_col: str = "embedding",
     NULL if never reached, is_seed:int64, round_labeled:int64 — 0
     for seeds, NULL if never labeled)``.  NULL-vector rows drop.
     """
-    import ray
-
     from .cohesion import _batch_mat
     from .knn import _guard_dot
-    from .partition import materialized_block_refs, sum_partials
 
     in_refs = list(materialized_block_refs(ds))
     thr = int(threshold_num)

@@ -40,8 +40,11 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from ..functions import segments as seg
+from .partition import (materialized_block_refs, partitioned_map,
+                        partitioned_refs)
 
 
 def _line_rows(texts: pa.ChunkedArray, sep: str):
@@ -88,11 +91,6 @@ def remove_duplicate_lines(ds, *, id_col: str = "doc_id",
     ``string_agg`` over zero rows), matching the DuckDB replay
     bit-for-bit.
     """
-    import ray
-
-    from .partition import (materialized_block_refs, partitioned_map,
-                            partitioned_refs)
-
     if min_docs < 1:
         raise ValueError("min_docs must be >= 1")
 

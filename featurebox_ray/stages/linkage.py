@@ -23,11 +23,15 @@ completes the blocking→scoring linkage path started by
 
 from __future__ import annotations
 
+import logging
 from typing import Mapping
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
+
+from .partition import partitioned_map
 
 __all__ = ["blocked_pair_score"]
 
@@ -39,8 +43,6 @@ def blocked_pair_score(ds, *, key_col: str, id_col: str,
     """Pairs ``(id_a, id_b, score:int64)`` with ``id_a < id_b`` from
     the same block and ``score = Σ weight[field agrees] ≥ threshold``.
     NULL block keys / ids drop."""
-    from .partition import partitioned_map
-
     fields = dict(fields)
     if not fields:
         raise ValueError("blocked_pair_score: need at least one field")
@@ -72,8 +74,6 @@ def blocked_pair_score(ds, *, key_col: str, id_col: str,
         keep_seg = lens <= max_block
         n_skip = int((~keep_seg).sum())
         if n_skip:
-            import logging
-
             logging.getLogger(__name__).warning(
                 "blocked_pair_score: skipped %d blocks with > %d rows",
                 n_skip, max_block)
@@ -149,10 +149,7 @@ def golden_records(ds, pairs_ds, *, id_col: str,
     Reference analog: none (completes the linkage family:
     blocked_pair_score → components → election).
     """
-    import ray
-
     from .components import min_label_components, pack_label_map
-    from .partition import partitioned_map
 
     lab_ref = pack_label_map(min_label_components(
         pairs_ds, pair_cols=("id_a", "id_b"),

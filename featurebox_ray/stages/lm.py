@@ -50,8 +50,11 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from .dedup import adjacent_token_indices, split_tokens
+from .partition import (materialized_block_refs, partitioned_map,
+                        partitioned_refs)
 from .tfidf import top_terms
 
 
@@ -86,10 +89,6 @@ def fit_bigram_lm(ds, *, text_col: str = "text", top_v: int = 256,
     pair_cnts, ctx)``: the sorted vocab array, sorted int64 bigram ids
     with their global counts, and per-context totals (length V+1,
     UNK last)."""
-    import ray
-
-    from .partition import materialized_block_refs, partitioned_refs
-
     vocab_ds = top_terms(ds, id_col=id_col, text_col=text_col, k=top_v,
                          by="term_count", num_partitions=num_partitions)
     vblocks = [b for b in ray.get(materialized_block_refs(vocab_ds))
@@ -172,8 +171,6 @@ def bigram_lm_perplexity(ds, *, id_col: str = "doc_id",
     different corpus than the one trained on (decontamination-style
     cross-scoring); default trains on ``ds`` itself.
     """
-    import ray
-
     if model is None:
         model = fit_bigram_lm(ds, text_col=text_col, top_v=top_v,
                               num_partitions=num_partitions,
@@ -247,9 +244,6 @@ def kn_bigram_topk(ds, *, group_col: str = "source",
     per group, sorted (group, p desc, w1, w2).  Reference analog: none
     (corpus-quality extension next to bigram_lm_perplexity).
     """
-    from .dedup import split_tokens
-    from .partition import partitioned_map
-
     def partial(batch: pa.Table) -> pa.Table:
         keep = pc.and_(pc.fill_null(pc.is_valid(batch[group_col]),
                                     False),

@@ -18,11 +18,12 @@ dictionary-encode the key column, ``np.take`` the property matrix.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from ..functions import propstats
 
@@ -69,8 +70,6 @@ class DepartLookup:
     """
 
     def __init__(self, dim_ref, key_col: str, prefix: str):
-        import ray
-
         table = ray.get(dim_ref) if not isinstance(dim_ref, pa.Table) else dim_ref
         self.bt = BroadcastTable(table)
         self.key_col = key_col
@@ -114,8 +113,6 @@ class PooledLookupFeaturizer:
 
     def __init__(self, dim_ref, key_col: str,
                  stats: Sequence[str] = ("mean",)):
-        import ray
-
         table = ray.get(dim_ref) if not isinstance(dim_ref, pa.Table) else dim_ref
         self.bt = BroadcastTable(table)
         self.key_col = key_col
@@ -145,8 +142,6 @@ def add_depart_lookup(ds, dim_table: pa.Table, *, key_col: str, prefix: str,
                       batch_size: int = 65536, concurrency=(2, 8)):
     """Actor-pool map_batches stage: broadcast ``dim_table`` once via
     ``ray.put``, per-actor rehydrate in ``__init__``."""
-    import ray
-
     ref = ray.put(dim_table)
     return ds.map_batches(
         DepartLookup,

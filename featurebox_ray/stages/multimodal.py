@@ -15,6 +15,7 @@ heap) — the caller passes ``batch_size`` accordingly.
 
 from __future__ import annotations
 
+import io
 from typing import Callable, Optional
 
 import numpy as np
@@ -57,8 +58,6 @@ class ImageFeatureExtractor:
         else:
             pil = _try_import_pillow()
             if pil is not None:
-                import io
-
                 def real(b: bytes) -> np.ndarray:
                     return np.asarray(pil.open(io.BytesIO(b)).convert("RGB"))
 

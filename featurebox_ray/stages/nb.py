@@ -42,8 +42,10 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from .lm import _token_slots
+from .partition import materialized_block_refs, partitioned_refs, sum_partials
 from .tfidf import top_terms
 
 
@@ -55,11 +57,6 @@ def fit_multinomial_nb(ds, *, text_col: str = "text",
     class_docs)``: the sorted vocab array, sorted class values, the
     dense ``(V+1) × n_classes`` token-count matrix and per-class
     document counts."""
-    import ray
-
-    from .partition import (materialized_block_refs, partitioned_refs,
-                            sum_partials)
-
     vocab_ds = top_terms(ds, id_col=id_col, text_col=text_col, k=top_v,
                          by="term_count", num_partitions=num_partitions)
     vblocks = [b for b in ray.get(materialized_block_refs(vocab_ds))
@@ -158,8 +155,6 @@ def multinomial_nb_predict(ds, *, model=None, text_col: str = "text",
     ``model``: a prefitted :func:`fit_multinomial_nb` tuple to score a
     corpus other than the training one; default trains on ``ds``.
     """
-    import ray
-
     if model is None:
         model = fit_multinomial_nb(ds, text_col=text_col,
                                    label_col=label_col, top_v=top_v,

@@ -22,6 +22,7 @@ Python.
 
 from __future__ import annotations
 
+import logging
 from typing import Optional, Tuple
 
 import numpy as np
@@ -119,8 +120,6 @@ def add_radius_neighbors(
             s, e = starts[gi], starts[gi + 1]
             g_n = e - s
             if g_n > max_group:
-                import logging
-
                 logging.getLogger("featurebox_ray.neighbor").warning(
                     "neighbor group over cap (%d rows) skipped", g_n)
                 continue

@@ -26,6 +26,9 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
+
+from .partition import partitioned_map, partitioned_refs
 
 
 def _scale(mean_val: float) -> float:
@@ -116,8 +119,6 @@ class MagnitudeNormalizer:
     # ---- y / constants side (preprocess.py:90-170 parity) -------------
     def fit_y(self, y_mean: float) -> "MagnitudeNormalizer":
         """Fit the target scale from its (pre-aggregated) mean."""
-        import numpy as np
-
         m = np.float32(y_mean)
         s = _scale(float(m))
         if self.tolerate:
@@ -136,8 +137,6 @@ class MagnitudeNormalizer:
 
     def fit_transform_constants(self, consts):
         """Per-constant scales (reference fit_constant/transform_constant)."""
-        import numpy as np
-
         consts = np.asarray(consts, dtype=np.float64)
         scales = np.array([_scale(float(np.float32(c))) for c in consts])
         if self.tolerate:
@@ -168,10 +167,6 @@ def add_group_norm_features(ds, *, key_col: str, int_value_col: str,
     row get NULL z (the sample variance is undefined); NULL values get
     NULL share/z; NULL keys form one group.
     """
-    import ray
-
-    from .partition import partitioned_refs
-
     def partial(b: pa.Table) -> pa.Table:
         import pandas as pd
 
@@ -339,8 +334,6 @@ def add_robust_zscore(ds, *, key_col: str, value_col: str,
         return t.append_column(
             out_col, pa.array(np.where(bad, 0.0, z), pa.float64(),
                               mask=bad))
-
-    from .partition import partitioned_map
 
     return partitioned_map(ds, kernel, key=key_col,
                            sort_keys=[key_col],

@@ -33,6 +33,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .partition import partitioned_map
 from .sample import knuth_hash
 
 PACK_SHIFT = 40  # local pack ids stay below 2^40; partitions below 2^23
@@ -78,8 +79,6 @@ def pack_sequences(ds, *, id_col: str = "doc_id",
     size / partition count, and many buckets per partition keep the
     exchange balanced (hashing exactly P tiny bucket ints into P
     partitions would collapse onto a fraction of the gather tasks)."""
-    from .partition import partitioned_map
-
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if not 1 <= n_buckets < (1 << 23):

@@ -91,7 +91,9 @@ replaces its implicit "whole DataFrame in memory" assumption
 
 from __future__ import annotations
 
+import glob
 import inspect
+import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from types import GeneratorType
@@ -100,6 +102,8 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
+import ray
 
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
@@ -395,12 +399,13 @@ def partitioned_map(
       * it is called for every partition, empty ones included, so an
         empty partition still yields the kernel's schema.
 
-    ``strategy`` is still accepted so that callers written for the
-    earlier multi-strategy signature keep working; its one legal value
-    is ``"tasks"`` and any other raises ``ValueError``.
+    ``strategy``'s one legal value is ``"tasks"``; any other raises
+    ``ValueError``.  Apart from ``fused_features_backfill``, which
+    forwards its own, and a test of the refusal, only the benchmark
+    passes it (``perfbench/jobs.py`` and ``perfbench/layers.py``); it
+    goes once the next benchmark change stops passing it (ROADMAP
+    item 1).
     """
-    import ray
-
     if strategy != "tasks":
         raise ValueError(
             f"partitioned_map: unknown strategy {strategy!r}; the task "
@@ -552,8 +557,6 @@ def task_exchange(
     shuffle: B×P objects, each fetched once, no central barrier beyond the
     inherent all-to-all dependency.
     """
-    import ray
-
     P = num_partitions
     if partitions is None:
         partitions = range(P)
@@ -563,8 +566,6 @@ def task_exchange(
 
     def split_table(table):
         if not isinstance(table, pa.Table):  # rare non-arrow block
-            import pandas as pd
-
             table = pa.Table.from_pandas(table, preserve_index=False)
         if table.num_rows == 0:
             # Ray's shuffle ops emit benign zero-column empty bundles;
@@ -725,8 +726,6 @@ def key_histogram(ds, key: str, top: int = 20):
     dtype) instead of rounding through float64.  One keyed exchange:
     each gather counts its keys (:func:`group_count`) and keeps its own
     top ``top``, so only ``P × top`` rows come back to the driver."""
-    import ray
-
     order = [("count()", "descending"), (key, "ascending")]
 
     def counts(_p, t: pa.Table) -> pa.Table:
@@ -746,15 +745,11 @@ def global_span_cut(refs, *, col: str, num: int, den: int):
     The q217/q222 temporal-split convention, shared so a
     timestamp-unit fix can never drift between operators.  Returns
     ``None`` when every block is empty."""
-    import ray
-
     @ray.remote
     def span(blk):
-        import pyarrow.compute as _pc
-
         if blk.num_rows == 0:
             return None
-        mm = _pc.min_max(blk[col])
+        mm = pc.min_max(blk[col])
         return (mm["min"].as_py(), mm["max"].as_py())
 
     spans = [s for s in ray.get([span.remote(r) for r in refs])
@@ -782,13 +777,8 @@ def suggest_num_partitions(parquet_path, *,
     partition never exceeds the target on average.  Skew still needs
     the salting/cap machinery — this sizes the AVERAGE only.
     """
-    import glob as _glob
-    import os
-
-    import pyarrow.parquet as _pq
-
     if os.path.isdir(parquet_path):
-        files = sorted(_glob.glob(
+        files = sorted(glob.glob(
             os.path.join(parquet_path, "**", "*.parquet"),
             recursive=True))
     else:
@@ -799,7 +789,7 @@ def suggest_num_partitions(parquet_path, *,
             f"{parquet_path!r}")
     total = 0
     for f in files:
-        md = _pq.ParquetFile(f).metadata
+        md = pq.ParquetFile(f).metadata
         for rg in range(md.num_row_groups):
             total += md.row_group(rg).total_byte_size
     n = -(-total // int(target_bytes))          # ceil

@@ -35,6 +35,9 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import ray
+
+from .partition import partitioned_refs
 
 __all__ = ["pca_fit", "pca_fit_transform"]
 
@@ -82,10 +85,6 @@ def pca_fit(ds, *, vec_col: str = "embedding", n_components: int = 4,
     """Exact sufficient statistics + driver eigh.  Returns
     ``(V: (d, p) float64 components, mean: (d,) float64, n: int,
     colsum: (d,) int64 exact quantized column sums)``."""
-    import ray
-
-    from .partition import partitioned_refs
-
     def partial(b: pa.Table) -> pa.Table:
         qi = _quantized_int(b, vec_col, quant_bits)
         n_b, d = qi.shape
@@ -162,8 +161,6 @@ def pca_fit_transform(ds, *, vec_col: str = "embedding",
                       num_partitions: int = 4):
     """Fit + project.  Output ``(id_col, pc1..pc<n_components>)`` —
     every score is ``int64_exact / 2^(s+t) - offset`` (two IEEE ops)."""
-    import ray
-
     comps, mean, n, cs = pca_fit(ds, vec_col=vec_col,
                                  n_components=n_components,
                                  quant_bits=quant_bits,

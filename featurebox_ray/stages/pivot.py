@@ -25,16 +25,15 @@ from typing import Optional, Sequence
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
+
+from .partition import materialized_block_refs, partitioned_map
 
 
 def distinct_categories(ds, *, cat_col: str) -> list:
     """Small driver-side discovery: per-block unique values, reduced in
     a Ray task, returned as a sorted list (drives the output schema —
     keep the cardinality bounded; pass an explicit list otherwise)."""
-    import ray
-
-    from .partition import materialized_block_refs
-
     def uniq(b: pa.Table) -> pa.Table:
         return pa.table({cat_col: b[cat_col].combine_chunks().unique()})
 
@@ -63,8 +62,6 @@ def pivot_agg(ds, *, group_col: str, cat_col: str,
     outside ``categories`` land in no column but still count toward
     ``n_total`` (count mode).  Returns ``(group_col, <prefix><cat>...,
     n_total:int64)``."""
-    from .partition import partitioned_map
-
     if categories is None:
         categories = distinct_categories(ds, cat_col=cat_col)
     categories = list(categories)
@@ -198,8 +195,6 @@ def group_mode(ds, *, group_col: str, value_col: str,
     """
     import pandas as pd
 
-    from .partition import partitioned_map
-
     def partial(b: pa.Table) -> pa.Table:
         return _gv_counts_partial(b, group_col, value_col)
 
@@ -271,8 +266,6 @@ def group_topk_values(ds, *, group_col: str, value_col: str, k: int = 3,
     row).
     """
     import pandas as pd
-
-    from .partition import partitioned_map
 
     if k <= 0:
         raise ValueError("k must be positive")
@@ -379,8 +372,6 @@ def group_concat(ds, *, group_col: str, value_col: str,
                 pa.array(starts, pa.int64())),
             out_col: pc.cast(joined, pa.string()),
         })
-
-    from .partition import partitioned_map
 
     return partitioned_map(ds, kernel, key=group_col,
                            sort_keys=[group_col] + list(order_cols),

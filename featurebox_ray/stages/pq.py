@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 __all__ = ["pq_encode"]
 
@@ -36,8 +37,6 @@ def pq_encode(ds, *, vec_col: str = "embedding", id_col: str = "vec_id",
     """PQ-encode fixed-dimension ``vec_col`` into ``m`` subspace codes
     against the k-lowest-``id_col`` codebook.  Dimension must divide by
     ``m``; NULL ids/vectors drop."""
-    import pyarrow.compute as pc
-
     from .cohesion import _batch_mat
     from .rank import top_k
 

@@ -26,18 +26,21 @@ is an added-for-100-TB triage primitive.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
+
+from .partition import (global_span_cut, materialized_block_refs,
+                        partitioned_map, partitioned_refs, sum_partials)
 
 __all__ = ["profile_columns"]
 
 
 def profile_columns(ds, *, cols: Sequence[str], num_partitions: int = 8):
-    from .partition import partitioned_map, partitioned_refs
-
     cols = list(cols)
 
     def partial(b: pa.Table) -> pa.Table:
@@ -161,8 +164,6 @@ def group_count_distinct(ds, *, group_cols: Sequence[str],
     keys form one group (SQL ``GROUP BY``).  Returns ``(group_cols...,
     n_distinct:int64)``.
     """
-    from .partition import partitioned_map
-
     cols = list(group_cols) + [value_col]
 
     def partial(b: pa.Table) -> pa.Table:
@@ -206,8 +207,6 @@ def group_gini(ds, *, group_col: str, value_col: str,
 
     Returns ``(group_col, n:int64, gini:float64)``.
     """
-    from .partition import partitioned_map
-
     def partial(b: pa.Table) -> pa.Table:
         out = (b.select([group_col, value_col])
                .group_by([group_col, value_col])
@@ -296,8 +295,6 @@ def k_anonymity(ds, *, cols, k: int, num_partitions: int = 16):
         out["below_k"] = pc.less(n, k)
         return pa.table(out)
 
-    from .partition import partitioned_map
-
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True, batch_size=None)
     return partitioned_map(partials, combine, key=cols[0],
@@ -318,8 +315,6 @@ def order_violations(ds, *, key_col: str, seq_col: str, ts_col: str,
     pairs).  Rows with NULL key/seq/ts drop.  Emits ``(key_col,
     n_pairs:int64, n_violations:int64, violation_rate:float64)``.
     """
-    from .partition import partitioned_map
-
     schema = ds.schema()
     base = getattr(schema, "base_schema", schema)
     ktype = base.field(key_col).type
@@ -394,8 +389,6 @@ def benford_digits(ds, *, group_col: str, value_col: str,
     exchange.  Reference analog: none; companion of
     ``profile.k_anonymity`` in the QA family.
     """
-    from .partition import partitioned_map
-
     powers = 10 ** np.arange(19, dtype=np.int64)
 
     def partial(b: pa.Table) -> pa.Table:
@@ -503,9 +496,6 @@ def table_checksum(ds, *, cols, sep: str = "|") -> "pa.Table":
     SQL replay: ``sum(('0x' || substr(md5(...), 1, 15))::UBIGINT)``
     over the same concatenation, mod the same prime.
     """
-    import ray
-
-    from .partition import materialized_block_refs
     from .sketch import _md5_60
 
     cols = list(cols)
@@ -589,11 +579,6 @@ def temporal_split_audit(ds, *, user_col: str = "user_id",
     Reference analog: none — companion of stratified_folds (q166) /
     group_split (q79) in the split-hygiene family.
     """
-    import ray
-
-    from .partition import (global_span_cut, materialized_block_refs,
-                            partitioned_refs, sum_partials)
-
     def prep(b: pa.Table) -> pa.Table:
         keep = pc.and_(pc.is_valid(b[user_col]),
                        pc.is_valid(b[ts_col]))
@@ -732,11 +717,6 @@ def gk_tau(ds, pairs, *, num_partitions: int = 8):
     ``(x_col:string, y_col:string, n:int64, tau:float64)``.
     Reference analog: none (profiling family).
     """
-    import ray
-    from fractions import Fraction
-
-    from .partition import materialized_block_refs, sum_partials
-
     def partial(b: pa.Table) -> pa.Table:
         out_p, out_x, out_y, out_c = [], [], [], []
         for xi, (xc, yc) in enumerate(pairs):
@@ -828,8 +808,6 @@ def ts_collision_audit(ds, *, key_col: str, ts_col: str,
     max_burst:int64 — largest single-instant group, 1 if none)``.
     Reference analog: none (behavioral-audit family).
     """
-    from .partition import partitioned_map
-
     schema = ds.schema()
     base = getattr(schema, "base_schema", schema)
     ktype = base.field(key_col).type
@@ -910,8 +888,6 @@ def group_lorenz_gini(ds, *, group_col: str, value_col: str,
     reduceats per partition.  Returns ``(group_col, n:int64,
     sum_x:int64, gini:float64)``.
     """
-    from .partition import partitioned_map
-
     base = ds.schema()
     base = getattr(base, "base_schema", base)
     gtype = base.field(group_col).type
@@ -991,8 +967,6 @@ def l_diversity_audit(ds, *, quasi_cols, sensitive_col: str,
     same WHERE).  Returns ``(quasi_cols..., n:int64,
     n_sensitive:int64, ok:bool — n_sensitive >= l_threshold)``.
     """
-    from .partition import partitioned_map
-
     quasi_cols = list(quasi_cols)
     base = ds.schema()
     base = getattr(base, "base_schema", base)
@@ -1072,10 +1046,6 @@ def coverage_curve(ds, *, weight_col: str,
     differently than the equally-valid 0-row answer).
     Reference analog: none (profiling family next to group_gini /
     profile_columns)."""
-    import ray
-
-    from .partition import materialized_block_refs, sum_partials
-
     for p in thresholds:
         # pct = 0 would be met by 0 rows while the SQL replay (min rn
         # with cw·100 ≥ 0) answers 1 — refuse it, before any pass runs
@@ -1152,10 +1122,6 @@ def group_completeness(ds, *, group_col: str, cols,
     ``(group_col, column:string, n:int64, n_missing:int64,
     fill_rate:float64)``.
     Reference analog: none (profiling family)."""
-    import ray
-
-    from .partition import materialized_block_refs, sum_partials
-
     cols = list(cols)
     if not cols:
         raise ValueError("group_completeness: need at least one col")

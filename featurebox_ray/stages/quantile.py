@@ -32,6 +32,9 @@ from typing import Sequence
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
+
+from .partition import materialized_block_refs, partitioned_map, sum_partials
 
 
 def _disc_index(q: float, n: int) -> int:
@@ -70,8 +73,6 @@ def group_quantiles(
     NaN values are treated as NULL on both paths — pass NaN-free data
     when replaying against SQL, which would sort NaN as a value.
     """
-    from .partition import partitioned_map
-
     qs = list(qs)
     names = list(names) if names is not None else [
         f"p{int(round(q * 100))}" for q in qs]
@@ -168,8 +169,6 @@ def histogram_quantiles(
     SQL aggregates).  Returns ``(group_col, n_vals:int64, <one float64
     lower-edge column per q>)``; zero-value groups emit null edges.
     """
-    from .partition import partitioned_map
-
     qs = list(qs)
     names = list(names) if names is not None else [
         f"p{int(round(q * 100))}_lo" for q in qs]
@@ -293,8 +292,6 @@ def weighted_group_quantiles(ds, *, group_col: str, value_col: str,
     quantiles (NULL groups form a group, SQL semantics).  One
     group-keyed exchange, one lexsort kernel.
     """
-    from .partition import partitioned_map
-
     qs = [(int(n), int(d)) for n, d in qs]
     if any(n < 0 or d <= 0 or n > d for n, d in qs):
         raise ValueError("each q must be a rational in [0, 1]")
@@ -391,8 +388,6 @@ def group_trimmed_mean(ds, *, group_col: str, value_col: str,
     trimming (n ≤ 2k) emit NULL.  One group-keyed exchange; NULL
     values ignored; NULL groups form a group (SQL semantics).
     """
-    from .partition import partitioned_map
-
     if trim_den <= 0 or trim_num < 0 or 2 * trim_num >= trim_den:
         raise ValueError("trim fraction must be in [0, 1/2)")
 
@@ -483,10 +478,6 @@ def global_quantile_element(ds, *, value_col: str, q: float,
     Reference analog: ``PropertyStats.quantile`` over tiny arrays;
     this is the same statistic when the "array" is a 100-TB column.
     """
-    import ray
-
-    from .partition import materialized_block_refs, sum_partials
-
     empty0 = pa.table({"n": pa.array([], pa.int64()),
                        "mn": pa.array([], pa.int64()),
                        "mx": pa.array([], pa.int64())})
@@ -603,12 +594,6 @@ def impute_group_median(ds, *, group_col: str, value_col: str,
     Reference analog: none (data-prep family next to winsorize/
     collapse_rare/target encode).
     """
-    import ray
-
-    import pyarrow.compute as pc
-
-    from .partition import materialized_block_refs
-
     src = ds.materialize()
 
     def finite_only(b: pa.Table) -> pa.Table:

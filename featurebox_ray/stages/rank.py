@@ -29,8 +29,10 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from ..functions import segments as seg
+from .partition import partitioned_map, sort_table
 
 RANK_COLS = ("row_number", "rank", "dense_rank", "percent_rank",
              "cume_dist")
@@ -156,8 +158,6 @@ def rank_in_group(ds, *, group_col: str, value_col: str, tie_col: str,
     is given).  One keyed exchange; output row order is the
     within-partition sort order (deterministic given a unique tie
     column)."""
-    from .partition import partitioned_map
-
     def kernel(t: pa.Table) -> pa.Table:
         return rank_kernel(t, group_col=group_col, value_col=value_col,
                            ntile=ntile, payload_cols=tuple(payload_cols))
@@ -238,8 +238,6 @@ def _blocks_in_order(ds) -> list:
 def _empty_like(sd, keys, col: str, typ):
     """The empty result of a global-order operator: ``sd``'s schema
     without the stand-ins ``keys``, plus ``col`` of type ``typ``."""
-    import ray
-
     schema = sd.schema()
     base = getattr(schema, "base_schema", schema)
     if not isinstance(base, pa.Schema):
@@ -263,8 +261,6 @@ def top_k(ds, cols, descending, k: int, drop=()) -> pa.Table:
     block order.  An empty input gives an empty table in the
     input's schema (no columns when Ray knows none, as after a filter
     that drops every row)."""
-    import ray
-
     keys, sort_keys, add = _stand_ins(list(cols), descending)
 
     @ray.remote
@@ -286,8 +282,6 @@ def top_k(ds, cols, descending, k: int, drop=()) -> pa.Table:
 def range_top(ds, cols, descending, k: int, drop=()):
     """:func:`top_k` as a one-block Dataset: the first ``k`` rows in
     order, for order columns that may hold NaN or NULL."""
-    import ray
-
     return ray.data.from_arrow(top_k(ds, cols, descending, k, drop))
 
 
@@ -318,8 +312,6 @@ def global_row_number(ds, *, order_cols, rank_col: str = "g_rank",
     (SURVEY.md §2.7); the curriculum-ordering primitive for training-data
     pipelines.
     """
-    import ray
-
     sd, keys = _range_sort(ds, list(order_cols), descending)
 
     @ray.remote
@@ -352,8 +344,6 @@ def last_row_per_key(ds, *, key_col: str, order_cols,
     One keyed exchange; per partition a last-of-run mask over the key
     codes (one vectorized compare — no per-group work).
     """
-    from .partition import partitioned_map
-
     order_cols = list(order_cols)
 
     def kernel(t: pa.Table) -> pa.Table:
@@ -388,8 +378,6 @@ def diversified_topk(ds, *, group_col: str, id_col: str,
     id``).
     Returns ``(group_col, id_col, score_col)``.
     """
-    from .partition import partitioned_map, sort_table
-
     if m < 1 or k < 1:
         raise ValueError("m and k must be >= 1")
     neg = "__negscore"
@@ -450,8 +438,6 @@ def budget_select(ds, *, order_cols, cost_col: str, budget: int,
     including the row itself) — SQL replays as ``sum(cost) OVER
     (ORDER BY ...) <= budget``.
     """
-    import ray
-
     sd, keys = _range_sort(ds, list(order_cols), descending)
 
     @ray.remote
@@ -503,8 +489,6 @@ def rrf_fuse(rank_dss, *, id_col: str, rank_cols, k: int = 60,
     rank_cols = list(rank_cols)
     if len(rank_dss) != len(rank_cols):
         raise ValueError("rrf_fuse: one rank column name per dataset")
-
-    from .partition import partitioned_map
 
     n = len(rank_cols)
     # id stays its input type (string ids are the canonical RRF use
@@ -581,8 +565,6 @@ def pareto_front(ds, *, group_col: str, id_col: str, x_col: str,
 
     Output: ``(group, id, x, y)`` kept rows.
     """
-    from .partition import partitioned_map
-
     def prep(b: pa.Table) -> pa.Table:
         keep = pc.and_(
             pc.and_(pc.is_valid(b[group_col]),

@@ -34,11 +34,17 @@ aggregate over grouped data.
 
 from __future__ import annotations
 
+import logging
+import math
+from math import sqrt
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
-from .partition import each_group, partitioned_map
+from .partition import (each_group, global_span_cut, materialized_block_refs,
+                        partitioned_map, partitioned_refs, sum_partials)
 
 _PARTIAL_COLS = ("n", "sx", "sy", "sxy", "sxx")
 
@@ -159,8 +165,6 @@ def group_corr(ds, *, key_col: str, x_col: str, y_col: str):
                               zero_copy_batch=True, batch_size=None)
 
     def finalize(t: pa.Table) -> pa.Table:
-        import math
-
         n, sx, sy, sxy, sxx, syy = (
             sum(t[c].to_pylist()) for c in cols)
         d1 = n * sxx - sx * sx
@@ -249,8 +253,6 @@ def group_moments(ds, *, key_col: str, y_col: str):
                               zero_copy_batch=True, batch_size=None)
 
     def finalize(t: pa.Table) -> pa.Table:
-        import math
-
         n, s1, s2, s3, s4 = (sum(t[c].to_pylist()) for c in cols)
         mean = float(s1) / float(n)
         m2 = n * s2 - s1 * s1
@@ -296,8 +298,6 @@ def group_auc(ds, *, key_col: str, label_col: str, score_col: str,
     key, label or score drop; single-class groups (n₊ or n₋ = 0) emit
     NULL.  Returns ``(key_col, n_pos:int64, n_neg:int64, auc:float64)``.
     """
-    from .partition import partitioned_map
-
     # key type captured once from the input schema so empty partitions
     # (including Ray's zero-column empty bundles) emit the SAME block
     # schema as non-empty ones — never a hardcoded int64
@@ -475,8 +475,6 @@ def group_spearman(ds, *, key_col: str, x_col: str, y_col: str,
     variance on either side (all-tied) emit NULL.  Returns
     ``(key_col, n:int64, rho:float64)``.
     """
-    from .partition import partitioned_map
-
     base = ds.schema()
     base = getattr(base, "base_schema", base)
     ktype = base.field(key_col).type
@@ -511,8 +509,6 @@ def group_spearman(ds, *, key_col: str, x_col: str, y_col: str,
         return (2 * min_rank + run_len - 1)[run_id]
 
     def kernel(t: pa.Table) -> pa.Table:
-        import math
-
         if t.num_rows == 0 or key_col not in t.column_names:
             return empty
         keys = t[key_col].combine_chunks()
@@ -653,8 +649,6 @@ def group_ab_test(ds, *, key_col: str, side_col: str, treat_value,
             u_b = var_b / float(nb)
             se2 = u_a + u_b
             if se2 != 0.0:
-                from math import sqrt
-
                 t_stat = (mean_a - mean_b) / sqrt(se2)
                 dden = (u_a * u_a / float(na - 1)
                         + u_b * u_b / float(nb - 1))
@@ -696,10 +690,6 @@ def calibration_bins(ds, *, pred_col: str, label_col: str,
     sum_label:int64, avg_pred:float64, avg_label:float64,
     gap:float64)``.
     """
-    import ray
-
-    from .partition import materialized_block_refs, sum_partials
-
     scale = float(1 << quant_bits)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -764,10 +754,6 @@ def crosstab_chi2(ds, *, row_col: str, col_col: str):
     Emits one row per OBSERVED cell: ``(row_col, col_col,
     observed:int64, expected:float64, contrib:float64)``.
     """
-    import ray
-
-    from .partition import materialized_block_refs, sum_partials
-
     def partial(batch: pa.Table) -> pa.Table:
         keep = pc.and_(pc.is_valid(batch[row_col]),
                        pc.is_valid(batch[col_col]))
@@ -868,10 +854,6 @@ def fit_ridge(ds, *, vec_col: str = "embedding", y_col: str = "label",
     via sklearn; this is its distributed sufficient-statistics
     counterpart, like `selection/models.py` is the in-memory one.
     """
-    import ray
-
-    from .partition import partitioned_refs
-
     def partial(b: pa.Table) -> pa.Table:
         keep = pc.and_(pc.is_valid(b[vec_col]), pc.is_valid(b[y_col]))
         if not pc.all(keep).as_py():
@@ -958,8 +940,6 @@ def wilson_rates(ds, *, key_col: str, success_col: str,
     Emits ``(key_col, n:int64, k:int64, rate:float64,
     wilson_lb:float64)``.
     """
-    from .partition import partitioned_map
-
     z = np.float64(z)
     z2 = z * z
 
@@ -1033,8 +1013,6 @@ def group_ks_drift(ds, *, key_col: str, side_col: str,
     ONE key-keyed exchange sorted ``(key, value)``.  Emits
     ``(key_col, n0:int64, n1:int64, d_num:int64, ks_d:float64)``.
     """
-    from .partition import partitioned_map
-
     schema = ds.schema()
     base = getattr(schema, "base_schema", schema)
     ktype = base.field(key_col).type
@@ -1140,8 +1118,6 @@ def group_theil_sen(ds, *, key_col: str, x_col: str, y_col: str,
     reference); the distributed analog of scipy's ``theilslopes`` as a
     grouped feature.
     """
-    from .partition import partitioned_map
-
     def prep(b: pa.Table) -> pa.Table:
         y = b[y_col].combine_chunks()
         if not pa.types.is_floating(y.type):
@@ -1183,8 +1159,6 @@ def group_theil_sen(ds, *, key_col: str, x_col: str, y_col: str,
         keep_seg = lens <= max_group
         n_skip = int((~keep_seg).sum())
         if n_skip:
-            import logging
-
             logging.getLogger(__name__).warning(
                 "group_theil_sen: skipped %d keys with > %d points",
                 n_skip, max_group)
@@ -1254,7 +1228,6 @@ def kendall_tau(ds, *, key_col: str, x_col: str, y_col: str,
     ranks globally per group; tau-b is the pair-concordance view).
     """
     from ..functions.segments import cents_exact, triangular_pairs
-    from .partition import partitioned_map
 
     def prep(b: pa.Table) -> pa.Table:
         x = b[x_col].combine_chunks()
@@ -1297,8 +1270,6 @@ def kendall_tau(ds, *, key_col: str, x_col: str, y_col: str,
         keep_seg = (lens <= max_group) & (lens >= 2)
         n_skip = int((lens > max_group).sum())
         if n_skip:
-            import logging
-
             logging.getLogger(__name__).warning(
                 "kendall_tau: skipped %d keys with > %d points",
                 n_skip, max_group)
@@ -1363,10 +1334,6 @@ def cohen_kappa(ds, *, group_col: str, rater_a_col: str,
     Reference analog: none; companion of ``crosstab_chi2`` /
     ``calibration_bins`` in the model/label QA family.
     """
-    import ray
-
-    from .partition import materialized_block_refs, sum_partials
-
     def partial(b: pa.Table) -> pa.Table:
         gtype = b.schema.field(group_col).type
         empty = pa.table({group_col: pa.array([], gtype),
@@ -1471,7 +1438,6 @@ def mann_whitney(ds, *, group_col: str, side_col: str,
     companion of group_auc / ab_test / ks_drift.
     """
     from ..functions.segments import cents_exact
-    from .partition import partitioned_map
 
     def prep(b: pa.Table) -> pa.Table:
         keep = pc.and_(pc.and_(pc.is_valid(b[group_col]),
@@ -1583,10 +1549,7 @@ def did_estimate(ds, *, group_col: str, side_col: str, ts_col: str,
     Reference analog: none — companion of ab_test/mann_whitney in the
     experimentation family.
     """
-    import ray
-
     from ..functions.segments import cents_exact
-    from .partition import global_span_cut, materialized_block_refs
 
     def prep(b: pa.Table) -> pa.Table:
         keep = pc.and_(pc.and_(pc.is_valid(b[group_col]),
@@ -1711,10 +1674,6 @@ def ridge_influence(ds, *, vec_col: str = "embedding",
     data slices); the closed-form sibling of influence-function data
     valuation, exact for ridge.
     """
-    import ray
-
-    from .partition import partitioned_refs
-
     def partial(b: pa.Table) -> pa.Table:
         keep = pc.and_(pc.and_(pc.is_valid(b[vec_col]),
                                pc.is_valid(b[y_col])),
@@ -1853,10 +1812,7 @@ def randomization_test(ds, *, key_col: str, id_col: str,
     single-side keys emit NULL p.  Reference analog: none
     (inference-audit family q143/q165/q179/q214).
     """
-    import ray
-
     from ..functions.segments import cents_exact
-    from .partition import materialized_block_refs
     from .sample import knuth_hash
 
     R = n_perms
@@ -1991,11 +1947,6 @@ def bootstrap_group_ci(ds, *, key_col: str, id_col: str,
     (`selection/search.py` Ego); this is the grouped streaming
     counterpart.
     """
-    import math
-
-    import ray
-
-    from .partition import materialized_block_refs
     from .sample import knuth_hash
 
     B = int(n_bags)
@@ -2126,12 +2077,6 @@ def ridge_eval(ds, *, vec_col: str = "embedding",
     None, n:int64, mae:float64, rmse:float64, r2:float64 — NULL for
     constant targets)``.
     """
-    import math
-
-    import ray
-
-    from .partition import materialized_block_refs
-
     coef_tbl = fit_ridge(ds, vec_col=vec_col, y_col=y_col,
                          lam_num=lam_num, lam_den=lam_den,
                          quant_bits=quant_bits, y_scale=y_scale,
@@ -2280,8 +2225,6 @@ def pr_threshold_sweep(ds, *, key_col: str, label_col: str,
     dict_method_clf); this is the corpus-scale operating-point sweep
     those scorers assume has already happened upstream.
     """
-    from .partition import partitioned_map
-
     base = ds.schema()
     base = getattr(base, "base_schema", base)
     ktype = base.field(key_col).type
@@ -2435,10 +2378,6 @@ def _grouped_ridge_stats(ds, *, vec_col: str, y_col: str,
     flats, merged on one group-keyed exchange.  Returns
     ``{group: flat int64 array}`` (dense cells; every group's flat has
     length d1²+d1+1)."""
-    import ray
-
-    from .partition import partitioned_refs
-
     empty = pa.table({"g": pa.array([], pa.int64()),
                       "cell": pa.array([], pa.int64()),
                       "val": pa.array([], pa.int64())})
@@ -2547,11 +2486,6 @@ def learning_curve(ds, *, vec_col: str = "embedding",
     n_test:int64, rmse:float64, r2:float64 — NULL for a constant
     holdout)``, one row per k = 1..n_train_buckets.
     """
-    import math
-
-    import ray
-
-    from .partition import materialized_block_refs
     from .sample import add_hash_bucket_col
 
     K = int(n_train_buckets)
@@ -2705,9 +2639,6 @@ def conformal_intervals(ds, *, vec_col: str = "embedding",
     conformal index exceeds n_cal (α too small for the calibration
     size — the interval would be infinite).
     """
-    import ray
-
-    from .partition import materialized_block_refs, sum_partials
     from .sample import add_hash_bucket_col
 
     B = int(n_buckets)

@@ -27,10 +27,15 @@ funnel_features and session stats).
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
+
+from .partition import (materialized_block_refs, partitioned_map,
+                        partitioned_refs, sum_partials)
 
 _PERIOD_US = {"day": 86_400_000_000, "week": 604_800_000_000}
 
@@ -43,8 +48,6 @@ def retention_cohorts(ds, *, key_col: str = "user_id",
     (``epoch_us // period_us``), offset = activity period − cohort,
     n_users = distinct users of that cohort active at that offset.
     """
-    from .partition import partitioned_map, partitioned_refs
-
     if period not in _PERIOD_US:
         raise ValueError(f"period must be one of {sorted(_PERIOD_US)}")
     width = _PERIOD_US[period]
@@ -143,8 +146,6 @@ def cohort_value_curve(ds, *, key_col: str = "user_id",
     ``coalesce``).  Emits ``(cohort:int64, offset:int64,
     cents:int64)``.
     """
-    from .partition import partitioned_map, partitioned_refs
-
     if period not in _PERIOD_US:
         raise ValueError(f"period must be one of {sorted(_PERIOD_US)}")
     width = _PERIOD_US[period]
@@ -234,8 +235,6 @@ def longest_streak(ds, *, key_col: str = "user_id",
     key/ts rows drop.  Emits ``(key_col, n_periods:int64,
     longest:int64)``.
     """
-    from .partition import partitioned_map
-
     if period not in _PERIOD_US:
         raise ValueError(f"period must be one of {sorted(_PERIOD_US)}")
     width = _PERIOD_US[period]
@@ -332,11 +331,6 @@ def _survival_cells(ds, *, user_col: str = "user_id",
     Reference analog: none — companion of retention_cohorts/q121 in
     the retention family.
     """
-    import ray
-
-    from .partition import (materialized_block_refs, partitioned_refs,
-                            sum_partials)
-
     def partial(b: pa.Table) -> pa.Table:
         keep = pc.and_(
             pc.and_(pc.is_valid(b[user_col]), pc.is_valid(b[ts_col])),
@@ -533,8 +527,6 @@ def logrank_test(ds, *, user_col: str = "user_id",
     n_a:int64, n_b:int64, u:float64, v:float64, z:float64 — NULL
     when V = 0)``.  Reference analog: none (survival family).
     """
-    from fractions import Fraction
-
     cells = _survival_cells(ds, user_col=user_col, ts_col=ts_col,
                             seq_col=seq_col, type_col=type_col,
                             censor_window_us=censor_window_us,
@@ -610,8 +602,6 @@ def activation_latency(ds, *, key_col: str, ts_col: str,
     activation_us:int64|NULL)``.
     Reference analog: none (retention family).
     """
-    from .partition import partitioned_map
-
     schema = ds.schema()
     base = getattr(schema, "base_schema", schema)
     ktype = base.field(key_col).type
@@ -684,10 +674,6 @@ def daily_new_vs_returning(ds, *, key_col: str, ts_col: str,
     Returns ``(day:int64, n_active:int64, n_new:int64,
     new_frac:float64)`` sorted by day.
     """
-    import ray
-
-    from .partition import partitioned_refs, sum_partials
-
     US_DAY = 86_400_000_000
 
     def prep(b: pa.Table) -> pa.Table:

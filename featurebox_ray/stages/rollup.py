@@ -31,6 +31,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
+
+from .partition import partitioned_map, partitioned_refs
 
 
 def rollup_counts(ds, *, g1: str, g2: str, int_sum_cols: Sequence[str],
@@ -48,8 +51,6 @@ def rollup_counts(ds, *, g1: str, g2: str, int_sum_cols: Sequence[str],
     emits tiny incomplete g2 partials and a SECOND exchange — over
     ≤ partitions × |g2| partial rows, never the data — completes them.
     """
-    from .partition import partitioned_map, partitioned_refs
-
     sum_names = [f"sum_{c}" for c in int_sum_cols]
 
     def _codes_dic(col: pa.ChunkedArray):
@@ -146,8 +147,6 @@ def rollup_counts(ds, *, g1: str, g2: str, int_sum_cols: Sequence[str],
 
     # grand partials (one per partition) meet in one tiny final combine;
     # complete rows pass through untouched.
-    import ray
-
     def split_done(b: pa.Table) -> pa.Table:
         lv = b["lvl"].to_numpy(zero_copy_only=False)
         return b.filter(pa.array((lv != 3) & (lv != 2)))

@@ -20,6 +20,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
+
+from .partition import partitioned_refs, sum_partials
 
 
 def association_rules(ds, *, basket_col: str, item_col: str,
@@ -41,10 +44,6 @@ def association_rules(ds, *, basket_col: str, item_col: str,
     (mirror in SQL).  Both orientations of every co-occurring pair
     are emitted (confidence is directional).
     """
-    import ray
-
-    from .partition import partitioned_refs, sum_partials
-
     def prep(b: pa.Table) -> pa.Table:
         keep = pc.and_(pc.is_valid(b[basket_col]),
                        pc.is_valid(b[item_col]))

@@ -27,8 +27,8 @@ the bounded subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 import pyarrow as pa
@@ -119,12 +119,10 @@ def add_window_features_salted(
 
     exploded = ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
 
-    from dataclasses import replace as dc_replace
-
     # segment by the composite key inside the kernel: each (conv, bucket)
     # is its own run, so buckets of one conv sharing a partition stay
     # independent (their context rows provide the cross-bucket lookback)
-    kspec = dc_replace(spec, key_col="__salt_key")
+    kspec = replace(spec, key_col="__salt_key")
 
     def kernel(t: pa.Table) -> pa.Table:
         # precondition: turn_idx must be dense (0..n-1) per conversation —
@@ -133,9 +131,8 @@ def add_window_features_salted(
         if t.num_rows:
             idx = t[order_col].to_numpy(zero_copy_only=False).astype(np.int64)
             ctx = t[CTX_COL].to_numpy(zero_copy_only=False)
-            import pyarrow.compute as pc_
 
-            codes = pc_.dictionary_encode(
+            codes = pc.dictionary_encode(
                 t["__salt_key"].combine_chunks()).indices.to_numpy(zero_copy_only=False)
             # precondition 2: the kernel sees rows sorted by (ts, turn_idx),
             # but salt buckets were assigned by turn_idx arithmetic — if ts

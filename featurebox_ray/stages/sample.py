@@ -26,6 +26,10 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
+
+from .partition import (materialized_block_refs, partitioned_map,
+                        partitioned_refs, sum_partials)
 
 KNUTH_MULT = 2654435761       # 2^32 / golden ratio, odd
 MOD_BITS = 32
@@ -56,9 +60,6 @@ def add_hash_bucket_col(ds, *, id_col: str, modulus: int,
     ids keep a NULL bucket) — the ONE bucketing map shared by every
     hash-split consumer (learning_curve, conformal_intervals, ...), so
     split semantics cannot drift between operators."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
     def f(b: pa.Table) -> pa.Table:
         col = b[id_col].combine_chunks()
         ids = pc.fill_null(col, 0).to_numpy(zero_copy_only=False)
@@ -110,10 +111,6 @@ def cap_per_group(ds, *, group_col: str, id_col: str, m: int):
     ``groups × m`` ids — swap the broadcast for the semi-join fetch shape
     if that outgrows worker memory.
     """
-    import ray
-
-    from .partition import partitioned_refs
-
     def key_hash(k: np.ndarray) -> np.ndarray:
         return knuth_hash(k, op="cap_per_group")
 
@@ -313,10 +310,6 @@ def temperature_rebalance(ds, *, group_col: str, key_col: str,
     needs; see :func:`temperature_thresholds` for the SQL-exactness
     contract.
     """
-    import ray
-
-    from .partition import materialized_block_refs
-
     # count EXACTLY the rows the filter can keep (non-null group AND
     # key) — counting null-key rows would shift every threshold away
     # from the SQL replay; per-block value_counts partials are also
@@ -333,8 +326,6 @@ def temperature_rebalance(ds, *, group_col: str, key_col: str,
                              "cnt": pa.array([], pa.int64())})
         return pa.table({"g": vc.field("values"),
                          "cnt": vc.field("counts")})
-
-    from .partition import sum_partials
 
     cds = ds.map_batches(count_partial, batch_format="pyarrow",
                          zero_copy_batch=True)
@@ -437,10 +428,6 @@ def throttle_min_interval(ds, *, key_col: str, ts_col: str,
     ints, seconds for timestamps (asof convention).  Returns the kept
     rows' ``(key_col, id_col, ts_col)``.
     """
-    import pyarrow.compute as pc
-
-    from .partition import partitioned_map
-
     if int(min_gap) <= 0:
         raise ValueError("min_gap must be positive (a zero gap keeps "
                          "every row and stalls the greedy jump)")
@@ -519,8 +506,6 @@ def stratified_folds(ds, *, group_col: str, key_col: str, n_folds: int,
     SQL replay: ``(row_number() OVER (PARTITION BY g ORDER BY
     knuth_hash_expr, key) - 1) % K``.
     """
-    from .partition import partitioned_map
-
     if n_folds < 2:
         raise ValueError("n_folds must be >= 2")
     schema = ds.schema()
@@ -591,7 +576,6 @@ def weighted_interleave(ds, *, source_col: str, id_col: str,
     ord)``.  Reference analog: none — the corpus-mixing scheduler the
     q150/q168 cleaning pipelines feed into.
     """
-    from .partition import partitioned_map
     from .rank import global_row_number
 
     def prep(b: pa.Table) -> pa.Table:
@@ -667,10 +651,6 @@ def quota_allocate(ds, *, group_col: str, total: int,
     group rows drop.  Output: ``(group, n_rows, base, extra,
     quota)``.
     """
-    import ray
-
-    from .partition import materialized_block_refs
-
     def partial(b: pa.Table) -> pa.Table:
         gtype = b.schema.field(group_col).type
         keep = pc.fill_null(pc.is_valid(b[group_col]), False)
@@ -684,8 +664,6 @@ def quota_allocate(ds, *, group_col: str, total: int,
         cnt = np.bincount(codes, minlength=len(gd.dictionary))
         return pa.table({group_col: gd.dictionary,
                          "n": pa.array(cnt.astype(np.int64))})
-
-    from .partition import sum_partials
 
     pds = ds.map_batches(partial, batch_format="pyarrow",
                          zero_copy_batch=True, batch_size=None)
@@ -742,8 +720,6 @@ def quota_sample(ds, *, group_col: str, key_col: str, total: int,
     quotas = quota_allocate(ds, group_col=group_col, total=total)
     qmap = {g: q for g, q in zip(quotas[group_col].to_pylist(),
                                  quotas["quota"].to_pylist())}
-
-    from .partition import partitioned_map
 
     def prep(b: pa.Table) -> pa.Table:
         keep = pc.and_(pc.is_valid(b[group_col]),

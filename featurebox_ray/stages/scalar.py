@@ -10,7 +10,6 @@ vectorized kernels (no per-row Python).
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 

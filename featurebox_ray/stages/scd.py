@@ -23,6 +23,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions import segments as seg
+from .partition import partitioned_map
 
 __all__ = ["scd2_intervals", "scd2_apply"]
 
@@ -33,8 +34,6 @@ def scd2_intervals(ds, *, key_col: str, ts_col: str, seq_col: str,
     valid_to:int64|NULL, n_rows:int64)`` — one row per consecutive
     equal-state run in ``(ts, seq)`` order; NULL key/ts/seq/state rows
     drop (mirror the filter in SQL)."""
-    from .partition import partitioned_map
-
     def prep(b: pa.Table) -> pa.Table:
         keep = pc.and_(pc.and_(pc.is_valid(b[key_col]),
                                pc.is_valid(b[ts_col])),
@@ -130,8 +129,6 @@ def scd2_apply(dim_ds, snap_ds, *, key_col: str, state_col: str,
     Reference analog: none (warehouse family: scd2_intervals / cdc /
     snapshot_diff).
     """
-    from .partition import partitioned_map
-
     TS = int(snap_ts)
     OPEN = np.int64(2**62)
 

@@ -26,6 +26,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
+
+from .partition import materialized_block_refs, partitioned_map
 
 __all__ = ["seasonal_peak"]
 
@@ -38,8 +41,6 @@ def seasonal_peak(ds, *, group_col: str, ts_col: str, value_col: str,
     n:int64, cents:int64, is_peak:bool)`` — every populated bin, with
     exactly one peak row per group.  NULL group/ts rows drop; NULL
     values count 0 cents."""
-    from .partition import partitioned_map
-
     width = int(bin_width_s) * 1_000_000
 
     def partial(b: pa.Table) -> pa.Table:
@@ -156,10 +157,6 @@ def profile_similarity(ds, *, key_col: str, ts_col: str,
     Emits ``(key_col, n:int64, dot:int64, u2:int64, cos2:float64)``.
     Reference analog: none (behavioral-audit family).
     """
-    import ray
-
-    from .partition import materialized_block_refs, partitioned_map
-
     width = int(bin_width_s) * 1_000_000
 
     def bins_of(b: pa.Table):
@@ -303,10 +300,7 @@ def seasonal_anomaly(ds, *, ts_col: str, id_col: str,
     is_anomaly:bool)``.  Reference analog: none (anomaly family:
     robust_zscore q109 / CUSUM q126 / changepoint q211).
     """
-    import ray
-
     from ..functions.segments import cents_exact
-    from .partition import materialized_block_refs
     from .quantile import group_quantiles
 
     width = int(bin_width_s) * 1_000_000
@@ -421,10 +415,6 @@ def seasonal_naive_backtest(ds, *, key_col: str, ts_col: str,
     and empty tails look alike, as they do for the SQL grid).
     Returns ``(key_col, n_days:int64, sae:int64, mae:float64)``.
     """
-    import ray
-
-    from .partition import materialized_block_refs, partitioned_map
-
     US_DAY = 86_400_000_000
 
     def prep(b: pa.Table) -> pa.Table:

@@ -37,8 +37,10 @@ import warnings
 
 import numpy as np
 import pyarrow as pa
+import ray
 
 from .kmeans import assign, kmeans_fit, quantize
+from .partition import partitioned_map
 
 
 def _cluster_dups(x: np.ndarray, threshold: float) -> np.ndarray:
@@ -60,10 +62,6 @@ def semantic_dedup(ds, *, vec_col: str = "embedding",
                    batch_size: int = 4096):
     """Returns ``(id_col, cluster int64, is_dup int64)`` — one row per
     input row; ``is_dup=1`` rows are the prune candidates."""
-    import ray
-
-    from .partition import partitioned_map
-
     cents, _ = kmeans_fit(ds, vec_col=vec_col, id_col=id_col, k=k,
                           iters=iters, quant_bits=quant_bits,
                           batch_size=batch_size)

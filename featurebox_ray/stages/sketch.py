@@ -32,8 +32,10 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
-from .partition import each_group, partitioned_map
+from .partition import (each_group, materialized_block_refs, partitioned_map,
+                        partitioned_refs)
 
 HASH_HEX_DIGITS = 15          # 60 bits: exact in int64, headroom in ops below
 HASH_SPAN = float(1 << (4 * HASH_HEX_DIGITS))
@@ -221,9 +223,6 @@ def cms_term_estimates(ds, *, text_col: str = "text", depth: int = 4,
     ``(term, exact_cnt:int64, cms_est:int64)`` with the CMS guarantee
     ``cms_est >= exact_cnt`` (point query = min over the depth rows).
     """
-    import ray
-
-    from .partition import materialized_block_refs, partitioned_refs
     from .tfidf import top_terms
 
     if depth <= 0 or width <= 0:
@@ -320,10 +319,6 @@ def kmv_set_ops(ds, *, group_col: str, value_col: str,
     k_used_union, est_a, est_b, est_union, jaccard_k,
     est_intersection)``.
     """
-    import ray
-
-    from .partition import materialized_block_refs
-
     if group_a == group_b:
         raise ValueError("kmv_set_ops: group_a == group_b — the "
                          "routing would leave B's sketch empty")

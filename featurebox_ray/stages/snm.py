@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from featurebox_ray.stages.dedup import _batch_token_hashes, split_tokens
 from featurebox_ray.stages.partition import partitioned_map

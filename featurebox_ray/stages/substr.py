@@ -42,8 +42,11 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from ..functions import segments as seg
+from .partition import (materialized_block_refs, partitioned_map,
+                        partitioned_refs, sum_partials)
 
 __all__ = ["dup_spans", "dup_token_stats", "ngram_novelty",
            "prefix_dedup", "cross_source_grams"]
@@ -115,8 +118,6 @@ def _marked_dup_positions(grams, *, id_col: str, min_count: int,
                           num_partitions: int):
     """ONE gram-keyed exchange: (doc, pos) of every gram whose corpus
     count >= min_count."""
-    from .partition import partitioned_map
-
     return partitioned_map(
         grams, lambda t: _keep_dup_runs(t, id_col, min_count),
         key="gh", sort_keys=["gh", "gh2"],
@@ -141,8 +142,6 @@ def dup_spans(ds, *, id_col: str = "doc_id", text_col: str = "text",
     Overlapping AND adjacent spans merge (they describe one removable
     region).  Documents with no duplicated gram emit nothing.
     """
-    from .partition import partitioned_map
-
     emit = _check_hash_mode(hash_mode)
 
     grams = ds.map_batches(
@@ -210,10 +209,7 @@ def dup_token_stats(ds, *, id_col: str = "doc_id", text_col: str = "text",
     re-executing the read (one extra in-memory tokenize per batch for
     the counts — Arrow C++, cheap next to the gram hashing).
     """
-    import ray
-
     from .dedup import split_tokens
-    from .partition import materialized_block_refs, partitioned_map
 
     emit = _check_hash_mode(hash_mode)
 
@@ -325,8 +321,6 @@ def ngram_novelty(ds, *, id_col: str = "doc_id", text_col: str = "text",
     Returns ``(id_col, n_grams:int64, n_novel:int64,
     novelty:float64)``; novelty = one double/double division.
     """
-    from .partition import partitioned_map, partitioned_refs
-
     emit = _check_hash_mode(hash_mode)
 
     def distinct_pairs(batch: pa.Table) -> pa.Table:
@@ -446,8 +440,6 @@ def prefix_dedup(ds, *, id_col: str = "doc_id",
     companion of ``dup_spans`` / exact_dedup in the corpus-cleaning
     family (SURVEY.md dedup suite).
     """
-    import ray
-
     from .rank import _blocks_in_order, _range_sort
 
     def prep(b: pa.Table) -> pa.Table:
@@ -543,10 +535,6 @@ def cross_source_grams(ds, *, group_col: str = "source",
     Reference analog: none — companion of vocab_overlap (q148) /
     dup_spans (q84) in the corpus-QA family.
     """
-    import ray
-
-    from .partition import partitioned_refs, sum_partials
-
     def emit(b: pa.Table) -> pa.Table:
         gtype = b.schema.field(group_col).type
         empty = pa.table({"gh": pa.array([], pa.int64()),

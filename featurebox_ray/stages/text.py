@@ -29,15 +29,18 @@ operators the engine adds for 100 TB corpora (task brief).
 
 from __future__ import annotations
 
+import re
+import zlib
 from functools import cached_property
 from typing import Dict
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from .dedup import row_gram_md5, split_tokens
-from .partition import string_buffers
+from .partition import materialized_block_refs, string_buffers, sum_partials
 
 # tiny public stopword profiles for the stopword-ratio language heuristic
 _LANG_STOPWORDS: Dict[str, tuple] = {
@@ -411,8 +414,6 @@ def gopher_quality_fn(batch: pa.Table, *, text_col: str = "text",
     9·lines`` AND ``10·ellipsis_lines < 3·lines`` AND
     ``10·alpha_words ≥ 8·words`` AND ``stop_hits ≥ min_stop_hits``.
     """
-    from .dedup import split_tokens
-
     texts = pc.fill_null(batch[text_col].combine_chunks(), "")
     flat, off = split_tokens(texts)
     n_words = np.diff(off).astype(np.int64)
@@ -493,8 +494,6 @@ def lexical_diversity_fn(batch: pa.Table, *, text_col: str = "text",
     D.  Emits ``(id_col, n_tokens:int64, n_types:int64,
     sum_sq:int64, simpson_d:float64)``.
     """
-    from .dedup import split_tokens
-
     texts = pc.fill_null(batch[text_col].combine_chunks(), "")
     flat, off = split_tokens(texts)
     n_rows = batch.num_rows
@@ -540,8 +539,6 @@ def compression_ratio_fn(batch: pa.Table, *, text_col: str = "text",
 
     Emits ``(id_col, raw_len:int64, comp_len:int64, ratio:float64)``.
     """
-    import zlib
-
     texts = batch[text_col].combine_chunks()
     raw, comp, ratio = [], [], []
     for v in texts.to_pylist():
@@ -583,10 +580,6 @@ def encoding_audit(ds, *, group_col: str = "source",
     shuffle.  Reference analog: none — companion of script_profile /
     gopher rules in the text-QA family.
     """
-    import ray
-
-    from .partition import materialized_block_refs
-
     def partial(b: pa.Table) -> pa.Table:
         gtype = b.schema.field(group_col).type
         keep = pc.fill_null(pc.is_valid(b[group_col]), False)
@@ -628,7 +621,6 @@ def encoding_audit(ds, *, group_col: str = "source",
     schema = ds.schema()
     base = getattr(schema, "base_schema", schema)
     gtype = base.field(group_col).type
-    from .partition import sum_partials
 
     agg = sum_partials(ray.get(materialized_block_refs(pds)),
                        keys=[group_col],
@@ -676,10 +668,8 @@ def rule_label_fn(topics: "dict[str, list[str]]",
     Reference analog: none (text-curation family next to
     gopher_quality_fn / script_profile_fn).
     """
-    import re as _re
-
     names = sorted(topics)
-    pats = {n: [r"\b" + _re.escape(kw) + r"\b"
+    pats = {n: [r"\b" + re.escape(kw) + r"\b"
                 for kw in topics[n]]
             for n in names}
 

@@ -36,8 +36,11 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from .dedup import adjacent_token_indices, split_tokens
+from .partition import (materialized_block_refs, partitioned_map,
+                        partitioned_refs, sum_partials)
 
 
 def _doc_term_tf(batch: pa.Table, id_col: str, text_col: str):
@@ -77,10 +80,6 @@ def tfidf_topk(ds, *, id_col: str = "doc_id", text_col: str = "text",
     same hazard as ``.schema()``, see ``fused_features_backfill``'s
     ``left_schema``).
     """
-    import ray
-
-    from .partition import partitioned_refs
-
     if n_docs is None:
         n_docs = ds.count()
 
@@ -222,7 +221,6 @@ def _exact_topk_exchange(partials, *, k: int, num_partitions: int):
     partials per term on one keyed exchange, partition-local top-k
     (sound post-summation), one final global pick under the
     deterministic ``(count desc, term asc)`` order."""
-    from .partition import partitioned_map
     from .rank import range_top
 
     def sum_local_topk(t: pa.Table) -> pa.Table:
@@ -381,10 +379,6 @@ def corpus_freq_score(ds, *, id_col: str = "doc_id",
     Reference analog: none; added-for-100-TB corpus cleaning alongside
     the Gopher repetition signals (stages/repetition.py).
     """
-    import ray
-
-    from .partition import materialized_block_refs
-
     vocab_ds = top_terms(ds, id_col=id_col, text_col=text_col, k=top_v,
                          by="term_count", num_partitions=num_partitions)
     blocks = [b for b in ray.get(materialized_block_refs(vocab_ds))
@@ -458,9 +452,6 @@ def collocation_pmi(ds, *, id_col: str = "doc_id", text_col: str = "text",
     Returns the global top-``k`` under ``(score desc, w1 asc, w2 asc)``:
     ``(w1, w2, c_xy:int64, c_x:int64, c_y:int64, pmi_score:float64)``.
     """
-    import ray
-
-    from .partition import materialized_block_refs, partitioned_refs
     from .rank import range_top
 
     if min_count < 1:
@@ -631,10 +622,6 @@ def vocab_overlap(ds, *, group_col: str, text_col: str = "text",
     drop.  Returns ``(grp_a, grp_b, inter:int64, n_a:int64, n_b:int64,
     jaccard:float64)`` for pairs with ``inter >= 1``.
     """
-    import ray
-
-    from .partition import partitioned_refs
-
     row_schema = pa.schema([("w", pa.string()), ("g", pa.string())])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -777,7 +764,6 @@ def rising_terms(ds, *, id_col: str = "doc_id", text_col: str = "text",
 
     Returns ``(term, early:int64, late:int64, rise:float64)``.
     """
-    from .partition import partitioned_map
     from .rank import range_top
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -885,8 +871,6 @@ def top_terms_per_group(ds, *, group_col: str, id_col: str = "doc_id",
 
     Returns ``(group_col, term, cnt:int64)``, ≤ k rows per group.
     """
-    from .partition import partitioned_map
-
     schema = ds.schema()
     base = getattr(schema, "base_schema", schema)
     out_gtype = base.field(group_col).type
@@ -988,10 +972,6 @@ def chi2_keyness(ds, *, group_col: str = "source",
     analog: none — beyond-reference corpus-audit operator alongside
     top_terms_per_group / vocab_coverage.
     """
-    import ray
-
-    from .partition import materialized_block_refs, partitioned_refs
-
     def partial(batch: pa.Table) -> pa.Table:
         keep = pc.fill_null(pc.is_valid(batch[group_col]), False)
         if not pc.all(keep).as_py():
@@ -1151,11 +1131,6 @@ def novelty_curve(ds, *, id_col: str = "doc_id", text_col: str = "text",
     Returns a pa.Table ``(bucket:int64, n_new_terms:int64,
     cum_new_terms:int64)``; NULL ``id_col`` rows drop.
     """
-    import ray
-
-    from .dedup import split_tokens
-    from .partition import partitioned_refs
-
     def partial(batch: pa.Table) -> pa.Table:
         empty = pa.table({"term": pa.array([], pa.string()),
                           "md": pa.array([], pa.int64())})
@@ -1198,7 +1173,6 @@ def novelty_curve(ds, *, id_col: str = "doc_id", text_col: str = "text",
     bparts = partitioned_refs(partials, bucket_kernel, key="term",
                               sort_keys=["term"],
                               num_partitions=num_partitions)
-    from .partition import sum_partials
 
     comb = sum_partials(ray.get(bparts), keys=["bucket"], vals=["cnt"])
     if comb is None:
@@ -1242,10 +1216,6 @@ def vocab_coverage(ds, *, group_col: str = "source",
     Reference analog: none — companion of top_terms / corpus_freq in
     the corpus-statistics family.
     """
-    import ray
-
-    from .partition import partitioned_refs
-
     def partial(b: pa.Table) -> pa.Table:
         gtype = b.schema.field(group_col).type
         empty = pa.table({group_col: pa.array([], gtype),
@@ -1322,7 +1292,6 @@ def vocab_coverage(ds, *, group_col: str = "source",
     per_part = partitioned_refs(partials, kernel, key="term",
                                 sort_keys=["term", group_col],
                                 num_partitions=num_partitions)
-    from .partition import sum_partials
 
     schema = ds.schema()
     base = getattr(schema, "base_schema", schema)
@@ -1387,10 +1356,6 @@ def set_cover_select(ds, *, id_col: str = "doc_id",
     analog: none — companion of k_center_select / budget_select in
     the curation family.
     """
-    import ray
-
-    from .dedup import adjacent_token_indices
-    from .partition import materialized_block_refs
     from .sketch import _md5_60
 
     if k < 1:
@@ -1537,10 +1502,6 @@ def bm25_topk(ds, *, id_col: str = "doc_id", text_col: str = "text",
     Reference analog: none (retrieval-scoring extension next to
     tfidf_topk / inverted_index).
     """
-    import ray
-
-    from .dedup import split_tokens
-
     if not query_terms:
         raise ValueError("bm25_topk requires query_terms")
     qterms = sorted(set(query_terms))
@@ -1661,10 +1622,6 @@ def weighted_jaccard(ds, *, group_col: str, text_col: str,
     ``g_a < g_b``.  Reference analog: none (corpus-similarity
     family: q148 / q216 / q253).
     """
-    import ray
-
-    from .partition import partitioned_refs
-
     def prep(b: pa.Table) -> pa.Table:
         keep = pc.fill_null(pc.and_(pc.is_valid(b[group_col]),
                                     pc.is_valid(b[text_col])),
@@ -1848,10 +1805,6 @@ def topk_two_pass(ds, *, text_col: str = "text", k: int = 10,
     Counts are total occurrences (``top_terms(by="term_count")``
     semantics).  Returns ``(term:string, cnt:int64)``.
     """
-    import ray
-
-    from .partition import materialized_block_refs, sum_partials
-
     empty = pa.table({"term": pa.array([], pa.string()),
                       "cnt": pa.array([], pa.int64())})
 

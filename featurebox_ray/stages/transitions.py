@@ -30,9 +30,11 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from ..functions import segments as seg
-from .partition import each_group, partitioned_map, partitioned_refs
+from .partition import (each_group, partitioned_map, partitioned_refs,
+                        sum_partials)
 from .window import _key_codes_dic
 
 
@@ -169,8 +171,6 @@ def session_cooccurrence(ds, *, key_col: str, ts_col: str,
     Reference analog: none (beyond-reference behavioral operator next
     to event_transition_counts and funnel_features).
     """
-    from .partition import partitioned_map
-
     gap_native = _gap_native(ds, ts_col, gap_s)
     prep = _session_prep(key_col, ts_col, [type_col, order_col])
 
@@ -262,7 +262,6 @@ def top_session_journeys(ds, *, key_col: str, ts_col: str,
 
     Returns ``(journey:string, cnt:int64)``.
     """
-    from .partition import partitioned_map
     from .tfidf import _exact_topk_exchange
 
     gap_native = _gap_native(ds, ts_col, gap_s)
@@ -333,10 +332,6 @@ def eventually_follows(ds, *, key_col: str, ts_col: str,
     Reference analog: none (process-mining family next to
     transitions / funnel / journeys).
     """
-    import ray
-
-    from .partition import sum_partials
-
     def prep(b: pa.Table) -> pa.Table:
         keep = pc.is_valid(b[key_col])
         for c in (ts_col, type_col):
@@ -447,8 +442,6 @@ def transition_predictability(ds, *, key_col: str, ts_col: str,
     Reference analog: none (behavioral family: transitions /
     burstiness / phase conformity).
     """
-    from .partition import partitioned_map
-
     def prep(b: pa.Table) -> pa.Table:
         keep = pc.is_valid(b[key_col])
         for c in (ts_col, seq_col, type_col):
@@ -553,8 +546,6 @@ def oscillation_audit(ds, *, key_col: str, ts_col: str,
     n_osc_events:int64 — positions extending some run)``.
     Reference analog: none (behavioral-audit family).
     """
-    from .partition import partitioned_map
-
     def prep(b: pa.Table) -> pa.Table:
         keep = pc.is_valid(b[key_col])
         for c in (ts_col, seq_col, type_col):
@@ -649,8 +640,6 @@ def session_coactivity(ds, *, key_col: str, ts_col: str,
     Reference analog: none (abuse-audit family: ts_collision_audit /
     profile_similarity / oscillation_audit).
     """
-    from .partition import partitioned_map
-
     gapn = _gap_native(ds, ts_col, gap_s)
     schema = ds.schema()
     base = getattr(schema, "base_schema", schema)
@@ -907,7 +896,6 @@ def latency_profile(ds, *, key_col: str, ts_col: str,
     p90_gap:int64, max_gap:int64)``.  NULL key/ts/order rows drop.
     Reference analog: windowed-aggregate family (the latency stats
     the reference computes per entry, per conversation here)."""
-    from .partition import partitioned_map
     from .quantile import _disc_index_vec
 
     schema = ds.schema()
@@ -1000,8 +988,6 @@ def paired_spans(ds, *, key_col: str, ts_col: str, order_col: str,
     Reference analog: none (event-log family next to funnel /
     next_latency — those answer "did/when next"; this builds the
     full span table)."""
-    from .partition import partitioned_map
-
     schema = ds.schema()
     base = getattr(schema, "base_schema", schema)
     key_type = base.field(key_col).type

@@ -36,9 +36,11 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
+
+from .partition import materialized_block_refs, partitioned_refs, sum_partials
 
 KINDS = ("not_null", "unique", "range", "in_set", "regex")
 
@@ -48,11 +50,6 @@ def validate_constraints(ds, rules: List[Dict],
     """Run the rule suite; returns one row per rule (sorted by rule
     name): ``(rule:string, n:int64 — total rows, violations:int64,
     ok:bool, viol_frac:float64)``."""
-    import ray
-
-    from .partition import (materialized_block_refs, partitioned_refs,
-                            sum_partials)
-
     for r in rules:
         if r["kind"] not in KINDS:
             raise ValueError(f"unknown rule kind {r['kind']!r}")

@@ -25,11 +25,13 @@ as the LSH bucket caps).
 
 from __future__ import annotations
 
+import logging
 import math
 from typing import Optional, Tuple
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .partition import partitioned_map
 
@@ -112,7 +114,6 @@ def add_voronoi_features(
         n = t.num_rows
         if n == 0:
             return empty
-        import pyarrow.compute as pc
 
         keys = t[key]
         codes = pc.dictionary_encode(
@@ -129,8 +130,6 @@ def add_voronoi_features(
             s, e = starts[gi], starts[gi + 1]
             g_n = e - s
             if g_n > max_group:
-                import logging
-
                 logging.getLogger("featurebox_ray.voronoi").warning(
                     "voronoi group over cap (%d rows) skipped", g_n)
                 continue

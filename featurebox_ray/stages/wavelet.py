@@ -33,6 +33,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .partition import partitioned_map
+
 
 def haar_energy(ds, *, key_col: str, ts_col: str, order_col: str,
                 value_col: str, max_level: int = 3,
@@ -46,7 +48,6 @@ def haar_energy(ds, *, key_col: str, ts_col: str, order_col: str,
     (SQL ``coalesce``); non-finite values raise (cents_exact).
     """
     from ..functions.segments import cents_exact
-    from .partition import partitioned_map
 
     schema = ds.schema()
     base = getattr(schema, "base_schema", schema)

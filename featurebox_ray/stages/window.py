@@ -19,15 +19,17 @@ probe; a planted mega-conv (FIXTURES F1) is still one contiguous segment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from ..functions import segments as seg
-from .partition import partitioned_map
+from .partition import (global_span_cut, materialized_block_refs,
+                        partitioned_map, partitioned_refs, sum_partials)
 
 
 @dataclass
@@ -218,8 +220,6 @@ def tumbling_window_stats(ds, *, key_col: str, ts_col: str, value_col: str,
     Output: ``(key_col, w_start:timestamp-like int64 us, n_events:int64,
     id_sum:int64, v_min, v_max)``.
     """
-    from .partition import partitioned_map
-
     width_us = int(round(width_s * 1_000_000))
     if width_us <= 0:
         raise ValueError("width_s must be positive")
@@ -273,8 +273,6 @@ def hopping_window_stats(ds, *, key_col: str, ts_col: str, value_col: str,
     Output: ``(key_col, w_start:int64 epoch-us, n_events:int64,
     id_sum:int64, v_min, v_max)``.
     """
-    from .partition import partitioned_map
-
     width_us = int(round(width_s * 1_000_000))
     hop_us = int(round(hop_s * 1_000_000))
     if width_us <= 0 or hop_us <= 0:
@@ -805,8 +803,6 @@ def resample_linear(ds, *, key_col: str, ts_col: str, id_col: str,
     Reference analog: none (the reference has no time axis); this is
     the distributed sibling of pandas ``resample().interpolate()``.
     """
-    from .partition import partitioned_map
-
     if int(step) <= 0:
         raise ValueError("step must be positive")
     step = int(step)
@@ -908,8 +904,6 @@ def rolling_slope(ds, *, key_col: str, ts_col: str, id_col: str,
     rows drop (windows are over the REMAINING rows — mirror the filter
     in SQL).  Emits ``(id_col, out_col:float64)``.
     """
-    from .partition import partitioned_map
-
     if k < 2:
         raise ValueError("k must be >= 2")
 
@@ -991,8 +985,6 @@ def group_burstiness(ds, *, key_col: str, ts_col: str, id_col: str,
     exact int (it can exceed int64 in SQL HUGEINT; the conversion is
     the same rounding both sides).
     """
-    from .partition import partitioned_map
-
     schema = ds.schema()
     base = getattr(schema, "base_schema", schema)
     ktype = base.field(key_col).type
@@ -1092,8 +1084,6 @@ def lag_autocov(ds, *, key_col: str, ts_col: str, seq_col: str,
     Python.  Per-block overflow guard: ``max|x|² × rows`` must stay
     below 2^63.  NULL key/ts/seq rows drop; NULL values count 0.
     """
-    from .partition import partitioned_map
-
     if lag < 1:
         raise ValueError("lag_autocov: lag must be >= 1")
 
@@ -1190,8 +1180,6 @@ def rolling_rank(ds, *, key_col: str, ts_col: str, seq_col: str,
     q49/q171 span-walk convention), one vectorized compare, one
     ``reduceat``.
     """
-    from .partition import partitioned_map
-
     if k < 1:
         raise ValueError("rolling_rank: k must be >= 1")
 
@@ -1287,8 +1275,6 @@ def rolling_extrema(ds, *, key_col: str, ts_col: str, seq_col: str,
     documented bound for small fixed windows.
     Reference analog: windowed-aggregate family (SURVEY §2.5).
     """
-    from .partition import partitioned_map
-
     if k < 1:
         raise ValueError("rolling_extrema: k must be >= 1")
 
@@ -1390,10 +1376,7 @@ def sax_encode(ds, *, key_col: str, ts_col: str, order_col: str,
     Reference analog: none — beyond-reference time-series operator
     alongside resample_linear / hopping_window_stats.
     """
-    import ray
-
     from ..functions.segments import cents_exact
-    from .partition import partitioned_refs
     from .quantile import group_quantiles
 
     def prep(b: pa.Table) -> pa.Table:
@@ -1706,8 +1689,6 @@ def _salted_prep(ds, *, key_col: str, ts_col: str, order_col: str,
     it would merge into the NULL group.  Keeping this in one place is
     the contract — a null/ts/key-handling fix here serves every salted
     operator."""
-    from .partition import global_span_cut, materialized_block_refs
-
     schema = ds.schema()
     base = getattr(schema, "base_schema", schema)
     key_type = base.field(key_col).type
@@ -1766,10 +1747,6 @@ def salted_running_total(ds, *, key_col: str, ts_col: str,
     Returns ``(key_col, ts int64, order_col, out_col:int64)``.
     Reference analog: the skew answer for §2.12's mega-conversation
     contract (partition.py docstring), now an operator."""
-    import ray
-
-    from .partition import partitioned_map, sum_partials
-
     if n_buckets < 1:
         raise ValueError("salted_running_total: n_buckets >= 1")
     B = int(n_buckets)
@@ -1898,10 +1875,6 @@ def salted_time_window_sum(ds, *, key_col: str, ts_col: str,
     NULL keys form one group.  Returns ``(key_col, ts:int64,
     order_col, out_col:int64)``.
     Reference analog: the salted sibling of q09's time window."""
-    import ray
-
-    from .partition import partitioned_map
-
     if n_buckets < 1:
         raise ValueError("salted_time_window_sum: n_buckets >= 1")
     if window < 0:
@@ -2032,8 +2005,6 @@ def finalized_tumbling(ds, *, key_col: str, ts_col: str,
     Returns the q52 columns filtered to closed windows.
     Reference analog: none (streaming-semantics family with
     watermark_lateness / hopping / tumbling)."""
-    from .partition import global_span_cut, materialized_block_refs
-
     width_us = int(round(width_s * 1_000_000))
     wm_us = int(round(watermark_s * 1_000_000))
     if width_us <= 0 or wm_us < 0:

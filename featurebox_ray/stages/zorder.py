@@ -29,6 +29,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
+
+from .partition import materialized_block_refs
 
 __all__ = ["zorder_layout", "morton_interleave2"]
 
@@ -77,8 +80,6 @@ def zorder_layout(ds, *, x_col: str, y_col: str, tie_cols,
     make the order total (include a unique id) and be null-free; rows
     with NULL in either dimension are dropped (document filters
     upstream if they must be kept)."""
-    import ray
-
     tie_cols = list(tie_cols)
     keep_cols = tie_cols + [x_col, y_col]
 
@@ -108,8 +109,6 @@ def zorder_layout(ds, *, x_col: str, y_col: str, tie_cols,
                 outs[c + "_max"] = [None]
         return pa.table({k: pa.array(v, pa.int64())
                          for k, v in outs.items()})
-
-    from .partition import materialized_block_refs
 
     refs = materialized_block_refs(prepped)
     prepped = ray.data.from_arrow_refs(list(refs))

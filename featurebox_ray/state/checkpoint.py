@@ -50,6 +50,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray
 
 from ..stages.partition import (exchange_inputs, string_buffers,
                                 task_exchange)
@@ -250,8 +251,6 @@ def run_partitioned_checkpointed(
     upstream run under the same layout, pass its directory — the resume
     then reads ONLY the files of missing partitions (fragment-level prune)
     instead of re-reading and re-hashing the full input."""
-    import ray
-
     exchange_inputs(ds, sort_keys)
     mdir = os.path.join(out_dir, "_manifest")
     os.makedirs(mdir, exist_ok=True)
